@@ -9,9 +9,11 @@ information rents v(t):
 * construction - explicit menus of state-contingent payments that
   extract all surplus on finite type tables, or all but epsilon on a
   continuum of types (`surplex.extraction`, `surplex.models`);
-* duality - the primal/dual linear programs whose common value measures
-  the unavoidable surplus, with disintegration diagnostics that exhibit
-  a belief-dependence witness when extraction fails (`surplex.duality`).
+* duality - the primal linear program whose value measures the
+  unavoidable surplus, and its dual measure, read off the primal's
+  optimal multipliers and checked for feasibility against the full dual,
+  with disintegration diagnostics that exhibit a belief-dependence
+  witness when extraction fails (`surplex.duality`).
 
 Everything runs on a self-contained dense simplex solver
 (`surplex.lp`).  The `surplex` command line drives scenario configs and
@@ -27,7 +29,6 @@ from surplex.duality import (
     build_dual,
     build_primal,
     disintegrate,
-    solve_dual,
     solve_primal,
 )
 from surplex.extraction import (
@@ -108,7 +109,6 @@ __all__ = [
     "prob_vector",
     "sample",
     "solve",
-    "solve_dual",
     "solve_primal",
     "validate_lipschitz",
     "verify_menu",

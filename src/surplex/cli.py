@@ -245,7 +245,8 @@ def task_compress(model, config, results) -> dict:
 def task_duality(model, config, tols) -> dict:
     grid_n = int(config.get("duality_grid", 33))
     tab = _as_tabular(model, grid_n)
-    rep = duality.analyze(tab, p_tol=tols.get("p_tol", duality.P_TOL))
+    rep = duality.analyze(tab, p_tol=tols.get("p_tol", duality.P_TOL),
+                          mass_tol=tols.get("mass_tol", duality.MASS_TOL))
     ok = bool(rep.diagnostics["strong_duality_ok"] and rep.p_star >= -1e-9)
     return {"passed": ok, "report": rep.to_jsonable(),
             "virtual_extraction": bool(rep.verdict)}

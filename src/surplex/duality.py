@@ -4,13 +4,15 @@ The primal asks for a schedule z(t) and a level c with
 pi(t).z(t) <= c and v(t) - v(s) - pi(t).z(s) <= c for all t, s; its
 value p* is the worst surplus any menu of the form c(t) = v(t) + z(t)
 must leave on the table, and p* <= 0 means virtual extraction holds.
-The dual searches for measures (lambda, nu) over types and type pairs
+Its LP dual searches for measures (lambda, nu) over types and type pairs
 with lambda_u pi(u) = sum_t nu_{t,u} pi(t): a nonzero optimal nu with
 mass off the diagonal is a concrete belief-dependence witness, and
 disintegrating nu by its type marginal exhibits each belief as a convex
-combination of the others.  Strong duality (the z = 0 Slater point is
-strictly feasible) makes p* = d*, so both sides are computed and
-cross-checked rather than trusted from one solve.
+combination of the others.  Only the primal is solved: the dual measure
+is its vector of optimal multipliers (lambda on the own rows, nu on the
+pair rows), checked for feasibility against the full dual program, and
+strong duality (the z = 0 Slater point is strictly feasible) is checked
+as p* = d* = nu . d rather than trusted.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from surplex.models import TabularModel
 
 P_TOL = 1e-6       # extraction verdict: p* at or below this counts as zero
 MASS_TOL = 1e-8    # disintegration skips types with less lambda mass
-GAP_TOL = 1e-7     # strong-duality residual, relative form
+GAP_TOL = 1e-7     # strong duality: dual infeasibility, and relative gap
+MAX_ROUNDS = 60    # row-generation rounds before the primal gives up
 
 
 class DegenerateDual(ValueError):
@@ -59,13 +62,17 @@ class VseInstance:
         return self.tabular.state_count
 
 
-def build_primal(inst: VseInstance) -> lp.LinearProgram:
+def build_primal(inst: VseInstance, pairs=None) -> lp.LinearProgram:
     """min c  s.t.  pi(t).z(t) <= c,  d(t,s) - pi(t).z(s) <= c.
 
     Variables: c then z(t) flattened type-major; everything free.  The
     s = t rows read c >= -pi(t).z(t), which pins the value at p* >= 0.
+    Rows: the m own rows, then one row per pair (t, s) of `pairs`
+    (default: all m^2 pairs, flattened t-major).
     """
     m, S = inst.n_types, inst.n_states
+    if pairs is None:
+        pairs = [(t, s) for t in range(m) for s in range(m)]
     nv = 1 + m * S
     beliefs = inst.tabular.beliefs
     cons = []
@@ -74,12 +81,11 @@ def build_primal(inst: VseInstance) -> lp.LinearProgram:
         row[0] = -1.0
         row[1 + t * S:1 + (t + 1) * S] = beliefs[t]
         cons.append((row, lp.LE, 0.0))
-    for t in range(m):
-        for s in range(m):
-            row = np.zeros(nv)
-            row[0] = -1.0
-            row[1 + s * S:1 + (s + 1) * S] = -beliefs[t]
-            cons.append((row, lp.LE, -inst.d[t, s]))
+    for t, s in pairs:
+        row = np.zeros(nv)
+        row[0] = -1.0
+        row[1 + s * S:1 + (s + 1) * S] = -beliefs[t]
+        cons.append((row, lp.LE, -inst.d[t, s]))
     obj = np.zeros(nv)
     obj[0] = 1.0
     return lp.LinearProgram(obj, cons, bounds=[(None, None)] * nv)
@@ -116,6 +122,8 @@ def build_dual(inst: VseInstance) -> lp.LinearProgram:
 
 @dataclass
 class PrimalSolution:
+    """Primal optimum; `solution` certifies it for the full build_primal."""
+
     p_star: float
     z: np.ndarray                 # (types, states)
     max_violation: float
@@ -140,12 +148,12 @@ class DualMeasures:
         total = self.nu.sum()
         return float(np.trace(self.nu) / total) if total > 0.0 else 0.0
 
-
-@dataclass
-class DualSolution:
-    d_star: float
-    measures: DualMeasures
-    solution: lp.LpSolution
+    def infeasibility(self, beliefs: np.ndarray) -> float:
+        """Largest violation of build_dual: signs, normalization, states."""
+        state = self.lam[:, None] * beliefs - self.nu.T @ beliefs
+        return max(0.0, -float(self.lam.min()), -float(self.nu.min()),
+                   abs(self.normalization - 1.0),
+                   float(np.abs(state).max()))
 
 
 def _exposed_zero_certificate(inst: VseInstance) -> PrimalSolution | None:
@@ -154,16 +162,18 @@ def _exposed_zero_certificate(inst: VseInstance) -> PrimalSolution | None:
     With all beliefs exposed the full-extraction schedule
     z(s) = alpha(s) z_sep(s) is feasible at c = 0 up to rounding, and the
     s = t rows force p* >= 0, so the minimal feasible c of this schedule
-    is the exact optimum within float noise.  Returns None when some type
-    has no separator (the general solver must run then).
+    is the exact optimum within float noise.  Its dual is the measure
+    lambda_u = nu_uu = 1/(2m), of value 0.  A single type needs no
+    separator (z = 0).  Returns None when some type has no separator
+    (the general solver must run then).
     """
     from surplex.geometry import expose_set
 
     tab = inst.tabular
-    m = tab.n_types
+    m, S = tab.n_types, tab.state_count
     bset = tab.belief_set(allow_duplicates=True)
-    z = np.zeros((m, tab.state_count))
-    for s in range(m):
+    z = np.zeros((m, S))
+    for s in range(m if m > 1 else 0):   # expose_set rejects the full set
         res = expose_set(bset, [s])
         if res is None:
             return None
@@ -180,58 +190,41 @@ def _exposed_zero_certificate(inst: VseInstance) -> PrimalSolution | None:
                 float(np.max(inst.d - vals)))
     if not 0.0 <= c_min <= 1e-9:
         return None
+    duals = np.zeros(m + m * m)
+    duals[:m] = -0.5 / m
+    duals[m + np.arange(m) * (m + 1)] = -0.5 / m
+    free = np.zeros(1 + m * S)                     # no bound multipliers
+    sol = lp.LpSolution(status=lp.OPTIMAL,
+                        primal=np.concatenate([[c_min], z.reshape(-1)]),
+                        duals=duals, objective_value=c_min,
+                        bound_duals=(free, free.copy()))
     return PrimalSolution(p_star=c_min, z=z, max_violation=0.0,
-                          solution=lp.LpSolution(status=lp.OPTIMAL,
-                                                 objective_value=c_min))
+                          solution=sol)
 
 
-def solve_primal(inst: VseInstance, *, direct_limit: int = 600,
-                 max_rounds: int = 60) -> PrimalSolution:
-    """Solve the primal exactly, by row generation when it is large.
+def solve_primal(inst: VseInstance) -> PrimalSolution:
+    """Solve the primal exactly: the all-exposed shortcut, else rows on demand.
 
-    The m^2 pair constraints are mostly slack at the optimum, so large
-    instances are solved on an active subset, pulling in the worst
-    violated pairs until the full system is satisfied; the result is the
-    exact LP optimum with an explicit feasibility residual.
+    The m^2 pair constraints are mostly slack at the optimum, so the
+    program is solved on an active subset, pulling in the worst violated
+    pairs until the full system is satisfied; the result is the exact LP
+    optimum with an explicit feasibility residual.  Its duals are
+    zero-padded on the pairs never added, which keeps them optimal for
+    the full program.
     """
-    m, S = inst.n_types, inst.n_states
-    beliefs = inst.tabular.beliefs
-
-    def assemble(pairs):
-        nv = 1 + m * S
-        cons = []
-        for t in range(m):
-            row = np.zeros(nv)
-            row[0] = -1.0
-            row[1 + t * S:1 + (t + 1) * S] = beliefs[t]
-            cons.append((row, lp.LE, 0.0))
-        for t, s in pairs:
-            row = np.zeros(nv)
-            row[0] = -1.0
-            row[1 + s * S:1 + (s + 1) * S] = -beliefs[t]
-            cons.append((row, lp.LE, -inst.d[t, s]))
-        obj = np.zeros(nv)
-        obj[0] = 1.0
-        return lp.LinearProgram(obj, cons, bounds=[(None, None)] * nv)
-
-    if m + m * m <= direct_limit:
-        pairs = [(t, s) for t in range(m) for s in range(m)]
-        sol = lp.solve(assemble(pairs))
-        z = sol.primal[1:].reshape(m, S)
-        return PrimalSolution(p_star=float(sol.objective_value), z=z,
-                              max_violation=0.0, solution=sol)
-
     fast = _exposed_zero_certificate(inst)
     if fast is not None:
         return fast
 
+    m, S = inst.n_types, inst.n_states
+    beliefs = inst.tabular.beliefs
     pairs = {(t, t) for t in range(m)}
     for t in range(m):
         pairs.add((t, int(np.argmin(inst.tabular.values))))
         pairs.add((int(np.argmax(inst.tabular.values)), t))
-    sol = None
-    for _ in range(max_rounds):
-        sol = lp.solve(assemble(sorted(pairs)))
+    for _ in range(MAX_ROUNDS):
+        active = sorted(pairs)
+        sol = lp.solve(build_primal(inst, active))
         if sol.status != lp.OPTIMAL:  # pragma: no cover - Slater point
             raise RuntimeError(f"primal subproblem ended {sol.status}")
         c_val = sol.primal[0]
@@ -239,34 +232,23 @@ def solve_primal(inst: VseInstance, *, direct_limit: int = 600,
         # violation of d(t,s) - pi(t).z(s) <= c over all pairs
         surplus = inst.d - beliefs @ z.T - c_val
         worst = float(surplus.max())
-        if worst <= 1e-10 * (1.0 + abs(c_val)):
-            return PrimalSolution(p_star=float(sol.objective_value), z=z,
-                                  max_violation=max(worst, 0.0),
-                                  solution=sol)
-        flat = np.argsort(surplus, axis=None)[::-1][:3 * m]
         added = False
-        for idx in flat:
+        for idx in np.argsort(surplus, axis=None)[::-1][:3 * m]:
             t, s = divmod(int(idx), m)
             if surplus[t, s] <= 1e-10 * (1.0 + abs(c_val)):
                 break
             if (t, s) not in pairs:
                 pairs.add((t, s))
                 added = True
-        if not added:  # pragma: no cover - numerical corner
+        if not added:  # settled, or a numerical corner (worst > 0)
+            duals = np.zeros(m + m * m)
+            duals[:m] = sol.duals[:m]
+            duals[[m + t * m + s for t, s in active]] = sol.duals[m:]
+            sol.duals = duals
             return PrimalSolution(p_star=float(sol.objective_value), z=z,
-                                  max_violation=worst, solution=sol)
+                                  max_violation=max(worst, 0.0),
+                                  solution=sol)
     raise RuntimeError("primal row generation did not settle")
-
-
-def solve_dual(inst: VseInstance) -> DualSolution:
-    m = inst.n_types
-    sol = lp.solve(build_dual(inst))
-    if sol.status != lp.OPTIMAL:  # pragma: no cover - feasible and bounded
-        raise RuntimeError(f"dual LP ended {sol.status}")
-    lam = sol.primal[:m]
-    nu = sol.primal[m:].reshape(m, m)
-    return DualSolution(d_star=float(sol.objective_value),
-                        measures=DualMeasures(lam=lam, nu=nu), solution=sol)
 
 
 @dataclass
@@ -311,14 +293,14 @@ class DualityReport:
     d_star: float
     gap: float
     primal: PrimalSolution
-    dual: DualSolution
+    measures: DualMeasures            # read off the primal's multipliers
     disintegration: DisintegrationReport | None
     verdict: bool                     # virtual extraction holds
     shift_menu: Menu
     diagnostics: dict = field(default_factory=dict)
 
     def to_jsonable(self) -> dict:
-        meas = self.dual.measures
+        meas = self.measures
         triplets = [[int(t), int(s), float(meas.nu[t, s])]
                     for t, s in zip(*np.nonzero(meas.nu > 1e-12))]
         out = {
@@ -351,33 +333,43 @@ def shift_contracts(inst: VseInstance, primal: PrimalSolution) -> Menu:
     return Menu(entries)
 
 
-def analyze(tabular: TabularModel, *, p_tol: float = P_TOL) -> DualityReport:
-    """Solve both programs, cross-check them, and attach the verdict."""
+def analyze(tabular: TabularModel, *, p_tol: float = P_TOL,
+            mass_tol: float = MASS_TOL) -> DualityReport:
+    """Solve the primal, read the dual off it, check both, attach the verdict.
+
+    Strong duality holds when the measures are feasible for build_dual
+    and |p* - d*| <= GAP_TOL (1 + |p*|).
+    """
     inst = VseInstance(tabular)
     primal = solve_primal(inst)
-    dual = solve_dual(inst)
-    gap = abs(primal.p_star - dual.d_star)
-    meas = dual.measures
-    disintegration = None
-    try:
-        disintegration = disintegrate(meas, tabular)
-    except (DegenerateDual, ValueError):
-        pass
-    verdict = primal.p_star <= p_tol
-    menu = shift_contracts(inst, primal)
+    m = inst.n_types
+    y = -primal.solution.duals + 0.0   # lambda = -y_own, nu = -y_pair
+    meas = DualMeasures(lam=y[:m], nu=y[m:].reshape(m, m))
+    d_star = float(np.sum(meas.nu * inst.d))
+    gap = abs(primal.p_star - d_star)
+    infeasibility = meas.infeasibility(tabular.beliefs)
     diagnostics = {
         "normalization": meas.normalization,
         "marginal_residual": meas.marginal_residual(),
         "diagonal_mass": meas.diagonal_mass(),
-        "nu_dot_d": float(np.sum(meas.nu * inst.d)),
+        "nu_dot_d": d_star,
         "primal_violation": primal.max_violation,
+        "dual_infeasibility": infeasibility,
         "strong_duality_ok":
-            bool(gap <= GAP_TOL * (1.0 + abs(primal.p_star))),
+            bool(infeasibility <= GAP_TOL
+                 and gap <= GAP_TOL * (1.0 + abs(primal.p_star))),
     }
-    return DualityReport(p_star=primal.p_star, d_star=dual.d_star, gap=gap,
-                         primal=primal, dual=dual,
-                         disintegration=disintegration, verdict=verdict,
-                         shift_menu=menu, diagnostics=diagnostics)
+    disintegration = None
+    try:
+        disintegration = disintegrate(meas, tabular, mass_tol)
+    except ValueError as err:  # DegenerateDual included
+        diagnostics["disintegration_error"] = str(err)
+    return DualityReport(p_star=primal.p_star, d_star=d_star, gap=gap,
+                         primal=primal, measures=meas,
+                         disintegration=disintegration,
+                         verdict=primal.p_star <= p_tol,
+                         shift_menu=shift_contracts(inst, primal),
+                         diagnostics=diagnostics)
 
 
 def verify_shift_menu(tabular: TabularModel, report: DualityReport,

@@ -167,6 +167,27 @@ def test_tol_override_applies(tmp_path):
                  "--tol-override", "bogus=1"]) == 2
 
 
+def test_mass_tol_override_reaches_disintegration(tmp_path):
+    # lambda sums to 1/2, so no type clears a mass floor of 1.0
+    config = {"version": 1,
+              "model": {"kind": "tabular", "states": 3,
+                        "types": ["T0", "T1"],
+                        "beliefs": [[0.5, 0.3, 0.2], [0.5, 0.3, 0.2]],
+                        "values": [2.0, 1.0]},
+              "tasks": ["duality"]}
+    path = write_config(tmp_path, config)
+    assert main(["analyze", str(path), "--out", str(tmp_path / "a")]) == 0
+    report = json.loads((tmp_path / "a" / "report.json").read_text())
+    assert "disintegration" in report["tasks"]["duality"]["report"]
+    assert main(["analyze", str(path), "--out", str(tmp_path / "b"),
+                 "--tol-override", "mass_tol=1.0"]) == 0
+    report = json.loads((tmp_path / "b" / "report.json").read_text())
+    dual = report["tasks"]["duality"]["report"]
+    assert "disintegration" not in dual
+    assert (dual["diagnostics"]["disintegration_error"]
+            == "all lambda mass below mass_tol")
+
+
 def test_sweep_subcommand(tmp_path):
     config = {"version": 1, "model": {"kind": "counterexample"},
               "tasks": ["sweep"]}

@@ -13,13 +13,13 @@ from surplex.duality import (
     build_dual,
     build_primal,
     disintegrate,
-    solve_dual,
     solve_primal,
     verify_shift_menu,
 )
 from surplex.models import (
     counterexample_model,
     identical_beliefs_pair,
+    planted_combination_instance,
     random_tabular,
     sample,
 )
@@ -88,7 +88,6 @@ def test_convex_independent_instances():
 
 
 def test_planted_instance_detected():
-    from surplex.models import planted_combination_instance
     tab, idx, mu = planted_combination_instance(7, 6, 8)
     rep = analyze(tab)
     # gap = combination value - planted value = 0.5, spread over the pair
@@ -116,8 +115,7 @@ def test_primal_dual_lp_shapes():
 def test_marginal_identity_at_optimum():
     for seed in (11, 12):
         tab = random_tabular(seed, 6, 7)
-        dual = solve_dual(VseInstance(tab))
-        meas = dual.measures
+        meas = analyze(tab).measures
         assert meas.normalization == pytest.approx(1.0, abs=1e-10)
         assert meas.marginal_residual() <= 1e-7
         assert meas.lam.min() >= -1e-12
@@ -126,8 +124,7 @@ def test_marginal_identity_at_optimum():
 
 def test_disintegration_rows_are_distributions():
     tab = random_tabular(13, 5, 6)
-    dual = solve_dual(VseInstance(tab))
-    dis = disintegrate(dual.measures, tab)
+    dis = disintegrate(analyze(tab).measures, tab)
     for u, row in dis.rows.items():
         assert row.sum() == pytest.approx(1.0, abs=1e-10)
         assert row.min() >= 0.0
@@ -174,14 +171,67 @@ def test_row_generation_matches_direct():
     model = counterexample_model(validate=False)
     tab = sample(model, 17)
     inst = VseInstance(tab)
-    direct = solve_primal(inst)
-    gen = solve_primal(inst, direct_limit=10)
-    assert gen.p_star == pytest.approx(direct.p_star, abs=1e-8)
+    direct = lp.solve(build_primal(inst))
+    gen = solve_primal(inst)
+    assert gen.p_star == pytest.approx(direct.objective_value, abs=1e-8)
     assert gen.max_violation <= 1e-9
 
 
 def test_row_generation_matches_direct_infeasible_zero():
     pair = identical_beliefs_pair(2.0, 1.0)
     inst = VseInstance(pair)
-    gen = solve_primal(inst, direct_limit=1)
+    direct = lp.solve(build_primal(inst))
+    gen = solve_primal(inst)
+    assert gen.p_star == pytest.approx(direct.objective_value, abs=1e-8)
     assert gen.p_star == pytest.approx(0.5, abs=1e-8)
+
+
+def certificate_cases(max_types=None):
+    """Instances over both solve_primal paths and the m = 1 guard."""
+    curve = counterexample_model(validate=False)
+    cases = [
+        # row generation: some type has no separator
+        ("identical_pair", identical_beliefs_pair(2.0, 1.0)),
+        ("planted", planted_combination_instance(7, 6, 8)[0]),
+        ("table0", random_tabular(0, 40, 6)),
+        # all-exposed shortcut
+        ("curve17", sample(curve, 17)),
+        ("curve33", sample(curve, 33)),
+        ("single_type", random_tabular(5, 1, 2)),
+    ]
+    return [pytest.param(tab, id=name) for name, tab in cases
+            if max_types is None or tab.n_types <= max_types]
+
+
+@pytest.mark.parametrize("tab", certificate_cases())
+def test_primal_certifies_full_program(tab):
+    inst = VseInstance(tab)
+    primal = solve_primal(inst)
+    rep = lp.check_certificate(build_primal(inst), primal.solution)
+    assert rep.passed, rep
+
+
+@pytest.mark.parametrize("tab", certificate_cases(max_types=17))
+def test_multiplier_dual_matches_dual_lp(tab):
+    # independent oracle: the dense dual LP, solved on its own
+    inst = VseInstance(tab)
+    rep = analyze(tab)
+    prog = build_dual(inst)
+    oracle = lp.solve(prog)
+    assert oracle.status == lp.OPTIMAL
+    assert rep.d_star == pytest.approx(oracle.objective_value, abs=1e-8)
+    # every build_dual row is an equality; every variable is >= 0
+    x = np.concatenate([rep.measures.lam, rep.measures.nu.reshape(-1)])
+    assert np.abs(prog.rows @ x - prog.rhs).max() <= 1e-9
+    assert x.min() >= -1e-9
+
+
+@pytest.mark.parametrize("seed", [3, 53])
+def test_dense_dual_regression_tables(seed):
+    # the standalone dense dual ended with a 6.9e-4 residual on table 3 and
+    # did not finish within minutes on table 53
+    rep = analyze(random_tabular(seed, 40, 6))
+    assert rep.diagnostics["strong_duality_ok"]
+    if seed == 3:
+        p_ref = 1.2523570372881012
+        assert abs(rep.p_star - p_ref) <= 1e-7 * (1.0 + abs(p_ref))
