@@ -158,25 +158,24 @@ def _map_jobs(fn, items, jobs: int):
 
 def task_classify(model, config, tols, jobs) -> dict:
     margin_tol = tols.get("margin_tol", 1e-7)
+    grid_n = int(config.get("grid", 201))
+    tab = _as_tabular(model, grid_n)
+    bset = tab.belief_set(allow_duplicates=True)
     if isinstance(model, TabularModel):
         items = list(range(model.n_types))
-        labels = model.labels
-        grid_n = 0
     else:
-        grid_n = int(config.get("grid", 201))
-        ts = grid(grid_n)
-        items = list(ts)
-        labels = _as_tabular(model, grid_n).labels
+        items = list(grid(grid_n))
 
     def one(t):
-        return classify_type(model, t, grid_n or 201, margin_tol=margin_tol)
+        return classify_type(model, t, grid_n, margin_tol=margin_tol,
+                             bset=bset)
 
     results = _map_jobs(one, items, jobs)
-    per_type = {lbl: c.to_jsonable() for lbl, c in zip(labels, results)}
+    per_type = {lbl: c.to_jsonable() for lbl, c in zip(tab.labels, results)}
     counts: dict[str, int] = {}
     for c in results:
         counts[c.label] = counts.get(c.label, 0) + 1
-    undetectable = [lbl for lbl, c in zip(labels, results)
+    undetectable = [lbl for lbl, c in zip(tab.labels, results)
                     if c.label == "not_detectable"]
     return {"passed": not undetectable, "counts": counts,
             "types": per_type,

@@ -261,7 +261,8 @@ def _finish_contract(pi, value, terms) -> Contract:
 # classification
 
 def classify_type(model, t, grid_n: int = 201,
-                  margin_tol: float = MARGIN_TOL) -> Classification:
+                  margin_tol: float = MARGIN_TOL, *,
+                  bset: FiniteBeliefSet | None = None) -> Classification:
     """Strongest detectability label for a type, with certificates.
 
     Tabular models are finite, so a separating functional bounds the
@@ -271,12 +272,17 @@ def classify_type(model, t, grid_n: int = 201,
     checked first, because grid exposure margins for a non-exposed
     endpoint are positive (they only decay to zero under refinement) and
     would mask the continuum structure.
+
+    bset lets a caller classifying many types build the belief set once:
+    the table's own (with duplicates allowed), or for a parametric model
+    the one of sample(model, grid_n), in which case t must be a grid
+    point.  Without it each call builds its own.
     """
     if isinstance(model, TabularModel):
-        return _classify_tabular(model, model.index_of(t),
+        return _classify_tabular(model, model.index_of(t), bset=bset,
                                  margin_tol=margin_tol)
     return _classify_parametric(model, float(t), grid_n,
-                                margin_tol=margin_tol)
+                                margin_tol=margin_tol, bset=bset)
 
 
 def _classify_tabular(tab: TabularModel, idx: int,
@@ -305,20 +311,27 @@ def _classify_tabular(tab: TabularModel, idx: int,
 
 
 def _classify_parametric(model: ParametricModel, t: float, grid_n: int,
-                         margin_tol: float = MARGIN_TOL) -> Classification:
+                         margin_tol: float = MARGIN_TOL,
+                         bset: FiniteBeliefSet | None = None
+                         ) -> Classification:
     ts = grid(grid_n)
     if not np.any(np.abs(ts - t) < 1e-12):
+        if bset is not None:
+            raise ValueError(f"t={t!r} is not a point of the shared grid")
         ts = np.sort(np.append(ts, t))
+    if bset is None:
+        bset = FiniteBeliefSet([type_label(s) for s in ts],
+                               model.beliefs(ts), allow_duplicates=True)
+    elif len(bset) != ts.size:
+        raise ValueError(f"shared grid has {len(bset)} points, "
+                         f"expected {ts.size}")
     idx = int(np.argmin(np.abs(ts - t)))
-    tab = TabularModel(labels=[type_label(s) for s in ts],
-                       beliefs=model.beliefs(ts), values=model.values(ts))
-    bset = tab.belief_set(allow_duplicates=True)
     h = float(np.diff(ts).max())
-    pi_t = tab.beliefs[idx]
+    pi_t = bset.points[idx]
 
     for f in model.declared_faces:
         if abs(float(pi_t @ f.functional)) <= FACE_TOL:
-            on_face = np.abs(tab.beliefs @ f.functional) <= FACE_TOL
+            on_face = np.abs(bset.points @ f.functional) <= FACE_TOL
             if on_face.sum() >= 2:
                 chain = exposure_chain(
                     bset, idx, declared_faces=[f.functional for f

@@ -3,9 +3,11 @@
 Predicates over finite point sets {p_1, ..., p_m} in R^S: affine
 dimension, extreme and exposed point classification, supporting
 functionals and their faces, and nested exposure chains that certify a
-point as eventually exposed.  Every separation question is answered by
-a small LP with the functional box-normalized to |z|_inf <= 1, so the
-margin tolerances below are scale-meaningful.
+point as eventually exposed.  Every separation question is a max-margin
+LP with the functional box-normalized to |z|_inf <= 1, so the margin
+tolerances below are scale-meaningful.  It is solved in dual form: a
+min-l1 convex-combination program with S + 1 rows and one column per
+point, whose row multipliers are the functional z.
 """
 
 from __future__ import annotations
@@ -169,84 +171,57 @@ def is_extreme(bset: FiniteBeliefSet, i: int):
 
 def _separation_lp(points, zero_idx, floor_idx, margin_idx, box=1.0):
     """max m  s.t. p.z = 0 on zero_idx, p.z >= 0 on floor_idx,
-    p.z >= m on margin_idx, |z|_inf <= box.  Returns (z, m)."""
+    p.z >= m on margin_idx, |z|_inf <= box.  Returns (z, m).
+
+    Solved as its LP dual, with one column per point and S + 1 rows:
+
+        min box sum_s (a_s + b_s)
+        s.t. sum_k w_k p_k + sum_l f_l p_l + sum_j u_j p_j - a + b = 0
+             sum_k w_k = 1,        w, f, a, b >= 0, u free,
+
+    over margin points k, floor points l and zero points j.  z is minus
+    the multipliers of the S state rows, and m = min_k p_k.z is exact for
+    the z returned.
+    """
+    zero_idx, floor_idx, margin_idx = (np.asarray(ix, dtype=int) for ix in
+                                       (zero_idx, floor_idx, margin_idx))
+    if margin_idx.size == 0:
+        raise ValueError("margin family must be nonempty")
     S = points.shape[1]
-    nv = S + 1                        # z then the margin variable
-    cons = []
-    for j in zero_idx:
-        cons.append((np.append(points[j], 0.0), lp.EQ, 0.0))
-    for k in floor_idx:
-        cons.append((np.append(points[k], 0.0), lp.GE, 0.0))
-    for k in margin_idx:
-        cons.append((np.append(points[k], -1.0), lp.GE, 0.0))
-    obj = np.zeros(nv)
-    obj[-1] = 1.0
-    bounds = [(-box, box)] * S + [(None, None)]
-    prog = lp.LinearProgram(obj, cons, bounds=bounds, sense="max")
-    sol = lp.solve(prog)
-    if sol.status != lp.OPTIMAL:  # pragma: no cover - box keeps it bounded
+    n_sign = margin_idx.size + floor_idx.size
+    cols = points[np.concatenate([margin_idx, floor_idx, zero_idx])].T
+    n = cols.shape[1]
+    rows = np.hstack([cols, -np.eye(S), np.eye(S)])
+    weights = np.zeros(n + 2 * S)
+    weights[:margin_idx.size] = 1.0
+    cons = [(row, lp.EQ, 0.0) for row in rows] + [(weights, lp.EQ, 1.0)]
+    obj = np.zeros(n + 2 * S)
+    obj[n:] = box
+    bounds = ([(0.0, None)] * n_sign + [(None, None)] * zero_idx.size
+              + [(0.0, None)] * (2 * S))
+    sol = lp.solve(lp.LinearProgram(obj, cons, bounds=bounds))
+    if sol.status != lp.OPTIMAL:  # pragma: no cover - feasible, bounded by 0
         raise RuntimeError(f"separation LP ended {sol.status}")
-    return sol.primal[:S], float(sol.primal[-1])
+    z = -sol.duals[:S]
+    return z, float((points[margin_idx] @ z).min())
 
 
-def max_margin_functional(zero_pts, floor_pts, margin_pts, *, box=1.0,
-                          direct_limit=80, batch=24, max_rounds=60):
-    """Row-generated separation: max m s.t. z = 0 on zero_pts, >= 0 on
-    floor_pts, >= m on margin_pts, |z|_inf <= box.
+def max_margin_functional(zero_pts, floor_pts, margin_pts, *, box=1.0):
+    """max m s.t. z = 0 on zero_pts, >= 0 on floor_pts, >= m on
+    margin_pts, |z|_inf <= box.  Returns (z, m), with m exact on the
+    whole margin family.
 
-    Large constraint families are handled with an active set: solve on a
-    subsample, pull in the worst violated rows, repeat until the returned
-    functional is clean on every row.  The reported margin is recomputed
-    on the full margin family, so it is exact regardless of the path.
+    The separation LP has one column per point and S + 1 rows, so large
+    certification families are solved whole.
     """
     zero_pts = np.atleast_2d(np.asarray(zero_pts, dtype=float))
-    floor_pts = np.atleast_2d(np.asarray(floor_pts, dtype=float)) \
-        if len(floor_pts) else np.zeros((0, zero_pts.shape[1]))
-    margin_pts = np.atleast_2d(np.asarray(margin_pts, dtype=float))
-    n_floor, n_margin = floor_pts.shape[0], margin_pts.shape[0]
-
-    if n_floor + n_margin <= direct_limit:
-        z, _ = _separation_lp(np.vstack([zero_pts, floor_pts, margin_pts]),
-                              np.arange(len(zero_pts)),
-                              len(zero_pts) + np.arange(n_floor),
-                              len(zero_pts) + n_floor + np.arange(n_margin),
-                              box=box)
-        return z, float((margin_pts @ z).min())
-
-    def spread(n, k):
-        if n == 0:
-            return np.zeros(0, dtype=int)
-        return np.unique(np.linspace(0, n - 1, min(n, k)).astype(int))
-
-    act_floor = set(spread(n_floor, 16))
-    act_margin = set(spread(n_margin, 16))
-    for _ in range(max_rounds):
-        fl = np.array(sorted(act_floor), dtype=int)
-        mg = np.array(sorted(act_margin), dtype=int)
-        pts = np.vstack([zero_pts, floor_pts[fl], margin_pts[mg]])
-        z, m_active = _separation_lp(
-            pts, np.arange(len(zero_pts)),
-            len(zero_pts) + np.arange(fl.size),
-            len(zero_pts) + fl.size + np.arange(mg.size), box=box)
-        clean = True
-        if n_floor:
-            vals = floor_pts @ z
-            bad = np.flatnonzero(vals < -1e-11)
-            bad = bad[np.argsort(vals[bad])][:batch]
-            new = set(bad.tolist()) - act_floor
-            if new:
-                act_floor |= new
-                clean = False
-        vals_m = margin_pts @ z
-        bad = np.flatnonzero(vals_m < m_active - 1e-11 * (1 + abs(m_active)))
-        bad = bad[np.argsort(vals_m[bad])][:batch]
-        new = set(bad.tolist()) - act_margin
-        if new:
-            act_margin |= new
-            clean = False
-        if clean:
-            return z, float(vals_m.min())
-    raise RuntimeError("separation row generation did not settle")
+    S = zero_pts.shape[1]
+    floor_pts = np.asarray(floor_pts, dtype=float).reshape(-1, S)
+    margin_pts = np.asarray(margin_pts, dtype=float).reshape(-1, S)
+    nz, nf = zero_pts.shape[0], floor_pts.shape[0]
+    return _separation_lp(np.vstack([zero_pts, floor_pts, margin_pts]),
+                          np.arange(nz), nz + np.arange(nf),
+                          nz + nf + np.arange(margin_pts.shape[0]), box=box)
 
 
 def expose_set(bset: FiniteBeliefSet, subset, *, margin_indices=None,

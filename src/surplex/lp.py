@@ -158,7 +158,9 @@ class _Canonical:
     scale: np.ndarray                # row equilibration factors
     row_source: list[tuple]          # ("con", k) | ("lo", j) | ("up", j)
     row_rel: list[str]               # relation of the assembled row
-    var_map: list[tuple]             # ("pos", col) | ("split", col_p, col_m)
+    first: np.ndarray                # per variable: its (first) column
+    split: np.ndarray                # per variable: split into two columns
+    second: np.ndarray               # per split variable: its minus column
     n_struct: int
     slack_cols: np.ndarray           # per row: slack column or -1
     art_cols: np.ndarray             # per row: artificial column or -1
@@ -166,48 +168,40 @@ class _Canonical:
 
 def _canonicalize(lp: LinearProgram) -> _Canonical:
     n = lp.n_vars
-    var_map = []
-    n_struct = 0
-    for lo, up in lp.bounds:
-        if lo is not None and lo >= 0.0:
-            var_map.append(("pos", n_struct))
-            n_struct += 1
-        else:
-            var_map.append(("split", n_struct, n_struct + 1))
-            n_struct += 2
+    split = np.array([lo is None or lo < 0.0 for lo, _ in lp.bounds],
+                     dtype=bool)
+    width = 1 + split.astype(int)
+    first = np.cumsum(width) - width
+    second = first[split] + 1
+    n_struct = int(width.sum())
 
-    def expand(row):
-        out = np.zeros(n_struct)
-        for j, m in enumerate(var_map):
-            if m[0] == "pos":
-                out[m[1]] = row[j]
-            else:
-                out[m[1]] = row[j]
-                out[m[2]] = -row[j]
+    def expand(R):
+        out = np.zeros((R.shape[0], n_struct))
+        out[:, first] = R
+        out[:, second] = -R[:, split]
         return out
 
-    rows, rels, rhs, source = [], [], [], []
-    for k in range(lp.n_constraints):
-        rows.append(expand(lp.rows[k]))
-        rels.append(lp.relations[k])
-        rhs.append(lp.rhs[k])
-        source.append(("con", k))
-    unit = np.eye(n)
+    rels = list(lp.relations)
+    rhs = list(lp.rhs)
+    source = [("con", k) for k in range(lp.n_constraints)]
+    bound_vars = []
     for j, (lo, up) in enumerate(lp.bounds):
         if lo is not None and lo != 0.0:
-            rows.append(expand(unit[j]))
+            bound_vars.append(j)
             rels.append(GE)
             rhs.append(lo)
             source.append(("lo", j))
         if up is not None:
-            rows.append(expand(unit[j]))
+            bound_vars.append(j)
             rels.append(LE)
             rhs.append(up)
             source.append(("up", j))
+    unit = np.zeros((len(bound_vars), n))
+    unit[np.arange(len(bound_vars)), bound_vars] = 1.0
 
-    m = len(rows)
-    A0 = np.array(rows) if rows else np.zeros((0, n_struct))
-    b0 = np.array(rhs)
+    m = len(rels)
+    A0 = expand(np.vstack([lp.rows, unit]))
+    b0 = np.array(rhs, dtype=float)
 
     # row equilibration: unit inf-norm rows keep reduced-cost noise flat
     scale = np.ones(m)
@@ -250,17 +244,12 @@ def _canonicalize(lp: LinearProgram) -> _Canonical:
         A_full[i, c] = 1.0
         art_cols[i] = c
 
-    c_canon = np.zeros(n_struct)
     obj = lp.objective if lp.sense == "min" else -lp.objective
-    for j, mmap in enumerate(var_map):
-        if mmap[0] == "pos":
-            c_canon[mmap[1]] = obj[j]
-        else:
-            c_canon[mmap[1]] = obj[j]
-            c_canon[mmap[2]] = -obj[j]
+    c_canon = expand(obj[None, :])[0]
 
     return _Canonical(c=c_canon, A=A_full, b=b0, flip=flip, scale=scale,
-                      row_source=source, row_rel=rels, var_map=var_map,
+                      row_source=source, row_rel=rels, first=first,
+                      split=split, second=second,
                       n_struct=n_struct, slack_cols=slack_cols,
                       art_cols=art_cols)
 
@@ -373,12 +362,8 @@ def _split_duals(lp, canon, y):
 
 
 def _to_original(lp, canon, x_struct):
-    x = np.zeros(lp.n_vars)
-    for j, m in enumerate(canon.var_map):
-        if m[0] == "pos":
-            x[j] = x_struct[m[1]]
-        else:
-            x[j] = x_struct[m[1]] - x_struct[m[2]]
+    x = x_struct[canon.first]
+    x[canon.split] -= x_struct[canon.second]
     return x
 
 

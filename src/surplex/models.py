@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from surplex.geometry import FACE_TOL, FiniteBeliefSet, prob_vector
+from surplex.geometry import FACE_TOL, PROB_TOL, FiniteBeliefSet, prob_vector
 
 EPS_EMB = 0.1
 MAX_CURVE_SPEED = 9.0    # sup of r(u) = 5 - 4 cos u
@@ -183,7 +183,24 @@ class ParametricModel:
     name: str = "parametric"
 
     def beliefs(self, ts) -> np.ndarray:
-        return np.array([self.belief_fn(float(t)) for t in np.atleast_1d(ts)])
+        """Belief rows at ts; raises ValueError at the first t whose row
+        is not a probability vector over the model's states."""
+        ts = np.atleast_1d(ts)
+        if not ts.size:
+            return np.zeros((0, self.state_count))
+        rows = np.array([self.belief_fn(float(t)) for t in ts], dtype=float)
+        if rows.shape != (ts.size, self.state_count):
+            raise ValueError(f"belief_fn rows have shape {rows.shape[1:]}, "
+                             f"expected ({self.state_count},)")
+        with np.errstate(invalid="ignore"):
+            bad = (~np.isfinite(rows).all(axis=1)
+                   | (rows.min(axis=1) < -PROB_TOL)
+                   | ~(np.abs(rows.sum(axis=1) - 1.0) <= PROB_TOL))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"belief at t={float(ts[k])!r} is not a "
+                             f"probability vector: {rows[k].tolist()}")
+        return rows
 
     def values(self, ts) -> np.ndarray:
         return np.array([self.value_fn(float(t)) for t in np.atleast_1d(ts)])

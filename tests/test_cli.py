@@ -10,8 +10,11 @@ from surplex.cli import (
     counterexample_preset,
     load_config,
     main,
+    task_classify,
     validate_config,
 )
+from surplex.extraction import classify_type
+from surplex.models import counterexample_model, grid, random_tabular
 from surplex.figures import convex_hull_2d
 
 
@@ -223,3 +226,25 @@ def test_load_config_round_trip(tmp_path):
     path = write_config(tmp_path, counterexample_preset())
     config = load_config(path)
     assert config["model"]["kind"] == "counterexample"
+
+
+@pytest.mark.parametrize("which", ["curve17", "table0"])
+def test_classify_shared_grid_matches_per_type_calls(which):
+    if which == "curve17":
+        model = counterexample_model(validate=False)
+        config = {"grid": 17}
+        items = list(grid(17))
+    else:
+        model = random_tabular(0, 40, 6)
+        config = {}
+        items = list(model.labels)
+    out = task_classify(model, config, {}, 1)
+    assert len(out["types"]) == len(items)
+    for (label, got), t in zip(out["types"].items(), items):
+        ref = classify_type(model, t, config.get("grid", 201)).to_jsonable()
+        assert got["label"] == ref["label"], label
+        assert got.get("chain_length") == ref.get("chain_length"), label
+        for key in ("margin", "inf_margin"):
+            assert (key in got) == (key in ref), label
+            if key in ref:
+                assert got[key] == pytest.approx(ref[key], rel=0, abs=1e-12)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from surplex import extraction, geometry, lp
 from surplex.geometry import (
+    FACE_TOL,
     EmptySet,
     FiniteBeliefSet,
     IndexOutOfRange,
@@ -14,8 +16,10 @@ from surplex.geometry import (
     exposure_chain,
     face_of,
     is_extreme,
+    max_margin_functional,
     prob_vector,
 )
+from surplex.models import counterexample_model, sample
 
 
 def simplex_vertices():
@@ -187,3 +191,132 @@ def test_empty_and_bad_inputs():
         expose_set(bset, [])
     with pytest.raises(ValueError):
         expose_set(bset, [0, 1, 2])
+
+
+def test_expose_set_empty_margin_family():
+    bset = simplex_vertices()
+    with pytest.raises(ValueError, match="margin family must be nonempty"):
+        expose_set(bset, [0], margin_indices=[])
+
+
+# ---------------------------------------------------------------------------
+# the separation LP, solved in dual form
+
+def primal_margin(points, zero, floor, margin, box):
+    """The separation LP in its n-row primal form: one row per point."""
+    S = points.shape[1]
+    cons = [(np.append(points[j], 0.0), lp.EQ, 0.0) for j in zero]
+    cons += [(np.append(points[k], 0.0), lp.GE, 0.0) for k in floor]
+    cons += [(np.append(points[k], -1.0), lp.GE, 0.0) for k in margin]
+    obj = np.zeros(S + 1)
+    obj[-1] = 1.0
+    sol = lp.solve(lp.LinearProgram(
+        obj, cons, bounds=[(-box, box)] * S + [(None, None)], sense="max"))
+    assert sol.status == lp.OPTIMAL
+    return sol.objective_value
+
+
+def test_separation_lp_matches_primal_oracle():
+    rng = np.random.default_rng(2024)
+    for trial in range(60):
+        S = int(rng.integers(3, 7))
+        n = int(rng.integers(2, 61))
+        pts = rng.exponential(size=(n, S))
+        if trial % 3 == 0:
+            # a few sharp, near-vertex beliefs
+            pts[: n // 4] **= 4
+        pts /= pts.sum(axis=1, keepdims=True)
+        if trial % 2 == 0 and n > 3:   # duplicates, possibly across families
+            dup = rng.choice(n, size=max(1, n // 5), replace=False)
+            pts[dup] = pts[rng.integers(n, size=dup.size)]
+        perm = rng.permutation(n)
+        n_zero = int(rng.integers(1, min(S, n - 1) + 1))
+        n_floor = int(rng.integers(0, n - n_zero))
+        zero = perm[:n_zero]
+        floor = perm[n_zero:n_zero + n_floor]
+        margin = perm[n_zero + n_floor:]
+        box = float(rng.choice([1.0, 0.5, 3.0]))
+
+        z, m = geometry._separation_lp(pts, zero, floor, margin, box=box)
+        m_ref = primal_margin(pts, zero, floor, margin, box)
+        assert abs(m - m_ref) <= 1e-9 * (1.0 + abs(m_ref)), (trial, m, m_ref)
+
+        vals = pts @ z
+        assert np.abs(z).max() <= box + 1e-9
+        assert np.abs(vals[zero]).max() <= FACE_TOL
+        if floor.size:
+            assert vals[floor].min() >= -FACE_TOL
+        assert vals[margin].min() >= m - 1e-12
+
+
+def case1_family(monkeypatch):
+    """The (zero, floor, margin) points _case1_terms hands to
+    max_margin_functional for the curve type t = 0.3: the 1,001-point
+    certification grid of a 101-point construction grid."""
+    model = counterexample_model(validate=False)
+    cert_ts = np.linspace(0.0, 1.0, 1001)
+    t, eps = 0.3, 0.05
+    near = np.abs(cert_ts - t) < eps / (2.0 * model.lipschitz_v)
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(args)
+        return max_margin_functional(*args, **kwargs)
+
+    monkeypatch.setattr(extraction, "max_margin_functional", spy)
+    extraction._case1_terms(
+        model.beliefs(t)[0], float(model.values(t)[0]),
+        model.beliefs(cert_ts), model.values(cert_ts), near, eps,
+        extraction.SAFETY_FACTOR)
+    monkeypatch.undo()
+    (family,) = seen
+    return family
+
+
+def test_case1_family_matches_highs(monkeypatch):
+    optimize = pytest.importorskip("scipy.optimize")
+    zero, floor, margin = case1_family(monkeypatch)
+    assert len(zero) + len(floor) + len(margin) == 1002
+    z, m = max_margin_functional(zero, floor, margin)
+
+    # HiGHS on the primal: variables (z, m), maximize m
+    S = zero.shape[1]
+    c = np.zeros(S + 1)
+    c[-1] = -1.0
+    a_ub = np.vstack([np.hstack([-floor, np.zeros((len(floor), 1))]),
+                      np.hstack([-margin, np.ones((len(margin), 1))])])
+    a_eq = np.hstack([zero, np.zeros((len(zero), 1))])
+    res = optimize.linprog(c, A_ub=a_ub, b_ub=np.zeros(len(a_ub)),
+                           A_eq=a_eq, b_eq=np.zeros(len(zero)),
+                           bounds=[(-1.0, 1.0)] * S + [(None, None)],
+                           method="highs")
+    assert res.status == 0
+    assert m > 0.0
+    assert abs(m - (-res.fun)) <= 1e-9 * (1.0 + abs(m))
+    assert np.abs(zero @ z).max() <= FACE_TOL
+    assert (floor @ z).min() >= -FACE_TOL
+    assert np.abs(z).max() <= 1.0 + 1e-9
+
+
+def test_separation_lps_have_state_rows_only(monkeypatch):
+    """Every separation LP has S + 1 rows, whatever the number of points,
+    and settles in a few pivots."""
+    zero, floor, margin = case1_family(monkeypatch)
+    bset = sample(counterexample_model(validate=False), 101) \
+        .belief_set(allow_duplicates=True)
+    programs = []
+    solve = lp.solve
+
+    def record(prog):
+        sol = solve(prog)
+        programs.append((prog.n_constraints, sol.iterations))
+        return sol
+
+    monkeypatch.setattr(geometry.lp, "solve", record)
+    for i in (0, 1, 25, 50, 99, 100):
+        expose_set(bset, [i], margin_tol=-np.inf)
+    max_margin_functional(zero, floor, margin)
+    assert len(programs) == 7
+    for rows, iterations in programs:
+        assert rows == bset.n_states + 1
+        assert iterations <= 40

@@ -194,3 +194,54 @@ def test_duals_sign_and_gap_small_named_instance():
     assert y[0] >= -1e-12       # >= row, min sense
     assert y[1] <= 1e-12        # <= row, min sense
     assert check_certificate(lp, sol).passed
+
+
+def test_canonical_columns_match_per_variable_reference():
+    """The vectorized column map equals the per-variable loop it replaced:
+    a variable with lower bound >= 0 keeps one column, any other splits
+    into a plus and a minus column.  Copies and negations only, so the
+    tableau data must agree bit for bit."""
+    from surplex.lp import _canonicalize, _to_original
+
+    rng = np.random.default_rng(11)
+    choices = [(0.0, None), (None, None), (-1.5, 2.0), (0.5, None),
+               (0.0, 3.0), (None, 4.0), (-2.0, None)]
+    for _ in range(20):
+        n, m = int(rng.integers(1, 7)), int(rng.integers(0, 5))
+        bounds = [choices[k] for k in rng.integers(len(choices), size=n)]
+        cons = [(rng.normal(size=n), [LE, GE, "="][k % 3], rng.normal())
+                for k in range(m)]
+        prog = LinearProgram(rng.normal(size=n), cons, bounds=bounds,
+                             sense=["min", "max"][int(rng.integers(2))])
+        canon = _canonicalize(prog)
+
+        cols, col = [], 0
+        for lo, _ in bounds:
+            cols.append((col,) if lo is not None and lo >= 0.0
+                        else (col, col + 1))
+            col += len(cols[-1])
+
+        def expand(row):
+            out = np.zeros(col)
+            for j, c in enumerate(cols):
+                out[c[0]] = row[j]
+                if len(c) == 2:
+                    out[c[1]] = -row[j]
+            return out
+
+        unit = np.eye(n)
+        rows = [expand(r) for r in prog.rows]
+        for j, (lo, up) in enumerate(bounds):
+            rows += [expand(unit[j])] * ((lo not in (None, 0.0))
+                                         + (up is not None))
+        a_ref = np.array(rows).reshape(-1, col) / canon.scale[:, None]
+        a_ref *= canon.flip[:, None]
+        obj = prog.objective if prog.sense == "min" else -prog.objective
+        assert canon.n_struct == col
+        assert np.array_equal(canon.A[:, :col], a_ref)
+        assert np.array_equal(canon.c, expand(obj))
+
+        x_struct = rng.normal(size=canon.A.shape[1])
+        x_ref = [x_struct[c[0]] - (x_struct[c[1]] if len(c) == 2 else 0.0)
+                 for c in cols]
+        assert np.array_equal(_to_original(prog, canon, x_struct), x_ref)

@@ -185,3 +185,27 @@ def test_identical_beliefs_pair():
     tab = identical_beliefs_pair(2.0, 1.0)
     assert tab.beliefs[0] == pytest.approx(tab.beliefs[1])
     assert tab.values[0] > tab.values[1]
+
+
+def test_parametric_beliefs_validates_rows():
+    from surplex.models import ParametricModel
+
+    def belief_fn(t):
+        return np.array([0.6, 0.6, -0.2]) if t > 0.5 else np.full(3, 1 / 3)
+
+    model = ParametricModel(state_count=3, belief_fn=belief_fn,
+                            value_fn=lambda t: t, lipschitz_pi=1.0,
+                            lipschitz_v=1.0)
+    assert model.beliefs([0.0, 0.5]).shape == (2, 3)
+    with pytest.raises(ValueError, match="t=0.75"):
+        model.beliefs([0.25, 0.75, 1.0])
+    with pytest.raises(ValueError, match="t=0.75"):
+        sample(model, 5)
+
+    for bad in ([0.5, 0.5, np.nan], [0.5, 0.6, 0.0], [0.5, 0.5]):
+        broken = ParametricModel(state_count=3,
+                                 belief_fn=lambda t, row=bad: np.array(row),
+                                 value_fn=lambda t: t, lipschitz_pi=1.0,
+                                 lipschitz_v=1.0)
+        with pytest.raises(ValueError):
+            broken.beliefs([0.0])
