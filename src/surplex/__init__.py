@@ -10,8 +10,9 @@ information rents v(t):
   extract all surplus on finite type tables, or all but epsilon on a
   continuum of types (`surplex.extraction`, `surplex.models`);
 * duality - the primal linear program whose value measures the
-  unavoidable surplus, and its dual measure, read off the primal's
-  optimal multipliers and checked for feasibility against the full dual,
+  unavoidable surplus, solved as one small block per type, and its dual
+  measure, assembled from the blocks' optimal measures and checked for
+  feasibility against the full dual,
   with disintegration diagnostics that exhibit a belief-dependence
   witness when extraction fails (`surplex.duality`).
 

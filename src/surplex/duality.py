@@ -8,11 +8,17 @@ Its LP dual searches for measures (lambda, nu) over types and type pairs
 with lambda_u pi(u) = sum_t nu_{t,u} pi(t): a nonzero optimal nu with
 mass off the diagonal is a concrete belief-dependence witness, and
 disintegrating nu by its type marginal exhibits each belief as a convex
-combination of the others.  Only the primal is solved: the dual measure
-is its vector of optimal multipliers (lambda on the own rows, nu on the
-pair rows), checked for feasibility against the full dual program, and
-strong duality (the z = 0 Slater point is strictly feasible) is checked
-as p* = d* = nu . d rather than trusted.
+combination of the others.
+
+Each z(s) enters only the own row of s and the pair rows (., s), so both
+programs split into m blocks coupled only through c (primal) or the
+normalization row (dual).  Block s is solved in dual form, S + 1 rows by
+m + 1 columns, with (c, z(s)) read off its row multipliers; p* is the
+largest block value, and the dual measure averages the optimal block
+measures over the blocks attaining it.  The result is checked for
+feasibility against the full dual program, and strong duality (the
+z = 0 Slater point is strictly feasible) is checked as p* = d* = nu . d
+rather than trusted.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from surplex.models import TabularModel
 P_TOL = 1e-6       # extraction verdict: p* at or below this counts as zero
 MASS_TOL = 1e-8    # disintegration skips types with less lambda mass
 GAP_TOL = 1e-7     # strong duality: dual infeasibility, and relative gap
-MAX_ROUNDS = 60    # row-generation rounds before the primal gives up
+TIE_TOL = 1e-12    # blocks within TIE_TOL (1 + |p*|) of p* share the dual
 
 
 class DegenerateDual(ValueError):
@@ -62,33 +68,27 @@ class VseInstance:
         return self.tabular.state_count
 
 
-def build_primal(inst: VseInstance, pairs=None) -> lp.LinearProgram:
+def build_primal(inst: VseInstance) -> lp.LinearProgram:
     """min c  s.t.  pi(t).z(t) <= c,  d(t,s) - pi(t).z(s) <= c.
 
     Variables: c then z(t) flattened type-major; everything free.  The
     s = t rows read c >= -pi(t).z(t), which pins the value at p* >= 0.
-    Rows: the m own rows, then one row per pair (t, s) of `pairs`
-    (default: all m^2 pairs, flattened t-major).
+    Rows: the m own rows, then the m^2 pair rows (t, s), flattened t-major.
     """
     m, S = inst.n_types, inst.n_states
-    if pairs is None:
-        pairs = [(t, s) for t in range(m) for s in range(m)]
-    nv = 1 + m * S
     beliefs = inst.tabular.beliefs
-    cons = []
-    for t in range(m):
-        row = np.zeros(nv)
-        row[0] = -1.0
-        row[1 + t * S:1 + (t + 1) * S] = beliefs[t]
-        cons.append((row, lp.LE, 0.0))
-    for t, s in pairs:
-        row = np.zeros(nv)
-        row[0] = -1.0
-        row[1 + s * S:1 + (s + 1) * S] = -beliefs[t]
-        cons.append((row, lp.LE, -inst.d[t, s]))
+    nv = 1 + m * S
+    rows = np.zeros((m + m * m, nv))
+    rows[:, 0] = -1.0
+    diag = np.arange(m)
+    rows[:m, 1:].reshape(m, m, S)[diag, diag] = beliefs
+    rows[m:, 1:].reshape(m, m, m, S)[:, diag, diag] = -beliefs[:, None, :]
+    rhs = np.concatenate([np.zeros(m), -inst.d.reshape(-1)])
     obj = np.zeros(nv)
     obj[0] = 1.0
-    return lp.LinearProgram(obj, cons, bounds=[(None, None)] * nv)
+    return lp.LinearProgram(obj, [(row, lp.LE, b) for row, b in
+                                  zip(rows, rhs)],
+                            bounds=[(None, None)] * nv)
 
 
 def build_dual(inst: VseInstance) -> lp.LinearProgram:
@@ -156,99 +156,68 @@ class DualMeasures:
                    float(np.abs(state).max()))
 
 
-def _exposed_zero_certificate(inst: VseInstance) -> PrimalSolution | None:
-    """p* = 0 certificate from scaled separators, when every type is exposed.
+def _block_lp(inst: VseInstance, s: int) -> lp.LpSolution:
+    """Block s of build_dual, solved on its own.
 
-    With all beliefs exposed the full-extraction schedule
-    z(s) = alpha(s) z_sep(s) is feasible at c = 0 up to rounding, and the
-    s = t rows force p* >= 0, so the minimal feasible c of this schedule
-    is the exact optimum within float noise.  Its dual is the measure
-    lambda_u = nu_uu = 1/(2m), of value 0.  A single type needs no
-    separator (z = 0).  Returns None when some type has no separator
-    (the general solver must run then).
+        max sum_t nu_t d(t,s)
+        s.t. lambda + sum_t nu_t = 1,
+             lambda pi(s) - sum_t nu_t pi(t) = 0    (S rows),
+             lambda, nu >= 0.
+
+    S + 1 rows and m + 1 columns (lambda, then nu_0 .. nu_{m-1}).  Its row
+    multipliers y are block s of the primal: c = y[0] is the block value
+    and z(s) = -y[1:] satisfies pi(s).z(s) <= c and
+    d(t,s) - pi(t).z(s) <= c for every t.
     """
-    from surplex.geometry import expose_set
-
-    tab = inst.tabular
-    m, S = tab.n_types, tab.state_count
-    bset = tab.belief_set(allow_duplicates=True)
-    z = np.zeros((m, S))
-    for s in range(m if m > 1 else 0):   # expose_set rejects the full set
-        res = expose_set(bset, [s])
-        if res is None:
-            return None
-        zs, _ = res
-        pi_s = tab.beliefs[s]
-        zs = zs - (pi_s @ zs) * np.ones_like(zs)
-        others = [t for t in range(m) if t != s]
-        gains = tab.values[others] - tab.values[s]
-        costs = tab.beliefs[others] @ zs
-        alpha = max(0.0, float(np.max(gains / costs, initial=0.0))) + 1.0
-        z[s] = alpha * zs
-    vals = tab.beliefs @ z.T                       # vals[t, s] = pi(t).z(s)
-    c_min = max(float(np.max(np.diag(vals))),
-                float(np.max(inst.d - vals)))
-    if not 0.0 <= c_min <= 1e-9:
-        return None
-    duals = np.zeros(m + m * m)
-    duals[:m] = -0.5 / m
-    duals[m + np.arange(m) * (m + 1)] = -0.5 / m
-    free = np.zeros(1 + m * S)                     # no bound multipliers
-    sol = lp.LpSolution(status=lp.OPTIMAL,
-                        primal=np.concatenate([[c_min], z.reshape(-1)]),
-                        duals=duals, objective_value=c_min,
-                        bound_duals=(free, free.copy()))
-    return PrimalSolution(p_star=c_min, z=z, max_violation=0.0,
-                          solution=sol)
+    beliefs = inst.tabular.beliefs
+    m = inst.n_types
+    rows = np.vstack([np.ones(m + 1),
+                      np.hstack([beliefs[s][:, None], -beliefs.T])])
+    rhs = np.zeros(rows.shape[0])
+    rhs[0] = 1.0
+    obj = np.concatenate([[0.0], inst.d[:, s]])
+    return lp.solve(lp.LinearProgram(
+        obj, [(row, lp.EQ, b) for row, b in zip(rows, rhs)], sense="max"))
 
 
 def solve_primal(inst: VseInstance) -> PrimalSolution:
-    """Solve the primal exactly: the all-exposed shortcut, else rows on demand.
+    """Solve the primal exactly as m independent blocks.
 
-    The m^2 pair constraints are mostly slack at the optimum, so the
-    program is solved on an active subset, pulling in the worst violated
-    pairs until the full system is satisfied; the result is the exact LP
-    optimum with an explicit feasibility residual.  Its duals are
-    zero-padded on the pairs never added, which keeps them optimal for
-    the full program.
+    Block s (`_block_lp`) gives its value f_s and z(s); p* = max_s f_s,
+    and (p*, z) is feasible for the full build_primal.  The dual measure
+    averages the optimal block measures (lambda_s, nu_{., s}) over the
+    blocks with f_s within TIE_TOL (1 + |p*|) of p*, so the returned
+    solution certifies the full program: duals -(lambda, nu), no bound
+    multipliers (every variable is free).
     """
-    fast = _exposed_zero_certificate(inst)
-    if fast is not None:
-        return fast
-
     m, S = inst.n_types, inst.n_states
     beliefs = inst.tabular.beliefs
-    pairs = {(t, t) for t in range(m)}
-    for t in range(m):
-        pairs.add((t, int(np.argmin(inst.tabular.values))))
-        pairs.add((int(np.argmax(inst.tabular.values)), t))
-    for _ in range(MAX_ROUNDS):
-        active = sorted(pairs)
-        sol = lp.solve(build_primal(inst, active))
-        if sol.status != lp.OPTIMAL:  # pragma: no cover - Slater point
-            raise RuntimeError(f"primal subproblem ended {sol.status}")
-        c_val = sol.primal[0]
-        z = sol.primal[1:].reshape(m, S)
-        # violation of d(t,s) - pi(t).z(s) <= c over all pairs
-        surplus = inst.d - beliefs @ z.T - c_val
-        worst = float(surplus.max())
-        added = False
-        for idx in np.argsort(surplus, axis=None)[::-1][:3 * m]:
-            t, s = divmod(int(idx), m)
-            if surplus[t, s] <= 1e-10 * (1.0 + abs(c_val)):
-                break
-            if (t, s) not in pairs:
-                pairs.add((t, s))
-                added = True
-        if not added:  # settled, or a numerical corner (worst > 0)
-            duals = np.zeros(m + m * m)
-            duals[:m] = sol.duals[:m]
-            duals[[m + t * m + s for t, s in active]] = sol.duals[m:]
-            sol.duals = duals
-            return PrimalSolution(p_star=float(sol.objective_value), z=z,
-                                  max_violation=max(worst, 0.0),
-                                  solution=sol)
-    raise RuntimeError("primal row generation did not settle")
+    f = np.empty(m)
+    z = np.empty((m, S))
+    measures = np.empty((m, m + 1))       # block s: (lambda_s, nu_{., s})
+    for s in range(m):
+        sol = _block_lp(inst, s)
+        if sol.status != lp.OPTIMAL:  # pragma: no cover - nu_s = 1/2 feasible
+            raise RuntimeError(f"primal block {s} ended {sol.status}")
+        f[s] = sol.objective_value
+        z[s] = -sol.duals[1:]
+        measures[s] = sol.primal
+    p_star = float(f.max())
+    tied = f >= p_star - TIE_TOL * (1.0 + abs(p_star))
+    weights = np.where(tied, 1.0 / np.count_nonzero(tied), 0.0)
+    lam = weights * measures[:, 0]
+    nu = weights * measures[:, 1:].T      # nu[t, s]
+    vals = beliefs @ z.T                  # vals[t, s] = pi(t).z(s)
+    violation = max(float(np.diag(vals).max()), float((inst.d - vals).max()))
+    free = np.zeros(1 + m * S)
+    sol = lp.LpSolution(status=lp.OPTIMAL,
+                        primal=np.concatenate([[p_star], z.reshape(-1)]),
+                        duals=-np.concatenate([lam, nu.reshape(-1)]),
+                        objective_value=p_star,
+                        bound_duals=(free, free.copy()))
+    return PrimalSolution(p_star=p_star, z=z,
+                          max_violation=max(violation - p_star, 0.0),
+                          solution=sol)
 
 
 @dataclass

@@ -335,14 +335,8 @@ class _Tableau:
 
 def _extract_duals(canon, obj_row, costs):
     """Per-canonical-row multipliers y = cost(id column) - reduced cost."""
-    m = canon.A.shape[0]
-    y = np.zeros(m)
-    for i in range(m):
-        col = canon.art_cols[i]
-        if col < 0:
-            col = canon.slack_cols[i]
-        y[i] = costs[col] - obj_row[col]
-    return y * canon.flip / canon.scale
+    cols = np.where(canon.art_cols >= 0, canon.art_cols, canon.slack_cols)
+    return (costs[cols] - obj_row[cols]) * (canon.flip / canon.scale)
 
 
 def _split_duals(lp, canon, y):
@@ -415,11 +409,6 @@ def solve(lp: LinearProgram) -> LpSolution:
         if not keep.all():
             tab.T = tab.T[keep]
             tab.basis = [bv for i, bv in enumerate(tab.basis) if keep[i]]
-            row_alive = keep
-        else:
-            row_alive = np.ones(m, dtype=bool)
-    else:
-        row_alive = np.ones(m, dtype=bool)
 
     # Phase 2
     costs2 = np.zeros(ncols)
@@ -446,16 +435,11 @@ def solve(lp: LinearProgram) -> LpSolution:
     x = _to_original(lp, canon, x_struct)
     obj_value = float(lp.objective @ x)
 
-    # duals of surviving rows; dropped redundant rows get multiplier 0
-    y_full = np.zeros(m)
-    alive_idx = np.flatnonzero(row_alive)
-    for pos_i, i in enumerate(alive_idx):
-        col = canon.art_cols[i]
-        if col < 0:
-            col = canon.slack_cols[i]
-        y_full[i] = costs2[col] - obj_row[col]
-    y_full *= canon.flip / canon.scale
-    y_con, y_lo, y_up = _split_duals(lp, canon, y_full)
+    # Every row, dropped redundant ones included, reads its multiplier off
+    # its own identity column: a dropped row's basic artificial may belong
+    # to another constraint, and it stays basic at cost 0 in phase 2.
+    y_con, y_lo, y_up = _split_duals(lp, canon,
+                                     _extract_duals(canon, obj_row, costs2))
     if lp.sense == "max":
         y_con, y_lo, y_up = -y_con, -y_lo, -y_up
     return LpSolution(status=OPTIMAL, primal=x, duals=y_con,

@@ -4,7 +4,7 @@
 import numpy as np
 import pytest
 
-from surplex import lp
+from surplex import duality, lp
 from surplex.duality import (
     DegenerateDual,
     DualMeasures,
@@ -167,40 +167,118 @@ def test_lemma2_shift_contracts():
     assert own.max() <= 2 * rep.p_star + 1e-8
 
 
-def test_row_generation_matches_direct():
+def test_block_solve_matches_direct():
     model = counterexample_model(validate=False)
     tab = sample(model, 17)
     inst = VseInstance(tab)
     direct = lp.solve(build_primal(inst))
-    gen = solve_primal(inst)
-    assert gen.p_star == pytest.approx(direct.objective_value, abs=1e-8)
-    assert gen.max_violation <= 1e-9
+    blocks = solve_primal(inst)
+    assert blocks.p_star == pytest.approx(direct.objective_value, abs=1e-8)
+    assert blocks.max_violation <= 1e-9
 
 
-def test_row_generation_matches_direct_infeasible_zero():
+def test_block_solve_matches_direct_identical_pair():
     pair = identical_beliefs_pair(2.0, 1.0)
     inst = VseInstance(pair)
     direct = lp.solve(build_primal(inst))
-    gen = solve_primal(inst)
-    assert gen.p_star == pytest.approx(direct.objective_value, abs=1e-8)
-    assert gen.p_star == pytest.approx(0.5, abs=1e-8)
+    blocks = solve_primal(inst)
+    assert blocks.p_star == pytest.approx(direct.objective_value, abs=1e-8)
+    assert blocks.p_star == pytest.approx(0.5, abs=1e-8)
+
+
+def cremer_mclean_tables(count=100):
+    """The Cremer-McLean tables of the acceptance suite (criteria 8, 9):
+    m in 5..12 types and S in m..m+3 states."""
+    rng = np.random.default_rng(52100)
+    out = []
+    for _ in range(count):
+        m = int(rng.integers(5, 13))
+        s = m + int(rng.integers(0, 4))
+        out.append(random_tabular(int(rng.integers(1 << 31)), m, s))
+    return out
 
 
 def certificate_cases(max_types=None):
-    """Instances over both solve_primal paths and the m = 1 guard."""
+    """Instances with and without exposed types, S > m, and m = 1.
+
+    S > m blocks carry dependent equality rows, which phase 1 drops.
+    """
     curve = counterexample_model(validate=False)
     cases = [
-        # row generation: some type has no separator
+        # some type is a combination of the others (p* > 0)
         ("identical_pair", identical_beliefs_pair(2.0, 1.0)),
         ("planted", planted_combination_instance(7, 6, 8)[0]),
         ("table0", random_tabular(0, 40, 6)),
-        # all-exposed shortcut
+        # every type exposed (p* = 0, every block tied)
         ("curve17", sample(curve, 17)),
         ("curve33", sample(curve, 33)),
         ("single_type", random_tabular(5, 1, 2)),
+        # more states than types
+        ("table_11x14", random_tabular(0, 11, 14)),
+        ("table_5x8", random_tabular(3, 5, 8)),
     ]
+    cases += [(f"cremer_mclean{i}", tab)
+              for i, tab in enumerate(cremer_mclean_tables(10))]
     return [pytest.param(tab, id=name) for name, tab in cases
             if max_types is None or tab.n_types <= max_types]
+
+
+def record_solves(monkeypatch):
+    """Route duality's LP solves through a recorder of (program, solution)."""
+    seen = []
+    solve = lp.solve
+
+    def record(prog):
+        sol = solve(prog)
+        seen.append((prog, sol))
+        return sol
+
+    monkeypatch.setattr(duality.lp, "solve", record)
+    return seen
+
+
+@pytest.mark.parametrize("tab", [
+    pytest.param(random_tabular(0, 40, 6), id="table0"),
+    pytest.param(sample(counterexample_model(validate=False), 33),
+                 id="curve33")])
+def test_primal_solves_one_block_per_type(monkeypatch, tab):
+    seen = record_solves(monkeypatch)
+    solve_primal(VseInstance(tab))
+    assert len(seen) == tab.n_types
+    for prog, _ in seen:
+        assert prog.n_constraints == tab.state_count + 1
+        assert prog.n_vars == tab.n_types + 1
+
+
+def test_block_lps_certify_on_cremer_mclean(monkeypatch):
+    seen = record_solves(monkeypatch)
+    tables = cremer_mclean_tables()
+    for tab in tables:
+        solve_primal(VseInstance(tab))
+    assert len(seen) == sum(tab.n_types for tab in tables)
+    for prog, sol in seen:
+        assert sol.status == lp.OPTIMAL
+        rep = lp.check_certificate(prog, sol)
+        assert rep.passed, rep
+
+
+@pytest.mark.parametrize("tab", [
+    *(pytest.param(random_tabular(seed, 40, 6), id=f"table{seed}")
+      for seed in range(4)),
+    pytest.param(sample(counterexample_model(validate=False), 65),
+                 id="curve65")])
+def test_primal_matches_highs(tab):
+    # independent oracle on the full program (1,640 x 241 on the tables,
+    # 4,290 x 196 on the curve), far beyond vertex enumeration
+    optimize = pytest.importorskip("scipy.optimize")
+    inst = VseInstance(tab)
+    prog = build_primal(inst)
+    res = optimize.linprog(prog.objective, A_ub=prog.rows, b_ub=prog.rhs,
+                           bounds=[(None, None)] * prog.n_vars,
+                           method="highs")
+    assert res.status == 0
+    p_star = solve_primal(inst).p_star
+    assert abs(p_star - res.fun) <= 1e-9 * (1.0 + abs(res.fun))
 
 
 @pytest.mark.parametrize("tab", certificate_cases())
@@ -209,6 +287,16 @@ def test_primal_certifies_full_program(tab):
     primal = solve_primal(inst)
     rep = lp.check_certificate(build_primal(inst), primal.solution)
     assert rep.passed, rep
+
+
+def test_curve_dual_averages_tied_blocks():
+    # every curve type is exposed, so every block has value 0 at
+    # lambda_s = nu_ss = 1/2, and the tied blocks average to 1/(2m)
+    tab = sample(counterexample_model(validate=False), 33)
+    meas = analyze(tab).measures
+    m = tab.n_types
+    assert np.abs(meas.lam - 0.5 / m).max() <= 1e-12
+    assert np.abs(meas.nu - np.eye(m) * 0.5 / m).max() <= 1e-12
 
 
 @pytest.mark.parametrize("tab", certificate_cases(max_types=17))

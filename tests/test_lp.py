@@ -196,6 +196,22 @@ def test_duals_sign_and_gap_small_named_instance():
     assert check_certificate(lp, sol).passed
 
 
+def test_duals_after_dropped_redundant_row():
+    # min -x1 + 3 x2, row 3 = row 2 - row 1; phase 1 drops a redundant row
+    # whose basic artificial belongs to another constraint, and every
+    # multiplier must still come off its own constraint's identity column
+    A = [[-2.0, -1.0, 1.0, -1.0], [0.0, 0.0, -2.0, 0.0],
+         [2.0, 1.0, -3.0, 1.0]]
+    lp = LinearProgram([-1.0, 3.0, 0.0, 0.0],
+                       [(row, "=", b) for row, b in zip(A, [-2.0, -2.0, 0.0])])
+    sol = solve(lp)
+    assert sol.status == OPTIMAL
+    assert sol.objective_value == pytest.approx(-1.5, abs=1e-12)
+    rep = check_certificate(lp, sol)
+    assert rep.passed, rep
+    assert rep.duality_gap <= 1e-12
+
+
 def test_canonical_columns_match_per_variable_reference():
     """The vectorized column map equals the per-variable loop it replaced:
     a variable with lower bound >= 0 keeps one column, any other splits

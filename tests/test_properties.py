@@ -1,4 +1,4 @@
-"""Property-based invariants across randomly generated belief sets."""
+"""Property-based invariants across randomly generated belief sets and LPs."""
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from surplex.geometry import (
     face_of,
     is_extreme,
 )
+from surplex.lp import LinearProgram, check_certificate, solve
 from surplex.models import (
     chord_functional,
     counterexample_model,
@@ -34,6 +35,42 @@ def belief_sets(draw, max_points=6, max_states=4):
     pts /= pts.sum(axis=1, keepdims=True)
     return FiniteBeliefSet([f"P{i}" for i in range(m)], pts,
                            allow_duplicates=True)
+
+
+@st.composite
+def redundant_equality_lps(draw):
+    """A feasible equality LP (x0 >= 0 satisfies A x = A x0) followed by
+    integer combinations of its own rows, so phase 1 leaves redundant rows
+    to drop; boxed or merely nonnegative, either sense."""
+    small = st.integers(min_value=-4, max_value=4)
+    n = draw(st.integers(min_value=2, max_value=6))
+    k = draw(st.integers(min_value=1, max_value=4))
+    extra = draw(st.integers(min_value=1, max_value=2))
+    A = np.array(draw(st.lists(st.lists(small, min_size=n, max_size=n),
+                               min_size=k, max_size=k)), dtype=float)
+    x0 = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+                  dtype=float)
+    C = np.array(draw(st.lists(st.lists(st.integers(-2, 2), min_size=k,
+                                        max_size=k),
+                               min_size=extra, max_size=extra)), dtype=float)
+    rows = np.vstack([A, C @ A])
+    rhs = rows @ x0
+    c = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    bounds = [(0.0, 8.0)] * n if draw(st.booleans()) else None
+    return LinearProgram(c, [(r, "=", b) for r, b in zip(rows, rhs)],
+                         bounds=bounds,
+                         sense=draw(st.sampled_from(["min", "max"])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(redundant_equality_lps())
+def test_redundant_equality_rows_keep_certificates(prog):
+    # every constraint's multiplier comes off its own identity column,
+    # also when phase 1 drops a redundant row
+    sol = solve(prog)
+    assert sol.status in ("optimal", "unbounded")
+    rep = check_certificate(prog, sol)
+    assert rep.passed, rep
 
 
 @settings(max_examples=60, deadline=None)
