@@ -46,7 +46,6 @@ from surplex.models import (
     TabularModel,
     counterexample_model,
     curve_point,
-    grid,
     random_tabular,
     sample,
 )
@@ -161,10 +160,8 @@ def task_classify(model, config, tols, jobs) -> dict:
     grid_n = int(config.get("grid", 201))
     tab = _as_tabular(model, grid_n)
     bset = tab.belief_set(allow_duplicates=True)
-    if isinstance(model, TabularModel):
-        items = list(range(model.n_types))
-    else:
-        items = list(grid(grid_n))
+    items = (list(range(model.n_types)) if isinstance(model, TabularModel)
+             else list(tab.ts))
 
     def one(t):
         return classify_type(model, t, grid_n, margin_tol=margin_tol,
@@ -290,13 +287,12 @@ def emit_figures(model, results, out_dir: Path, config,
 
     if want("curve") or want("hull"):
         if isinstance(model, ParametricModel):
-            n = int(config.get("grid", 201))
-            ts = grid(n)
-            xs, ys = curve_point(ts) if model.name == "counterexample" \
-                else (np.zeros(n), np.zeros(n))
-            beliefs = model.beliefs(ts)
+            tab = sample(model, int(config.get("grid", 201)))
+            xs, ys = curve_point(tab.ts) if model.name == "counterexample" \
+                else (np.zeros(tab.n_types), np.zeros(tab.n_types))
             if want("curve"):
-                write_curve_csv(out_dir / "curve.csv", ts, xs, ys, beliefs)
+                write_curve_csv(out_dir / "curve.csv", tab.ts, xs, ys,
+                                tab.beliefs)
                 written.append("curve.csv")
             if want("hull") and model.name == "counterexample":
                 write_hull_csv(out_dir / "hull.csv",
@@ -308,8 +304,7 @@ def emit_figures(model, results, out_dir: Path, config,
     if want("surplus"):
         rep = results.get("virtual_report")
         if rep is not None:
-            ts = [lbl.split("=", 1)[1] for lbl in rep.labels]
-            write_surplus_csv(out_dir / "surplus.csv", ts, rep.own,
+            write_surplus_csv(out_dir / "surplus.csv", rep.ts, rep.own,
                               rep.cross)
             written.append("surplus.csv")
         elif wanted is not None:

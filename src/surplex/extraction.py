@@ -27,13 +27,7 @@ from surplex.geometry import (
     is_extreme,
     max_margin_functional,
 )
-from surplex.models import (
-    ParametricModel,
-    TabularModel,
-    grid,
-    sample,
-    type_label,
-)
+from surplex.models import ParametricModel, TabularModel, grid, sample
 
 SAFETY_FACTOR = 2.0
 # constant nudge target: constructed own surpluses land at +1e-11, safely
@@ -131,12 +125,17 @@ class Contract:
 
 @dataclass
 class Menu:
+    """Labeled contracts; ts holds each entry's type on a parametric grid."""
+
     entries: list[tuple[str, Contract]]
+    ts: np.ndarray | None = None
 
     def __post_init__(self):
         labels = [lbl for lbl, _ in self.entries]
         if len(set(labels)) != len(labels):
             raise ValueError("menu labels must be unique")
+        if self.ts is not None and np.shape(self.ts) != (len(labels),):
+            raise ValueError("menu ts must hold one type per entry")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -165,7 +164,8 @@ class Menu:
                               for a, z in c.provenance.terms],
                 }
             entries.append(e)
-        return {"entries": entries}
+        return {"entries": entries,
+                "ts": None if self.ts is None else self.ts.tolist()}
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "Menu":
@@ -181,7 +181,9 @@ class Menu:
             entries.append((e["label"],
                             Contract(np.asarray(e["payments"], dtype=float),
                                      prov)))
-        return cls(entries)
+        ts = data.get("ts")
+        return cls(entries, None if ts is None
+                   else np.asarray(ts, dtype=float))
 
 
 @dataclass
@@ -190,7 +192,8 @@ class ExtractionReport:
 
     own is NaN for types without a same-label entry (compressed menus).
     For parametric models lipschitz_slack = L_v h + max|c|_inf L_pi h
-    bounds how much any surplus can move between grid points.
+    bounds how much any surplus can move between grid points, and ts
+    holds the grid (it is not part of to_jsonable).
     """
 
     mode: tuple
@@ -202,6 +205,7 @@ class ExtractionReport:
     passed: bool
     lipschitz_slack: float = 0.0
     notes: str = ""
+    ts: np.ndarray | None = None
 
     @property
     def max_abs_own(self) -> float:
@@ -273,10 +277,10 @@ def classify_type(model, t, grid_n: int = 201,
     endpoint are positive (they only decay to zero under refinement) and
     would mask the continuum structure.
 
-    bset lets a caller classifying many types build the belief set once:
-    the table's own (with duplicates allowed), or for a parametric model
-    the one of sample(model, grid_n), in which case t must be a grid
-    point.  Without it each call builds its own.
+    A parametric t must be a point of grid(grid_n).  bset lets a caller
+    classifying many types build the belief set once: the table's own
+    (with duplicates allowed), or for a parametric model the one of
+    sample(model, grid_n).  Without it each call builds its own.
     """
     if isinstance(model, TabularModel):
         return _classify_tabular(model, model.index_of(t), bset=bset,
@@ -316,12 +320,10 @@ def _classify_parametric(model: ParametricModel, t: float, grid_n: int,
                          ) -> Classification:
     ts = grid(grid_n)
     if not np.any(np.abs(ts - t) < 1e-12):
-        if bset is not None:
-            raise ValueError(f"t={t!r} is not a point of the shared grid")
-        ts = np.sort(np.append(ts, t))
+        raise ValueError(f"t={t!r} is not a point of the {grid_n}-point "
+                         "grid")
     if bset is None:
-        bset = FiniteBeliefSet([type_label(s) for s in ts],
-                               model.beliefs(ts), allow_duplicates=True)
+        bset = sample(model, grid_n).belief_set(allow_duplicates=True)
     elif len(bset) != ts.size:
         raise ValueError(f"shared grid has {len(bset)} points, "
                          f"expected {ts.size}")
@@ -550,36 +552,33 @@ def virtual_extraction_menu(model: ParametricModel, eps: float,
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    ts = grid(grid_n)
     tab = sample(model, grid_n)
     bset = tab.belief_set(allow_duplicates=True)
-    cert_ts = grid(cert_mult * (grid_n - 1) + 1)
-    cert_beliefs = model.beliefs(cert_ts)
-    cert_values = model.values(cert_ts)
+    cert = sample(model, cert_mult * (grid_n - 1) + 1)
     declared = [f.functional for f in model.declared_faces]
 
     # a constant model is a single type in disguise: flat payment menu
-    if (np.abs(cert_beliefs - cert_beliefs[0]).max() <= 1e-12
-            and np.ptp(cert_values) <= 1e-12):
+    if (np.abs(cert.beliefs - cert.beliefs[0]).max() <= 1e-12
+            and np.ptp(cert.values) <= 1e-12):
         entries = [(lbl, Contract(np.full(tab.state_count, tab.values[i]),
                                   Provenance(base_value=tab.values[i])))
                    for i, lbl in enumerate(tab.labels)]
         logs = [ConstructionLog(label=lbl, case="constant")
                 for lbl in tab.labels]
-        return Menu(entries), logs
+        return Menu(entries, tab.ts), logs
 
     entries = []
     logs = []
-    for i, t in enumerate(ts):
+    for i, t in enumerate(tab.ts):
         pi_t = tab.beliefs[i]
         v_t = float(tab.values[i])
         on_face = any(abs(float(pi_t @ z)) <= FACE_TOL for z in declared)
         if not on_face:
             delta = eps / (2.0 * model.lipschitz_v)
-            near = np.abs(cert_ts - t) < delta
+            near = np.abs(cert.ts - t) < delta
             try:
                 alpha, z, wmargin, raw = _case1_terms(
-                    pi_t, v_t, cert_beliefs, cert_values, near, eps, safety)
+                    pi_t, v_t, cert.beliefs, cert.values, near, eps, safety)
             except BudgetInfeasible:
                 extreme, _ = is_extreme(bset, i)
                 if not extreme:
@@ -593,15 +592,13 @@ def virtual_extraction_menu(model: ParametricModel, eps: float,
                                   deltas=[delta], provenance="grid")
         else:
             contract, log = _chain_contract(
-                model, bset, tab, i, t, eps, cert_ts, cert_beliefs,
-                cert_values, declared, safety)
+                model, bset, tab, i, t, eps, cert, declared, safety)
         entries.append((tab.labels[i], contract))
         logs.append(log)
-    return Menu(entries), logs
+    return Menu(entries, tab.ts), logs
 
 
-def _chain_contract(model, bset, tab, i, t, eps, cert_ts, cert_beliefs,
-                    cert_values, declared, safety):
+def _chain_contract(model, bset, tab, i, t, eps, cert, declared, safety):
     chain = exposure_chain(bset, i, declared_faces=declared)
     n_st = chain.length
     budget = eps / n_st
@@ -611,24 +608,24 @@ def _chain_contract(model, bset, tab, i, t, eps, cert_ts, cert_beliefs,
                           chain_length=n_st, provenance=chain.provenance)
 
     # cert-grid membership of each face, from the stage functionals
-    cert_member = [np.ones(cert_ts.size, dtype=bool)]
+    cert_member = [np.ones(cert.n_types, dtype=bool)]
     for members, z in chain.stages[:-1]:
-        on = np.abs(cert_beliefs @ z) <= FACE_TOL
+        on = np.abs(cert.beliefs @ z) <= FACE_TOL
         cert_member.append(cert_member[-1] & on)
 
     # innermost: expose the type within the smallest enclosing face
     inner_mask = cert_member[-1]
     z_n = _own_null(chain.stages[-1][1], pi_t)
     inner_idx = np.flatnonzero(inner_mask)
-    inner_far = inner_idx[np.abs(cert_ts[inner_idx] - t)
+    inner_far = inner_idx[np.abs(cert.ts[inner_idx] - t)
                           >= budget / (2.0 * model.lipschitz_v)]
     terms = []
     if inner_far.size:
-        vals = cert_beliefs[inner_far] @ z_n
+        vals = cert.beliefs[inner_far] @ z_n
         m_in = float(vals.min())
         if m_in <= 0.0:
             raise BudgetInfeasible("terminal face functional not separating")
-        ratio = float(np.max((cert_values[inner_far] - v_t) / vals,
+        ratio = float(np.max((cert.values[inner_far] - v_t) / vals,
                              initial=0.0))
         alpha_n = safety * max(0.0, ratio) + 1.0
     else:
@@ -640,7 +637,7 @@ def _chain_contract(model, bset, tab, i, t, eps, cert_ts, cert_beliefs,
     log.deltas.append(budget / (2.0 * model.lipschitz_v))
 
     payments = np.full(pi_t.size, v_t) + alpha_n * z_n
-    inner_surplus = cert_values[inner_mask] - cert_beliefs[inner_mask] @ payments
+    inner_surplus = cert.values[inner_mask] - cert.beliefs[inner_mask] @ payments
     if inner_surplus.size and float(inner_surplus.max()) > budget + 1e-9:
         raise BudgetInfeasible(
             f"innermost contract leaves {inner_surplus.max():.3e} on its "
@@ -659,7 +656,7 @@ def _chain_contract(model, bset, tab, i, t, eps, cert_ts, cert_beliefs,
         stage_no += 1
         target = stage_no * budget
         headroom = budget / 2.0
-        surplus = cert_values - cert_beliefs @ payments
+        surplus = cert.values - cert.beliefs @ payments
         cover = surplus <= target - headroom
         off = region_mask & ~cover
         modulus = model.lipschitz_v + \
@@ -667,7 +664,7 @@ def _chain_contract(model, bset, tab, i, t, eps, cert_ts, cert_beliefs,
         log.deltas.append(headroom / modulus)
         if off.any():
             residual = float(surplus[off].max())
-            margin_k = float((cert_beliefs[off] @ z_k).min())
+            margin_k = float((cert.beliefs[off] @ z_k).min())
             if margin_k <= 0.0:
                 raise BudgetInfeasible(
                     f"stage {k} margin {margin_k:.3e} not positive off cover")
@@ -678,7 +675,7 @@ def _chain_contract(model, bset, tab, i, t, eps, cert_ts, cert_beliefs,
             residual, margin_k = 0.0, np.inf
             alpha_k = 1.0
         inside = region_mask & cover
-        dip = max(0.0, -float((cert_beliefs[inside] @ z_k).min(initial=0.0)))
+        dip = max(0.0, -float((cert.beliefs[inside] @ z_k).min(initial=0.0)))
         if alpha_k * dip > headroom:
             raise BudgetInfeasible(
                 f"stage {k} functional dips {dip:.3e} on covered types, "
@@ -710,19 +707,16 @@ def compress_menu(model: ParametricModel, menu: Menu, eps: float,
         raise InputMenuFails(
             f"input menu fails virtual({eps}): worst own "
             f"{report.max_abs_own:.3e}, worst cross {report.max_cross:.3e}")
+    if menu.ts is None:
+        raise ValueError("menu.ts is None: compress_menu needs the type of "
+                         "each entry to center its cover ball")
 
-    entry_ts = []
-    radii = []
-    for lbl, contract in menu.entries:
-        t = float(lbl.split("=", 1)[1])
-        modulus = model.lipschitz_v + \
-            float(np.abs(contract.payments).max()) * model.lipschitz_pi
-        entry_ts.append(t)
-        radii.append((eps / 2.0) / max(modulus, 1e-300))
-    entry_ts = np.asarray(entry_ts)
-    radii = np.asarray(radii)
+    entry_ts = menu.ts
+    modulus = (model.lipschitz_v + np.abs(menu.payments_matrix()).max(axis=1)
+               * model.lipschitz_pi)
+    radii = (eps / 2.0) / np.maximum(modulus, 1e-300)
 
-    ts = grid(grid_n)
+    ts = report.ts
     covered = np.zeros(ts.size, dtype=bool)
     kept: list[int] = []
     while not covered.all():
@@ -746,7 +740,7 @@ def compress_menu(model: ParametricModel, menu: Menu, eps: float,
             prov = Provenance(base_value=contract.provenance.base_value - eps,
                               terms=list(contract.provenance.terms))
         entries.append((lbl, Contract(payments, prov)))
-    return Menu(entries)
+    return Menu(entries, entry_ts[kept])
 
 
 def verify_menu(model, menu: Menu, grid_n, mode) -> ExtractionReport:
@@ -763,33 +757,25 @@ def verify_menu(model, menu: Menu, grid_n, mode) -> ExtractionReport:
         raise ValueError(f"unknown mode {mode!r}")
     eps = float(mode[1]) if mode[0] == VIRTUAL else 0.0
 
-    if isinstance(model, TabularModel):
-        labels = list(model.labels)
-        beliefs, values = model.beliefs, model.values
-        slack = 0.0
-    else:
-        ts = grid(grid_n)
-        labels = [type_label(t) for t in ts]
-        beliefs, values = model.beliefs(ts), model.values(ts)
-        h = float(ts[1] - ts[0])
-        cmax = float(np.abs(menu.payments_matrix()).max())
-        slack = model.lipschitz_v * h + cmax * model.lipschitz_pi * h
-
     P = menu.payments_matrix()
-    surplus = values[:, None] - beliefs @ P.T     # (types, entries)
+    tab, slack = model, 0.0
+    if not isinstance(model, TabularModel):
+        tab = sample(model, grid_n)
+        h = float(tab.ts[1] - tab.ts[0])
+        cmax = float(np.abs(P).max())
+        slack = model.lipschitz_v * h + cmax * model.lipschitz_pi * h
+    labels = list(tab.labels)
+    surplus = tab.values[:, None] - tab.beliefs @ P.T     # (types, entries)
     col_of = {lbl: j for j, (lbl, _) in enumerate(menu.entries)}
+    rows = [i for i, lbl in enumerate(labels) if lbl in col_of]
+    cols = [col_of[labels[i]] for i in rows]
 
     own = np.full(len(labels), np.nan)
-    cross = np.full(len(labels), np.nan)
+    own[rows] = surplus[rows, cols]
     best = surplus.max(axis=1)
-    for i, lbl in enumerate(labels):
-        j = col_of.get(lbl)
-        if j is None:
-            cross[i] = best[i]
-            continue
-        own[i] = surplus[i, j]
-        others = np.delete(surplus[i], j)
-        cross[i] = others.max() if others.size else -np.inf
+    others = surplus.copy()
+    others[rows, cols] = -np.inf
+    cross = others.max(axis=1)
 
     have_own = ~np.isnan(own)
     if mode[0] == FULL:
@@ -804,4 +790,4 @@ def verify_menu(model, menu: Menu, grid_n, mode) -> ExtractionReport:
 
     return ExtractionReport(mode=mode, labels=labels, own=own, cross=cross,
                             best=best, verdict=verdict, passed=bool(ok),
-                            lipschitz_slack=float(slack))
+                            lipschitz_slack=float(slack), ts=tab.ts)

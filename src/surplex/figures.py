@@ -1,7 +1,7 @@
 """Plot-data emitters: deterministic CSV files, no rendering.
 
-All values print with 17 significant digits ('.' decimal, no locale) so
-repeated runs are byte-identical and round-trip exactly.
+Values print with 17 significant digits ('.' decimal, no locale; the t
+column of surplus.csv with 12) so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -67,10 +67,12 @@ def write_hull_csv(path, plane_points) -> None:
     _write_csv(path, ["x", "y"], [(pts[i, 0], pts[i, 1]) for i in cycle])
 
 
-def write_surplus_csv(path, labels, own, best_cross) -> None:
+def write_surplus_csv(path, ts, own, best_cross) -> None:
+    """Per-type surpluses; t has the 12 significant digits of type labels."""
     rows = []
-    for lbl, o, c in zip(labels, own, best_cross):
-        rows.append((lbl, "" if np.isnan(o) else _fmt(o), _fmt(c)))
+    for t, o, c in zip(ts, own, best_cross):
+        rows.append((f"{float(t):.12g}", "" if np.isnan(o) else _fmt(o),
+                     _fmt(c)))
     _write_csv(path, ["t", "own_surplus", "best_cross_surplus"], rows)
 
 

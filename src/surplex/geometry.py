@@ -46,18 +46,28 @@ class ChainStalled(RuntimeError):
     """A chain stage failed to shrink the face; indicates tolerance trouble."""
 
 
+def prob_rows(rows, label) -> np.ndarray:
+    """Validate a (points, states) array of probability rows in one numpy
+    pass; label(k) names row k, and the ValueError names the first bad row.
+    """
+    p = np.asarray(rows, dtype=float)
+    if p.ndim != 2 or p.shape[1] == 0:
+        raise ValueError("probability rows need shape (points, states > 0)")
+    with np.errstate(invalid="ignore"):
+        bad = (~np.isfinite(p).all(axis=1)
+               | (p.min(axis=1) < -PROB_TOL)
+               | ~(np.abs(p.sum(axis=1) - 1.0) <= PROB_TOL))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"belief of {label(k)} is not a probability "
+                         f"vector: {p[k].tolist()}")
+    return p
+
+
 def prob_vector(entries) -> np.ndarray:
     """Validate and return a probability vector over the states."""
-    p = np.asarray(entries, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("probability vector must be a nonempty 1-d array")
-    if not np.isfinite(p).all():
-        raise ValueError("non-finite probability entries")
-    if p.min() < -PROB_TOL:
-        raise ValueError(f"negative probability {p.min()}")
-    if abs(p.sum() - 1.0) > PROB_TOL:
-        raise ValueError(f"probabilities sum to {p.sum()}, not 1")
-    return p
+    return prob_rows(np.asarray(entries, dtype=float)[None],
+                     lambda k: "the input")[0]
 
 
 @dataclass
@@ -80,8 +90,7 @@ class FiniteBeliefSet:
             raise ValueError("one label per point")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("labels must be unique")
-        for row in self.points:
-            prob_vector(row)
+        prob_rows(self.points, self.labels.__getitem__)
         if not self.allow_duplicates and len(self) > 1:
             for i in range(len(self)):
                 d = np.abs(self.points - self.points[i]).max(axis=1)

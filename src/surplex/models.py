@@ -14,17 +14,22 @@ with strictly positive curvature, has vertical tangents at both ends,
 and satisfies 1 - x(t) = (3 - 2 cos u)(1 - cos u) / (2 pi) >= 0 with
 equality exactly at t in {0, 1}.  The vertical chord x = 1 therefore
 supports the hull and touches it exactly at the two endpoints.
+
+Parametric models map arrays: belief_fn takes ts of shape (n,) to rows of
+shape (n, S) and value_fn to values of shape (n,).  sample(model, n) turns
+one into a table on the n-point grid that keeps the floats ts by its labels.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from surplex.geometry import FACE_TOL, PROB_TOL, FiniteBeliefSet, prob_vector
+from surplex.geometry import FACE_TOL, FiniteBeliefSet, prob_rows, prob_vector
 
 EPS_EMB = 0.1
 MAX_CURVE_SPEED = 9.0    # sup of r(u) = 5 - 4 cos u
@@ -67,10 +72,12 @@ def embed(x, y, eps_emb: float = EPS_EMB) -> np.ndarray:
 
     embed(x, y) = (1/3, 1/3, 1/3) + eps_emb (x d1 + y d2) with d1, d2 an
     orthonormal frame orthogonal to (1, 1, 1); plane Euclidean distances
-    scale by exactly eps_emb.
+    scale by exactly eps_emb.  Arrays x, y of shape (n,) give one row per
+    point, each equal to the scalar result.
     """
-    p = CENTER + eps_emb * (x * D1 + y * D2)
-    if p.min() < 0.0:
+    p = CENTER + eps_emb * (np.multiply.outer(x, D1)
+                            + np.multiply.outer(y, D2))
+    if (p < 0.0).any():
         raise OutOfSimplex(f"embedded point has component {p.min():.4f}")
     return p
 
@@ -96,11 +103,13 @@ def endpoint_separator(eps_emb: float = EPS_EMB) -> np.ndarray:
 
 @dataclass
 class TabularModel:
-    """Finite type space: beliefs (one simplex row per type) and values."""
+    """Finite type space: beliefs (one simplex row per type) and values;
+    ts holds the sampled types of a parametric model, else None."""
 
     labels: list[str]
     beliefs: np.ndarray
     values: np.ndarray
+    ts: np.ndarray | None = None
 
     def __post_init__(self):
         self.beliefs = np.asarray(self.beliefs, dtype=float)
@@ -108,10 +117,10 @@ class TabularModel:
         if self.beliefs.ndim != 2:
             raise ValueError("beliefs must be a (types, states) array")
         m = self.beliefs.shape[0]
-        if len(self.labels) != m or self.values.shape != (m,):
-            raise ValueError("labels, beliefs, values must align")
-        for row in self.beliefs:
-            prob_vector(row)
+        if (len(self.labels) != m or self.values.shape != (m,)
+                or (self.ts is not None and np.shape(self.ts) != (m,))):
+            raise ValueError("labels, beliefs, values, ts must align")
+        prob_rows(self.beliefs, self.labels.__getitem__)
 
     @property
     def n_types(self) -> int:
@@ -175,35 +184,36 @@ class ParametricModel:
     """
 
     state_count: int
-    belief_fn: Callable[[float], np.ndarray]
-    value_fn: Callable[[float], float]
+    belief_fn: Callable[[np.ndarray], np.ndarray]
+    value_fn: Callable[[np.ndarray], np.ndarray]
     lipschitz_pi: float
     lipschitz_v: float
     declared_faces: list[DeclaredFace] = field(default_factory=list)
     name: str = "parametric"
 
     def beliefs(self, ts) -> np.ndarray:
-        """Belief rows at ts; raises ValueError at the first t whose row
-        is not a probability vector over the model's states."""
-        ts = np.atleast_1d(ts)
-        if not ts.size:
-            return np.zeros((0, self.state_count))
-        rows = np.array([self.belief_fn(float(t)) for t in ts], dtype=float)
+        """Belief rows at ts from one belief_fn call; raises ValueError at
+        the first t whose row is not a probability vector."""
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        rows = np.asarray(self.belief_fn(ts), dtype=float)
         if rows.shape != (ts.size, self.state_count):
-            raise ValueError(f"belief_fn rows have shape {rows.shape[1:]}, "
-                             f"expected ({self.state_count},)")
-        with np.errstate(invalid="ignore"):
-            bad = (~np.isfinite(rows).all(axis=1)
-                   | (rows.min(axis=1) < -PROB_TOL)
-                   | ~(np.abs(rows.sum(axis=1) - 1.0) <= PROB_TOL))
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise ValueError(f"belief at t={float(ts[k])!r} is not a "
-                             f"probability vector: {rows[k].tolist()}")
-        return rows
+            raise ValueError(f"belief_fn returned shape {rows.shape}, "
+                             f"expected ({ts.size}, {self.state_count})")
+        return prob_rows(rows, lambda k: type_label(ts[k]))
 
     def values(self, ts) -> np.ndarray:
-        return np.array([self.value_fn(float(t)) for t in np.atleast_1d(ts)])
+        """Values at ts from one value_fn call; raises ValueError on a
+        wrong shape or at the first t whose value is not finite."""
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        vals = np.asarray(self.value_fn(ts), dtype=float)
+        if vals.shape != ts.shape:
+            raise ValueError(f"value_fn returned shape {vals.shape}, "
+                             f"expected {ts.shape}")
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            raise ValueError(f"value at {type_label(ts[bad[0]])} is not "
+                             f"finite: {vals[bad[0]]!r}")
+        return vals
 
 
 def grid(n: int) -> np.ndarray:
@@ -218,11 +228,11 @@ def type_label(t: float) -> str:
 
 
 def sample(model: ParametricModel, n: int) -> TabularModel:
-    """Discretize a parametric model on the uniform n-point grid."""
+    """Discretize a parametric model on the uniform n-point grid, kept as ts."""
     ts = grid(n)
     return TabularModel(labels=[type_label(t) for t in ts],
                         beliefs=model.beliefs(ts),
-                        values=model.values(ts))
+                        values=model.values(ts), ts=ts)
 
 
 @dataclass
@@ -236,12 +246,10 @@ class LipschitzReport:
 
 def validate_lipschitz(model: ParametricModel, grid_n: int) -> LipschitzReport:
     """Empirical Lipschitz ratios over adjacent grid pairs vs declared."""
-    ts = grid(grid_n)
-    beliefs = model.beliefs(ts)
-    values = model.values(ts)
-    h = ts[1] - ts[0]
-    dpi = np.abs(np.diff(beliefs, axis=0)).sum(axis=1) / h
-    dv = np.abs(np.diff(values)) / h
+    tab = sample(model, grid_n)
+    h = tab.ts[1] - tab.ts[0]
+    dpi = np.abs(np.diff(tab.beliefs, axis=0)).sum(axis=1) / h
+    dv = np.abs(np.diff(tab.values)) / h
     r_pi = float(dpi.max()) if dpi.size else 0.0
     r_v = float(dv.max()) if dv.size else 0.0
     def within(ratio, declared):
@@ -257,51 +265,49 @@ def validate_lipschitz(model: ParametricModel, grid_n: int) -> LipschitzReport:
 def validate_declared_faces(model: ParametricModel, grid_n: int = 2001,
                             face_tol: float = FACE_TOL) -> None:
     """Check each declared face supports the curve and vanishes only there."""
-    ts = grid(grid_n)
-    beliefs = model.beliefs(ts)
+    tab = sample(model, grid_n)
     for f in model.declared_faces:
-        vals = beliefs @ f.functional
+        vals = tab.beliefs @ f.functional
         if vals.min() < -face_tol:
             raise ValueError(
                 f"declared face {f.description or f.members} dips to "
                 f"{vals.min():.3e}")
-        on = np.abs(vals) <= face_tol
-        for t, flag in zip(ts, on):
-            near_member = any(abs(t - m) < 1.5 / (grid_n - 1)
-                              for m in f.members)
-            if flag and not near_member:
-                raise ValueError(
-                    f"declared face vanishes off its members at t={t}")
-        for m in f.members:
-            if abs(float(model.belief_fn(m) @ f.functional)) > face_tol:
-                raise ValueError(f"declared face misses member t={m}")
+        members = np.asarray(f.members, dtype=float)
+        near = np.abs(np.subtract.outer(tab.ts, members)) < 1.5 / (grid_n - 1)
+        off = (np.abs(vals) <= face_tol) & ~near.any(axis=1)
+        if off.any():
+            raise ValueError("declared face vanishes off its members at "
+                             f"t={tab.ts[np.argmax(off)]}")
+        missed = np.abs(model.beliefs(members) @ f.functional) > face_tol
+        if missed.any():
+            raise ValueError("declared face misses member "
+                             f"t={members[np.argmax(missed)]}")
+
+
+def _curve_beliefs(ts, eps_emb):
+    return embed(*curve_point(ts), eps_emb)
 
 
 def counterexample_model(eps_emb: float = EPS_EMB,
-                         value_fn: Callable[[float], float] | None = None,
+                         value_fn: Callable[[np.ndarray], np.ndarray]
+                         | None = None,
                          validate: bool = True) -> ParametricModel:
     """The embedded closed-form curve with its declared chord face.
 
     Default values v(t) = t leave the t = 0 type with the lowest surplus,
     the configuration in which full extraction provably fails while
     virtual extraction succeeds.  eps_emb = 0.1 keeps beliefs strictly
-    interior to the simplex with margin > 0.15.
+    interior to the simplex with margin > 0.15.  The maps are module
+    functions, so the default model pickles.
     """
-    if value_fn is None:
-        value_fn = lambda t: t  # noqa: E731
-
-    def belief_fn(t: float) -> np.ndarray:
-        x, y = curve_point(t)
-        return embed(x, y, eps_emb)
-
     # |dpi/dt|_1 <= eps * r(u) * (|d1|_1 + |d2|_1), sup r = 9 (conservative)
     l1_frame = float(np.abs(D1).sum() + np.abs(D2).sum())
     lipschitz_pi = MAX_CURVE_SPEED * eps_emb * l1_frame
 
     model = ParametricModel(
         state_count=3,
-        belief_fn=belief_fn,
-        value_fn=value_fn,
+        belief_fn=functools.partial(_curve_beliefs, eps_emb=eps_emb),
+        value_fn=np.copy if value_fn is None else value_fn,   # v(t) = t
         lipschitz_pi=lipschitz_pi,
         lipschitz_v=1.0,
         declared_faces=[DeclaredFace(

@@ -134,6 +134,15 @@ def test_report_byte_determinism(tmp_path):
     assert a == b
 
 
+def test_counterexample_byte_determinism_across_jobs(tmp_path):
+    for jobs in ("1", "2"):
+        assert main(["counterexample", "--out", str(tmp_path / jobs),
+                     "--jobs", jobs]) == 0
+    for name in ("report.json", "curve.csv", "hull.csv", "surplus.csv"):
+        a = (tmp_path / "1" / name).read_bytes()
+        assert a == (tmp_path / "2" / name).read_bytes(), name
+
+
 def test_seed_flag_changes_random_model(tmp_path):
     config = {"version": 1,
               "model": {"kind": "random_polytope", "seed": 3,

@@ -77,6 +77,8 @@ def test_classify_counterexample_interior(curve):
         assert c.label == DETECTABLE
         assert c.margin > 0
         assert c.slack > 0               # continuum inf not certified
+    with pytest.raises(ValueError, match="not a point of the 201-point"):
+        classify_type(curve, 0.0025, 201)
 
 
 def test_classify_not_detectable_witness():
@@ -240,8 +242,8 @@ def test_virtual_menu_endpoint_decomposition(curve, curve_menu):
 def test_virtual_menu_constant_model():
     flat = ParametricModel(
         state_count=3,
-        belief_fn=lambda t: np.array([0.2, 0.3, 0.5]),
-        value_fn=lambda t: 1.25,
+        belief_fn=lambda ts: np.tile([0.2, 0.3, 0.5], (ts.size, 1)),
+        value_fn=lambda ts: np.full(ts.shape, 1.25),
         lipschitz_pi=0.0, lipschitz_v=0.0, name="flat")
     menu, logs = virtual_extraction_menu(flat, 0.01, 11)
     assert all(log.case == "constant" for log in logs)
@@ -255,8 +257,8 @@ def test_virtual_menu_detectable_only_arc():
     base = counterexample_model(validate=False)
     arc = ParametricModel(
         state_count=3,
-        belief_fn=lambda t: embed(*curve_point(0.25 + 0.5 * t)),
-        value_fn=lambda t: t,
+        belief_fn=lambda ts: embed(*curve_point(0.25 + 0.5 * ts)),
+        value_fn=lambda ts: ts,
         lipschitz_pi=0.5 * base.lipschitz_pi,
         lipschitz_v=1.0, name="arc")
     menu, logs = virtual_extraction_menu(arc, 0.05, 101)
@@ -280,8 +282,8 @@ def test_compress_counterexample(curve, curve_menu):
 def test_compress_single_type_menu():
     flat = ParametricModel(
         state_count=3,
-        belief_fn=lambda t: np.array([0.2, 0.3, 0.5]),
-        value_fn=lambda t: 1.25,
+        belief_fn=lambda ts: np.tile([0.2, 0.3, 0.5], (ts.size, 1)),
+        value_fn=lambda ts: np.full(ts.shape, 1.25),
         lipschitz_pi=0.0, lipschitz_v=0.0, name="flat")
     menu, _ = virtual_extraction_menu(flat, 0.01, 11)
     small = compress_menu(flat, menu, 0.01, 11)
@@ -292,6 +294,15 @@ def test_compress_rejects_failing_menu(curve):
     bad = Menu([("t=0", Contract(np.zeros(3)))])
     with pytest.raises(InputMenuFails):
         compress_menu(curve, bad, 0.05, 51)
+
+
+def test_compress_rejects_menu_without_types(curve, curve_menu):
+    menu, _ = curve_menu
+    relabeled = Menu([(f"T{i}", c) for i, (_, c) in enumerate(menu.entries)])
+    assert relabeled.ts is None
+    with pytest.raises(ValueError, match="menu.ts is None") as err:
+        compress_menu(curve, relabeled, 0.05, 201)
+    assert not isinstance(err.value, InputMenuFails)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +352,7 @@ def test_counterexample_impossibility_lp(curve):
     assert slacks[1] < 5e-2
 
 
-def test_menu_json_round_trip(curve_menu):
+def test_menu_json_round_trip(curve, curve_menu):
     menu, _ = curve_menu
     data = menu.to_jsonable()
     back = Menu.from_jsonable(data)
@@ -349,3 +360,8 @@ def test_menu_json_round_trip(curve_menu):
     assert np.abs(back.payments_matrix() - menu.payments_matrix()).max() == 0
     resid = [c.decomposition_residual() for _, c in back.entries]
     assert max(resid) <= 1e-10
+    assert back.ts.tobytes() == menu.ts.tobytes()
+    small = compress_menu(curve, back, 0.05, 201)
+    assert small.labels == compress_menu(curve, menu, 0.05, 201).labels
+    assert Menu.from_jsonable(small.to_jsonable()).ts.tolist() == \
+        small.ts.tolist()

@@ -19,7 +19,7 @@ from surplex.geometry import (
     max_margin_functional,
     prob_vector,
 )
-from surplex.models import counterexample_model, sample
+from surplex.models import TabularModel, counterexample_model, sample
 
 
 def simplex_vertices():
@@ -38,6 +38,17 @@ def test_prob_vector_validation():
         prob_vector([0.5, 0.6])
     with pytest.raises(ValueError):
         prob_vector([-0.1, 1.1])
+
+
+def test_belief_rows_name_first_bad_label():
+    rows = [[0.5, 0.5], [0.5, 0.6], [-0.1, 1.1]]
+    with pytest.raises(ValueError, match="belief of b is"):
+        FiniteBeliefSet(["a", "b", "c"], rows)
+    with pytest.raises(ValueError, match="belief of T1 is"):
+        TabularModel(["T0", "T1", "T2"], rows, np.zeros(3))
+    with pytest.raises(ValueError, match="belief of c is"):
+        FiniteBeliefSet(["a", "b", "c"], [[0.5, 0.5], [1.0, 0.0],
+                                          [np.nan, 1.0]])
 
 
 def test_affine_dimension_basics():

@@ -1,5 +1,7 @@
 """Closed-form curve, embedding, and model plumbing tests."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from surplex.models import (
     D1,
     D2,
     DomainError,
+    ParametricModel,
     TabularModel,
     chord_functional,
     counterexample_model,
@@ -144,7 +147,8 @@ def test_validate_lipschitz():
     # declared modulus is conservative but not wildly so
     assert rep.max_ratio_pi < model.lipschitz_pi <= 4.0 * rep.max_ratio_pi
 
-    flat = counterexample_model(value_fn=lambda t: 0.25, validate=False)
+    flat = counterexample_model(value_fn=lambda ts: np.full(ts.shape, 0.25),
+                                validate=False)
     rep = validate_lipschitz(flat, 101)
     assert rep.max_ratio_v == 0.0
 
@@ -188,13 +192,11 @@ def test_identical_beliefs_pair():
 
 
 def test_parametric_beliefs_validates_rows():
-    from surplex.models import ParametricModel
-
-    def belief_fn(t):
-        return np.array([0.6, 0.6, -0.2]) if t > 0.5 else np.full(3, 1 / 3)
+    def belief_fn(ts):
+        return np.where((ts > 0.5)[:, None], [0.6, 0.6, -0.2], 1 / 3)
 
     model = ParametricModel(state_count=3, belief_fn=belief_fn,
-                            value_fn=lambda t: t, lipschitz_pi=1.0,
+                            value_fn=lambda ts: ts, lipschitz_pi=1.0,
                             lipschitz_v=1.0)
     assert model.beliefs([0.0, 0.5]).shape == (2, 3)
     with pytest.raises(ValueError, match="t=0.75"):
@@ -203,9 +205,68 @@ def test_parametric_beliefs_validates_rows():
         sample(model, 5)
 
     for bad in ([0.5, 0.5, np.nan], [0.5, 0.6, 0.0], [0.5, 0.5]):
-        broken = ParametricModel(state_count=3,
-                                 belief_fn=lambda t, row=bad: np.array(row),
-                                 value_fn=lambda t: t, lipschitz_pi=1.0,
-                                 lipschitz_v=1.0)
+        broken = ParametricModel(
+            state_count=3,
+            belief_fn=lambda ts, row=bad: np.tile(row, (ts.size, 1)),
+            value_fn=lambda ts: ts, lipschitz_pi=1.0, lipschitz_v=1.0)
         with pytest.raises(ValueError):
             broken.beliefs([0.0])
+
+
+def test_parametric_values_reject_non_finite_and_wrong_shape():
+    def value_fn(ts):
+        return np.where(ts > 0.5, np.inf, ts)
+
+    model = ParametricModel(state_count=3,
+                            belief_fn=lambda ts: np.full((ts.size, 3), 1 / 3),
+                            value_fn=value_fn, lipschitz_pi=0.0,
+                            lipschitz_v=1.0)
+    assert model.values([0.0, 0.5]).tolist() == [0.0, 0.5]
+    with pytest.raises(ValueError, match="t=0.75"):
+        model.values([0.25, 0.75, 1.0])
+    with pytest.raises(ValueError, match="t=0.75"):
+        sample(model, 5)
+    model.value_fn = lambda ts: np.zeros(ts.size + 1)
+    with pytest.raises(ValueError, match="shape"):
+        model.values([0.0, 1.0])
+
+
+def test_vectorized_beliefs_match_per_point_rows():
+    ts = grid(1001)
+    rows = counterexample_model(validate=False).beliefs(ts)
+    ref = np.array([embed(*curve_point(float(t))) for t in ts])
+    assert rows.tobytes() == ref.tobytes()
+
+
+def test_maps_called_once_per_call():
+    calls = {"beliefs": 0, "values": 0}
+    base = counterexample_model(validate=False)
+
+    def belief_fn(ts):
+        calls["beliefs"] += 1
+        return base.belief_fn(ts)
+
+    def value_fn(ts):
+        calls["values"] += 1
+        return base.value_fn(ts)
+
+    model = ParametricModel(state_count=3, belief_fn=belief_fn,
+                            value_fn=value_fn, lipschitz_pi=1.0,
+                            lipschitz_v=1.0)
+    assert model.beliefs(grid(101)).shape == (101, 3)
+    assert model.values(grid(101)).shape == (101,)
+    assert calls == {"beliefs": 1, "values": 1}
+    tab = sample(model, 201)
+    assert calls == {"beliefs": 2, "values": 2}
+    assert tab.ts.tolist() == grid(201).tolist()
+
+
+def test_counterexample_model_pickles():
+    model = counterexample_model()
+    back = pickle.loads(pickle.dumps(model))
+    ts = grid(101)
+    assert back.beliefs(ts).tobytes() == model.beliefs(ts).tobytes()
+    assert back.values(ts).tobytes() == model.values(ts).tobytes()
+    assert back.declared_faces[0].members == (0.0, 1.0)
+    assert np.array_equal(back.declared_faces[0].functional,
+                          model.declared_faces[0].functional)
