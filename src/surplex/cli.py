@@ -385,7 +385,11 @@ def run_scenario(config: dict, out_dir: Path, *, jobs: int = 1,
 
     text = json.dumps(_jsonable(report), sort_keys=True, indent=2,
                       allow_nan=False)
-    (out_dir / "report.json").write_text(text + "\n")
+    # a fresh file, not a truncated one: truncating an existing file
+    # makes some filesystems flush it on close
+    path = out_dir / "report.json"
+    path.unlink(missing_ok=True)
+    path.write_text(text + "\n")
     return report
 
 

@@ -88,7 +88,7 @@ def build_primal(inst: VseInstance) -> lp.LinearProgram:
     obj[0] = 1.0
     return lp.LinearProgram(obj, [(row, lp.LE, b) for row, b in
                                   zip(rows, rhs)],
-                            bounds=[(None, None)] * nv)
+                            bounds=np.full((nv, 2), np.nan))
 
 
 def build_dual(inst: VseInstance) -> lp.LinearProgram:
@@ -102,22 +102,17 @@ def build_dual(inst: VseInstance) -> lp.LinearProgram:
     m, S = inst.n_types, inst.n_states
     nv = m + m * m
     beliefs = inst.tabular.beliefs
-
-    def nu_var(t, s):
-        return m + t * m + s
-
+    # state row (u, sig): lambda_u pi_sig(u) - sum_t nu_{t,u} pi_sig(t)
+    rows = np.zeros((m, S, nv))
+    diag = np.arange(m)
+    rows[diag, :, diag] = beliefs
+    nu_col = m + diag[None, :] * m + diag[:, None]     # [u, t]: nu_{t,u}
+    rows[diag[:, None], :, nu_col] = -beliefs
     cons = [(np.ones(nv), lp.EQ, 1.0)]
-    for u in range(m):
-        for sig in range(S):
-            row = np.zeros(nv)
-            row[u] = beliefs[u, sig]
-            for t in range(m):
-                row[nu_var(t, u)] = -beliefs[t, sig]
-            cons.append((row, lp.EQ, 0.0))
+    cons += [(row, lp.EQ, 0.0) for row in rows.reshape(m * S, nv)]
     obj = np.zeros(nv)
     obj[m:] = inst.d.reshape(-1)
-    return lp.LinearProgram(obj, cons, bounds=[(0.0, None)] * nv,
-                            sense="max")
+    return lp.LinearProgram(obj, cons, sense="max")
 
 
 @dataclass

@@ -428,23 +428,24 @@ def full_extraction_lp(tab: TabularModel):
     total = 0.0
     iterations = 0
     infeasible = False
+    # block rows over (c, u): pi_t.c = v_t, pi_s.c >= v_s for s != t, then
+    # c_sig - u <= 0 and c_sig + u >= 0 for each state sig
+    box = np.zeros((2 * S, S + 1))
+    box[0::2, :S] = box[1::2, :S] = np.eye(S)
+    box[0::2, S], box[1::2, S] = -1.0, 1.0
+    lifted = np.hstack([tab.beliefs, np.zeros((m, 1))])
+    rels = [lp.EQ] + [lp.GE] * (m - 1) + [lp.LE, lp.GE] * S
+    bounds = np.full((S + 1, 2), np.nan)
+    bounds[S, 0] = 0.0
+    obj = np.zeros(S + 1)
+    obj[S] = 1.0
     for t in range(m):
-        others = [s for s in range(m) if s != t]
-        cons = [(np.append(tab.beliefs[t], 0.0), lp.EQ, tab.values[t])]
-        for s in others:
-            cons.append((np.append(tab.beliefs[s], 0.0), lp.GE,
-                         tab.values[s]))
-        for sig in range(S):
-            row = np.zeros(S + 1)
-            row[sig], row[S] = 1.0, -1.0
-            cons.append((row, lp.LE, 0.0))
-            row = np.zeros(S + 1)
-            row[sig], row[S] = 1.0, 1.0
-            cons.append((row, lp.GE, 0.0))
-        obj = np.zeros(S + 1)
-        obj[S] = 1.0
-        block = lp.solve(lp.LinearProgram(
-            obj, cons, bounds=[(None, None)] * S + [(0.0, None)]))
+        others = np.delete(np.arange(m), t)
+        rows = np.vstack([lifted[t], lifted[others], box])
+        rhs = np.concatenate([[tab.values[t]], tab.values[others],
+                              np.zeros(2 * S)])
+        block = lp.solve(lp.LinearProgram(obj, zip(rows, rels, rhs),
+                                          bounds=bounds))
         iterations += block.iterations
         if block.status == lp.INFEASIBLE:
             duals_eq[:] = 0.0
@@ -460,14 +461,12 @@ def full_extraction_lp(tab: TabularModel):
             primal[m * S + t] = block.primal[S]
             total += float(block.objective_value)
         duals_eq[t] = block.duals[0]
-        for j, s in enumerate(others):
-            duals_cross[t, s] = block.duals[1 + j]
-        duals_bnd[t] = block.duals[1 + len(others):]
+        duals_cross[t, others] = block.duals[1:m]
+        duals_bnd[t] = block.duals[m:]
         if infeasible:
             break
 
-    cross_flat = [duals_cross[t, s] for t in range(m) for s in range(m)
-                  if s != t]
+    cross_flat = duals_cross[~np.eye(m, dtype=bool)]
     duals = np.concatenate([duals_eq, cross_flat, duals_bnd.reshape(-1)])
     if infeasible:
         sol = lp.LpSolution(status=lp.INFEASIBLE, duals=duals,

@@ -6,6 +6,8 @@ column of surplus.csv with 12) so repeated runs are byte-identical.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 
@@ -22,6 +24,8 @@ def _write_csv(path, header, rows) -> None:
     for row in rows:
         lines.append(",".join(_fmt(v) if not isinstance(v, str) else v
                               for v in row))
+    path = Path(path)
+    path.unlink(missing_ok=True)    # fresh file; see cli.run_scenario
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -70,6 +70,34 @@ def prob_vector(entries) -> np.ndarray:
                      lambda k: "the input")[0]
 
 
+def _first_close_pair(points):
+    """(i, j) with i the lowest index that has another point within
+    DISTINCT_TOL in sup norm and j the nearest such point (lowest index
+    on ties), or None.
+
+    Close points are close on every coordinate, so candidate pairs are
+    neighbours within DISTINCT_TOL in the order of the coordinate with
+    the widest spread; offset k compares each point with the one k places
+    later, until no pair at that offset is close on the coordinate.
+    """
+    x = points[:, np.argmax(np.ptp(points, axis=0))]
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    n = first = len(points)
+    for k in range(1, n):
+        a = np.flatnonzero(xs[k:] - xs[:-k] <= DISTINCT_TOL)
+        if a.size == 0:
+            break
+        lo, hi = order[a], order[a + k]
+        close = np.abs(points[lo] - points[hi]).max(axis=1) <= DISTINCT_TOL
+        first = int(np.minimum(lo, hi)[close].min(initial=first))
+    if first == n:
+        return None
+    d = np.abs(points - points[first]).max(axis=1)
+    d[first] = np.inf
+    return first, int(np.argmin(d))
+
+
 @dataclass
 class FiniteBeliefSet:
     """Labeled belief points; rows of `points` live in the simplex.
@@ -91,15 +119,13 @@ class FiniteBeliefSet:
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("labels must be unique")
         prob_rows(self.points, self.labels.__getitem__)
-        if not self.allow_duplicates and len(self) > 1:
-            for i in range(len(self)):
-                d = np.abs(self.points - self.points[i]).max(axis=1)
-                d[i] = np.inf
-                if d.min() <= DISTINCT_TOL:
-                    j = int(np.argmin(d))
-                    raise ValueError(
-                        f"points {self.labels[i]} and {self.labels[j]} "
-                        "coincide; pass allow_duplicates=True to permit this")
+        if not self.allow_duplicates:
+            pair = _first_close_pair(self.points)
+            if pair is not None:
+                i, j = pair
+                raise ValueError(
+                    f"points {self.labels[i]} and {self.labels[j]} "
+                    "coincide; pass allow_duplicates=True to permit this")
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -206,8 +232,8 @@ def _separation_lp(points, zero_idx, floor_idx, margin_idx, box=1.0):
     cons = [(row, lp.EQ, 0.0) for row in rows] + [(weights, lp.EQ, 1.0)]
     obj = np.zeros(n + 2 * S)
     obj[n:] = box
-    bounds = ([(0.0, None)] * n_sign + [(None, None)] * zero_idx.size
-              + [(0.0, None)] * (2 * S))
+    bounds = np.tile([0.0, np.nan], (n + 2 * S, 1))
+    bounds[n_sign:n, 0] = np.nan
     sol = lp.solve(lp.LinearProgram(obj, cons, bounds=bounds))
     if sol.status != lp.OPTIMAL:  # pragma: no cover - feasible, bounded by 0
         raise RuntimeError(f"separation LP ended {sol.status}")
@@ -354,7 +380,7 @@ def exposure_chain(bset: FiniteBeliefSet, i: int, declared_faces=(),
             cons += [(sub.points[k], lp.GE, 0.0) for k in range(len(sub))
                      if k != pos_i]
             prog = lp.LinearProgram(-sub.points.sum(axis=0), cons,
-                                    bounds=[(-1.0, 1.0)] * nS)
+                                    bounds=np.tile([-1.0, 1.0], (nS, 1)))
             zsol = lp.solve(prog)
             if zsol.status != lp.OPTIMAL:  # pragma: no cover
                 raise ChainStalled("supporting LP failed")

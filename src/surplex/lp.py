@@ -6,6 +6,10 @@ Solves small and medium LPs of the form
     s.t.     row . x  (<= | = | >=)  rhs     for each constraint
              lower_j <= x_j <= upper_j       for each variable
 
+Bounds come as one (lower, upper) pair per variable, either a sequence of
+pairs or an (n, 2) array; None or NaN means no bound on that side, and an
+infinite bound is rejected.  Programs are stored as arrays.
+
 All data is dense numpy.  The solver is deterministic: the entering
 variable is the most negative reduced cost with lowest-index tie break,
 and after a streak of degenerate pivots it switches to Bland's rule,
@@ -17,7 +21,7 @@ certificate in the duals; unbounded programs carry a certifying ray.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +32,7 @@ BLAND_TRIGGER = 64
 MAX_ITERATIONS = 200_000
 
 LE, EQ, GE = "<=", "=", ">="
+_RELATIONS = (GE, EQ, LE)   # indexed by 1 + code; code = slack sign
 OPTIMAL, INFEASIBLE, UNBOUNDED = "optimal", "infeasible", "unbounded"
 
 
@@ -35,17 +40,17 @@ class MalformedProgram(ValueError):
     """Dimension mismatch, bad relation, or non-finite problem data."""
 
 
-def _tol(value: float) -> float:
-    """Absolute-plus-relative comparison scale: tol * (1 + |value|)."""
-    return FEAS_TOL * (1.0 + abs(value))
-
-
 class LinearProgram:
     """A dense LP instance.
 
     constraints is a sequence of (row, relation, rhs) with relation one of
-    "<=", "=", ">=".  bounds is one (lower, upper) pair per variable; None
-    means unbounded on that side.  Default bounds are (0, None).
+    "<=", "=", ">=".  bounds is one (lower, upper) pair per variable, as a
+    sequence of pairs or an (n, 2) array; None or NaN means unbounded on
+    that side, and +-inf is rejected.  Default bounds are (0, None).
+
+    Stored as arrays: rows, rhs, codes (the slack sign of each relation:
+    +1 for "<=", 0 for "=", -1 for ">="), and lo/up with -inf/+inf where
+    there is no bound.
     """
 
     def __init__(self, objective, constraints, bounds=None, sense="min"):
@@ -57,36 +62,42 @@ class LinearProgram:
             raise MalformedProgram(f"unknown sense {sense!r}")
         self.sense = sense
 
-        rows, rels, rhs = [], [], []
-        for row, rel, b in constraints:
-            row = np.asarray(row, dtype=float)
-            if row.shape != (n,):
-                raise MalformedProgram(
-                    f"constraint row has shape {row.shape}, expected ({n},)")
-            if rel not in (LE, EQ, GE):
+        constraints = list(constraints)
+        try:
+            rows = np.array([row for row, _, _ in constraints], dtype=float)
+        except ValueError as err:
+            raise MalformedProgram(f"bad constraint rows: {err}") from None
+        if constraints and rows.shape[1:] != (n,):
+            raise MalformedProgram(
+                f"constraint rows have shape {rows.shape[1:]}, expected ({n},)")
+        self.rows = rows.reshape(len(constraints), n)
+        rels = [rel for _, rel, _ in constraints]
+        for rel in rels:
+            if rel not in _RELATIONS:
                 raise MalformedProgram(f"unknown relation {rel!r}")
-            rows.append(row)
-            rels.append(rel)
-            rhs.append(float(b))
-        self.rows = np.array(rows, dtype=float) if rows else np.zeros((0, n))
-        self.relations = rels
-        self.rhs = np.asarray(rhs, dtype=float)
+        self.codes = np.array([_RELATIONS.index(rel) - 1 for rel in rels],
+                              dtype=int)
+        self.rhs = np.array([b for _, _, b in constraints], dtype=float)
+        if self.rhs.shape != self.codes.shape:
+            raise MalformedProgram("each rhs must be a scalar")
 
         if bounds is None:
-            bounds = [(0.0, None)] * n
-        if len(bounds) != n:
+            bounds = np.tile([0.0, np.nan], (n, 1))
+        try:
+            box = np.array(bounds, dtype=float)
+        except (TypeError, ValueError) as err:
+            raise MalformedProgram(f"bad bounds: {err}") from None
+        if box.shape != (n, 2):
             raise MalformedProgram("one (lower, upper) pair per variable")
-        self.bounds = []
-        for lo, up in bounds:
-            lo = None if lo is None else float(lo)
-            up = None if up is None else float(up)
-            if lo is not None and not np.isfinite(lo):
-                raise MalformedProgram("bounds must be finite or None")
-            if up is not None and not np.isfinite(up):
-                raise MalformedProgram("bounds must be finite or None")
-            if lo is not None and up is not None and lo > up:
-                raise MalformedProgram(f"empty bound interval ({lo}, {up})")
-            self.bounds.append((lo, up))
+        if np.isinf(box).any():
+            raise MalformedProgram("bounds must be finite, None or NaN")
+        self.lo = np.where(np.isnan(box[:, 0]), -np.inf, box[:, 0])
+        self.up = np.where(np.isnan(box[:, 1]), np.inf, box[:, 1])
+        empty = np.flatnonzero(self.lo > self.up)
+        if empty.size:
+            j = empty[0]
+            raise MalformedProgram(
+                f"empty bound interval ({self.lo[j]}, {self.up[j]})")
 
         if not (np.isfinite(self.objective).all()
                 and np.isfinite(self.rows).all()
@@ -99,7 +110,18 @@ class LinearProgram:
 
     @property
     def n_constraints(self) -> int:
-        return len(self.relations)
+        return self.codes.size
+
+    @cached_property
+    def relations(self) -> list[str]:
+        """One relation string per constraint."""
+        return [_RELATIONS[1 + k] for k in self.codes.tolist()]
+
+    @cached_property
+    def bounds(self) -> list[tuple[float | None, float | None]]:
+        """(lower, upper) per variable, None where there is no bound."""
+        return [(None if lo == -np.inf else lo, None if up == np.inf else up)
+                for lo, up in zip(self.lo.tolist(), self.up.tolist())]
 
 
 @dataclass
@@ -156,8 +178,8 @@ class _Canonical:
     b: np.ndarray
     flip: np.ndarray                 # +-1 per row: orientation vs assembled row
     scale: np.ndarray                # row equilibration factors
-    row_source: list[tuple]          # ("con", k) | ("lo", j) | ("up", j)
-    row_rel: list[str]               # relation of the assembled row
+    bound_var: np.ndarray            # per bound row: its variable
+    bound_up: np.ndarray             # per bound row: upper (else lower) bound
     first: np.ndarray                # per variable: its (first) column
     split: np.ndarray                # per variable: split into two columns
     second: np.ndarray               # per split variable: its minus column
@@ -167,10 +189,11 @@ class _Canonical:
 
 
 def _canonicalize(lp: LinearProgram) -> _Canonical:
+    """Rows: the constraints, then the bound rows, for each variable its
+    lower-bound row (lo finite and nonzero) before its upper-bound row."""
     n = lp.n_vars
-    split = np.array([lo is None or lo < 0.0 for lo, _ in lp.bounds],
-                     dtype=bool)
-    width = 1 + split.astype(int)
+    split = lp.lo < 0.0
+    width = 1 + split
     first = np.cumsum(width) - width
     second = first[split] + 1
     n_struct = int(width.sum())
@@ -181,74 +204,45 @@ def _canonicalize(lp: LinearProgram) -> _Canonical:
         out[:, second] = -R[:, split]
         return out
 
-    rels = list(lp.relations)
-    rhs = list(lp.rhs)
-    source = [("con", k) for k in range(lp.n_constraints)]
-    bound_vars = []
-    for j, (lo, up) in enumerate(lp.bounds):
-        if lo is not None and lo != 0.0:
-            bound_vars.append(j)
-            rels.append(GE)
-            rhs.append(lo)
-            source.append(("lo", j))
-        if up is not None:
-            bound_vars.append(j)
-            rels.append(LE)
-            rhs.append(up)
-            source.append(("up", j))
-    unit = np.zeros((len(bound_vars), n))
-    unit[np.arange(len(bound_vars)), bound_vars] = 1.0
-
-    m = len(rels)
+    has_bound = np.column_stack([np.isfinite(lp.lo) & (lp.lo != 0.0),
+                                 np.isfinite(lp.up)]).ravel()
+    k = np.flatnonzero(has_bound)
+    bound_var, bound_up = k // 2, k % 2 == 1
+    unit = np.zeros((k.size, n))
+    unit[np.arange(k.size), bound_var] = 1.0
+    codes = np.concatenate([lp.codes, np.where(bound_up, 1, -1)])
     A0 = expand(np.vstack([lp.rows, unit]))
-    b0 = np.array(rhs, dtype=float)
+    b0 = np.concatenate([lp.rhs, np.column_stack([lp.lo, lp.up]).ravel()[k]])
 
     # row equilibration: unit inf-norm rows keep reduced-cost noise flat
-    scale = np.ones(m)
-    if m:
-        norms = np.abs(A0).max(axis=1)
-        scale = np.where(norms > 0.0, norms, 1.0)
-        A0 = A0 / scale[:, None]
-        b0 = b0 / scale
+    norms = np.abs(A0).max(axis=1)
+    scale = np.where(norms > 0.0, norms, 1.0)
+    A0 = A0 / scale[:, None]
+    b0 = b0 / scale
 
-    # slack/surplus columns, then sign-fix rows so b >= 0
-    n_slack = sum(1 for r in rels if r != EQ)
-    A = np.zeros((m, n_struct + n_slack))
-    A[:, :n_struct] = A0
-    slack_cols = np.full(m, -1, dtype=int)
-    col = n_struct
-    for i, r in enumerate(rels):
-        if r == LE:
-            A[i, col] = 1.0
-            slack_cols[i] = col
-            col += 1
-        elif r == GE:
-            A[i, col] = -1.0
-            slack_cols[i] = col
-            col += 1
-    flip = np.ones(m)
-    for i in range(m):
-        if b0[i] < 0.0:
-            A[i] *= -1.0
-            b0[i] *= -1.0
-            flip[i] = -1.0
-
+    # slack/surplus columns, then sign-fix rows so b >= 0, then
     # artificials wherever the row lacks a +1 identity column
-    needs_art = [i for i in range(m)
-                 if slack_cols[i] < 0 or A[i, slack_cols[i]] < 0.0]
-    art_cols = np.full(m, -1, dtype=int)
-    A_full = np.zeros((m, A.shape[1] + len(needs_art)))
-    A_full[:, :A.shape[1]] = A
-    for idx, i in enumerate(needs_art):
-        c = A.shape[1] + idx
-        A_full[i, c] = 1.0
-        art_cols[i] = c
+    m = codes.size
+    slack_rows = np.flatnonzero(codes)
+    slack_cols = np.full(m, -1)
+    slack_cols[slack_rows] = n_struct + np.arange(slack_rows.size)
+    flip = np.where(b0 < 0.0, -1.0, 1.0)
+    art_rows = np.flatnonzero(codes * flip <= 0.0)
+    art_cols = np.full(m, -1)
+    n_real = n_struct + slack_rows.size
+    art_cols[art_rows] = n_real + np.arange(art_rows.size)
+
+    A = np.zeros((m, n_real + art_rows.size))
+    A[:, :n_struct] = A0
+    A[slack_rows, slack_cols[slack_rows]] = codes[slack_rows]
+    A[:, :n_real] *= flip[:, None]
+    A[art_rows, art_cols[art_rows]] = 1.0
 
     obj = lp.objective if lp.sense == "min" else -lp.objective
     c_canon = expand(obj[None, :])[0]
 
-    return _Canonical(c=c_canon, A=A_full, b=b0, flip=flip, scale=scale,
-                      row_source=source, row_rel=rels, first=first,
+    return _Canonical(c=c_canon, A=A, b=b0 * flip, flip=flip, scale=scale,
+                      bound_var=bound_var, bound_up=bound_up, first=first,
                       split=split, second=second,
                       n_struct=n_struct, slack_cols=slack_cols,
                       art_cols=art_cols)
@@ -258,13 +252,25 @@ def _canonicalize(lp: LinearProgram) -> _Canonical:
 # simplex core
 
 class _Tableau:
+    """Work matrix T: the m constraint rows, then the objective row; the
+    last column holds the right-hand sides (the negated objective value
+    in the objective row).  basis[i] is row i's basic column."""
+
     def __init__(self, A, b, basis):
         m, ncols = A.shape
-        self.T = np.empty((m, ncols + 1))
-        self.T[:, :-1] = A
-        self.T[:, -1] = b
-        self.basis = list(basis)
+        self.T = np.zeros((m + 1, ncols + 1))
+        self.T[:m, :-1] = A
+        self.T[:m, -1] = b
+        self.basis = basis
         self.iterations = 0
+
+    def pivot(self, r, q):
+        T = self.T
+        T[r] /= T[r, q]
+        factors = T[:, q].copy()
+        factors[r] = 0.0
+        T -= factors[:, None] * T[r]        # the outer product, row by row
+        self.basis[r] = q
 
     def run(self, costs, allowed):
         """Minimize costs over the current canonical system.
@@ -273,49 +279,61 @@ class _Tableau:
         obj_row is the final reduced-cost row (with the negated objective
         value in the rhs slot).
         """
-        T = self.T
-        m = T.shape[0]
-        obj = np.zeros(T.shape[1])
+        T, basis = self.T, self.basis
+        m = T.shape[0] - 1
+        obj = T[m]
         obj[:-1] = costs
-        for i, bv in enumerate(self.basis):
+        obj[-1] = 0.0
+        for i, bv in enumerate(basis):
             if obj[bv] != 0.0:
                 obj -= obj[bv] * T[i]
+        red = obj[:-1]
+        rhs = T[:m, -1]
 
         cscale = 1.0 + float(np.max(np.abs(costs))) if costs.size else 1.0
         red_tol = FEAS_TOL * cscale
         bland = False
         degenerate_streak = 0
 
-        blocked = np.zeros(T.shape[1] - 1, dtype=bool)
+        # columns may enter when allowed and not parked; a parked column
+        # (near-noise reduced cost, no positive entry) waits for a pivot
+        eligible = allowed.copy()
+        parked = False
+        ratios = np.empty(m)
         while True:
             self.iterations += 1
             if self.iterations > MAX_ITERATIONS:
                 raise RuntimeError("simplex iteration limit exceeded")
-            red = obj[:-1]
-            candidates = np.flatnonzero(allowed & ~blocked & (red < -red_tol))
-            if candidates.size == 0:
-                return "optimal", obj
             if bland:
-                q = int(candidates[0])
+                improving = eligible & (red < -red_tol)
+                q = int(improving.argmax())
+                if not improving[q]:
+                    return "optimal", obj
             else:
-                q = int(candidates[np.argmin(red[candidates])])
+                masked = np.where(eligible, red, np.inf)
+                q = int(masked.argmin())
+                if not masked[q] < -red_tol:
+                    return "optimal", obj
 
-            col = T[:, q]
-            pos = col > PIVOT_TOL
-            if not pos.any():
-                # trust an unbounded verdict only on a clearly improving
-                # column; near-noise reduced costs are parked instead
+            col = T[:m, q]
+            ratios.fill(np.inf)
+            np.divide(rhs, col, out=ratios, where=col > PIVOT_TOL)
+            best = float(ratios.min(initial=np.inf))
+            if best == np.inf:
+                # no positive entry: trust an unbounded verdict only on a
+                # clearly improving column; near-noise reduced costs are
+                # parked instead
                 if red[q] < -1e4 * red_tol:
                     return "unbounded", q
-                blocked[q] = True
+                eligible[q] = False
+                parked = True
                 continue
-            blocked[:] = False
-            ratios = np.full(m, np.inf)
-            ratios[pos] = T[pos, -1] / col[pos]
-            best = ratios.min()
-            near = np.flatnonzero(ratios <= best + 1e-12 * (1.0 + abs(best)))
+            if parked:
+                eligible = allowed.copy()
+                parked = False
+            near = (ratios <= best + 1e-12 * (1.0 + abs(best))).nonzero()[0]
             # Bland-style tie break: lowest basis variable index leaves
-            r = int(near[np.argmin(np.take(self.basis, near))])
+            r = int(near[0] if near.size == 1 else near[basis[near].argmin()])
 
             if best <= 1e-12:
                 degenerate_streak += 1
@@ -323,14 +341,7 @@ class _Tableau:
                     bland = True
             else:
                 degenerate_streak = 0
-
-            piv = T[r, q]
-            T[r] /= piv
-            factors = T[:, q].copy()
-            factors[r] = 0.0
-            T -= np.outer(factors, T[r])
-            obj -= obj[q] * T[r]
-            self.basis[r] = q
+            self.pivot(r, q)
 
 
 def _extract_duals(canon, obj_row, costs):
@@ -341,18 +352,12 @@ def _extract_duals(canon, obj_row, costs):
 
 def _split_duals(lp, canon, y):
     """Split assembled-row multipliers into constraint and bound parts."""
-    m_con = lp.n_constraints
-    y_con = np.zeros(m_con)
+    y_bound = y[lp.n_constraints:]
     y_lo = np.zeros(lp.n_vars)
     y_up = np.zeros(lp.n_vars)
-    for i, src in enumerate(canon.row_source):
-        if src[0] == "con":
-            y_con[src[1]] = y[i]
-        elif src[0] == "lo":
-            y_lo[src[1]] = y[i]
-        else:
-            y_up[src[1]] = y[i]
-    return y_con, y_lo, y_up
+    y_lo[canon.bound_var[~canon.bound_up]] = y_bound[~canon.bound_up]
+    y_up[canon.bound_var[canon.bound_up]] = y_bound[canon.bound_up]
+    return y[:lp.n_constraints], y_lo, y_up
 
 
 def _to_original(lp, canon, x_struct):
@@ -367,17 +372,14 @@ def solve(lp: LinearProgram) -> LpSolution:
         raise MalformedProgram("expected a LinearProgram")
     canon = _canonicalize(lp)
     m, ncols = canon.A.shape
-    n_real = ncols - np.count_nonzero(canon.art_cols >= 0)
-
-    basis = [canon.art_cols[i] if canon.art_cols[i] >= 0 else canon.slack_cols[i]
-             for i in range(m)]
-    tab = _Tableau(canon.A, canon.b, basis)
+    has_art = canon.art_cols >= 0
+    n_real = ncols - np.count_nonzero(has_art)
+    tab = _Tableau(canon.A, canon.b,
+                   np.where(has_art, canon.art_cols, canon.slack_cols))
 
     # Phase 1: drive artificials to zero.
     is_art = np.zeros(ncols, dtype=bool)
-    for c in canon.art_cols:
-        if c >= 0:
-            is_art[c] = True
+    is_art[canon.art_cols[has_art]] = True
     costs1 = is_art.astype(float)
     allowed = ~is_art
     if is_art.any():
@@ -392,95 +394,59 @@ def solve(lp: LinearProgram) -> LpSolution:
                               bound_duals=(y_lo, y_up),
                               iterations=tab.iterations)
         # pivot leftover artificials out of the basis; drop redundant rows
-        keep = np.ones(m, dtype=bool)
-        for i in range(m):
-            if is_art[tab.basis[i]]:
-                row = tab.T[i, :n_real]
-                j = int(np.argmax(np.abs(row)))
-                if abs(row[j]) > PIVOT_TOL:
-                    piv = tab.T[i, j]
-                    tab.T[i] /= piv
-                    factors = tab.T[:, j].copy()
-                    factors[i] = 0.0
-                    tab.T -= np.outer(factors, tab.T[i])
-                    tab.basis[i] = j
-                else:
-                    keep[i] = False
+        keep = np.ones(m + 1, dtype=bool)
+        for i in np.flatnonzero(is_art[tab.basis]):
+            row = tab.T[i, :n_real]
+            j = int(np.argmax(np.abs(row)))
+            if abs(row[j]) > PIVOT_TOL:
+                tab.pivot(i, j)
+            else:
+                keep[i] = False
         if not keep.all():
             tab.T = tab.T[keep]
-            tab.basis = [bv for i, bv in enumerate(tab.basis) if keep[i]]
+            tab.basis = tab.basis[keep[:m]]
 
     # Phase 2
     costs2 = np.zeros(ncols)
     costs2[:canon.n_struct] = canon.c
     status, result = tab.run(costs2, allowed)
+    basic = tab.T[:-1]
+    x_struct = np.zeros(ncols)
+    x_struct[tab.basis] = basic[:, -1]
+    x = _to_original(lp, canon, x_struct)
     if status == "unbounded":
         q = result
         ray_struct = np.zeros(ncols)
         ray_struct[q] = 1.0
-        for i, bv in enumerate(tab.basis):
-            ray_struct[bv] = -tab.T[i, q]
-        x_struct = np.zeros(ncols)
-        for i, bv in enumerate(tab.basis):
-            x_struct[bv] = tab.T[i, -1]
-        return LpSolution(status=UNBOUNDED,
-                          primal=_to_original(lp, canon, x_struct),
+        ray_struct[tab.basis] = -basic[:, q]
+        return LpSolution(status=UNBOUNDED, primal=x,
                           ray=_to_original(lp, canon, ray_struct),
                           iterations=tab.iterations)
-
-    obj_row = result
-    x_struct = np.zeros(ncols)
-    for i, bv in enumerate(tab.basis):
-        x_struct[bv] = tab.T[i, -1]
-    x = _to_original(lp, canon, x_struct)
-    obj_value = float(lp.objective @ x)
 
     # Every row, dropped redundant ones included, reads its multiplier off
     # its own identity column: a dropped row's basic artificial may belong
     # to another constraint, and it stays basic at cost 0 in phase 2.
     y_con, y_lo, y_up = _split_duals(lp, canon,
-                                     _extract_duals(canon, obj_row, costs2))
+                                     _extract_duals(canon, result, costs2))
     if lp.sense == "max":
         y_con, y_lo, y_up = -y_con, -y_lo, -y_up
     return LpSolution(status=OPTIMAL, primal=x, duals=y_con,
-                      objective_value=obj_value,
+                      objective_value=float(lp.objective @ x),
                       bound_duals=(y_lo, y_up), iterations=tab.iterations)
 
 
 # ---------------------------------------------------------------------------
 # certificates
 
+def _row_violation(lp, gap):
+    """Per-row violation of gap = row.x - rhs under the row's relation."""
+    return np.where(lp.codes == 0, np.abs(gap), lp.codes * gap)
+
+
 def _primal_residual(lp, x):
-    res = 0.0
-    if lp.n_constraints:
-        vals = lp.rows @ x
-        for i, rel in enumerate(lp.relations):
-            gap = vals[i] - lp.rhs[i]
-            if rel == LE:
-                res = max(res, gap)
-            elif rel == GE:
-                res = max(res, -gap)
-            else:
-                res = max(res, abs(gap))
-    for j, (lo, up) in enumerate(lp.bounds):
-        if lo is not None:
-            res = max(res, lo - x[j])
-        if up is not None:
-            res = max(res, x[j] - up)
-    return max(res, 0.0)
-
-
-def _dual_sign_residual(lp, y):
-    """Sign violations vs the min-sense convention (max flips them)."""
-    res = 0.0
-    sign = 1.0 if lp.sense == "min" else -1.0
-    for i, rel in enumerate(lp.relations):
-        v = sign * y[i]
-        if rel == LE:
-            res = max(res, v)          # must be <= 0
-        elif rel == GE:
-            res = max(res, -v)         # must be >= 0
-    return res
+    return float(max(
+        np.max(_row_violation(lp, lp.rows @ x - lp.rhs), initial=0.0),
+        np.max(lp.lo - x, initial=0.0), np.max(x - lp.up, initial=0.0)))
 
 
 def check_certificate(lp: LinearProgram, sol: LpSolution) -> CertificateReport:
@@ -492,51 +458,41 @@ def check_certificate(lp: LinearProgram, sol: LpSolution) -> CertificateReport:
     """
     rep = CertificateReport()
     scale = 1.0 + float(np.max(np.abs(lp.rhs))) if lp.n_constraints else 1.0
+    # rows carrying a bound multiplier: lower bounds other than x >= 0,
+    # and every finite upper bound
+    has_lo = np.isfinite(lp.lo) & (lp.lo != 0.0)
+    has_up = np.isfinite(lp.up)
 
     if sol.status == OPTIMAL:
         x, y = sol.primal, sol.duals
-        y_lo, y_up = sol.bound_duals
-        rep.feasibility = _primal_residual(lp, x)
-        sgn_res = _dual_sign_residual(lp, y)
-        # bound multipliers: lower-bound rows act like >=, upper like <=
+        # signs vs the min-sense convention (max flips them): <= rows and
+        # upper bounds nonpositive, >= rows and lower bounds nonnegative
         sign = 1.0 if lp.sense == "min" else -1.0
-        if lp.n_vars:
-            sgn_res = max(sgn_res, float(np.max(-sign * y_lo, initial=0.0)))
-            sgn_res = max(sgn_res, float(np.max(sign * y_up, initial=0.0)))
+        yc = sign * y
+        ylo = sign * sol.bound_duals[0]
+        yup = sign * sol.bound_duals[1]
+        rep.feasibility = _primal_residual(lp, x)
+        sgn_res = max(np.max(lp.codes * yc, initial=0.0),
+                      np.max(-ylo, initial=0.0), np.max(yup, initial=0.0))
 
         obj = lp.objective if lp.sense == "min" else -lp.objective
-        yc = sign * y
-        ylo = sign * y_lo
-        yup = sign * y_up
-        r = obj.copy()
-        if lp.n_constraints:
-            r -= lp.rows.T @ yc
+        r = obj - lp.rows.T @ yc
         r -= ylo + yup
-        stat = 0.0
-        comp = 0.0
-        dual_obj = 0.0
-        if lp.n_constraints:
-            vals = lp.rows @ x
-            comp = float(np.max(np.abs(yc * (vals - lp.rhs)), initial=0.0))
-            dual_obj += float(yc @ lp.rhs)
-        for j, (lo, up) in enumerate(lp.bounds):
-            native_nonneg = lo is not None and lo >= 0.0
-            if native_nonneg:
-                # implicit x_j >= 0 multiplier is the reduced cost r_j
-                stat = max(stat, -r[j])
-                comp = max(comp, abs(r[j] * x[j]) if x[j] > FEAS_TOL else 0.0)
-                if r[j] > 0.0 and x[j] <= FEAS_TOL:
-                    pass  # reduced cost on a variable at zero: fine
-            else:
-                stat = max(stat, abs(r[j]))
-            if lo is not None and lo != 0.0:
-                dual_obj += ylo[j] * lo
-                comp = max(comp, abs(ylo[j] * (x[j] - lo)))
-            if up is not None:
-                dual_obj += yup[j] * up
-                comp = max(comp, abs(yup[j] * (x[j] - up)))
-        rep.dual_feasibility = max(sgn_res, stat)
-        rep.complementary_slackness = comp
+        # a variable with lower bound >= 0 keeps its implicit x_j >= 0
+        # multiplier, the reduced cost r_j; any other needs r_j = 0
+        native = lp.lo >= 0.0
+        stat = max(np.max(-r[native], initial=0.0),
+                   np.max(np.abs(r[~native]), initial=0.0))
+        active = native & (x > FEAS_TOL)
+        comp = max(
+            np.max(np.abs(yc * (lp.rows @ x - lp.rhs)), initial=0.0),
+            np.max(np.abs(r[active] * x[active]), initial=0.0),
+            np.max(np.abs(ylo[has_lo] * (x - lp.lo)[has_lo]), initial=0.0),
+            np.max(np.abs(yup[has_up] * (x - lp.up)[has_up]), initial=0.0))
+        dual_obj = float(yc @ lp.rhs + ylo[has_lo] @ lp.lo[has_lo]
+                         + yup[has_up] @ lp.up[has_up])
+        rep.dual_feasibility = float(max(sgn_res, stat))
+        rep.complementary_slackness = float(comp)
         primal_obj = float(obj @ x)
         rep.duality_gap = abs(primal_obj - dual_obj)
         limit = FEAS_TOL * (scale + abs(primal_obj)
@@ -549,47 +505,20 @@ def check_certificate(lp: LinearProgram, sol: LpSolution) -> CertificateReport:
         y_lo, y_up = sol.bound_duals
         # Farkas certificates are sense-free: <= rows nonpositive,
         # >= rows nonnegative, lower bounds nonnegative, upper nonpositive.
-        sgn = 0.0
-        for i, rel in enumerate(lp.relations):
-            if rel == LE:
-                sgn = max(sgn, y[i])
-            elif rel == GE:
-                sgn = max(sgn, -y[i])
-        rep.dual_feasibility = sgn
-        if lp.n_vars:
-            rep.dual_feasibility = max(
-                rep.dual_feasibility,
-                float(np.max(-y_lo, initial=0.0)),
-                float(np.max(y_up, initial=0.0)))
+        rep.dual_feasibility = float(max(
+            np.max(lp.codes * y, initial=0.0),
+            np.max(-y_lo, initial=0.0), np.max(y_up, initial=0.0)))
         # aggregated row w.x >= y.b for every feasible x; certificate means
         # sup over the bounds of w.x falls short of y.b
-        w = y_lo + y_up
-        if lp.n_constraints:
-            w = w + lp.rows.T @ y
-        ybeta = 0.0
-        if lp.n_constraints:
-            ybeta += float(y @ lp.rhs)
-        for j, (lo, up) in enumerate(lp.bounds):
-            if lo is not None and lo != 0.0:
-                ybeta += y_lo[j] * lo
-            if up is not None:
-                ybeta += y_up[j] * up
-        sup = 0.0
-        unbounded_dir = 0.0
-        for j, (lo, up) in enumerate(lp.bounds):
-            lo_eff = lo if lo is not None else -np.inf
-            up_eff = up if up is not None else np.inf
-            if w[j] > FEAS_TOL:
-                if np.isinf(up_eff):
-                    unbounded_dir = max(unbounded_dir, w[j])
-                else:
-                    sup += w[j] * up_eff
-            elif w[j] < -FEAS_TOL:
-                if np.isinf(lo_eff):
-                    unbounded_dir = max(unbounded_dir, -w[j])
-                else:
-                    sup += w[j] * lo_eff
-        rep.feasibility = unbounded_dir
+        w = y_lo + y_up + lp.rows.T @ y
+        ybeta = float(y @ lp.rhs + y_lo[has_lo] @ lp.lo[has_lo]
+                      + y_up[has_up] @ lp.up[has_up])
+        moves = np.abs(w) > FEAS_TOL
+        edge = np.where(w > 0.0, lp.up, lp.lo)    # where the sup sits
+        capped = moves & np.isfinite(edge)
+        sup = float(w[capped] @ edge[capped])
+        rep.feasibility = float(np.max(np.abs(w[moves & ~capped]),
+                                       initial=0.0))
         gap = ybeta - sup
         rep.duality_gap = max(0.0, FEAS_TOL * scale - gap)
         rep.notes = f"farkas margin {gap:.3e}"
@@ -600,22 +529,10 @@ def check_certificate(lp: LinearProgram, sol: LpSolution) -> CertificateReport:
 
     if sol.status == UNBOUNDED:
         d = sol.ray
-        res = 0.0
-        if lp.n_constraints:
-            vals = lp.rows @ d
-            for i, rel in enumerate(lp.relations):
-                if rel == LE:
-                    res = max(res, vals[i])
-                elif rel == GE:
-                    res = max(res, -vals[i])
-                else:
-                    res = max(res, abs(vals[i]))
-        for j, (lo, up) in enumerate(lp.bounds):
-            if lo is not None:
-                res = max(res, -d[j])
-            if up is not None:
-                res = max(res, d[j])
-        rep.feasibility = max(_primal_residual(lp, sol.primal), res)
+        res = max(np.max(_row_violation(lp, lp.rows @ d), initial=0.0),
+                  np.max(-d[np.isfinite(lp.lo)], initial=0.0),
+                  np.max(d[np.isfinite(lp.up)], initial=0.0))
+        rep.feasibility = max(_primal_residual(lp, sol.primal), float(res))
         improve = float(lp.objective @ d)
         ok = improve < 0 if lp.sense == "min" else improve > 0
         rep.duality_gap = 0.0 if ok else abs(improve) + FEAS_TOL

@@ -121,6 +121,10 @@ class TabularModel:
                 or (self.ts is not None and np.shape(self.ts) != (m,))):
             raise ValueError("labels, beliefs, values, ts must align")
         prob_rows(self.beliefs, self.labels.__getitem__)
+        bad = np.flatnonzero(~np.isfinite(self.values))
+        if bad.size:
+            raise ValueError(f"value of {self.labels[bad[0]]} is not "
+                             f"finite: {float(self.values[bad[0]])!r}")
 
     @property
     def n_types(self) -> int:
@@ -212,7 +216,7 @@ class ParametricModel:
         bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:
             raise ValueError(f"value at {type_label(ts[bad[0]])} is not "
-                             f"finite: {vals[bad[0]]!r}")
+                             f"finite: {float(vals[bad[0]])!r}")
         return vals
 
 

@@ -143,6 +143,21 @@ def test_counterexample_byte_determinism_across_jobs(tmp_path):
         assert a == (tmp_path / "2" / name).read_bytes(), name
 
 
+def test_rerun_into_same_directory_rewrites_identical_files(tmp_path):
+    config = counterexample_preset()
+    config["grid"] = 41
+    config["duality_grid"] = 17
+    args = ["analyze", str(write_config(tmp_path, config)),
+            "--out", str(tmp_path / "out")]
+    assert main(args) == 0
+    first = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+    assert set(first) == {"report.json", "curve.csv", "hull.csv",
+                          "surplus.csv"}
+    assert main(args) == 0
+    assert {p.name: p.read_bytes()
+            for p in (tmp_path / "out").iterdir()} == first
+
+
 def test_seed_flag_changes_random_model(tmp_path):
     config = {"version": 1,
               "model": {"kind": "random_polytope", "seed": 3,

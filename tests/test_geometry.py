@@ -5,6 +5,7 @@ import pytest
 
 from surplex import extraction, geometry, lp
 from surplex.geometry import (
+    DISTINCT_TOL,
     FACE_TOL,
     EmptySet,
     FiniteBeliefSet,
@@ -97,6 +98,46 @@ def test_duplicates_need_flag():
     pts = np.vstack([np.eye(3), np.eye(3)[:1]])
     with pytest.raises(ValueError):
         FiniteBeliefSet(["a", "b", "c", "d"], pts)
+
+
+def _reference_duplicate_message(labels, points):
+    """The per-point O(n^2) scan that the sort-based check replaced."""
+    for i in range(len(points)):
+        d = np.abs(points - points[i]).max(axis=1)
+        d[i] = np.inf
+        if d.min() <= DISTINCT_TOL:
+            j = int(np.argmin(d))
+            return (f"points {labels[i]} and {labels[j]} coincide; "
+                    "pass allow_duplicates=True to permit this")
+    return None
+
+
+def test_duplicate_check_matches_reference_scan():
+    rng = np.random.default_rng(23)
+    for trial in range(200):
+        n, s = int(rng.integers(2, 40)), int(rng.integers(2, 5))
+        pts = rng.exponential(size=(n, s))
+        if trial % 3 == 0:      # a shared first coordinate defeats no sort
+            pts[:, 0] = pts[0, 0]
+        pts /= pts.sum(axis=1, keepdims=True)
+        # planted pairs just inside and just outside DISTINCT_TOL: move
+        # mass delta between two states, a sup-norm step of delta
+        for _ in range(int(rng.integers(0, 4))):
+            i, j = rng.choice(n, size=2, replace=False)
+            delta = DISTINCT_TOL * (1.0 + float(rng.choice([-1e-3, 1e-3])))
+            a, b = rng.choice(s, size=2, replace=False)
+            pts[j] = pts[i]
+            pts[j, a] += delta
+            pts[j, b] -= delta
+        pts = np.clip(pts, 0.0, None)
+        labels = [f"p{k}" for k in range(n)]
+        expected = _reference_duplicate_message(labels, pts)
+        if expected is None:
+            FiniteBeliefSet(labels, pts)
+        else:
+            with pytest.raises(ValueError) as err:
+                FiniteBeliefSet(labels, pts)
+            assert str(err.value) == expected
 
 
 def test_expose_set_simplex_vertex():

@@ -1,18 +1,31 @@
 """Simplex solver tests against a brute-force vertex enumeration oracle."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from surplex import lp as lp_module
+from surplex import models
+from surplex.extraction import classify_type, full_extraction_lp
+from surplex.geometry import ChainStalled, exposure_chain
 from surplex.lp import (
+    BLAND_TRIGGER,
+    EQ,
+    FEAS_TOL,
     GE,
     INFEASIBLE,
     LE,
+    MAX_ITERATIONS,
     OPTIMAL,
+    PIVOT_TOL,
     UNBOUNDED,
     LinearProgram,
+    LpSolution,
     MalformedProgram,
+    _extract_duals,
+    _to_original,
     check_certificate,
     solve,
 )
@@ -261,3 +274,355 @@ def test_canonical_columns_match_per_variable_reference():
         x_ref = [x_struct[c[0]] - (x_struct[c[1]] if len(c) == 2 else 0.0)
                  for c in cols]
         assert np.array_equal(_to_original(prog, canon, x_struct), x_ref)
+
+
+# ---------------------------------------------------------------------------
+# Reference solver: the per-row and per-variable loops that the array-native
+# canonical form and pivot loop replaced, kept verbatim.  Both do the same
+# floating-point operations in the same order, so every solve must agree
+# bit for bit.
+
+def _reference_canonicalize(lp):
+    n = lp.n_vars
+    split = np.array([lo is None or lo < 0.0 for lo, _ in lp.bounds],
+                     dtype=bool)
+    width = 1 + split.astype(int)
+    first = np.cumsum(width) - width
+    second = first[split] + 1
+    n_struct = int(width.sum())
+
+    def expand(R):
+        out = np.zeros((R.shape[0], n_struct))
+        out[:, first] = R
+        out[:, second] = -R[:, split]
+        return out
+
+    rels = list(lp.relations)
+    rhs = list(lp.rhs)
+    source = [("con", k) for k in range(lp.n_constraints)]
+    bound_vars = []
+    for j, (lo, up) in enumerate(lp.bounds):
+        if lo is not None and lo != 0.0:
+            bound_vars.append(j)
+            rels.append(GE)
+            rhs.append(lo)
+            source.append(("lo", j))
+        if up is not None:
+            bound_vars.append(j)
+            rels.append(LE)
+            rhs.append(up)
+            source.append(("up", j))
+    unit = np.zeros((len(bound_vars), n))
+    unit[np.arange(len(bound_vars)), bound_vars] = 1.0
+
+    m = len(rels)
+    A0 = expand(np.vstack([lp.rows, unit]))
+    b0 = np.array(rhs, dtype=float)
+
+    scale = np.ones(m)
+    if m:
+        norms = np.abs(A0).max(axis=1)
+        scale = np.where(norms > 0.0, norms, 1.0)
+        A0 = A0 / scale[:, None]
+        b0 = b0 / scale
+
+    n_slack = sum(1 for r in rels if r != EQ)
+    A = np.zeros((m, n_struct + n_slack))
+    A[:, :n_struct] = A0
+    slack_cols = np.full(m, -1, dtype=int)
+    col = n_struct
+    for i, r in enumerate(rels):
+        if r == LE:
+            A[i, col] = 1.0
+            slack_cols[i] = col
+            col += 1
+        elif r == GE:
+            A[i, col] = -1.0
+            slack_cols[i] = col
+            col += 1
+    flip = np.ones(m)
+    for i in range(m):
+        if b0[i] < 0.0:
+            A[i] *= -1.0
+            b0[i] *= -1.0
+            flip[i] = -1.0
+
+    needs_art = [i for i in range(m)
+                 if slack_cols[i] < 0 or A[i, slack_cols[i]] < 0.0]
+    art_cols = np.full(m, -1, dtype=int)
+    A_full = np.zeros((m, A.shape[1] + len(needs_art)))
+    A_full[:, :A.shape[1]] = A
+    for idx, i in enumerate(needs_art):
+        c = A.shape[1] + idx
+        A_full[i, c] = 1.0
+        art_cols[i] = c
+
+    obj = lp.objective if lp.sense == "min" else -lp.objective
+    c_canon = expand(obj[None, :])[0]
+
+    return SimpleNamespace(c=c_canon, A=A_full, b=b0, flip=flip, scale=scale,
+                           row_source=source, row_rel=rels, first=first,
+                           split=split, second=second,
+                           n_struct=n_struct, slack_cols=slack_cols,
+                           art_cols=art_cols)
+
+
+class _ReferenceTableau:
+    def __init__(self, A, b, basis):
+        m, ncols = A.shape
+        self.T = np.empty((m, ncols + 1))
+        self.T[:, :-1] = A
+        self.T[:, -1] = b
+        self.basis = list(basis)
+        self.iterations = 0
+
+    def run(self, costs, allowed):
+        T = self.T
+        m = T.shape[0]
+        obj = np.zeros(T.shape[1])
+        obj[:-1] = costs
+        for i, bv in enumerate(self.basis):
+            if obj[bv] != 0.0:
+                obj -= obj[bv] * T[i]
+
+        cscale = 1.0 + float(np.max(np.abs(costs))) if costs.size else 1.0
+        red_tol = FEAS_TOL * cscale
+        bland = False
+        degenerate_streak = 0
+
+        blocked = np.zeros(T.shape[1] - 1, dtype=bool)
+        while True:
+            self.iterations += 1
+            if self.iterations > MAX_ITERATIONS:
+                raise RuntimeError("simplex iteration limit exceeded")
+            red = obj[:-1]
+            candidates = np.flatnonzero(allowed & ~blocked & (red < -red_tol))
+            if candidates.size == 0:
+                return "optimal", obj
+            if bland:
+                q = int(candidates[0])
+            else:
+                q = int(candidates[np.argmin(red[candidates])])
+
+            col = T[:, q]
+            pos = col > PIVOT_TOL
+            if not pos.any():
+                if red[q] < -1e4 * red_tol:
+                    return "unbounded", q
+                blocked[q] = True
+                continue
+            blocked[:] = False
+            ratios = np.full(m, np.inf)
+            ratios[pos] = T[pos, -1] / col[pos]
+            best = ratios.min()
+            near = np.flatnonzero(ratios <= best + 1e-12 * (1.0 + abs(best)))
+            r = int(near[np.argmin(np.take(self.basis, near))])
+
+            if best <= 1e-12:
+                degenerate_streak += 1
+                if degenerate_streak > BLAND_TRIGGER:
+                    bland = True
+            else:
+                degenerate_streak = 0
+
+            piv = T[r, q]
+            T[r] /= piv
+            factors = T[:, q].copy()
+            factors[r] = 0.0
+            T -= np.outer(factors, T[r])
+            obj -= obj[q] * T[r]
+            self.basis[r] = q
+
+
+def _reference_split_duals(lp, canon, y):
+    m_con = lp.n_constraints
+    y_con = np.zeros(m_con)
+    y_lo = np.zeros(lp.n_vars)
+    y_up = np.zeros(lp.n_vars)
+    for i, src in enumerate(canon.row_source):
+        if src[0] == "con":
+            y_con[src[1]] = y[i]
+        elif src[0] == "lo":
+            y_lo[src[1]] = y[i]
+        else:
+            y_up[src[1]] = y[i]
+    return y_con, y_lo, y_up
+
+
+def reference_solve(lp):
+    canon = _reference_canonicalize(lp)
+    m, ncols = canon.A.shape
+    n_real = ncols - np.count_nonzero(canon.art_cols >= 0)
+
+    basis = [canon.art_cols[i] if canon.art_cols[i] >= 0 else canon.slack_cols[i]
+             for i in range(m)]
+    tab = _ReferenceTableau(canon.A, canon.b, basis)
+
+    is_art = np.zeros(ncols, dtype=bool)
+    for c in canon.art_cols:
+        if c >= 0:
+            is_art[c] = True
+    costs1 = is_art.astype(float)
+    allowed = ~is_art
+    if is_art.any():
+        status, obj_row = tab.run(costs1, np.ones(ncols, dtype=bool))
+        phase1_value = -obj_row[-1]
+        if phase1_value > FEAS_TOL * (1.0 + float(np.abs(canon.b).sum())):
+            y = _extract_duals(canon, obj_row, costs1)
+            y_con, y_lo, y_up = _reference_split_duals(lp, canon, y)
+            return LpSolution(status=INFEASIBLE, duals=y_con,
+                              bound_duals=(y_lo, y_up),
+                              iterations=tab.iterations)
+        keep = np.ones(m, dtype=bool)
+        for i in range(m):
+            if is_art[tab.basis[i]]:
+                row = tab.T[i, :n_real]
+                j = int(np.argmax(np.abs(row)))
+                if abs(row[j]) > PIVOT_TOL:
+                    piv = tab.T[i, j]
+                    tab.T[i] /= piv
+                    factors = tab.T[:, j].copy()
+                    factors[i] = 0.0
+                    tab.T -= np.outer(factors, tab.T[i])
+                    tab.basis[i] = j
+                else:
+                    keep[i] = False
+        if not keep.all():
+            tab.T = tab.T[keep]
+            tab.basis = [bv for i, bv in enumerate(tab.basis) if keep[i]]
+
+    costs2 = np.zeros(ncols)
+    costs2[:canon.n_struct] = canon.c
+    status, result = tab.run(costs2, allowed)
+    if status == "unbounded":
+        q = result
+        ray_struct = np.zeros(ncols)
+        ray_struct[q] = 1.0
+        for i, bv in enumerate(tab.basis):
+            ray_struct[bv] = -tab.T[i, q]
+        x_struct = np.zeros(ncols)
+        for i, bv in enumerate(tab.basis):
+            x_struct[bv] = tab.T[i, -1]
+        return LpSolution(status=UNBOUNDED,
+                          primal=_to_original(lp, canon, x_struct),
+                          ray=_to_original(lp, canon, ray_struct),
+                          iterations=tab.iterations)
+
+    obj_row = result
+    x_struct = np.zeros(ncols)
+    for i, bv in enumerate(tab.basis):
+        x_struct[bv] = tab.T[i, -1]
+    x = _to_original(lp, canon, x_struct)
+    obj_value = float(lp.objective @ x)
+    y_con, y_lo, y_up = _reference_split_duals(
+        lp, canon, _extract_duals(canon, obj_row, costs2))
+    if lp.sense == "max":
+        y_con, y_lo, y_up = -y_con, -y_lo, -y_up
+    return LpSolution(status=OPTIMAL, primal=x, duals=y_con,
+                      objective_value=obj_value,
+                      bound_duals=(y_lo, y_up), iterations=tab.iterations)
+
+
+def _assert_bit_identical(prog):
+    got, ref = solve(prog), reference_solve(prog)
+    assert got.status == ref.status
+    assert got.iterations == ref.iterations
+    assert got.objective_value == ref.objective_value
+    pairs = [(got.primal, ref.primal), (got.duals, ref.duals),
+             (got.ray, ref.ray)]
+    if ref.bound_duals is not None:
+        pairs += list(zip(got.bound_duals, ref.bound_duals))
+    else:
+        assert got.bound_duals is None
+    for a, b in pairs:
+        assert (a is None and b is None) or np.array_equal(a, b)
+    return got.status
+
+
+def _recorded_programs(monkeypatch, run):
+    """Every LinearProgram that lp.solve receives while run() executes."""
+    progs = []
+    real = lp_module.solve
+
+    def record(prog):
+        progs.append(prog)
+        return real(prog)
+
+    monkeypatch.setattr(lp_module, "solve", record)
+    run()
+    monkeypatch.undo()
+    return progs
+
+
+def test_solve_matches_reference_on_random_programs():
+    rng = np.random.default_rng(77)
+    statuses = {_assert_bit_identical(random_lp(rng)) for _ in range(150)}
+    assert statuses == {OPTIMAL, INFEASIBLE}
+
+
+def test_solve_matches_reference_without_rows():
+    # no constraint and no bound row: the ratio test sees an empty column
+    assert _assert_bit_identical(LinearProgram([-1.0, 2.0], [])) == UNBOUNDED
+    assert _assert_bit_identical(LinearProgram([1.0, 2.0], [])) == OPTIMAL
+    # phase 1 drops the only (redundant) row
+    prog = LinearProgram([-1.0], [([0.0], "=", 0.0)])
+    assert _assert_bit_identical(prog) == UNBOUNDED
+
+
+def test_solve_matches_reference_on_separation_programs(monkeypatch):
+    model = models.counterexample_model()
+
+    def run():
+        for t in (0.0, 0.5, 1.0):
+            classify_type(model, t, grid_n=33)
+        # a margin_tol above the grid's margins forces the supporting LP
+        with pytest.raises(ChainStalled):
+            exposure_chain(models.sample(model, 17).belief_set(), 0,
+                           margin_tol=0.05)
+
+    progs = _recorded_programs(monkeypatch, run)
+    # separation LPs (S + 1 rows, free zero-set columns), the chain's
+    # supporting LP, whose box bounds |z| <= 1 become bound rows, and the
+    # extreme-point checks, infeasible at extreme points
+    assert any(np.isinf(p.lo).any() and p.n_constraints == 4 for p in progs)
+    assert any(np.isfinite(p.up).any() for p in progs)
+    statuses = {_assert_bit_identical(prog) for prog in progs}
+    assert statuses == {OPTIMAL, INFEASIBLE}
+
+
+def test_solve_matches_reference_on_infeasible_full_blocks(monkeypatch):
+    tab = models.random_tabular(3, 40, 6)
+    progs = _recorded_programs(monkeypatch, lambda: full_extraction_lp(tab))
+    statuses = [_assert_bit_identical(prog) for prog in progs]
+    assert statuses[-1] == INFEASIBLE
+
+
+def test_array_bounds_match_pair_bounds():
+    rng = np.random.default_rng(5)
+    pairs = [(0.0, None), (None, None), (-1.5, 2.0), (0.5, None),
+             (0.0, 3.0), (None, 4.0), (-2.0, None)]
+    for _ in range(40):
+        n, m = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+        bounds = [pairs[k] for k in rng.integers(len(pairs), size=n)]
+        box = np.array([[np.nan if v is None else v for v in pair]
+                        for pair in bounds])
+        cons = [(rng.normal(size=n), [LE, GE, "="][k % 3], rng.normal())
+                for k in range(m)]
+        obj = rng.normal(size=n)
+        by_pairs = LinearProgram(obj, cons, bounds=bounds)
+        by_array = LinearProgram(obj, cons, bounds=box)
+        assert by_pairs.bounds == by_array.bounds == bounds
+        a, b = solve(by_pairs), solve(by_array)
+        assert a.status == b.status and a.iterations == b.iterations
+        for x, y in [(a.primal, b.primal), (a.duals, b.duals)]:
+            assert (x is None and y is None) or np.array_equal(x, y)
+        _assert_bit_identical(by_array)
+
+
+@pytest.mark.parametrize("bounds", [
+    [(0.0, np.inf)], [(-np.inf, None)], np.array([[0.0, np.inf]]),
+    [(2.0, 1.0)], np.array([[2.0, 1.0]]), [(0.0, None), (0.0, None)],
+    [(0.0,)], [("a", None)]])
+def test_malformed_bounds_rejected(bounds):
+    with pytest.raises(MalformedProgram):
+        LinearProgram([1.0], [([1.0], LE, 1.0)], bounds=bounds)

@@ -270,3 +270,12 @@ def test_counterexample_model_pickles():
     assert back.declared_faces[0].members == (0.0, 1.0)
     assert np.array_equal(back.declared_faces[0].functional,
                           model.declared_faces[0].functional)
+
+
+def test_tabular_rejects_non_finite_values():
+    text = ('{"states": 2, "types": ["a", "b"], '
+            '"beliefs": [[0.5, 0.5], [0.2, 0.8]], "values": [1.0, NaN]}')
+    with pytest.raises(ValueError, match="value of b is not finite"):
+        TabularModel.from_json(text)
+    with pytest.raises(ValueError, match="value of a is not finite"):
+        TabularModel(["a", "b"], [[0.5, 0.5], [0.2, 0.8]], [np.inf, 1.0])
