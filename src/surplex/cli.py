@@ -40,7 +40,7 @@ from surplex.figures import (
     write_margins_csv,
     write_surplus_csv,
 )
-from surplex.geometry import expose_set
+from surplex.geometry import MARGIN_TOL, expose_set
 from surplex.models import (
     ParametricModel,
     TabularModel,
@@ -53,6 +53,7 @@ from surplex.models import (
 CONFIG_VERSION = 1
 TASKS = ("classify", "full", "virtual", "compress", "duality", "sweep")
 TOL_KEYS = ("p_tol", "mass_tol", "margin_tol")
+FIGURES = ("curve.csv", "hull.csv", "surplus.csv", "margins.csv")
 
 
 class ConfigError(ValueError):
@@ -145,6 +146,17 @@ def _as_tabular(model, grid_n: int) -> TabularModel:
     return sample(model, grid_n)
 
 
+def _grid_view(model, grid_n: int, results: dict):
+    """(table, belief set) of the model on grid_n, built once per scenario
+    and kept in results, so every task on that grid shares one set and
+    solves each point's exposure and extreme-point LP once."""
+    key = ("grid", grid_n)
+    if key not in results:
+        tab = _as_tabular(model, grid_n)
+        results[key] = (tab, tab.belief_set(allow_duplicates=True))
+    return results[key]
+
+
 def _map_jobs(fn, items, jobs: int):
     if jobs <= 1:
         return [fn(x) for x in items]
@@ -155,11 +167,10 @@ def _map_jobs(fn, items, jobs: int):
 # ---------------------------------------------------------------------------
 # tasks
 
-def task_classify(model, config, tols, jobs) -> dict:
-    margin_tol = tols.get("margin_tol", 1e-7)
+def task_classify(model, config, tols, jobs, results) -> dict:
+    margin_tol = tols.get("margin_tol", MARGIN_TOL)
     grid_n = int(config.get("grid", 201))
-    tab = _as_tabular(model, grid_n)
-    bset = tab.belief_set(allow_duplicates=True)
+    tab, bset = _grid_view(model, grid_n, results)
     items = (list(range(model.n_types)) if isinstance(model, TabularModel)
              else list(tab.ts))
 
@@ -167,23 +178,24 @@ def task_classify(model, config, tols, jobs) -> dict:
         return classify_type(model, t, grid_n, margin_tol=margin_tol,
                              bset=bset)
 
-    results = _map_jobs(one, items, jobs)
-    per_type = {lbl: c.to_jsonable() for lbl, c in zip(tab.labels, results)}
+    verdicts = _map_jobs(one, items, jobs)
+    per_type = {lbl: c.to_jsonable() for lbl, c in zip(tab.labels, verdicts)}
     counts: dict[str, int] = {}
-    for c in results:
+    for c in verdicts:
         counts[c.label] = counts.get(c.label, 0) + 1
-    undetectable = [lbl for lbl, c in zip(tab.labels, results)
+    undetectable = [lbl for lbl, c in zip(tab.labels, verdicts)
                     if c.label == "not_detectable"]
     return {"passed": not undetectable, "counts": counts,
             "types": per_type,
             "failing": undetectable}
 
 
-def task_full(model, config, tols) -> dict:
-    tab = _as_tabular(model, int(config.get("grid", 201)))
+def task_full(model, config, tols, results) -> dict:
+    tab, bset = _grid_view(model, int(config.get("grid", 201)), results)
     out: dict = {}
     try:
-        menu = full_extraction_menu(tab)
+        menu = full_extraction_menu(
+            tab, bset=bset, margin_tol=tols.get("margin_tol", MARGIN_TOL))
     except NotAllDetectable as err:
         sol, _ = full_extraction_lp(tab)
         out.update({
@@ -363,9 +375,9 @@ def run_scenario(config: dict, out_dir: Path, *, jobs: int = 1,
     results: dict = {}
     for task in config["tasks"]:
         if task == "classify":
-            out = task_classify(model, config, tols, jobs)
+            out = task_classify(model, config, tols, jobs, results)
         elif task == "full":
-            out = task_full(model, config, tols)
+            out = task_full(model, config, tols, results)
         elif task == "virtual":
             out = task_virtual(model, config, results)
         elif task == "compress":
@@ -381,6 +393,9 @@ def run_scenario(config: dict, out_dir: Path, *, jobs: int = 1,
             report["failures"].append(f"{task}: {name}")
 
     report["figures"] = emit_figures(model, results, out_dir, config)
+    # a figure of an earlier run would sit beside a report not listing it
+    for name in set(FIGURES) - set(report["figures"]):
+        (out_dir / name).unlink(missing_ok=True)
     report["passed"] = not report["failures"]
 
     text = json.dumps(_jsonable(report), sort_keys=True, indent=2,

@@ -365,24 +365,33 @@ def _classify_parametric(model: ParametricModel, t: float, grid_n: int,
 # full extraction (finite tables)
 
 def full_extraction_menu(tab: TabularModel,
-                         safety: float = SAFETY_FACTOR) -> Menu:
+                         safety: float = SAFETY_FACTOR, *,
+                         bset: FiniteBeliefSet | None = None,
+                         margin_tol: float = MARGIN_TOL) -> Menu:
     """Separator-based menu leaving zero surplus on a finite table.
 
     For each type: z(t) from the exposure LP, then
     alpha(t) = safety * max(0, max_s (v(s)-v(t)) / (pi(s).z(t))) + 1 and
     c(t) = v(t) 1 + alpha(t) z(t).  Raises NotAllDetectable (with
-    witnesses) if any type admits no separator.
+    witnesses) if any type admits no separator, that is no exposure
+    margin above margin_tol.
+
+    bset is the table's belief set with duplicates allowed.  A caller
+    that also classifies the table passes the set it classified on, so
+    each exposure and extreme-point LP is solved once for both; without
+    it the menu builds its own.
     """
     if tab.n_types == 1:
         # vacuous separation: the constant contract already extracts all
         pi, v = tab.beliefs[0], float(tab.values[0])
         return Menu([(tab.labels[0], _finish_contract(pi, v, []))])
 
-    bset = tab.belief_set(allow_duplicates=True)
+    if bset is None:
+        bset = tab.belief_set(allow_duplicates=True)
     failing = []
     separators = []
     for i in range(tab.n_types):
-        res = expose_set(bset, [i])
+        res = expose_set(bset, [i], margin_tol=margin_tol)
         if res is None:
             _, witness = is_extreme(bset, i)
             failing.append((tab.labels[i], witness))

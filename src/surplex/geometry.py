@@ -104,14 +104,23 @@ class FiniteBeliefSet:
 
     Duplicated points model failures of convex independence and are legal
     inputs, but must be flagged explicitly.
+
+    `points` is a read-only copy of the input.  The set remembers, per
+    point, the answer of its singleton exposure LP (the raw (z, margin),
+    before any margin_tol test) and of is_extreme, so each is solved at
+    most once however many callers ask; the remembered arrays are
+    read-only too.
     """
 
     labels: list[str]
     points: np.ndarray
     allow_duplicates: bool = False
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
+        self.points = np.array(self.points, dtype=float)
+        self.points.setflags(write=False)
         if self.points.ndim != 2 or self.points.shape[0] == 0:
             raise EmptySet("belief set needs at least one point")
         if len(self.labels) != self.points.shape[0]:
@@ -138,6 +147,20 @@ class FiniteBeliefSet:
         if not 0 <= i < len(self):
             raise IndexOutOfRange(f"index {i} outside 0..{len(self) - 1}")
         return int(i)
+
+    def _remember(self, key, solve, *args):
+        """The stored answer for key, computed by solve(*args) on first use
+        and kept with its arrays read-only.  Two threads asking for a key
+        at once may both solve it; the LP is deterministic, so either
+        stored answer is the same."""
+        answer = self._memo.get(key)
+        if answer is None:
+            answer = tuple(solve(*args))
+            for part in answer:
+                if isinstance(part, np.ndarray):
+                    part.setflags(write=False)
+            self._memo[key] = answer
+        return answer
 
 
 @dataclass
@@ -184,12 +207,17 @@ def is_extreme(bset: FiniteBeliefSet, i: int):
 
     Returns (True, None) for extreme points, else (False, mu) where mu is
     a convex-combination witness over all indices (zero at i) with
-    sum_j mu_j p_j = p_i up to WITNESS_TOL.
+    sum_j mu_j p_j = p_i up to WITNESS_TOL.  The LP is solved once per
+    point of bset; later calls return the same (read-only) witness.
     """
     i = bset.check_index(i)
-    m = len(bset)
-    if m == 1:
+    if len(bset) == 1:
         return True, None
+    return bset._remember(("extreme", i), _hull_membership_lp, bset, i)
+
+
+def _hull_membership_lp(bset, i):
+    m = len(bset)
     others = [j for j in range(m) if j != i]
     P = bset.points[others]          # (m-1, S)
     target = bset.points[i]
@@ -269,6 +297,10 @@ def expose_set(bset: FiniteBeliefSet, subset, *, margin_indices=None,
     vectors: adding a constant to z shifts every inner product equally.
     When margin_indices is given, only those points carry the margin
     constraint; the rest of the complement is held at >= 0.
+
+    A singleton subset without margin_indices is solved once per point of
+    bset: the raw (z, m) is remembered before the margin_tol test, so any
+    tolerance reads the same LP, and the returned z is read-only.
     """
     subset = np.asarray(sorted(set(int(j) for j in subset)), dtype=int)
     if subset.size == 0:
@@ -285,7 +317,12 @@ def expose_set(bset: FiniteBeliefSet, subset, *, margin_indices=None,
         margin_idx = np.asarray(sorted(set(int(k) for k in margin_indices)),
                                 dtype=int)
         floor_idx = np.setdiff1d(complement, margin_idx)
-    z, margin = _separation_lp(bset.points, subset, floor_idx, margin_idx)
+    args = (bset.points, subset, floor_idx, margin_idx)
+    if margin_indices is None and subset.size == 1:
+        z, margin = bset._remember(("expose", int(subset[0])),
+                                   _separation_lp, *args)
+    else:
+        z, margin = _separation_lp(*args)
     if margin <= margin_tol:
         return None
     return z, margin

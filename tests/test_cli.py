@@ -1,15 +1,18 @@
 """End-to-end CLI tests: exit codes, artifacts, determinism."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from surplex import geometry
 from surplex.cli import (
     ConfigError,
     counterexample_preset,
     load_config,
     main,
+    run_scenario,
     task_classify,
     validate_config,
 )
@@ -262,7 +265,7 @@ def test_classify_shared_grid_matches_per_type_calls(which):
         model = random_tabular(0, 40, 6)
         config = {}
         items = list(model.labels)
-    out = task_classify(model, config, {}, 1)
+    out = task_classify(model, config, {}, 1, {})
     assert len(out["types"]) == len(items)
     for (label, got), t in zip(out["types"].items(), items):
         ref = classify_type(model, t, config.get("grid", 201)).to_jsonable()
@@ -272,3 +275,87 @@ def test_classify_shared_grid_matches_per_type_calls(which):
             assert (key in got) == (key in ref), label
             if key in ref:
                 assert got[key] == pytest.approx(ref[key], rel=0, abs=1e-12)
+
+
+def test_margin_tol_override_reaches_full_task(tmp_path):
+    config = {"version": 1,
+              "model": {"kind": "tabular", "states": 3,
+                        "types": ["T0", "T1", "T2"],
+                        "beliefs": [[0.6, 0.2, 0.2], [0.2, 0.6, 0.2],
+                                    [0.2, 0.2, 0.6]],
+                        "values": [1.0, 2.0, 3.0]},
+              "tasks": ["full"]}
+    path = write_config(tmp_path, config)
+    assert main(["analyze", str(path), "--out", str(tmp_path / "a")]) == 0
+    full = json.loads((tmp_path / "a" / "report.json").read_text())
+    assert full["tasks"]["full"]["passed"] is True
+    # no margin reaches 10 under |z|_inf <= 1, so no type is exposed
+    assert main(["analyze", str(path), "--out", str(tmp_path / "b"),
+                 "--tol-override", "margin_tol=10"]) == 1
+    full = json.loads((tmp_path / "b" / "report.json").read_text())
+    full = full["tasks"]["full"]
+    assert full["passed"] is False
+    assert full["error"] == "NotAllDetectable"
+    assert full["failing_types"] == ["T0", "T1", "T2"]
+
+
+def test_run_with_fewer_figures_removes_stale_ones(tmp_path):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, counterexample_preset())
+    assert main(["sweep", "--grids", "9,17", str(path),
+                 "--out", str(out)]) == 0
+    assert (out / "margins.csv").exists()
+    (out / "notes.txt").write_text("not a surplex output\n")
+    assert main(["counterexample", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["figures"] == ["curve.csv", "hull.csv", "surplus.csv"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "curve.csv", "hull.csv", "notes.txt", "report.json", "surplus.csv"]
+
+
+def random_table_config(tasks):
+    return {"version": 1,
+            "model": {"kind": "random_polytope", "seed": 0, "types": 40,
+                      "states": 6},
+            "tasks": tasks}
+
+
+def test_classify_and_full_solve_each_type_lp_once(tmp_path, monkeypatch):
+    # a solve belongs to the innermost of these callers on its stack
+    family = {"expose_set": "separation", "is_extreme": "extreme",
+              "exposure_chain": "chain", "full_extraction_lp": "full"}
+    counts = dict.fromkeys(family.values(), 0)
+    solve = geometry.lp.solve
+
+    def record(prog):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name not in family:
+            frame = frame.f_back
+        if frame is not None:
+            counts[family[frame.f_code.co_name]] += 1
+        return solve(prog)
+
+    monkeypatch.setattr(geometry.lp, "solve", record)
+    report = run_scenario(random_table_config(["classify", "full"]),
+                          tmp_path)
+    assert report["tasks"]["classify"]["counts"] == {
+        "strongly_detectable": 36, "not_detectable": 4}
+    # one exposure LP per type, one extreme-point LP per unexposed type
+    assert counts["separation"] == 40
+    assert counts["extreme"] == 4
+
+
+@pytest.mark.parametrize("model", [
+    {"kind": "random_polytope", "seed": 0, "types": 40, "states": 6},
+    {"kind": "counterexample"},
+])
+def test_task_order_leaves_task_blocks_unchanged(tmp_path, model):
+    blocks = []
+    for tasks in (["classify", "full"], ["full", "classify"]):
+        out = tmp_path / "_".join(tasks)
+        config = {"version": 1, "model": model, "tasks": tasks, "grid": 17}
+        run_scenario(config, out)
+        report = json.loads((out / "report.json").read_text())
+        blocks.append({task: json.dumps(block, sort_keys=True)
+                       for task, block in report["tasks"].items()})
+    assert blocks[0] == blocks[1]

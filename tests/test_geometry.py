@@ -1,5 +1,8 @@
 """Geometry predicate tests: dimensions, extreme/exposed points, faces."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -372,3 +375,66 @@ def test_separation_lps_have_state_rows_only(monkeypatch):
     for rows, iterations in programs:
         assert rows == bset.n_states + 1
         assert iterations <= 40
+
+
+def test_exposure_memo_keeps_tolerances_apart():
+    """One belief set asked at two margin tolerances answers as two fresh
+    sets do: the memo holds the raw LP answer, not a verdict."""
+    tab = sample(counterexample_model(validate=False), 33)
+    shared = tab.belief_set(allow_duplicates=True)
+    margins = [expose_set(shared, [i], margin_tol=-np.inf)[1]
+               for i in range(len(shared))]
+    cut = float(np.median(margins))
+    for tol in (geometry.MARGIN_TOL, cut):
+        fresh = tab.belief_set(allow_duplicates=True)
+        answers = [expose_set(shared, [i], margin_tol=tol)
+                   for i in range(len(shared))]
+        assert any(a is None for a in answers) == (tol == cut)
+        for i, got in enumerate(answers):
+            ref = expose_set(fresh, [i], margin_tol=tol)
+            assert (got is None) == (ref is None), (tol, i)
+            if ref is not None:
+                assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
+
+
+def test_memoized_answers_are_read_only():
+    pts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                    [1 / 3, 1 / 3, 1 / 3]])
+    bset = FiniteBeliefSet(["e1", "e2", "e3", "c"], pts)
+    assert pts.flags.writeable   # the set keeps its own copy
+    z, _ = expose_set(bset, [0])
+    _, witness = is_extreme(bset, 3)
+    for arr in (bset.points, z, witness):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+    assert expose_set(bset, [0])[0] is z
+    assert is_extreme(bset, 3)[1] is witness
+
+
+def test_memo_under_concurrent_callers():
+    """Threads asking one belief set for the same points get the answers
+    of a serial run on a fresh set, whichever thread stores first."""
+    tab = sample(counterexample_model(validate=False), 17)
+    shared = tab.belief_set(allow_duplicates=True)
+    fresh = tab.belief_set(allow_duplicates=True)
+    ref = [(expose_set(fresh, [i], margin_tol=-np.inf), is_extreme(fresh, i))
+           for i in range(len(fresh))]
+
+    def ask(i):
+        return (expose_set(shared, [i], margin_tol=-np.inf),
+                is_extreme(shared, i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(ask, [i for _ in range(4)
+                                      for i in range(len(shared))],
+                                timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for k, ((z, m), (ext, mu)) in enumerate(got):
+        (z_ref, m_ref), (ext_ref, mu_ref) = ref[k % len(shared)]
+        assert np.array_equal(z, z_ref) and m == m_ref
+        assert ext == ext_ref and (mu is None) == (mu_ref is None)

@@ -195,6 +195,71 @@ def test_oracle_agreement_200_instances():
     assert n_optimal > 50  # both verdicts exercised
 
 
+def planted_lp(rng, m, n):
+    """Random m x n LP with integer data around a planted feasible point.
+
+    Most variables are boxed, some have only a lower bound and some are
+    free, so both optimal and unbounded programs occur.  One program in
+    three gains a row that a nonnegative combination of the inequality
+    rows contradicts, which makes it infeasible only as a whole.
+    """
+    x0 = rng.integers(-2, 3, size=n).astype(float)
+    A = rng.integers(-5, 6, size=(m, n)).astype(float)
+    rels = rng.choice([LE, LE, GE, GE, EQ], size=m)
+    sign = np.select([rels == LE, rels == GE], [1.0, -1.0], 0.0)
+    b = A @ x0 + sign * rng.integers(0, 4, size=m)
+    cons = list(zip(A, rels.tolist(), b))
+    if rng.random() < 1 / 3:
+        # w signed so that w.A x <= w.b on every feasible x
+        w = sign * rng.integers(0, 3, size=m)
+        cons.append((w @ A, GE, w @ b + 1.0))
+    kind = rng.choice(3, size=n, p=[0.7, 0.2, 0.1])  # box, lower, free
+    lo = np.where(kind < 2, x0 - rng.integers(0, 4, size=n), np.nan)
+    up = np.where(kind == 0, x0 + rng.integers(0, 4, size=n), np.nan)
+    c = rng.integers(-5, 6, size=n).astype(float)
+    return LinearProgram(c, cons, bounds=np.column_stack([lo, up]),
+                         sense=str(rng.choice(["min", "max"])))
+
+
+def highs_solve(optimize, lp):
+    """(status, objective) of lp by HiGHS, in this module's status names."""
+    sign = 1.0 if lp.sense == "min" else -1.0
+    le, ge, eq = lp.codes == 1, lp.codes == -1, lp.codes == 0
+    a_ub = np.vstack([lp.rows[le], -lp.rows[ge]])
+    b_ub = np.concatenate([lp.rhs[le], -lp.rhs[ge]])
+    res = optimize.linprog(
+        sign * lp.objective,
+        A_ub=a_ub if a_ub.size else None, b_ub=b_ub if a_ub.size else None,
+        A_eq=lp.rows[eq] if eq.any() else None,
+        b_eq=lp.rhs[eq] if eq.any() else None,
+        bounds=np.column_stack([lp.lo, lp.up]), method="highs")
+    status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[res.status]
+    return status, sign * res.fun if status == OPTIMAL else None
+
+
+def test_highs_agreement_up_to_60_by_120():
+    """Differential test against HiGHS on programs too large for vertex
+    enumeration: same status, objectives within 1e-9 (1 + |obj|), and a
+    certificate check_certificate accepts on every optimal or infeasible
+    verdict."""
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(60120)
+    seen = set()
+    for k in range(60):
+        m, n = (60, 120) if k == 0 else (int(rng.integers(1, 61)),
+                                         int(rng.integers(1, 121)))
+        lp = planted_lp(rng, m, n)
+        sol = solve(lp)
+        status, obj = highs_solve(optimize, lp)
+        assert sol.status == status, (k, m, n)
+        seen.add(status)
+        if status == OPTIMAL:
+            assert abs(sol.objective_value - obj) <= 1e-9 * (1 + abs(obj))
+        if status in (OPTIMAL, INFEASIBLE):
+            assert check_certificate(lp, sol).passed, (k, status)
+    assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
 def test_duals_sign_and_gap_small_named_instance():
     # min 2x + 3y  s.t. x + y >= 2, x - y <= 1, x,y >= 0
     lp = LinearProgram([2.0, 3.0],
