@@ -30,6 +30,8 @@ from surplex.geometry import (
 from surplex.models import ParametricModel, TabularModel, grid, sample
 
 SAFETY_FACTOR = 2.0
+# the certification grid of virtual extraction is this many times finer
+CERT_MULT = 10
 # constant nudge target: constructed own surpluses land at +1e-11, safely
 # inside [0, 1e-9] after float rounding of payments up to ~1e4 in norm
 OWN_NUDGE = 1e-11
@@ -364,15 +366,15 @@ def _classify_parametric(model: ParametricModel, t: float, grid_n: int,
 # ---------------------------------------------------------------------------
 # full extraction (finite tables)
 
-def full_extraction_menu(tab: TabularModel,
-                         safety: float = SAFETY_FACTOR, *,
+def full_extraction_menu(tab: TabularModel, *,
                          bset: FiniteBeliefSet | None = None,
                          margin_tol: float = MARGIN_TOL) -> Menu:
     """Separator-based menu leaving zero surplus on a finite table.
 
     For each type: z(t) from the exposure LP, then
-    alpha(t) = safety * max(0, max_s (v(s)-v(t)) / (pi(s).z(t))) + 1 and
-    c(t) = v(t) 1 + alpha(t) z(t).  Raises NotAllDetectable (with
+        alpha(t) = SAFETY_FACTOR * max(0, max_s (v(s)-v(t)) / (pi(s).z(t)))
+                   + 1
+    and c(t) = v(t) 1 + alpha(t) z(t).  Raises NotAllDetectable (with
     witnesses) if any type admits no separator, that is no exposure
     margin above margin_tol.
 
@@ -408,7 +410,7 @@ def full_extraction_menu(tab: TabularModel,
         gains = tab.values[others] - tab.values[i]
         costs = tab.beliefs[others] @ z
         ratio = float(np.max(gains / costs, initial=0.0))
-        alpha = safety * max(0.0, ratio) + 1.0
+        alpha = SAFETY_FACTOR * max(0.0, ratio) + 1.0
         entries.append((tab.labels[i],
                         _finish_contract(pi, tab.values[i], [(alpha, z)])))
     return Menu(entries)
@@ -419,79 +421,64 @@ def full_extraction_lp(tab: TabularModel):
 
     Variables are one contract c(t) in R^S per type plus one bound u_t
     with |c(t)|_inf <= u_t; the objective min sum u_t picks a minimal
-    menu.  Returns (LpSolution, Menu or None); an infeasible verdict
-    carries the Farkas certificate in the solution's duals.
+    menu.  The rows are pi_t.c(t) = v_t per type, then pi_s.c(t) >= v_s
+    for s != t (t-major), then c_sig(t) - u_t <= 0 and c_sig(t) + u_t >= 0
+    per type and state.  Returns (LpSolution, Menu or None); an infeasible
+    verdict carries the Farkas certificate in the solution's duals.
+
+    The program is separable, and each type's block is solved as its LP
+    dual, with S + 1 rows and one column per type and per box side:
+
+        max v.y  s.t.  sum_s y_s pi_s - a + b = 0,   sum (a + b) <= 1,
+                       y_s, a, b >= 0 for s != t,    y_t free.
+
+    (c(t), u_t) are its row multipliers, and its primal (y, a, b) is the
+    block's multipliers: y on the own and cross rows, (-a, b) on the box
+    rows.  An unbounded block means the program is infeasible, and its
+    ray, with zero weight on every other block, is the Farkas certificate.
     """
     m, S = tab.n_types, tab.state_count
-    nv = m * S + m
-
-    # The program is separable: contract blocks never share variables, so
-    # each type solves its own (S + 1)-variable block and the solutions
-    # assemble into a vertex of the joint LP.  An infeasible block's
-    # Farkas certificate extends to the joint system with zero weight on
-    # every other block's rows.
-    primal = np.zeros(nv)
-    duals_eq = np.zeros(m)
-    duals_cross = np.zeros((m, m))
-    duals_bnd = np.zeros((m, 2 * S))
-    total = 0.0
+    rows = np.hstack([tab.beliefs.T, -np.eye(S), np.eye(S)])
+    mass = np.concatenate([np.zeros(m), np.ones(2 * S)])
+    cons = [(row, lp.EQ, 0.0) for row in rows] + [(mass, lp.LE, 1.0)]
+    obj = np.concatenate([tab.values, np.zeros(2 * S)])
+    bounds = np.tile([0.0, np.nan], (m + 2 * S, 1))
+    contracts = np.zeros((m, S + 1))          # (c(t), u_t) per type
+    mults = np.zeros((m, m + 2 * S))          # (y, a, b) per type
     iterations = 0
-    infeasible = False
-    # block rows over (c, u): pi_t.c = v_t, pi_s.c >= v_s for s != t, then
-    # c_sig - u <= 0 and c_sig + u >= 0 for each state sig
-    box = np.zeros((2 * S, S + 1))
-    box[0::2, :S] = box[1::2, :S] = np.eye(S)
-    box[0::2, S], box[1::2, S] = -1.0, 1.0
-    lifted = np.hstack([tab.beliefs, np.zeros((m, 1))])
-    rels = [lp.EQ] + [lp.GE] * (m - 1) + [lp.LE, lp.GE] * S
-    bounds = np.full((S + 1, 2), np.nan)
-    bounds[S, 0] = 0.0
-    obj = np.zeros(S + 1)
-    obj[S] = 1.0
+    status = lp.OPTIMAL
     for t in range(m):
-        others = np.delete(np.arange(m), t)
-        rows = np.vstack([lifted[t], lifted[others], box])
-        rhs = np.concatenate([[tab.values[t]], tab.values[others],
-                              np.zeros(2 * S)])
-        block = lp.solve(lp.LinearProgram(obj, zip(rows, rels, rhs),
-                                          bounds=bounds))
+        bounds[t, 0] = np.nan
+        block = lp.solve(lp.LinearProgram(obj, cons, bounds=bounds,
+                                          sense="max"))
+        bounds[t, 0] = 0.0
         iterations += block.iterations
-        if block.status == lp.INFEASIBLE:
-            duals_eq[:] = 0.0
-            duals_cross[:] = 0.0
-            duals_bnd[:] = 0.0
-            infeasible = True
-        elif block.status != lp.OPTIMAL:  # pragma: no cover
-            return block, None
-        else:
-            if infeasible:
-                continue
-            primal[t * S:(t + 1) * S] = block.primal[:S]
-            primal[m * S + t] = block.primal[S]
-            total += float(block.objective_value)
-        duals_eq[t] = block.duals[0]
-        duals_cross[t, others] = block.duals[1:m]
-        duals_bnd[t] = block.duals[m:]
-        if infeasible:
+        if block.status == lp.INFEASIBLE:  # pragma: no cover - 0 is feasible
+            raise RuntimeError("full-extraction block LP ended infeasible")
+        if block.status == lp.UNBOUNDED:
+            mults[:] = 0.0
+            mults[t] = block.ray
+            status = lp.INFEASIBLE
             break
+        contracts[t] = block.duals
+        mults[t] = block.primal
 
-    cross_flat = duals_cross[~np.eye(m, dtype=bool)]
-    duals = np.concatenate([duals_eq, cross_flat, duals_bnd.reshape(-1)])
-    if infeasible:
-        sol = lp.LpSolution(status=lp.INFEASIBLE, duals=duals,
-                            bound_duals=(np.zeros(nv), np.zeros(nv)),
-                            iterations=iterations)
-        return sol, None
-    sol = lp.LpSolution(
-        status=lp.OPTIMAL, primal=primal, duals=duals,
-        objective_value=total,
-        bound_duals=(np.zeros(nv), np.zeros(nv)),
-        iterations=iterations)
-    entries = []
-    for t in range(m):
-        payments = primal[t * S:(t + 1) * S]
-        entries.append((tab.labels[t], Contract(payments)))
-    return sol, Menu(entries)
+    own = np.diag(mults[:, :m])
+    cross = mults[:, :m][~np.eye(m, dtype=bool)]
+    box = np.empty((m, 2 * S))
+    box[:, 0::2], box[:, 1::2] = -mults[:, m:m + S], mults[:, m + S:]
+    duals = np.concatenate([own, cross, box.reshape(-1)])
+    nv = m * S + m
+    zeros = (np.zeros(nv), np.zeros(nv))
+    if status == lp.INFEASIBLE:
+        return lp.LpSolution(status=status, duals=duals, bound_duals=zeros,
+                             iterations=iterations), None
+    primal = np.concatenate([contracts[:, :S].reshape(-1), contracts[:, S]])
+    sol = lp.LpSolution(status=status, primal=primal, duals=duals,
+                        objective_value=float(contracts[:, S].sum()),
+                        bound_duals=zeros, iterations=iterations)
+    return sol, Menu([(lbl, Contract(c)) for lbl, c
+                      in zip(tab.labels, contracts[:, :S])])
 
 
 # ---------------------------------------------------------------------------
@@ -516,13 +503,12 @@ class ConstructionLog:
                 "provenance": self.provenance}
 
 
-def _case1_terms(pi_t, v_t, cert_beliefs, cert_values, near_mask, eps,
-                 safety):
+def _case1_terms(pi_t, v_t, cert_beliefs, cert_values, near_mask, eps):
     """Separate one detectable type from everything delta-far.
 
     The separation LP weights each far type's margin by the surplus gain
     it stands to make, which keeps the later scaling
-    alpha = safety * max(0, (v(s)-v(t)) / (pi(s).z)) well conditioned:
+    alpha = SAFETY_FACTOR * max(0, (v(s)-v(t)) / (pi(s).z)) well conditioned:
     the ratio is bounded by 1/weighted-margin.  Near types are held at
     nonnegative expected value; their surplus stays below eps because
     delta was chosen from the value modulus.
@@ -541,20 +527,19 @@ def _case1_terms(pi_t, v_t, cert_beliefs, cert_values, near_mask, eps,
     raw_margin = float(far_vals.min())
     if raw_margin <= 0.0:
         raise BudgetInfeasible("separator not positive on the far set")
-    alpha = safety * float(np.max(gains / far_vals, initial=0.0))
+    alpha = SAFETY_FACTOR * float(np.max(gains / far_vals, initial=0.0))
     alpha = max(alpha, 0.0)
     return alpha, z, wmargin, raw_margin
 
 
 def virtual_extraction_menu(model: ParametricModel, eps: float,
-                            grid_n: int = 201, *, cert_mult: int = 10,
-                            safety: float = SAFETY_FACTOR):
+                            grid_n: int = 201):
     """Menu leaving at most eps surplus, built on the construction grid.
 
     Detectable types get the one-shot scaled-separator contract; types on
     declared faces walk their exposure chain from the innermost face
     outward, spending eps/n of the budget per stage.  All "for all s"
-    quantities are evaluated on a cert_mult-times finer certification
+    quantities are evaluated on a CERT_MULT-times finer certification
     grid; the residual off-grid slack is what verify_menu reports.
     Returns (menu, construction_logs).
     """
@@ -562,7 +547,7 @@ def virtual_extraction_menu(model: ParametricModel, eps: float,
         raise ValueError("eps must be positive")
     tab = sample(model, grid_n)
     bset = tab.belief_set(allow_duplicates=True)
-    cert = sample(model, cert_mult * (grid_n - 1) + 1)
+    cert = sample(model, CERT_MULT * (grid_n - 1) + 1)
     declared = [f.functional for f in model.declared_faces]
 
     # a constant model is a single type in disguise: flat payment menu
@@ -586,7 +571,7 @@ def virtual_extraction_menu(model: ParametricModel, eps: float,
             near = np.abs(cert.ts - t) < delta
             try:
                 alpha, z, wmargin, raw = _case1_terms(
-                    pi_t, v_t, cert.beliefs, cert.values, near, eps, safety)
+                    pi_t, v_t, cert.beliefs, cert.values, near, eps)
             except BudgetInfeasible:
                 extreme, _ = is_extreme(bset, i)
                 if not extreme:
@@ -600,13 +585,13 @@ def virtual_extraction_menu(model: ParametricModel, eps: float,
                                   deltas=[delta], provenance="grid")
         else:
             contract, log = _chain_contract(
-                model, bset, tab, i, t, eps, cert, declared, safety)
+                model, bset, tab, i, t, eps, cert, declared)
         entries.append((tab.labels[i], contract))
         logs.append(log)
     return Menu(entries, tab.ts), logs
 
 
-def _chain_contract(model, bset, tab, i, t, eps, cert, declared, safety):
+def _chain_contract(model, bset, tab, i, t, eps, cert, declared):
     chain = exposure_chain(bset, i, declared_faces=declared)
     n_st = chain.length
     budget = eps / n_st
@@ -635,7 +620,7 @@ def _chain_contract(model, bset, tab, i, t, eps, cert, declared, safety):
             raise BudgetInfeasible("terminal face functional not separating")
         ratio = float(np.max((cert.values[inner_far] - v_t) / vals,
                              initial=0.0))
-        alpha_n = safety * max(0.0, ratio) + 1.0
+        alpha_n = SAFETY_FACTOR * max(0.0, ratio) + 1.0
     else:
         m_in = np.inf
         alpha_n = 1.0
@@ -678,7 +663,7 @@ def _chain_contract(model, bset, tab, i, t, eps, cert, declared, safety):
                     f"stage {k} margin {margin_k:.3e} not positive off cover")
             # the proof wants a strictly positive scaling even when the
             # residual is already nonpositive
-            alpha_k = max(safety * max(0.0, residual) / margin_k, 1.0)
+            alpha_k = max(SAFETY_FACTOR * max(0.0, residual) / margin_k, 1.0)
         else:
             residual, margin_k = 0.0, np.inf
             alpha_k = 1.0

@@ -7,7 +7,10 @@ point as eventually exposed.  Every separation question is a max-margin
 LP with the functional box-normalized to |z|_inf <= 1, so the margin
 tolerances below are scale-meaningful.  It is solved in dual form: a
 min-l1 convex-combination program with S + 1 rows and one column per
-point, whose row multipliers are the functional z.
+point, whose row multipliers are the functional z.  The supporting LP of
+an exposure chain (the functional through a point with the most mass
+above it) is the same LP with the centroid as its one margin point, so no
+geometry LP has more than S + 1 rows or a variable bound other than >= 0.
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ def _first_close_pair(points):
     return first, int(np.argmin(d))
 
 
-@dataclass
+@dataclass(eq=False)
 class FiniteBeliefSet:
     """Labeled belief points; rows of `points` live in the simplex.
 
@@ -109,14 +112,13 @@ class FiniteBeliefSet:
     point, the answer of its singleton exposure LP (the raw (z, margin),
     before any margin_tol test) and of is_extreme, so each is solved at
     most once however many callers ask; the remembered arrays are
-    read-only too.
+    read-only too.  Sets compare by identity, as their memos are their own.
     """
 
     labels: list[str]
     points: np.ndarray
     allow_duplicates: bool = False
-    _memo: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.points = np.array(self.points, dtype=float)
@@ -349,33 +351,27 @@ def _restrict(bset, indices):
 
 
 def exposure_chain(bset: FiniteBeliefSet, i: int, declared_faces=(),
-                   *, margin_tol: float = MARGIN_TOL,
-                   face_tol: float = FACE_TOL,
-                   expose_test=None) -> ExposureChain:
+                   *, margin_tol: float = MARGIN_TOL) -> ExposureChain:
     """Nested faces that eventually expose p_i.
 
     Each stage first tries a declared face (a supporting functional whose
     zero set strictly shrinks the current members while keeping i); with
-    none applicable it tries to expose {i} directly, and failing that it
-    discovers a face with the max-margin supporting LP.  Declared faces
-    take priority so that continuum face structure known to the model
-    drives the chain instead of grid-exposure artifacts.
+    none applicable it tries to expose {i} directly (margin above
+    margin_tol), and failing that it discovers a face with the supporting
+    LP: the functional through p_i, nonnegative on the members, with the
+    most mass above it.  That LP is the separation LP with the members'
+    centroid as its one margin point, so it has S + 1 rows too.  Declared
+    faces take priority so that continuum face structure known to the
+    model drives the chain instead of grid-exposure artifacts.
 
-    declared_faces: sequence of functionals (or (members, functional)
-    pairs; members are ignored and re-derived from the functional).
-    expose_test(current_indices, z, margin) may override the default
-    terminal test margin > margin_tol.
+    declared_faces: sequence of functionals.
     """
     i = bset.check_index(i)
     extreme, _ = is_extreme(bset, i)
     if not extreme:
         raise NotExtreme(f"point {bset.labels[i]} is not extreme")
 
-    declared = []
-    for item in declared_faces:
-        z = item[1] if isinstance(item, tuple) else item
-        declared.append(np.asarray(z, dtype=float))
-
+    declared = [np.asarray(z, dtype=float) for z in declared_faces]
     current = np.arange(len(bset))
     stages: list[tuple[np.ndarray, np.ndarray]] = []
     margins: list[float] = []
@@ -388,50 +384,36 @@ def exposure_chain(bset: FiniteBeliefSet, i: int, declared_faces=(),
         cut = None
         for z in declared:
             vals = sub.points @ z
-            if vals.min() < -face_tol:
+            if vals.min() < -FACE_TOL:
                 continue
-            members = np.flatnonzero(np.abs(vals) <= face_tol)
+            members = np.flatnonzero(np.abs(vals) <= FACE_TOL)
             if (pos_i in members and 1 < members.size < current.size):
                 cut = (members, z, None)
                 used_declared = True
                 break
 
         if cut is None:
-            z, margin = _separation_lp(sub.points, np.array([pos_i]),
-                                       np.zeros(0, dtype=int),
-                                       np.setdiff1d(np.arange(len(sub)),
-                                                    [pos_i]))
-            ok = (expose_test(current, z, margin) if expose_test
-                  else margin > margin_tol)
-            if ok:
+            n = len(sub)
+            others = np.setdiff1d(np.arange(n), [pos_i])
+            z, margin = _separation_lp(sub.points, [pos_i], [], others)
+            if margin > margin_tol:
                 stages.append((np.array([i]), z))
                 margins.append(margin)
                 return ExposureChain(
                     target=i, initial_members=np.arange(len(bset)),
                     stages=stages, margins=margins,
                     provenance="declared" if used_declared else "discovered")
-            # max-margin supporting LP: maximize total mass above the
-            # hyperplane through p_i
-            nS = sub.n_states
-            cons = [(sub.points[pos_i], lp.EQ, 0.0)]
-            cons += [(sub.points[k], lp.GE, 0.0) for k in range(len(sub))
-                     if k != pos_i]
-            prog = lp.LinearProgram(-sub.points.sum(axis=0), cons,
-                                    bounds=np.tile([-1.0, 1.0], (nS, 1)))
-            zsol = lp.solve(prog)
-            if zsol.status != lp.OPTIMAL:  # pragma: no cover
-                raise ChainStalled("supporting LP failed")
-            members = np.flatnonzero(
-                np.abs(sub.points @ zsol.primal) <= face_tol)
+            centroid = sub.points.mean(axis=0)
+            z, _ = _separation_lp(np.vstack([sub.points, centroid]),
+                                  [pos_i], others, [n])
+            members = np.flatnonzero(np.abs(sub.points @ z) <= FACE_TOL)
             if members.size >= current.size or pos_i not in members:
                 raise ChainStalled(
                     f"no face of {current.size} members separates anything "
                     f"around {bset.labels[i]}")
             # refine to the max-margin functional that exposes this face
-            zref, mref = _separation_lp(sub.points, members,
-                                        np.zeros(0, dtype=int),
-                                        np.setdiff1d(np.arange(len(sub)),
-                                                     members))
+            zref, mref = _separation_lp(sub.points, members, [],
+                                        np.setdiff1d(np.arange(n), members))
             if mref <= margin_tol:
                 raise ChainStalled(
                     "discovered face is not exposed above margin_tol")

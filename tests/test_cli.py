@@ -1,12 +1,10 @@
 """End-to-end CLI tests: exit codes, artifacts, determinism."""
 
 import json
-import sys
 
 import numpy as np
 import pytest
 
-from surplex import geometry
 from surplex.cli import (
     ConfigError,
     counterexample_preset,
@@ -320,29 +318,39 @@ def random_table_config(tasks):
             "tasks": tasks}
 
 
-def test_classify_and_full_solve_each_type_lp_once(tmp_path, monkeypatch):
+def test_classify_and_full_solve_each_type_lp_once(tmp_path,
+                                                   recorded_programs):
+    report = run_scenario(random_table_config(["classify", "full"]),
+                          tmp_path)
     # a solve belongs to the innermost of these callers on its stack
     family = {"expose_set": "separation", "is_extreme": "extreme",
               "exposure_chain": "chain", "full_extraction_lp": "full"}
     counts = dict.fromkeys(family.values(), 0)
-    solve = geometry.lp.solve
-
-    def record(prog):
-        frame = sys._getframe(1)
-        while frame is not None and frame.f_code.co_name not in family:
-            frame = frame.f_back
-        if frame is not None:
-            counts[family[frame.f_code.co_name]] += 1
-        return solve(prog)
-
-    monkeypatch.setattr(geometry.lp, "solve", record)
-    report = run_scenario(random_table_config(["classify", "full"]),
-                          tmp_path)
+    for rec in recorded_programs:
+        caller = next((name for name in rec.callers if name in family), None)
+        if caller is not None:
+            counts[family[caller]] += 1
     assert report["tasks"]["classify"]["counts"] == {
         "strongly_detectable": 36, "not_detectable": 4}
     # one exposure LP per type, one extreme-point LP per unexposed type
     assert counts["separation"] == 40
     assert counts["extreme"] == 4
+
+
+@pytest.mark.parametrize("config, n_states", [
+    (random_table_config(["classify", "full", "duality"]), 6),
+    (counterexample_preset(), 3),
+    ({**counterexample_preset(), "tasks": ["sweep"],
+      "sweep_grids": [9, 17, 33, 65]}, 3),
+], ids=["table0", "preset", "sweep65"])
+def test_every_lp_has_state_rows_and_no_upper_bound(tmp_path, config,
+                                                    n_states,
+                                                    recorded_programs):
+    run_scenario(config, tmp_path)
+    assert recorded_programs
+    for prog, _, callers in recorded_programs:
+        assert prog.n_constraints <= n_states + 1, callers[:2]
+        assert not np.isfinite(prog.up).any(), callers[:2]
 
 
 @pytest.mark.parametrize("model", [

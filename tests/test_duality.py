@@ -4,7 +4,7 @@
 import numpy as np
 import pytest
 
-from surplex import duality, lp
+from surplex import lp
 from surplex.duality import (
     DegenerateDual,
     DualMeasures,
@@ -223,40 +223,24 @@ def certificate_cases(max_types=None):
             if max_types is None or tab.n_types <= max_types]
 
 
-def record_solves(monkeypatch):
-    """Route duality's LP solves through a recorder of (program, solution)."""
-    seen = []
-    solve = lp.solve
-
-    def record(prog):
-        sol = solve(prog)
-        seen.append((prog, sol))
-        return sol
-
-    monkeypatch.setattr(duality.lp, "solve", record)
-    return seen
-
-
 @pytest.mark.parametrize("tab", [
     pytest.param(random_tabular(0, 40, 6), id="table0"),
     pytest.param(sample(counterexample_model(validate=False), 33),
                  id="curve33")])
-def test_primal_solves_one_block_per_type(monkeypatch, tab):
-    seen = record_solves(monkeypatch)
+def test_primal_solves_one_block_per_type(recorded_programs, tab):
     solve_primal(VseInstance(tab))
-    assert len(seen) == tab.n_types
-    for prog, _ in seen:
+    assert len(recorded_programs) == tab.n_types
+    for prog, _, _ in recorded_programs:
         assert prog.n_constraints == tab.state_count + 1
         assert prog.n_vars == tab.n_types + 1
 
 
-def test_block_lps_certify_on_cremer_mclean(monkeypatch):
-    seen = record_solves(monkeypatch)
+def test_block_lps_certify_on_cremer_mclean(recorded_programs):
     tables = cremer_mclean_tables()
     for tab in tables:
         solve_primal(VseInstance(tab))
-    assert len(seen) == sum(tab.n_types for tab in tables)
-    for prog, sol in seen:
+    assert len(recorded_programs) == sum(tab.n_types for tab in tables)
+    for prog, sol, _ in recorded_programs:
         assert sol.status == lp.OPTIMAL
         rep = lp.check_certificate(prog, sol)
         assert rep.passed, rep

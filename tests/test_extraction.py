@@ -30,7 +30,9 @@ from surplex.models import (
     identical_beliefs_pair,
     planted_combination_instance,
     random_tabular,
+    sample,
 )
+from test_duality import cremer_mclean_tables
 
 
 @pytest.fixture(scope="module")
@@ -142,11 +144,10 @@ def test_full_lp_matches_menu_on_ci_instance():
 
 
 def test_full_lp_duplicated_infeasible():
-    tab = identical_beliefs_pair(2.0, 1.0)
-    sol, menu = full_extraction_lp(tab)
+    # test_full_lp_certifies_joint_program checks its Farkas certificate
+    sol, menu = full_extraction_lp(identical_beliefs_pair(2.0, 1.0))
     assert sol.status == lp.INFEASIBLE
     assert menu is None
-    assert lp.check_certificate(full_extraction_lp_program(tab), sol).passed
 
 
 def full_extraction_lp_program(tab):
@@ -181,6 +182,52 @@ def full_extraction_lp_program(tab):
     return lp.LinearProgram(obj, cons, bounds=bounds)
 
 
+def full_lp_cases():
+    curve = counterexample_model(validate=False)
+    cases = [(f"curve{n}", sample(curve, n)) for n in (9, 17, 33, 65)]
+    cases += [(f"table{seed}", random_tabular(seed, 40, 6))
+              for seed in range(4)]
+    cases.append(("identical_pair", identical_beliefs_pair(2.0, 1.0)))
+    cases += [(f"planted{seed}", planted_combination_instance(seed, 6, 8)[0])
+              for seed in (7, 100, 101, 102, 103, 104)]
+    return [pytest.param(tab, id=name) for name, tab in cases]
+
+
+@pytest.mark.parametrize("tab", full_lp_cases())
+def test_full_lp_certifies_joint_program(tab):
+    sol, menu = full_extraction_lp(tab)
+    assert (menu is None) == (sol.status == lp.INFEASIBLE)
+    rep = lp.check_certificate(full_extraction_lp_program(tab), sol)
+    assert rep.passed, rep
+
+
+def test_full_lp_certifies_joint_program_on_cremer_mclean():
+    for tab in cremer_mclean_tables():
+        sol, _ = full_extraction_lp(tab)
+        assert sol.status == lp.OPTIMAL
+        rep = lp.check_certificate(full_extraction_lp_program(tab), sol)
+        assert rep.passed, rep
+
+
+@pytest.mark.parametrize("tab", full_lp_cases())
+def test_full_lp_matches_highs(tab):
+    # independent oracle on the joint program (4,615 x 260 at curve n = 65)
+    optimize = pytest.importorskip("scipy.optimize")
+    prog = full_extraction_lp_program(tab)
+    eq, le, ge = (prog.codes == k for k in (0, 1, -1))
+    res = optimize.linprog(
+        prog.objective, A_ub=np.vstack([prog.rows[le], -prog.rows[ge]]),
+        b_ub=np.concatenate([prog.rhs[le], -prog.rhs[ge]]),
+        A_eq=prog.rows[eq], b_eq=prog.rhs[eq], bounds=prog.bounds,
+        method="highs")
+    sol, _ = full_extraction_lp(tab)
+    assert res.status in (0, 2)
+    assert sol.status == (lp.OPTIMAL if res.status == 0 else lp.INFEASIBLE)
+    if res.status == 0:
+        gap = abs(sol.objective_value - res.fun)
+        assert gap <= 1e-9 * (1.0 + abs(res.fun))
+
+
 def test_full_lp_planted_infeasible_sample():
     for seed in range(5):
         tab, idx, _ = planted_combination_instance(100 + seed, 6, 8)
@@ -190,7 +237,6 @@ def test_full_lp_planted_infeasible_sample():
 
 
 def test_full_lp_norm_grows_on_counterexample_grids(curve):
-    from surplex.models import sample
     norms = []
     for n in (9, 17, 33):
         tab = sample(curve, n)

@@ -10,6 +10,7 @@ from surplex import extraction, geometry, lp
 from surplex.geometry import (
     DISTINCT_TOL,
     FACE_TOL,
+    ChainStalled,
     EmptySet,
     FiniteBeliefSet,
     IndexOutOfRange,
@@ -207,6 +208,69 @@ def test_exposure_chain_duplicate_not_extreme():
         exposure_chain(bset, 3)
 
 
+def sparse_belief_set(seed, m=20, s=5):
+    """Seeded points on faces of the simplex: each coordinate survives with
+    probability 0.6, so many points share faces and some coincide."""
+    rng = np.random.default_rng(seed)
+    pts = rng.exponential(size=(m, s)) * (rng.random((m, s)) < 0.6)
+    pts = pts[pts.sum(axis=1) > 0]
+    pts /= pts.sum(axis=1, keepdims=True)
+    return FiniteBeliefSet([f"T{k}" for k in range(len(pts))], pts,
+                           allow_duplicates=True)
+
+
+def test_chain_supporting_step_on_degenerate_sets(recorded_programs):
+    """A margin_tol equal to a point's exposure margin forces the chain's
+    supporting LP.  It is the separation LP over the members and their
+    centroid: its face holds the target, is proper and supports every
+    member, and its value is the max-mass LP's (HiGHS) divided by n."""
+    optimize = pytest.importorskip("scipy.optimize")
+    steps = 0
+    for seed in range(10):
+        bset = sparse_belief_set(seed)
+        S = bset.n_states
+        for i in range(len(bset)):
+            if not is_extreme(bset, i)[0]:
+                continue
+            _, margin = expose_set(bset, [i], margin_tol=-np.inf)
+            recorded_programs.clear()
+            try:
+                exposure_chain(bset, i, margin_tol=margin)
+            except ChainStalled:
+                pass
+            for prog, sol, _ in recorded_programs:
+                # columns: margin point, floor points, target, then -I, I
+                cols = prog.rows[:S, :prog.n_vars - 2 * S]
+                n = cols.shape[1] - 1
+                if (prog.rows[-1, 1:].any()
+                        or np.abs(cols[:, 0] - cols[:, 1:].mean(axis=1))
+                        .max() > 1e-15):
+                    continue
+                steps += 1
+                pts, z = cols[:, 1:].T, -sol.duals[:S]
+                vals = pts @ z
+                assert abs(vals[-1]) <= FACE_TOL
+                assert vals.min() >= -FACE_TOL
+                assert np.count_nonzero(np.abs(vals) <= FACE_TOL) < n
+                assert np.abs(z).max() <= 1.0 + 1e-9
+                res = optimize.linprog(
+                    -pts.sum(axis=0), A_ub=-pts[:-1], b_ub=np.zeros(n - 1),
+                    A_eq=pts[-1:], b_eq=[0.0], bounds=[(-1.0, 1.0)] * S,
+                    method="highs")
+                assert res.status == 0
+                mass = -res.fun / n
+                assert abs(cols[:, 0] @ z - mass) <= 1e-9 * (1.0 + mass)
+    assert steps >= 100
+
+
+def test_belief_sets_compare_by_identity():
+    pts = np.array([[0.2, 0.8], [0.6, 0.4]])
+    a = FiniteBeliefSet(["a", "b"], pts)
+    b = FiniteBeliefSet(["a", "b"], pts)
+    assert a == a and a != b
+    assert len({a, b}) == 2
+
+
 def test_exposed_implies_extreme_and_converse_random():
     # on finite sets with pairwise-distinct points the two notions agree
     rng = np.random.default_rng(123)
@@ -304,7 +368,7 @@ def test_separation_lp_matches_primal_oracle():
         assert vals[margin].min() >= m - 1e-12
 
 
-def case1_family(monkeypatch):
+def case1_family():
     """The (zero, floor, margin) points _case1_terms hands to
     max_margin_functional for the curve type t = 0.3: the 1,001-point
     certification grid of a 101-point construction grid."""
@@ -318,19 +382,18 @@ def case1_family(monkeypatch):
         seen.append(args)
         return max_margin_functional(*args, **kwargs)
 
-    monkeypatch.setattr(extraction, "max_margin_functional", spy)
-    extraction._case1_terms(
-        model.beliefs(t)[0], float(model.values(t)[0]),
-        model.beliefs(cert_ts), model.values(cert_ts), near, eps,
-        extraction.SAFETY_FACTOR)
-    monkeypatch.undo()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(extraction, "max_margin_functional", spy)
+        extraction._case1_terms(
+            model.beliefs(t)[0], float(model.values(t)[0]),
+            model.beliefs(cert_ts), model.values(cert_ts), near, eps)
     (family,) = seen
     return family
 
 
-def test_case1_family_matches_highs(monkeypatch):
+def test_case1_family_matches_highs():
     optimize = pytest.importorskip("scipy.optimize")
-    zero, floor, margin = case1_family(monkeypatch)
+    zero, floor, margin = case1_family()
     assert len(zero) + len(floor) + len(margin) == 1002
     z, m = max_margin_functional(zero, floor, margin)
 
@@ -353,28 +416,21 @@ def test_case1_family_matches_highs(monkeypatch):
     assert np.abs(z).max() <= 1.0 + 1e-9
 
 
-def test_separation_lps_have_state_rows_only(monkeypatch):
+def test_separation_lps_have_state_rows_only(recorded_programs):
     """Every separation LP has S + 1 rows, whatever the number of points,
     and settles in a few pivots."""
-    zero, floor, margin = case1_family(monkeypatch)
+    zero, floor, margin = case1_family()
     bset = sample(counterexample_model(validate=False), 101) \
         .belief_set(allow_duplicates=True)
-    programs = []
-    solve = lp.solve
-
-    def record(prog):
-        sol = solve(prog)
-        programs.append((prog.n_constraints, sol.iterations))
-        return sol
-
-    monkeypatch.setattr(geometry.lp, "solve", record)
+    programs = recorded_programs
+    programs.clear()
     for i in (0, 1, 25, 50, 99, 100):
         expose_set(bset, [i], margin_tol=-np.inf)
     max_margin_functional(zero, floor, margin)
     assert len(programs) == 7
-    for rows, iterations in programs:
-        assert rows == bset.n_states + 1
-        assert iterations <= 40
+    for prog, sol, _ in programs:
+        assert prog.n_constraints == bset.n_states + 1
+        assert sol.iterations <= 40
 
 
 def test_exposure_memo_keeps_tolerances_apart():
