@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -70,6 +71,20 @@ def _require_keys(obj: dict, allowed, where: str) -> None:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
 
 
+def _tolerance(key: str, value) -> float:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or value < 0):
+        raise ConfigError(f"tolerance {key} must be a finite number >= 0, "
+                          f"got {value!r}")
+    return float(value)
+
+
+def _integer(key: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{key} must be an integer >= {least}, "
+                          f"got {value!r}")
+
+
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
@@ -115,28 +130,40 @@ def validate_config(config: dict) -> None:
             raise ConfigError("epsilon must be positive for virtual/compress")
     if "compress" in tasks and "virtual" not in tasks:
         raise ConfigError("compress requires the virtual task")
+    for key in ("grid", "duality_grid"):
+        if key in config:
+            _integer(key, config[key], 2)
+    if "verify_multiplier" in config:
+        _integer("verify_multiplier", config["verify_multiplier"], 1)
+    grids = config.get("sweep_grids", [])
+    if not isinstance(grids, list):
+        raise ConfigError("sweep_grids must be a list of grid sizes")
+    for n in grids:
+        _integer("each of sweep_grids", n, 2)
     tol = config.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ConfigError("tolerances must be an object")
     _require_keys(tol, TOL_KEYS, "tolerances")
+    for key, value in tol.items():
+        _tolerance(key, value)
 
 
 def build_model(spec: dict, seed=None):
     kind = spec["kind"]
-    if kind == "tabular":
-        try:
+    try:
+        if kind == "tabular":
             return TabularModel.from_dict(
                 {k: spec[k] for k in ("states", "types", "beliefs",
                                       "values")})
-        except (KeyError, ValueError) as err:
-            raise ConfigError(f"bad tabular model: {err}") from err
-    if kind == "counterexample":
-        return counterexample_model(eps_emb=float(spec.get("eps_emb", 0.1)),
-                                    validate=False)
-    if kind == "random_polytope":
-        use_seed = seed if seed is not None else int(spec.get("seed", 0))
-        return random_tabular(use_seed, int(spec["types"]),
-                              int(spec["states"]))
+        if kind == "counterexample":
+            return counterexample_model(
+                eps_emb=float(spec.get("eps_emb", 0.1)), validate=False)
+        if kind == "random_polytope":
+            use_seed = seed if seed is not None else int(spec.get("seed", 0))
+            return random_tabular(use_seed, int(spec["types"]),
+                                  int(spec["states"]))
+    except (KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"bad {kind} model: {err}") from err
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
@@ -144,17 +171,6 @@ def _as_tabular(model, grid_n: int) -> TabularModel:
     if isinstance(model, TabularModel):
         return model
     return sample(model, grid_n)
-
-
-def _grid_view(model, grid_n: int, results: dict):
-    """(table, belief set) of the model on grid_n, built once per scenario
-    and kept in results, so every task on that grid shares one set and
-    solves each point's exposure and extreme-point LP once."""
-    key = ("grid", grid_n)
-    if key not in results:
-        tab = _as_tabular(model, grid_n)
-        results[key] = (tab, tab.belief_set(allow_duplicates=True))
-    return results[key]
 
 
 def _map_jobs(fn, items, jobs: int):
@@ -167,16 +183,16 @@ def _map_jobs(fn, items, jobs: int):
 # ---------------------------------------------------------------------------
 # tasks
 
-def task_classify(model, config, tols, jobs, results) -> dict:
+def task_classify(model, config, tols, jobs) -> dict:
     margin_tol = tols.get("margin_tol", MARGIN_TOL)
-    grid_n = int(config.get("grid", 201))
-    tab, bset = _grid_view(model, grid_n, results)
+    grid_n = config.get("grid", 201)
+    tab = _as_tabular(model, grid_n)
+    tab.belief_set()    # built before the pool, so threads share one set
     items = (list(range(model.n_types)) if isinstance(model, TabularModel)
              else list(tab.ts))
 
     def one(t):
-        return classify_type(model, t, grid_n, margin_tol=margin_tol,
-                             bset=bset)
+        return classify_type(model, t, grid_n, margin_tol=margin_tol)
 
     verdicts = _map_jobs(one, items, jobs)
     per_type = {lbl: c.to_jsonable() for lbl, c in zip(tab.labels, verdicts)}
@@ -190,12 +206,12 @@ def task_classify(model, config, tols, jobs, results) -> dict:
             "failing": undetectable}
 
 
-def task_full(model, config, tols, results) -> dict:
-    tab, bset = _grid_view(model, int(config.get("grid", 201)), results)
+def task_full(model, config, tols) -> dict:
+    tab = _as_tabular(model, config.get("grid", 201))
     out: dict = {}
     try:
         menu = full_extraction_menu(
-            tab, bset=bset, margin_tol=tols.get("margin_tol", MARGIN_TOL))
+            tab, margin_tol=tols.get("margin_tol", MARGIN_TOL))
     except NotAllDetectable as err:
         sol, _ = full_extraction_lp(tab)
         out.update({
@@ -222,8 +238,8 @@ def task_virtual(model, config, results) -> dict:
     if isinstance(model, TabularModel):
         raise ConfigError("virtual extraction needs a parametric model")
     eps = float(config["epsilon"])
-    grid_n = int(config.get("grid", 201))
-    mult = int(config.get("verify_multiplier", 10))
+    grid_n = config.get("grid", 201)
+    mult = config.get("verify_multiplier", 10)
     menu, logs = virtual_extraction_menu(model, eps, grid_n)
     rep = verify_menu(model, menu, mult * (grid_n - 1) + 1, ("virtual", eps))
     results["virtual_menu"] = menu
@@ -235,7 +251,7 @@ def task_virtual(model, config, results) -> dict:
 
 def task_compress(model, config, results) -> dict:
     eps = float(config["epsilon"])
-    grid_n = int(config.get("grid", 201))
+    grid_n = config.get("grid", 201)
     menu = results.get("virtual_menu")
     if menu is None:
         raise MissingResults("compress needs the virtual menu")
@@ -243,15 +259,13 @@ def task_compress(model, config, results) -> dict:
     rep = verify_menu(model, small, grid_n, ("virtual", 2 * eps))
     best = rep.best
     ok = bool((best >= 0.0).all() and (best <= 2 * eps).all())
-    results["compressed_menu"] = small
-    results["compressed_report"] = rep
     return {"passed": ok, "size": len(small),
             "best_surplus_min": float(best.min()),
             "best_surplus_max": float(best.max())}
 
 
 def task_duality(model, config, tols) -> dict:
-    grid_n = int(config.get("duality_grid", 33))
+    grid_n = config.get("duality_grid", 33)
     tab = _as_tabular(model, grid_n)
     rep = duality.analyze(tab, p_tol=tols.get("p_tol", duality.P_TOL),
                           mass_tol=tols.get("mass_tol", duality.MASS_TOL))
@@ -264,74 +278,53 @@ def task_sweep(model, config, jobs) -> dict:
     if isinstance(model, TabularModel):
         raise ConfigError("sweep needs a parametric model")
     grids = config.get("sweep_grids", [9, 17, 33, 65, 129])
-    if not isinstance(grids, list) or any(int(n) < 2 for n in grids):
-        raise ConfigError("sweep_grids must be grid sizes >= 2")
+    for n in grids:     # built before the pool, so threads share one set
+        sample(model, n).belief_set()
 
     def one(n):
-        tab = sample(model, int(n))
-        bset = tab.belief_set(allow_duplicates=True)
-        res = expose_set(bset, [0], margin_tol=-np.inf)
+        tab = sample(model, n)
+        res = expose_set(tab.belief_set(), [0], margin_tol=-np.inf)
         margin = res[1] if res else 0.0
         sol, _ = full_extraction_lp(tab)
-        norm = (float(sol.objective_value) / int(n)
+        norm = (float(sol.objective_value) / n
                 if sol.status == lp.OPTIMAL else float("inf"))
         p_star = duality.solve_primal(duality.VseInstance(tab)).p_star
         return float(margin), norm, float(p_star)
 
-    rows = _map_jobs(one, [int(n) for n in grids], jobs)
+    rows = _map_jobs(one, grids, jobs)
     margins = [r[0] for r in rows]
     norms = [r[1] for r in rows]
     p_stars = [r[2] for r in rows]
     monotone = all(a > b for a, b in zip(margins, margins[1:]))
-    return {"passed": monotone, "grids": [int(n) for n in grids],
+    return {"passed": monotone, "grids": grids,
             "type0_margins": margins, "contract_norms": norms,
             "p_stars": p_stars, "margins_strictly_decreasing": monotone}
 
 
-def emit_figures(model, results, out_dir: Path, config,
-                 which=None) -> list[str]:
+def emit_figures(model, results, out_dir: Path, config) -> list[str]:
     """Write the CSV plot-data files supported by the available results."""
     written = []
-    wanted = set(which) if which is not None else None
+    if isinstance(model, ParametricModel):
+        tab = sample(model, config.get("grid", 201))
+        xs, ys = curve_point(tab.ts) if model.name == "counterexample" \
+            else (np.zeros(tab.n_types), np.zeros(tab.n_types))
+        write_curve_csv(out_dir / "curve.csv", tab.ts, xs, ys, tab.beliefs)
+        written.append("curve.csv")
+        if model.name == "counterexample":
+            write_hull_csv(out_dir / "hull.csv", np.column_stack([xs, ys]))
+            written.append("hull.csv")
 
-    def want(name):
-        return wanted is None or name in wanted
+    rep = results.get("virtual_report")
+    if rep is not None:
+        write_surplus_csv(out_dir / "surplus.csv", rep.ts, rep.own,
+                          rep.cross)
+        written.append("surplus.csv")
 
-    if want("curve") or want("hull"):
-        if isinstance(model, ParametricModel):
-            tab = sample(model, int(config.get("grid", 201)))
-            xs, ys = curve_point(tab.ts) if model.name == "counterexample" \
-                else (np.zeros(tab.n_types), np.zeros(tab.n_types))
-            if want("curve"):
-                write_curve_csv(out_dir / "curve.csv", tab.ts, xs, ys,
-                                tab.beliefs)
-                written.append("curve.csv")
-            if want("hull") and model.name == "counterexample":
-                write_hull_csv(out_dir / "hull.csv",
-                               np.column_stack([xs, ys]))
-                written.append("hull.csv")
-        elif wanted is not None:
-            raise MissingResults("curve/hull need a parametric model")
-
-    if want("surplus"):
-        rep = results.get("virtual_report")
-        if rep is not None:
-            write_surplus_csv(out_dir / "surplus.csv", rep.ts, rep.own,
-                              rep.cross)
-            written.append("surplus.csv")
-        elif wanted is not None:
-            raise MissingResults("surplus.csv needs the virtual task")
-
-    if want("margins"):
-        sweep = results.get("sweep_report")
-        if sweep is not None:
-            write_margins_csv(out_dir / "margins.csv", sweep["grids"],
-                              sweep["type0_margins"],
-                              sweep["contract_norms"])
-            written.append("margins.csv")
-        elif wanted is not None:
-            raise MissingResults("margins.csv needs the sweep task")
-
+    sweep = results.get("sweep_report")
+    if sweep is not None:
+        write_margins_csv(out_dir / "margins.csv", sweep["grids"],
+                          sweep["type0_margins"], sweep["contract_norms"])
+        written.append("margins.csv")
     return written
 
 
@@ -365,7 +358,7 @@ def run_scenario(config: dict, out_dir: Path, *, jobs: int = 1,
     for key, value in (overrides or {}).items():
         if key not in TOL_KEYS:
             raise ConfigError(f"unsupported tolerance override {key!r}")
-        tols[key] = float(value)
+        tols[key] = _tolerance(key, value)
 
     model = build_model(config["model"], seed=seed)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -375,9 +368,9 @@ def run_scenario(config: dict, out_dir: Path, *, jobs: int = 1,
     results: dict = {}
     for task in config["tasks"]:
         if task == "classify":
-            out = task_classify(model, config, tols, jobs, results)
+            out = task_classify(model, config, tols, jobs)
         elif task == "full":
-            out = task_full(model, config, tols, results)
+            out = task_full(model, config, tols)
         elif task == "virtual":
             out = task_virtual(model, config, results)
         elif task == "compress":

@@ -21,13 +21,12 @@ from surplex.geometry import (
     FACE_TOL,
     MARGIN_TOL,
     ExposureChain,
-    FiniteBeliefSet,
     expose_set,
     exposure_chain,
     is_extreme,
     max_margin_functional,
 )
-from surplex.models import ParametricModel, TabularModel, grid, sample
+from surplex.models import ParametricModel, TabularModel, sample
 
 SAFETY_FACTOR = 2.0
 # the certification grid of virtual extraction is this many times finer
@@ -267,90 +266,56 @@ def _finish_contract(pi, value, terms) -> Contract:
 # classification
 
 def classify_type(model, t, grid_n: int = 201,
-                  margin_tol: float = MARGIN_TOL, *,
-                  bset: FiniteBeliefSet | None = None) -> Classification:
+                  margin_tol: float = MARGIN_TOL) -> Classification:
     """Strongest detectability label for a type, with certificates.
 
-    Tabular models are finite, so a separating functional bounds the
-    margin away from zero and Detectable upgrades to StronglyDetectable;
-    failing types come with a convex-combination witness.  Parametric
-    models are classified on a grid: membership in a declared face is
-    checked first, because grid exposure margins for a non-exposed
-    endpoint are positive (they only decay to zero under refinement) and
-    would mask the continuum structure.
+    A parametric model is classified on its table sample(model, grid_n),
+    and t must be a point of that grid; a tabular model is its own table,
+    and t is a label or an index.  Every call on one table reads the
+    table's one belief set, so each point's exposure and extreme-point LP
+    is solved once however many types are classified.
 
-    A parametric t must be a point of grid(grid_n).  bset lets a caller
-    classifying many types build the belief set once: the table's own
-    (with duplicates allowed), or for a parametric model the one of
-    sample(model, grid_n).  Without it each call builds its own.
+    Membership in a declared face is checked first, because grid exposure
+    margins for a non-exposed endpoint are positive (they only decay to
+    zero under refinement) and would mask the continuum structure.  A
+    separating functional z upgrades Detectable to StronglyDetectable
+    when its margin beats the off-grid slack lipschitz_pi (h / 2) |z|_inf;
+    a table has no declared faces and zero slack, so every separated type
+    is StronglyDetectable.  Failing types come with a convex-combination
+    witness.
     """
     if isinstance(model, TabularModel):
-        return _classify_tabular(model, model.index_of(t), bset=bset,
-                                 margin_tol=margin_tol)
-    return _classify_parametric(model, float(t), grid_n,
-                                margin_tol=margin_tol, bset=bset)
-
-
-def _classify_tabular(tab: TabularModel, idx: int,
-                      bset: FiniteBeliefSet | None = None,
-                      margin_tol: float = MARGIN_TOL) -> Classification:
+        tab, idx, faces, lip = model, model.index_of(t), [], 0.0
+    else:
+        tab = sample(model, grid_n)
+        if not np.any(np.abs(tab.ts - t) < 1e-12):
+            raise ValueError(f"t={t!r} is not a point of the {grid_n}-point "
+                             "grid")
+        idx = int(np.argmin(np.abs(tab.ts - t)))
+        faces = [f.functional for f in model.declared_faces]
+        lip = model.lipschitz_pi * (float(np.diff(tab.ts).max()) / 2.0)
     if tab.n_types == 1:
         return Classification(label=STRONGLY_DETECTABLE,
                               functional=np.zeros(tab.state_count),
                               margin=np.inf, inf_margin=np.inf,
                               provenance="grid")
-    if bset is None:
-        bset = tab.belief_set(allow_duplicates=True)
-    res = expose_set(bset, [idx], margin_tol=margin_tol)
-    if res is not None:
-        z, margin = res
-        return Classification(label=STRONGLY_DETECTABLE, functional=z,
-                              margin=margin, inf_margin=margin,
-                              provenance="grid")
-    extreme, witness = is_extreme(bset, idx)
-    if not extreme:
-        return Classification(label=NOT_DETECTABLE, witness=witness,
-                              provenance="grid")
-    chain = exposure_chain(bset, idx)
-    return Classification(label=EVENTUALLY_DETECTABLE, chain=chain,
-                          provenance=chain.provenance)
-
-
-def _classify_parametric(model: ParametricModel, t: float, grid_n: int,
-                         margin_tol: float = MARGIN_TOL,
-                         bset: FiniteBeliefSet | None = None
-                         ) -> Classification:
-    ts = grid(grid_n)
-    if not np.any(np.abs(ts - t) < 1e-12):
-        raise ValueError(f"t={t!r} is not a point of the {grid_n}-point "
-                         "grid")
-    if bset is None:
-        bset = sample(model, grid_n).belief_set(allow_duplicates=True)
-    elif len(bset) != ts.size:
-        raise ValueError(f"shared grid has {len(bset)} points, "
-                         f"expected {ts.size}")
-    idx = int(np.argmin(np.abs(ts - t)))
-    h = float(np.diff(ts).max())
+    bset = tab.belief_set()
     pi_t = bset.points[idx]
 
-    for f in model.declared_faces:
-        if abs(float(pi_t @ f.functional)) <= FACE_TOL:
-            on_face = np.abs(bset.points @ f.functional) <= FACE_TOL
-            if on_face.sum() >= 2:
-                chain = exposure_chain(
-                    bset, idx, declared_faces=[f.functional for f
-                                               in model.declared_faces])
-                return Classification(label=EVENTUALLY_DETECTABLE,
-                                      chain=chain, provenance="declared")
+    for z in faces:
+        if (abs(float(pi_t @ z)) <= FACE_TOL
+                and (np.abs(bset.points @ z) <= FACE_TOL).sum() >= 2):
+            chain = exposure_chain(bset, idx, declared_faces=faces)
+            return Classification(label=EVENTUALLY_DETECTABLE, chain=chain,
+                                  provenance="declared")
 
     res = expose_set(bset, [idx], margin_tol=margin_tol)
     if res is not None:
         z, margin = res
-        slack = model.lipschitz_pi * (h / 2.0) * float(np.abs(z).max())
-        inf_est = margin - slack
-        if inf_est > 0.0:
+        slack = lip * float(np.abs(z).max())
+        if margin - slack > 0.0:
             return Classification(label=STRONGLY_DETECTABLE, functional=z,
-                                  margin=margin, inf_margin=inf_est,
+                                  margin=margin, inf_margin=margin - slack,
                                   slack=slack, provenance="grid")
         return Classification(label=DETECTABLE, functional=z, margin=margin,
                               slack=slack, provenance="grid")
@@ -360,14 +325,13 @@ def _classify_parametric(model: ParametricModel, t: float, grid_n: int,
                               provenance="grid")
     chain = exposure_chain(bset, idx)
     return Classification(label=EVENTUALLY_DETECTABLE, chain=chain,
-                          provenance="discovered")
+                          provenance=chain.provenance)
 
 
 # ---------------------------------------------------------------------------
 # full extraction (finite tables)
 
 def full_extraction_menu(tab: TabularModel, *,
-                         bset: FiniteBeliefSet | None = None,
                          margin_tol: float = MARGIN_TOL) -> Menu:
     """Separator-based menu leaving zero surplus on a finite table.
 
@@ -376,20 +340,16 @@ def full_extraction_menu(tab: TabularModel, *,
                    + 1
     and c(t) = v(t) 1 + alpha(t) z(t).  Raises NotAllDetectable (with
     witnesses) if any type admits no separator, that is no exposure
-    margin above margin_tol.
-
-    bset is the table's belief set with duplicates allowed.  A caller
-    that also classifies the table passes the set it classified on, so
-    each exposure and extreme-point LP is solved once for both; without
-    it the menu builds its own.
+    margin above margin_tol.  The separators come from the table's one
+    belief set, so a table classified first solves no exposure or
+    extreme-point LP again.
     """
     if tab.n_types == 1:
         # vacuous separation: the constant contract already extracts all
         pi, v = tab.beliefs[0], float(tab.values[0])
         return Menu([(tab.labels[0], _finish_contract(pi, v, []))])
 
-    if bset is None:
-        bset = tab.belief_set(allow_duplicates=True)
+    bset = tab.belief_set()
     failing = []
     separators = []
     for i in range(tab.n_types):
@@ -546,7 +506,7 @@ def virtual_extraction_menu(model: ParametricModel, eps: float,
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     tab = sample(model, grid_n)
-    bset = tab.belief_set(allow_duplicates=True)
+    bset = tab.belief_set()
     cert = sample(model, CERT_MULT * (grid_n - 1) + 1)
     declared = [f.functional for f in model.declared_faces]
 

@@ -18,6 +18,11 @@ supports the hull and touches it exactly at the two endpoints.
 Parametric models map arrays: belief_fn takes ts of shape (n,) to rows of
 shape (n, S) and value_fn to values of shape (n,).  sample(model, n) turns
 one into a table on the n-point grid that keeps the floats ts by its labels.
+
+Each grid is built once: a parametric model is frozen and keeps the table
+sample returns for each n, and a table keeps read-only arrays and one
+belief set.  Every task that looks at a model on the same grid therefore
+shares one table, one belief set, and the LP answers that set remembers.
 """
 
 from __future__ import annotations
@@ -101,19 +106,33 @@ def endpoint_separator(eps_emb: float = EPS_EMB) -> np.ndarray:
     return eps_emb * np.ones(3) - D2
 
 
+def _read_only(a) -> np.ndarray:
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass
 class TabularModel:
     """Finite type space: beliefs (one simplex row per type) and values;
-    ts holds the sampled types of a parametric model, else None."""
+    ts holds the sampled types of a parametric model, else None.
+
+    beliefs, values and ts are read-only copies of the inputs, so the one
+    belief set the table builds cannot go stale.
+    """
 
     labels: list[str]
     beliefs: np.ndarray
     values: np.ndarray
     ts: np.ndarray | None = None
+    _bset: FiniteBeliefSet | None = field(default=None, init=False,
+                                          repr=False, compare=False)
 
     def __post_init__(self):
-        self.beliefs = np.asarray(self.beliefs, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
+        self.beliefs = _read_only(self.beliefs)
+        self.values = _read_only(self.values)
+        if self.ts is not None:
+            self.ts = _read_only(self.ts)
         if self.beliefs.ndim != 2:
             raise ValueError("beliefs must be a (types, states) array")
         m = self.beliefs.shape[0]
@@ -134,9 +153,14 @@ class TabularModel:
     def state_count(self) -> int:
         return self.beliefs.shape[1]
 
-    def belief_set(self, allow_duplicates: bool = False) -> FiniteBeliefSet:
-        return FiniteBeliefSet(list(self.labels), self.beliefs,
-                               allow_duplicates=allow_duplicates)
+    def belief_set(self) -> FiniteBeliefSet:
+        """The table's one belief set (duplicate beliefs allowed), built on
+        first use; it remembers each point's exposure and extreme-point LP
+        answer for every later caller."""
+        if self._bset is None:
+            self._bset = FiniteBeliefSet(list(self.labels), self.beliefs,
+                                         allow_duplicates=True)
+        return self._bset
 
     def index_of(self, t) -> int:
         if isinstance(t, str):
@@ -178,13 +202,16 @@ class DeclaredFace:
     description: str = ""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ParametricModel:
     """Continuum type space T = [0, 1] with explicit Lipschitz moduli.
 
     lipschitz_pi bounds |pi(t) - pi(s)|_1 / |t - s| and lipschitz_v bounds
     |v(t) - v(s)| / |t - s|; the moduli turn "for all t" claims into
     finite grid checks with explicit slack.
+
+    The model is frozen and keeps the table sample(model, n) builds for
+    each n; dataclasses.replace gives a new model with its own tables.
     """
 
     state_count: int
@@ -194,6 +221,7 @@ class ParametricModel:
     lipschitz_v: float
     declared_faces: list[DeclaredFace] = field(default_factory=list)
     name: str = "parametric"
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def beliefs(self, ts) -> np.ndarray:
         """Belief rows at ts from one belief_fn call; raises ValueError at
@@ -232,11 +260,19 @@ def type_label(t: float) -> str:
 
 
 def sample(model: ParametricModel, n: int) -> TabularModel:
-    """Discretize a parametric model on the uniform n-point grid, kept as ts."""
-    ts = grid(n)
-    return TabularModel(labels=[type_label(t) for t in ts],
-                        beliefs=model.beliefs(ts),
-                        values=model.values(ts), ts=ts)
+    """The model's table on the uniform n-point grid, with the grid as ts.
+
+    It is built on the first call for n and kept on the model, so every
+    later call for n returns the same table, and with it the same belief
+    set and remembered LP answers.
+    """
+    tab = model._tables.get(n)
+    if tab is None:
+        ts = grid(n)
+        tab = model._tables.setdefault(n, TabularModel(
+            labels=[type_label(t) for t in ts], beliefs=model.beliefs(ts),
+            values=model.values(ts), ts=ts))
+    return tab
 
 
 @dataclass

@@ -1,10 +1,12 @@
 """End-to-end CLI tests: exit codes, artifacts, determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from surplex import cli
 from surplex.cli import (
     ConfigError,
     counterexample_preset,
@@ -15,7 +17,7 @@ from surplex.cli import (
     validate_config,
 )
 from surplex.extraction import classify_type
-from surplex.models import counterexample_model, grid, random_tabular
+from surplex.models import counterexample_model, grid, random_tabular, sample
 from surplex.figures import convex_hull_2d
 
 
@@ -255,18 +257,23 @@ def test_load_config_round_trip(tmp_path):
 
 @pytest.mark.parametrize("which", ["curve17", "table0"])
 def test_classify_shared_grid_matches_per_type_calls(which):
+    """One classify task on a shared table labels every type as a call on
+    a freshly built model does, which shares no table or LP answer."""
     if which == "curve17":
-        model = counterexample_model(validate=False)
+        def build():
+            return counterexample_model(validate=False)
         config = {"grid": 17}
         items = list(grid(17))
     else:
-        model = random_tabular(0, 40, 6)
+        def build():
+            return random_tabular(0, 40, 6)
         config = {}
-        items = list(model.labels)
-    out = task_classify(model, config, {}, 1, {})
+        items = list(build().labels)
+    out = task_classify(build(), config, {}, 1)
     assert len(out["types"]) == len(items)
     for (label, got), t in zip(out["types"].items(), items):
-        ref = classify_type(model, t, config.get("grid", 201)).to_jsonable()
+        ref = classify_type(build(), t,
+                            config.get("grid", 201)).to_jsonable()
         assert got["label"] == ref["label"], label
         assert got.get("chain_length") == ref.get("chain_length"), label
         for key in ("margin", "inf_margin"):
@@ -367,3 +374,90 @@ def test_task_order_leaves_task_blocks_unchanged(tmp_path, model):
         blocks.append({task: json.dumps(block, sort_keys=True)
                        for task, block in report["tasks"].items()})
     assert blocks[0] == blocks[1]
+
+
+@pytest.mark.parametrize("change", [
+    {"tolerances": {"margin_tol": "tiny"}},
+    {"tolerances": {"margin_tol": float("nan")}},
+    {"tolerances": {"mass_tol": -1.0}},
+    {"tolerances": {"p_tol": True}},
+    {"grid": "x"},
+    {"grid": 1},
+    {"grid": 101.0},
+    {"duality_grid": 1},
+    {"verify_multiplier": 0},
+    {"sweep_grids": [9, "x"]},
+    {"sweep_grids": 9},
+    {"model": {"kind": "counterexample", "eps_emb": "x"},
+     "tasks": ["classify"]},
+    {"model": {"kind": "random_polytope", "types": "x", "states": 6},
+     "tasks": ["classify"]},
+    {"model": {"kind": "random_polytope", "types": 4},
+     "tasks": ["classify"]},
+], ids=repr)
+def test_malformed_numbers_are_config_errors(tmp_path, capsys, change):
+    config = {**counterexample_preset(), **change}
+    if "model" not in change:
+        with pytest.raises(ConfigError):
+            validate_config(config)
+    path = write_config(tmp_path, config)
+    assert main(["analyze", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+@pytest.mark.parametrize("override", [
+    "margin_tol=-1", "margin_tol=nan", "mass_tol=-1", "p_tol=inf",
+])
+def test_malformed_tolerance_overrides_are_config_errors(tmp_path, override):
+    # margin_tol=-1 once labeled all 40 types of this table, its four
+    # convex combinations too, strongly_detectable
+    key, value = override.split("=")
+    path = write_config(tmp_path, random_table_config(["classify",
+                                                       "duality"]))
+    assert main(["analyze", str(path), "--out", str(tmp_path / "o"),
+                 "--tol-override", override]) == 2
+    assert not (tmp_path / "o" / "report.json").exists()
+    with pytest.raises(ConfigError):
+        run_scenario(random_table_config(["classify"]), tmp_path / "p",
+                     overrides={key: float(value)})
+    # zero is a valid tolerance, and the four combinations stay undetectable
+    assert main(["analyze", str(path), "--out", str(tmp_path / "z"),
+                 "--tol-override", f"{key}=0"]) == 1
+    report = json.loads((tmp_path / "z" / "report.json").read_text())
+    assert report["tasks"]["classify"]["counts"]["not_detectable"] == 4
+
+
+def test_preset_builds_each_grid_and_belief_set_once(tmp_path, monkeypatch,
+                                                     recorded_programs):
+    built = []
+    calls = []
+    base = counterexample_model(validate=False)
+
+    def belief_fn(ts):
+        calls.append(ts.size)
+        return base.belief_fn(ts)
+
+    def build(spec, seed=None):
+        built.append(dataclasses.replace(base, belief_fn=belief_fn))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_model", build)
+    config = counterexample_preset()
+    run_scenario(config, tmp_path)
+    # classify, virtual, compress and the curve figure on grid 101, the
+    # virtual certification grid 1001, duality on 33: one table each
+    assert sorted(calls) == [33, 101, 1001]
+    model, = built
+    for n in (33, 101, 1001):
+        tab = sample(model, n)
+        assert tab is sample(model, n)
+        assert tab.belief_set() is tab.belief_set()
+        for arr in (tab.beliefs, tab.values, tab.ts):
+            assert not arr.flags.writeable
+    assert sorted(calls) == [33, 101, 1001]
+    # classify and virtual ask the same set whether the endpoints are
+    # extreme, so each of the two extreme-point programs is solved once
+    extreme = [rec for rec in recorded_programs
+               if "_hull_membership_lp" in rec.callers]
+    assert len(extreme) == 2

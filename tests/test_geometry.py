@@ -420,8 +420,7 @@ def test_separation_lps_have_state_rows_only(recorded_programs):
     """Every separation LP has S + 1 rows, whatever the number of points,
     and settles in a few pivots."""
     zero, floor, margin = case1_family()
-    bset = sample(counterexample_model(validate=False), 101) \
-        .belief_set(allow_duplicates=True)
+    bset = sample(counterexample_model(validate=False), 101).belief_set()
     programs = recorded_programs
     programs.clear()
     for i in (0, 1, 25, 50, 99, 100):
@@ -437,12 +436,13 @@ def test_exposure_memo_keeps_tolerances_apart():
     """One belief set asked at two margin tolerances answers as two fresh
     sets do: the memo holds the raw LP answer, not a verdict."""
     tab = sample(counterexample_model(validate=False), 33)
-    shared = tab.belief_set(allow_duplicates=True)
+    shared = tab.belief_set()
     margins = [expose_set(shared, [i], margin_tol=-np.inf)[1]
                for i in range(len(shared))]
     cut = float(np.median(margins))
     for tol in (geometry.MARGIN_TOL, cut):
-        fresh = tab.belief_set(allow_duplicates=True)
+        fresh = FiniteBeliefSet(tab.labels, tab.beliefs,
+                                allow_duplicates=True)
         answers = [expose_set(shared, [i], margin_tol=tol)
                    for i in range(len(shared))]
         assert any(a is None for a in answers) == (tol == cut)
@@ -472,8 +472,8 @@ def test_memo_under_concurrent_callers():
     """Threads asking one belief set for the same points get the answers
     of a serial run on a fresh set, whichever thread stores first."""
     tab = sample(counterexample_model(validate=False), 17)
-    shared = tab.belief_set(allow_duplicates=True)
-    fresh = tab.belief_set(allow_duplicates=True)
+    shared = tab.belief_set()
+    fresh = FiniteBeliefSet(tab.labels, tab.beliefs, allow_duplicates=True)
     ref = [(expose_set(fresh, [i], margin_tol=-np.inf), is_extreme(fresh, i))
            for i in range(len(fresh))]
 

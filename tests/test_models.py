@@ -1,5 +1,6 @@
 """Closed-form curve, embedding, and model plumbing tests."""
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -226,7 +227,8 @@ def test_parametric_values_reject_non_finite_and_wrong_shape():
         model.values([0.25, 0.75, 1.0])
     with pytest.raises(ValueError, match="t=0.75"):
         sample(model, 5)
-    model.value_fn = lambda ts: np.zeros(ts.size + 1)
+    model = dataclasses.replace(model,
+                                value_fn=lambda ts: np.zeros(ts.size + 1))
     with pytest.raises(ValueError, match="shape"):
         model.values([0.0, 1.0])
 
