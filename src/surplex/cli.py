@@ -41,11 +41,13 @@ from surplex.figures import (
     write_margins_csv,
     write_surplus_csv,
 )
-from surplex.geometry import MARGIN_TOL, expose_set
+from surplex.geometry import MARGIN_TOL, expose_each, expose_set
 from surplex.models import (
+    EPS_EMB,
     ParametricModel,
     TabularModel,
     counterexample_model,
+    curve_in_simplex,
     curve_point,
     random_tabular,
     sample,
@@ -156,13 +158,20 @@ def build_model(spec: dict, seed=None):
                 {k: spec[k] for k in ("states", "types", "beliefs",
                                       "values")})
         if kind == "counterexample":
-            return counterexample_model(
-                eps_emb=float(spec.get("eps_emb", 0.1)), validate=False)
+            eps = spec.get("eps_emb", EPS_EMB)
+            if (isinstance(eps, bool) or not isinstance(eps, (int, float))
+                    or not math.isfinite(eps) or eps <= 0):
+                raise ConfigError("eps_emb must be a finite number > 0, "
+                                  f"got {eps!r}")
+            if not curve_in_simplex(eps):
+                raise ConfigError(f"eps_emb {eps!r} embeds the curve "
+                                  "outside the simplex")
+            return counterexample_model(eps_emb=float(eps), validate=False)
         if kind == "random_polytope":
             use_seed = seed if seed is not None else int(spec.get("seed", 0))
             return random_tabular(use_seed, int(spec["types"]),
                                   int(spec["states"]))
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"bad {kind} model: {err}") from err
     raise ConfigError(f"unknown model kind {kind!r}")
 
@@ -187,7 +196,9 @@ def task_classify(model, config, tols, jobs) -> dict:
     margin_tol = tols.get("margin_tol", MARGIN_TOL)
     grid_n = config.get("grid", 201)
     tab = _as_tabular(model, grid_n)
-    tab.belief_set()    # built before the pool, so threads share one set
+    # every point's exposure LP in one stacked solve, before the pool, so
+    # threads share one set and only read its answers
+    expose_each(tab.belief_set())
     items = (list(range(model.n_types)) if isinstance(model, TabularModel)
              else list(tab.ts))
 

@@ -13,7 +13,8 @@ combination of the others.
 Each z(s) enters only the own row of s and the pair rows (., s), so both
 programs split into m blocks coupled only through c (primal) or the
 normalization row (dual).  Block s is solved in dual form, S + 1 rows by
-m + 1 columns, with (c, z(s)) read off its row multipliers; p* is the
+m + 1 columns, with (c, z(s)) read off its row multipliers; the m blocks
+share one layout and are solved together by lp.solve_all.  p* is the
 largest block value, and the dual measure averages the optimal block
 measures over the blocks attaining it.  The result is checked for
 feasibility against the full dual program, and strong duality (the
@@ -151,8 +152,8 @@ class DualMeasures:
                    float(np.abs(state).max()))
 
 
-def _block_lp(inst: VseInstance, s: int) -> lp.LpSolution:
-    """Block s of build_dual, solved on its own.
+def _block_program(inst: VseInstance, s: int) -> lp.LinearProgram:
+    """Block s of build_dual, as a program of its own.
 
         max sum_t nu_t d(t,s)
         s.t. lambda + sum_t nu_t = 1,
@@ -171,14 +172,16 @@ def _block_lp(inst: VseInstance, s: int) -> lp.LpSolution:
     rhs = np.zeros(rows.shape[0])
     rhs[0] = 1.0
     obj = np.concatenate([[0.0], inst.d[:, s]])
-    return lp.solve(lp.LinearProgram(
-        obj, [(row, lp.EQ, b) for row, b in zip(rows, rhs)], sense="max"))
+    return lp.LinearProgram(
+        obj, [(row, lp.EQ, b) for row, b in zip(rows, rhs)], sense="max")
 
 
 def solve_primal(inst: VseInstance) -> PrimalSolution:
     """Solve the primal exactly as m independent blocks.
 
-    Block s (`_block_lp`) gives its value f_s and z(s); p* = max_s f_s,
+    The blocks differ only in their rows and objectives, so one
+    lp.solve_all call solves them together.  Block s (`_block_program`)
+    gives its value f_s and z(s); p* = max_s f_s,
     and (p*, z) is feasible for the full build_primal.  The dual measure
     averages the optimal block measures (lambda_s, nu_{., s}) over the
     blocks with f_s within TIE_TOL (1 + |p*|) of p*, so the returned
@@ -190,8 +193,8 @@ def solve_primal(inst: VseInstance) -> PrimalSolution:
     f = np.empty(m)
     z = np.empty((m, S))
     measures = np.empty((m, m + 1))       # block s: (lambda_s, nu_{., s})
-    for s in range(m):
-        sol = _block_lp(inst, s)
+    blocks = lp.solve_all([_block_program(inst, s) for s in range(m)])
+    for s, sol in enumerate(blocks):
         if sol.status != lp.OPTIMAL:  # pragma: no cover - nu_s = 1/2 feasible
             raise RuntimeError(f"primal block {s} ended {sol.status}")
         f[s] = sol.objective_value

@@ -21,6 +21,7 @@ from surplex.geometry import (
     FACE_TOL,
     MARGIN_TOL,
     ExposureChain,
+    expose_each,
     expose_set,
     exposure_chain,
     is_extreme,
@@ -341,7 +342,8 @@ def full_extraction_menu(tab: TabularModel, *,
     and c(t) = v(t) 1 + alpha(t) z(t).  Raises NotAllDetectable (with
     witnesses) if any type admits no separator, that is no exposure
     margin above margin_tol.  The separators come from the table's one
-    belief set, so a table classified first solves no exposure or
+    belief set, whose missing exposure LPs are solved in one stacked call
+    (expose_each), so a table classified first solves no exposure or
     extreme-point LP again.
     """
     if tab.n_types == 1:
@@ -350,6 +352,7 @@ def full_extraction_menu(tab: TabularModel, *,
         return Menu([(tab.labels[0], _finish_contract(pi, v, []))])
 
     bset = tab.belief_set()
+    expose_each(bset)
     failing = []
     separators = []
     for i in range(tab.n_types):

@@ -7,10 +7,12 @@ point as eventually exposed.  Every separation question is a max-margin
 LP with the functional box-normalized to |z|_inf <= 1, so the margin
 tolerances below are scale-meaningful.  It is solved in dual form: a
 min-l1 convex-combination program with S + 1 rows and one column per
-point, whose row multipliers are the functional z.  The supporting LP of
-an exposure chain (the functional through a point with the most mass
-above it) is the same LP with the centroid as its one margin point, so no
-geometry LP has more than S + 1 rows or a variable bound other than >= 0.
+point, whose row multipliers are the functional z; the exposure LPs of
+all points of a set share one layout and are solved as one stack
+(expose_each).  The supporting LP of an exposure chain (the functional
+through a point with the most mass above it) is the same LP with the
+centroid as its one margin point, so no geometry LP has more than S + 1
+rows or a variable bound other than >= 0.
 """
 
 from __future__ import annotations
@@ -112,7 +114,9 @@ class FiniteBeliefSet:
     point, the answer of its singleton exposure LP (the raw (z, margin),
     before any margin_tol test) and of is_extreme, so each is solved at
     most once however many callers ask; the remembered arrays are
-    read-only too.  Sets compare by identity, as their memos are their own.
+    read-only too.  expose_each fills the exposure answers of every point
+    with one stacked solve.  Sets compare by identity, as their memos are
+    their own.
     """
 
     labels: list[str]
@@ -252,6 +256,12 @@ def _separation_lp(points, zero_idx, floor_idx, margin_idx, box=1.0):
                                        (zero_idx, floor_idx, margin_idx))
     if margin_idx.size == 0:
         raise ValueError("margin family must be nonempty")
+    prog = _separation_program(points, zero_idx, floor_idx, margin_idx, box)
+    return _separation_answer(lp.solve(prog), points, margin_idx)
+
+
+def _separation_program(points, zero_idx, floor_idx, margin_idx, box=1.0):
+    """_separation_lp's dual program, over integer index arrays."""
     S = points.shape[1]
     n_sign = margin_idx.size + floor_idx.size
     cols = points[np.concatenate([margin_idx, floor_idx, zero_idx])].T
@@ -264,10 +274,14 @@ def _separation_lp(points, zero_idx, floor_idx, margin_idx, box=1.0):
     obj[n:] = box
     bounds = np.tile([0.0, np.nan], (n + 2 * S, 1))
     bounds[n_sign:n, 0] = np.nan
-    sol = lp.solve(lp.LinearProgram(obj, cons, bounds=bounds))
+    return lp.LinearProgram(obj, cons, bounds=bounds)
+
+
+def _separation_answer(sol, points, margin_idx):
+    """(z, m) off a solved _separation_program."""
     if sol.status != lp.OPTIMAL:  # pragma: no cover - feasible, bounded by 0
         raise RuntimeError(f"separation LP ended {sol.status}")
-    z = -sol.duals[:S]
+    z = -sol.duals[:points.shape[1]]
     return z, float((points[margin_idx] @ z).min())
 
 
@@ -328,6 +342,28 @@ def expose_set(bset: FiniteBeliefSet, subset, *, margin_indices=None,
     if margin <= margin_tol:
         return None
     return z, margin
+
+
+def expose_each(bset: FiniteBeliefSet) -> None:
+    """Solve the singleton exposure LP of every point of bset that has no
+    remembered answer yet, and remember the answers, so that expose_set on
+    a single point solves nothing more.
+
+    The programs differ only in which point is the zero column, so they
+    share one layout and go to lp.solve_all together; each answer is bit
+    for bit the one expose_set would solve for on its own.
+    """
+    todo = [i for i in range(len(bset)) if ("expose", i) not in bset._memo]
+    if len(bset) == 1 or not todo:
+        return
+    floor = np.zeros(0, dtype=int)
+    margins = [np.setdiff1d(np.arange(len(bset)), [i]) for i in todo]
+    sols = lp.solve_all(
+        [_separation_program(bset.points, np.array([i]), floor, margin)
+         for i, margin in zip(todo, margins)])
+    for i, margin, sol in zip(todo, margins, sols):
+        bset._remember(("expose", i), _separation_answer, sol, bset.points,
+                       margin)
 
 
 def face_of(bset: FiniteBeliefSet, z, face_tol: float = FACE_TOL) -> np.ndarray:

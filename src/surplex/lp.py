@@ -16,6 +16,12 @@ and after a streak of degenerate pivots it switches to Bland's rule,
 which guarantees termination.  Optimal solutions are vertex (basic)
 solutions of the canonical form; infeasible programs carry a Farkas
 certificate in the duals; unbounded programs carry a certifying ray.
+
+solve() takes one program.  solve_all() takes many programs that share
+relations, rhs, bounds and sense and differ in their rows and
+objectives; it pivots their tableaux together, one numpy operation per
+step for the whole stack, and returns for each program exactly what
+solve() returns for it.
 """
 
 from __future__ import annotations
@@ -173,9 +179,10 @@ class CertificateReport:
 
 @dataclass
 class _Canonical:
+    T: np.ndarray                    # work matrix: A | b, then a zero row
+    A: np.ndarray                    # view of T's constraint block
+    b: np.ndarray                    # right-hand sides, apart from T
     c: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
     flip: np.ndarray                 # +-1 per row: orientation vs assembled row
     scale: np.ndarray                # row equilibration factors
     bound_var: np.ndarray            # per bound row: its variable
@@ -188,64 +195,81 @@ class _Canonical:
     art_cols: np.ndarray             # per row: artificial column or -1
 
 
-def _canonicalize(lp: LinearProgram) -> _Canonical:
+def _canonicalize(lp: LinearProgram, rows=None, objective=None):
     """Rows: the constraints, then the bound rows, for each variable its
-    lower-bound row (lo finite and nonzero) before its upper-bound row."""
-    n = lp.n_vars
+    lower-bound row (lo finite and nonzero) before its upper-bound row.
+    The canonical system is written straight into the simplex work matrix
+    T (see _Tableau), and A is a view of it, so A changes as T pivots.
+
+    rows (B, m, n) and objective (B, n) stack B programs that share lp's
+    relations, rhs, bounds and sense; T, A, b, c and scale then carry a
+    leading batch axis and every other field is shared.  A stack whose
+    programs need different row flips (a scaled rhs that underflows to
+    -0.0 in some programs only) has no shared layout: None.
+    """
+    if rows is None:
+        rows, objective = lp.rows, lp.objective
+    batch, n_con = rows.shape[:-2], lp.n_constraints
     split = lp.lo < 0.0
     width = 1 + split
     first = np.cumsum(width) - width
     second = first[split] + 1
     n_struct = int(width.sum())
 
-    def expand(R):
-        out = np.zeros((R.shape[0], n_struct))
-        out[:, first] = R
-        out[:, second] = -R[:, split]
+    def expand(R, out):
+        out[..., first] = R
+        out[..., second] = -R[..., split]
         return out
 
     has_bound = np.column_stack([np.isfinite(lp.lo) & (lp.lo != 0.0),
                                  np.isfinite(lp.up)]).ravel()
     k = np.flatnonzero(has_bound)
     bound_var, bound_up = k // 2, k % 2 == 1
-    unit = np.zeros((k.size, n))
+    unit = np.zeros((k.size, lp.n_vars))
     unit[np.arange(k.size), bound_var] = 1.0
     codes = np.concatenate([lp.codes, np.where(bound_up, 1, -1)])
-    A0 = expand(np.vstack([lp.rows, unit]))
     b0 = np.concatenate([lp.rhs, np.column_stack([lp.lo, lp.up]).ravel()[k]])
 
-    # row equilibration: unit inf-norm rows keep reduced-cost noise flat
-    norms = np.abs(A0).max(axis=1)
+    # row equilibration: unit inf-norm rows keep reduced-cost noise flat;
+    # splitting a column changes no row's norm, and a bound row's is 1
+    m = codes.size
+    norms = np.ones(batch + (m,))
+    norms[..., :n_con] = np.abs(rows).max(axis=-1)
     scale = np.where(norms > 0.0, norms, 1.0)
-    A0 = A0 / scale[:, None]
     b0 = b0 / scale
 
     # slack/surplus columns, then sign-fix rows so b >= 0, then
     # artificials wherever the row lacks a +1 identity column
-    m = codes.size
     slack_rows = np.flatnonzero(codes)
     slack_cols = np.full(m, -1)
     slack_cols[slack_rows] = n_struct + np.arange(slack_rows.size)
-    flip = np.where(b0 < 0.0, -1.0, 1.0)
+    flips = np.where(b0 < 0.0, -1.0, 1.0)
+    flip = flips if flips.ndim == 1 else flips[0]
+    if (flips != flip).any():
+        return None
     art_rows = np.flatnonzero(codes * flip <= 0.0)
     art_cols = np.full(m, -1)
     n_real = n_struct + slack_rows.size
     art_cols[art_rows] = n_real + np.arange(art_rows.size)
 
-    A = np.zeros((m, n_real + art_rows.size))
-    A[:, :n_struct] = A0
-    A[slack_rows, slack_cols[slack_rows]] = codes[slack_rows]
-    A[:, :n_real] *= flip[:, None]
-    A[art_rows, art_cols[art_rows]] = 1.0
+    T = np.zeros(batch + (m + 1, n_real + art_rows.size + 1))
+    A = T[..., :m, :-1]
+    expand(rows, A[..., :n_con, :n_struct])
+    expand(unit, A[..., n_con:, :n_struct])
+    A[..., :n_struct] /= scale[..., None]
+    A[..., slack_rows, slack_cols[slack_rows]] = codes[slack_rows]
+    A[..., :n_real] *= flip[:, None]
+    A[..., art_rows, art_cols[art_rows]] = 1.0
+    b = b0 * flip
+    T[..., :m, -1] = b
 
-    obj = lp.objective if lp.sense == "min" else -lp.objective
-    c_canon = expand(obj[None, :])[0]
+    obj = objective if lp.sense == "min" else -objective
+    c = expand(obj, np.zeros(obj.shape[:-1] + (n_struct,)))
 
-    return _Canonical(c=c_canon, A=A, b=b0 * flip, flip=flip, scale=scale,
+    return _Canonical(T=T, A=A, b=b, c=c, flip=flip, scale=scale,
                       bound_var=bound_var, bound_up=bound_up, first=first,
-                      split=split, second=second,
-                      n_struct=n_struct, slack_cols=slack_cols,
-                      art_cols=art_cols)
+                      split=split, second=second, n_struct=n_struct,
+                      slack_cols=slack_cols, art_cols=art_cols)
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +280,8 @@ class _Tableau:
     last column holds the right-hand sides (the negated objective value
     in the objective row).  basis[i] is row i's basic column."""
 
-    def __init__(self, A, b, basis):
-        m, ncols = A.shape
-        self.T = np.zeros((m + 1, ncols + 1))
-        self.T[:m, :-1] = A
-        self.T[:m, -1] = b
+    def __init__(self, T, basis):
+        self.T = T
         self.basis = basis
         self.iterations = 0
 
@@ -347,22 +368,22 @@ class _Tableau:
 def _extract_duals(canon, obj_row, costs):
     """Per-canonical-row multipliers y = cost(id column) - reduced cost."""
     cols = np.where(canon.art_cols >= 0, canon.art_cols, canon.slack_cols)
-    return (costs[cols] - obj_row[cols]) * (canon.flip / canon.scale)
+    return (costs[..., cols] - obj_row[..., cols]) * (canon.flip / canon.scale)
 
 
 def _split_duals(lp, canon, y):
     """Split assembled-row multipliers into constraint and bound parts."""
-    y_bound = y[lp.n_constraints:]
-    y_lo = np.zeros(lp.n_vars)
-    y_up = np.zeros(lp.n_vars)
-    y_lo[canon.bound_var[~canon.bound_up]] = y_bound[~canon.bound_up]
-    y_up[canon.bound_var[canon.bound_up]] = y_bound[canon.bound_up]
-    return y[:lp.n_constraints], y_lo, y_up
+    y_bound = y[..., lp.n_constraints:]
+    y_lo = np.zeros(y.shape[:-1] + (lp.n_vars,))
+    y_up = np.zeros(y.shape[:-1] + (lp.n_vars,))
+    y_lo[..., canon.bound_var[~canon.bound_up]] = y_bound[..., ~canon.bound_up]
+    y_up[..., canon.bound_var[canon.bound_up]] = y_bound[..., canon.bound_up]
+    return y[..., :lp.n_constraints], y_lo, y_up
 
 
 def _to_original(lp, canon, x_struct):
-    x = x_struct[canon.first]
-    x[canon.split] -= x_struct[canon.second]
+    x = x_struct[..., canon.first]
+    x[..., canon.split] -= x_struct[..., canon.second]
     return x
 
 
@@ -374,7 +395,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     m, ncols = canon.A.shape
     has_art = canon.art_cols >= 0
     n_real = ncols - np.count_nonzero(has_art)
-    tab = _Tableau(canon.A, canon.b,
+    tab = _Tableau(canon.T,
                    np.where(has_art, canon.art_cols, canon.slack_cols))
 
     # Phase 1: drive artificials to zero.
@@ -433,6 +454,268 @@ def solve(lp: LinearProgram) -> LpSolution:
     return LpSolution(status=OPTIMAL, primal=x, duals=y_con,
                       objective_value=float(lp.objective @ x),
                       bound_duals=(y_lo, y_up), iterations=tab.iterations)
+
+
+# ---------------------------------------------------------------------------
+# lock-step solves of same-layout programs
+
+def _pivot_stack(T, basis, r, q, work):
+    """Pivot each tableau T[k] on (r[k], q[k]): _Tableau.pivot's
+    arithmetic for every k at once.  work is scratch of T's shape."""
+    k = np.arange(T.shape[0])
+    prow = T[k, r]
+    prow /= prow[k, q][:, None]
+    T[k, r] = prow
+    factors = T[k, :, q]
+    factors[k, r] = 0.0
+    np.multiply(factors[:, :, None], prow[:, None, :], out=work)
+    np.subtract(T, work, out=T)
+    basis[k, r] = q
+
+
+class _Stack:
+    """_Tableau work matrices of B programs with one layout, pivoted in
+    lock step.
+
+    Slot k holds program ids[k].  run() works on the slots [0, live) and
+    swaps each program that finishes behind the ones still running, so
+    the running slots stay a prefix of T and every pivot is one in-place
+    update of it.  A redundant row that phase 1 drops stays in T with
+    kept False: it never enters the ratio test, the objective-row setup
+    or the primal, which is what dropping it does in solve().
+    """
+
+    def __init__(self, T, basis):
+        B, m = T.shape[0], T.shape[1] - 1
+        self.T = T
+        self.work = np.empty_like(T)
+        self.basis = np.tile(basis, (B, 1))
+        self.kept = np.ones((B, m), dtype=bool)
+        self.ids = np.arange(B)
+        self.iterations = np.zeros(B, dtype=int)
+        self.unbounded = np.zeros(B, dtype=bool)
+        self.entering = np.zeros(B, dtype=int)
+
+    def partition(self, first, extra=()):
+        """Move the slots in [0, first.size) where first holds to the
+        front by swapping each misplaced pair, and the rows of the
+        per-slot arrays extra with them; returns how many hold."""
+        n = int(np.count_nonzero(first))
+        leave = np.flatnonzero(~first[:n])
+        if leave.size:
+            enter = n + np.flatnonzero(first[n:])
+            dst = np.concatenate([leave, enter])
+            src = np.concatenate([enter, leave])
+            for a in (self.T, self.basis, self.kept, self.ids,
+                      self.iterations, self.unbounded, self.entering,
+                      *extra):
+                a[dst] = a[src]
+        return n
+
+    def pivot_slots(self, slots, r, q):
+        """Pivot the slots listed in slots on (r[k], q[k])."""
+        sub, basis = self.T[slots], self.basis[slots]
+        _pivot_stack(sub, basis, r, q, np.empty_like(sub))
+        self.T[slots], self.basis[slots] = sub, basis
+
+    def run(self, costs, allowed, live):
+        """_Tableau.run on each of the slots [0, live): costs is (live,
+        ncols) in slot order, allowed is shared.  Every rule is applied per
+        slot and per iteration as _Tableau.run applies it, so each program
+        takes the same steps and gets the same bits.  On return, per slot,
+        unbounded says how it ended and entering holds the unbounded
+        column."""
+        T, basis, kept = self.T, self.basis, self.kept
+        m, ncols = T.shape[1] - 1, T.shape[2] - 1
+        obj = T[:live, m]
+        obj[:, :-1] = costs
+        obj[:, -1] = 0.0
+        slots = np.arange(live)
+        for i in range(m):
+            coef = obj[slots, basis[:live, i]]
+            hit = (coef != 0.0) & kept[:live, i]
+            if hit.all():
+                obj -= coef[:, None] * T[:live, i]
+            elif hit.any():
+                obj[hit] -= coef[hit, None] * T[:live, i][hit]
+
+        red_tol = FEAS_TOL * (1.0 + np.abs(costs).max(axis=1))
+        eligible = np.tile(allowed, (live, 1))
+        parked = np.zeros(live, dtype=bool)
+        bland = np.zeros(live, dtype=bool)
+        streak = np.zeros(live, dtype=int)
+        self.unbounded[:live] = False
+        dropped = not kept[:live].all()
+        k = live
+        while k:
+            iterations = self.iterations[:k]
+            iterations += 1
+            if iterations.max() > MAX_ITERATIONS:
+                raise RuntimeError("simplex iteration limit exceeded")
+            Tk, at, tol = T[:k], slots[:k], red_tol[:k]
+            red = Tk[:, m, :-1]
+            masked = np.where(eligible[:k], red, np.inf)
+            q = masked.argmin(axis=1)
+            done = ~(masked[at, q] < -tol)
+            slow = np.flatnonzero(bland[:k])
+            if slow.size:
+                improving = eligible[slow] & (red[slow] < -tol[slow, None])
+                q[slow] = improving.argmax(axis=1)
+                done[slow] = ~improving[np.arange(slow.size), q[slow]]
+
+            col = Tk[at, :m, q]
+            pos = col > PIVOT_TOL
+            if dropped:
+                pos &= kept[:k]
+            ratios = np.full((k, m), np.inf)
+            np.divide(Tk[:, :m, -1], col, out=ratios, where=pos)
+            best = ratios.min(axis=1, initial=np.inf)
+            blocked = ~done & (best == np.inf)
+            moving = ~(done | blocked)
+            if blocked.any():
+                unbounded = blocked & (red[at, q] < -1e4 * tol)
+                self.unbounded[:k] |= unbounded
+                self.entering[:k][unbounded] = q[unbounded]
+                done |= unbounded
+                waiting = blocked & ~unbounded
+                eligible[np.flatnonzero(waiting), q[waiting]] = False
+                parked[:k] |= waiting
+            back = moving & parked[:k]
+            if back.any():
+                eligible[:k][back] = allowed
+                parked[:k][back] = False
+            if m:
+                near = ratios <= (best + 1e-12 * (1.0 + np.abs(best)))[:, None]
+                r = np.where(near, basis[:k], ncols).argmin(axis=1)
+            else:       # no row to pivot on: nothing moves
+                r = np.zeros_like(q)
+            degenerate = best <= 1e-12
+            streak[:k] = np.where(moving, np.where(degenerate,
+                                                   streak[:k] + 1, 0),
+                                  streak[:k])
+            bland[:k] |= moving & (streak[:k] > BLAND_TRIGGER)
+
+            n_move = k
+            if not moving.all():
+                state = (q, r, moving, eligible, parked, bland, streak,
+                         red_tol)
+                k = self.partition(~done, state)
+                n_move = self.partition(moving[:k], state)
+            if n_move:
+                _pivot_stack(T[:n_move], basis[:n_move], r[:n_move],
+                             q[:n_move], self.work[:n_move])
+
+
+def solve_all(programs) -> list[LpSolution]:
+    """Solve programs that differ only in their constraint rows and
+    objectives, in one lock-step two-phase simplex; returns one
+    LpSolution per program, bit for bit the one solve() returns.
+
+    The programs must share relations, rhs, bounds and sense, so the
+    canonical layout (split columns, bound rows, slacks, flips and
+    artificials) is worked out once and only the rows and objectives are
+    stacked.  The stack pivots every program at once, so many small
+    programs cost about as many numpy calls as the slowest of them alone;
+    one program is solved faster by solve().
+    """
+    programs = list(programs)
+    if not programs:
+        return []
+
+    def layout(prog):
+        if not isinstance(prog, LinearProgram):
+            raise MalformedProgram("expected a LinearProgram")
+        return (prog.sense, prog.n_vars) + tuple(
+            a.tobytes() for a in (prog.codes, prog.rhs, prog.lo, prog.up))
+
+    lead = programs[0]
+    if any(layout(prog) != layout(lead) for prog in programs):
+        raise MalformedProgram("solve_all needs programs that share "
+                               "relations, rhs, bounds and sense")
+    canon = _canonicalize(lead, np.stack([p.rows for p in programs]),
+                          np.stack([p.objective for p in programs]))
+    if canon is None:
+        return [solve(prog) for prog in programs]
+    B, m, ncols = canon.A.shape
+    has_art = canon.art_cols >= 0
+    n_real = ncols - np.count_nonzero(has_art)
+    stack = _Stack(canon.T,
+                   np.where(has_art, canon.art_cols, canon.slack_cols))
+
+    is_art = np.zeros(ncols, dtype=bool)
+    is_art[canon.art_cols[has_art]] = True
+    costs1 = is_art.astype(float)
+    costs2 = np.zeros((B, ncols))
+    costs2[:, :canon.n_struct] = canon.c
+    infeasible = np.zeros(B, dtype=bool)
+    live = B
+    if is_art.any():
+        stack.run(np.broadcast_to(costs1, (B, ncols)),
+                  np.ones(ncols, dtype=bool), B)
+        if stack.unbounded.any():  # pragma: no cover - bounded below
+            raise RuntimeError("phase 1 cannot be unbounded")
+        ids = stack.ids
+        phase1_value = -stack.T[:, m, -1]
+        limit = FEAS_TOL * (1.0 + np.abs(canon.b).sum(axis=1))[ids]
+        infeasible[ids] = phase1_value > limit
+        live = stack.partition(~infeasible[ids])
+        # pivot leftover artificials out of the basis; drop redundant rows
+        arts = is_art[stack.basis[:live]]
+        T = stack.T
+        for i in np.flatnonzero(arts.any(axis=0)):
+            slots = np.flatnonzero(arts[:, i])
+            row = T[slots, i, :n_real]
+            j = np.abs(row).argmax(axis=1)
+            fine = np.abs(row[np.arange(slots.size), j]) > PIVOT_TOL
+            stack.kept[slots[~fine], i] = False
+            if fine.any():
+                stack.pivot_slots(slots[fine], i, j[fine])
+    if live:
+        stack.run(costs2[stack.ids[:live]], ~is_art, live)
+
+    # read every program's answer off its slot, in program order; rows of
+    # C-ordered arrays, so that each program's vectors are contiguous as
+    # solve()'s are, and numpy reduces them the same way
+    at = np.argsort(stack.ids)
+    T, unbounded, entering = stack.T, stack.unbounded[at], stack.entering[at]
+    iterations = stack.iterations[at].tolist()
+    basic = np.where(stack.kept[at], stack.basis[at], ncols)
+    rows = np.arange(B)[:, None]
+
+    def split(y):
+        return [np.ascontiguousarray(part)
+                for part in _split_duals(lead, canon, y)]
+
+    x_struct = np.zeros((B, ncols + 1))
+    x_struct[rows, basic] = T[at, :m, -1]
+    x = np.ascontiguousarray(_to_original(lead, canon, x_struct[:, :ncols]))
+    y_con, y_lo, y_up = split(_extract_duals(canon, T[at, m], costs2))
+    if lead.sense == "max":
+        y_con, y_lo, y_up = -y_con, -y_lo, -y_up
+    if infeasible.any():
+        f_con, f_lo, f_up = split(_extract_duals(canon, T[at, m], costs1))
+    if unbounded.any():
+        ray_struct = np.zeros((B, ncols + 1))
+        ray_struct[np.arange(B), entering] = 1.0
+        ray_struct[rows, basic] = -T[at, :m, entering]
+        rays = np.ascontiguousarray(
+            _to_original(lead, canon, ray_struct[:, :ncols]))
+
+    out = []
+    for k, prog in enumerate(programs):
+        if infeasible[k]:
+            out.append(LpSolution(status=INFEASIBLE, duals=f_con[k],
+                                  bound_duals=(f_lo[k], f_up[k]),
+                                  iterations=iterations[k]))
+        elif unbounded[k]:
+            out.append(LpSolution(status=UNBOUNDED, primal=x[k],
+                                  ray=rays[k], iterations=iterations[k]))
+        else:
+            out.append(LpSolution(
+                status=OPTIMAL, primal=x[k], duals=y_con[k],
+                objective_value=float(prog.objective @ x[k]),
+                bound_duals=(y_lo[k], y_up[k]), iterations=iterations[k]))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,22 @@ def embed(x, y, eps_emb: float = EPS_EMB) -> np.ndarray:
     return p
 
 
+def curve_in_simplex(eps_emb: float) -> bool:
+    """Whether the curve embedded with eps_emb stays inside the simplex.
+
+    Between neighbours of an n-point sample the embedded curve moves by
+    at most eps_emb MAX_CURVE_SPEED h / 2 in every state (h = 1 / (n - 1),
+    and no state's row of the frame (d1, d2) is longer than 1), so a
+    sample that keeps that far inside keeps the whole curve, and every
+    grid on it, inside.
+    """
+    n = 4097
+    x, y = curve_point(np.linspace(0.0, 1.0, n))
+    low = min(float((x * D1[k] + y * D2[k]).min()) for k in range(3))
+    slack = eps_emb * MAX_CURVE_SPEED / (2.0 * (n - 1))
+    return bool(CENTER[0] + eps_emb * low >= slack)
+
+
 def chord_functional(eps_emb: float = EPS_EMB) -> np.ndarray:
     """Functional whose value on an embedded point (x, y) is 1 - x.
 

@@ -14,23 +14,38 @@ class Solve(NamedTuple):
     callers: tuple[str, ...]     # function names on the stack, innermost first
 
 
+def _callers():
+    """Function names on the stack of the recorded call, innermost first."""
+    callers = []
+    frame = sys._getframe(2)
+    while frame is not None:
+        callers.append(frame.f_code.co_name)
+        frame = frame.f_back
+    return tuple(callers)
+
+
 @pytest.fixture
 def recorded_programs():
-    """Every lp.solve call of the test, in order, as a list of Solve."""
+    """Every program the test solves, in order, as a list of Solve: one
+    per lp.solve call and one per program of an lp.solve_all call, each
+    with the stack of the call that solved it."""
     seen = []
-    solve = lp.solve
+    solve, solve_all = lp.solve, lp.solve_all
 
     def record(prog):
         sol = solve(prog)
-        callers = []
-        frame = sys._getframe(1)
-        while frame is not None:
-            callers.append(frame.f_code.co_name)
-            frame = frame.f_back
-        seen.append(Solve(prog, sol, tuple(callers)))
+        seen.append(Solve(prog, sol, _callers()))
         return sol
+
+    def record_all(programs):
+        programs = list(programs)
+        sols = solve_all(programs)
+        callers = _callers()
+        seen.extend(Solve(prog, sol, callers)
+                    for prog, sol in zip(programs, sols))
+        return sols
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lp, "solve", record)
+        patch.setattr(lp, "solve_all", record_all)
         yield seen
-

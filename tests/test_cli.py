@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from surplex import cli
+from surplex import cli, lp
 from surplex.cli import (
     ConfigError,
     counterexample_preset,
@@ -330,8 +330,9 @@ def test_classify_and_full_solve_each_type_lp_once(tmp_path,
     report = run_scenario(random_table_config(["classify", "full"]),
                           tmp_path)
     # a solve belongs to the innermost of these callers on its stack
-    family = {"expose_set": "separation", "is_extreme": "extreme",
-              "exposure_chain": "chain", "full_extraction_lp": "full"}
+    family = {"expose_set": "separation", "expose_each": "separation",
+              "is_extreme": "extreme", "exposure_chain": "chain",
+              "full_extraction_lp": "full"}
     counts = dict.fromkeys(family.values(), 0)
     for rec in recorded_programs:
         caller = next((name for name in rec.callers if name in family), None)
@@ -389,6 +390,14 @@ def test_task_order_leaves_task_blocks_unchanged(tmp_path, model):
     {"sweep_grids": [9, "x"]},
     {"sweep_grids": 9},
     {"model": {"kind": "counterexample", "eps_emb": "x"},
+     "tasks": ["classify"]},
+    {"model": {"kind": "counterexample", "eps_emb": 5},
+     "tasks": ["classify"]},
+    {"model": {"kind": "counterexample", "eps_emb": 0},
+     "tasks": ["classify"]},
+    {"model": {"kind": "counterexample", "eps_emb": float("inf")},
+     "tasks": ["classify"]},
+    {"model": {"kind": "counterexample", "eps_emb": 10 ** 400},
      "tasks": ["classify"]},
     {"model": {"kind": "random_polytope", "types": "x", "states": 6},
      "tasks": ["classify"]},
@@ -461,3 +470,30 @@ def test_preset_builds_each_grid_and_belief_set_once(tmp_path, monkeypatch,
     extreme = [rec for rec in recorded_programs
                if "_hull_membership_lp" in rec.callers]
     assert len(extreme) == 2
+
+
+def test_stacked_solves_write_the_bytes_of_single_solves(tmp_path,
+                                                         monkeypatch):
+    """report.json and every CSV are byte-equal whether lp.solve_all
+    stacks its programs or hands each to lp.solve: on the preset, the
+    duality curve at 65 and tables 0-3."""
+    curve = counterexample_preset()
+    curve.update(tasks=["duality"], duality_grid=65)
+    configs = {"preset": counterexample_preset(), "curve": curve}
+    for seed in range(4):
+        table = random_table_config(["classify", "full", "duality"])
+        table["model"]["seed"] = seed
+        configs[f"table{seed}"] = table
+
+    def outputs(root):
+        for name, config in configs.items():
+            run_scenario(config, root / name)
+        return {str(path.relative_to(root)): path.read_bytes()
+                for path in sorted(root.rglob("*")) if path.is_file()}
+
+    stacked = outputs(tmp_path / "stacked")
+    monkeypatch.setattr(lp, "solve_all",
+                        lambda programs: [lp.solve(p) for p in programs])
+    single = outputs(tmp_path / "single")
+    assert len(stacked) == 6 + 3 + 2    # reports, preset and curve CSVs
+    assert stacked == single

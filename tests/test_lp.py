@@ -5,10 +5,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surplex import models
+from surplex.duality import VseInstance, solve_primal
 from surplex.extraction import classify_type, full_extraction_lp
-from surplex.geometry import ChainStalled, exposure_chain
+from surplex.geometry import ChainStalled, expose_each, exposure_chain
 from surplex.lp import (
     BLAND_TRIGGER,
     EQ,
@@ -27,6 +30,7 @@ from surplex.lp import (
     _to_original,
     check_certificate,
     solve,
+    solve_all,
 )
 
 
@@ -342,9 +346,9 @@ def test_canonical_columns_match_per_variable_reference():
 
 # ---------------------------------------------------------------------------
 # Reference solver: the per-row and per-variable loops that the array-native
-# canonical form and pivot loop replaced, kept verbatim.  Both do the same
-# floating-point operations in the same order, so every solve must agree
-# bit for bit.
+# canonical form and pivot loop replaced, kept verbatim apart from the
+# events it records.  Both do the same floating-point operations in the
+# same order, so every solve must agree bit for bit.
 
 def _reference_canonicalize(lp):
     n = lp.n_vars
@@ -432,13 +436,14 @@ def _reference_canonicalize(lp):
 
 
 class _ReferenceTableau:
-    def __init__(self, A, b, basis):
+    def __init__(self, A, b, basis, events):
         m, ncols = A.shape
         self.T = np.empty((m, ncols + 1))
         self.T[:, :-1] = A
         self.T[:, -1] = b
         self.basis = list(basis)
         self.iterations = 0
+        self.events = events
 
     def run(self, costs, allowed):
         T = self.T
@@ -474,7 +479,10 @@ class _ReferenceTableau:
                 if red[q] < -1e4 * red_tol:
                     return "unbounded", q
                 blocked[q] = True
+                self.events.add("parked")
                 continue
+            if blocked.any():
+                self.events.add("unparked")
             blocked[:] = False
             ratios = np.full(m, np.inf)
             ratios[pos] = T[pos, -1] / col[pos]
@@ -486,6 +494,7 @@ class _ReferenceTableau:
                 degenerate_streak += 1
                 if degenerate_streak > BLAND_TRIGGER:
                     bland = True
+                    self.events.add("bland")
             else:
                 degenerate_streak = 0
 
@@ -513,14 +522,19 @@ def _reference_split_duals(lp, canon, y):
     return y_con, y_lo, y_up
 
 
-def reference_solve(lp):
+def reference_solve(lp, events=None):
+    """The reference solve of lp; events, if given, collects "parked",
+    "unparked", "bland" and "dropped" as the solve parks a column, pivots
+    with a column parked, switches to Bland's rule or drops a redundant
+    row."""
+    events = set() if events is None else events
     canon = _reference_canonicalize(lp)
     m, ncols = canon.A.shape
     n_real = ncols - np.count_nonzero(canon.art_cols >= 0)
 
     basis = [canon.art_cols[i] if canon.art_cols[i] >= 0 else canon.slack_cols[i]
              for i in range(m)]
-    tab = _ReferenceTableau(canon.A, canon.b, basis)
+    tab = _ReferenceTableau(canon.A, canon.b, basis, events)
 
     is_art = np.zeros(ncols, dtype=bool)
     for c in canon.art_cols:
@@ -551,6 +565,7 @@ def reference_solve(lp):
                     tab.basis[i] = j
                 else:
                     keep[i] = False
+                    events.add("dropped")
         if not keep.all():
             tab.T = tab.T[keep]
             tab.basis = [bv for i, bv in enumerate(tab.basis) if keep[i]]
@@ -691,3 +706,192 @@ def test_array_bounds_match_pair_bounds():
 def test_malformed_bounds_rejected(bounds):
     with pytest.raises(MalformedProgram):
         LinearProgram([1.0], [([1.0], LE, 1.0)], bounds=bounds)
+
+
+# ---------------------------------------------------------------------------
+# solve_all: one lock-step simplex over a stack of same-layout programs
+
+def _same_bits(a, b):
+    """Equal values, or both None, down to the signs of zeros."""
+    if a is None or b is None:
+        return a is None and b is None
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_stack_bit_identical(programs, events=None):
+    """solve_all(programs) equals reference_solve and solve program by
+    program, bit for bit; returns the statuses.  events collects the
+    reference solves' events."""
+    got_all = solve_all(programs)
+    assert len(got_all) == len(programs)
+    statuses = []
+    for prog, got in zip(programs, got_all):
+        for ref in (reference_solve(prog, events), solve(prog)):
+            assert got.status == ref.status
+            assert got.iterations == ref.iterations
+            assert _same_bits(got.objective_value, ref.objective_value)
+            for a, b in [(got.primal, ref.primal), (got.duals, ref.duals),
+                         (got.ray, ref.ray)]:
+                assert _same_bits(a, b)
+            assert (got.bound_duals is None) == (ref.bound_duals is None)
+            if ref.bound_duals is not None:
+                assert all(_same_bits(a, b) for a, b in
+                           zip(got.bound_duals, ref.bound_duals))
+        statuses.append(got.status)
+    return statuses
+
+
+def test_solve_all_matches_reference_on_exposure_stacks(recorded_programs):
+    tables = [models.sample(models.counterexample_model(), 101)]
+    tables += [models.random_tabular(seed, 40, 6) for seed in range(4)]
+    for tab in tables:
+        recorded_programs.clear()
+        expose_each(tab.belief_set())
+        assert len(recorded_programs) == tab.n_types
+        assert all("expose_each" in rec.callers for rec in recorded_programs)
+        progs = [rec.program for rec in recorded_programs]
+        assert set(_assert_stack_bit_identical(progs)) == {OPTIMAL}
+
+
+def test_solve_all_matches_reference_on_vse_blocks(recorded_programs):
+    model = models.counterexample_model()
+    tables = [models.sample(model, n) for n in (33, 65, 129)]
+    tables += [models.random_tabular(seed, 40, 6) for seed in range(6)]
+    for tab in tables:
+        recorded_programs.clear()
+        solve_primal(VseInstance(tab))
+        assert len(recorded_programs) == tab.n_types
+        progs = [rec.program for rec in recorded_programs]
+        assert set(_assert_stack_bit_identical(progs)) == {OPTIMAL}
+
+
+def shared_layout_stack(rng, size):
+    """size programs on one layout (x0 free, x1 in [-1, 3], x2..x5 >= 0;
+    three equality rows with rhs 1, 1, 2 and a row <= 6), each with its
+    own integer rows and objective.  Program k is of kind k % 4: plain;
+    redundant (row 2 is row 0 + row 1); parked (x5 has an empty column
+    and the near-noise cost -5e-8, x4 the cost -1e-8, every other cost
+    is 0); or unbounded (x5 has an empty column and cost -1)."""
+    bounds = [(None, None), (-1.0, 3.0)] + [(0.0, None)] * 4
+    rels, rhs = [EQ, EQ, EQ, LE], [1.0, 1.0, 2.0, 6.0]
+    programs = []
+    for k in range(size):
+        A = rng.integers(-3, 4, size=(4, 6)).astype(float)
+        c = rng.integers(-4, 5, size=6).astype(float)
+        if k % 4 == 1:
+            A[2] = A[0] + A[1]
+        elif k % 4 == 2:
+            A[:, 5] = 0.0
+            c[:] = 0.0
+            c[4], c[5] = -1e-8, -5e-8
+        elif k % 4 == 3:
+            A[:, 5] = 0.0
+            c[5] = -1.0
+        programs.append(LinearProgram(c, list(zip(A, rels, rhs)),
+                                      bounds=bounds))
+    return programs
+
+
+def near_redundant_stack(rng, size):
+    """The plain kind of shared_layout_stack with row 2 = row 0 + row 1
+    plus one entry below PIVOT_TOL.  Phase 1 drops row 2, and later pivots
+    can grow its tiny entries past PIVOT_TOL, so a stack that let the
+    dropped row into the ratio test would pivot on it."""
+    bounds = [(None, None), (-1.0, 3.0)] + [(0.0, None)] * 4
+    rels, rhs = [EQ, EQ, EQ, LE], [1.0, 1.0, 2.0, 6.0]
+    programs = []
+    for _ in range(size):
+        A = rng.integers(-3, 4, size=(4, 6)).astype(float)
+        c = rng.integers(-4, 5, size=6).astype(float)
+        A[2] = A[0] + A[1]
+        A[2, rng.integers(6)] += (rng.choice([-1.0, 1.0])
+                                  * 10.0 ** rng.uniform(-13, -10))
+        programs.append(LinearProgram(c, list(zip(A, rels, rhs)),
+                                      bounds=bounds))
+    return programs
+
+
+def degenerate_cone_stack(rng, size):
+    """min c.x over {A x <= 0, sum x <= 1, x >= 0}, A 30 x 30: every
+    pivot at the origin is degenerate, so most members reach Bland's
+    rule, each after its own number of iterations."""
+    programs = []
+    for _ in range(size):
+        A = rng.integers(-3, 4, size=(30, 30)).astype(float)
+        cons = [(row, LE, 0.0) for row in A] + [(np.ones(30), LE, 1.0)]
+        c = rng.integers(-5, 3, size=30).astype(float)
+        programs.append(LinearProgram(c, cons))
+    return programs
+
+
+def test_solve_all_matches_reference_on_mixed_stacks():
+    rng = np.random.default_rng(0)
+    events = set()
+    statuses = _assert_stack_bit_identical(shared_layout_stack(rng, 24),
+                                           events)
+    statuses += _assert_stack_bit_identical(degenerate_cone_stack(rng, 4),
+                                            events)
+    statuses += _assert_stack_bit_identical(
+        near_redundant_stack(np.random.default_rng(41), 8), events)
+    assert set(statuses) == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    assert events == {"dropped", "parked", "unparked", "bland"}
+
+
+@st.composite
+def degenerate_stacks(draw):
+    """Programs on one random layout whose rows come from a small pool
+    that holds a zero row, so rows repeat within and across programs;
+    some boxes are tight (lower = upper)."""
+    small = st.integers(min_value=-2, max_value=2)
+    n = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=0, max_value=4))
+    rels = draw(st.lists(st.sampled_from([LE, GE, EQ]), min_size=m,
+                         max_size=m))
+    rhs = draw(st.lists(small, min_size=m, max_size=m))
+    bounds = draw(st.lists(st.sampled_from(
+        [(0.0, None), (None, None), (0.0, 0.0), (1.0, 1.0), (-1.0, 2.0),
+         (0.5, None)]), min_size=n, max_size=n))
+    sense = draw(st.sampled_from(["min", "max"]))
+    pool = [[0] * n] + draw(st.lists(st.lists(small, min_size=n,
+                                              max_size=n),
+                                     min_size=1, max_size=3))
+    programs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=m,
+                              max_size=m))
+        c = draw(st.lists(small, min_size=n, max_size=n))
+        cons = [(pool[k], rel, b) for k, rel, b in zip(picks, rels, rhs)]
+        programs.append(LinearProgram(c, cons, bounds=bounds, sense=sense))
+    return programs
+
+
+@settings(max_examples=150, deadline=None)
+@given(degenerate_stacks())
+def test_solve_all_matches_reference_on_degenerate_stacks(programs):
+    _assert_stack_bit_identical(programs)
+
+
+def test_solve_all_needs_one_layout():
+    assert solve_all([]) == []
+    base = LinearProgram([1.0, 2.0], [([1.0, 1.0], GE, 1.0)])
+    for other in [LinearProgram([1.0, 2.0], [([1.0, 1.0], LE, 1.0)]),
+                  LinearProgram([1.0, 2.0], [([1.0, 1.0], GE, 2.0)]),
+                  LinearProgram([1.0, 2.0], [([1.0, 1.0], GE, 1.0)],
+                                bounds=[(0.0, 1.0), (0.0, None)]),
+                  LinearProgram([1.0, 2.0], [([1.0, 1.0], GE, 1.0)],
+                                sense="max"),
+                  LinearProgram([1.0], [([1.0], GE, 1.0)])]:
+        with pytest.raises(MalformedProgram):
+            solve_all([base, other])
+    with pytest.raises(MalformedProgram):
+        solve_all([base, "not a program"])
+
+
+def test_solve_all_solves_alone_when_row_flips_differ():
+    # -1e-320 / 1e10 underflows to -0.0, a row that needs no flip, while
+    # -1e-320 / 1 keeps its sign: the two programs share no canonical
+    # layout, and each is solved on its own
+    progs = [LinearProgram([1.0], [([scale], GE, -1e-320)])
+             for scale in (1.0, 1e10)]
+    assert _assert_stack_bit_identical(progs) == [OPTIMAL, OPTIMAL]
