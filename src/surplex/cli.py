@@ -74,8 +74,10 @@ def _require_keys(obj: dict, allowed, where: str) -> None:
 
 
 def _tolerance(key: str, value) -> float:
+    # compared, not converted: an int too large for a float is rejected
+    # here instead of raising OverflowError
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value) or value < 0):
+            or not 0 <= value <= sys.float_info.max):
         raise ConfigError(f"tolerance {key} must be a finite number >= 0, "
                           f"got {value!r}")
     return float(value)

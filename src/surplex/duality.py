@@ -14,7 +14,7 @@ Each z(s) enters only the own row of s and the pair rows (., s), so both
 programs split into m blocks coupled only through c (primal) or the
 normalization row (dual).  Block s is solved in dual form, S + 1 rows by
 m + 1 columns, with (c, z(s)) read off its row multipliers; the m blocks
-share one layout and are solved together by lp.solve_all.  p* is the
+share one layout and are solved together by lp.solve_stack.  p* is the
 largest block value, and the dual measure averages the optimal block
 measures over the blocks attaining it.  The result is checked for
 feasibility against the full dual program, and strong duality (the
@@ -152,35 +152,40 @@ class DualMeasures:
                    float(np.abs(state).max()))
 
 
-def _block_program(inst: VseInstance, s: int) -> lp.LinearProgram:
-    """Block s of build_dual, as a program of its own.
+def _block_stack(inst: VseInstance):
+    """The m blocks of build_dual, as the (layout, rows, objectives) of one
+    lp.solve_stack call.  Block s is
 
         max sum_t nu_t d(t,s)
         s.t. lambda + sum_t nu_t = 1,
              lambda pi(s) - sum_t nu_t pi(t) = 0    (S rows),
-             lambda, nu >= 0.
+             lambda, nu >= 0,
 
-    S + 1 rows and m + 1 columns (lambda, then nu_0 .. nu_{m-1}).  Its row
-    multipliers y are block s of the primal: c = y[0] is the block value
-    and z(s) = -y[1:] satisfies pi(s).z(s) <= c and
+    with S + 1 rows and m + 1 columns (lambda, then nu_0 .. nu_{m-1}).
+    Its row multipliers y are block s of the primal: c = y[0] is the
+    block value and z(s) = -y[1:] satisfies pi(s).z(s) <= c and
     d(t,s) - pi(t).z(s) <= c for every t.
     """
     beliefs = inst.tabular.beliefs
-    m = inst.n_types
-    rows = np.vstack([np.ones(m + 1),
-                      np.hstack([beliefs[s][:, None], -beliefs.T])])
-    rhs = np.zeros(rows.shape[0])
+    m, S = inst.n_types, inst.n_states
+    rows = np.empty((m, S + 1, m + 1))
+    rows[:, 0] = 1.0
+    rows[:, 1:, 0] = beliefs
+    rows[:, 1:, 1:] = -beliefs.T
+    objectives = np.zeros((m, m + 1))
+    objectives[:, 1:] = inst.d.T
+    rhs = np.zeros(S + 1)
     rhs[0] = 1.0
-    obj = np.concatenate([[0.0], inst.d[:, s]])
-    return lp.LinearProgram(
-        obj, [(row, lp.EQ, b) for row, b in zip(rows, rhs)], sense="max")
+    layout = lp.LinearProgram(np.zeros(m + 1), [(np.zeros(m + 1), lp.EQ, b)
+                                                for b in rhs], sense="max")
+    return layout, rows, objectives
 
 
 def solve_primal(inst: VseInstance) -> PrimalSolution:
     """Solve the primal exactly as m independent blocks.
 
     The blocks differ only in their rows and objectives, so one
-    lp.solve_all call solves them together.  Block s (`_block_program`)
+    lp.solve_stack call solves them together.  Block s (`_block_stack`)
     gives its value f_s and z(s); p* = max_s f_s,
     and (p*, z) is feasible for the full build_primal.  The dual measure
     averages the optimal block measures (lambda_s, nu_{., s}) over the
@@ -193,7 +198,7 @@ def solve_primal(inst: VseInstance) -> PrimalSolution:
     f = np.empty(m)
     z = np.empty((m, S))
     measures = np.empty((m, m + 1))       # block s: (lambda_s, nu_{., s})
-    blocks = lp.solve_all([_block_program(inst, s) for s in range(m)])
+    blocks = lp.solve_stack(*_block_stack(inst))
     for s, sol in enumerate(blocks):
         if sol.status != lp.OPTIMAL:  # pragma: no cover - nu_s = 1/2 feasible
             raise RuntimeError(f"primal block {s} ended {sol.status}")

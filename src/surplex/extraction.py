@@ -25,7 +25,8 @@ from surplex.geometry import (
     expose_set,
     exposure_chain,
     is_extreme,
-    max_margin_functional,
+    separation_answer,
+    separation_stack,
 )
 from surplex.models import ParametricModel, TabularModel, sample
 
@@ -35,6 +36,12 @@ CERT_MULT = 10
 # constant nudge target: constructed own surpluses land at +1e-11, safely
 # inside [0, 1e-9] after float rounding of payments up to ~1e4 in norm
 OWN_NUDGE = 1e-11
+# off-face types whose virtual separation LPs share one lock-step solve.
+# A fixed count, not a byte budget: a chunk's rows take SEPARATOR_CHUNK x
+# (S + 1) x (cert points + 1 + 2S) floats, and stacks of one or two
+# programs solve slower than the single solves they replace, so a budget
+# that shrank the stacks on large grids would slow them down
+SEPARATOR_CHUNK = 12
 
 FULL, VIRTUAL = "full", "virtual"
 
@@ -63,6 +70,14 @@ class BudgetInfeasible(RuntimeError):
 
 class InputMenuFails(ValueError):
     """compress_menu needs a menu that already achieves its target."""
+
+
+class UncoveredType(ValueError):
+    """compress_menu found a grid type that no entry's cover ball reaches."""
+
+    def __init__(self, t):
+        self.t = t
+        super().__init__(f"type t={t!r} lies in no menu entry's cover ball")
 
 
 @dataclass
@@ -466,43 +481,85 @@ class ConstructionLog:
                 "provenance": self.provenance}
 
 
-def _case1_terms(pi_t, v_t, cert_beliefs, cert_values, near_mask, eps):
-    """Separate one detectable type from everything delta-far.
+def _case1_terms(pi, v, ts, cert, delta, eps):
+    """Separate each of K detectable types from everything delta-far.
 
-    The separation LP weights each far type's margin by the surplus gain
-    it stands to make, which keeps the later scaling
-    alpha = SAFETY_FACTOR * max(0, (v(s)-v(t)) / (pi(s).z)) well conditioned:
-    the ratio is bounded by 1/weighted-margin.  Near types are held at
-    nonnegative expected value; their surplus stays below eps because
-    delta was chosen from the value modulus.
+    pi, v and ts hold the types' beliefs, values and grid points, and cert
+    is the certification grid.  Type k's separation LP weights each far
+    type's margin by the surplus gain it stands to make, which keeps the
+    later scaling alpha = SAFETY_FACTOR * max(0, (v(s)-v(t)) / (pi(s).z))
+    well conditioned: the ratio is bounded by 1/weighted-margin.  Near
+    types (within delta of ts[k]) are held at nonnegative expected value;
+    their surplus stays below eps because delta was chosen from the value
+    modulus.
+
+    The K LPs share one layout.  They are solved SEPARATOR_CHUNK types at a
+    time, one lp.solve_stack call per chunk, and each chunk is finished
+    before the next is built, so memory holds one chunk's rows.  Returns,
+    per type, (alpha, z, wmargin, raw_margin) or the exception its
+    construction raises (BudgetInfeasible when no functional separates
+    it), for the caller to raise in grid order.
     """
-    far = ~near_mask
-    gains = cert_values[far] - v_t
-    weights = np.maximum(gains, eps / 2.0)
-    z, wmargin = max_margin_functional(
-        pi_t[None, :], cert_beliefs[near_mask],
-        cert_beliefs[far] / weights[:, None])
+    answers = []
+    for lo in range(0, len(ts), SEPARATOR_CHUNK):
+        part = slice(lo, lo + SEPARATOR_CHUNK)
+        answers += _case1_chunk(pi[part], v[part], ts[part], cert, delta, eps)
+    return answers
+
+
+def _case1_chunk(pi, v, ts, cert, delta, eps):
+    """_case1_terms on one chunk of types, in one lp.solve_stack call.
+
+    Type k's point columns are the far cert types in grid order, each
+    divided by its weight, then the near ones (one stable argsort of the
+    near mask), so the rows are written straight into one array: the
+    near columns are divided by 1.0, which keeps their bits.
+    """
+    N, S = cert.beliefs.shape
+    near = np.abs(cert.ts - ts[:, None]) < delta
+    order = np.argsort(near, axis=1, kind="stable")
+    n_far = N - np.count_nonzero(near, axis=1)
+    gains = cert.values[order] - v[:, None]
+    weights = np.where(np.arange(N) < n_far[:, None],
+                       np.maximum(gains, eps / 2.0), 1.0)
+    layout, rows, objectives = separation_stack(cert.beliefs, order, n_far,
+                                                pi[:, None])
+    rows[:, :S, :N] /= weights[:, None, :]
+    sols = lp.solve_stack(layout, rows, objectives)
+    return [_case1_answer(sol, pi[k], cert.beliefs[order[k, :f]],
+                          gains[k, :f], weights[k, :f])
+            for k, (sol, f) in enumerate(zip(sols, n_far.tolist()))]
+
+
+def _case1_answer(sol, pi_t, far_beliefs, gains, weights):
+    """One type's (alpha, z, wmargin, raw_margin) off its solved separation
+    LP, or the exception that ends its construction."""
+    if not len(far_beliefs):
+        return ValueError("margin family must be nonempty")
+    z, wmargin = separation_answer(sol, far_beliefs / weights[:, None])
     if wmargin <= 0.0:
-        raise BudgetInfeasible(
+        return BudgetInfeasible(
             "no functional separates the far set at positive margin")
     z = _own_null(z, pi_t)
-    far_vals = cert_beliefs[far] @ z
+    far_vals = far_beliefs @ z
     raw_margin = float(far_vals.min())
     if raw_margin <= 0.0:
-        raise BudgetInfeasible("separator not positive on the far set")
+        return BudgetInfeasible("separator not positive on the far set")
     alpha = SAFETY_FACTOR * float(np.max(gains / far_vals, initial=0.0))
-    alpha = max(alpha, 0.0)
-    return alpha, z, wmargin, raw_margin
+    return max(alpha, 0.0), z, wmargin, raw_margin
 
 
 def virtual_extraction_menu(model: ParametricModel, eps: float,
                             grid_n: int = 201):
     """Menu leaving at most eps surplus, built on the construction grid.
 
-    Detectable types get the one-shot scaled-separator contract; types on
-    declared faces walk their exposure chain from the innermost face
-    outward, spending eps/n of the budget per stage.  All "for all s"
-    quantities are evaluated on a CERT_MULT-times finer certification
+    Detectable types get the one-shot scaled-separator contract; their
+    separation LPs are solved up front, in lock-step chunks
+    (_case1_terms).  Types on declared faces walk their exposure chain
+    from the innermost face outward, spending eps/n of the budget per
+    stage.  Types are then finished in grid order, so the first type
+    that fails raises, whichever chunk it was solved in.  All "for all
+    s" quantities are evaluated on a CERT_MULT-times finer certification
     grid; the residual off-grid slack is what verify_menu reports.
     Returns (menu, construction_logs).
     """
@@ -523,25 +580,27 @@ def virtual_extraction_menu(model: ParametricModel, eps: float,
                 for lbl in tab.labels]
         return Menu(entries, tab.ts), logs
 
+    delta = eps / (2.0 * model.lipschitz_v)
+    on_face = [any(abs(float(pi @ z)) <= FACE_TOL for z in declared)
+               for pi in tab.beliefs]
+    off = np.flatnonzero(np.logical_not(on_face))
+    separators = dict(zip(off.tolist(), _case1_terms(
+        tab.beliefs[off], tab.values[off], tab.ts[off], cert, delta, eps)))
     entries = []
     logs = []
     for i, t in enumerate(tab.ts):
         pi_t = tab.beliefs[i]
         v_t = float(tab.values[i])
-        on_face = any(abs(float(pi_t @ z)) <= FACE_TOL for z in declared)
-        if not on_face:
-            delta = eps / (2.0 * model.lipschitz_v)
-            near = np.abs(cert.ts - t) < delta
-            try:
-                alpha, z, wmargin, raw = _case1_terms(
-                    pi_t, v_t, cert.beliefs, cert.values, near, eps)
-            except BudgetInfeasible:
-                extreme, _ = is_extreme(bset, i)
-                if not extreme:
+        if i in separators:
+            answer = separators[i]
+            if isinstance(answer, Exception):
+                if (isinstance(answer, BudgetInfeasible)
+                        and not is_extreme(bset, i)[0]):
                     raise NotEventuallyDetectable(
                         f"type {tab.labels[i]} is a convex combination of "
-                        "others and sits on no declared face")
-                raise
+                        "others and sits on no declared face") from answer
+                raise answer
+            alpha, z, wmargin, raw = answer
             contract = _finish_contract(pi_t, v_t, [(alpha, z)])
             log = ConstructionLog(label=tab.labels[i], case="detectable",
                                   alphas=[alpha], margins=[raw],
@@ -656,7 +715,10 @@ def compress_menu(model: ParametricModel, menu: Menu, eps: float,
 
     Keeps a greedy left-to-right subcover of the type balls whose radii
     come from the Lipschitz moduli, then makes each kept contract cheaper
-    by eps so every covered type retains a small positive surplus.
+    by eps so every covered type retains a small positive surplus.  Every
+    point of the grid_n grid must lie in some entry's ball; the first that
+    lies in none raises UncoveredType.  On the menu's own grid each entry
+    covers its own type, so every point is covered.
     """
     report = verify_menu(model, menu, grid_n, (VIRTUAL, eps))
     if not report.passed:
@@ -679,12 +741,10 @@ def compress_menu(model: ParametricModel, menu: Menu, eps: float,
         tau = ts[int(np.argmin(covered))]
         ok = np.flatnonzero(np.abs(entry_ts - tau) < radii + 1e-15)
         if ok.size == 0:
-            # every construction type covers itself; tau off the menu grid
-            ok = np.array([int(np.argmin(np.abs(entry_ts - tau)))])
+            raise UncoveredType(float(tau))
         pick = int(ok[np.argmax(entry_ts[ok] + radii[ok])])
         kept.append(pick)
         covered |= np.abs(ts - entry_ts[pick]) < radii[pick] + 1e-15
-        covered[int(np.argmin(np.abs(ts - entry_ts[pick])))] = True
 
     kept = sorted(set(kept))
     entries = []

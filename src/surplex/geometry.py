@@ -7,12 +7,13 @@ point as eventually exposed.  Every separation question is a max-margin
 LP with the functional box-normalized to |z|_inf <= 1, so the margin
 tolerances below are scale-meaningful.  It is solved in dual form: a
 min-l1 convex-combination program with S + 1 rows and one column per
-point, whose row multipliers are the functional z; the exposure LPs of
-all points of a set share one layout and are solved as one stack
-(expose_each).  The supporting LP of an exposure chain (the functional
-through a point with the most mass above it) is the same LP with the
-centroid as its one margin point, so no geometry LP has more than S + 1
-rows or a variable bound other than >= 0.
+point, whose row multipliers are the functional z.  separation_stack
+writes the rows of many such programs into one array for lp.solve_stack:
+the exposure LPs of all points of a set share one layout and are solved
+as one stack (expose_each).  The supporting LP of an exposure chain (the
+functional through a point with the most mass above it) is the same LP
+with the centroid as its one margin point, so no geometry LP has more
+than S + 1 rows or a variable bound other than >= 0.
 """
 
 from __future__ import annotations
@@ -257,32 +258,57 @@ def _separation_lp(points, zero_idx, floor_idx, margin_idx, box=1.0):
     if margin_idx.size == 0:
         raise ValueError("margin family must be nonempty")
     prog = _separation_program(points, zero_idx, floor_idx, margin_idx, box)
-    return _separation_answer(lp.solve(prog), points, margin_idx)
+    return separation_answer(lp.solve(prog), points[margin_idx])
 
 
 def _separation_program(points, zero_idx, floor_idx, margin_idx, box=1.0):
     """_separation_lp's dual program, over integer index arrays."""
-    S = points.shape[1]
-    n_sign = margin_idx.size + floor_idx.size
-    cols = points[np.concatenate([margin_idx, floor_idx, zero_idx])].T
-    n = cols.shape[1]
-    rows = np.hstack([cols, -np.eye(S), np.eye(S)])
-    weights = np.zeros(n + 2 * S)
-    weights[:margin_idx.size] = 1.0
-    cons = [(row, lp.EQ, 0.0) for row in rows] + [(weights, lp.EQ, 1.0)]
-    obj = np.zeros(n + 2 * S)
-    obj[n:] = box
-    bounds = np.tile([0.0, np.nan], (n + 2 * S, 1))
-    bounds[n_sign:n, 0] = np.nan
-    return lp.LinearProgram(obj, cons, bounds=bounds)
+    layout, rows, objectives = separation_stack(
+        points, np.concatenate([margin_idx, floor_idx])[None],
+        [margin_idx.size], points[zero_idx][None], box)
+    return layout.with_rows(rows[0], objectives[0])
 
 
-def _separation_answer(sol, points, margin_idx):
-    """(z, m) off a solved _separation_program."""
+def separation_stack(points, order, n_margin, zero, box=1.0):
+    """B of _separation_lp's dual programs, as the (layout, rows,
+    objectives) of one lp.solve_stack call.
+
+    Program k's point columns are points[order[k]], whose first
+    n_margin[k] are its margin points and the rest its floor points, then
+    its zero points zero[k] (an (n_zero, S) block), then the box columns
+    -I and +I.  rows has shape (B, S + 1, n + n_zero + 2S) with n =
+    order.shape[1]; it is a fresh array, so a caller may rescale columns
+    in place.  objectives is a broadcast view of the one objective the
+    programs share.
+    """
+    B, n = order.shape
+    n_zero, S = zero.shape[1:]
+    n_points = n + n_zero
+    width = n_points + 2 * S
+    rows = np.zeros((B, S + 1, width))
+    for s in range(S):
+        rows[:, s, :n] = points[order, s]
+    rows[:, :S, n:n_points] = zero.transpose(0, 2, 1)
+    rows[:, :S, n_points:n_points + S] = -np.eye(S)
+    rows[:, :S, n_points + S:] = np.eye(S)
+    rows[:, S, :n] = np.arange(n) < np.reshape(n_margin, (B, 1))
+    obj = np.zeros(width)
+    obj[n_points:] = box
+    bounds = np.tile([0.0, np.nan], (width, 1))
+    bounds[n:n_points, 0] = np.nan
+    rhs = np.zeros(S + 1)
+    rhs[S] = 1.0
+    layout = lp.LinearProgram(obj, [(np.zeros(width), lp.EQ, b)
+                                    for b in rhs], bounds=bounds)
+    return layout, rows, np.broadcast_to(obj, (B, width))
+
+
+def separation_answer(sol, margin_points):
+    """(z, m) off a solved separation dual with these margin points."""
     if sol.status != lp.OPTIMAL:  # pragma: no cover - feasible, bounded by 0
         raise RuntimeError(f"separation LP ended {sol.status}")
-    z = -sol.duals[:points.shape[1]]
-    return z, float((points[margin_idx] @ z).min())
+    z = -sol.duals[:margin_points.shape[1]]
+    return z, float((margin_points @ z).min())
 
 
 def max_margin_functional(zero_pts, floor_pts, margin_pts, *, box=1.0):
@@ -350,20 +376,23 @@ def expose_each(bset: FiniteBeliefSet) -> None:
     a single point solves nothing more.
 
     The programs differ only in which point is the zero column, so they
-    share one layout and go to lp.solve_all together; each answer is bit
-    for bit the one expose_set would solve for on its own.
+    share one layout and go to one lp.solve_stack call, their rows
+    written into one array (separation_stack); each answer is bit for bit
+    the one expose_set would solve for on its own.
     """
-    todo = [i for i in range(len(bset)) if ("expose", i) not in bset._memo]
-    if len(bset) == 1 or not todo:
+    m = len(bset)
+    todo = np.array([i for i in range(m) if ("expose", i) not in bset._memo],
+                    dtype=int)
+    if m == 1 or not todo.size:
         return
-    floor = np.zeros(0, dtype=int)
-    margins = [np.setdiff1d(np.arange(len(bset)), [i]) for i in todo]
-    sols = lp.solve_all(
-        [_separation_program(bset.points, np.array([i]), floor, margin)
-         for i, margin in zip(todo, margins)])
-    for i, margin, sol in zip(todo, margins, sols):
-        bset._remember(("expose", i), _separation_answer, sol, bset.points,
-                       margin)
+    # point i's margin points: every other point, in index order
+    others = np.arange(m - 1) + (np.arange(m - 1) >= todo[:, None])
+    sols = lp.solve_stack(*separation_stack(
+        bset.points, others, np.full(todo.size, m - 1),
+        bset.points[todo, None]))
+    for i, margin, sol in zip(todo.tolist(), others, sols):
+        bset._remember(("expose", i), separation_answer, sol,
+                       bset.points[margin])
 
 
 def face_of(bset: FiniteBeliefSet, z, face_tol: float = FACE_TOL) -> np.ndarray:

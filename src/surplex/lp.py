@@ -17,11 +17,15 @@ which guarantees termination.  Optimal solutions are vertex (basic)
 solutions of the canonical form; infeasible programs carry a Farkas
 certificate in the duals; unbounded programs carry a certifying ray.
 
-solve() takes one program.  solve_all() takes many programs that share
-relations, rhs, bounds and sense and differ in their rows and
-objectives; it pivots their tableaux together, one numpy operation per
-step for the whole stack, and returns for each program exactly what
-solve() returns for it.
+solve() takes one program.  solve_stack() takes many programs that
+share relations, rhs, bounds and sense and differ in their rows and
+objectives, as one layout program plus a (B, m, n) array of rows and a
+(B, n) array of objectives; it pivots their tableaux together, one numpy
+operation per step for the whole stack, and returns for each program
+exactly what solve() returns for it.  Callers write the stacked rows
+straight into one array, so no program object is built per stacked
+program.  solve_all() stacks a list of LinearProgram objects that share
+a layout and hands them to solve_stack().
 """
 
 from __future__ import annotations
@@ -117,6 +121,12 @@ class LinearProgram:
     @property
     def n_constraints(self) -> int:
         return self.codes.size
+
+    def with_rows(self, rows, objective) -> "LinearProgram":
+        """The program with this one's relations, rhs, bounds and sense,
+        and the given constraint rows and objective."""
+        return LinearProgram(objective, zip(rows, self.relations, self.rhs),
+                             bounds=self.bounds, sense=self.sense)
 
     @cached_property
     def relations(self) -> list[str]:
@@ -608,16 +618,8 @@ class _Stack:
 
 def solve_all(programs) -> list[LpSolution]:
     """Solve programs that differ only in their constraint rows and
-    objectives, in one lock-step two-phase simplex; returns one
-    LpSolution per program, bit for bit the one solve() returns.
-
-    The programs must share relations, rhs, bounds and sense, so the
-    canonical layout (split columns, bound rows, slacks, flips and
-    artificials) is worked out once and only the rows and objectives are
-    stacked.  The stack pivots every program at once, so many small
-    programs cost about as many numpy calls as the slowest of them alone;
-    one program is solved faster by solve().
-    """
+    objectives: solve_stack on their stacked rows and objectives, with
+    the first program as the layout."""
     programs = list(programs)
     if not programs:
         return []
@@ -632,10 +634,43 @@ def solve_all(programs) -> list[LpSolution]:
     if any(layout(prog) != layout(lead) for prog in programs):
         raise MalformedProgram("solve_all needs programs that share "
                                "relations, rhs, bounds and sense")
-    canon = _canonicalize(lead, np.stack([p.rows for p in programs]),
-                          np.stack([p.objective for p in programs]))
+    return solve_stack(lead, np.stack([p.rows for p in programs]),
+                       np.stack([p.objective for p in programs]))
+
+
+def solve_stack(layout: LinearProgram, rows, objectives) -> list[LpSolution]:
+    """Solve B programs in one lock-step two-phase simplex: program k has
+    layout's relations, rhs, bounds and sense, constraint rows rows[k]
+    and objective objectives[k].  rows is (B, m, n) and objectives is
+    (B, n), where layout has m constraints and n variables; either may be
+    a broadcast view.  layout's own rows and objective are not read.
+    Returns one LpSolution per program, bit for bit the one solve()
+    returns for it.
+
+    The canonical layout (split columns, bound rows, slacks, flips and
+    artificials) is worked out once and only the rows and objectives are
+    stacked.  The stack pivots every program at once, so many small
+    programs cost about as many numpy calls as the slowest of them alone;
+    one program is solved faster by solve().
+    """
+    if not isinstance(layout, LinearProgram):
+        raise MalformedProgram("expected a LinearProgram layout")
+    rows = np.asarray(rows, dtype=float)
+    objectives = np.asarray(objectives, dtype=float)
+    m, n = layout.n_constraints, layout.n_vars
+    B = rows.shape[0] if rows.ndim == 3 else -1
+    if rows.shape != (B, m, n) or objectives.shape != (B, n):
+        raise MalformedProgram(
+            f"rows {rows.shape} and objectives {objectives.shape} do not "
+            f"stack programs of {m} constraints and {n} variables")
+    if not (np.isfinite(rows).all() and np.isfinite(objectives).all()):
+        raise MalformedProgram("non-finite data")
+    if not B:
+        return []
+    canon = _canonicalize(layout, rows, objectives)
     if canon is None:
-        return [solve(prog) for prog in programs]
+        return [solve(layout.with_rows(r, c))
+                for r, c in zip(rows, objectives)]
     B, m, ncols = canon.A.shape
     has_art = canon.art_cols >= 0
     n_real = ncols - np.count_nonzero(has_art)
@@ -680,29 +715,30 @@ def solve_all(programs) -> list[LpSolution]:
     T, unbounded, entering = stack.T, stack.unbounded[at], stack.entering[at]
     iterations = stack.iterations[at].tolist()
     basic = np.where(stack.kept[at], stack.basis[at], ncols)
-    rows = np.arange(B)[:, None]
+    program = np.arange(B)[:, None]
 
     def split(y):
         return [np.ascontiguousarray(part)
-                for part in _split_duals(lead, canon, y)]
+                for part in _split_duals(layout, canon, y)]
 
     x_struct = np.zeros((B, ncols + 1))
-    x_struct[rows, basic] = T[at, :m, -1]
-    x = np.ascontiguousarray(_to_original(lead, canon, x_struct[:, :ncols]))
+    x_struct[program, basic] = T[at, :m, -1]
+    x = np.ascontiguousarray(
+        _to_original(layout, canon, x_struct[:, :ncols]))
     y_con, y_lo, y_up = split(_extract_duals(canon, T[at, m], costs2))
-    if lead.sense == "max":
+    if layout.sense == "max":
         y_con, y_lo, y_up = -y_con, -y_lo, -y_up
     if infeasible.any():
         f_con, f_lo, f_up = split(_extract_duals(canon, T[at, m], costs1))
     if unbounded.any():
         ray_struct = np.zeros((B, ncols + 1))
         ray_struct[np.arange(B), entering] = 1.0
-        ray_struct[rows, basic] = -T[at, :m, entering]
+        ray_struct[program, basic] = -T[at, :m, entering]
         rays = np.ascontiguousarray(
-            _to_original(lead, canon, ray_struct[:, :ncols]))
+            _to_original(layout, canon, ray_struct[:, :ncols]))
 
     out = []
-    for k, prog in enumerate(programs):
+    for k in range(B):
         if infeasible[k]:
             out.append(LpSolution(status=INFEASIBLE, duals=f_con[k],
                                   bound_duals=(f_lo[k], f_up[k]),
@@ -713,7 +749,7 @@ def solve_all(programs) -> list[LpSolution]:
         else:
             out.append(LpSolution(
                 status=OPTIMAL, primal=x[k], duals=y_con[k],
-                objective_value=float(prog.objective @ x[k]),
+                objective_value=float(objectives[k] @ x[k]),
                 bound_duals=(y_lo[k], y_up[k]), iterations=iterations[k]))
     return out
 

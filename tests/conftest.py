@@ -27,25 +27,28 @@ def _callers():
 @pytest.fixture
 def recorded_programs():
     """Every program the test solves, in order, as a list of Solve: one
-    per lp.solve call and one per program of an lp.solve_all call, each
-    with the stack of the call that solved it."""
+    per lp.solve call and one per program of an lp.solve_stack call
+    (lp.solve_all goes through it), each with the stack of the call that
+    solved it.  A stacked program is rebuilt here, as the LinearProgram
+    of its layout with its own rows and objective."""
     seen = []
-    solve, solve_all = lp.solve, lp.solve_all
+    solve, solve_stack = lp.solve, lp.solve_stack
 
     def record(prog):
         sol = solve(prog)
         seen.append(Solve(prog, sol, _callers()))
         return sol
 
-    def record_all(programs):
-        programs = list(programs)
-        sols = solve_all(programs)
+    def record_stack(layout, rows, objectives):
+        sols = solve_stack(layout, rows, objectives)
         callers = _callers()
-        seen.extend(Solve(prog, sol, callers)
-                    for prog, sol in zip(programs, sols))
+        seen.extend(Solve(layout.with_rows(program_rows, objective),
+                          sol, callers)
+                    for program_rows, objective, sol
+                    in zip(rows, objectives, sols))
         return sols
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lp, "solve", record)
-        patch.setattr(lp, "solve_all", record_all)
+        patch.setattr(lp, "solve_stack", record_stack)
         yield seen

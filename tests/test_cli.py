@@ -382,6 +382,7 @@ def test_task_order_leaves_task_blocks_unchanged(tmp_path, model):
     {"tolerances": {"margin_tol": float("nan")}},
     {"tolerances": {"mass_tol": -1.0}},
     {"tolerances": {"p_tol": True}},
+    {"tolerances": {"margin_tol": 10 ** 400}},
     {"grid": "x"},
     {"grid": 1},
     {"grid": 101.0},
@@ -474,12 +475,17 @@ def test_preset_builds_each_grid_and_belief_set_once(tmp_path, monkeypatch,
 
 def test_stacked_solves_write_the_bytes_of_single_solves(tmp_path,
                                                          monkeypatch):
-    """report.json and every CSV are byte-equal whether lp.solve_all
+    """report.json and every CSV are byte-equal whether lp.solve_stack
     stacks its programs or hands each to lp.solve: on the preset, the
-    duality curve at 65 and tables 0-3."""
+    preset at epsilon 0.02, the virtual and compress tasks on grid 201,
+    the duality curve at 65 and tables 0-3."""
     curve = counterexample_preset()
     curve.update(tasks=["duality"], duality_grid=65)
-    configs = {"preset": counterexample_preset(), "curve": curve}
+    fine = counterexample_preset()
+    fine.update(tasks=["virtual", "compress"], grid=201)
+    configs = {"preset": counterexample_preset(), "curve": curve,
+               "eps0.02": {**counterexample_preset(), "epsilon": 0.02},
+               "grid201": fine}
     for seed in range(4):
         table = random_table_config(["classify", "full", "duality"])
         table["model"]["seed"] = seed
@@ -492,8 +498,11 @@ def test_stacked_solves_write_the_bytes_of_single_solves(tmp_path,
                 for path in sorted(root.rglob("*")) if path.is_file()}
 
     stacked = outputs(tmp_path / "stacked")
-    monkeypatch.setattr(lp, "solve_all",
-                        lambda programs: [lp.solve(p) for p in programs])
+    monkeypatch.setattr(
+        lp, "solve_stack", lambda layout, rows, objectives: [
+            lp.solve(layout.with_rows(r, c))
+            for r, c in zip(rows, objectives)])
     single = outputs(tmp_path / "single")
-    assert len(stacked) == 6 + 3 + 2    # reports, preset and curve CSVs
+    # reports; preset, epsilon 0.02 and grid 201 CSVs; curve CSVs
+    assert len(stacked) == 8 + 3 * 3 + 2
     assert stacked == single

@@ -1,18 +1,26 @@
 """Classification, menu construction, and verification tests."""
 
+import dataclasses
+import math
+import signal
+import sys
+
 import numpy as np
 import pytest
 
-from surplex import lp
+from surplex import cli, lp
 from surplex.extraction import (
     DETECTABLE,
     EVENTUALLY_DETECTABLE,
     NOT_DETECTABLE,
+    SEPARATOR_CHUNK,
     STRONGLY_DETECTABLE,
     Contract,
     InputMenuFails,
     Menu,
     NotAllDetectable,
+    NotEventuallyDetectable,
+    UncoveredType,
     classify_type,
     compress_menu,
     full_extraction_lp,
@@ -313,6 +321,81 @@ def test_virtual_menu_detectable_only_arc():
     assert rep.passed
 
 
+def _separating():
+    """Whether _case1_terms is on the stack of the caller's caller."""
+    frame = sys._getframe(2)
+    while frame is not None and frame.f_code.co_name != "_case1_terms":
+        frame = frame.f_back
+    return frame is not None
+
+
+def test_preset_stacks_its_virtual_separators(recorded_programs,
+                                              monkeypatch):
+    """The preset's 99 off-face types are separated in
+    ceil(99 / SEPARATOR_CHUNK) lock-step calls and none through lp.solve;
+    recorded_programs sees each of the 99 programs."""
+    sizes, singles = [], []
+    solve, stack = lp.solve, lp.solve_stack
+
+    def count_solve(prog):
+        if _separating():
+            singles.append(prog)
+        return solve(prog)
+
+    def count_stack(layout, rows, objectives):
+        if _separating():
+            sizes.append(len(rows))
+        return stack(layout, rows, objectives)
+
+    monkeypatch.setattr(lp, "solve", count_solve)
+    monkeypatch.setattr(lp, "solve_stack", count_stack)
+    model = cli.build_model(cli.counterexample_preset()["model"])
+    virtual_extraction_menu(model, 0.05, 101)
+    assert len(sizes) == math.ceil(99 / SEPARATOR_CHUNK)
+    assert max(sizes) == SEPARATOR_CHUNK and sum(sizes) == 99
+    assert not singles
+    assert sum("_case1_terms" in rec.callers
+               for rec in recorded_programs) == 99
+
+
+def hook_beliefs(ts):
+    """A strictly convex arc from e1 through the e2 side to e3 for
+    t <= 1/2, then a straight segment from e3 halfway back to e1."""
+    u = np.clip(2.0 * ts, 0.0, 1.0)
+    s = np.clip(2.0 * ts - 1.0, 0.0, 1.0)
+    arc = np.column_stack([(1.0 - u) ** 2, 2.0 * u * (1.0 - u), u ** 2])
+    return arc + s[:, None] * np.array([0.5, 0.0, -0.5])
+
+
+def test_virtual_menu_names_an_interior_type():
+    """The middle type of a segment is a convex combination of the ends
+    and sits on no declared face: no functional separates it."""
+    segment = ParametricModel(
+        state_count=3,
+        belief_fn=lambda ts: np.column_stack([1.0 - ts, ts, 0.0 * ts]),
+        value_fn=lambda ts: ts, lipschitz_pi=2.0, lipschitz_v=1.0,
+        name="segment")
+    with pytest.raises(NotEventuallyDetectable, match=r"type t=0\.5 "):
+        virtual_extraction_menu(segment, 0.05, 3)
+
+
+@pytest.mark.parametrize("grid_n, first", [(21, "0.55"), (41, "0.525"),
+                                           (81, "0.5125")])
+def test_virtual_menu_names_the_first_failing_type(grid_n, first):
+    """Every type of the hook's straight part after t = 1/2 is a convex
+    combination of its neighbours, so many types fail; the first in grid
+    order is named, wherever the separation LPs of the others are solved.
+    (On grid 41, t = 0.55 fails too but t = 0.525 comes first.)"""
+    hook = ParametricModel(state_count=3, belief_fn=hook_beliefs,
+                           value_fn=lambda ts: 0.5 * ts, lipschitz_pi=8.0,
+                           lipschitz_v=0.5, name="hook")
+    arc = dataclasses.replace(hook, belief_fn=lambda ts: hook_beliefs(ts / 2))
+    assert len(virtual_extraction_menu(arc, 0.05, grid_n)[0]) == grid_n
+    with pytest.raises(NotEventuallyDetectable,
+                       match=rf"type t={first} "):
+        virtual_extraction_menu(hook, 0.05, grid_n)
+
+
 # ---------------------------------------------------------------------------
 # compression
 
@@ -334,6 +417,27 @@ def test_compress_single_type_menu():
     menu, _ = virtual_extraction_menu(flat, 0.01, 11)
     small = compress_menu(flat, menu, 0.01, 11)
     assert len(small) == 1
+
+
+def test_compress_names_a_type_no_ball_covers(curve):
+    """On a grid finer than the menu's, a type that no entry's cover ball
+    reaches is named; the cover loop once picked it again forever."""
+    menu, _ = virtual_extraction_menu(curve, 0.05, 101)
+
+    def stop(signum, frame):
+        raise TimeoutError("compress_menu did not return within 20 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(20)
+    try:
+        with pytest.raises(UncoveredType, match=r"t=0\.001 ") as err:
+            compress_menu(curve, menu, 0.05, 1001)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert err.value.t == 0.001
+    # on the menu's own grid every entry covers its own type
+    assert len(compress_menu(curve, menu, 0.05, 101)) == 101
 
 
 def test_compress_rejects_failing_menu(curve):

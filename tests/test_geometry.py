@@ -369,26 +369,31 @@ def test_separation_lp_matches_primal_oracle():
 
 
 def case1_family():
-    """The (zero, floor, margin) points _case1_terms hands to
-    max_margin_functional for the curve type t = 0.3: the 1,001-point
-    certification grid of a 101-point construction grid."""
+    """The (zero, floor, margin) points of the separation LP _case1_terms
+    solves for the curve type t = 0.3, read back off the rows it hands to
+    lp.solve_stack: the 1,001-point certification grid of a 101-point
+    construction grid."""
     model = counterexample_model(validate=False)
-    cert_ts = np.linspace(0.0, 1.0, 1001)
+    cert = sample(model, 1001)
     t, eps = 0.3, 0.05
-    near = np.abs(cert_ts - t) < eps / (2.0 * model.lipschitz_v)
     seen = []
+    solve_stack = lp.solve_stack
 
-    def spy(*args, **kwargs):
-        seen.append(args)
-        return max_margin_functional(*args, **kwargs)
+    def spy(layout, rows, objectives):
+        seen.append(np.array(rows))
+        return solve_stack(layout, rows, objectives)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(extraction, "max_margin_functional", spy)
+        patch.setattr(lp, "solve_stack", spy)
         extraction._case1_terms(
-            model.beliefs(t)[0], float(model.values(t)[0]),
-            model.beliefs(cert_ts), model.values(cert_ts), near, eps)
-    (family,) = seen
-    return family
+            model.beliefs(t), model.values(t), np.array([t]), cert,
+            eps / (2.0 * model.lipschitz_v), eps)
+    (rows,) = seen
+    # one program: point columns, then the zero point; the last row
+    # marks the margin columns
+    S, n = cert.state_count, cert.n_types
+    points, margin = rows[0, :S, :n + 1].T, rows[0, S, :n + 1] == 1.0
+    return points[n:], points[:n][~margin[:n]], points[margin]
 
 
 def test_case1_family_matches_highs():

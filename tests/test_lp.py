@@ -8,9 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surplex import models
+from surplex import cli, lp, models
 from surplex.duality import VseInstance, solve_primal
-from surplex.extraction import classify_type, full_extraction_lp
+from surplex.extraction import (
+    SEPARATOR_CHUNK,
+    classify_type,
+    full_extraction_lp,
+    virtual_extraction_menu,
+)
 from surplex.geometry import ChainStalled, expose_each, exposure_chain
 from surplex.lp import (
     BLAND_TRIGGER,
@@ -26,11 +31,13 @@ from surplex.lp import (
     LinearProgram,
     LpSolution,
     MalformedProgram,
+    _canonicalize,
     _extract_duals,
     _to_original,
     check_certificate,
     solve,
     solve_all,
+    solve_stack,
 )
 
 
@@ -719,6 +726,20 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _assert_same_solution(got, ref):
+    """Two LpSolutions equal down to the signs of zeros."""
+    assert got.status == ref.status
+    assert got.iterations == ref.iterations
+    assert _same_bits(got.objective_value, ref.objective_value)
+    for a, b in [(got.primal, ref.primal), (got.duals, ref.duals),
+                 (got.ray, ref.ray)]:
+        assert _same_bits(a, b)
+    assert (got.bound_duals is None) == (ref.bound_duals is None)
+    if ref.bound_duals is not None:
+        assert all(_same_bits(a, b) for a, b in
+                   zip(got.bound_duals, ref.bound_duals))
+
+
 def _assert_stack_bit_identical(programs, events=None):
     """solve_all(programs) equals reference_solve and solve program by
     program, bit for bit; returns the statuses.  events collects the
@@ -728,16 +749,7 @@ def _assert_stack_bit_identical(programs, events=None):
     statuses = []
     for prog, got in zip(programs, got_all):
         for ref in (reference_solve(prog, events), solve(prog)):
-            assert got.status == ref.status
-            assert got.iterations == ref.iterations
-            assert _same_bits(got.objective_value, ref.objective_value)
-            for a, b in [(got.primal, ref.primal), (got.duals, ref.duals),
-                         (got.ray, ref.ray)]:
-                assert _same_bits(a, b)
-            assert (got.bound_duals is None) == (ref.bound_duals is None)
-            if ref.bound_duals is not None:
-                assert all(_same_bits(a, b) for a, b in
-                           zip(got.bound_duals, ref.bound_duals))
+            _assert_same_solution(got, ref)
         statuses.append(got.status)
     return statuses
 
@@ -764,6 +776,87 @@ def test_solve_all_matches_reference_on_vse_blocks(recorded_programs):
         assert len(recorded_programs) == tab.n_types
         progs = [rec.program for rec in recorded_programs]
         assert set(_assert_stack_bit_identical(progs)) == {OPTIMAL}
+
+
+@pytest.fixture(scope="module")
+def virtual_separators():
+    """The preset's virtual separation LPs as _case1_terms stacks them:
+    (layout, rows, objectives) over all 99 off-face types, and each
+    program's reference_solve answer."""
+    model = cli.build_model(cli.counterexample_preset()["model"])
+    parts = []
+    stack = lp.solve_stack
+
+    def spy(layout, rows, objectives):
+        parts.append((layout, np.array(rows), np.array(objectives)))
+        return stack(layout, rows, objectives)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "solve_stack", spy)
+        virtual_extraction_menu(model, 0.05, 101)
+    layout = parts[0][0]
+    rows = np.concatenate([r for _, r, _ in parts])
+    objectives = np.concatenate([c for _, _, c in parts])
+    refs = [reference_solve(layout.with_rows(r, c))
+            for r, c in zip(rows, objectives)]
+    return layout, rows, objectives, refs
+
+
+@pytest.mark.parametrize("chunk, view, fallback", [
+    (1, False, False), (SEPARATOR_CHUNK, False, False), (40, False, False),
+    (SEPARATOR_CHUNK, True, False), (40, True, True)],
+    ids=["chunks of 1", "SEPARATOR_CHUNK", "chunks of 40", "broadcast",
+         "fallback"])
+def test_solve_stack_matches_reference_on_virtual_separators(
+        virtual_separators, monkeypatch, chunk, view, fallback):
+    """solve_stack gives each of the preset's 99 virtual separators the
+    reference answer bit for bit, whatever the chunks (99 = 8 x 12 + 3 =
+    2 x 40 + 19), with the shared objective as a broadcast view, and
+    through the per-program fallback of a stack without a shared
+    canonical layout."""
+    layout, rows, objectives, refs = virtual_separators
+    assert rows.shape == (99, 4, 1001 + 1 + 2 * 3)
+    assert len(set(layout.relations)) == 1 and layout.rhs.tolist() == [
+        0.0, 0.0, 0.0, 1.0]
+    if view:
+        assert (objectives == objectives[0]).all()
+        objectives = np.broadcast_to(objectives[0], objectives.shape)
+    stacked = []
+
+    def no_shared_layout(prog, rows=None, objective=None):
+        if rows is None:
+            return _canonicalize(prog)
+        stacked.append(len(rows))
+        return None
+
+    if fallback:
+        monkeypatch.setattr(lp, "_canonicalize", no_shared_layout)
+    got = []
+    for lo in range(0, len(rows), chunk):
+        part = slice(lo, lo + chunk)
+        got += solve_stack(layout, rows[part], objectives[part])
+    if fallback:
+        assert stacked == [40, 40, 19]
+    assert len(got) == len(refs)
+    for sol, ref in zip(got, refs):
+        _assert_same_solution(sol, ref)
+    assert {sol.status for sol in got} == {OPTIMAL}
+
+
+def test_solve_stack_checks_its_arrays():
+    layout = LinearProgram([1.0, 2.0], [([1.0, 1.0], GE, 1.0)])
+    rows, objectives = np.ones((3, 1, 2)), np.ones((3, 2))
+    assert len(solve_stack(layout, rows, objectives)) == 3
+    assert solve_stack(layout, rows[:0], objectives[:0]) == []
+    for bad_rows, bad_objectives in [
+            (np.ones((3, 2, 2)), objectives), (np.ones((3, 1, 3)), objectives),
+            (rows, np.ones((2, 2))), (rows[0], objectives[0]),
+            (np.full((3, 1, 2), np.nan), objectives),
+            (rows, np.full((3, 2), np.inf))]:
+        with pytest.raises(MalformedProgram):
+            solve_stack(layout, bad_rows, bad_objectives)
+    with pytest.raises(MalformedProgram):
+        solve_stack("not a program", rows, objectives)
 
 
 def shared_layout_stack(rng, size):
