@@ -120,6 +120,10 @@ def validate_config(config: dict) -> None:
             raise ConfigError("counterexample values preset: only 'linear'")
     elif kind == "random_polytope":
         _require_keys(model, {"kind", "seed", "types", "states"}, "model")
+        for key in ("types", "states"):
+            _integer(key, model.get(key), 1)
+        if "seed" in model:
+            _integer("seed", model["seed"], 0)
     else:
         raise ConfigError(f"unknown model kind {kind!r}")
     tasks = config.get("tasks")
@@ -170,9 +174,8 @@ def build_model(spec: dict, seed=None):
                                   "outside the simplex")
             return counterexample_model(eps_emb=float(eps), validate=False)
         if kind == "random_polytope":
-            use_seed = seed if seed is not None else int(spec.get("seed", 0))
-            return random_tabular(use_seed, int(spec["types"]),
-                                  int(spec["states"]))
+            use_seed = seed if seed is not None else spec.get("seed", 0)
+            return random_tabular(use_seed, spec["types"], spec["states"])
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"bad {kind} model: {err}") from err
     raise ConfigError(f"unknown model kind {kind!r}")

@@ -30,6 +30,11 @@ RANK_TOL = 1e-9        # singular value cutoff, relative to the largest
 PROB_TOL = 1e-12       # probability vector sum tolerance
 DISTINCT_TOL = 1e-10   # points closer than this count as duplicates
 WITNESS_TOL = 1e-8     # max residual of a convex-combination witness
+# expose_each solves at most this many points' exposure LPs in one stack:
+# each program has a column per point, so a whole set of n points would
+# take memory that grows as n^2.  A 101-point grid or a 40-type table is
+# still solved as one stack.
+EXPOSE_CHUNK = 128
 
 
 class EmptySet(ValueError):
@@ -376,23 +381,26 @@ def expose_each(bset: FiniteBeliefSet) -> None:
     a single point solves nothing more.
 
     The programs differ only in which point is the zero column, so they
-    share one layout and go to one lp.solve_stack call, their rows
-    written into one array (separation_stack); each answer is bit for bit
-    the one expose_set would solve for on its own.
+    share one layout and go to lp.solve_stack EXPOSE_CHUNK points at a
+    time, each chunk's rows written into one array (separation_stack);
+    each answer is bit for bit the one expose_set would solve for on its
+    own.
     """
     m = len(bset)
     todo = np.array([i for i in range(m) if ("expose", i) not in bset._memo],
                     dtype=int)
-    if m == 1 or not todo.size:
+    if m == 1:
         return
-    # point i's margin points: every other point, in index order
-    others = np.arange(m - 1) + (np.arange(m - 1) >= todo[:, None])
-    sols = lp.solve_stack(*separation_stack(
-        bset.points, others, np.full(todo.size, m - 1),
-        bset.points[todo, None]))
-    for i, margin, sol in zip(todo.tolist(), others, sols):
-        bset._remember(("expose", i), separation_answer, sol,
-                       bset.points[margin])
+    for lo in range(0, todo.size, EXPOSE_CHUNK):
+        part = todo[lo:lo + EXPOSE_CHUNK]
+        # point i's margin points: every other point, in index order
+        others = np.arange(m - 1) + (np.arange(m - 1) >= part[:, None])
+        sols = lp.solve_stack(*separation_stack(
+            bset.points, others, np.full(part.size, m - 1),
+            bset.points[part, None]))
+        for i, margin, sol in zip(part.tolist(), others, sols):
+            bset._remember(("expose", i), separation_answer, sol,
+                           bset.points[margin])
 
 
 def face_of(bset: FiniteBeliefSet, z, face_tol: float = FACE_TOL) -> np.ndarray:

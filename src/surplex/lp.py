@@ -24,8 +24,8 @@ objectives, as one layout program plus a (B, m, n) array of rows and a
 operation per step for the whole stack, and returns for each program
 exactly what solve() returns for it.  Callers write the stacked rows
 straight into one array, so no program object is built per stacked
-program.  solve_all() stacks a list of LinearProgram objects that share
-a layout and hands them to solve_stack().
+program.  Both run one two-phase driver: solve() is solve_stack() on a
+stack of one program.
 """
 
 from __future__ import annotations
@@ -209,7 +209,7 @@ def _canonicalize(lp: LinearProgram, rows=None, objective=None):
     """Rows: the constraints, then the bound rows, for each variable its
     lower-bound row (lo finite and nonzero) before its upper-bound row.
     The canonical system is written straight into the simplex work matrix
-    T (see _Tableau), and A is a view of it, so A changes as T pivots.
+    T (see _Stack), and A is a view of it, so A changes as T pivots.
 
     rows (B, m, n) and objective (B, n) stack B programs that share lp's
     relations, rhs, bounds and sense; T, A, b, c and scale then carry a
@@ -284,96 +284,12 @@ def _canonicalize(lp: LinearProgram, rows=None, objective=None):
 
 # ---------------------------------------------------------------------------
 # simplex core
-
-class _Tableau:
-    """Work matrix T: the m constraint rows, then the objective row; the
-    last column holds the right-hand sides (the negated objective value
-    in the objective row).  basis[i] is row i's basic column."""
-
-    def __init__(self, T, basis):
-        self.T = T
-        self.basis = basis
-        self.iterations = 0
-
-    def pivot(self, r, q):
-        T = self.T
-        T[r] /= T[r, q]
-        factors = T[:, q].copy()
-        factors[r] = 0.0
-        T -= factors[:, None] * T[r]        # the outer product, row by row
-        self.basis[r] = q
-
-    def run(self, costs, allowed):
-        """Minimize costs over the current canonical system.
-
-        Returns ("optimal", obj_row) or ("unbounded", entering_col).
-        obj_row is the final reduced-cost row (with the negated objective
-        value in the rhs slot).
-        """
-        T, basis = self.T, self.basis
-        m = T.shape[0] - 1
-        obj = T[m]
-        obj[:-1] = costs
-        obj[-1] = 0.0
-        for i, bv in enumerate(basis):
-            if obj[bv] != 0.0:
-                obj -= obj[bv] * T[i]
-        red = obj[:-1]
-        rhs = T[:m, -1]
-
-        cscale = 1.0 + float(np.max(np.abs(costs))) if costs.size else 1.0
-        red_tol = FEAS_TOL * cscale
-        bland = False
-        degenerate_streak = 0
-
-        # columns may enter when allowed and not parked; a parked column
-        # (near-noise reduced cost, no positive entry) waits for a pivot
-        eligible = allowed.copy()
-        parked = False
-        ratios = np.empty(m)
-        while True:
-            self.iterations += 1
-            if self.iterations > MAX_ITERATIONS:
-                raise RuntimeError("simplex iteration limit exceeded")
-            if bland:
-                improving = eligible & (red < -red_tol)
-                q = int(improving.argmax())
-                if not improving[q]:
-                    return "optimal", obj
-            else:
-                masked = np.where(eligible, red, np.inf)
-                q = int(masked.argmin())
-                if not masked[q] < -red_tol:
-                    return "optimal", obj
-
-            col = T[:m, q]
-            ratios.fill(np.inf)
-            np.divide(rhs, col, out=ratios, where=col > PIVOT_TOL)
-            best = float(ratios.min(initial=np.inf))
-            if best == np.inf:
-                # no positive entry: trust an unbounded verdict only on a
-                # clearly improving column; near-noise reduced costs are
-                # parked instead
-                if red[q] < -1e4 * red_tol:
-                    return "unbounded", q
-                eligible[q] = False
-                parked = True
-                continue
-            if parked:
-                eligible = allowed.copy()
-                parked = False
-            near = (ratios <= best + 1e-12 * (1.0 + abs(best))).nonzero()[0]
-            # Bland-style tie break: lowest basis variable index leaves
-            r = int(near[0] if near.size == 1 else near[basis[near].argmin()])
-
-            if best <= 1e-12:
-                degenerate_streak += 1
-                if degenerate_streak > BLAND_TRIGGER:
-                    bland = True
-            else:
-                degenerate_streak = 0
-            self.pivot(r, q)
-
+#
+# One driver solves every program; solve() hands it a stack of one.  Slot k
+# of a stack holds the work matrix T[k]: the m constraint rows, then the
+# objective row; the last column holds the right-hand sides (the negated
+# objective value in the objective row).  basis[k, i] is row i's basic
+# column.
 
 def _extract_duals(canon, obj_row, costs):
     """Per-canonical-row multipliers y = cost(id column) - reduced cost."""
@@ -383,11 +299,12 @@ def _extract_duals(canon, obj_row, costs):
 
 def _split_duals(lp, canon, y):
     """Split assembled-row multipliers into constraint and bound parts."""
-    y_bound = y[..., lp.n_constraints:]
     y_lo = np.zeros(y.shape[:-1] + (lp.n_vars,))
     y_up = np.zeros(y.shape[:-1] + (lp.n_vars,))
-    y_lo[..., canon.bound_var[~canon.bound_up]] = y_bound[..., ~canon.bound_up]
-    y_up[..., canon.bound_var[canon.bound_up]] = y_bound[..., canon.bound_up]
+    if canon.bound_var.size:
+        y_bound, up = y[..., lp.n_constraints:], canon.bound_up
+        y_lo[..., canon.bound_var[~up]] = y_bound[..., ~up]
+        y_up[..., canon.bound_var[up]] = y_bound[..., up]
     return y[..., :lp.n_constraints], y_lo, y_up
 
 
@@ -401,76 +318,11 @@ def solve(lp: LinearProgram) -> LpSolution:
     """Classify and solve an LP; see LpSolution for certificate layout."""
     if not isinstance(lp, LinearProgram):
         raise MalformedProgram("expected a LinearProgram")
-    canon = _canonicalize(lp)
-    m, ncols = canon.A.shape
-    has_art = canon.art_cols >= 0
-    n_real = ncols - np.count_nonzero(has_art)
-    tab = _Tableau(canon.T,
-                   np.where(has_art, canon.art_cols, canon.slack_cols))
+    return _solve_stack(lp, lp.rows[None], lp.objective[None])[0]
 
-    # Phase 1: drive artificials to zero.
-    is_art = np.zeros(ncols, dtype=bool)
-    is_art[canon.art_cols[has_art]] = True
-    costs1 = is_art.astype(float)
-    allowed = ~is_art
-    if is_art.any():
-        status, obj_row = tab.run(costs1, np.ones(ncols, dtype=bool))
-        if status != "optimal":  # pragma: no cover - phase 1 is bounded below
-            raise RuntimeError("phase 1 cannot be unbounded")
-        phase1_value = -obj_row[-1]
-        if phase1_value > FEAS_TOL * (1.0 + float(np.abs(canon.b).sum())):
-            y = _extract_duals(canon, obj_row, costs1)
-            y_con, y_lo, y_up = _split_duals(lp, canon, y)
-            return LpSolution(status=INFEASIBLE, duals=y_con,
-                              bound_duals=(y_lo, y_up),
-                              iterations=tab.iterations)
-        # pivot leftover artificials out of the basis; drop redundant rows
-        keep = np.ones(m + 1, dtype=bool)
-        for i in np.flatnonzero(is_art[tab.basis]):
-            row = tab.T[i, :n_real]
-            j = int(np.argmax(np.abs(row)))
-            if abs(row[j]) > PIVOT_TOL:
-                tab.pivot(i, j)
-            else:
-                keep[i] = False
-        if not keep.all():
-            tab.T = tab.T[keep]
-            tab.basis = tab.basis[keep[:m]]
-
-    # Phase 2
-    costs2 = np.zeros(ncols)
-    costs2[:canon.n_struct] = canon.c
-    status, result = tab.run(costs2, allowed)
-    basic = tab.T[:-1]
-    x_struct = np.zeros(ncols)
-    x_struct[tab.basis] = basic[:, -1]
-    x = _to_original(lp, canon, x_struct)
-    if status == "unbounded":
-        q = result
-        ray_struct = np.zeros(ncols)
-        ray_struct[q] = 1.0
-        ray_struct[tab.basis] = -basic[:, q]
-        return LpSolution(status=UNBOUNDED, primal=x,
-                          ray=_to_original(lp, canon, ray_struct),
-                          iterations=tab.iterations)
-
-    # Every row, dropped redundant ones included, reads its multiplier off
-    # its own identity column: a dropped row's basic artificial may belong
-    # to another constraint, and it stays basic at cost 0 in phase 2.
-    y_con, y_lo, y_up = _split_duals(lp, canon,
-                                     _extract_duals(canon, result, costs2))
-    if lp.sense == "max":
-        y_con, y_lo, y_up = -y_con, -y_lo, -y_up
-    return LpSolution(status=OPTIMAL, primal=x, duals=y_con,
-                      objective_value=float(lp.objective @ x),
-                      bound_duals=(y_lo, y_up), iterations=tab.iterations)
-
-
-# ---------------------------------------------------------------------------
-# lock-step solves of same-layout programs
 
 def _pivot_stack(T, basis, r, q, work):
-    """Pivot each tableau T[k] on (r[k], q[k]): _Tableau.pivot's
+    """Pivot each tableau T[k] on (r[k], q[k]): the one-slot pivot's
     arithmetic for every k at once.  work is scratch of T's shape."""
     k = np.arange(T.shape[0])
     prow = T[k, r]
@@ -484,24 +336,24 @@ def _pivot_stack(T, basis, r, q, work):
 
 
 class _Stack:
-    """_Tableau work matrices of B programs with one layout, pivoted in
-    lock step.
+    """The work matrices of B programs with one layout.
 
     Slot k holds program ids[k].  run() works on the slots [0, live) and
     swaps each program that finishes behind the ones still running, so
     the running slots stay a prefix of T and every pivot is one in-place
     update of it.  A redundant row that phase 1 drops stays in T with
     kept False: it never enters the ratio test, the objective-row setup
-    or the primal, which is what dropping it does in solve().
+    or the primal.
     """
 
     def __init__(self, T, basis):
         B, m = T.shape[0], T.shape[1] - 1
         self.T = T
-        self.work = np.empty_like(T)
         self.basis = np.tile(basis, (B, 1))
         self.kept = np.ones((B, m), dtype=bool)
         self.ids = np.arange(B)
+        self.moved = False      # ids[k] == k until a partition moves a slot
+        self.work = None        # lock-step pivot scratch of T's shape
         self.iterations = np.zeros(B, dtype=int)
         self.unbounded = np.zeros(B, dtype=bool)
         self.entering = np.zeros(B, dtype=int)
@@ -513,6 +365,7 @@ class _Stack:
         n = int(np.count_nonzero(first))
         leave = np.flatnonzero(~first[:n])
         if leave.size:
+            self.moved = True
             enter = n + np.flatnonzero(first[n:])
             dst = np.concatenate([leave, enter])
             src = np.concatenate([enter, leave])
@@ -528,15 +381,24 @@ class _Stack:
         _pivot_stack(sub, basis, r, q, np.empty_like(sub))
         self.T[slots], self.basis[slots] = sub, basis
 
-    def run(self, costs, allowed, live):
-        """_Tableau.run on each of the slots [0, live): costs is (live,
-        ncols) in slot order, allowed is shared.  Every rule is applied per
-        slot and per iteration as _Tableau.run applies it, so each program
-        takes the same steps and gets the same bits.  On return, per slot,
-        unbounded says how it ended and entering holds the unbounded
-        column."""
+    def run(self, costs, n_enter, live):
+        """Minimize over the current canonical system of each of the slots
+        [0, live) the costs of its program: costs is (B, ncols) in program
+        order, and only the columns [0, n_enter) may enter the basis.  On
+        return, per slot, unbounded says how it ended and entering holds
+        the unbounded column.
+
+        One live slot runs the simplex rules on its tableau with plain
+        slices (_run_one).  More apply the same rules per slot and per
+        iteration in lock step, so each program takes the same steps and
+        gets the same bits as on its own."""
+        if live == 1:
+            self._run_one(costs[self.ids[0]], n_enter)
+            return
+        costs = costs[self.ids[:live]]
         T, basis, kept = self.T, self.basis, self.kept
         m, ncols = T.shape[1] - 1, T.shape[2] - 1
+        allowed = np.arange(ncols) < n_enter
         obj = T[:live, m]
         obj[:, :-1] = costs
         obj[:, -1] = 0.0
@@ -554,6 +416,9 @@ class _Stack:
         parked = np.zeros(live, dtype=bool)
         bland = np.zeros(live, dtype=bool)
         streak = np.zeros(live, dtype=int)
+        if self.work is None:
+            self.work = np.empty_like(T)
+        work = self.work
         self.unbounded[:live] = False
         dropped = not kept[:live].all()
         k = live
@@ -613,29 +478,85 @@ class _Stack:
                 n_move = self.partition(moving[:k], state)
             if n_move:
                 _pivot_stack(T[:n_move], basis[:n_move], r[:n_move],
-                             q[:n_move], self.work[:n_move])
+                             q[:n_move], work[:n_move])
 
+    def _run_one(self, costs, n_enter):
+        """run() on slot 0 alone.
 
-def solve_all(programs) -> list[LpSolution]:
-    """Solve programs that differ only in their constraint rows and
-    objectives: solve_stack on their stacked rows and objectives, with
-    the first program as the layout."""
-    programs = list(programs)
-    if not programs:
-        return []
+        Entering column: the most negative eligible reduced cost, lowest
+        index first; after a streak of BLAND_TRIGGER degenerate pivots,
+        the lowest improving index (Bland).  Leaving row: the lowest
+        basic column among the kept rows that tie in the ratio test.  A
+        column without a positive entry is unbounded when its reduced
+        cost clearly improves; otherwise it is parked (near noise) and
+        may not enter until the next pivot."""
+        T, basis, kept = self.T[0], self.basis[0], self.kept[0]
+        m = T.shape[0] - 1
+        obj = T[m]
+        obj[:-1] = costs
+        obj[-1] = 0.0
+        # a dropped row's basic artificial costs 0 in phase 2: it is skipped
+        for i, bv in enumerate(basis.tolist()):
+            if obj[bv] != 0.0:
+                obj -= obj[bv] * T[i]
+        red = obj[:-1]
+        rhs = T[:m, -1]
 
-    def layout(prog):
-        if not isinstance(prog, LinearProgram):
-            raise MalformedProgram("expected a LinearProgram")
-        return (prog.sense, prog.n_vars) + tuple(
-            a.tobytes() for a in (prog.codes, prog.rhs, prog.lo, prog.up))
+        red_tol = FEAS_TOL * (1.0 + float(np.max(np.abs(costs))))
+        bland = False
+        degenerate_streak = 0
+        dropped = not kept.all()
+        iterations = int(self.iterations[0])
+        eligible = None             # set while a column is parked
+        ratios = np.empty(m)
+        while True:
+            iterations += 1
+            if iterations > MAX_ITERATIONS:
+                raise RuntimeError("simplex iteration limit exceeded")
+            masked = (red[:n_enter] if eligible is None
+                      else np.where(eligible, red, np.inf))
+            if bland:
+                improving = masked < -red_tol
+                q = int(improving.argmax())
+                if not improving[q]:
+                    break
+            else:
+                q = int(masked.argmin())
+                if not masked[q] < -red_tol:
+                    break
 
-    lead = programs[0]
-    if any(layout(prog) != layout(lead) for prog in programs):
-        raise MalformedProgram("solve_all needs programs that share "
-                               "relations, rhs, bounds and sense")
-    return solve_stack(lead, np.stack([p.rows for p in programs]),
-                       np.stack([p.objective for p in programs]))
+            col = T[:m, q]
+            pos = col > PIVOT_TOL
+            if dropped:
+                pos &= kept
+            ratios.fill(np.inf)
+            np.divide(rhs, col, out=ratios, where=pos)
+            best = float(ratios.min(initial=np.inf))
+            if best == np.inf:
+                if red[q] < -1e4 * red_tol:
+                    self.unbounded[0] = True
+                    self.entering[0] = q
+                    break
+                if eligible is None:
+                    eligible = np.arange(red.size) < n_enter
+                eligible[q] = False
+                continue
+            eligible = None
+            near = (ratios <= best + 1e-12 * (1.0 + abs(best))).nonzero()[0]
+            r = int(near[0] if near.size == 1 else near[basis[near].argmin()])
+
+            if best <= 1e-12:
+                degenerate_streak += 1
+                if degenerate_streak > BLAND_TRIGGER:
+                    bland = True
+            else:
+                degenerate_streak = 0
+            T[r] /= T[r, q]
+            factors = T[:, q].copy()
+            factors[r] = 0.0
+            T -= factors[:, None] * T[r]        # the outer product, row by row
+            basis[r] = q
+        self.iterations[0] = iterations
 
 
 def solve_stack(layout: LinearProgram, rows, objectives) -> list[LpSolution]:
@@ -650,8 +571,7 @@ def solve_stack(layout: LinearProgram, rows, objectives) -> list[LpSolution]:
     The canonical layout (split columns, bound rows, slacks, flips and
     artificials) is worked out once and only the rows and objectives are
     stacked.  The stack pivots every program at once, so many small
-    programs cost about as many numpy calls as the slowest of them alone;
-    one program is solved faster by solve().
+    programs cost about as many numpy calls as the slowest of them alone.
     """
     if not isinstance(layout, LinearProgram):
         raise MalformedProgram("expected a LinearProgram layout")
@@ -667,54 +587,61 @@ def solve_stack(layout: LinearProgram, rows, objectives) -> list[LpSolution]:
         raise MalformedProgram("non-finite data")
     if not B:
         return []
+    return _solve_stack(layout, rows, objectives)
+
+
+def _solve_stack(layout, rows, objectives):
+    """The two-phase simplex on checked arrays; see solve_stack."""
     canon = _canonicalize(layout, rows, objectives)
     if canon is None:
-        return [solve(layout.with_rows(r, c))
-                for r, c in zip(rows, objectives)]
+        # no shared row flips: each program alone, and a stack of one
+        # always has a shared layout
+        return [sol for k in range(len(rows))
+                for sol in _solve_stack(layout, rows[k:k + 1],
+                                        objectives[k:k + 1])]
     B, m, ncols = canon.A.shape
     has_art = canon.art_cols >= 0
+    # the artificial columns come last: [n_real, ncols)
     n_real = ncols - np.count_nonzero(has_art)
     stack = _Stack(canon.T,
                    np.where(has_art, canon.art_cols, canon.slack_cols))
-
-    is_art = np.zeros(ncols, dtype=bool)
-    is_art[canon.art_cols[has_art]] = True
-    costs1 = is_art.astype(float)
+    costs1 = np.zeros((B, ncols))
+    costs1[:, n_real:] = 1.0
     costs2 = np.zeros((B, ncols))
     costs2[:, :canon.n_struct] = canon.c
     infeasible = np.zeros(B, dtype=bool)
     live = B
-    if is_art.any():
-        stack.run(np.broadcast_to(costs1, (B, ncols)),
-                  np.ones(ncols, dtype=bool), B)
+    if n_real < ncols:
+        # Phase 1: drive artificials to zero.
+        stack.run(costs1, ncols, B)
         if stack.unbounded.any():  # pragma: no cover - bounded below
             raise RuntimeError("phase 1 cannot be unbounded")
         ids = stack.ids
         phase1_value = -stack.T[:, m, -1]
-        limit = FEAS_TOL * (1.0 + np.abs(canon.b).sum(axis=1))[ids]
-        infeasible[ids] = phase1_value > limit
+        limit = FEAS_TOL * (1.0 + np.abs(canon.b).sum(axis=1))
+        infeasible[ids] = phase1_value > limit[ids]
         live = stack.partition(~infeasible[ids])
         # pivot leftover artificials out of the basis; drop redundant rows
-        arts = is_art[stack.basis[:live]]
+        arts = stack.basis[:live] >= n_real
         T = stack.T
         for i in np.flatnonzero(arts.any(axis=0)):
             slots = np.flatnonzero(arts[:, i])
-            row = T[slots, i, :n_real]
-            j = np.abs(row).argmax(axis=1)
-            fine = np.abs(row[np.arange(slots.size), j]) > PIVOT_TOL
-            stack.kept[slots[~fine], i] = False
+            size = np.abs(T[slots, i, :n_real])
+            j = size.argmax(axis=1)
+            fine = size[np.arange(slots.size), j] > PIVOT_TOL
+            stack.kept[slots, i] = fine
             if fine.any():
                 stack.pivot_slots(slots[fine], i, j[fine])
     if live:
-        stack.run(costs2[stack.ids[:live]], ~is_art, live)
+        # Phase 2: artificials may not re-enter
+        stack.run(costs2, n_real, live)
 
     # read every program's answer off its slot, in program order; rows of
-    # C-ordered arrays, so that each program's vectors are contiguous as
-    # solve()'s are, and numpy reduces them the same way
-    at = np.argsort(stack.ids)
-    T, unbounded, entering = stack.T, stack.unbounded[at], stack.entering[at]
-    iterations = stack.iterations[at].tolist()
-    basic = np.where(stack.kept[at], stack.basis[at], ncols)
+    # C-ordered arrays, so that each program's vectors are contiguous, and
+    # numpy reduces them the same way whatever the stack
+    at = np.argsort(stack.ids) if stack.moved else slice(None)
+    T, unbounded = stack.T, stack.unbounded[at]
+    basic = np.where(stack.kept, stack.basis, ncols)[at]
     program = np.arange(B)[:, None]
 
     def split(y):
@@ -725,32 +652,37 @@ def solve_stack(layout: LinearProgram, rows, objectives) -> list[LpSolution]:
     x_struct[program, basic] = T[at, :m, -1]
     x = np.ascontiguousarray(
         _to_original(layout, canon, x_struct[:, :ncols]))
+    # Every row, dropped redundant ones included, reads its multiplier off
+    # its own identity column: a dropped row's basic artificial may belong
+    # to another constraint, and it stays basic at cost 0 in phase 2.
     y_con, y_lo, y_up = split(_extract_duals(canon, T[at, m], costs2))
     if layout.sense == "max":
         y_con, y_lo, y_up = -y_con, -y_lo, -y_up
-    if infeasible.any():
+    if live < B:
         f_con, f_lo, f_up = split(_extract_duals(canon, T[at, m], costs1))
     if unbounded.any():
+        slot = np.arange(B)[at]
+        entering = stack.entering[slot]
         ray_struct = np.zeros((B, ncols + 1))
         ray_struct[np.arange(B), entering] = 1.0
-        ray_struct[program, basic] = -T[at, :m, entering]
+        ray_struct[program, basic] = -T[slot, :m, entering]
         rays = np.ascontiguousarray(
             _to_original(layout, canon, ray_struct[:, :ncols]))
 
     out = []
-    for k in range(B):
+    for k, iterations in enumerate(stack.iterations[at].tolist()):
         if infeasible[k]:
             out.append(LpSolution(status=INFEASIBLE, duals=f_con[k],
                                   bound_duals=(f_lo[k], f_up[k]),
-                                  iterations=iterations[k]))
+                                  iterations=iterations))
         elif unbounded[k]:
             out.append(LpSolution(status=UNBOUNDED, primal=x[k],
-                                  ray=rays[k], iterations=iterations[k]))
+                                  ray=rays[k], iterations=iterations))
         else:
             out.append(LpSolution(
                 status=OPTIMAL, primal=x[k], duals=y_con[k],
                 objective_value=float(objectives[k] @ x[k]),
-                bound_duals=(y_lo[k], y_up[k]), iterations=iterations[k]))
+                bound_duals=(y_lo[k], y_up[k]), iterations=iterations))
     return out
 
 

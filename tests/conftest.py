@@ -27,10 +27,10 @@ def _callers():
 @pytest.fixture
 def recorded_programs():
     """Every program the test solves, in order, as a list of Solve: one
-    per lp.solve call and one per program of an lp.solve_stack call
-    (lp.solve_all goes through it), each with the stack of the call that
-    solved it.  A stacked program is rebuilt here, as the LinearProgram
-    of its layout with its own rows and objective."""
+    per lp.solve call and one per program of an lp.solve_stack call,
+    each with the stack of the call that solved it.  A stacked program
+    is rebuilt here, as the LinearProgram of its layout with its own rows
+    and objective."""
     seen = []
     solve, solve_stack = lp.solve, lp.solve_stack
 

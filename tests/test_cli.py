@@ -404,6 +404,17 @@ def test_task_order_leaves_task_blocks_unchanged(tmp_path, model):
      "tasks": ["classify"]},
     {"model": {"kind": "random_polytope", "types": 4},
      "tasks": ["classify"]},
+    {"model": {"kind": "random_polytope", "types": 0, "states": 6},
+     "tasks": ["classify"]},
+    {"model": {"kind": "random_polytope", "types": 2.7, "states": 6},
+     "tasks": ["classify"]},
+    {"model": {"kind": "random_polytope", "types": True, "states": 6},
+     "tasks": ["classify"]},
+    {"model": {"kind": "random_polytope", "types": "5", "states": 6},
+     "tasks": ["classify"]},
+    {"model": {"kind": "random_polytope", "seed": 1.9, "types": 5,
+               "states": 6},
+     "tasks": ["classify"]},
 ], ids=repr)
 def test_malformed_numbers_are_config_errors(tmp_path, capsys, change):
     config = {**counterexample_preset(), **change}

@@ -36,7 +36,6 @@ from surplex.lp import (
     _to_original,
     check_certificate,
     solve,
-    solve_all,
     solve_stack,
 )
 
@@ -609,8 +608,8 @@ def reference_solve(lp, events=None):
                       bound_duals=(y_lo, y_up), iterations=tab.iterations)
 
 
-def _assert_bit_identical(prog):
-    got, ref = solve(prog), reference_solve(prog)
+def _assert_bit_identical(prog, events=None):
+    got, ref = solve(prog), reference_solve(prog, events)
     assert got.status == ref.status
     assert got.iterations == ref.iterations
     assert got.objective_value == ref.objective_value
@@ -629,6 +628,25 @@ def test_solve_matches_reference_on_random_programs():
     rng = np.random.default_rng(77)
     statuses = {_assert_bit_identical(random_lp(rng)) for _ in range(150)}
     assert statuses == {OPTIMAL, INFEASIBLE}
+
+    # the first row twice more as an equality: phase 1 drops one copy,
+    # which solve masks in place and reference_solve slices out, and
+    # phase 2 pivots past it (it takes more steps than the same program
+    # with a zero objective, whose phase 2 stops at once)
+    dropped_then_pivoted = 0
+    for _ in range(60):
+        prog = random_lp(rng)
+        cons = list(zip(prog.rows, prog.relations, prog.rhs))
+        cons += [(prog.rows[0], EQ, prog.rhs[0])] * 2
+        twice = LinearProgram(prog.objective, cons, bounds=prog.bounds,
+                              sense=prog.sense)
+        events = set()
+        if _assert_bit_identical(twice, events) != OPTIMAL:
+            continue
+        flat = LinearProgram(np.zeros(prog.n_vars), cons, bounds=prog.bounds)
+        phase2_pivots = solve(twice).iterations - solve(flat).iterations
+        dropped_then_pivoted += "dropped" in events and phase2_pivots > 0
+    assert dropped_then_pivoted >= 10
 
 
 def test_solve_matches_reference_without_rows():
@@ -716,7 +734,7 @@ def test_malformed_bounds_rejected(bounds):
 
 
 # ---------------------------------------------------------------------------
-# solve_all: one lock-step simplex over a stack of same-layout programs
+# solve_stack: one lock-step simplex over a stack of same-layout programs
 
 def _same_bits(a, b):
     """Equal values, or both None, down to the signs of zeros."""
@@ -741,10 +759,12 @@ def _assert_same_solution(got, ref):
 
 
 def _assert_stack_bit_identical(programs, events=None):
-    """solve_all(programs) equals reference_solve and solve program by
-    program, bit for bit; returns the statuses.  events collects the
-    reference solves' events."""
-    got_all = solve_all(programs)
+    """solve_stack on the stacked rows and objectives of programs, which
+    share a layout, equals reference_solve and solve program by program,
+    bit for bit; returns the statuses.  events collects the reference
+    solves' events."""
+    got_all = solve_stack(programs[0], np.stack([p.rows for p in programs]),
+                          np.stack([p.objective for p in programs]))
     assert len(got_all) == len(programs)
     statuses = []
     for prog, got in zip(programs, got_all):
@@ -755,7 +775,9 @@ def _assert_stack_bit_identical(programs, events=None):
 
 
 def test_solve_all_matches_reference_on_exposure_stacks(recorded_programs):
-    tables = [models.sample(models.counterexample_model(), 101)]
+    # 201 points: two chunks of expose_each's stacks
+    tables = [models.sample(models.counterexample_model(), n)
+              for n in (101, 201)]
     tables += [models.random_tabular(seed, 40, 6) for seed in range(4)]
     for tab in tables:
         recorded_programs.clear()
@@ -823,9 +845,9 @@ def test_solve_stack_matches_reference_on_virtual_separators(
         objectives = np.broadcast_to(objectives[0], objectives.shape)
     stacked = []
 
-    def no_shared_layout(prog, rows=None, objective=None):
-        if rows is None:
-            return _canonicalize(prog)
+    def no_shared_layout(prog, rows, objective):
+        if len(rows) == 1:
+            return _canonicalize(prog, rows, objective)
         stacked.append(len(rows))
         return None
 
@@ -963,22 +985,6 @@ def degenerate_stacks(draw):
 @given(degenerate_stacks())
 def test_solve_all_matches_reference_on_degenerate_stacks(programs):
     _assert_stack_bit_identical(programs)
-
-
-def test_solve_all_needs_one_layout():
-    assert solve_all([]) == []
-    base = LinearProgram([1.0, 2.0], [([1.0, 1.0], GE, 1.0)])
-    for other in [LinearProgram([1.0, 2.0], [([1.0, 1.0], LE, 1.0)]),
-                  LinearProgram([1.0, 2.0], [([1.0, 1.0], GE, 2.0)]),
-                  LinearProgram([1.0, 2.0], [([1.0, 1.0], GE, 1.0)],
-                                bounds=[(0.0, 1.0), (0.0, None)]),
-                  LinearProgram([1.0, 2.0], [([1.0, 1.0], GE, 1.0)],
-                                sense="max"),
-                  LinearProgram([1.0], [([1.0], GE, 1.0)])]:
-        with pytest.raises(MalformedProgram):
-            solve_all([base, other])
-    with pytest.raises(MalformedProgram):
-        solve_all([base, "not a program"])
 
 
 def test_solve_all_solves_alone_when_row_flips_differ():
