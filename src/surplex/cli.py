@@ -11,6 +11,20 @@ assertion is named in the report), 2 the config is invalid.
 
 Reports are byte-deterministic: keys are sorted, floats use shortest
 round-trip repr, and no timestamps or machine state are recorded.
+
+report.json is the text `json.dumps(tree, sort_keys=True, indent=2)`
+gives, plus a final newline, written in one pass over the report by
+_report_text:
+- dict keys go through str() and are then sorted;
+- the indent is 2 spaces, items are separated by "," and a newline plus
+  the indent, keys by ": "; empty containers are {} and [];
+- strings go through json.encoder.encode_basestring_ascii;
+- finite floats, np.floating included, are float.__repr__ (-0.0 stays
+  -0.0); non-finite ones are the quoted repr: "nan", "inf", "-inf";
+- bool and np.bool_ are true and false (tested before int); int and
+  np.integer are the int repr; None is null;
+- tuples are lists, arrays are their tolist(); any other type, a 0-d
+  array included, raises TypeError.
 """
 
 from __future__ import annotations
@@ -20,6 +34,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -344,24 +359,67 @@ def emit_figures(model, results, out_dir: Path, config) -> list[str]:
     return written
 
 
-def _jsonable(obj):
-    """Strictly JSON-safe tree: numpy types unwrapped, non-finite as text."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
+def _report_text(obj) -> str:
+    """obj as report.json text; the module docstring states the format."""
+    out: list[str] = []
+    _write_json(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(obj, newline: str, out: list) -> None:
+    """Append obj's JSON text to out; newline is a line break followed by
+    the indent of obj's own line."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(int.__repr__(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
         x = float(obj)
-        if not np.isfinite(x):
-            return repr(x)
-        return x
-    return obj
+        out.append(float.__repr__(x) if math.isfinite(x)
+                   else f'"{float.__repr__(x)}"')
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        items = {str(k): v for k, v in obj.items()}
+        sep = "{" + inner
+        for key in sorted(items):
+            out.append(sep + _quote(key) + ": ")
+            _write_json(items[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        if isinstance(obj, np.ndarray):
+            if obj.ndim == 0:
+                raise TypeError("a 0-d array has no report.json form")
+            finite_floats = (obj.ndim == 1 and obj.dtype.kind == "f"
+                             and np.isfinite(obj).all())
+            obj = obj.tolist()
+        else:
+            finite_floats = (set(map(type, obj)) == {float}
+                             and all(map(math.isfinite, obj)))
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if finite_floats:
+            out.append("[" + inner + ("," + inner).join(
+                map(float.__repr__, obj)) + newline + "]")
+            return
+        sep = "[" + inner
+        for v in obj:
+            out.append(sep)
+            _write_json(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"{type(obj).__name__} has no report.json form")
 
 
 # ---------------------------------------------------------------------------
@@ -407,13 +465,12 @@ def run_scenario(config: dict, out_dir: Path, *, jobs: int = 1,
         (out_dir / name).unlink(missing_ok=True)
     report["passed"] = not report["failures"]
 
-    text = json.dumps(_jsonable(report), sort_keys=True, indent=2,
-                      allow_nan=False)
+    text = _report_text(report)
     # a fresh file, not a truncated one: truncating an existing file
     # makes some filesystems flush it on close
     path = out_dir / "report.json"
     path.unlink(missing_ok=True)
-    path.write_text(text + "\n")
+    path.write_text(text)
     return report
 
 

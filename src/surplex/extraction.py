@@ -236,7 +236,8 @@ class ExtractionReport:
 
     def to_jsonable(self) -> dict:
         def clean(a):
-            return [None if np.isnan(v) else float(v) for v in a]
+            return [None if nan else v
+                    for v, nan in zip(a.tolist(), np.isnan(a).tolist())]
         return {
             "mode": list(self.mode), "types": list(self.labels),
             "own_surplus": clean(self.own),

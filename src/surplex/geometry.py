@@ -354,6 +354,12 @@ def expose_set(bset: FiniteBeliefSet, subset, *, margin_indices=None,
         raise ValueError("subset must be nonempty")
     for j in subset:
         bset.check_index(j)
+    remembered = margin_indices is None and subset.size == 1
+    if remembered and len(bset) > 1:
+        # a remembered answer needs no complement
+        answer = bset._memo.get(("expose", int(subset[0])))
+        if answer is not None:
+            return None if answer[1] <= margin_tol else answer
     complement = np.setdiff1d(np.arange(len(bset)), subset)
     if complement.size == 0:
         raise ValueError("subset must be proper")
@@ -365,7 +371,7 @@ def expose_set(bset: FiniteBeliefSet, subset, *, margin_indices=None,
                                 dtype=int)
         floor_idx = np.setdiff1d(complement, margin_idx)
     args = (bset.points, subset, floor_idx, margin_idx)
-    if margin_indices is None and subset.size == 1:
+    if remembered:
         z, margin = bset._remember(("expose", int(subset[0])),
                                    _separation_lp, *args)
     else:

@@ -648,16 +648,18 @@ def _solve_stack(layout, rows, objectives):
         return [np.ascontiguousarray(part)
                 for part in _split_duals(layout, canon, y)]
 
-    x_struct = np.zeros((B, ncols + 1))
-    x_struct[program, basic] = T[at, :m, -1]
-    x = np.ascontiguousarray(
-        _to_original(layout, canon, x_struct[:, :ncols]))
-    # Every row, dropped redundant ones included, reads its multiplier off
-    # its own identity column: a dropped row's basic artificial may belong
-    # to another constraint, and it stays basic at cost 0 in phase 2.
-    y_con, y_lo, y_up = split(_extract_duals(canon, T[at, m], costs2))
-    if layout.sense == "max":
-        y_con, y_lo, y_up = -y_con, -y_lo, -y_up
+    if live:    # else every program is infeasible: no optimal side
+        x_struct = np.zeros((B, ncols + 1))
+        x_struct[program, basic] = T[at, :m, -1]
+        x = np.ascontiguousarray(
+            _to_original(layout, canon, x_struct[:, :ncols]))
+        # Every row, dropped redundant ones included, reads its multiplier
+        # off its own identity column: a dropped row's basic artificial
+        # may belong to another constraint, and it stays basic at cost 0
+        # in phase 2.
+        y_con, y_lo, y_up = split(_extract_duals(canon, T[at, m], costs2))
+        if layout.sense == "max":
+            y_con, y_lo, y_up = -y_con, -y_lo, -y_up
     if live < B:
         f_con, f_lo, f_up = split(_extract_duals(canon, T[at, m], costs1))
     if unbounded.any():

@@ -2,9 +2,13 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from surplex import cli, lp
 from surplex.cli import (
@@ -19,6 +23,33 @@ from surplex.cli import (
 from surplex.extraction import classify_type
 from surplex.models import counterexample_model, grid, random_tabular, sample
 from surplex.figures import convex_hull_2d
+
+
+def ref_jsonable(obj):
+    """Strictly JSON-safe tree: numpy types unwrapped, non-finite as text."""
+    if isinstance(obj, dict):
+        return {str(k): ref_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [ref_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [ref_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if not np.isfinite(x):
+            return repr(x)
+        return x
+    return obj
+
+
+def ref_report_text(tree) -> str:
+    """report.json as the stdlib encoder writes it: the format that
+    cli._report_text reproduces byte for byte."""
+    return json.dumps(ref_jsonable(tree), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -489,7 +520,8 @@ def test_stacked_solves_write_the_bytes_of_single_solves(tmp_path,
     """report.json and every CSV are byte-equal whether lp.solve_stack
     stacks its programs or hands each to lp.solve: on the preset, the
     preset at epsilon 0.02, the virtual and compress tasks on grid 201,
-    the duality curve at 65 and tables 0-3."""
+    the duality curve at 65 and tables 0-3.  Each report.json is also the
+    stdlib encoder's text of the report run_scenario returns."""
     curve = counterexample_preset()
     curve.update(tasks=["duality"], duality_grid=65)
     fine = counterexample_preset()
@@ -504,7 +536,9 @@ def test_stacked_solves_write_the_bytes_of_single_solves(tmp_path,
 
     def outputs(root):
         for name, config in configs.items():
-            run_scenario(config, root / name)
+            report = run_scenario(config, root / name)
+            text = (root / name / "report.json").read_text()
+            assert text == ref_report_text(report), name
         return {str(path.relative_to(root)): path.read_bytes()
                 for path in sorted(root.rglob("*")) if path.is_file()}
 
@@ -517,3 +551,49 @@ def test_stacked_solves_write_the_bytes_of_single_solves(tmp_path,
     # reports; preset, epsilon 0.02 and grid 201 CSVs; curve CSVs
     assert len(stacked) == 8 + 3 * 3 + 2
     assert stacked == single
+
+
+SPECIAL_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 1e300)
+
+
+def json_trees():
+    floats = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+    arrays = hnp.arrays(
+        st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
+        hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4),
+        elements=None) | hnp.arrays(
+        np.float64, st.integers(0, 5), elements=floats)
+    leaves = (st.none() | st.booleans() | st.integers() | floats
+              | st.text()
+              | st.sampled_from(["", "\u00e9\u4e2d", "\x00\n\t\"\\"])
+              | st.booleans().map(np.bool_)
+              | st.integers(-2**63, 2**63 - 1).map(np.int64)
+              | floats.map(np.float64) | arrays
+              | st.lists(st.none() | floats)
+              | st.lists(st.floats(allow_nan=False, allow_infinity=False)))
+    return st.recursive(
+        leaves,
+        lambda children: (st.lists(children)
+                          | st.lists(children).map(tuple)
+                          | st.dictionaries(st.text() | st.integers(),
+                                            children)),
+        max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_trees())
+@example({"b": [], "a": {}, 3: (-0.0, np.float64(-0.0)),
+          "c": np.zeros((0, 2)), "d": [None, math.nan, 1.5],
+          "e": np.array([-0.0, math.inf]), "f": {"g": {}}})
+def test_report_text_matches_the_stdlib_encoder(tree):
+    assert cli._report_text(tree) == ref_report_text(tree)
+
+
+@pytest.mark.parametrize("bad", [
+    object(), 1j, {1, 2}, b"bytes", np.array(1.5), np.array(0.0),
+    np.array([1j]), {"a": [1.0, object()]}, [np.complex128(1)]])
+def test_report_text_rejects_unsupported_objects(bad):
+    with pytest.raises(TypeError):
+        ref_report_text(bad)
+    with pytest.raises(TypeError):
+        cli._report_text(bad)

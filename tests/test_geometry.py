@@ -473,6 +473,33 @@ def test_memoized_answers_are_read_only():
     assert is_extreme(bset, 3)[1] is witness
 
 
+def test_remembered_exposure_skips_the_complement(monkeypatch):
+    """A remembered singleton answer is returned, or cut by margin_tol,
+    without building the complement; bad indices and one-point sets
+    still raise as before."""
+    pts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                    [1 / 3, 1 / 3, 1 / 3]])
+    bset = FiniteBeliefSet(["e1", "e2", "e3", "c"], pts)
+    z, margin = expose_set(bset, [0], margin_tol=-np.inf)
+    assert margin > 0
+
+    def no_complement(*args):
+        raise AssertionError("complement built on a remembered answer")
+
+    monkeypatch.setattr(np, "setdiff1d", no_complement)
+    hit = expose_set(bset, [0])
+    assert hit[0] is z and hit[1] == margin
+    assert expose_set(bset, [0], margin_tol=margin) is None
+    assert expose_set(bset, [0], margin_tol=np.nextafter(margin, 0))[0] is z
+    with pytest.raises(IndexOutOfRange):
+        expose_set(bset, [4])
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="proper"):
+        expose_set(FiniteBeliefSet(["p"], pts[:1]), [0])
+    with pytest.raises(ValueError, match="nonempty"):
+        expose_set(bset, [])
+
+
 def test_memo_under_concurrent_callers():
     """Threads asking one belief set for the same points get the answers
     of a serial run on a fresh set, whichever thread stores first."""
