@@ -41,7 +41,11 @@ import numpy as np
 
 from surplex import duality, lp
 from surplex.extraction import (
+    BudgetInfeasible,
+    InputMenuFails,
     NotAllDetectable,
+    NotEventuallyDetectable,
+    UncoveredType,
     classify_type,
     compress_menu,
     full_extraction_lp,
@@ -148,9 +152,11 @@ def validate_config(config: dict) -> None:
         if t not in TASKS:
             raise ConfigError(f"unknown task {t!r}")
     if ("virtual" in tasks or "compress" in tasks):
-        if not (isinstance(config.get("epsilon"), (int, float))
-                and config["epsilon"] > 0):
-            raise ConfigError("epsilon must be positive for virtual/compress")
+        eps = config.get("epsilon")
+        if (isinstance(eps, bool) or not isinstance(eps, (int, float))
+                or not 0 < eps <= sys.float_info.max):
+            raise ConfigError("epsilon must be a finite number > 0 for "
+                              f"virtual/compress, got {eps!r}")
     if "compress" in tasks and "virtual" not in tasks:
         raise ConfigError("compress requires the virtual task")
     for key in ("grid", "duality_grid"):
@@ -212,6 +218,12 @@ def _map_jobs(fn, items, jobs: int):
 # ---------------------------------------------------------------------------
 # tasks
 
+def _failed(err: Exception) -> dict:
+    """A task ended by a construction error, named in the report."""
+    return {"passed": False, "error": type(err).__name__,
+            "message": str(err)}
+
+
 def task_classify(model, config, tols, jobs) -> dict:
     margin_tol = tols.get("margin_tol", MARGIN_TOL)
     grid_n = config.get("grid", 201)
@@ -271,7 +283,11 @@ def task_virtual(model, config, results) -> dict:
     eps = float(config["epsilon"])
     grid_n = config.get("grid", 201)
     mult = config.get("verify_multiplier", 10)
-    menu, logs = virtual_extraction_menu(model, eps, grid_n)
+    try:
+        menu, logs = virtual_extraction_menu(model, eps, grid_n)
+    except (BudgetInfeasible, NotEventuallyDetectable) as err:
+        results["virtual_menu"] = None      # the task ran and built none
+        return _failed(err)
     rep = verify_menu(model, menu, mult * (grid_n - 1) + 1, ("virtual", eps))
     results["virtual_menu"] = menu
     results["virtual_report"] = rep
@@ -283,10 +299,16 @@ def task_virtual(model, config, results) -> dict:
 def task_compress(model, config, results) -> dict:
     eps = float(config["epsilon"])
     grid_n = config.get("grid", 201)
-    menu = results.get("virtual_menu")
-    if menu is None:
+    if "virtual_menu" not in results:
         raise MissingResults("compress needs the virtual menu")
-    small = compress_menu(model, menu, eps, grid_n)
+    menu = results["virtual_menu"]
+    if menu is None:
+        return {"passed": False, "error": "NoVirtualMenu",
+                "message": "the virtual task built no menu"}
+    try:
+        small = compress_menu(model, menu, eps, grid_n)
+    except (InputMenuFails, UncoveredType) as err:
+        return _failed(err)
     rep = verify_menu(model, small, grid_n, ("virtual", 2 * eps))
     best = rep.best
     ok = bool((best >= 0.0).all() and (best <= 2 * eps).all())
@@ -436,6 +458,11 @@ def run_scenario(config: dict, out_dir: Path, *, jobs: int = 1,
 
     model = build_model(config["model"], seed=seed)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # gone before any task runs, so that a crash leaves no earlier run's
+    # report; it is written below as a fresh file, not a truncated one:
+    # truncating an existing file makes some filesystems flush it on close
+    path = out_dir / "report.json"
+    path.unlink(missing_ok=True)
 
     report: dict = {"version": CONFIG_VERSION, "config": config,
                     "seed": seed, "tasks": {}, "failures": []}
@@ -465,12 +492,7 @@ def run_scenario(config: dict, out_dir: Path, *, jobs: int = 1,
         (out_dir / name).unlink(missing_ok=True)
     report["passed"] = not report["failures"]
 
-    text = _report_text(report)
-    # a fresh file, not a truncated one: truncating an existing file
-    # makes some filesystems flush it on close
-    path = out_dir / "report.json"
-    path.unlink(missing_ok=True)
-    path.write_text(text)
+    path.write_text(_report_text(report))
     return report
 
 

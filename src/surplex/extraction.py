@@ -534,9 +534,11 @@ def _case1_chunk(pi, v, ts, cert, delta, eps):
 
 def _case1_answer(sol, pi_t, far_beliefs, gains, weights):
     """One type's (alpha, z, wmargin, raw_margin) off its solved separation
-    LP, or the exception that ends its construction."""
+    LP, or the exception that ends its construction.  A type with no far
+    type gets (0.0, None, 0.0, 0.0), the flat contract: every type lies
+    within delta of it, so their surplus stays below eps."""
     if not len(far_beliefs):
-        return ValueError("margin family must be nonempty")
+        return 0.0, None, 0.0, 0.0
     z, wmargin = separation_answer(sol, far_beliefs / weights[:, None])
     if wmargin <= 0.0:
         return BudgetInfeasible(
@@ -554,9 +556,9 @@ def virtual_extraction_menu(model: ParametricModel, eps: float,
                             grid_n: int = 201):
     """Menu leaving at most eps surplus, built on the construction grid.
 
-    Detectable types get the one-shot scaled-separator contract; their
-    separation LPs are solved up front, in lock-step chunks
-    (_case1_terms).  Types on declared faces walk their exposure chain
+    Detectable types get the one-shot scaled-separator contract, or a
+    flat one when no type lies delta-far; their separation LPs are solved
+    up front, in lock-step chunks (_case1_terms).  Types on declared faces walk their exposure chain
     from the innermost face outward, spending eps/n of the budget per
     stage.  Types are then finished in grid order, so the first type
     that fails raises, whichever chunk it was solved in.  All "for all
@@ -601,8 +603,9 @@ def virtual_extraction_menu(model: ParametricModel, eps: float,
                         f"type {tab.labels[i]} is a convex combination of "
                         "others and sits on no declared face") from answer
                 raise answer
-            alpha, z, wmargin, raw = answer
-            contract = _finish_contract(pi_t, v_t, [(alpha, z)])
+            alpha, z, _, raw = answer
+            contract = _finish_contract(pi_t, v_t,
+                                        [] if z is None else [(alpha, z)])
             log = ConstructionLog(label=tab.labels[i], case="detectable",
                                   alphas=[alpha], margins=[raw],
                                   deltas=[delta], provenance="grid")

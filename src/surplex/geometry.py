@@ -198,18 +198,18 @@ class ExposureChain:
     def subsets(self) -> list[np.ndarray]:
         return [self.initial_members] + [s[0] for s in self.stages]
 
-    def functionals(self) -> list[np.ndarray]:
-        return [s[1] for s in self.stages]
-
 
 def affine_dimension(bset: FiniteBeliefSet) -> int:
     """Dimension of the affine hull, via SVD rank of the difference space."""
-    pts = bset.points
-    if len(bset) == 1:
+    return _affine_rank(bset.points)
+
+
+def _affine_rank(points) -> int:
+    """affine_dimension of the rows of a nonempty (points, states) array."""
+    if len(points) == 1:
         return 0
-    diffs = pts[1:] - pts[0]
-    svals = np.linalg.svd(diffs, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
+    svals = np.linalg.svd(points[1:] - points[0], compute_uv=False)
+    if svals[0] == 0.0:
         return 0
     return int(np.sum(svals > RANK_TOL * svals[0]))
 
@@ -244,13 +244,13 @@ def _hull_membership_lp(bset, i):
     return False, mu
 
 
-def _separation_lp(points, zero_idx, floor_idx, margin_idx, box=1.0):
+def _separation_lp(points, zero_idx, floor_idx, margin_idx):
     """max m  s.t. p.z = 0 on zero_idx, p.z >= 0 on floor_idx,
-    p.z >= m on margin_idx, |z|_inf <= box.  Returns (z, m).
+    p.z >= m on margin_idx, |z|_inf <= 1.  Returns (z, m).
 
     Solved as its LP dual, with one column per point and S + 1 rows:
 
-        min box sum_s (a_s + b_s)
+        min sum_s (a_s + b_s)
         s.t. sum_k w_k p_k + sum_l f_l p_l + sum_j u_j p_j - a + b = 0
              sum_k w_k = 1,        w, f, a, b >= 0, u free,
 
@@ -262,19 +262,14 @@ def _separation_lp(points, zero_idx, floor_idx, margin_idx, box=1.0):
                                        (zero_idx, floor_idx, margin_idx))
     if margin_idx.size == 0:
         raise ValueError("margin family must be nonempty")
-    prog = _separation_program(points, zero_idx, floor_idx, margin_idx, box)
-    return separation_answer(lp.solve(prog), points[margin_idx])
-
-
-def _separation_program(points, zero_idx, floor_idx, margin_idx, box=1.0):
-    """_separation_lp's dual program, over integer index arrays."""
     layout, rows, objectives = separation_stack(
         points, np.concatenate([margin_idx, floor_idx])[None],
-        [margin_idx.size], points[zero_idx][None], box)
-    return layout.with_rows(rows[0], objectives[0])
+        [margin_idx.size], points[zero_idx][None])
+    sol = lp.solve(layout.with_rows(rows[0], objectives[0]))
+    return separation_answer(sol, points[margin_idx])
 
 
-def separation_stack(points, order, n_margin, zero, box=1.0):
+def separation_stack(points, order, n_margin, zero):
     """B of _separation_lp's dual programs, as the (layout, rows,
     objectives) of one lp.solve_stack call.
 
@@ -298,7 +293,7 @@ def separation_stack(points, order, n_margin, zero, box=1.0):
     rows[:, :S, n_points + S:] = np.eye(S)
     rows[:, S, :n] = np.arange(n) < np.reshape(n_margin, (B, 1))
     obj = np.zeros(width)
-    obj[n_points:] = box
+    obj[n_points:] = 1.0
     bounds = np.tile([0.0, np.nan], (width, 1))
     bounds[n:n_points, 0] = np.nan
     rhs = np.zeros(S + 1)
@@ -316,25 +311,7 @@ def separation_answer(sol, margin_points):
     return z, float((margin_points @ z).min())
 
 
-def max_margin_functional(zero_pts, floor_pts, margin_pts, *, box=1.0):
-    """max m s.t. z = 0 on zero_pts, >= 0 on floor_pts, >= m on
-    margin_pts, |z|_inf <= box.  Returns (z, m), with m exact on the
-    whole margin family.
-
-    The separation LP has one column per point and S + 1 rows, so large
-    certification families are solved whole.
-    """
-    zero_pts = np.atleast_2d(np.asarray(zero_pts, dtype=float))
-    S = zero_pts.shape[1]
-    floor_pts = np.asarray(floor_pts, dtype=float).reshape(-1, S)
-    margin_pts = np.asarray(margin_pts, dtype=float).reshape(-1, S)
-    nz, nf = zero_pts.shape[0], floor_pts.shape[0]
-    return _separation_lp(np.vstack([zero_pts, floor_pts, margin_pts]),
-                          np.arange(nz), nz + np.arange(nf),
-                          nz + nf + np.arange(margin_pts.shape[0]), box=box)
-
-
-def expose_set(bset: FiniteBeliefSet, subset, *, margin_indices=None,
+def expose_set(bset: FiniteBeliefSet, subset, *,
                margin_tol: float = MARGIN_TOL):
     """Best functional vanishing on `subset` and positive elsewhere.
 
@@ -342,19 +319,17 @@ def expose_set(bset: FiniteBeliefSet, subset, *, margin_indices=None,
     |z|_inf <= 1, and returns (z, m) if the margin clears margin_tol, else
     None.  Zero level on the subset is without loss for probability
     vectors: adding a constant to z shifts every inner product equally.
-    When margin_indices is given, only those points carry the margin
-    constraint; the rest of the complement is held at >= 0.
 
-    A singleton subset without margin_indices is solved once per point of
-    bset: the raw (z, m) is remembered before the margin_tol test, so any
-    tolerance reads the same LP, and the returned z is read-only.
+    A singleton subset is solved once per point of bset: the raw (z, m)
+    is remembered before the margin_tol test, so any tolerance reads the
+    same LP, and the returned z is read-only.
     """
     subset = np.asarray(sorted(set(int(j) for j in subset)), dtype=int)
     if subset.size == 0:
         raise ValueError("subset must be nonempty")
     for j in subset:
         bset.check_index(j)
-    remembered = margin_indices is None and subset.size == 1
+    remembered = subset.size == 1
     if remembered and len(bset) > 1:
         # a remembered answer needs no complement
         answer = bset._memo.get(("expose", int(subset[0])))
@@ -363,14 +338,7 @@ def expose_set(bset: FiniteBeliefSet, subset, *, margin_indices=None,
     complement = np.setdiff1d(np.arange(len(bset)), subset)
     if complement.size == 0:
         raise ValueError("subset must be proper")
-    if margin_indices is None:
-        margin_idx = complement
-        floor_idx = np.zeros(0, dtype=int)
-    else:
-        margin_idx = np.asarray(sorted(set(int(k) for k in margin_indices)),
-                                dtype=int)
-        floor_idx = np.setdiff1d(complement, margin_idx)
-    args = (bset.points, subset, floor_idx, margin_idx)
+    args = (bset.points, subset, (), complement)
     if remembered:
         z, margin = bset._remember(("expose", int(subset[0])),
                                    _separation_lp, *args)
@@ -423,12 +391,6 @@ def face_of(bset: FiniteBeliefSet, z, face_tol: float = FACE_TOL) -> np.ndarray:
     return np.flatnonzero(np.abs(vals) <= face_tol)
 
 
-def _restrict(bset, indices):
-    return FiniteBeliefSet([bset.labels[k] for k in indices],
-                           bset.points[indices],
-                           allow_duplicates=bset.allow_duplicates)
-
-
 def exposure_chain(bset: FiniteBeliefSet, i: int, declared_faces=(),
                    *, margin_tol: float = MARGIN_TOL) -> ExposureChain:
     """Nested faces that eventually expose p_i.
@@ -457,12 +419,12 @@ def exposure_chain(bset: FiniteBeliefSet, i: int, declared_faces=(),
     used_declared = False
 
     for _ in range(len(bset) + bset.n_states + 2):
-        sub = _restrict(bset, current)
+        pts = bset.points[current]
         pos_i = int(np.flatnonzero(current == i)[0])
 
         cut = None
         for z in declared:
-            vals = sub.points @ z
+            vals = pts @ z
             if vals.min() < -FACE_TOL:
                 continue
             members = np.flatnonzero(np.abs(vals) <= FACE_TOL)
@@ -472,9 +434,9 @@ def exposure_chain(bset: FiniteBeliefSet, i: int, declared_faces=(),
                 break
 
         if cut is None:
-            n = len(sub)
+            n = len(pts)
             others = np.setdiff1d(np.arange(n), [pos_i])
-            z, margin = _separation_lp(sub.points, [pos_i], [], others)
+            z, margin = _separation_lp(pts, [pos_i], [], others)
             if margin > margin_tol:
                 stages.append((np.array([i]), z))
                 margins.append(margin)
@@ -482,16 +444,16 @@ def exposure_chain(bset: FiniteBeliefSet, i: int, declared_faces=(),
                     target=i, initial_members=np.arange(len(bset)),
                     stages=stages, margins=margins,
                     provenance="declared" if used_declared else "discovered")
-            centroid = sub.points.mean(axis=0)
-            z, _ = _separation_lp(np.vstack([sub.points, centroid]),
+            centroid = pts.mean(axis=0)
+            z, _ = _separation_lp(np.vstack([pts, centroid]),
                                   [pos_i], others, [n])
-            members = np.flatnonzero(np.abs(sub.points @ z) <= FACE_TOL)
+            members = np.flatnonzero(np.abs(pts @ z) <= FACE_TOL)
             if members.size >= current.size or pos_i not in members:
                 raise ChainStalled(
                     f"no face of {current.size} members separates anything "
                     f"around {bset.labels[i]}")
             # refine to the max-margin functional that exposes this face
-            zref, mref = _separation_lp(sub.points, members, [],
+            zref, mref = _separation_lp(pts, members, [],
                                         np.setdiff1d(np.arange(n), members))
             if mref <= margin_tol:
                 raise ChainStalled(
@@ -500,12 +462,11 @@ def exposure_chain(bset: FiniteBeliefSet, i: int, declared_faces=(),
 
         members, z, margin = cut
         face_global = current[members]
-        if affine_dimension(_restrict(bset, face_global)) >= \
-                affine_dimension(sub):
+        if _affine_rank(bset.points[face_global]) >= _affine_rank(pts):
             raise ChainStalled("stage did not reduce affine dimension")
         stages.append((face_global, z))
         margins.append(margin if margin is not None
-                       else float((sub.points @ z).max()))
+                       else float((pts @ z).max()))
         current = face_global
 
     raise ChainStalled("chain exceeded the dimension bound")  # pragma: no cover

@@ -114,6 +114,62 @@ def test_designed_failure_exit_one(tmp_path, capsys):
     assert report["tasks"]["full"]["lp_status"] == "infeasible"
 
 
+def test_construction_error_is_a_failed_task(tmp_path, capsys):
+    # on a 2-point grid the chain of t = 0 cannot separate its far set
+    out = tmp_path / "out"
+    config = {"version": 1, "model": {"kind": "counterexample"},
+              "tasks": ["virtual", "compress"], "epsilon": 0.05, "grid": 2}
+    path = write_config(tmp_path, config)
+    assert main(["analyze", str(path), "--out", str(out)]) == 1
+    assert "virtual: BudgetInfeasible" in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    virtual, compress = report["tasks"]["virtual"], report["tasks"]["compress"]
+    assert virtual["error"] == "BudgetInfeasible" and virtual["message"]
+    assert compress["error"] == "NoVirtualMenu"
+    assert report["failures"] == ["virtual: BudgetInfeasible",
+                                  "compress: NoVirtualMenu"]
+    assert not (out / "surplus.csv").exists()
+
+
+def test_compress_before_virtual_is_a_config_error(tmp_path):
+    config = {"version": 1, "model": {"kind": "counterexample"},
+              "tasks": ["compress", "virtual"], "epsilon": 0.05, "grid": 11}
+    path = write_config(tmp_path, config)
+    assert main(["analyze", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_crash_leaves_no_earlier_report(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    config = {"version": 1, "model": {"kind": "counterexample"},
+              "tasks": ["classify", "duality"], "grid": 9, "duality_grid": 9}
+    run_scenario(config, out)
+    assert (out / "report.json").exists()
+
+    def crash(*args):
+        raise RuntimeError("task crashed")
+
+    monkeypatch.setattr(cli, "task_duality", crash)
+    with pytest.raises(RuntimeError, match="task crashed"):
+        run_scenario(config, out)
+    assert not (out / "report.json").exists()
+
+
+def test_epsilon_above_the_value_range_gives_flat_contracts(tmp_path):
+    # with epsilon 1.5 every type of the middle of the curve is within
+    # delta of every other, so it has no far set and pays its value flat
+    out = tmp_path / "out"
+    config = {"version": 1, "model": {"kind": "counterexample"},
+              "tasks": ["virtual", "compress"], "epsilon": 1.5, "grid": 11}
+    path = write_config(tmp_path, config)
+    assert main(["analyze", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    flat = [log for log in report["tasks"]["virtual"]["construction"]
+            if log["case"] == "detectable" and log["alphas"] == [0.0]]
+    assert len(flat) >= 5
+    assert all(log["margins"] == [0.0] for log in flat[:5])
+
+
 def test_empty_tasks_config_error(tmp_path):
     config = {"version": 1, "model": {"kind": "counterexample"}, "tasks": []}
     path = write_config(tmp_path, config)
@@ -414,6 +470,12 @@ def test_task_order_leaves_task_blocks_unchanged(tmp_path, model):
     {"tolerances": {"mass_tol": -1.0}},
     {"tolerances": {"p_tol": True}},
     {"tolerances": {"margin_tol": 10 ** 400}},
+    {"epsilon": True},
+    {"epsilon": float("inf")},
+    {"epsilon": float("nan")},
+    {"epsilon": 10 ** 400},
+    {"epsilon": 0},
+    {"epsilon": "0.05"},
     {"grid": "x"},
     {"grid": 1},
     {"grid": 101.0},

@@ -321,6 +321,22 @@ def test_virtual_menu_detectable_only_arc():
     assert rep.passed
 
 
+def test_virtual_menu_types_with_no_far_type_pay_flat(curve):
+    # at eps 1.5, delta = eps / (2 lipschitz_v) covers the whole curve
+    # from its middle types: they get their value as a flat payment
+    eps = 1.5
+    menu, logs = virtual_extraction_menu(curve, eps, 101)
+    flat = [k for k, log in enumerate(logs) if log.case == "detectable"
+            and log.alphas == [0.0] and log.margins == [0.0]]
+    assert len(flat) > 10
+    for k in flat:
+        _, contract = menu.entries[k]
+        assert contract.provenance.terms == []
+        assert np.ptp(contract.payments) == 0.0
+    rep = verify_menu(curve, menu, 1001, ("virtual", eps))
+    assert rep.passed
+
+
 def _separating():
     """Whether _case1_terms is on the stack of the caller's caller."""
     frame = sys._getframe(2)

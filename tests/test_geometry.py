@@ -21,7 +21,6 @@ from surplex.geometry import (
     exposure_chain,
     face_of,
     is_extreme,
-    max_margin_functional,
     prob_vector,
 )
 from surplex.models import TabularModel, counterexample_model, sample
@@ -292,16 +291,6 @@ def test_exposed_implies_extreme_and_converse_random():
     assert checked_exposed >= 30
 
 
-def test_expose_set_margin_indices_floor():
-    # with margin restricted to e2, e3 may sit at the floor level 0
-    bset = simplex_vertices()
-    z, margin = expose_set(bset, [0], margin_indices=[1])
-    vals = bset.points @ z
-    assert margin == pytest.approx(1.0, abs=1e-9)
-    assert vals[1] >= 1.0 - 1e-9
-    assert vals[2] >= -1e-9
-
-
 def test_empty_and_bad_inputs():
     with pytest.raises(EmptySet):
         FiniteBeliefSet([], np.zeros((0, 3)))
@@ -312,16 +301,10 @@ def test_empty_and_bad_inputs():
         expose_set(bset, [0, 1, 2])
 
 
-def test_expose_set_empty_margin_family():
-    bset = simplex_vertices()
-    with pytest.raises(ValueError, match="margin family must be nonempty"):
-        expose_set(bset, [0], margin_indices=[])
-
-
 # ---------------------------------------------------------------------------
 # the separation LP, solved in dual form
 
-def primal_margin(points, zero, floor, margin, box):
+def primal_margin(points, zero, floor, margin):
     """The separation LP in its n-row primal form: one row per point."""
     S = points.shape[1]
     cons = [(np.append(points[j], 0.0), lp.EQ, 0.0) for j in zero]
@@ -330,7 +313,7 @@ def primal_margin(points, zero, floor, margin, box):
     obj = np.zeros(S + 1)
     obj[-1] = 1.0
     sol = lp.solve(lp.LinearProgram(
-        obj, cons, bounds=[(-box, box)] * S + [(None, None)], sense="max"))
+        obj, cons, bounds=[(-1.0, 1.0)] * S + [(None, None)], sense="max"))
     assert sol.status == lp.OPTIMAL
     return sol.objective_value
 
@@ -354,14 +337,17 @@ def test_separation_lp_matches_primal_oracle():
         zero = perm[:n_zero]
         floor = perm[n_zero:n_zero + n_floor]
         margin = perm[n_zero + n_floor:]
-        box = float(rng.choice([1.0, 0.5, 3.0]))
+        # a discarded draw that keeps each trial's data; without it, trial
+        # 51 is the program pinned by test_lp.py's
+        # test_separation_program_with_spanning_zero_points_solves
+        rng.choice([1.0, 0.5, 3.0])
 
-        z, m = geometry._separation_lp(pts, zero, floor, margin, box=box)
-        m_ref = primal_margin(pts, zero, floor, margin, box)
+        z, m = geometry._separation_lp(pts, zero, floor, margin)
+        m_ref = primal_margin(pts, zero, floor, margin)
         assert abs(m - m_ref) <= 1e-9 * (1.0 + abs(m_ref)), (trial, m, m_ref)
 
         vals = pts @ z
-        assert np.abs(z).max() <= box + 1e-9
+        assert np.abs(z).max() <= 1.0 + 1e-9
         assert np.abs(vals[zero]).max() <= FACE_TOL
         if floor.size:
             assert vals[floor].min() >= -FACE_TOL
@@ -369,10 +355,11 @@ def test_separation_lp_matches_primal_oracle():
 
 
 def case1_family():
-    """The (zero, floor, margin) points of the separation LP _case1_terms
-    solves for the curve type t = 0.3, read back off the rows it hands to
-    lp.solve_stack: the 1,001-point certification grid of a 101-point
-    construction grid."""
+    """The separation LP _case1_terms solves for the curve type t = 0.3,
+    read back off the rows it hands to lp.solve_stack (the 1,001-point
+    certification grid of a 101-point construction grid), as the
+    _separation_lp arguments (points, zero, floor, margin): the points
+    stacked zero, floor, margin, and the index array of each family."""
     model = counterexample_model(validate=False)
     cert = sample(model, 1001)
     t, eps = 0.3, 0.05
@@ -393,14 +380,18 @@ def case1_family():
     # marks the margin columns
     S, n = cert.state_count, cert.n_types
     points, margin = rows[0, :S, :n + 1].T, rows[0, S, :n + 1] == 1.0
-    return points[n:], points[:n][~margin[:n]], points[margin]
+    families = (points[n:], points[:n][~margin[:n]], points[margin])
+    ends = np.cumsum([0] + [len(f) for f in families])
+    return (np.vstack(families),
+            *(np.arange(a, b) for a, b in zip(ends[:-1], ends[1:])))
 
 
 def test_case1_family_matches_highs():
     optimize = pytest.importorskip("scipy.optimize")
-    zero, floor, margin = case1_family()
-    assert len(zero) + len(floor) + len(margin) == 1002
-    z, m = max_margin_functional(zero, floor, margin)
+    points, *families = case1_family()
+    assert len(points) == 1002
+    z, m = geometry._separation_lp(points, *families)
+    zero, floor, margin = (points[ix] for ix in families)
 
     # HiGHS on the primal: variables (z, m), maximize m
     S = zero.shape[1]
@@ -424,13 +415,13 @@ def test_case1_family_matches_highs():
 def test_separation_lps_have_state_rows_only(recorded_programs):
     """Every separation LP has S + 1 rows, whatever the number of points,
     and settles in a few pivots."""
-    zero, floor, margin = case1_family()
+    points, *families = case1_family()
     bset = sample(counterexample_model(validate=False), 101).belief_set()
     programs = recorded_programs
     programs.clear()
     for i in (0, 1, 25, 50, 99, 100):
         expose_set(bset, [i], margin_tol=-np.inf)
-    max_margin_functional(zero, floor, margin)
+    geometry._separation_lp(points, *families)
     assert len(programs) == 7
     for prog, sol, _ in programs:
         assert prog.n_constraints == bset.n_states + 1

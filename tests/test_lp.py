@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surplex import cli, lp, models
+from surplex import cli, geometry, lp, models
 from surplex.duality import VseInstance, solve_primal
 from surplex.extraction import (
     SEPARATOR_CHUNK,
@@ -700,6 +700,45 @@ def test_boxed_max_mass_program_certifies():
     prog = LinearProgram(-P.sum(axis=0), cons,
                          bounds=np.tile([-1.0, 1.0], (5, 1)))
     assert check_certificate(prog, solve(prog)).passed
+
+
+def oracle_stream_instance(trial):
+    """Trial `trial` of the random separation LPs of
+    tests/test_geometry.py::test_separation_lp_matches_primal_oracle, drawn
+    without that test's discarded box draw: (points, zero, floor, margin),
+    the last three index arrays."""
+    rng = np.random.default_rng(2024)
+    for k in range(trial + 1):
+        S = int(rng.integers(3, 7))
+        n = int(rng.integers(2, 61))
+        pts = rng.exponential(size=(n, S))
+        if k % 3 == 0:
+            pts[: n // 4] **= 4
+        pts /= pts.sum(axis=1, keepdims=True)
+        if k % 2 == 0 and n > 3:
+            dup = rng.choice(n, size=max(1, n // 5), replace=False)
+            pts[dup] = pts[rng.integers(n, size=dup.size)]
+        perm = rng.permutation(n)
+        n_zero = int(rng.integers(1, min(S, n - 1) + 1))
+        n_floor = int(rng.integers(0, n - n_zero))
+    return (pts, perm[:n_zero], perm[n_zero:n_zero + n_floor],
+            perm[n_zero + n_floor:])
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeError,
+                   reason="phase 1 ends on a column with no positive entry "
+                   "and a reduced cost of -8.8e-5, past its -2e-5 limit, "
+                   "and raises 'phase 1 cannot be unbounded'")
+def test_separation_program_with_spanning_zero_points_solves():
+    # 44 points in 5 states: 5 zero, 34 floor and 5 margin points; the
+    # zero points are linearly independent, so z = 0 and the margin is 0
+    # (HiGHS on the primal gives 0 too).  exposure_chain's supporting LP,
+    # which has floor points, can build a program of this kind.
+    pts, zero, floor, margin = oracle_stream_instance(51)
+    assert (len(pts), zero.size, floor.size, margin.size) == (44, 5, 34, 5)
+    assert np.linalg.matrix_rank(pts[zero]) == 5
+    _, m = geometry._separation_lp(pts, zero, floor, margin)
+    assert abs(m) <= 1e-9
 
 
 def test_array_bounds_match_pair_bounds():
