@@ -5,7 +5,7 @@ Subcommands:
     surplex counterexample            (preset scenario)
     surplex sweep --grids 9,17,33,65 <config.json>
 
-Common flags: --out DIR, --jobs K, --seed N, --tol-override key=value.
+Common flags: --out DIR, --seed N, --tol-override key=value.
 Exit codes: 0 all requested verdicts pass, 1 a task failed (the failing
 assertion is named in the report), 2 the config is invalid.
 
@@ -33,7 +33,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
@@ -208,13 +207,6 @@ def _as_tabular(model, grid_n: int) -> TabularModel:
     return sample(model, grid_n)
 
 
-def _map_jobs(fn, items, jobs: int):
-    if jobs <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # tasks
 
@@ -224,20 +216,16 @@ def _failed(err: Exception) -> dict:
             "message": str(err)}
 
 
-def task_classify(model, config, tols, jobs) -> dict:
+def task_classify(model, config, tols) -> dict:
     margin_tol = tols.get("margin_tol", MARGIN_TOL)
     grid_n = config.get("grid", 201)
     tab = _as_tabular(model, grid_n)
-    # every point's exposure LP in one stacked solve, before the pool, so
-    # threads share one set and only read its answers
+    # every point's exposure LP in one stacked solve
     expose_each(tab.belief_set())
     items = (list(range(model.n_types)) if isinstance(model, TabularModel)
              else list(tab.ts))
-
-    def one(t):
-        return classify_type(model, t, grid_n, margin_tol=margin_tol)
-
-    verdicts = _map_jobs(one, items, jobs)
+    verdicts = [classify_type(model, t, grid_n, margin_tol=margin_tol)
+                for t in items]
     per_type = {lbl: c.to_jsonable() for lbl, c in zip(tab.labels, verdicts)}
     counts: dict[str, int] = {}
     for c in verdicts:
@@ -327,27 +315,20 @@ def task_duality(model, config, tols) -> dict:
             "virtual_extraction": bool(rep.verdict)}
 
 
-def task_sweep(model, config, jobs) -> dict:
+def task_sweep(model, config) -> dict:
     if isinstance(model, TabularModel):
         raise ConfigError("sweep needs a parametric model")
     grids = config.get("sweep_grids", [9, 17, 33, 65, 129])
-    for n in grids:     # built before the pool, so threads share one set
-        sample(model, n).belief_set()
-
-    def one(n):
+    margins, norms, p_stars = [], [], []
+    for n in grids:
         tab = sample(model, n)
         res = expose_set(tab.belief_set(), [0], margin_tol=-np.inf)
-        margin = res[1] if res else 0.0
+        margins.append(float(res[1] if res else 0.0))
         sol, _ = full_extraction_lp(tab)
-        norm = (float(sol.objective_value) / n
-                if sol.status == lp.OPTIMAL else float("inf"))
-        p_star = duality.solve_primal(duality.VseInstance(tab)).p_star
-        return float(margin), norm, float(p_star)
-
-    rows = _map_jobs(one, grids, jobs)
-    margins = [r[0] for r in rows]
-    norms = [r[1] for r in rows]
-    p_stars = [r[2] for r in rows]
+        norms.append(float(sol.objective_value) / n
+                     if sol.status == lp.OPTIMAL else float("inf"))
+        p_stars.append(float(
+            duality.solve_primal(duality.VseInstance(tab)).p_star))
     monotone = all(a > b for a, b in zip(margins, margins[1:]))
     return {"passed": monotone, "grids": grids,
             "type0_margins": margins, "contract_norms": norms,
@@ -449,6 +430,8 @@ def _write_json(obj, newline: str, out: list) -> None:
 
 def run_scenario(config: dict, out_dir: Path, *, jobs: int = 1,
                  seed=None, overrides=None) -> dict:
+    # jobs is read by nothing: tasks run serially.  It stays accepted
+    # while the benchmark harness (perfbench/run.py) still passes jobs=1.
     validate_config(config)
     tols = dict(config.get("tolerances", {}))
     for key, value in (overrides or {}).items():
@@ -469,7 +452,7 @@ def run_scenario(config: dict, out_dir: Path, *, jobs: int = 1,
     results: dict = {}
     for task in config["tasks"]:
         if task == "classify":
-            out = task_classify(model, config, tols, jobs)
+            out = task_classify(model, config, tols)
         elif task == "full":
             out = task_full(model, config, tols)
         elif task == "virtual":
@@ -479,7 +462,7 @@ def run_scenario(config: dict, out_dir: Path, *, jobs: int = 1,
         elif task == "duality":
             out = task_duality(model, config, tols)
         elif task == "sweep":
-            out = task_sweep(model, config, jobs)
+            out = task_sweep(model, config)
             results["sweep_report"] = out
         report["tasks"][task] = out
         if not out.get("passed", False):
@@ -535,7 +518,6 @@ def main(argv=None) -> int:
     def common(p):
         p.add_argument("--out", default="surplex-out",
                        help="output directory (report.json, CSVs)")
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--tol-override", action="append", default=[],
                        metavar="KEY=VALUE")
@@ -568,8 +550,8 @@ def main(argv=None) -> int:
             config["tasks"] = ["sweep"]
             config["sweep_grids"] = grids
         overrides = _parse_overrides(args.tol_override)
-        report = run_scenario(config, Path(args.out), jobs=args.jobs,
-                              seed=args.seed, overrides=overrides)
+        report = run_scenario(config, Path(args.out), seed=args.seed,
+                              overrides=overrides)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -47,18 +47,11 @@ class VseInstance:
     """Tabular model plus the pairwise value differences d(t,s)."""
 
     tabular: TabularModel
-    d: np.ndarray = None
+    d: np.ndarray = field(init=False)     # d[t, s] = v(t) - v(s)
 
     def __post_init__(self):
         v = self.tabular.values
-        if self.d is None:
-            self.d = v[:, None] - v[None, :]
-        self.d = np.asarray(self.d, dtype=float)
-        m = self.tabular.n_types
-        if self.d.shape != (m, m):
-            raise ValueError("d must be (types, types)")
-        if np.abs(np.diag(self.d)).max(initial=0.0) > 1e-12:
-            raise ValueError("d must vanish on the diagonal")
+        self.d = v[:, None] - v[None, :]
 
     @property
     def n_types(self) -> int:
@@ -268,7 +261,6 @@ class DualityReport:
     measures: DualMeasures            # read off the primal's multipliers
     disintegration: DisintegrationReport | None
     verdict: bool                     # virtual extraction holds
-    shift_menu: Menu
     diagnostics: dict = field(default_factory=dict)
 
     def to_jsonable(self) -> dict:
@@ -289,20 +281,6 @@ class DualityReport:
                 str(u): g
                 for u, g in self.disintegration.gamma_residual.items()}
         return out
-
-
-def shift_contracts(inst: VseInstance, primal: PrimalSolution) -> Menu:
-    """Contracts c(t) = v(t) 1 + z*(t) - p* 1 from a primal solution.
-
-    With c <= eps feasible, these leave own surplus in [0, 2 p*] and
-    cross surplus at most 2 p*.
-    """
-    tab = inst.tabular
-    entries = []
-    for t in range(tab.n_types):
-        payments = tab.values[t] + primal.z[t] - primal.p_star
-        entries.append((tab.labels[t], Contract(payments)))
-    return Menu(entries)
 
 
 def analyze(tabular: TabularModel, *, p_tol: float = P_TOL,
@@ -340,12 +318,19 @@ def analyze(tabular: TabularModel, *, p_tol: float = P_TOL,
                          primal=primal, measures=meas,
                          disintegration=disintegration,
                          verdict=primal.p_star <= p_tol,
-                         shift_menu=shift_contracts(inst, primal),
                          diagnostics=diagnostics)
 
 
 def verify_shift_menu(tabular: TabularModel, report: DualityReport,
                       eps: float):
-    """Lemma-2 check: the shifted contracts achieve Virtual(2 eps + 1e-8)."""
-    return verify_menu(tabular, report.shift_menu, None,
-                       (VIRTUAL, 2.0 * eps + 1e-8))
+    """Lemma-2 check: the shifted contracts achieve Virtual(2 eps + 1e-8).
+
+    The contracts are c(t) = v(t) 1 + z*(t) - p* 1, from the report's
+    primal optimum.  With c <= eps feasible, they leave own surplus in
+    [0, 2 p*] and cross surplus at most 2 p*.
+    """
+    primal = report.primal
+    payments = tabular.values[:, None] + primal.z - primal.p_star
+    menu = Menu([(lbl, Contract(c))
+                 for lbl, c in zip(tabular.labels, payments)])
+    return verify_menu(tabular, menu, None, (VIRTUAL, 2.0 * eps + 1e-8))

@@ -534,11 +534,7 @@ def _case1_chunk(pi, v, ts, cert, delta, eps):
 
 def _case1_answer(sol, pi_t, far_beliefs, gains, weights):
     """One type's (alpha, z, wmargin, raw_margin) off its solved separation
-    LP, or the exception that ends its construction.  A type with no far
-    type gets (0.0, None, 0.0, 0.0), the flat contract: every type lies
-    within delta of it, so their surplus stays below eps."""
-    if not len(far_beliefs):
-        return 0.0, None, 0.0, 0.0
+    LP, or the exception that ends its construction."""
     z, wmargin = separation_answer(sol, far_beliefs / weights[:, None])
     if wmargin <= 0.0:
         return BudgetInfeasible(
@@ -556,14 +552,15 @@ def virtual_extraction_menu(model: ParametricModel, eps: float,
                             grid_n: int = 201):
     """Menu leaving at most eps surplus, built on the construction grid.
 
-    Detectable types get the one-shot scaled-separator contract, or a
-    flat one when no type lies delta-far; their separation LPs are solved
-    up front, in lock-step chunks (_case1_terms).  Types on declared faces walk their exposure chain
-    from the innermost face outward, spending eps/n of the budget per
-    stage.  Types are then finished in grid order, so the first type
-    that fails raises, whichever chunk it was solved in.  All "for all
-    s" quantities are evaluated on a CERT_MULT-times finer certification
-    grid; the residual off-grid slack is what verify_menu reports.
+    Detectable types get the one-shot scaled-separator contract, whose
+    separation LPs are solved up front in lock-step chunks (_case1_terms),
+    or a flat one when no type lies delta-far.  Types on declared faces
+    walk their exposure chain from the innermost face outward, spending
+    eps/n of the budget per stage.  Types are then finished in grid order,
+    so the first type that fails raises, whichever chunk it was solved in.
+    All "for all s" quantities are evaluated on a CERT_MULT-times finer
+    certification grid; the residual off-grid slack is what verify_menu
+    reports.
     Returns (menu, construction_logs).
     """
     if eps <= 0.0:
@@ -587,8 +584,15 @@ def virtual_extraction_menu(model: ParametricModel, eps: float,
     on_face = [any(abs(float(pi @ z)) <= FACE_TOL for z in declared)
                for pi in tab.beliefs]
     off = np.flatnonzero(np.logical_not(on_face))
-    separators = dict(zip(off.tolist(), _case1_terms(
-        tab.beliefs[off], tab.values[off], tab.ts[off], cert, delta, eps)))
+    # the cert type farthest from t is an end of the cert grid.  A type
+    # with no delta-far type pays its value flat (alpha 0, no functional):
+    # every type lies within delta of it, so their surplus stays below eps
+    reach = np.maximum(np.abs(cert.ts[0] - tab.ts[off]),
+                       np.abs(cert.ts[-1] - tab.ts[off]))
+    far = off[reach >= delta]
+    separators = dict.fromkeys(off.tolist(), (0.0, None, 0.0, 0.0))
+    separators.update(zip(far.tolist(), _case1_terms(
+        tab.beliefs[far], tab.values[far], tab.ts[far], cert, delta, eps)))
     entries = []
     logs = []
     for i, t in enumerate(tab.ts):
@@ -652,7 +656,7 @@ def _chain_contract(model, bset, tab, i, t, eps, cert, declared):
         alpha_n = 1.0
     terms.append((alpha_n, z_n))
     log.alphas.append(alpha_n)
-    log.margins.append(m_in if np.isfinite(m_in) else 0.0)
+    log.margins.append(m_in)
     log.deltas.append(budget / (2.0 * model.lipschitz_v))
 
     payments = np.full(pi_t.size, v_t) + alpha_n * z_n

@@ -162,9 +162,7 @@ class FiniteBeliefSet:
 
     def _remember(self, key, solve, *args):
         """The stored answer for key, computed by solve(*args) on first use
-        and kept with its arrays read-only.  Two threads asking for a key
-        at once may both solve it; the LP is deterministic, so either
-        stored answer is the same."""
+        and kept with its arrays read-only."""
         answer = self._memo.get(key)
         if answer is None:
             answer = tuple(solve(*args))
@@ -436,7 +434,10 @@ def exposure_chain(bset: FiniteBeliefSet, i: int, declared_faces=(),
         if cut is None:
             n = len(pts)
             others = np.setdiff1d(np.arange(n), [pos_i])
-            z, margin = _separation_lp(pts, [pos_i], [], others)
+            if others.size:
+                z, margin = _separation_lp(pts, [pos_i], [], others)
+            else:   # nothing to separate: the zero functional exposes p_i
+                z, margin = np.zeros(bset.n_states), np.inf
             if margin > margin_tol:
                 stages.append((np.array([i]), z))
                 margins.append(margin)

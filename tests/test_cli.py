@@ -217,20 +217,27 @@ def test_report_byte_determinism(tmp_path):
               "tasks": ["classify", "full", "duality"]}
     path = write_config(tmp_path, config)
     assert main(["analyze", str(path), "--out", str(tmp_path / "a")]) == 0
-    assert main(["analyze", str(path), "--out", str(tmp_path / "b"),
-                 "--jobs", "2"]) == 0
+    assert main(["analyze", str(path), "--out", str(tmp_path / "b")]) == 0
     a = (tmp_path / "a" / "report.json").read_bytes()
     b = (tmp_path / "b" / "report.json").read_bytes()
     assert a == b
 
 
-def test_counterexample_byte_determinism_across_jobs(tmp_path):
-    for jobs in ("1", "2"):
-        assert main(["counterexample", "--out", str(tmp_path / jobs),
-                     "--jobs", jobs]) == 0
-    for name in ("report.json", "curve.csv", "hull.csv", "surplus.csv"):
-        a = (tmp_path / "1" / name).read_bytes()
-        assert a == (tmp_path / "2" / name).read_bytes(), name
+def test_jobs_flag_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["counterexample", "--out", str(tmp_path), "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_run_scenario_accepts_an_unread_jobs_keyword(tmp_path):
+    # the benchmark harness passes jobs=1; tasks run serially either way
+    config = {"version": 1, "model": {"kind": "counterexample"},
+              "tasks": ["classify"], "grid": 9}
+    run_scenario(config, tmp_path / "a")
+    run_scenario(config, tmp_path / "b", jobs=1)
+    assert ((tmp_path / "a" / "report.json").read_bytes()
+            == (tmp_path / "b" / "report.json").read_bytes())
 
 
 def test_rerun_into_same_directory_rewrites_identical_files(tmp_path):
@@ -356,7 +363,7 @@ def test_classify_shared_grid_matches_per_type_calls(which):
             return random_tabular(0, 40, 6)
         config = {}
         items = list(build().labels)
-    out = task_classify(build(), config, {}, 1)
+    out = task_classify(build(), config, {})
     assert len(out["types"]) == len(items)
     for (label, got), t in zip(out["types"].items(), items):
         ref = classify_type(build(), t,

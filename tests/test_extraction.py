@@ -337,6 +337,31 @@ def test_virtual_menu_types_with_no_far_type_pay_flat(curve):
     assert rep.passed
 
 
+def test_flat_types_solve_no_separation_lp(curve, recorded_programs):
+    # at eps 1.5 on 11 points, 5 of the 9 off-face types have no far type:
+    # they pay flat without a program, and the 4 others are all feasible
+    _, logs = virtual_extraction_menu(curve, 1.5, 11)
+    stacked = [rec for rec in recorded_programs
+               if "_case1_terms" in rec.callers]
+    assert len(stacked) == 4
+    assert all(rec.solution.status == lp.OPTIMAL for rec in stacked)
+    flat = [log for log in logs if log.case == "detectable"
+            and log.margins == [0.0]]
+    assert len(flat) == 5
+
+
+def test_chain_logs_an_empty_stage_margin_as_inf(curve):
+    # a chain stage with no type left to separate logs margin inf, the
+    # innermost stage as well as an outer one
+    _, logs = virtual_extraction_menu(curve, 1.5, 11)
+    outer = [log.margins[1] for log in logs if log.case == "chain"]
+    assert 0.0 < outer[0] < np.inf and outer[1] == np.inf
+    _, logs = virtual_extraction_menu(curve, 5.0, 11)
+    chains = [log for log in logs if log.case == "chain"]
+    assert len(chains) == 2
+    assert all(log.margins == [np.inf, np.inf] for log in chains)
+
+
 def _separating():
     """Whether _case1_terms is on the stack of the caller's caller."""
     frame = sys._getframe(2)

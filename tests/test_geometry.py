@@ -1,8 +1,5 @@
 """Geometry predicate tests: dimensions, extreme/exposed points, faces."""
 
-import sys
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -197,6 +194,17 @@ def test_exposure_chain_exposed_point_length_one():
     assert chain.length == 1
     assert list(chain.stages[0][0]) == [0]
     assert chain.margins[0] > 1e-7
+
+
+def test_exposure_chain_of_a_single_point():
+    # nothing to separate: one stage, the zero functional at margin inf,
+    # as classify_type gives a one-type table
+    chain = exposure_chain(FiniteBeliefSet(["a"], [[0.2, 0.8]]), 0)
+    assert chain.length == 1
+    members, z = chain.stages[0]
+    assert list(members) == [0] and list(chain.initial_members) == [0]
+    assert np.array_equal(z, np.zeros(2))
+    assert chain.margins == [np.inf]
 
 
 def test_exposure_chain_duplicate_not_extreme():
@@ -490,30 +498,3 @@ def test_remembered_exposure_skips_the_complement(monkeypatch):
     with pytest.raises(ValueError, match="nonempty"):
         expose_set(bset, [])
 
-
-def test_memo_under_concurrent_callers():
-    """Threads asking one belief set for the same points get the answers
-    of a serial run on a fresh set, whichever thread stores first."""
-    tab = sample(counterexample_model(validate=False), 17)
-    shared = tab.belief_set()
-    fresh = FiniteBeliefSet(tab.labels, tab.beliefs, allow_duplicates=True)
-    ref = [(expose_set(fresh, [i], margin_tol=-np.inf), is_extreme(fresh, i))
-           for i in range(len(fresh))]
-
-    def ask(i):
-        return (expose_set(shared, [i], margin_tol=-np.inf),
-                is_extreme(shared, i))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            got = list(pool.map(ask, [i for _ in range(4)
-                                      for i in range(len(shared))],
-                                timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    for k, ((z, m), (ext, mu)) in enumerate(got):
-        (z_ref, m_ref), (ext_ref, mu_ref) = ref[k % len(shared)]
-        assert np.array_equal(z, z_ref) and m == m_ref
-        assert ext == ext_ref and (mu is None) == (mu_ref is None)
