@@ -1,0 +1,177 @@
+"""Replay the LP solves of corpus configs and time them by caller family.
+
+Usage: python scripts/lp_replay.py NAME... [--repeat N]
+
+NAME is an entry of CORPUS in scripts/same_bytes.py.  Each config runs
+once through `surplex.cli.run_scenario`, into a temporary directory that
+is removed at the end, while every `lp.solve` and `lp.solve_stack` call
+is recorded with copies of its arguments and its answer.  Then every
+recorded call is replayed N times (default 5) in this process, and a
+table gives, per caller family and program shape (constraints x
+variables of the program as built, before canonicalization): the calls,
+the programs they solve, their pivots, and the best and median over the
+repeats of the family's total time in ms.
+
+The family is the innermost caller on the call's stack that FAMILY_OF
+names.  Exits 1 if any replayed answer differs in any bit (signs of
+zeros included) from the recorded one, else 0.  Only this checkout's
+`src` is imported.
+"""
+
+from __future__ import annotations
+
+import argparse
+import statistics
+import sys
+import tempfile
+import time
+from collections import defaultdict
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "src"))
+sys.path.insert(0, str(HERE))
+
+import numpy as np  # noqa: E402
+
+from same_bytes import CORPUS  # noqa: E402
+from surplex import cli, lp  # noqa: E402
+
+# caller function name -> family; the innermost named caller wins
+FAMILY_OF = {
+    "_hull_membership_lp": "extreme",
+    "exposure_chain": "chain",
+    "expose_each": "separation",
+    "expose_set": "separation",
+    "_case1_chunk": "virtual",
+    "full_extraction_lp": "full_block",
+    "solve_primal": "vse_primal",
+}
+
+
+def _family() -> str:
+    frame = sys._getframe(2)
+    while frame is not None:
+        family = FAMILY_OF.get(frame.f_code.co_name)
+        if family is not None:
+            return family
+        frame = frame.f_back
+    return "other"
+
+
+def _copy(a):
+    """A copy of a float array; a broadcast one stays a broadcast view,
+    since the layout of the arrays a solve reads can move the last bit
+    of its dot products."""
+    a = np.asarray(a, dtype=float)
+    if a.strides[0] == 0:
+        return np.broadcast_to(np.array(a[0]), a.shape)
+    return np.array(a)
+
+
+def record(names):
+    """Run each named config once; the list of recorded calls, each
+    (name, family, function, args, answers)."""
+    calls = []
+    solve, solve_stack = lp.solve, lp.solve_stack
+
+    def record_solve(prog):
+        sol = solve(prog)
+        calls.append((name, _family(), solve, (prog,), [sol]))
+        return sol
+
+    def record_stack(layout, rows, objectives):
+        args = (layout, _copy(rows), _copy(objectives))
+        sols = solve_stack(layout, rows, objectives)
+        calls.append((name, _family(), solve_stack, args, sols))
+        return sols
+
+    lp.solve, lp.solve_stack = record_solve, record_stack
+    try:
+        with tempfile.TemporaryDirectory(prefix="lp_replay_") as tmp:
+            for name in names:
+                config = CORPUS[name]
+                if config is None:
+                    config = cli.counterexample_preset()
+                cli.run_scenario(config, Path(tmp) / name)
+    finally:
+        lp.solve, lp.solve_stack = solve, solve_stack
+    return calls
+
+
+def _bits(value) -> bytes | None:
+    if value is None:
+        return None
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def same_answer(a: lp.LpSolution, b: lp.LpSolution) -> bool:
+    """Equal down to the signs of zeros."""
+    fields = ("primal", "duals", "objective_value", "ray")
+    if (a.status, a.iterations) != (b.status, b.iterations):
+        return False
+    if any(_bits(getattr(a, f)) != _bits(getattr(b, f)) for f in fields):
+        return False
+    if (a.bound_duals is None) != (b.bound_duals is None):
+        return False
+    return a.bound_duals is None or all(
+        _bits(x) == _bits(y) for x, y in zip(a.bound_duals, b.bound_duals))
+
+
+def replay(calls, repeat: int):
+    """Per (family, shape): [calls, programs, pivots, per-repeat ms], and
+    the number of replayed answers that differ from the recorded ones."""
+    rows = {}
+    times = defaultdict(lambda: [0.0] * repeat)
+    differ = 0
+    clock = time.perf_counter
+    for r in range(repeat):
+        for _, family, fn, args, want in calls:
+            prog = args[0]
+            key = (family, f"{prog.n_constraints} x {prog.n_vars}")
+            start = clock()
+            got = fn(*args)
+            times[key][r] += 1e3 * (clock() - start)
+            if fn is lp.solve:
+                got = [got]
+            differ += sum(not same_answer(g, w) for g, w in zip(got, want))
+            if r == 0:
+                row = rows.setdefault(key, [0, 0, 0])
+                row[0] += 1
+                row[1] += len(want)
+                row[2] += sum(sol.iterations for sol in want)
+    return {key: row + [times[key]] for key, row in rows.items()}, differ
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description="replay a corpus config's LP solves by caller family")
+    parser.add_argument("names", nargs="+", metavar="NAME",
+                        choices=sorted(CORPUS))
+    parser.add_argument("--repeat", type=int, default=5)
+    args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+
+    table, differ = replay(record(args.names), args.repeat)
+    print(f"{'family':<12}{'shape':>12}{'calls':>7}{'programs':>10}"
+          f"{'pivots':>8}{'best ms':>10}{'median ms':>11}")
+    total = [0, 0, 0, [0.0] * args.repeat]
+    for (family, shape), (calls, programs, pivots, ms) in sorted(
+            table.items()):
+        print(f"{family:<12}{shape:>12}{calls:>7}{programs:>10}{pivots:>8}"
+              f"{min(ms):>10.2f}{statistics.median(ms):>11.2f}")
+        total[:3] = [total[0] + calls, total[1] + programs, total[2] + pivots]
+        total[3] = [a + b for a, b in zip(total[3], ms)]
+    calls, programs, pivots, ms = total
+    print(f"{'total':<24}{calls:>7}{programs:>10}{pivots:>8}"
+          f"{min(ms):>10.2f}{statistics.median(ms):>11.2f}")
+    if differ:
+        print(f"{differ} replayed answers differ from the recorded ones",
+              file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

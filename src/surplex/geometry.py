@@ -118,11 +118,12 @@ class FiniteBeliefSet:
 
     `points` is a read-only copy of the input.  The set remembers, per
     point, the answer of its singleton exposure LP (the raw (z, margin),
-    before any margin_tol test) and of is_extreme, so each is solved at
-    most once however many callers ask; the remembered arrays are
-    read-only too.  expose_each fills the exposure answers of every point
-    with one stacked solve.  Sets compare by identity, as their memos are
-    their own.
+    before any margin_tol test), of is_extreme and of exposure_chain (per
+    declared faces and margin_tol), so each is solved at most once
+    however many callers ask; the remembered arrays are read-only too.
+    expose_each fills the exposure answers of every point with one
+    stacked solve.  Sets compare by identity, as their memos are their
+    own.
     """
 
     labels: list[str]
@@ -404,13 +405,24 @@ def exposure_chain(bset: FiniteBeliefSet, i: int, declared_faces=(),
     model drives the chain instead of grid-exposure artifacts.
 
     declared_faces: sequence of functionals.
+
+    The chain is worked out once per point of bset, declared faces and
+    margin_tol; later calls return the same chain, with read-only arrays.
     """
     i = bset.check_index(i)
+    declared = [np.array(z, dtype=float) for z in declared_faces]
+    key = ("chain", i, tuple(z.tobytes() for z in declared), margin_tol)
+    chain, = bset._remember(key, _exposure_chain, bset, i, declared,
+                            margin_tol)
+    return chain
+
+
+def _exposure_chain(bset, i, declared, margin_tol):
+    """exposure_chain's answer, as a one-tuple with read-only arrays."""
     extreme, _ = is_extreme(bset, i)
     if not extreme:
         raise NotExtreme(f"point {bset.labels[i]} is not extreme")
 
-    declared = [np.asarray(z, dtype=float) for z in declared_faces]
     current = np.arange(len(bset))
     stages: list[tuple[np.ndarray, np.ndarray]] = []
     margins: list[float] = []
@@ -441,10 +453,13 @@ def exposure_chain(bset: FiniteBeliefSet, i: int, declared_faces=(),
             if margin > margin_tol:
                 stages.append((np.array([i]), z))
                 margins.append(margin)
-                return ExposureChain(
+                chain = ExposureChain(
                     target=i, initial_members=np.arange(len(bset)),
                     stages=stages, margins=margins,
                     provenance="declared" if used_declared else "discovered")
+                for part in (chain.initial_members, *sum(stages, ())):
+                    part.setflags(write=False)
+                return (chain,)
             centroid = pts.mean(axis=0)
             z, _ = _separation_lp(np.vstack([pts, centroid]),
                                   [pos_i], others, [n])

@@ -20,12 +20,13 @@ certificate in the duals; unbounded programs carry a certifying ray.
 solve() takes one program.  solve_stack() takes many programs that
 share relations, rhs, bounds and sense and differ in their rows and
 objectives, as one layout program plus a (B, m, n) array of rows and a
-(B, n) array of objectives; it pivots their tableaux together, one numpy
-operation per step for the whole stack, and returns for each program
-exactly what solve() returns for it.  Callers write the stacked rows
-straight into one array, so no program object is built per stacked
-program.  Both run one two-phase driver: solve() is solve_stack() on a
-stack of one program.
+(B, n) array of objectives; it pivots their running tableaux together,
+one numpy operation per step for all of them, hands the last one running
+to the single-tableau loop, and returns for each program exactly what
+solve() returns for it.  Callers write the stacked rows straight into
+one array, so no program object is built per stacked program.  Both run
+one two-phase driver: solve() is solve_stack() on a stack of one
+program, which runs the single-tableau loop from the start.
 """
 
 from __future__ import annotations
@@ -219,67 +220,91 @@ def _canonicalize(lp: LinearProgram, rows=None, objective=None):
     """
     if rows is None:
         rows, objective = lp.rows, lp.objective
-    batch, n_con = rows.shape[:-2], lp.n_constraints
+    batch, n = rows.shape[:-2], lp.n_vars
     split = lp.lo < 0.0
-    width = 1 + split
-    first = np.cumsum(width) - width
-    second = first[split] + 1
-    n_struct = int(width.sum())
+    if np.count_nonzero(split):
+        width = 1 + split
+        first = np.cumsum(width) - width
+        second = first[split] + 1
+        cuts = (np.flatnonzero(split[1:] != split[:-1]) + 1).tolist()
+    else:
+        first, second, cuts = np.arange(n), np.arange(0), []
+    # runs of variables that all split or all do not, as (start, stop,
+    # first column, split): they are copied as slices
+    runs = [(a, z, int(first[a]), bool(split[a]))
+            for a, z in zip([0, *cuts], [*cuts, n])]
+    n_struct = n + second.size
 
-    def expand(R, out):
-        out[..., first] = R
-        out[..., second] = -R[..., split]
-        return out
-
-    has_bound = np.column_stack([np.isfinite(lp.lo) & (lp.lo != 0.0),
-                                 np.isfinite(lp.up)]).ravel()
-    k = np.flatnonzero(has_bound)
-    bound_var, bound_up = k // 2, k % 2 == 1
-    unit = np.zeros((k.size, lp.n_vars))
-    unit[np.arange(k.size), bound_var] = 1.0
-    codes = np.concatenate([lp.codes, np.where(bound_up, 1, -1)])
-    b0 = np.concatenate([lp.rhs, np.column_stack([lp.lo, lp.up]).ravel()[k]])
+    codes, rhs = lp.codes, lp.rhs
+    has_lo = np.isfinite(lp.lo) & (lp.lo != 0.0)
+    has_up = np.isfinite(lp.up)
+    bound_var = bound_up = np.arange(0)
+    if np.count_nonzero(has_lo) or np.count_nonzero(has_up):
+        k = np.flatnonzero(np.column_stack([has_lo, has_up]))
+        bound_var, bound_up = k // 2, k % 2 == 1
+        unit = np.zeros((k.size, n))
+        unit[np.arange(k.size), bound_var] = 1.0
+        rows = np.concatenate(
+            [rows, np.broadcast_to(unit, batch + unit.shape)], axis=-2)
+        codes = np.concatenate([codes, np.where(bound_up, 1, -1)])
+        rhs = np.concatenate([rhs, np.column_stack([lp.lo, lp.up]).ravel()[k]])
 
     # row equilibration: unit inf-norm rows keep reduced-cost noise flat;
     # splitting a column changes no row's norm, and a bound row's is 1
     m = codes.size
-    norms = np.ones(batch + (m,))
-    norms[..., :n_con] = np.abs(rows).max(axis=-1)
+    norms = np.abs(rows).max(axis=-1)
     scale = np.where(norms > 0.0, norms, 1.0)
-    b0 = b0 / scale
+    b0 = rhs / scale
 
     # slack/surplus columns, then sign-fix rows so b >= 0, then
     # artificials wherever the row lacks a +1 identity column
-    slack_rows = np.flatnonzero(codes)
-    slack_cols = np.full(m, -1)
-    slack_cols[slack_rows] = n_struct + np.arange(slack_rows.size)
-    flips = np.where(b0 < 0.0, -1.0, 1.0)
-    flip = flips if flips.ndim == 1 else flips[0]
-    if (flips != flip).any():
-        return None
-    art_rows = np.flatnonzero(codes * flip <= 0.0)
-    art_cols = np.full(m, -1)
+    slack_rows = codes.nonzero()[0]
     n_real = n_struct + slack_rows.size
-    art_cols[art_rows] = n_real + np.arange(art_rows.size)
+    slack_cols = np.full(m, -1)
+    slack_cols[slack_rows] = np.arange(n_struct, n_real)
+    flip = np.ones(m)
+    flipped = np.count_nonzero(b0 < 0.0)
+    if flipped:
+        flips = np.where(b0 < 0.0, -1.0, 1.0)
+        flip = flips.reshape(-1, m)[0]
+        if (flips != flip).any():
+            return None
+    art_rows = (codes * flip <= 0.0).nonzero()[0]
+    art_cols = np.full(m, -1)
+    art_cols[art_rows] = np.arange(n_real, n_real + art_rows.size)
 
     T = np.zeros(batch + (m + 1, n_real + art_rows.size + 1))
     A = T[..., :m, :-1]
-    expand(rows, A[..., :n_con, :n_struct])
-    expand(unit, A[..., n_con:, :n_struct])
-    A[..., :n_struct] /= scale[..., None]
+    _spread(runs, rows, scale[..., None], A)
     A[..., slack_rows, slack_cols[slack_rows]] = codes[slack_rows]
-    A[..., :n_real] *= flip[:, None]
+    if flipped:
+        A[..., :n_real] *= flip[:, None]
+        b0 = b0 * flip
     A[..., art_rows, art_cols[art_rows]] = 1.0
-    b = b0 * flip
-    T[..., :m, -1] = b
+    T[..., :m, -1] = b0
 
-    obj = objective if lp.sense == "min" else -objective
-    c = expand(obj, np.zeros(obj.shape[:-1] + (n_struct,)))
+    c = objective if lp.sense == "min" else -objective
+    if second.size:
+        c = _spread(runs, c, 1.0, np.empty(c.shape[:-1] + (n_struct,)))
 
-    return _Canonical(T=T, A=A, b=b, c=c, flip=flip, scale=scale,
+    return _Canonical(T=T, A=A, b=b0, c=c, flip=flip, scale=scale,
                       bound_var=bound_var, bound_up=bound_up, first=first,
                       split=split, second=second, n_struct=n_struct,
                       slack_cols=slack_cols, art_cols=art_cols)
+
+
+def _spread(runs, R, div, out):
+    """Write R / div into the structural columns of out: each variable's
+    column, and a split variable's minus column as R / -div, which is
+    -R / div bit for bit."""
+    for a, z, col, twice in runs:
+        if twice:
+            np.divide(R[..., a:z], div, out=out[..., col:col + 2 * (z - a):2])
+            np.divide(R[..., a:z], -div,
+                      out=out[..., col + 1:col + 2 * (z - a):2])
+        else:
+            np.divide(R[..., a:z], div, out=out[..., col:col + z - a])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +324,7 @@ def _extract_duals(canon, obj_row, costs):
 
 def _split_duals(lp, canon, y):
     """Split assembled-row multipliers into constraint and bound parts."""
-    y_lo = np.zeros(y.shape[:-1] + (lp.n_vars,))
-    y_up = np.zeros(y.shape[:-1] + (lp.n_vars,))
+    y_lo, y_up = np.zeros((2,) + y.shape[:-1] + (lp.n_vars,))
     if canon.bound_var.size:
         y_bound, up = y[..., lp.n_constraints:], canon.bound_up
         y_lo[..., canon.bound_var[~up]] = y_bound[..., ~up]
@@ -310,7 +334,8 @@ def _split_duals(lp, canon, y):
 
 def _to_original(lp, canon, x_struct):
     x = x_struct[..., canon.first]
-    x[..., canon.split] -= x_struct[..., canon.second]
+    if canon.second.size:
+        x[..., canon.split] -= x_struct[..., canon.second]
     return x
 
 
@@ -321,57 +346,74 @@ def solve(lp: LinearProgram) -> LpSolution:
     return _solve_stack(lp, lp.rows[None], lp.objective[None])[0]
 
 
-def _pivot_stack(T, basis, r, q, work):
-    """Pivot each tableau T[k] on (r[k], q[k]): the one-slot pivot's
-    arithmetic for every k at once.  work is scratch of T's shape."""
-    k = np.arange(T.shape[0])
-    prow = T[k, r]
-    prow /= prow[k, q][:, None]
-    T[k, r] = prow
-    factors = T[k, :, q]
-    factors[k, r] = 0.0
+def _pivot(T, basis, r, q):
+    """Pivot the tableau T on (r, q)."""
+    prow = T[r]
+    prow /= prow[q]
+    factors = T[:, q].copy()
+    factors[r] = 0.0
+    T -= factors[:, None] * prow        # the outer product, row by row
+    basis[r] = q
+
+
+def _pivot_stack(T, basis, r, q, work, at=None):
+    """Pivot each tableau T[k] on (r[k], q[k]): _pivot's arithmetic for
+    every k at once, down to the signs of zeros.  work is scratch of T's
+    shape; at, if given, is np.arange(len(T))."""
+    at = np.arange(T.shape[0]) if at is None else at
+    prow = T[at, r]
+    prow /= T[at, r, q][:, None]
+    T[at, r] = prow
+    factors = T[at, :, q]
+    factors[at, r] = 0.0
     np.multiply(factors[:, :, None], prow[:, None, :], out=work)
     np.subtract(T, work, out=T)
-    basis[k, r] = q
+    basis[at, r] = q
+
+
+# columns of _Stack.info, and the codes of its status column
+_ID, _ITERATIONS, _STATUS, _ENTERING, _STREAK = range(5)
+_UNBOUNDED, _INFEASIBLE = 1, 2
 
 
 class _Stack:
     """The work matrices of B programs with one layout.
 
-    Slot k holds program ids[k].  run() works on the slots [0, live) and
-    swaps each program that finishes behind the ones still running, so
-    the running slots stay a prefix of T and every pivot is one in-place
-    update of it.  A redundant row that phase 1 drops stays in T with
-    kept False: it never enters the ratio test, the objective-row setup
-    or the primal.
+    Slot k holds program info[k, _ID]; the rest of info[k] is that
+    program's iteration count, its status (0 while it may be optimal,
+    else _UNBOUNDED or _INFEASIBLE), its unbounded column and its streak
+    of degenerate pivots in the current run.  run() works on the slots
+    [0, live) and swaps each program that stops behind the ones still
+    running, so the running slots stay a prefix of T and every lock-step
+    pivot is one in-place update of it; the last running program goes on
+    alone.  A redundant row that phase 1 drops stays in T with kept
+    False: it never enters the ratio test, the objective-row setup or the
+    primal.
     """
 
     def __init__(self, T, basis):
         B, m = T.shape[0], T.shape[1] - 1
         self.T = T
-        self.basis = np.tile(basis, (B, 1))
+        self.basis = np.repeat(basis[None], B, axis=0)
         self.kept = np.ones((B, m), dtype=bool)
-        self.ids = np.arange(B)
-        self.moved = False      # ids[k] == k until a partition moves a slot
+        self.info = np.zeros((B, 5), dtype=int)
+        self.info[:, _ID] = np.arange(B)
+        self.moved = False      # slot k holds program k until a swap
         self.work = None        # lock-step pivot scratch of T's shape
-        self.iterations = np.zeros(B, dtype=int)
-        self.unbounded = np.zeros(B, dtype=bool)
-        self.entering = np.zeros(B, dtype=int)
 
     def partition(self, first, extra=()):
         """Move the slots in [0, first.size) where first holds to the
         front by swapping each misplaced pair, and the rows of the
         per-slot arrays extra with them; returns how many hold."""
         n = int(np.count_nonzero(first))
-        leave = np.flatnonzero(~first[:n])
+        leave = (~first[:n]).nonzero()[0]
         if leave.size:
             self.moved = True
-            enter = n + np.flatnonzero(first[n:])
+            enter = first[n:].nonzero()[0]
+            enter += n
             dst = np.concatenate([leave, enter])
             src = np.concatenate([enter, leave])
-            for a in (self.T, self.basis, self.kept, self.ids,
-                      self.iterations, self.unbounded, self.entering,
-                      *extra):
+            for a in (self.T, self.basis, self.kept, self.info, *extra):
                 a[dst] = a[src]
         return n
 
@@ -383,105 +425,123 @@ class _Stack:
 
     def run(self, costs, n_enter, live):
         """Minimize over the current canonical system of each of the slots
-        [0, live) the costs of its program: costs is (B, ncols) in program
-        order, and only the columns [0, n_enter) may enter the basis.  On
-        return, per slot, unbounded says how it ended and entering holds
-        the unbounded column.
+        [0, live) the costs of its program: costs is (B, ncols + 1) in
+        program order, an objective row whose right-hand side is 0.0, and
+        only the columns [0, n_enter) may enter the basis.  On
+        return, per slot, info says whether it ended unbounded and on
+        which column; the slots [0, live) may not be infeasible.
 
-        One live slot runs the simplex rules on its tableau with plain
-        slices (_run_one).  More apply the same rules per slot and per
-        iteration in lock step, so each program takes the same steps and
-        gets the same bits as on its own."""
-        if live == 1:
-            self._run_one(costs[self.ids[0]], n_enter)
-            return
-        costs = costs[self.ids[:live]]
-        T, basis, kept = self.T, self.basis, self.kept
+        While two or more slots run, each iteration applies _run_one's
+        rules to all of them at once: slots that stop leave the prefix
+        right after pricing, and the per-slot state of parked columns and
+        of Bland's rule is built only once some slot needs it.  The last
+        running slot goes on in _run_one with its streak, rule and parked
+        columns.  Each program takes the same steps and gets the same
+        bits as on its own."""
+        T, basis, kept, info = self.T, self.basis, self.kept, self.info
         m, ncols = T.shape[1] - 1, T.shape[2] - 1
-        allowed = np.arange(ncols) < n_enter
-        obj = T[:live, m]
-        obj[:, :-1] = costs
-        obj[:, -1] = 0.0
-        slots = np.arange(live)
-        for i in range(m):
-            coef = obj[slots, basis[:live, i]]
-            hit = (coef != 0.0) & kept[:live, i]
-            if hit.all():
-                obj -= coef[:, None] * T[:live, i]
-            elif hit.any():
-                obj[hit] -= coef[hit, None] * T[:live, i][hit]
-
-        red_tol = FEAS_TOL * (1.0 + np.abs(costs).max(axis=1))
-        eligible = np.tile(allowed, (live, 1))
-        parked = np.zeros(live, dtype=bool)
-        bland = np.zeros(live, dtype=bool)
-        streak = np.zeros(live, dtype=int)
-        if self.work is None:
-            self.work = np.empty_like(T)
-        work = self.work
-        self.unbounded[:live] = False
+        costs = costs[info[:live, _ID]] if self.moved else costs[:live]
+        at = np.arange(live)
         dropped = not kept[:live].all()
-        k = live
-        while k:
-            iterations = self.iterations[:k]
-            iterations += 1
-            if iterations.max() > MAX_ITERATIONS:
-                raise RuntimeError("simplex iteration limit exceeded")
-            Tk, at, tol = T[:k], slots[:k], red_tol[:k]
-            red = Tk[:, m, :-1]
-            masked = np.where(eligible[:k], red, np.inf)
-            q = masked.argmin(axis=1)
-            done = ~(masked[at, q] < -tol)
-            slow = np.flatnonzero(bland[:k])
-            if slow.size:
-                improving = eligible[slow] & (red[slow] < -tol[slow, None])
-                q[slow] = improving.argmax(axis=1)
-                done[slow] = ~improving[np.arange(slow.size), q[slow]]
+        # the objective row: costs - coef_i T[i] for each kept row i in
+        # order, coef_i the cost of its basic column (a unit column); the
+        # other rows subtract +0.0, which changes no bit
+        coef = costs[at[:, None], basis[:live]]
+        hit = (coef != 0.0) & kept[:live] if dropped else coef != 0.0
+        terms = np.empty((live, m + 1, ncols + 1))
+        terms[:, 0] = costs
+        np.multiply(coef[:, :, None], T[:live, :m], out=terms[:, 1:])
+        if np.count_nonzero(hit) < hit.size:
+            terms[:, 1:][~hit] = 0.0
+        np.subtract.reduce(terms, axis=1, out=T[:live, m])
 
-            col = Tk[at, :m, q]
+        # minus the reduced-cost tolerance, -FEAS_TOL (1 + max |cost|)
+        ntol = (1.0 + np.abs(costs).max(axis=1)) * -FEAS_TOL
+        info[:live, _STATUS:] = 0
+        eligible = bland = None     # built once a slot parks or turns Bland
+        lazy = ()                   # the ones built
+        if live > 1 and self.work is None:
+            self.work = np.empty_like(T)
+        # the guard counts from the slot that starts with most iterations
+        limit = MAX_ITERATIONS - int(info[:live, _ITERATIONS].max())
+        count = 0
+        k = live
+        while k > 1:
+            count += 1
+            if count > limit:
+                raise RuntimeError("simplex iteration limit exceeded")
+            info[:k, _ITERATIONS] += 1
+            red = T[:k, m, :-1]
+            prices = (red[:, :n_enter] if eligible is None
+                      else np.where(eligible[:k], red, np.inf))
+            q = prices.argmin(axis=1)
+            going = prices[at[:k], q] < ntol[:k]
+            if bland is not None and bland[:k].any():
+                slow = bland[:k].nonzero()[0]
+                improving = prices[slow] < ntol[slow, None]
+                q[slow] = improving.argmax(axis=1)
+                going[slow] = improving[np.arange(slow.size), q[slow]]
+            if np.count_nonzero(going) < k:
+                k = self.partition(going, (q, ntol, *lazy))
+                q = q[:k]
+                if k == 0:
+                    break
+
+            col = T[at[:k], :m, q]
             pos = col > PIVOT_TOL
             if dropped:
                 pos &= kept[:k]
             ratios = np.full((k, m), np.inf)
-            np.divide(Tk[:, :m, -1], col, out=ratios, where=pos)
-            best = ratios.min(axis=1, initial=np.inf)
-            blocked = ~done & (best == np.inf)
-            moving = ~(done | blocked)
-            if blocked.any():
-                unbounded = blocked & (red[at, q] < -1e4 * tol)
-                self.unbounded[:k] |= unbounded
-                self.entering[:k][unbounded] = q[unbounded]
-                done |= unbounded
-                waiting = blocked & ~unbounded
-                eligible[np.flatnonzero(waiting), q[waiting]] = False
-                parked[:k] |= waiting
-            back = moving & parked[:k]
-            if back.any():
-                eligible[:k][back] = allowed
-                parked[:k][back] = False
+            np.divide(T[:k, :m, -1], col, out=ratios, where=pos)
             if m:
+                best = ratios[at[:k], ratios.argmin(axis=1)]
                 near = ratios <= (best + 1e-12 * (1.0 + np.abs(best)))[:, None]
                 r = np.where(near, basis[:k], ncols).argmin(axis=1)
-            else:       # no row to pivot on: nothing moves
-                r = np.zeros_like(q)
+            else:       # no row: every slot is blocked, and r is never read
+                best, r = np.full(k, np.inf), q
             degenerate = best <= 1e-12
-            streak[:k] = np.where(moving, np.where(degenerate,
-                                                   streak[:k] + 1, 0),
-                                  streak[:k])
-            bland[:k] |= moving & (streak[:k] > BLAND_TRIGGER)
-
             n_move = k
-            if not moving.all():
-                state = (q, r, moving, eligible, parked, bland, streak,
-                         red_tol)
-                k = self.partition(~done, state)
+            blocked = best == np.inf
+            if np.count_nonzero(blocked):
+                # a slot whose column has no positive entry stops
+                # unbounded, or parks the column until its next pivot
+                unbounded = blocked & (red[at[:k], q] < 1e4 * ntol[:k])
+                info[:k][unbounded, _STATUS] = _UNBOUNDED
+                info[:k][unbounded, _ENTERING] = q[unbounded]
+                waiting = (blocked & ~unbounded).nonzero()[0]
+                if waiting.size and eligible is None:
+                    allowed = np.arange(ncols) < n_enter
+                    eligible = np.tile(allowed, (live, 1))
+                    lazy += (eligible,)
+                if waiting.size:
+                    eligible[waiting, q[waiting]] = False
+                moving = ~blocked
+                state = (q, r, degenerate, moving, ntol, *lazy)
+                k = self.partition(~unbounded, state)
                 n_move = self.partition(moving[:k], state)
             if n_move:
+                streak = info[:n_move, _STREAK]
+                streak += 1
+                streak *= degenerate[:n_move]
+                # a streak is at most count long
+                if count > BLAND_TRIGGER and streak.max() > BLAND_TRIGGER:
+                    if bland is None:
+                        bland = np.zeros(live, dtype=bool)
+                        lazy += (bland,)
+                    bland[:n_move] |= streak > BLAND_TRIGGER
+                if eligible is not None:
+                    eligible[:n_move] = allowed
                 _pivot_stack(T[:n_move], basis[:n_move], r[:n_move],
-                             q[:n_move], work[:n_move])
+                             q[:n_move], self.work[:n_move], at[:n_move])
+        if k == 1:
+            self._run_one(n_enter, float(ntol[0]),
+                          bland is not None and bool(bland[0]),
+                          None if eligible is None else eligible[0])
 
-    def _run_one(self, costs, n_enter):
-        """run() on slot 0 alone.
+    def _run_one(self, n_enter, ntol, bland, eligible):
+        """run() on slot 0 alone, whose objective row is set up; ntol is
+        minus its reduced-cost tolerance, and bland, eligible and
+        info[0, _STREAK] carry on the lock-step state.
 
         Entering column: the most negative eligible reduced cost, lowest
         index first; after a streak of BLAND_TRIGGER degenerate pivots,
@@ -489,40 +549,29 @@ class _Stack:
         basic column among the kept rows that tie in the ratio test.  A
         column without a positive entry is unbounded when its reduced
         cost clearly improves; otherwise it is parked (near noise) and
-        may not enter until the next pivot."""
+        may not enter until the next pivot: eligible, when not None,
+        masks the columns that may."""
         T, basis, kept = self.T[0], self.basis[0], self.kept[0]
         m = T.shape[0] - 1
-        obj = T[m]
-        obj[:-1] = costs
-        obj[-1] = 0.0
-        # a dropped row's basic artificial costs 0 in phase 2: it is skipped
-        for i, bv in enumerate(basis.tolist()):
-            if obj[bv] != 0.0:
-                obj -= obj[bv] * T[i]
-        red = obj[:-1]
+        red = T[m, :-1]
         rhs = T[:m, -1]
-
-        red_tol = FEAS_TOL * (1.0 + float(np.max(np.abs(costs))))
-        bland = False
-        degenerate_streak = 0
         dropped = not kept.all()
-        iterations = int(self.iterations[0])
-        eligible = None             # set while a column is parked
+        iterations, streak = self.info[0, [_ITERATIONS, _STREAK]].tolist()
         ratios = np.empty(m)
         while True:
             iterations += 1
             if iterations > MAX_ITERATIONS:
                 raise RuntimeError("simplex iteration limit exceeded")
-            masked = (red[:n_enter] if eligible is None
+            prices = (red[:n_enter] if eligible is None
                       else np.where(eligible, red, np.inf))
             if bland:
-                improving = masked < -red_tol
+                improving = prices < ntol
                 q = int(improving.argmax())
                 if not improving[q]:
                     break
             else:
-                q = int(masked.argmin())
-                if not masked[q] < -red_tol:
+                q = int(prices.argmin())
+                if not prices[q] < ntol:
                     break
 
             col = T[:m, q]
@@ -531,11 +580,11 @@ class _Stack:
                 pos &= kept
             ratios.fill(np.inf)
             np.divide(rhs, col, out=ratios, where=pos)
-            best = float(ratios.min(initial=np.inf))
+            best = float(ratios[ratios.argmin()]) if m else np.inf
             if best == np.inf:
-                if red[q] < -1e4 * red_tol:
-                    self.unbounded[0] = True
-                    self.entering[0] = q
+                if red[q] < 1e4 * ntol:
+                    self.info[0, _STATUS] = _UNBOUNDED
+                    self.info[0, _ENTERING] = q
                     break
                 if eligible is None:
                     eligible = np.arange(red.size) < n_enter
@@ -546,17 +595,13 @@ class _Stack:
             r = int(near[0] if near.size == 1 else near[basis[near].argmin()])
 
             if best <= 1e-12:
-                degenerate_streak += 1
-                if degenerate_streak > BLAND_TRIGGER:
+                streak += 1
+                if streak > BLAND_TRIGGER:
                     bland = True
             else:
-                degenerate_streak = 0
-            T[r] /= T[r, q]
-            factors = T[:, q].copy()
-            factors[r] = 0.0
-            T -= factors[:, None] * T[r]        # the outer product, row by row
-            basis[r] = q
-        self.iterations[0] = iterations
+                streak = 0
+            _pivot(T, basis, r, q)
+        self.info[0, _ITERATIONS] = iterations
 
 
 def solve_stack(layout: LinearProgram, rows, objectives) -> list[LpSolution]:
@@ -570,8 +615,10 @@ def solve_stack(layout: LinearProgram, rows, objectives) -> list[LpSolution]:
 
     The canonical layout (split columns, bound rows, slacks, flips and
     artificials) is worked out once and only the rows and objectives are
-    stacked.  The stack pivots every program at once, so many small
-    programs cost about as many numpy calls as the slowest of them alone.
+    stacked.  The stack pivots its running programs at once, one numpy
+    operation per step for all of them, and hands the last one to the
+    single-program loop, so a family costs about as many numpy calls as
+    its slowest member alone, and its tail no more than that member's.
     """
     if not isinstance(layout, LinearProgram):
         raise MalformedProgram("expected a LinearProgram layout")
@@ -605,27 +652,26 @@ def _solve_stack(layout, rows, objectives):
     n_real = ncols - np.count_nonzero(has_art)
     stack = _Stack(canon.T,
                    np.where(has_art, canon.art_cols, canon.slack_cols))
-    costs1 = np.zeros((B, ncols))
-    costs1[:, n_real:] = 1.0
-    costs2 = np.zeros((B, ncols))
-    costs2[:, :canon.n_struct] = canon.c
-    infeasible = np.zeros(B, dtype=bool)
     live = B
     if n_real < ncols:
         # Phase 1: drive artificials to zero.
+        costs1 = np.zeros((B, ncols + 1))
+        costs1[:, n_real:-1] = 1.0
         stack.run(costs1, ncols, B)
-        if stack.unbounded.any():  # pragma: no cover - bounded below
+        info = stack.info
+        if np.count_nonzero(info[:, _STATUS]):  # pragma: no cover - bounded
             raise RuntimeError("phase 1 cannot be unbounded")
-        ids = stack.ids
-        phase1_value = -stack.T[:, m, -1]
         limit = FEAS_TOL * (1.0 + np.abs(canon.b).sum(axis=1))
-        infeasible[ids] = phase1_value > limit[ids]
-        live = stack.partition(~infeasible[ids])
+        infeasible = -stack.T[:, m, -1] > limit[info[:, _ID]]
+        if np.count_nonzero(infeasible):
+            info[infeasible, _STATUS] = _INFEASIBLE
+            live = stack.partition(~infeasible)
         # pivot leftover artificials out of the basis; drop redundant rows
         arts = stack.basis[:live] >= n_real
         T = stack.T
-        for i in np.flatnonzero(arts.any(axis=0)):
-            slots = np.flatnonzero(arts[:, i])
+        for i in (arts.any(axis=0).nonzero()[0] if np.count_nonzero(arts)
+                  else ()):
+            slots = arts[:, i].nonzero()[0]
             size = np.abs(T[slots, i, :n_real])
             j = size.argmax(axis=1)
             fine = size[np.arange(slots.size), j] > PIVOT_TOL
@@ -634,13 +680,15 @@ def _solve_stack(layout, rows, objectives):
                 stack.pivot_slots(slots[fine], i, j[fine])
     if live:
         # Phase 2: artificials may not re-enter
+        costs2 = np.zeros((B, ncols + 1))
+        costs2[:, :canon.n_struct] = canon.c
         stack.run(costs2, n_real, live)
 
     # read every program's answer off its slot, in program order; rows of
     # C-ordered arrays, so that each program's vectors are contiguous, and
     # numpy reduces them the same way whatever the stack
-    at = np.argsort(stack.ids) if stack.moved else slice(None)
-    T, unbounded = stack.T, stack.unbounded[at]
+    at = np.argsort(stack.info[:, _ID]) if stack.moved else slice(None)
+    T, info = stack.T, stack.info[at]
     basic = np.where(stack.kept, stack.basis, ncols)[at]
     program = np.arange(B)[:, None]
 
@@ -662,9 +710,9 @@ def _solve_stack(layout, rows, objectives):
             y_con, y_lo, y_up = -y_con, -y_lo, -y_up
     if live < B:
         f_con, f_lo, f_up = split(_extract_duals(canon, T[at, m], costs1))
-    if unbounded.any():
+    if np.count_nonzero(info[:, _STATUS] == _UNBOUNDED):
         slot = np.arange(B)[at]
-        entering = stack.entering[slot]
+        entering = info[:, _ENTERING]
         ray_struct = np.zeros((B, ncols + 1))
         ray_struct[np.arange(B), entering] = 1.0
         ray_struct[program, basic] = -T[slot, :m, entering]
@@ -672,12 +720,13 @@ def _solve_stack(layout, rows, objectives):
             _to_original(layout, canon, ray_struct[:, :ncols]))
 
     out = []
-    for k, iterations in enumerate(stack.iterations[at].tolist()):
-        if infeasible[k]:
+    for k, (code, iterations) in enumerate(
+            info[:, [_STATUS, _ITERATIONS]].tolist()):
+        if code == _INFEASIBLE:
             out.append(LpSolution(status=INFEASIBLE, duals=f_con[k],
                                   bound_duals=(f_lo[k], f_up[k]),
                                   iterations=iterations))
-        elif unbounded[k]:
+        elif code == _UNBOUNDED:
             out.append(LpSolution(status=UNBOUNDED, primal=x[k],
                                   ray=rays[k], iterations=iterations))
         else:

@@ -439,6 +439,19 @@ def test_classify_and_full_solve_each_type_lp_once(tmp_path,
     assert counts["extreme"] == 4
 
 
+def test_preset_solves_no_program_twice(tmp_path, recorded_programs):
+    """The classify and virtual tasks share the exposure chain of each
+    declared-face type, so no program of the preset is solved twice."""
+    run_scenario(counterexample_preset(), tmp_path)
+    programs = [(prog.sense, prog.rows.shape,
+                 *(a.tobytes() for a in (prog.objective, prog.rows,
+                                         prog.codes, prog.rhs, prog.lo,
+                                         prog.up)))
+                for prog, _, _ in recorded_programs]
+    assert any("exposure_chain" in rec.callers for rec in recorded_programs)
+    assert len(set(programs)) == len(programs)
+
+
 @pytest.mark.parametrize("config, n_states", [
     (random_table_config(["classify", "full", "duality"]), 6),
     (counterexample_preset(), 3),

@@ -207,6 +207,30 @@ def test_exposure_chain_of_a_single_point():
     assert chain.margins == [np.inf]
 
 
+def test_exposure_chain_is_remembered_read_only(recorded_programs):
+    """A belief set works out each point's chain once per declared faces
+    and margin_tol, hands back read-only arrays, leaves the caller's
+    faces writeable, and remembers no error."""
+    model = counterexample_model(validate=False)
+    bset = sample(model, 101).belief_set()
+    declared = [np.array(f.functional) for f in model.declared_faces]
+    chain = exposure_chain(bset, 0, declared_faces=declared)
+    assert chain.length == 2
+    solved = len(recorded_programs)
+    assert exposure_chain(bset, 0, declared_faces=list(declared)) is chain
+    assert len(recorded_programs) == solved
+    assert exposure_chain(bset, 0) is not chain
+    for part in (chain.initial_members, *sum(chain.stages, ())):
+        assert not part.flags.writeable
+    assert all(z.flags.writeable for z in declared)
+    stalled = sample(model, 17).belief_set()
+    for _ in range(2):
+        recorded_programs.clear()
+        with pytest.raises(ChainStalled):
+            exposure_chain(stalled, 0, margin_tol=0.05)
+        assert recorded_programs
+
+
 def test_exposure_chain_duplicate_not_extreme():
     pts = np.vstack([np.eye(3), np.eye(3)[:1]])
     bset = FiniteBeliefSet(["e1", "e2", "e3", "dup"], pts,

@@ -33,6 +33,8 @@ from surplex.lp import (
     MalformedProgram,
     _canonicalize,
     _extract_duals,
+    _pivot,
+    _pivot_stack,
     _to_original,
     check_certificate,
     solve,
@@ -902,6 +904,38 @@ def test_solve_stack_matches_reference_on_virtual_separators(
     for sol, ref in zip(got, refs):
         _assert_same_solution(sol, ref)
     assert {sol.status for sol in got} == {OPTIMAL}
+
+
+def test_stack_pivot_keeps_the_signed_zeros_of_the_one_slot_pivot():
+    """_pivot_stack is _pivot slot by slot down to the signs of zeros, on
+    tableaux seeded with -0.0 entries, negative pivot rows and zero
+    factors.  An outer product that accumulates into +0.0, as einsum and
+    matmul do, turns a -0.0 product into +0.0 and fails here."""
+    rng = np.random.default_rng(3)
+    B, m, w = 8, 5, 9
+    T = rng.integers(-3, 4, size=(B, m + 1, w)).astype(float)
+    T[rng.random(T.shape) < 0.3] = -0.0
+    at, r, q = np.arange(B), rng.integers(m, size=B), rng.integers(w, size=B)
+    T[at, r] = -np.abs(T[at, r])            # pivot rows of -0.0 and < 0
+    T[at, r, q] = -2.0
+    T[at, (r + 1) % m, q] = -0.0            # zero factors of both signs
+    T[at, (r + 2) % m, q] = 0.0
+    basis = np.zeros((B, m), dtype=int)
+    want, want_basis = T.copy(), basis.copy()
+    for k in range(B):
+        _pivot(want[k], want_basis[k], r[k], q[k])
+    accumulated = T.copy()
+    prow = accumulated[at, r] / accumulated[at, r, q][:, None]
+    factors = accumulated[at, :, q]
+    factors[at, r] = 0.0
+    accumulated[at, r] = prow
+    accumulated -= np.einsum("ki,kj->kij", factors, prow)
+
+    _pivot_stack(T, basis, r, q, np.empty_like(T))
+    assert T.tobytes() == want.tobytes()
+    assert np.array_equal(basis, want_basis)
+    assert np.array_equal(accumulated, want)
+    assert accumulated.tobytes() != want.tobytes()
 
 
 def test_solve_stack_checks_its_arrays():
