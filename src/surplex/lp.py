@@ -427,9 +427,8 @@ class _Stack:
         """Minimize over the current canonical system of each of the slots
         [0, live) the costs of its program: costs is (B, ncols + 1) in
         program order, an objective row whose right-hand side is 0.0, and
-        only the columns [0, n_enter) may enter the basis.  On
-        return, per slot, info says whether it ended unbounded and on
-        which column; the slots [0, live) may not be infeasible.
+        only the columns [0, n_enter) may enter the basis.  On return, per
+        slot, info says whether it ended unbounded and on which column.
 
         While two or more slots run, each iteration applies _run_one's
         rules to all of them at once: slots that stop leave the prefix
@@ -442,7 +441,7 @@ class _Stack:
         m, ncols = T.shape[1] - 1, T.shape[2] - 1
         costs = costs[info[:live, _ID]] if self.moved else costs[:live]
         at = np.arange(live)
-        dropped = not kept[:live].all()
+        dropped = np.count_nonzero(kept[:live]) < live * m
         # the objective row: costs - coef_i T[i] for each kept row i in
         # order, coef_i the cost of its basic column (a unit column); the
         # other rows subtract +0.0, which changes no bit
@@ -460,10 +459,11 @@ class _Stack:
         info[:live, _STATUS:] = 0
         eligible = bland = None     # built once a slot parks or turns Bland
         lazy = ()                   # the ones built
-        if live > 1 and self.work is None:
-            self.work = np.empty_like(T)
-        # the guard counts from the slot that starts with most iterations
-        limit = MAX_ITERATIONS - int(info[:live, _ITERATIONS].max())
+        if live > 1:    # its guard counts from the slot with most iterations
+            if self.work is None:
+                self.work = np.empty_like(T)
+            limit = MAX_ITERATIONS - int(info[:live, _ITERATIONS].max())
+            scratch = np.empty((live, m))       # the ratio tests
         count = 0
         k = live
         while k > 1:
@@ -491,7 +491,8 @@ class _Stack:
             pos = col > PIVOT_TOL
             if dropped:
                 pos &= kept[:k]
-            ratios = np.full((k, m), np.inf)
+            ratios = scratch[:k]
+            ratios.fill(np.inf)
             np.divide(T[:k, :m, -1], col, out=ratios, where=pos)
             if m:
                 best = ratios[at[:k], ratios.argmin(axis=1)]
@@ -508,13 +509,12 @@ class _Stack:
                 unbounded = blocked & (red[at[:k], q] < 1e4 * ntol[:k])
                 info[:k][unbounded, _STATUS] = _UNBOUNDED
                 info[:k][unbounded, _ENTERING] = q[unbounded]
-                waiting = (blocked & ~unbounded).nonzero()[0]
-                if waiting.size and eligible is None:
+                if eligible is None:
                     allowed = np.arange(ncols) < n_enter
                     eligible = np.tile(allowed, (live, 1))
                     lazy += (eligible,)
-                if waiting.size:
-                    eligible[waiting, q[waiting]] = False
+                waiting = (blocked & ~unbounded).nonzero()[0]
+                eligible[waiting, q[waiting]] = False
                 moving = ~blocked
                 state = (q, r, degenerate, moving, ntol, *lazy)
                 k = self.partition(~unbounded, state)
@@ -555,8 +555,9 @@ class _Stack:
         m = T.shape[0] - 1
         red = T[m, :-1]
         rhs = T[:m, -1]
-        dropped = not kept.all()
-        iterations, streak = self.info[0, [_ITERATIONS, _STREAK]].tolist()
+        dropped = np.count_nonzero(kept) < m
+        iterations = int(self.info[0, _ITERATIONS])
+        streak = int(self.info[0, _STREAK])
         ratios = np.empty(m)
         while True:
             iterations += 1
