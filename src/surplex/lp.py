@@ -356,11 +356,11 @@ def _pivot(T, basis, r, q):
     basis[r] = q
 
 
-def _pivot_stack(T, basis, r, q, work, at=None):
+def _pivot_stack(T, basis, r, q, work):
     """Pivot each tableau T[k] on (r[k], q[k]): _pivot's arithmetic for
     every k at once, down to the signs of zeros.  work is scratch of T's
-    shape; at, if given, is np.arange(len(T))."""
-    at = np.arange(T.shape[0]) if at is None else at
+    shape."""
+    at = np.arange(T.shape[0])
     prow = T[at, r]
     prow /= T[at, r, q][:, None]
     T[at, r] = prow
@@ -532,7 +532,7 @@ class _Stack:
                 if eligible is not None:
                     eligible[:n_move] = allowed
                 _pivot_stack(T[:n_move], basis[:n_move], r[:n_move],
-                             q[:n_move], self.work[:n_move], at[:n_move])
+                             q[:n_move], self.work[:n_move])
         if k == 1:
             self._run_one(n_enter, float(ntol[0]),
                           bland is not None and bool(bland[0]),
