@@ -670,8 +670,7 @@ def _solve_stack(layout, rows, objectives):
         # pivot leftover artificials out of the basis; drop redundant rows
         arts = stack.basis[:live] >= n_real
         T = stack.T
-        for i in (arts.any(axis=0).nonzero()[0] if np.count_nonzero(arts)
-                  else ()):
+        for i in arts.any(axis=0).nonzero()[0]:
             slots = arts[:, i].nonzero()[0]
             size = np.abs(T[slots, i, :n_real])
             j = size.argmax(axis=1)
