@@ -459,9 +459,10 @@ class _Stack:
         info[:live, _STATUS:] = 0
         eligible = bland = None     # built once a slot parks or turns Bland
         lazy = ()                   # the ones built
-        if live > 1:    # its guard counts from the slot with most iterations
+        if live > 1:
             if self.work is None:
                 self.work = np.empty_like(T)
+            # the lock-step guard counts from the slot with most iterations
             limit = MAX_ITERATIONS - int(info[:live, _ITERATIONS].max())
             scratch = np.empty((live, m))       # the ratio tests
         count = 0
