@@ -5,12 +5,12 @@ Usage: python scripts/lp_replay.py NAME... [--repeat N]
 NAME is an entry of CORPUS in scripts/same_bytes.py.  Each config runs
 once through `surplex.cli.run_scenario`, into a temporary directory that
 is removed at the end, while every `lp.solve` and `lp.solve_stack` call
-is recorded with copies of its arguments and its answer.  Then every
-recorded call is replayed N times (default 5) in this process, and a
-table gives, per caller family and program shape (constraints x
-variables of the program as built, before canonicalization): the calls,
-the programs they solve, their pivots, and the best and median over the
-repeats of the family's total time in ms.
+is recorded with copies of its arguments (per-program right-hand sides
+included) and its answer.  Then every recorded call is replayed N times
+(default 5) in this process, and a table gives, per caller family and
+program shape (constraints x variables of the program as built, before
+canonicalization): the calls, the programs they solve, their pivots, and
+the best and median over the repeats of the family's total time in ms.
 
 The family is the innermost caller on the call's stack that FAMILY_OF
 names.  Exits 1 if any replayed answer differs in any bit (signs of
@@ -39,7 +39,7 @@ from surplex import cli, lp  # noqa: E402
 
 # caller function name -> family; the innermost named caller wins
 FAMILY_OF = {
-    "_hull_membership_lp": "extreme",
+    "extreme_each": "extreme",
     "exposure_chain": "chain",
     "expose_each": "separation",
     "expose_set": "separation",
@@ -80,9 +80,10 @@ def record(names):
         calls.append((name, _family(), solve, (prog,), [sol]))
         return sol
 
-    def record_stack(layout, rows, objectives):
-        args = (layout, _copy(rows), _copy(objectives))
-        sols = solve_stack(layout, rows, objectives)
+    def record_stack(layout, rows, objectives, rhs=None):
+        args = (layout, _copy(rows), _copy(objectives),
+                None if rhs is None else _copy(rhs))
+        sols = solve_stack(layout, rows, objectives, rhs)
         calls.append((name, _family(), solve_stack, args, sols))
         return sols
 

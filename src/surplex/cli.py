@@ -49,6 +49,7 @@ from surplex.extraction import (
     compress_menu,
     full_extraction_lp,
     full_extraction_menu,
+    on_declared_face,
     verify_menu,
     virtual_extraction_menu,
 )
@@ -59,7 +60,12 @@ from surplex.figures import (
     write_margins_csv,
     write_surplus_csv,
 )
-from surplex.geometry import MARGIN_TOL, expose_each, expose_set
+from surplex.geometry import (
+    MARGIN_TOL,
+    expose_each,
+    expose_set,
+    extreme_each,
+)
 from surplex.models import (
     EPS_EMB,
     ParametricModel,
@@ -163,11 +169,13 @@ def validate_config(config: dict) -> None:
             _integer(key, config[key], 2)
     if "verify_multiplier" in config:
         _integer("verify_multiplier", config["verify_multiplier"], 1)
-    grids = config.get("sweep_grids", [])
-    if not isinstance(grids, list):
-        raise ConfigError("sweep_grids must be a list of grid sizes")
-    for n in grids:
-        _integer("each of sweep_grids", n, 2)
+    if "sweep_grids" in config:
+        grids = config["sweep_grids"]
+        if not isinstance(grids, list) or not grids:
+            raise ConfigError("sweep_grids must be a nonempty list of grid "
+                              "sizes")
+        for n in grids:
+            _integer("each of sweep_grids", n, 2)
     tol = config.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ConfigError("tolerances must be an object")
@@ -220,8 +228,15 @@ def task_classify(model, config, tols) -> dict:
     margin_tol = tols.get("margin_tol", MARGIN_TOL)
     grid_n = config.get("grid", 201)
     tab = _as_tabular(model, grid_n)
-    # every point's exposure LP in one stacked solve
-    expose_each(tab.belief_set())
+    bset = tab.belief_set()
+    # every point's exposure LP in one stacked solve, then the
+    # extreme-point LPs of the types classify_type tests, unexposed and
+    # on no declared face, in another
+    margins = expose_each(bset)
+    faces = ([] if isinstance(model, TabularModel)
+             else [f.functional for f in model.declared_faces])
+    extreme_each(bset, [i for i in np.flatnonzero(margins <= margin_tol)
+                        if not on_declared_face(bset.points, i, faces)])
     items = (list(range(model.n_types)) if isinstance(model, TabularModel)
              else list(tab.ts))
     verdicts = [classify_type(model, t, grid_n, margin_tol=margin_tol)
@@ -244,7 +259,10 @@ def task_full(model, config, tols) -> dict:
         menu = full_extraction_menu(
             tab, margin_tol=tols.get("margin_tol", MARGIN_TOL))
     except NotAllDetectable as err:
-        sol, _ = full_extraction_lp(tab)
+        # only the blocks of convex combinations can be unbounded
+        sol, _ = full_extraction_lp(tab, first=[
+            tab.index_of(lbl) for lbl, witness in err.failing
+            if witness is not None])
         out.update({
             "passed": False,
             "error": "NotAllDetectable",

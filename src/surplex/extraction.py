@@ -18,12 +18,14 @@ import numpy as np
 
 from surplex import lp
 from surplex.geometry import (
+    EXPOSE_CHUNK,
     FACE_TOL,
     MARGIN_TOL,
     ExposureChain,
     expose_each,
     expose_set,
     exposure_chain,
+    extreme_each,
     is_extreme,
     separation_answer,
     separation_stack,
@@ -317,14 +319,10 @@ def classify_type(model, t, grid_n: int = 201,
                               margin=np.inf, inf_margin=np.inf,
                               provenance="grid")
     bset = tab.belief_set()
-    pi_t = bset.points[idx]
-
-    for z in faces:
-        if (abs(float(pi_t @ z)) <= FACE_TOL
-                and (np.abs(bset.points @ z) <= FACE_TOL).sum() >= 2):
-            chain = exposure_chain(bset, idx, declared_faces=faces)
-            return Classification(label=EVENTUALLY_DETECTABLE, chain=chain,
-                                  provenance="declared")
+    if on_declared_face(bset.points, idx, faces):
+        chain = exposure_chain(bset, idx, declared_faces=faces)
+        return Classification(label=EVENTUALLY_DETECTABLE, chain=chain,
+                              provenance="declared")
 
     res = expose_set(bset, [idx], margin_tol=margin_tol)
     if res is not None:
@@ -345,6 +343,15 @@ def classify_type(model, t, grid_n: int = 201,
                           provenance=chain.provenance)
 
 
+def on_declared_face(points, i, faces) -> bool:
+    """Whether points[i] lies on the zero set of one of the functionals
+    faces together with another point: classify_type gives such a type
+    its declared exposure chain."""
+    return any(abs(float(points[i] @ z)) <= FACE_TOL
+               and (np.abs(points @ z) <= FACE_TOL).sum() >= 2
+               for z in faces)
+
+
 # ---------------------------------------------------------------------------
 # full extraction (finite tables)
 
@@ -359,7 +366,8 @@ def full_extraction_menu(tab: TabularModel, *,
     witnesses) if any type admits no separator, that is no exposure
     margin above margin_tol.  The separators come from the table's one
     belief set, whose missing exposure LPs are solved in one stacked call
-    (expose_each), so a table classified first solves no exposure or
+    (expose_each), and so are the failing types' extreme-point LPs
+    (extreme_each), so a table classified first solves no exposure or
     extreme-point LP again.
     """
     if tab.n_types == 1:
@@ -369,17 +377,13 @@ def full_extraction_menu(tab: TabularModel, *,
 
     bset = tab.belief_set()
     expose_each(bset)
-    failing = []
-    separators = []
-    for i in range(tab.n_types):
-        res = expose_set(bset, [i], margin_tol=margin_tol)
-        if res is None:
-            _, witness = is_extreme(bset, i)
-            failing.append((tab.labels[i], witness))
-        else:
-            separators.append(res)
+    separators = [expose_set(bset, [i], margin_tol=margin_tol)
+                  for i in range(tab.n_types)]
+    failing = [i for i, res in enumerate(separators) if res is None]
     if failing:
-        raise NotAllDetectable(failing)
+        extreme_each(bset, failing)
+        raise NotAllDetectable([(tab.labels[i], is_extreme(bset, i)[1])
+                                for i in failing])
 
     entries = []
     for i, (z, _) in enumerate(separators):
@@ -395,7 +399,7 @@ def full_extraction_menu(tab: TabularModel, *,
     return Menu(entries)
 
 
-def full_extraction_lp(tab: TabularModel):
+def full_extraction_lp(tab: TabularModel, first=()):
     """Feasibility LP for full extraction, minimizing a sup-norm surrogate.
 
     Variables are one contract c(t) in R^S per type plus one bound u_t
@@ -413,34 +417,62 @@ def full_extraction_lp(tab: TabularModel):
 
     (c(t), u_t) are its row multipliers, and its primal (y, a, b) is the
     block's multipliers: y on the own and cross rows, (-a, b) on the box
-    rows.  An unbounded block means the program is infeasible, and its
-    ray, with zero weight on every other block, is the Farkas certificate.
+    rows.  An unbounded block means the program is infeasible, and the
+    ray of the first unbounded block in type order, with zero weight on
+    every other block, is the Farkas certificate.
+
+    Block t writes y_t as the difference of its column t and an explicit
+    column -pi_t right after it, with objective entry -v_t and mass entry
+    0.  That is how lp splits a free variable, bit for bit: (-p) / s is
+    p / (-s), the row scales and costs are the same, and y_t is the same
+    subtraction.  So every block has one layout (all variables >= 0, S
+    "=" rows and one "<=" row), and blocks go to lp.solve_stack together,
+    EXPOSE_CHUNK at a time, since a block has a column per type.
+
+    Only a block whose type's belief is a convex combination of the
+    others' can be unbounded: a ray has a = b = 0 (the mass row), so it
+    puts weights y on probability vectors that sum to the zero vector,
+    and with y_t >= 0 too they would all be zero; so y_t < 0, and the
+    ray divided by -y_t is such a combination.  The blocks of first,
+    types the caller found to be combinations, are solved first, one at
+    a time in index order, up to the first unbounded one; only if none is
+    unbounded are the other blocks solved.  Status and certificate are
+    those of solving every block in index order, unless a block outside
+    first with a lower index is unbounded, which would contradict that
+    type's exposure certificate numerically.  iterations counts the
+    pivots of the blocks solved.
     """
     m, S = tab.n_types, tab.state_count
-    rows = np.hstack([tab.beliefs.T, -np.eye(S), np.eye(S)])
-    mass = np.concatenate([np.zeros(m), np.ones(2 * S)])
-    cons = [(row, lp.EQ, 0.0) for row in rows] + [(mass, lp.LE, 1.0)]
-    obj = np.concatenate([tab.values, np.zeros(2 * S)])
-    bounds = np.tile([0.0, np.nan], (m + 2 * S, 1))
-    contracts = np.zeros((m, S + 1))          # (c(t), u_t) per type
-    mults = np.zeros((m, m + 2 * S))          # (y, a, b) per type
-    iterations = 0
-    status = lp.OPTIMAL
-    for t in range(m):
-        bounds[t, 0] = np.nan
-        block = lp.solve(lp.LinearProgram(obj, cons, bounds=bounds,
-                                          sense="max"))
-        bounds[t, 0] = 0.0
-        iterations += block.iterations
-        if block.status == lp.INFEASIBLE:  # pragma: no cover - 0 is feasible
-            raise RuntimeError("full-extraction block LP ended infeasible")
-        if block.status == lp.UNBOUNDED:
-            mults[:] = 0.0
-            mults[t] = block.ray
-            status = lp.INFEASIBLE
+    n = m + 1 + 2 * S
+    layout = lp.LinearProgram(
+        np.zeros(n), [(np.zeros(n), lp.EQ, 0.0)] * S
+        + [(np.zeros(n), lp.LE, 1.0)], sense="max")
+    blocks = {}
+    for t in sorted(set(first)):
+        blocks[t], = lp.solve_stack(layout, *_full_blocks(tab, [t]))
+        if blocks[t].status == lp.UNBOUNDED:
             break
-        contracts[t] = block.duals
-        mults[t] = block.primal
+    else:   # no block of first is unbounded: solve the others
+        rest = [t for t in range(m) if t not in blocks]
+        for lo in range(0, len(rest), EXPOSE_CHUNK):
+            part = rest[lo:lo + EXPOSE_CHUNK]
+            blocks.update(zip(part, lp.solve_stack(
+                layout, *_full_blocks(tab, part))))
+    if any(b.status == lp.INFEASIBLE
+           for b in blocks.values()):  # pragma: no cover - 0 is feasible
+        raise RuntimeError("full-extraction block LP ended infeasible")
+    iterations = sum(b.iterations for b in blocks.values())
+    unbounded = min((t for t, b in blocks.items()
+                     if b.status == lp.UNBOUNDED), default=None)
+    mults = np.zeros((m, m + 2 * S))          # (y, a, b) per type
+    if unbounded is not None:
+        mults[unbounded] = _block_mults(blocks[unbounded].ray, unbounded)
+        status = lp.INFEASIBLE
+    else:
+        contracts = np.array([blocks[t].duals for t in range(m)])
+        for t in range(m):
+            mults[t] = _block_mults(blocks[t].primal, t)
+        status = lp.OPTIMAL
 
     own = np.diag(mults[:, :m])
     cross = mults[:, :m][~np.eye(m, dtype=bool)]
@@ -458,6 +490,34 @@ def full_extraction_lp(tab: TabularModel):
                         bound_duals=zeros, iterations=iterations)
     return sol, Menu([(lbl, Contract(c)) for lbl, c
                       in zip(tab.labels, contracts[:, :S])])
+
+
+def _full_blocks(tab, ts):
+    """The rows and objectives of the full-extraction blocks of the types
+    ts, on full_extraction_lp's shared layout: block t's columns are the
+    beliefs in type order with -pi_t inserted after pi_t, then -I and +I."""
+    m, S = tab.n_types, tab.state_count
+    ts = np.asarray(ts)
+    j = np.arange(m + 1)
+    src = j - (j > ts[:, None])          # each column's type; t twice
+    sign = np.where(j == ts[:, None] + 1, -1.0, 1.0)
+    rows = np.zeros((ts.size, S + 1, m + 1 + 2 * S))
+    rows[:, :S, :m + 1] = (tab.beliefs[src]
+                           * sign[:, :, None]).transpose(0, 2, 1)
+    rows[:, :S, m + 1:m + 1 + S] = -np.eye(S)
+    rows[:, :S, m + 1 + S:] = np.eye(S)
+    rows[:, S, m + 1:] = 1.0
+    objectives = np.zeros((ts.size, m + 1 + 2 * S))
+    objectives[:, :m + 1] = tab.values[src] * sign
+    return rows, objectives
+
+
+def _block_mults(x, t):
+    """Block t's (y, a, b) off the primal or ray of its split form: y_t is
+    its column t minus column t + 1."""
+    y = np.delete(x, t + 1)
+    y[t] -= x[t + 1]
+    return y
 
 
 # ---------------------------------------------------------------------------

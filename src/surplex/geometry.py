@@ -10,10 +10,12 @@ min-l1 convex-combination program with S + 1 rows and one column per
 point, whose row multipliers are the functional z.  separation_stack
 writes the rows of many such programs into one array for lp.solve_stack:
 the exposure LPs of all points of a set share one layout and are solved
-as one stack (expose_each).  The supporting LP of an exposure chain (the
-functional through a point with the most mass above it) is the same LP
-with the centroid as its one margin point, so no geometry LP has more
-than S + 1 rows or a variable bound other than >= 0.
+as one stack (expose_each), and so are their hull-membership LPs, which
+differ in their right-hand sides too (extreme_each).  The supporting LP
+of an exposure chain (the functional through a point with the most mass
+above it) is the same LP with the centroid as its one margin point, so
+no geometry LP has more than S + 1 rows or a variable bound other than
+>= 0.
 """
 
 from __future__ import annotations
@@ -219,23 +221,51 @@ def is_extreme(bset: FiniteBeliefSet, i: int):
     Returns (True, None) for extreme points, else (False, mu) where mu is
     a convex-combination witness over all indices (zero at i) with
     sum_j mu_j p_j = p_i up to WITNESS_TOL.  The LP is solved once per
-    point of bset; later calls return the same (read-only) witness.
+    point of bset (extreme_each); later calls return the same (read-only)
+    witness.
     """
     i = bset.check_index(i)
     if len(bset) == 1:
         return True, None
-    return bset._remember(("extreme", i), _hull_membership_lp, bset, i)
+    extreme_each(bset, [i])
+    return bset._memo[("extreme", i)]
 
 
-def _hull_membership_lp(bset, i):
-    m = len(bset)
-    others = [j for j in range(m) if j != i]
-    P = bset.points[others]          # (m-1, S)
-    target = bset.points[i]
-    cons = [(row, lp.EQ, target[s]) for s, row in enumerate(P.T)]
-    cons.append((np.ones(m - 1), lp.EQ, 1.0))
-    prog = lp.LinearProgram(np.zeros(m - 1), cons)
-    sol = lp.solve(prog)
+def extreme_each(bset: FiniteBeliefSet, idx) -> None:
+    """Solve the hull-membership LP of every point of idx that has no
+    remembered answer yet, and remember the answers, so that is_extreme
+    on these points solves nothing more.
+
+    Point i's LP asks for convex weights on the other points, in index
+    order, that average to p_i: its rows are their beliefs transposed and
+    a row of ones, its right-hand side is (p_i, 1), and it is infeasible
+    exactly when p_i is extreme.  The programs share one layout and
+    differ in their rows and right-hand sides, so they go to
+    lp.solve_stack EXPOSE_CHUNK points at a time, as in expose_each.
+    """
+    m, S = len(bset), bset.n_states
+    todo = np.array([i for i in dict.fromkeys(map(bset.check_index, idx))
+                     if ("extreme", i) not in bset._memo], dtype=int)
+    if m == 1 or todo.size == 0:
+        return
+    layout = lp.LinearProgram(np.zeros(m - 1),
+                              [(np.zeros(m - 1), lp.EQ, 0.0)] * (S + 1))
+    for lo in range(0, todo.size, EXPOSE_CHUNK):
+        part = todo[lo:lo + EXPOSE_CHUNK]
+        others = np.arange(m - 1) + (np.arange(m - 1) >= part[:, None])
+        rows = np.ones((part.size, S + 1, m - 1))
+        rows[:, :S] = bset.points[others].transpose(0, 2, 1)
+        rhs = np.ones((part.size, S + 1))
+        rhs[:, :S] = bset.points[part]
+        sols = lp.solve_stack(layout, rows,
+                              np.broadcast_to(layout.objective,
+                                              (part.size, m - 1)), rhs)
+        for i, cols, sol in zip(part.tolist(), others, sols):
+            bset._remember(("extreme", i), _hull_answer, sol, cols, m)
+
+
+def _hull_answer(sol, others, m):
+    """is_extreme's answer off a solved hull-membership LP."""
     if sol.status == lp.INFEASIBLE:
         return True, None
     mu = np.zeros(m)
@@ -348,10 +378,12 @@ def expose_set(bset: FiniteBeliefSet, subset, *,
     return z, margin
 
 
-def expose_each(bset: FiniteBeliefSet) -> None:
+def expose_each(bset: FiniteBeliefSet) -> np.ndarray:
     """Solve the singleton exposure LP of every point of bset that has no
     remembered answer yet, and remember the answers, so that expose_set on
-    a single point solves nothing more.
+    a single point solves nothing more.  Returns every point's raw margin,
+    before any margin_tol test (inf for the one point of a one-point set,
+    which the zero functional exposes).
 
     The programs differ only in which point is the zero column, so they
     share one layout and go to lp.solve_stack EXPOSE_CHUNK points at a
@@ -360,10 +392,10 @@ def expose_each(bset: FiniteBeliefSet) -> None:
     own.
     """
     m = len(bset)
+    if m == 1:
+        return np.full(1, np.inf)
     todo = np.array([i for i in range(m) if ("expose", i) not in bset._memo],
                     dtype=int)
-    if m == 1:
-        return
     for lo in range(0, todo.size, EXPOSE_CHUNK):
         part = todo[lo:lo + EXPOSE_CHUNK]
         # point i's margin points: every other point, in index order
@@ -374,6 +406,7 @@ def expose_each(bset: FiniteBeliefSet) -> None:
         for i, margin, sol in zip(part.tolist(), others, sols):
             bset._remember(("expose", i), separation_answer, sol,
                            bset.points[margin])
+    return np.array([bset._memo[("expose", i)][1] for i in range(m)])
 
 
 def face_of(bset: FiniteBeliefSet, z, face_tol: float = FACE_TOL) -> np.ndarray:

@@ -18,9 +18,10 @@ solutions of the canonical form; infeasible programs carry a Farkas
 certificate in the duals; unbounded programs carry a certifying ray.
 
 solve() takes one program.  solve_stack() takes many programs that
-share relations, rhs, bounds and sense and differ in their rows and
+share relations, bounds and sense and differ in their rows and
 objectives, as one layout program plus a (B, m, n) array of rows and a
-(B, n) array of objectives; it pivots their running tableaux together,
+(B, n) array of objectives, and in their right-hand sides too when a
+(B, m) array of them is given; it pivots their running tableaux together,
 one numpy operation per step for all of them, hands the last one running
 to the single-tableau loop, and returns for each program exactly what
 solve() returns for it.  Callers write the stacked rows straight into
@@ -123,11 +124,14 @@ class LinearProgram:
     def n_constraints(self) -> int:
         return self.codes.size
 
-    def with_rows(self, rows, objective) -> "LinearProgram":
-        """The program with this one's relations, rhs, bounds and sense,
-        and the given constraint rows and objective."""
-        return LinearProgram(objective, zip(rows, self.relations, self.rhs),
-                             bounds=self.bounds, sense=self.sense)
+    def with_rows(self, rows, objective, rhs=None) -> "LinearProgram":
+        """The program with this one's relations, bounds and sense, and
+        the given constraint rows and objective; its rhs too unless rhs
+        is given."""
+        return LinearProgram(
+            objective, zip(rows, self.relations,
+                           self.rhs if rhs is None else rhs),
+            bounds=self.bounds, sense=self.sense)
 
     @cached_property
     def relations(self) -> list[str]:
@@ -206,20 +210,24 @@ class _Canonical:
     art_cols: np.ndarray             # per row: artificial column or -1
 
 
-def _canonicalize(lp: LinearProgram, rows=None, objective=None):
+def _canonicalize(lp: LinearProgram, rows=None, objective=None, rhs=None):
     """Rows: the constraints, then the bound rows, for each variable its
     lower-bound row (lo finite and nonzero) before its upper-bound row.
     The canonical system is written straight into the simplex work matrix
     T (see _Stack), and A is a view of it, so A changes as T pivots.
 
     rows (B, m, n) and objective (B, n) stack B programs that share lp's
-    relations, rhs, bounds and sense; T, A, b, c and scale then carry a
-    leading batch axis and every other field is shared.  A stack whose
-    programs need different row flips (a scaled rhs that underflows to
-    -0.0 in some programs only) has no shared layout: None.
+    relations, bounds and sense, and its rhs unless rhs (B, m) gives each
+    program its own (the bound rows keep lp's); T, A, b, c and scale then
+    carry a leading batch axis and every other field is shared.  A stack
+    whose programs need different row flips (a scaled rhs that underflows
+    to -0.0 in some programs only, or rhs of different signs) has no
+    shared layout: None.
     """
     if rows is None:
         rows, objective = lp.rows, lp.objective
+    if rhs is None:
+        rhs = lp.rhs
     batch, n = rows.shape[:-2], lp.n_vars
     split = lp.lo < 0.0
     if np.count_nonzero(split):
@@ -235,7 +243,7 @@ def _canonicalize(lp: LinearProgram, rows=None, objective=None):
             for a, z in zip([0, *cuts], [*cuts, n])]
     n_struct = n + second.size
 
-    codes, rhs = lp.codes, lp.rhs
+    codes = lp.codes
     has_lo = np.isfinite(lp.lo) & (lp.lo != 0.0)
     has_up = np.isfinite(lp.up)
     bound_var = bound_up = np.arange(0)
@@ -247,7 +255,10 @@ def _canonicalize(lp: LinearProgram, rows=None, objective=None):
         rows = np.concatenate(
             [rows, np.broadcast_to(unit, batch + unit.shape)], axis=-2)
         codes = np.concatenate([codes, np.where(bound_up, 1, -1)])
-        rhs = np.concatenate([rhs, np.column_stack([lp.lo, lp.up]).ravel()[k]])
+        bound_rhs = np.column_stack([lp.lo, lp.up]).ravel()[k]
+        rhs = np.concatenate(
+            [rhs, np.broadcast_to(bound_rhs, rhs.shape[:-1] + k.shape)],
+            axis=-1)
 
     # row equilibration: unit inf-norm rows keep reduced-cost noise flat;
     # splitting a column changes no row's norm, and a bound row's is 1
@@ -606,18 +617,22 @@ class _Stack:
         self.info[0, _ITERATIONS] = iterations
 
 
-def solve_stack(layout: LinearProgram, rows, objectives) -> list[LpSolution]:
+def solve_stack(layout: LinearProgram, rows, objectives,
+                rhs=None) -> list[LpSolution]:
     """Solve B programs in one lock-step two-phase simplex: program k has
-    layout's relations, rhs, bounds and sense, constraint rows rows[k]
-    and objective objectives[k].  rows is (B, m, n) and objectives is
-    (B, n), where layout has m constraints and n variables; either may be
-    a broadcast view.  layout's own rows and objective are not read.
-    Returns one LpSolution per program, bit for bit the one solve()
-    returns for it.
+    layout's relations, bounds and sense, constraint rows rows[k],
+    objective objectives[k] and right-hand sides rhs[k], or layout's rhs
+    when rhs is None.  rows is (B, m, n), objectives is (B, n) and rhs is
+    (B, m), where layout has m constraints and n variables; any of them
+    may be a broadcast view.  layout's own rows and objective, and its
+    rhs when rhs is given, are not read.  Returns one LpSolution per
+    program, bit for bit the one solve() returns for it.
 
     The canonical layout (split columns, bound rows, slacks, flips and
-    artificials) is worked out once and only the rows and objectives are
-    stacked.  The stack pivots its running programs at once, one numpy
+    artificials) is worked out once and only the rows, objectives and
+    right-hand sides are stacked; each program's rhs is divided by its
+    own row scales.  Programs whose rhs need different row flips share
+    no layout and are solved one at a time.  The stack pivots its running programs at once, one numpy
     operation per step for all of them, and hands the last one to the
     single-program loop, so a family costs about as many numpy calls as
     its slowest member alone, and its tail no more than that member's.
@@ -628,26 +643,32 @@ def solve_stack(layout: LinearProgram, rows, objectives) -> list[LpSolution]:
     objectives = np.asarray(objectives, dtype=float)
     m, n = layout.n_constraints, layout.n_vars
     B = rows.shape[0] if rows.ndim == 3 else -1
-    if rows.shape != (B, m, n) or objectives.shape != (B, n):
+    if rhs is not None:
+        rhs = np.asarray(rhs, dtype=float)
+    if (rows.shape != (B, m, n) or objectives.shape != (B, n)
+            or rhs is not None and rhs.shape != (B, m)):
         raise MalformedProgram(
-            f"rows {rows.shape} and objectives {objectives.shape} do not "
-            f"stack programs of {m} constraints and {n} variables")
-    if not (np.isfinite(rows).all() and np.isfinite(objectives).all()):
+            f"rows {rows.shape}, objectives {objectives.shape} and rhs "
+            f"{None if rhs is None else rhs.shape} do not stack programs "
+            f"of {m} constraints and {n} variables")
+    if not (np.isfinite(rows).all() and np.isfinite(objectives).all()
+            and (rhs is None or np.isfinite(rhs).all())):
         raise MalformedProgram("non-finite data")
     if not B:
         return []
-    return _solve_stack(layout, rows, objectives)
+    return _solve_stack(layout, rows, objectives, rhs)
 
 
-def _solve_stack(layout, rows, objectives):
+def _solve_stack(layout, rows, objectives, rhs=None):
     """The two-phase simplex on checked arrays; see solve_stack."""
-    canon = _canonicalize(layout, rows, objectives)
+    canon = _canonicalize(layout, rows, objectives, rhs)
     if canon is None:
         # no shared row flips: each program alone, and a stack of one
         # always has a shared layout
         return [sol for k in range(len(rows))
-                for sol in _solve_stack(layout, rows[k:k + 1],
-                                        objectives[k:k + 1])]
+                for sol in _solve_stack(
+                    layout, rows[k:k + 1], objectives[k:k + 1],
+                    None if rhs is None else rhs[k:k + 1])]
     B, m, ncols = canon.A.shape
     has_art = canon.art_cols >= 0
     # the artificial columns come last: [n_real, ncols)
@@ -687,7 +708,8 @@ def _solve_stack(layout, rows, objectives):
 
     # read every program's answer off its slot, in program order; rows of
     # C-ordered arrays, so that each program's vectors are contiguous, and
-    # numpy reduces them the same way whatever the stack
+    # numpy reduces them the same way whatever the stack or the memory
+    # layout of the caller's arrays
     at = np.argsort(stack.info[:, _ID]) if stack.moved else slice(None)
     T, info = stack.T, stack.info[at]
     basic = np.where(stack.kept, stack.basis, ncols)[at]
@@ -733,7 +755,8 @@ def _solve_stack(layout, rows, objectives):
         else:
             out.append(LpSolution(
                 status=OPTIMAL, primal=x[k], duals=y_con[k],
-                objective_value=float(objectives[k] @ x[k]),
+                objective_value=float(
+                    np.ascontiguousarray(objectives[k]) @ x[k]),
                 bound_duals=(y_lo[k], y_up[k]), iterations=iterations))
     return out
 

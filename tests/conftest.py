@@ -29,8 +29,8 @@ def recorded_programs():
     """Every program the test solves, in order, as a list of Solve: one
     per lp.solve call and one per program of an lp.solve_stack call,
     each with the stack of the call that solved it.  A stacked program
-    is rebuilt here, as the LinearProgram of its layout with its own rows
-    and objective."""
+    is rebuilt here, as the LinearProgram of its layout with its own rows,
+    objective and, when the call gives them, right-hand sides."""
     seen = []
     solve, solve_stack = lp.solve, lp.solve_stack
 
@@ -39,13 +39,14 @@ def recorded_programs():
         seen.append(Solve(prog, sol, _callers()))
         return sol
 
-    def record_stack(layout, rows, objectives):
-        sols = solve_stack(layout, rows, objectives)
+    def record_stack(layout, rows, objectives, rhs=None):
+        sols = solve_stack(layout, rows, objectives, rhs)
         callers = _callers()
-        seen.extend(Solve(layout.with_rows(program_rows, objective),
+        each_rhs = [None] * len(sols) if rhs is None else rhs
+        seen.extend(Solve(layout.with_rows(program_rows, objective, b),
                           sol, callers)
-                    for program_rows, objective, sol
-                    in zip(rows, objectives, sols))
+                    for program_rows, objective, b, sol
+                    in zip(rows, objectives, each_rhs, sols))
         return sols
 
     with pytest.MonkeyPatch.context() as patch:

@@ -328,6 +328,19 @@ def test_sweep_subcommand(tmp_path):
     assert norms[0] < norms[1] < norms[2]
 
 
+@pytest.mark.parametrize("grids", ["", ","])
+def test_sweep_without_grids_is_a_config_error(tmp_path, capsys, grids):
+    # an empty sweep solves nothing and once passed with a header-only CSV
+    path = write_config(tmp_path, {"version": 1,
+                                   "model": {"kind": "counterexample"},
+                                   "tasks": ["sweep"]})
+    out = tmp_path / "out"
+    assert main(["sweep", "--grids", grids, str(path), "--out",
+                 str(out)]) == 2
+    assert "sweep_grids" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_hull_cycle_closed_and_convex():
     ts = np.linspace(0, 1, 101)
     from surplex.models import curve_point
@@ -425,7 +438,7 @@ def test_classify_and_full_solve_each_type_lp_once(tmp_path,
                           tmp_path)
     # a solve belongs to the innermost of these callers on its stack
     family = {"expose_set": "separation", "expose_each": "separation",
-              "is_extreme": "extreme", "exposure_chain": "chain",
+              "extreme_each": "extreme", "exposure_chain": "chain",
               "full_extraction_lp": "full"}
     counts = dict.fromkeys(family.values(), 0)
     for rec in recorded_programs:
@@ -437,6 +450,21 @@ def test_classify_and_full_solve_each_type_lp_once(tmp_path,
     # one exposure LP per type, one extreme-point LP per unexposed type
     assert counts["separation"] == 40
     assert counts["extreme"] == 4
+
+
+def test_classify_and_full_solve_no_program_alone(tmp_path, monkeypatch):
+    """On a table without exposure chains, classify and full stack every
+    program: the exposure and extreme-point LPs, and the full-extraction
+    block that proves the table infeasible."""
+    singles = []
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve",
+                        lambda prog: singles.append(prog) or solve(prog))
+    report = run_scenario(random_table_config(["classify", "full"]),
+                          tmp_path)
+    assert "eventually_detectable" not in report["tasks"]["classify"]["counts"]
+    assert report["tasks"]["full"]["lp_status"] == "infeasible"
+    assert not singles
 
 
 def test_preset_solves_no_program_twice(tmp_path, recorded_programs):
@@ -503,6 +531,7 @@ def test_task_order_leaves_task_blocks_unchanged(tmp_path, model):
     {"verify_multiplier": 0},
     {"sweep_grids": [9, "x"]},
     {"sweep_grids": 9},
+    {"sweep_grids": [], "tasks": ["sweep"]},
     {"model": {"kind": "counterexample", "eps_emb": "x"},
      "tasks": ["classify"]},
     {"model": {"kind": "counterexample", "eps_emb": 5},
@@ -593,7 +622,7 @@ def test_preset_builds_each_grid_and_belief_set_once(tmp_path, monkeypatch,
     # classify and virtual ask the same set whether the endpoints are
     # extreme, so each of the two extreme-point programs is solved once
     extreme = [rec for rec in recorded_programs
-               if "_hull_membership_lp" in rec.callers]
+               if "extreme_each" in rec.callers]
     assert len(extreme) == 2
 
 
@@ -626,9 +655,9 @@ def test_stacked_solves_write_the_bytes_of_single_solves(tmp_path,
 
     stacked = outputs(tmp_path / "stacked")
     monkeypatch.setattr(
-        lp, "solve_stack", lambda layout, rows, objectives: [
-            lp.solve(layout.with_rows(r, c))
-            for r, c in zip(rows, objectives)])
+        lp, "solve_stack", lambda layout, rows, objectives, rhs=None: [
+            lp.solve(layout.with_rows(r, c, None if rhs is None else rhs[k]))
+            for k, (r, c) in enumerate(zip(rows, objectives))])
     single = outputs(tmp_path / "single")
     # reports; preset, epsilon 0.02 and grid 201 CSVs; curve CSVs
     assert len(stacked) == 8 + 3 * 3 + 2

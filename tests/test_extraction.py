@@ -28,6 +28,7 @@ from surplex.extraction import (
     verify_menu,
     virtual_extraction_menu,
 )
+from surplex.geometry import is_extreme
 from surplex.models import (
     ParametricModel,
     TabularModel,
@@ -236,6 +237,130 @@ def test_full_lp_matches_highs(tab):
         assert gap <= 1e-9 * (1.0 + abs(res.fun))
 
 
+def full_blocks_one_by_one(tab, stop=True):
+    """full_extraction_lp's answer as it was before its blocks were
+    stacked: block t is its own LinearProgram with y_t a free variable,
+    solved by lp.solve in index order, up to the first unbounded block
+    unless stop is False.  Returns (LpSolution, Menu or None, blocks)."""
+    m, S = tab.n_types, tab.state_count
+    rows = np.hstack([tab.beliefs.T, -np.eye(S), np.eye(S)])
+    mass = np.concatenate([np.zeros(m), np.ones(2 * S)])
+    cons = [(row, lp.EQ, 0.0) for row in rows] + [(mass, lp.LE, 1.0)]
+    obj = np.concatenate([tab.values, np.zeros(2 * S)])
+    bounds = np.tile([0.0, np.nan], (m + 2 * S, 1))
+    contracts = np.zeros((m, S + 1))
+    mults = np.zeros((m, m + 2 * S))
+    iterations = 0
+    status = lp.OPTIMAL
+    blocks = []
+    for t in range(m):
+        bounds[t, 0] = np.nan
+        block = lp.solve(lp.LinearProgram(obj, cons, bounds=bounds,
+                                          sense="max"))
+        bounds[t, 0] = 0.0
+        blocks.append(block)
+        if status == lp.INFEASIBLE:
+            continue
+        iterations += block.iterations
+        if block.status == lp.UNBOUNDED:
+            mults[:] = 0.0
+            mults[t] = block.ray
+            status = lp.INFEASIBLE
+            if stop:
+                break
+            continue
+        contracts[t] = block.duals
+        mults[t] = block.primal
+    own = np.diag(mults[:, :m])
+    cross = mults[:, :m][~np.eye(m, dtype=bool)]
+    box = np.empty((m, 2 * S))
+    box[:, 0::2], box[:, 1::2] = -mults[:, m:m + S], mults[:, m + S:]
+    duals = np.concatenate([own, cross, box.reshape(-1)])
+    nv = m * S + m
+    zeros = (np.zeros(nv), np.zeros(nv))
+    if status == lp.INFEASIBLE:
+        return lp.LpSolution(status=status, duals=duals, bound_duals=zeros,
+                             iterations=iterations), None, blocks
+    primal = np.concatenate([contracts[:, :S].reshape(-1), contracts[:, S]])
+    sol = lp.LpSolution(status=status, primal=primal, duals=duals,
+                        objective_value=float(contracts[:, S].sum()),
+                        bound_duals=zeros, iterations=iterations)
+    return sol, Menu([(lbl, Contract(c)) for lbl, c
+                      in zip(tab.labels, contracts[:, :S])]), blocks
+
+
+def _same_bits(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def assert_same_full_answer(got, want, iterations=True):
+    (sol, menu), (ref, ref_menu) = got, want
+    assert sol.status == ref.status
+    if iterations:
+        assert sol.iterations == ref.iterations
+    for a, b in [(sol.primal, ref.primal), (sol.duals, ref.duals),
+                 (sol.objective_value, ref.objective_value),
+                 *zip(sol.bound_duals, ref.bound_duals)]:
+        assert _same_bits(a, b)
+    assert (menu is None) == (ref_menu is None)
+    if menu is not None:
+        assert menu.labels == ref_menu.labels
+        assert _same_bits(menu.payments_matrix(), ref_menu.payments_matrix())
+
+
+@pytest.mark.parametrize("tab", full_lp_cases())
+def test_stacked_full_blocks_match_single_blocks(tab, monkeypatch):
+    """Stacked, full_extraction_lp gives the index-order loop's answer bit
+    for bit, and its pivot count too when it solves every block (a
+    feasible table); first, the types with a witness, leaves the answer
+    as it is; and no block is solved through lp.solve."""
+    ref, ref_menu, _ = full_blocks_one_by_one(tab)
+    singles = []
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve",
+                        lambda prog: singles.append(prog) or solve(prog))
+    feasible = ref.status == lp.OPTIMAL
+    assert_same_full_answer(full_extraction_lp(tab), (ref, ref_menu),
+                            iterations=feasible)
+    bset = tab.belief_set()
+    witnessed = [i for i in range(tab.n_types)
+                 if not is_extreme(bset, i)[0]]
+    assert_same_full_answer(full_extraction_lp(tab, first=witnessed),
+                            (ref, ref_menu), iterations=feasible)
+    assert not singles
+
+
+def test_full_lp_solves_first_blocks_alone_up_to_an_unbounded_one():
+    """Table 0 has two or more unbounded blocks.  With first in any order,
+    its blocks are solved in index order and the first unbounded one ends
+    the solve, so only the blocks solved count their pivots; a first that
+    skips the lowest unbounded block gives the certificate of the block it
+    reaches, which is the joint program's Farkas certificate too."""
+    tab = random_tabular(0, 40, 6)
+    ref, _, blocks = full_blocks_one_by_one(tab, stop=False)
+    unbounded = [t for t, b in enumerate(blocks) if b.status == lp.UNBOUNDED]
+    assert len(unbounded) >= 2
+    witnessed = [i for i in range(tab.n_types)
+                 if not is_extreme(tab.belief_set(), i)[0]]
+    assert set(unbounded) <= set(witnessed)
+
+    sol, menu = full_extraction_lp(tab, first=witnessed[::-1])
+    assert_same_full_answer((sol, menu), (ref, None), iterations=False)
+    bounded = [t for t in witnessed if t < unbounded[0]]
+    assert sol.iterations == sum(blocks[t].iterations
+                                 for t in bounded + unbounded[:1])
+
+    t = unbounded[1]
+    sol, menu = full_extraction_lp(tab, first=[t])
+    assert sol.status == lp.INFEASIBLE and menu is None
+    assert sol.iterations == blocks[t].iterations
+    assert np.flatnonzero(sol.duals[:tab.n_types]).tolist() == [t]
+    rep = lp.check_certificate(full_extraction_lp_program(tab), sol)
+    assert rep.passed, rep
+
+
 def test_full_lp_planted_infeasible_sample():
     for seed in range(5):
         tab, idx, _ = planted_combination_instance(100 + seed, 6, 8)
@@ -383,10 +508,10 @@ def test_preset_stacks_its_virtual_separators(recorded_programs,
             singles.append(prog)
         return solve(prog)
 
-    def count_stack(layout, rows, objectives):
+    def count_stack(layout, rows, objectives, rhs=None):
         if _separating():
             sizes.append(len(rows))
-        return stack(layout, rows, objectives)
+        return stack(layout, rows, objectives, rhs)
 
     monkeypatch.setattr(lp, "solve", count_solve)
     monkeypatch.setattr(lp, "solve_stack", count_stack)

@@ -16,11 +16,18 @@ from surplex.geometry import (
     affine_dimension,
     expose_set,
     exposure_chain,
+    extreme_each,
     face_of,
     is_extreme,
     prob_vector,
 )
-from surplex.models import TabularModel, counterexample_model, sample
+from surplex.models import (
+    TabularModel,
+    counterexample_model,
+    planted_combination_instance,
+    random_tabular,
+    sample,
+)
 
 
 def simplex_vertices():
@@ -522,3 +529,53 @@ def test_remembered_exposure_skips_the_complement(monkeypatch):
     with pytest.raises(ValueError, match="nonempty"):
         expose_set(bset, [])
 
+
+
+def single_hull_membership(bset, i):
+    """is_extreme's answer as one LinearProgram per point solved alone:
+    the extreme-point LP before these LPs were stacked."""
+    m = len(bset)
+    others = [j for j in range(m) if j != i]
+    P = bset.points[others]
+    target = bset.points[i]
+    cons = [(row, lp.EQ, target[s]) for s, row in enumerate(P.T)]
+    cons.append((np.ones(m - 1), lp.EQ, 1.0))
+    sol = lp.solve(lp.LinearProgram(np.zeros(m - 1), cons))
+    if sol.status == lp.INFEASIBLE:
+        return True, None
+    mu = np.zeros(m)
+    mu[others] = np.clip(sol.primal, 0.0, None)
+    return False, mu
+
+
+def test_extreme_each_matches_single_hull_membership_lps(monkeypatch):
+    """extreme_each gives every point the answer of its own single LP, bit
+    for bit, on random tables (one of 150 points: two stacks), on tables
+    with a planted convex combination and on a curve grid, whose points
+    are all extreme (their LPs end infeasible)."""
+    tables = [random_tabular(seed, 40, 6) for seed in range(4)]
+    tables.append(random_tabular(5, 150, 4))
+    tables += [planted_combination_instance(seed, n, S)[0]
+               for seed, n, S in [(7, 6, 8), (100, 6, 8), (3, 12, 3),
+                                  (4, 30, 5)]]
+    tables.append(sample(counterexample_model(validate=False), 33))
+    singles = []
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve",
+                        lambda prog: singles.append(prog) or solve(prog))
+    kinds = set()
+    for tab in tables:
+        bset = tab.belief_set()
+        want = [single_hull_membership(bset, i) for i in range(len(bset))]
+        singles.clear()
+        # some points twice and out of order: each is solved once
+        extreme_each(bset, [*range(len(bset) - 1, -1, -1), 0, 1])
+        assert not singles
+        for i, (extreme, mu) in enumerate(want):
+            got = is_extreme(bset, i)
+            assert got[0] == extreme
+            assert (got[1] is None if extreme
+                    else got[1].tobytes() == mu.tobytes())
+            kinds.add(extreme)
+        assert not singles
+    assert kinds == {True, False}

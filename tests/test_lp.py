@@ -682,11 +682,15 @@ def test_solve_matches_reference_on_separation_programs(recorded_programs):
 
 
 def test_solve_matches_reference_on_infeasible_full_blocks(recorded_programs):
-    full_extraction_lp(models.random_tabular(3, 40, 6))
+    sol, _ = full_extraction_lp(models.random_tabular(3, 40, 6))
     statuses = [_assert_bit_identical(rec.program)
                 for rec in recorded_programs]
-    # an infeasible type's block is unbounded in the transposed form
-    assert statuses[-1] == UNBOUNDED
+    assert len(statuses) == 40
+    # an infeasible type's block is unbounded in the transposed form, and
+    # the first unbounded block is the one the certificate weights
+    t = statuses.index(UNBOUNDED)
+    assert sol.status == INFEASIBLE
+    assert np.flatnonzero(sol.duals[:40]).tolist() == [t]
 
 
 @pytest.mark.xfail(strict=True, reason="the tableau drifts after a pivot on "
@@ -802,10 +806,14 @@ def _assert_same_solution(got, ref):
 def _assert_stack_bit_identical(programs, events=None):
     """solve_stack on the stacked rows and objectives of programs, which
     share a layout, equals reference_solve and solve program by program,
-    bit for bit; returns the statuses.  events collects the reference
-    solves' events."""
+    bit for bit; returns the statuses.  Programs whose right-hand sides
+    differ get them as solve_stack's per-program rhs.  events collects the
+    reference solves' events."""
+    rhs = np.stack([p.rhs for p in programs])
     got_all = solve_stack(programs[0], np.stack([p.rows for p in programs]),
-                          np.stack([p.objective for p in programs]))
+                          np.stack([p.objective for p in programs]),
+                          None if rhs.tobytes() == np.tile(
+                              rhs[0], (len(rhs), 1)).tobytes() else rhs)
     assert len(got_all) == len(programs)
     statuses = []
     for prog, got in zip(programs, got_all):
@@ -850,9 +858,10 @@ def virtual_separators():
     parts = []
     stack = lp.solve_stack
 
-    def spy(layout, rows, objectives):
-        parts.append((layout, np.array(rows), np.array(objectives)))
-        return stack(layout, rows, objectives)
+    def spy(layout, rows, objectives, rhs=None):
+        if rhs is None:     # the separators share the layout's rhs
+            parts.append((layout, np.array(rows), np.array(objectives)))
+        return stack(layout, rows, objectives, rhs)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lp, "solve_stack", spy)
@@ -886,9 +895,9 @@ def test_solve_stack_matches_reference_on_virtual_separators(
         objectives = np.broadcast_to(objectives[0], objectives.shape)
     stacked = []
 
-    def no_shared_layout(prog, rows, objective):
+    def no_shared_layout(prog, rows, objective, rhs=None):
         if len(rows) == 1:
-            return _canonicalize(prog, rows, objective)
+            return _canonicalize(prog, rows, objective, rhs)
         stacked.append(len(rows))
         return None
 
@@ -938,10 +947,29 @@ def test_stack_pivot_keeps_the_signed_zeros_of_the_one_slot_pivot():
     assert accumulated.tobytes() != want.tobytes()
 
 
+def test_objective_value_does_not_depend_on_the_memory_layout():
+    """Table 0's exposure programs, whose shared objective separation_stack
+    hands over as a broadcast view, get the same objective values bit for
+    bit from a C-ordered and from an F-ordered copy of it (whose rows are
+    strided, which once moved the last bit of one value in 40)."""
+    bset = models.random_tabular(0, 40, 6).belief_set()
+    m = len(bset)
+    others = np.arange(m - 1) + (np.arange(m - 1) >= np.arange(m)[:, None])
+    layout, rows, objectives = geometry.separation_stack(
+        bset.points, others, np.full(m, m - 1), bset.points[:, None])
+    values = [
+        np.array([sol.objective_value
+                  for sol in solve_stack(layout, rows, copy)])
+        for copy in (objectives, np.ascontiguousarray(objectives),
+                     np.asfortranarray(objectives))]
+    assert values[0].tobytes() == values[1].tobytes() == values[2].tobytes()
+
+
 def test_solve_stack_checks_its_arrays():
     layout = LinearProgram([1.0, 2.0], [([1.0, 1.0], GE, 1.0)])
     rows, objectives = np.ones((3, 1, 2)), np.ones((3, 2))
     assert len(solve_stack(layout, rows, objectives)) == 3
+    assert len(solve_stack(layout, rows, objectives, np.ones((3, 1)))) == 3
     assert solve_stack(layout, rows[:0], objectives[:0]) == []
     for bad_rows, bad_objectives in [
             (np.ones((3, 2, 2)), objectives), (np.ones((3, 1, 3)), objectives),
@@ -950,6 +978,10 @@ def test_solve_stack_checks_its_arrays():
             (rows, np.full((3, 2), np.inf))]:
         with pytest.raises(MalformedProgram):
             solve_stack(layout, bad_rows, bad_objectives)
+    for bad_rhs in (np.ones(3), np.ones((3, 2)), np.ones((2, 1)),
+                    np.full((3, 1), np.nan)):
+        with pytest.raises(MalformedProgram):
+            solve_stack(layout, rows, objectives, bad_rhs)
     with pytest.raises(MalformedProgram):
         solve_stack("not a program", rows, objectives)
 
@@ -1030,13 +1062,16 @@ def test_solve_all_matches_reference_on_mixed_stacks():
 def degenerate_stacks(draw):
     """Programs on one random layout whose rows come from a small pool
     that holds a zero row, so rows repeat within and across programs;
-    some boxes are tight (lower = upper)."""
+    some boxes are tight (lower = upper).  The programs share their
+    right-hand sides, or each draws its own, whose signs and so row flips
+    may differ between programs."""
     small = st.integers(min_value=-2, max_value=2)
     n = draw(st.integers(min_value=1, max_value=4))
     m = draw(st.integers(min_value=0, max_value=4))
     rels = draw(st.lists(st.sampled_from([LE, GE, EQ]), min_size=m,
                          max_size=m))
     rhs = draw(st.lists(small, min_size=m, max_size=m))
+    own_rhs = draw(st.booleans())
     bounds = draw(st.lists(st.sampled_from(
         [(0.0, None), (None, None), (0.0, 0.0), (1.0, 1.0), (-1.0, 2.0),
          (0.5, None)]), min_size=n, max_size=n))
@@ -1049,6 +1084,8 @@ def degenerate_stacks(draw):
         picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=m,
                               max_size=m))
         c = draw(st.lists(small, min_size=n, max_size=n))
+        if own_rhs:
+            rhs = draw(st.lists(small, min_size=m, max_size=m))
         cons = [(pool[k], rel, b) for k, rel, b in zip(picks, rels, rhs)]
         programs.append(LinearProgram(c, cons, bounds=bounds, sense=sense))
     return programs
@@ -1067,3 +1104,15 @@ def test_solve_all_solves_alone_when_row_flips_differ():
     progs = [LinearProgram([1.0], [([scale], GE, -1e-320)])
              for scale in (1.0, 1e10)]
     assert _assert_stack_bit_identical(progs) == [OPTIMAL, OPTIMAL]
+
+    # per-program rhs that flip the second row of some programs only
+    progs = [LinearProgram([1.0, 2.0], [([1.0, 1.0], GE, 1.0),
+                                        ([1.0, -1.0], EQ, b)])
+             for b in (0.5, -0.5, 2.0, -3.0)]
+    rows = np.stack([p.rows for p in progs])
+    objectives = np.stack([p.objective for p in progs])
+    rhs = np.stack([p.rhs for p in progs])
+    assert _canonicalize(progs[0], rows, objectives, rhs) is None
+    assert _canonicalize(progs[0], rows[::2], objectives[::2],
+                         rhs[::2]) is not None
+    assert _assert_stack_bit_identical(progs) == [OPTIMAL] * 4
