@@ -9,8 +9,15 @@ is recorded with copies of its arguments (per-program right-hand sides
 included) and its answer.  Then every recorded call is replayed N times
 (default 5) in this process, and a table gives, per caller family and
 program shape (constraints x variables of the program as built, before
-canonicalization): the calls, the programs they solve, their pivots, and
-the best and median over the repeats of the family's total time in ms.
+canonicalization): the calls, the programs they solve, their pivots,
+the best and median over the repeats of the family's total time in ms,
+and the minor page faults (`resource.getrusage`) its calls took in the
+recorded run.  The faults show allocation churn: the pages of the large
+arrays a call allocates, about 4 KiB each.  In the recorded run every
+call's copies lie above the arrays of the calls before it, so a large
+array a call allocates and frees takes fresh pages, unless it reuses
+one the solver keeps (lp.solve_stack keeps its tableau on the layout).
+The replays show no faults: their memory is already mapped.
 
 The family is the innermost caller on the call's stack that FAMILY_OF
 names.  Exits 1 if any replayed answer differs in any bit (signs of
@@ -21,6 +28,7 @@ zeros included) from the recorded one, else 0.  Only this checkout's
 from __future__ import annotations
 
 import argparse
+import resource
 import statistics
 import sys
 import tempfile
@@ -69,22 +77,30 @@ def _copy(a):
     return np.array(a)
 
 
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def record(names):
     """Run each named config once; the list of recorded calls, each
-    (name, family, function, args, answers)."""
+    (name, family, function, args, answers, minor page faults)."""
     calls = []
     solve, solve_stack = lp.solve, lp.solve_stack
 
     def record_solve(prog):
+        faults = _minflt()
         sol = solve(prog)
-        calls.append((name, _family(), solve, (prog,), [sol]))
+        faults = _minflt() - faults
+        calls.append((name, _family(), solve, (prog,), [sol], faults))
         return sol
 
     def record_stack(layout, rows, objectives, rhs=None):
         args = (layout, _copy(rows), _copy(objectives),
                 None if rhs is None else _copy(rhs))
+        faults = _minflt()
         sols = solve_stack(layout, rows, objectives, rhs)
-        calls.append((name, _family(), solve_stack, args, sols))
+        faults = _minflt() - faults
+        calls.append((name, _family(), solve_stack, args, sols, faults))
         return sols
 
     lp.solve, lp.solve_stack = record_solve, record_stack
@@ -120,14 +136,15 @@ def same_answer(a: lp.LpSolution, b: lp.LpSolution) -> bool:
 
 
 def replay(calls, repeat: int):
-    """Per (family, shape): [calls, programs, pivots, per-repeat ms], and
-    the number of replayed answers that differ from the recorded ones."""
+    """Per (family, shape): [calls, programs, pivots, recorded faults,
+    per-repeat ms], and the number of replayed answers that differ from
+    the recorded ones."""
     rows = {}
     times = defaultdict(lambda: [0.0] * repeat)
     differ = 0
     clock = time.perf_counter
     for r in range(repeat):
-        for _, family, fn, args, want in calls:
+        for _, family, fn, args, want, faults in calls:
             prog = args[0]
             key = (family, f"{prog.n_constraints} x {prog.n_vars}")
             start = clock()
@@ -137,10 +154,11 @@ def replay(calls, repeat: int):
                 got = [got]
             differ += sum(not same_answer(g, w) for g, w in zip(got, want))
             if r == 0:
-                row = rows.setdefault(key, [0, 0, 0])
+                row = rows.setdefault(key, [0, 0, 0, 0])
                 row[0] += 1
                 row[1] += len(want)
                 row[2] += sum(sol.iterations for sol in want)
+                row[3] += faults
     return {key: row + [times[key]] for key, row in rows.items()}, differ
 
 
@@ -156,17 +174,18 @@ def main(argv=None) -> int:
 
     table, differ = replay(record(args.names), args.repeat)
     print(f"{'family':<12}{'shape':>12}{'calls':>7}{'programs':>10}"
-          f"{'pivots':>8}{'best ms':>10}{'median ms':>11}")
-    total = [0, 0, 0, [0.0] * args.repeat]
-    for (family, shape), (calls, programs, pivots, ms) in sorted(
+          f"{'pivots':>8}{'best ms':>10}{'median ms':>11}{'faults':>8}")
+    total = [0, 0, 0, 0, [0.0] * args.repeat]
+    for (family, shape), (calls, programs, pivots, faults, ms) in sorted(
             table.items()):
         print(f"{family:<12}{shape:>12}{calls:>7}{programs:>10}{pivots:>8}"
-              f"{min(ms):>10.2f}{statistics.median(ms):>11.2f}")
-        total[:3] = [total[0] + calls, total[1] + programs, total[2] + pivots]
-        total[3] = [a + b for a, b in zip(total[3], ms)]
-    calls, programs, pivots, ms = total
+              f"{min(ms):>10.2f}{statistics.median(ms):>11.2f}{faults:>8}")
+        total[:4] = [a + b for a, b in
+                     zip(total, (calls, programs, pivots, faults))]
+        total[4] = [a + b for a, b in zip(total[4], ms)]
+    calls, programs, pivots, faults, ms = total
     print(f"{'total':<24}{calls:>7}{programs:>10}{pivots:>8}"
-          f"{min(ms):>10.2f}{statistics.median(ms):>11.2f}")
+          f"{min(ms):>10.2f}{statistics.median(ms):>11.2f}{faults:>8}")
     if differ:
         print(f"{differ} replayed answers differ from the recorded ones",
               file=sys.stderr)

@@ -41,15 +41,14 @@ import numpy as np
 from surplex import duality, lp
 from surplex.extraction import (
     BudgetInfeasible,
+    GridClassifier,
     InputMenuFails,
     NotAllDetectable,
     NotEventuallyDetectable,
     UncoveredType,
-    classify_type,
     compress_menu,
     full_extraction_lp,
     full_extraction_menu,
-    on_declared_face,
     verify_menu,
     virtual_extraction_menu,
 )
@@ -226,21 +225,15 @@ def _failed(err: Exception) -> dict:
 
 def task_classify(model, config, tols) -> dict:
     margin_tol = tols.get("margin_tol", MARGIN_TOL)
-    grid_n = config.get("grid", 201)
-    tab = _as_tabular(model, grid_n)
-    bset = tab.belief_set()
+    grid = GridClassifier(model, config.get("grid", 201))
+    tab, bset = grid.tab, grid.bset
     # every point's exposure LP in one stacked solve, then the
     # extreme-point LPs of the types classify_type tests, unexposed and
     # on no declared face, in another
     margins = expose_each(bset)
-    faces = ([] if isinstance(model, TabularModel)
-             else [f.functional for f in model.declared_faces])
-    extreme_each(bset, [i for i in np.flatnonzero(margins <= margin_tol)
-                        if not on_declared_face(bset.points, i, faces)])
-    items = (list(range(model.n_types)) if isinstance(model, TabularModel)
-             else list(tab.ts))
-    verdicts = [classify_type(model, t, grid_n, margin_tol=margin_tol)
-                for t in items]
+    extreme_each(bset, np.flatnonzero((margins <= margin_tol)
+                                      & ~grid.on_face).tolist())
+    verdicts = [grid.classify(i, margin_tol) for i in range(tab.n_types)]
     per_type = {lbl: c.to_jsonable() for lbl, c in zip(tab.labels, verdicts)}
     counts: dict[str, int] = {}
     for c in verdicts:

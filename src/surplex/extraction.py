@@ -22,13 +22,13 @@ from surplex.geometry import (
     FACE_TOL,
     MARGIN_TOL,
     ExposureChain,
+    SeparationStack,
     expose_each,
     expose_set,
     exposure_chain,
     extreme_each,
     is_extreme,
     separation_answer,
-    separation_stack,
 )
 from surplex.models import ParametricModel, TabularModel, sample
 
@@ -42,7 +42,12 @@ OWN_NUDGE = 1e-11
 # A fixed count, not a byte budget: a chunk's rows take SEPARATOR_CHUNK x
 # (S + 1) x (cert points + 1 + 2S) floats, and stacks of one or two
 # programs solve slower than the single solves they replace, so a budget
-# that shrank the stacks on large grids would slow them down
+# that shrank the stacks on large grids would slow them down.  The chunks
+# of one construction share a rows buffer and the tableau, pivot scratch
+# and cost rows that lp.solve_stack keeps on their one layout, so only
+# the first chunk touches fresh pages: on the preset, about 130 minor
+# page faults for its 9 chunks, against about 560 per chunk when each
+# chunk allocated its own arrays
 SEPARATOR_CHUNK = 12
 
 FULL, VIRTUAL = "full", "virtual"
@@ -292,7 +297,8 @@ def classify_type(model, t, grid_n: int = 201,
     and t must be a point of that grid; a tabular model is its own table,
     and t is a label or an index.  Every call on one table reads the
     table's one belief set, so each point's exposure and extreme-point LP
-    is solved once however many types are classified.
+    is solved once however many types are classified.  To classify many
+    types of one table, GridClassifier does the per-table work once.
 
     Membership in a declared face is checked first, because grid exposure
     margins for a non-exposed endpoint are positive (they only decay to
@@ -303,53 +309,79 @@ def classify_type(model, t, grid_n: int = 201,
     is StronglyDetectable.  Failing types come with a convex-combination
     witness.
     """
-    if isinstance(model, TabularModel):
-        tab, idx, faces, lip = model, model.index_of(t), [], 0.0
-    else:
-        tab = sample(model, grid_n)
-        if not np.any(np.abs(tab.ts - t) < 1e-12):
-            raise ValueError(f"t={t!r} is not a point of the {grid_n}-point "
-                             "grid")
-        idx = int(np.argmin(np.abs(tab.ts - t)))
-        faces = [f.functional for f in model.declared_faces]
-        lip = model.lipschitz_pi * (float(np.diff(tab.ts).max()) / 2.0)
-    if tab.n_types == 1:
-        return Classification(label=STRONGLY_DETECTABLE,
-                              functional=np.zeros(tab.state_count),
-                              margin=np.inf, inf_margin=np.inf,
-                              provenance="grid")
-    bset = tab.belief_set()
-    if on_declared_face(bset.points, idx, faces):
-        chain = exposure_chain(bset, idx, declared_faces=faces)
+    grid = GridClassifier(model, grid_n)
+    return grid.classify(grid.index_of(t), margin_tol)
+
+
+class GridClassifier:
+    """classify_type's work per table, done once for all its types: the
+    table (sample(model, grid_n) of a parametric model; a tabular model
+    is its own), its belief set, the model's declared faces, the off-grid
+    slack factor lipschitz_pi (h / 2), and on_face: which points lie on
+    the zero set of a declared face together with another point, and so
+    get their declared exposure chain."""
+
+    def __init__(self, model, grid_n: int = 201):
+        self.model, self.grid_n = model, grid_n
+        if isinstance(model, TabularModel):
+            self.tab, self.faces, self.lip = model, [], 0.0
+        else:
+            self.tab = sample(model, grid_n)
+            self.faces = [f.functional for f in model.declared_faces]
+            self.lip = model.lipschitz_pi * (
+                float(np.diff(self.tab.ts).max()) / 2.0)
+        self.bset = self.tab.belief_set()
+        points = self.bset.points
+        self.on_face = np.zeros(len(points), dtype=bool)
+        for z in self.faces:
+            on = np.abs(points @ z) <= FACE_TOL
+            if np.count_nonzero(on) >= 2:
+                self.on_face |= on
+
+    def index_of(self, t) -> int:
+        """The index of type t: a label or an index of a table, a grid
+        point of a parametric model's grid."""
+        if isinstance(self.model, TabularModel):
+            return self.model.index_of(t)
+        ts = self.tab.ts
+        if not np.any(np.abs(ts - t) < 1e-12):
+            raise ValueError(f"t={t!r} is not a point of the "
+                             f"{self.grid_n}-point grid")
+        return int(np.argmin(np.abs(ts - t)))
+
+    def classify(self, idx: int,
+                 margin_tol: float = MARGIN_TOL) -> Classification:
+        """classify_type of the type at index idx."""
+        tab, bset = self.tab, self.bset
+        if tab.n_types == 1:
+            return Classification(label=STRONGLY_DETECTABLE,
+                                  functional=np.zeros(tab.state_count),
+                                  margin=np.inf, inf_margin=np.inf,
+                                  provenance="grid")
+        if self.on_face[idx]:
+            chain = exposure_chain(bset, idx, declared_faces=self.faces)
+            return Classification(label=EVENTUALLY_DETECTABLE, chain=chain,
+                                  provenance="declared")
+
+        res = expose_set(bset, [idx], margin_tol=margin_tol)
+        if res is not None:
+            z, margin = res
+            slack = self.lip * float(np.abs(z).max())
+            if margin - slack > 0.0:
+                return Classification(
+                    label=STRONGLY_DETECTABLE, functional=z, margin=margin,
+                    inf_margin=margin - slack, slack=slack,
+                    provenance="grid")
+            return Classification(label=DETECTABLE, functional=z,
+                                  margin=margin, slack=slack,
+                                  provenance="grid")
+        extreme, witness = is_extreme(bset, idx)
+        if not extreme:
+            return Classification(label=NOT_DETECTABLE, witness=witness,
+                                  provenance="grid")
+        chain = exposure_chain(bset, idx)
         return Classification(label=EVENTUALLY_DETECTABLE, chain=chain,
-                              provenance="declared")
-
-    res = expose_set(bset, [idx], margin_tol=margin_tol)
-    if res is not None:
-        z, margin = res
-        slack = lip * float(np.abs(z).max())
-        if margin - slack > 0.0:
-            return Classification(label=STRONGLY_DETECTABLE, functional=z,
-                                  margin=margin, inf_margin=margin - slack,
-                                  slack=slack, provenance="grid")
-        return Classification(label=DETECTABLE, functional=z, margin=margin,
-                              slack=slack, provenance="grid")
-    extreme, witness = is_extreme(bset, idx)
-    if not extreme:
-        return Classification(label=NOT_DETECTABLE, witness=witness,
-                              provenance="grid")
-    chain = exposure_chain(bset, idx)
-    return Classification(label=EVENTUALLY_DETECTABLE, chain=chain,
-                          provenance=chain.provenance)
-
-
-def on_declared_face(points, i, faces) -> bool:
-    """Whether points[i] lies on the zero set of one of the functionals
-    faces together with another point: classify_type gives such a type
-    its declared exposure chain."""
-    return any(abs(float(points[i] @ z)) <= FACE_TOL
-               and (np.abs(points @ z) <= FACE_TOL).sum() >= 2
-               for z in faces)
+                              provenance=chain.provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -447,9 +479,13 @@ def full_extraction_lp(tab: TabularModel, first=()):
     layout = lp.LinearProgram(
         np.zeros(n), [(np.zeros(n), lp.EQ, 0.0)] * S
         + [(np.zeros(n), lp.LE, 1.0)], sense="max")
+    # one rows and one objectives buffer for every stack, as layout keeps
+    # one tableau for them
+    buffers = (np.empty((min(m, EXPOSE_CHUNK), S + 1, n)),
+               np.empty((min(m, EXPOSE_CHUNK), n)))
     blocks = {}
     for t in sorted(set(first)):
-        blocks[t], = lp.solve_stack(layout, *_full_blocks(tab, [t]))
+        blocks[t], = lp.solve_stack(layout, *_full_blocks(tab, [t], buffers))
         if blocks[t].status == lp.UNBOUNDED:
             break
     else:   # no block of first is unbounded: solve the others
@@ -457,7 +493,7 @@ def full_extraction_lp(tab: TabularModel, first=()):
         for lo in range(0, len(rest), EXPOSE_CHUNK):
             part = rest[lo:lo + EXPOSE_CHUNK]
             blocks.update(zip(part, lp.solve_stack(
-                layout, *_full_blocks(tab, part))))
+                layout, *_full_blocks(tab, part, buffers))))
     if any(b.status == lp.INFEASIBLE
            for b in blocks.values()):  # pragma: no cover - 0 is feasible
         raise RuntimeError("full-extraction block LP ended infeasible")
@@ -492,23 +528,26 @@ def full_extraction_lp(tab: TabularModel, first=()):
                       in zip(tab.labels, contracts[:, :S])])
 
 
-def _full_blocks(tab, ts):
+def _full_blocks(tab, ts, buffers):
     """The rows and objectives of the full-extraction blocks of the types
     ts, on full_extraction_lp's shared layout: block t's columns are the
-    beliefs in type order with -pi_t inserted after pi_t, then -I and +I."""
+    beliefs in type order with -pi_t inserted after pi_t, then -I and +I.
+    They are written in full over the first len(ts) of the (rows,
+    objectives) buffers."""
     m, S = tab.n_types, tab.state_count
     ts = np.asarray(ts)
     j = np.arange(m + 1)
     src = j - (j > ts[:, None])          # each column's type; t twice
     sign = np.where(j == ts[:, None] + 1, -1.0, 1.0)
-    rows = np.zeros((ts.size, S + 1, m + 1 + 2 * S))
+    rows, objectives = (buf[:ts.size] for buf in buffers)
     rows[:, :S, :m + 1] = (tab.beliefs[src]
                            * sign[:, :, None]).transpose(0, 2, 1)
     rows[:, :S, m + 1:m + 1 + S] = -np.eye(S)
     rows[:, :S, m + 1 + S:] = np.eye(S)
+    rows[:, S, :m + 1] = 0.0
     rows[:, S, m + 1:] = 1.0
-    objectives = np.zeros((ts.size, m + 1 + 2 * S))
     objectives[:, :m + 1] = tab.values[src] * sign
+    objectives[:, m + 1:] = 0.0
     return rows, objectives
 
 
@@ -556,20 +595,26 @@ def _case1_terms(pi, v, ts, cert, delta, eps):
 
     The K LPs share one layout.  They are solved SEPARATOR_CHUNK types at a
     time, one lp.solve_stack call per chunk, and each chunk is finished
-    before the next is built, so memory holds one chunk's rows.  Returns,
+    before the next is built, so memory holds one chunk's rows; every
+    chunk writes its rows into one buffer and pivots in the tableau the
+    layout keeps (SeparationStack), so the family allocates them once.
+    Returns,
     per type, (alpha, z, wmargin, raw_margin) or the exception its
     construction raises (BudgetInfeasible when no functional separates
     it), for the caller to raise in grid order.
     """
     answers = []
+    family = SeparationStack(cert.n_types, 1, cert.state_count)
     for lo in range(0, len(ts), SEPARATOR_CHUNK):
         part = slice(lo, lo + SEPARATOR_CHUNK)
-        answers += _case1_chunk(pi[part], v[part], ts[part], cert, delta, eps)
+        answers += _case1_chunk(family, pi[part], v[part], ts[part], cert,
+                                delta, eps)
     return answers
 
 
-def _case1_chunk(pi, v, ts, cert, delta, eps):
-    """_case1_terms on one chunk of types, in one lp.solve_stack call.
+def _case1_chunk(family, pi, v, ts, cert, delta, eps):
+    """_case1_terms on one chunk of types, in one lp.solve_stack call on
+    the family's layout and rows buffer.
 
     Type k's point columns are the far cert types in grid order, each
     divided by its weight, then the near ones (one stable argsort of the
@@ -583,8 +628,8 @@ def _case1_chunk(pi, v, ts, cert, delta, eps):
     gains = cert.values[order] - v[:, None]
     weights = np.where(np.arange(N) < n_far[:, None],
                        np.maximum(gains, eps / 2.0), 1.0)
-    layout, rows, objectives = separation_stack(cert.beliefs, order, n_far,
-                                                pi[:, None])
+    layout, rows, objectives = family(cert.beliefs, order, n_far,
+                                      pi[:, None])
     rows[:, :S, :N] /= weights[:, None, :]
     sols = lp.solve_stack(layout, rows, objectives)
     return [_case1_answer(sol, pi[k], cert.beliefs[order[k, :f]],

@@ -7,8 +7,9 @@ point as eventually exposed.  Every separation question is a max-margin
 LP with the functional box-normalized to |z|_inf <= 1, so the margin
 tolerances below are scale-meaningful.  It is solved in dual form: a
 min-l1 convex-combination program with S + 1 rows and one column per
-point, whose row multipliers are the functional z.  separation_stack
-writes the rows of many such programs into one array for lp.solve_stack:
+point, whose row multipliers are the functional z.  SeparationStack
+writes the rows of many such programs into one array for lp.solve_stack,
+on one layout and one rows buffer for all chunks of a family:
 the exposure LPs of all points of a set share one layout and are solved
 as one stack (expose_each), and so are their hull-membership LPs, which
 differ in their right-hand sides too (extreme_each).  The supporting LP
@@ -250,13 +251,19 @@ def extreme_each(bset: FiniteBeliefSet, idx) -> None:
         return
     layout = lp.LinearProgram(np.zeros(m - 1),
                               [(np.zeros(m - 1), lp.EQ, 0.0)] * (S + 1))
+    # one rows and one rhs buffer for the chunks, as layout keeps one
+    # tableau for them
+    size = min(todo.size, EXPOSE_CHUNK)
+    rows_buf = np.empty((size, S + 1, m - 1))
+    rhs_buf = np.empty((size, S + 1))
     for lo in range(0, todo.size, EXPOSE_CHUNK):
         part = todo[lo:lo + EXPOSE_CHUNK]
         others = np.arange(m - 1) + (np.arange(m - 1) >= part[:, None])
-        rows = np.ones((part.size, S + 1, m - 1))
+        rows, rhs = rows_buf[:part.size], rhs_buf[:part.size]
         rows[:, :S] = bset.points[others].transpose(0, 2, 1)
-        rhs = np.ones((part.size, S + 1))
+        rows[:, S] = 1.0
         rhs[:, :S] = bset.points[part]
+        rhs[:, S] = 1.0
         sols = lp.solve_stack(layout, rows,
                               np.broadcast_to(layout.objective,
                                               (part.size, m - 1)), rhs)
@@ -291,45 +298,61 @@ def _separation_lp(points, zero_idx, floor_idx, margin_idx):
                                        (zero_idx, floor_idx, margin_idx))
     if margin_idx.size == 0:
         raise ValueError("margin family must be nonempty")
-    layout, rows, objectives = separation_stack(
-        points, np.concatenate([margin_idx, floor_idx])[None],
-        [margin_idx.size], points[zero_idx][None])
+    order = np.concatenate([margin_idx, floor_idx])
+    layout, rows, objectives = SeparationStack(
+        order.size, zero_idx.size, points.shape[1])(
+        points, order[None], [margin_idx.size], points[zero_idx][None])
     sol = lp.solve(layout.with_rows(rows[0], objectives[0]))
     return separation_answer(sol, points[margin_idx])
 
 
-def separation_stack(points, order, n_margin, zero):
-    """B of _separation_lp's dual programs, as the (layout, rows,
-    objectives) of one lp.solve_stack call.
+class SeparationStack:
+    """Chunks of _separation_lp's dual programs that share a shape, as the
+    (layout, rows, objectives) of lp.solve_stack calls.
 
-    Program k's point columns are points[order[k]], whose first
-    n_margin[k] are its margin points and the rest its floor points, then
-    its zero points zero[k] (an (n_zero, S) block), then the box columns
-    -I and +I.  rows has shape (B, S + 1, n + n_zero + 2S) with n =
-    order.shape[1]; it is a fresh array, so a caller may rescale columns
-    in place.  objectives is a broadcast view of the one objective the
-    programs share.
+    Every program has n point columns, then n_zero zero columns, then the
+    box columns -I and +I, and S + 1 rows.  The layout is built once, so
+    lp.solve_stack reuses the workspace it keeps on it from chunk to
+    chunk, and every chunk's rows are written into one buffer, grown to
+    the largest chunk; a family's arrays are freed with this object.
     """
-    B, n = order.shape
-    n_zero, S = zero.shape[1:]
-    n_points = n + n_zero
-    width = n_points + 2 * S
-    rows = np.zeros((B, S + 1, width))
-    for s in range(S):
-        rows[:, s, :n] = points[order, s]
-    rows[:, :S, n:n_points] = zero.transpose(0, 2, 1)
-    rows[:, :S, n_points:n_points + S] = -np.eye(S)
-    rows[:, :S, n_points + S:] = np.eye(S)
-    rows[:, S, :n] = np.arange(n) < np.reshape(n_margin, (B, 1))
-    obj = np.zeros(width)
-    obj[n_points:] = 1.0
-    bounds = np.tile([0.0, np.nan], (width, 1))
-    bounds[n:n_points, 0] = np.nan
-    rhs = np.zeros(S + 1)
-    rhs[S] = 1.0
-    layout = lp.LinearProgram(obj, [(np.zeros(width), lp.EQ, b)
-                                    for b in rhs], bounds=bounds)
-    return layout, rows, np.broadcast_to(obj, (B, width))
+
+    def __init__(self, n, n_zero, S):
+        self.n, self.n_zero, self.S = n, n_zero, S
+        width = n + n_zero + 2 * S
+        obj = np.zeros(width)
+        obj[n + n_zero:] = 1.0
+        bounds = np.tile([0.0, np.nan], (width, 1))
+        bounds[n:n + n_zero, 0] = np.nan
+        rhs = np.zeros(S + 1)
+        rhs[S] = 1.0
+        self.layout = lp.LinearProgram(obj, [(np.zeros(width), lp.EQ, b)
+                                             for b in rhs], bounds=bounds)
+        self._rows = np.empty((0, S + 1, width))
+
+    def __call__(self, points, order, n_margin, zero):
+        """Program k's point columns are points[order[k]], whose first
+        n_margin[k] are its margin points and the rest its floor points,
+        then its zero points zero[k] (an (n_zero, S) block).  rows has
+        shape (B, S + 1, width), B = len(order); it is rewritten in full
+        on the buffer, so a caller may rescale columns in place until the
+        next call.  objectives is a broadcast view of the one objective
+        the programs share."""
+        n, S, n_points = self.n, self.S, self.n + self.n_zero
+        B = len(order)
+        if B > len(self._rows):
+            self._rows = np.empty((B,) + self._rows.shape[1:])
+        rows = self._rows[:B]
+        for s in range(S):
+            rows[:, s, :n] = points[order, s]
+        rows[:, :S, n:n_points] = zero.transpose(0, 2, 1)
+        rows[:, :S, n_points:n_points + S] = -np.eye(S)
+        rows[:, :S, n_points + S:] = np.eye(S)
+        rows[:, S, :n] = np.arange(n) < np.reshape(n_margin, (B, 1))
+        rows[:, S, n:] = 0.0
+        objective = self.layout.objective
+        return self.layout, rows, np.broadcast_to(objective,
+                                                  (B, objective.size))
 
 
 def separation_answer(sol, margin_points):
@@ -353,17 +376,22 @@ def expose_set(bset: FiniteBeliefSet, subset, *,
     is remembered before the margin_tol test, so any tolerance reads the
     same LP, and the returned z is read-only.
     """
-    subset = np.asarray(sorted(set(int(j) for j in subset)), dtype=int)
-    if subset.size == 0:
-        raise ValueError("subset must be nonempty")
-    for j in subset:
-        bset.check_index(j)
-    remembered = subset.size == 1
+    if isinstance(subset, (list, tuple)) and len(subset) == 1:
+        # a one-element list needs no sorting
+        members = [bset.check_index(int(subset[0]))]
+    else:
+        members = sorted(set(int(j) for j in subset))
+        if not members:
+            raise ValueError("subset must be nonempty")
+        for j in members:
+            bset.check_index(j)
+    remembered = len(members) == 1
     if remembered and len(bset) > 1:
         # a remembered answer needs no complement
-        answer = bset._memo.get(("expose", int(subset[0])))
+        answer = bset._memo.get(("expose", members[0]))
         if answer is not None:
             return None if answer[1] <= margin_tol else answer
+    subset = np.array(members, dtype=int)
     complement = np.setdiff1d(np.arange(len(bset)), subset)
     if complement.size == 0:
         raise ValueError("subset must be proper")
@@ -387,7 +415,7 @@ def expose_each(bset: FiniteBeliefSet) -> np.ndarray:
 
     The programs differ only in which point is the zero column, so they
     share one layout and go to lp.solve_stack EXPOSE_CHUNK points at a
-    time, each chunk's rows written into one array (separation_stack);
+    time, each chunk's rows written into one buffer (SeparationStack);
     each answer is bit for bit the one expose_set would solve for on its
     own.
     """
@@ -396,11 +424,13 @@ def expose_each(bset: FiniteBeliefSet) -> np.ndarray:
         return np.full(1, np.inf)
     todo = np.array([i for i in range(m) if ("expose", i) not in bset._memo],
                     dtype=int)
+    if todo.size:
+        family = SeparationStack(m - 1, 1, bset.n_states)
     for lo in range(0, todo.size, EXPOSE_CHUNK):
         part = todo[lo:lo + EXPOSE_CHUNK]
         # point i's margin points: every other point, in index order
         others = np.arange(m - 1) + (np.arange(m - 1) >= part[:, None])
-        sols = lp.solve_stack(*separation_stack(
+        sols = lp.solve_stack(*family(
             bset.points, others, np.full(part.size, m - 1),
             bset.points[part, None]))
         for i, margin, sol in zip(part.tolist(), others, sols):

@@ -25,13 +25,16 @@ objectives, as one layout program plus a (B, m, n) array of rows and a
 one numpy operation per step for all of them, hands the last one running
 to the single-tableau loop, and returns for each program exactly what
 solve() returns for it.  Callers write the stacked rows straight into
-one array, so no program object is built per stacked program.  Both run
+one array, so no program object is built per stacked program, and the
+layout keeps the solver's arrays from one call to the next, so the
+chunks of a family that share it reuse one tableau.  Both run
 one two-phase driver: solve() is solve_stack() on a stack of one
 program, which runs the single-tableau loop from the start.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -193,42 +196,27 @@ class CertificateReport:
 # live in one uniform row space.
 
 @dataclass
-class _Canonical:
-    T: np.ndarray                    # work matrix: A | b, then a zero row
-    A: np.ndarray                    # view of T's constraint block
-    b: np.ndarray                    # right-hand sides, apart from T
-    c: np.ndarray
-    flip: np.ndarray                 # +-1 per row: orientation vs assembled row
-    scale: np.ndarray                # row equilibration factors
-    bound_var: np.ndarray            # per bound row: its variable
-    bound_up: np.ndarray             # per bound row: upper (else lower) bound
+class _Columns:
+    """What the canonical form takes from a program's relations and bounds
+    alone, so the solves on one layout work it out once (_Workspace)."""
+
+    runs: list                       # (start, stop, first column, split)
     first: np.ndarray                # per variable: its (first) column
     split: np.ndarray                # per variable: split into two columns
     second: np.ndarray               # per split variable: its minus column
     n_struct: int
+    unit: np.ndarray | None          # the bound rows' constraint rows
+    codes: np.ndarray                # slack sign per row, bound rows too
+    bound_var: np.ndarray            # per bound row: its variable
+    bound_up: np.ndarray             # per bound row: upper (else lower) bound
+    bound_rhs: np.ndarray
+    slack_rows: np.ndarray
     slack_cols: np.ndarray           # per row: slack column or -1
-    art_cols: np.ndarray             # per row: artificial column or -1
+    n_real: int                      # structural and slack columns
 
 
-def _canonicalize(lp: LinearProgram, rows=None, objective=None, rhs=None):
-    """Rows: the constraints, then the bound rows, for each variable its
-    lower-bound row (lo finite and nonzero) before its upper-bound row.
-    The canonical system is written straight into the simplex work matrix
-    T (see _Stack), and A is a view of it, so A changes as T pivots.
-
-    rows (B, m, n) and objective (B, n) stack B programs that share lp's
-    relations, bounds and sense, and its rhs unless rhs (B, m) gives each
-    program its own (the bound rows keep lp's); T, A, b, c and scale then
-    carry a leading batch axis and every other field is shared.  A stack
-    whose programs need different row flips (a scaled rhs that underflows
-    to -0.0 in some programs only, or rhs of different signs) has no
-    shared layout: None.
-    """
-    if rows is None:
-        rows, objective = lp.rows, lp.objective
-    if rhs is None:
-        rhs = lp.rhs
-    batch, n = rows.shape[:-2], lp.n_vars
+def _columns(lp: LinearProgram) -> _Columns:
+    n = lp.n_vars
     split = lp.lo < 0.0
     if np.count_nonzero(split):
         width = 1 + split
@@ -243,36 +231,121 @@ def _canonicalize(lp: LinearProgram, rows=None, objective=None, rhs=None):
             for a, z in zip([0, *cuts], [*cuts, n])]
     n_struct = n + second.size
 
-    codes = lp.codes
+    codes, unit = lp.codes, None
     has_lo = np.isfinite(lp.lo) & (lp.lo != 0.0)
     has_up = np.isfinite(lp.up)
-    bound_var = bound_up = np.arange(0)
+    bound_var = bound_up = bound_rhs = np.arange(0)
     if np.count_nonzero(has_lo) or np.count_nonzero(has_up):
         k = np.flatnonzero(np.column_stack([has_lo, has_up]))
         bound_var, bound_up = k // 2, k % 2 == 1
         unit = np.zeros((k.size, n))
         unit[np.arange(k.size), bound_var] = 1.0
-        rows = np.concatenate(
-            [rows, np.broadcast_to(unit, batch + unit.shape)], axis=-2)
         codes = np.concatenate([codes, np.where(bound_up, 1, -1)])
         bound_rhs = np.column_stack([lp.lo, lp.up]).ravel()[k]
+
+    slack_rows = codes.nonzero()[0]
+    n_real = n_struct + slack_rows.size
+    slack_cols = np.full(codes.size, -1)
+    slack_cols[slack_rows] = np.arange(n_struct, n_real)
+    return _Columns(runs=runs, first=first, split=split, second=second,
+                    n_struct=n_struct, unit=unit, codes=codes,
+                    bound_var=bound_var, bound_up=bound_up,
+                    bound_rhs=bound_rhs, slack_rows=slack_rows,
+                    slack_cols=slack_cols, n_real=n_real)
+
+
+class _Workspace:
+    """The arrays that the solves on one layout reuse: its canonical
+    column layout, worked out on first use, and float buffers (the
+    tableau, the pivot scratch and the cost rows), each grown to the
+    largest stack asked for.  A buffer's contents are whatever the last
+    solve left, so every user writes what it reads.  solve_stack keeps
+    the workspace on its layout program between calls, so the chunks of
+    one family reuse the pages of the first and the family frees them
+    with its layout; solve() takes a fresh one."""
+
+    def __init__(self):
+        self.columns = None
+        self._buffers = {}
+
+    def take(self, name, shape):
+        """A float array of this shape, on the named buffer."""
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
+@dataclass
+class _Canonical:
+    T: np.ndarray                    # work matrix: A | b, then a cost row
+    A: np.ndarray                    # view of T's constraint block
+    b: np.ndarray                    # right-hand sides, apart from T
+    costs: np.ndarray                # phase-2 cost row: c, then zeros
+    flip: np.ndarray                 # +-1 per row: orientation vs assembled row
+    scale: np.ndarray                # row equilibration factors
+    bound_var: np.ndarray            # per bound row: its variable
+    bound_up: np.ndarray             # per bound row: upper (else lower) bound
+    first: np.ndarray                # per variable: its (first) column
+    split: np.ndarray                # per variable: split into two columns
+    second: np.ndarray               # per split variable: its minus column
+    n_struct: int
+    slack_cols: np.ndarray           # per row: slack column or -1
+    art_cols: np.ndarray             # per row: artificial column or -1
+
+    @property
+    def c(self):
+        """The canonical objective, over the structural columns."""
+        return self.costs[..., :self.n_struct]
+
+
+def _canonicalize(lp: LinearProgram, rows=None, objective=None, rhs=None,
+                  ws=None):
+    """Rows: the constraints, then the bound rows, for each variable its
+    lower-bound row (lo finite and nonzero) before its upper-bound row.
+    The canonical system is written straight into the simplex work matrix
+    T (see _Stack), and A is a view of it, so A changes as T pivots.  T
+    and the cost row are buffers of the workspace ws (a fresh one when
+    None), which also keeps lp's column layout.
+
+    rows (B, m, n) and objective (B, n) stack B programs that share lp's
+    relations, bounds and sense, and its rhs unless rhs (B, m) gives each
+    program its own (the bound rows keep lp's); T, A, b, costs and scale
+    then carry a leading batch axis and every other field is shared.  A
+    stack whose programs need different row flips (a scaled rhs that
+    underflows to -0.0 in some programs only, or rhs of different signs)
+    has no shared layout: None.
+    """
+    if rows is None:
+        rows, objective = lp.rows, lp.objective
+    if rhs is None:
+        rhs = lp.rhs
+    if ws is None:
+        ws = _Workspace()
+    if ws.columns is None:
+        ws.columns = _columns(lp)
+    cols = ws.columns
+    batch = rows.shape[:-2]
+    if cols.unit is not None:
+        rows = np.concatenate(
+            [rows, np.broadcast_to(cols.unit, batch + cols.unit.shape)],
+            axis=-2)
         rhs = np.concatenate(
-            [rhs, np.broadcast_to(bound_rhs, rhs.shape[:-1] + k.shape)],
+            [rhs, np.broadcast_to(cols.bound_rhs,
+                                  rhs.shape[:-1] + cols.bound_rhs.shape)],
             axis=-1)
 
     # row equilibration: unit inf-norm rows keep reduced-cost noise flat;
     # splitting a column changes no row's norm, and a bound row's is 1
-    m = codes.size
+    codes, m = cols.codes, cols.codes.size
     norms = np.abs(rows).max(axis=-1)
     scale = np.where(norms > 0.0, norms, 1.0)
     b0 = rhs / scale
 
     # slack/surplus columns, then sign-fix rows so b >= 0, then
     # artificials wherever the row lacks a +1 identity column
-    slack_rows = codes.nonzero()[0]
-    n_real = n_struct + slack_rows.size
-    slack_cols = np.full(m, -1)
-    slack_cols[slack_rows] = np.arange(n_struct, n_real)
+    slack_rows, n_struct, n_real = cols.slack_rows, cols.n_struct, cols.n_real
     flip = np.ones(m)
     flipped = np.count_nonzero(b0 < 0.0)
     if flipped:
@@ -283,25 +356,32 @@ def _canonicalize(lp: LinearProgram, rows=None, objective=None, rhs=None):
     art_rows = (codes * flip <= 0.0).nonzero()[0]
     art_cols = np.full(m, -1)
     art_cols[art_rows] = np.arange(n_real, n_real + art_rows.size)
+    ncols = n_real + art_rows.size
 
-    T = np.zeros(batch + (m + 1, n_real + art_rows.size + 1))
+    # the cost row (T's) is written by _Stack.run before it is read
+    T = ws.take("T", batch + (m + 1, ncols + 1))
     A = T[..., :m, :-1]
-    _spread(runs, rows, scale[..., None], A)
-    A[..., slack_rows, slack_cols[slack_rows]] = codes[slack_rows]
+    _spread(cols.runs, rows, scale[..., None], A)
+    A[..., n_struct:] = 0.0
+    A[..., slack_rows, cols.slack_cols[slack_rows]] = codes[slack_rows]
     if flipped:
         A[..., :n_real] *= flip[:, None]
         b0 = b0 * flip
     A[..., art_rows, art_cols[art_rows]] = 1.0
     T[..., :m, -1] = b0
 
-    c = objective if lp.sense == "min" else -objective
-    if second.size:
-        c = _spread(runs, c, 1.0, np.empty(c.shape[:-1] + (n_struct,)))
+    # c is the objective, negated for max; -x / 1 and x / -1 agree bit
+    # for bit, and so do x / 1 and x
+    costs = ws.take("costs", batch + (ncols + 1,))
+    _spread(cols.runs, objective, 1.0 if lp.sense == "min" else -1.0,
+            costs[..., :n_struct])
+    costs[..., n_struct:] = 0.0
 
-    return _Canonical(T=T, A=A, b=b0, c=c, flip=flip, scale=scale,
-                      bound_var=bound_var, bound_up=bound_up, first=first,
-                      split=split, second=second, n_struct=n_struct,
-                      slack_cols=slack_cols, art_cols=art_cols)
+    return _Canonical(T=T, A=A, b=b0, costs=costs, flip=flip, scale=scale,
+                      bound_var=cols.bound_var, bound_up=cols.bound_up,
+                      first=cols.first, split=cols.split,
+                      second=cols.second, n_struct=n_struct,
+                      slack_cols=cols.slack_cols, art_cols=art_cols)
 
 
 def _spread(runs, R, div, out):
@@ -354,7 +434,8 @@ def solve(lp: LinearProgram) -> LpSolution:
     """Classify and solve an LP; see LpSolution for certificate layout."""
     if not isinstance(lp, LinearProgram):
         raise MalformedProgram("expected a LinearProgram")
-    return _solve_stack(lp, lp.rows[None], lp.objective[None])[0]
+    return _solve_stack(lp, lp.rows[None], lp.objective[None], None,
+                        _Workspace())[0]
 
 
 def _pivot(T, basis, r, q):
@@ -402,7 +483,7 @@ class _Stack:
     primal.
     """
 
-    def __init__(self, T, basis):
+    def __init__(self, T, basis, work):
         B, m = T.shape[0], T.shape[1] - 1
         self.T = T
         self.basis = np.repeat(basis[None], B, axis=0)
@@ -410,7 +491,7 @@ class _Stack:
         self.info = np.zeros((B, 5), dtype=int)
         self.info[:, _ID] = np.arange(B)
         self.moved = False      # slot k holds program k until a swap
-        self.work = None        # lock-step pivot scratch of T's shape
+        self.work = work        # scratch of T's shape
 
     def partition(self, first, extra=()):
         """Move the slots in [0, first.size) where first holds to the
@@ -431,7 +512,7 @@ class _Stack:
     def pivot_slots(self, slots, r, q):
         """Pivot the slots listed in slots on (r[k], q[k])."""
         sub, basis = self.T[slots], self.basis[slots]
-        _pivot_stack(sub, basis, r, q, np.empty_like(sub))
+        _pivot_stack(sub, basis, r, q, self.work[:slots.size])
         self.T[slots], self.basis[slots] = sub, basis
 
     def run(self, costs, n_enter, live):
@@ -455,10 +536,11 @@ class _Stack:
         dropped = np.count_nonzero(kept[:live]) < live * m
         # the objective row: costs - coef_i T[i] for each kept row i in
         # order, coef_i the cost of its basic column (a unit column); the
-        # other rows subtract +0.0, which changes no bit
+        # other rows subtract +0.0, which changes no bit; the terms are
+        # laid out in the pivot scratch, free until the first pivot
         coef = costs[at[:, None], basis[:live]]
         hit = (coef != 0.0) & kept[:live] if dropped else coef != 0.0
-        terms = np.empty((live, m + 1, ncols + 1))
+        terms = self.work[:live]
         terms[:, 0] = costs
         np.multiply(coef[:, :, None], T[:live, :m], out=terms[:, 1:])
         if np.count_nonzero(hit) < hit.size:
@@ -471,8 +553,6 @@ class _Stack:
         eligible = bland = None     # built once a slot parks or turns Bland
         lazy = ()                   # the ones built
         if live > 1:
-            if self.work is None:
-                self.work = np.empty_like(T)
             # the lock-step guard counts from the slot with most iterations
             limit = MAX_ITERATIONS - int(info[:live, _ITERATIONS].max())
             scratch = np.empty((live, m))       # the ratio tests
@@ -632,10 +712,17 @@ def solve_stack(layout: LinearProgram, rows, objectives,
     artificials) is worked out once and only the rows, objectives and
     right-hand sides are stacked; each program's rhs is divided by its
     own row scales.  Programs whose rhs need different row flips share
-    no layout and are solved one at a time.  The stack pivots its running programs at once, one numpy
-    operation per step for all of them, and hands the last one to the
-    single-program loop, so a family costs about as many numpy calls as
-    its slowest member alone, and its tail no more than that member's.
+    no layout and are solved one at a time.  The stack pivots its
+    running programs at once, one numpy operation per step for all of
+    them, and hands the last one to the single-program loop, so a family
+    costs about as many numpy calls as its slowest member alone, and its
+    tail no more than that member's.
+
+    layout keeps a workspace between calls: its column layout, and the
+    tableau, pivot scratch and cost rows, sized for the largest stack
+    solved on it.  A family that solves its chunks on one layout so
+    reuses one set of arrays, and frees them when it drops the layout.
+    No answer is a view of them.
     """
     if not isinstance(layout, LinearProgram):
         raise MalformedProgram("expected a LinearProgram layout")
@@ -656,29 +743,39 @@ def solve_stack(layout: LinearProgram, rows, objectives,
         raise MalformedProgram("non-finite data")
     if not B:
         return []
-    return _solve_stack(layout, rows, objectives, rhs)
+    # taken off the layout while in use, so that solves on one layout
+    # that overlap (from two threads) never share a workspace
+    ws = vars(layout).pop("_workspace", None) or _Workspace()
+    try:
+        return _solve_stack(layout, rows, objectives, rhs, ws)
+    finally:
+        layout._workspace = ws
 
 
-def _solve_stack(layout, rows, objectives, rhs=None):
-    """The two-phase simplex on checked arrays; see solve_stack."""
-    canon = _canonicalize(layout, rows, objectives, rhs)
+def _solve_stack(layout, rows, objectives, rhs, ws):
+    """The two-phase simplex on checked arrays, in the workspace ws; see
+    solve_stack.  No answer is a view of ws."""
+    canon = _canonicalize(layout, rows, objectives, rhs, ws)
     if canon is None:
         # no shared row flips: each program alone, and a stack of one
         # always has a shared layout
         return [sol for k in range(len(rows))
                 for sol in _solve_stack(
                     layout, rows[k:k + 1], objectives[k:k + 1],
-                    None if rhs is None else rhs[k:k + 1])]
+                    None if rhs is None else rhs[k:k + 1], ws)]
     B, m, ncols = canon.A.shape
     has_art = canon.art_cols >= 0
     # the artificial columns come last: [n_real, ncols)
     n_real = ncols - np.count_nonzero(has_art)
     stack = _Stack(canon.T,
-                   np.where(has_art, canon.art_cols, canon.slack_cols))
+                   np.where(has_art, canon.art_cols, canon.slack_cols),
+                   ws.take("work", canon.T.shape))
+    costs2 = canon.costs
     live = B
     if n_real < ncols:
         # Phase 1: drive artificials to zero.
-        costs1 = np.zeros((B, ncols + 1))
+        costs1 = ws.take("costs1", costs2.shape)
+        costs1.fill(0.0)
         costs1[:, n_real:-1] = 1.0
         stack.run(costs1, ncols, B)
         info = stack.info
@@ -702,8 +799,6 @@ def _solve_stack(layout, rows, objectives, rhs=None):
                 stack.pivot_slots(slots[fine], i, j[fine])
     if live:
         # Phase 2: artificials may not re-enter
-        costs2 = np.zeros((B, ncols + 1))
-        costs2[:, :canon.n_struct] = canon.c
         stack.run(costs2, n_real, live)
 
     # read every program's answer off its slot, in program order; rows of

@@ -3,6 +3,7 @@
 import sys
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 from surplex import lp
@@ -29,8 +30,10 @@ def recorded_programs():
     """Every program the test solves, in order, as a list of Solve: one
     per lp.solve call and one per program of an lp.solve_stack call,
     each with the stack of the call that solved it.  A stacked program
-    is rebuilt here, as the LinearProgram of its layout with its own rows,
-    objective and, when the call gives them, right-hand sides."""
+    is rebuilt here, as the LinearProgram of its layout with copies of its
+    own rows, objective and, when the call gives them, right-hand sides:
+    callers refill their stacked arrays chunk after chunk.  (The program
+    copies its rows and rhs; its objective is copied here.)"""
     seen = []
     solve, solve_stack = lp.solve, lp.solve_stack
 
@@ -43,7 +46,8 @@ def recorded_programs():
         sols = solve_stack(layout, rows, objectives, rhs)
         callers = _callers()
         each_rhs = [None] * len(sols) if rhs is None else rhs
-        seen.extend(Solve(layout.with_rows(program_rows, objective, b),
+        seen.extend(Solve(layout.with_rows(program_rows,
+                                           np.array(objective), b),
                           sol, callers)
                     for program_rows, objective, b, sol
                     in zip(rows, objectives, each_rhs, sols))

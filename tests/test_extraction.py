@@ -524,6 +524,28 @@ def test_preset_stacks_its_virtual_separators(recorded_programs,
                for rec in recorded_programs) == 99
 
 
+def test_preset_separator_chunks_pivot_in_one_tableau(monkeypatch):
+    """The preset's separator chunks are all solved in one tableau buffer
+    and one pivot scratch buffer, which the layout their family shares
+    keeps from chunk to chunk.  The spy holds every array it sees, so
+    arrays allocated per chunk could not share an address."""
+    seen = []
+    init = lp._Stack.__init__
+
+    def spy(self, T, basis, work):
+        if _separating():
+            seen.append((T, work))
+        init(self, T, basis, work)
+
+    monkeypatch.setattr(lp._Stack, "__init__", spy)
+    model = cli.build_model(cli.counterexample_preset()["model"])
+    virtual_extraction_menu(model, 0.05, 101)
+    assert len(seen) == math.ceil(99 / SEPARATOR_CHUNK)
+    for k in range(2):
+        assert len({a[k].__array_interface__["data"][0]
+                    for a in seen}) == 1
+
+
 def hook_beliefs(ts):
     """A strictly convex arc from e1 through the e2 side to e3 for
     t <= 1/2, then a straight segment from e3 halfway back to e1."""

@@ -505,8 +505,8 @@ def test_memoized_answers_are_read_only():
 
 def test_remembered_exposure_skips_the_complement(monkeypatch):
     """A remembered singleton answer is returned, or cut by margin_tol,
-    without building the complement; bad indices and one-point sets
-    still raise as before."""
+    without sorting the subset or building the complement; bad indices
+    and one-point sets still raise as before."""
     pts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
                     [1 / 3, 1 / 3, 1 / 3]])
     bset = FiniteBeliefSet(["e1", "e2", "e3", "c"], pts)
@@ -516,13 +516,20 @@ def test_remembered_exposure_skips_the_complement(monkeypatch):
     def no_complement(*args):
         raise AssertionError("complement built on a remembered answer")
 
+    def no_sort(*args):
+        raise AssertionError("subset sorted on a remembered answer")
+
     monkeypatch.setattr(np, "setdiff1d", no_complement)
+    monkeypatch.setattr(geometry, "sorted", no_sort, raising=False)
     hit = expose_set(bset, [0])
     assert hit[0] is z and hit[1] == margin
+    assert expose_set(bset, (0,))[0] is z
+    assert expose_set(bset, [np.int64(0)])[0] is z
     assert expose_set(bset, [0], margin_tol=margin) is None
     assert expose_set(bset, [0], margin_tol=np.nextafter(margin, 0))[0] is z
-    with pytest.raises(IndexOutOfRange):
-        expose_set(bset, [4])
+    for bad in (4, -1):
+        with pytest.raises(IndexOutOfRange):
+            expose_set(bset, [bad])
     monkeypatch.undo()
     with pytest.raises(ValueError, match="proper"):
         expose_set(FiniteBeliefSet(["p"], pts[:1]), [0])

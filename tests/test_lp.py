@@ -895,9 +895,9 @@ def test_solve_stack_matches_reference_on_virtual_separators(
         objectives = np.broadcast_to(objectives[0], objectives.shape)
     stacked = []
 
-    def no_shared_layout(prog, rows, objective, rhs=None):
+    def no_shared_layout(prog, rows, objective, rhs=None, ws=None):
         if len(rows) == 1:
-            return _canonicalize(prog, rows, objective, rhs)
+            return _canonicalize(prog, rows, objective, rhs, ws)
         stacked.append(len(rows))
         return None
 
@@ -948,14 +948,15 @@ def test_stack_pivot_keeps_the_signed_zeros_of_the_one_slot_pivot():
 
 
 def test_objective_value_does_not_depend_on_the_memory_layout():
-    """Table 0's exposure programs, whose shared objective separation_stack
+    """Table 0's exposure programs, whose shared objective SeparationStack
     hands over as a broadcast view, get the same objective values bit for
     bit from a C-ordered and from an F-ordered copy of it (whose rows are
     strided, which once moved the last bit of one value in 40)."""
     bset = models.random_tabular(0, 40, 6).belief_set()
     m = len(bset)
     others = np.arange(m - 1) + (np.arange(m - 1) >= np.arange(m)[:, None])
-    layout, rows, objectives = geometry.separation_stack(
+    layout, rows, objectives = geometry.SeparationStack(
+        m - 1, 1, bset.n_states)(
         bset.points, others, np.full(m, m - 1), bset.points[:, None])
     values = [
         np.array([sol.objective_value
@@ -1116,3 +1117,67 @@ def test_solve_all_solves_alone_when_row_flips_differ():
     assert _canonicalize(progs[0], rows[::2], objectives[::2],
                          rhs[::2]) is not None
     assert _assert_stack_bit_identical(progs) == [OPTIMAL] * 4
+
+
+# ---------------------------------------------------------------------------
+# the workspace a layout keeps between solve_stack calls
+
+def _answer_bytes(sol):
+    """sol's status, iterations and every number it holds, as bytes."""
+    parts = [sol.primal, sol.duals, sol.ray, sol.objective_value,
+             *(sol.bound_duals or ())]
+    return [sol.status, sol.iterations] + [
+        None if p is None else np.asarray(p).tobytes() for p in parts]
+
+
+def _workspace_buffers(layout):
+    return dict(layout._workspace._buffers)
+
+
+def test_chunks_on_one_layout_reuse_its_workspace_without_aliasing():
+    """Chunks of one family solved on one layout, larger after smaller
+    and smaller after larger, one with more artificial columns (a
+    flipped "<=" row) and one through the row-flip fallback, with
+    optimal, infeasible and unbounded programs among them.  Each answer
+    still holds the bytes it was returned with after every later chunk
+    ran, and shares no memory with the workspace; each equals bit for bit
+    the answer of its chunk on a fresh layout, and of solve() alone.  The
+    buffers grow for a larger chunk and are the same arrays for a smaller
+    one."""
+    rng = np.random.default_rng(5)
+    programs = shared_layout_stack(rng, 40)
+    layout = programs[0]
+    rows = np.stack([p.rows for p in programs])
+    objectives = np.stack([p.objective for p in programs])
+    rhs = np.tile(layout.rhs, (len(programs), 1))
+    rhs[15:20, 3] = -6.0            # row 3 "<=" flips: one more artificial
+    rhs[20:30:2, 3] = -6.0          # flips in half a chunk: the fallback
+    chunks = [slice(0, 3), slice(3, 15), slice(15, 20), slice(20, 30),
+              slice(30, 40)]
+    answers, snapshots = [], []
+    for part in chunks:
+        before = (_workspace_buffers(layout)
+                  if hasattr(layout, "_workspace") else {})
+        got = solve_stack(layout, rows[part], objectives[part], rhs[part])
+        after = _workspace_buffers(layout)
+        if part == slice(15, 20):   # smaller than the chunk before
+            assert all(after[k] is before[k] for k in before)
+        if part == slice(3, 15):    # larger than the chunk before
+            assert any(after[k].size > before[k].size for k in before)
+        fresh = layout.with_rows(layout.rows, layout.objective)
+        ref = solve_stack(fresh, rows[part], objectives[part], rhs[part])
+        for k, sol, want in zip(range(part.start, part.stop), got, ref):
+            _assert_same_solution(sol, want)
+            _assert_same_solution(sol, solve(layout.with_rows(
+                rows[k], objectives[k], rhs[k])))
+        answers += got
+        snapshots += [_answer_bytes(sol) for sol in got]
+
+    assert {sol.status for sol in answers} == {OPTIMAL, INFEASIBLE,
+                                               UNBOUNDED}
+    assert [_answer_bytes(sol) for sol in answers] == snapshots
+    buffers = _workspace_buffers(layout).values()
+    for sol in answers:
+        for part in (sol.primal, sol.duals, sol.ray, *(sol.bound_duals or ())):
+            if part is not None:
+                assert not any(np.shares_memory(part, buf) for buf in buffers)
