@@ -12,6 +12,7 @@ leave at most epsilon surplus, budgeted epsilon/n per chain stage.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -875,16 +876,22 @@ def compress_menu(model: ParametricModel, menu: Menu, eps: float,
 def verify_menu(model, menu: Menu, grid_n, mode) -> ExtractionReport:
     """Evaluate all surpluses of a menu on a grid and pass judgment.
 
-    mode is ("full",) or ("virtual", eps).  Full requires |own| <= 1e-8
-    and cross <= 1e-8; virtual requires own in [-1e-8, eps] and
-    cross <= eps.  Parametric verdicts additionally report the
-    off-grid Lipschitz slack; it is never silently asserted.
+    mode is ("full",) or ("virtual", eps), eps finite and > 0 (else
+    ValueError).  Full requires |own| <= 1e-8 and cross <= 1e-8;
+    virtual requires own in [-1e-8, eps] and cross <= eps.  Parametric
+    verdicts additionally report the off-grid Lipschitz slack; it is
+    never silently asserted.
     """
     if isinstance(mode, str):
         mode = (mode,)
     if mode[0] not in (FULL, VIRTUAL):
         raise ValueError(f"unknown mode {mode!r}")
-    eps = float(mode[1]) if mode[0] == VIRTUAL else 0.0
+    eps = 0.0
+    if mode[0] == VIRTUAL:
+        eps = float(mode[1]) if len(mode) == 2 else math.nan
+        if not (math.isfinite(eps) and eps > 0.0):
+            raise ValueError(f"virtual mode needs one finite eps > 0, "
+                             f"got {mode!r}")
 
     P = menu.payments_matrix()
     tab, slack = model, 0.0

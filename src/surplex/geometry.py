@@ -160,6 +160,10 @@ class FiniteBeliefSet:
         return self.points.shape[1]
 
     def check_index(self, i: int) -> int:
+        """i as an int, if it is an integer index of a point (a bool is
+        not); TypeError or IndexOutOfRange otherwise."""
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise TypeError(f"point index must be an integer, not {i!r}")
         if not 0 <= i < len(self):
             raise IndexOutOfRange(f"index {i} outside 0..{len(self) - 1}")
         return int(i)
@@ -378,13 +382,11 @@ def expose_set(bset: FiniteBeliefSet, subset, *,
     """
     if isinstance(subset, (list, tuple)) and len(subset) == 1:
         # a one-element list needs no sorting
-        members = [bset.check_index(int(subset[0]))]
+        members = [bset.check_index(subset[0])]
     else:
-        members = sorted(set(int(j) for j in subset))
+        members = sorted(set(map(bset.check_index, subset)))
         if not members:
             raise ValueError("subset must be nonempty")
-        for j in members:
-            bset.check_index(j)
     remembered = len(members) == 1
     if remembered and len(bset) > 1:
         # a remembered answer needs no complement

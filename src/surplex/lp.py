@@ -21,15 +21,17 @@ solve() takes one program.  solve_stack() takes many programs that
 share relations, bounds and sense and differ in their rows and
 objectives, as one layout program plus a (B, m, n) array of rows and a
 (B, n) array of objectives, and in their right-hand sides too when a
-(B, m) array of them is given; it pivots their running tableaux together,
-one numpy operation per step for all of them, hands the last one running
-to the single-tableau loop, and returns for each program exactly what
-solve() returns for it.  Callers write the stacked rows straight into
-one array, so no program object is built per stacked program, and the
-layout keeps the solver's arrays from one call to the next, so the
-chunks of a family that share it reuse one tableau.  Both run
-one two-phase driver: solve() is solve_stack() on a stack of one
-program, which runs the single-tableau loop from the start.
+(B, m) array of them is given; it pivots their running tableaux together
+by Dantzig's rule, one numpy operation per step for all of them, and
+returns for each program exactly what solve() returns for it.  The rare
+rules (the unbounded test, parked columns and Bland's rule) live only in
+the single-tableau loop: a program that needs one leaves the lock step
+for that loop, and so does the last one running.  Callers write the
+stacked rows straight into one array, so no program object is built per
+stacked program, and the layout keeps the solver's arrays from one call
+to the next, so the chunks of a family that share it reuse one tableau.
+Both run one two-phase driver: solve() is solve_stack() on a stack of
+one program, which runs the single-tableau loop from the start.
 """
 
 from __future__ import annotations
@@ -475,12 +477,12 @@ class _Stack:
     program's iteration count, its status (0 while it may be optimal,
     else _UNBOUNDED or _INFEASIBLE), its unbounded column and its streak
     of degenerate pivots in the current run.  run() works on the slots
-    [0, live) and swaps each program that stops behind the ones still
-    running, so the running slots stay a prefix of T and every lock-step
-    pivot is one in-place update of it; the last running program goes on
-    alone.  A redundant row that phase 1 drops stays in T with kept
-    False: it never enters the ratio test, the objective-row setup or the
-    primal.
+    [0, live) and swaps each program that stops or leaves the lock step
+    behind the ones still running, so the running slots stay a prefix of
+    T and every lock-step pivot is one in-place update of it; _run_one
+    finishes the programs that leave and the last running one alone.  A
+    redundant row that phase 1 drops stays in T with kept False: it never
+    enters the ratio test, the objective-row setup or the primal.
     """
 
     def __init__(self, T, basis, work):
@@ -522,13 +524,16 @@ class _Stack:
         only the columns [0, n_enter) may enter the basis.  On return, per
         slot, info says whether it ended unbounded and on which column.
 
-        While two or more slots run, each iteration applies _run_one's
-        rules to all of them at once: slots that stop leave the prefix
-        right after pricing, and the per-slot state of parked columns and
-        of Bland's rule is built only once some slot needs it.  The last
-        running slot goes on in _run_one with its streak, rule and parked
-        columns.  Each program takes the same steps and gets the same
-        bits as on its own."""
+        While two or more slots run, each iteration takes one Dantzig step
+        of _run_one for all of them at once: pricing over [0, n_enter),
+        the ratio test and the pivot.  A slot that stops leaves the
+        running prefix right after pricing.  A slot whose entering column
+        has no positive entry gives the iteration back and one whose
+        degenerate streak passes BLAND_TRIGGER takes its pivot; then
+        _run_one finishes it alone, with the unbounded test, parked
+        columns and Bland's rule, as it finishes the last running slot.
+        Each program takes the same steps and gets the same bits as on
+        its own."""
         T, basis, kept, info = self.T, self.basis, self.kept, self.info
         m, ncols = T.shape[1] - 1, T.shape[2] - 1
         costs = costs[info[:live, _ID]] if self.moved else costs[:live]
@@ -550,8 +555,6 @@ class _Stack:
         # minus the reduced-cost tolerance, -FEAS_TOL (1 + max |cost|)
         ntol = (1.0 + np.abs(costs).max(axis=1)) * -FEAS_TOL
         info[:live, _STATUS:] = 0
-        eligible = bland = None     # built once a slot parks or turns Bland
-        lazy = ()                   # the ones built
         if live > 1:
             # the lock-step guard counts from the slot with most iterations
             limit = MAX_ITERATIONS - int(info[:live, _ITERATIONS].max())
@@ -563,18 +566,11 @@ class _Stack:
             if count > limit:
                 raise RuntimeError("simplex iteration limit exceeded")
             info[:k, _ITERATIONS] += 1
-            red = T[:k, m, :-1]
-            prices = (red[:, :n_enter] if eligible is None
-                      else np.where(eligible[:k], red, np.inf))
+            prices = T[:k, m, :n_enter]
             q = prices.argmin(axis=1)
             going = prices[at[:k], q] < ntol[:k]
-            if bland is not None and bland[:k].any():
-                slow = bland[:k].nonzero()[0]
-                improving = prices[slow] < ntol[slow, None]
-                q[slow] = improving.argmax(axis=1)
-                going[slow] = improving[np.arange(slow.size), q[slow]]
             if np.count_nonzero(going) < k:
-                k = self.partition(going, (q, ntol, *lazy))
+                k = self.partition(going, (q, ntol))
                 q = q[:k]
                 if k == 0:
                     break
@@ -593,63 +589,55 @@ class _Stack:
             else:       # no row: every slot is blocked, and r is never read
                 best, r = np.full(k, np.inf), q
             degenerate = best <= 1e-12
-            n_move = k
             blocked = best == np.inf
             if np.count_nonzero(blocked):
-                # a slot whose column has no positive entry stops
-                # unbounded, or parks the column until its next pivot
-                unbounded = blocked & (red[at[:k], q] < 1e4 * ntol[:k])
-                info[:k][unbounded, _STATUS] = _UNBOUNDED
-                info[:k][unbounded, _ENTERING] = q[unbounded]
-                if eligible is None:
-                    allowed = np.arange(ncols) < n_enter
-                    eligible = np.tile(allowed, (live, 1))
-                    lazy += (eligible,)
-                waiting = (blocked & ~unbounded).nonzero()[0]
-                eligible[waiting, q[waiting]] = False
-                moving = ~blocked
-                state = (q, r, degenerate, moving, ntol, *lazy)
-                k = self.partition(~unbounded, state)
-                n_move = self.partition(moving[:k], state)
-            if n_move:
-                streak = info[:n_move, _STREAK]
+                # _run_one prices the step again, then stops unbounded or
+                # parks the column
+                info[:k][blocked, _ITERATIONS] -= 1
+                k = self.finish_alone(blocked, n_enter, ntol,
+                                      (q, r, degenerate))
+            if k:
+                streak = info[:k, _STREAK]
                 streak += 1
-                streak *= degenerate[:n_move]
+                streak *= degenerate[:k]
+                _pivot_stack(T[:k], basis[:k], r[:k], q[:k], self.work[:k])
                 # a streak is at most count long
                 if count > BLAND_TRIGGER and streak.max() > BLAND_TRIGGER:
-                    if bland is None:
-                        bland = np.zeros(live, dtype=bool)
-                        lazy += (bland,)
-                    bland[:n_move] |= streak > BLAND_TRIGGER
-                if eligible is not None:
-                    eligible[:n_move] = allowed
-                _pivot_stack(T[:n_move], basis[:n_move], r[:n_move],
-                             q[:n_move], self.work[:n_move])
+                    k = self.finish_alone(streak > BLAND_TRIGGER, n_enter,
+                                          ntol)
         if k == 1:
-            self._run_one(n_enter, float(ntol[0]),
-                          bland is not None and bool(bland[0]),
-                          None if eligible is None else eligible[0])
+            self._run_one(0, n_enter, float(ntol[0]))
 
-    def _run_one(self, n_enter, ntol, bland, eligible):
-        """run() on slot 0 alone, whose objective row is set up; ntol is
-        minus its reduced-cost tolerance, and bland, eligible and
-        info[0, _STREAK] carry on the lock-step state.
+    def finish_alone(self, leaving, n_enter, ntol, extra=()):
+        """Finish each running slot where leaving holds in _run_one, then
+        move the others to the front as partition does, with ntol and the
+        per-slot arrays extra; returns how many run on."""
+        for slot in leaving.nonzero()[0].tolist():
+            self._run_one(slot, n_enter, float(ntol[slot]))
+        return self.partition(~leaving, (ntol, *extra))
 
-        Entering column: the most negative eligible reduced cost, lowest
-        index first; after a streak of BLAND_TRIGGER degenerate pivots,
-        the lowest improving index (Bland).  Leaving row: the lowest
-        basic column among the kept rows that tie in the ratio test.  A
-        column without a positive entry is unbounded when its reduced
-        cost clearly improves; otherwise it is parked (near noise) and
-        may not enter until the next pivot: eligible, when not None,
-        masks the columns that may."""
-        T, basis, kept = self.T[0], self.basis[0], self.kept[0]
+    def _run_one(self, slot, n_enter, ntol):
+        """run() on this slot alone, whose objective row is set up; ntol
+        is minus its reduced-cost tolerance, and info[slot] holds its
+        iterations and its streak of degenerate pivots so far.
+
+        Entering column: the most negative reduced cost among the columns
+        [0, n_enter) not parked, lowest index first; once the streak
+        passes BLAND_TRIGGER, the lowest improving index (Bland) for the
+        rest of the run.  Leaving row: the lowest basic column among the
+        kept rows that tie in the ratio test.  A column without a
+        positive entry is unbounded when its reduced cost clearly
+        improves; otherwise it is parked (near noise) and may not enter
+        until the next pivot."""
+        T, basis, kept = self.T[slot], self.basis[slot], self.kept[slot]
         m = T.shape[0] - 1
         red = T[m, :-1]
         rhs = T[:m, -1]
         dropped = np.count_nonzero(kept) < m
-        iterations = int(self.info[0, _ITERATIONS])
-        streak = int(self.info[0, _STREAK])
+        iterations = int(self.info[slot, _ITERATIONS])
+        streak = int(self.info[slot, _STREAK])
+        bland = streak > BLAND_TRIGGER
+        eligible = None     # the columns that may enter, once one parks
         ratios = np.empty(m)
         while True:
             iterations += 1
@@ -676,8 +664,8 @@ class _Stack:
             best = float(ratios[ratios.argmin()]) if m else np.inf
             if best == np.inf:
                 if red[q] < 1e4 * ntol:
-                    self.info[0, _STATUS] = _UNBOUNDED
-                    self.info[0, _ENTERING] = q
+                    self.info[slot, _STATUS] = _UNBOUNDED
+                    self.info[slot, _ENTERING] = q
                     break
                 if eligible is None:
                     eligible = np.arange(red.size) < n_enter
@@ -694,7 +682,7 @@ class _Stack:
             else:
                 streak = 0
             _pivot(T, basis, r, q)
-        self.info[0, _ITERATIONS] = iterations
+        self.info[slot, _ITERATIONS] = iterations
 
 
 def solve_stack(layout: LinearProgram, rows, objectives,
@@ -714,9 +702,11 @@ def solve_stack(layout: LinearProgram, rows, objectives,
     own row scales.  Programs whose rhs need different row flips share
     no layout and are solved one at a time.  The stack pivots its
     running programs at once, one numpy operation per step for all of
-    them, and hands the last one to the single-program loop, so a family
-    costs about as many numpy calls as its slowest member alone, and its
-    tail no more than that member's.
+    them by Dantzig's rule, and hands to the single-program loop each one
+    that meets a column without a positive entry or turns to Bland's
+    rule, and the last one running, so a family costs about as many numpy
+    calls as its slowest member alone, and its tail no more than that
+    member's.
 
     layout keeps a workspace between calls: its column layout, and the
     tableau, pivot scratch and cost rows, sized for the largest stack

@@ -155,6 +155,8 @@ class TabularModel:
         if (len(self.labels) != m or self.values.shape != (m,)
                 or (self.ts is not None and np.shape(self.ts) != (m,))):
             raise ValueError("labels, beliefs, values, ts must align")
+        if len(set(self.labels)) != m:
+            raise ValueError("labels must be unique")
         prob_rows(self.beliefs, self.labels.__getitem__)
         bad = np.flatnonzero(~np.isfinite(self.values))
         if bad.size:
@@ -179,9 +181,11 @@ class TabularModel:
         return self._bset
 
     def index_of(self, t) -> int:
+        """The index of type t: its label, or an index checked as the
+        belief set's check_index does."""
         if isinstance(t, str):
             return self.labels.index(t)
-        return int(t)
+        return self.belief_set().check_index(t)
 
     def to_json(self) -> str:
         return json.dumps({

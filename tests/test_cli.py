@@ -139,6 +139,17 @@ def test_compress_before_virtual_is_a_config_error(tmp_path):
     assert not (tmp_path / "o" / "report.json").exists()
 
 
+def test_duplicate_type_labels_are_a_config_error(tmp_path, capsys):
+    config = {"version": 1, "model": {
+        "kind": "tabular", "states": 2, "types": ["a", "a"],
+        "beliefs": [[0.5, 0.5], [0.2, 0.8]], "values": [1.0, 2.0]},
+        "tasks": ["classify"]}
+    path = write_config(tmp_path, config)
+    assert main(["analyze", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "labels must be unique" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
 def test_crash_leaves_no_earlier_report(tmp_path, monkeypatch):
     out = tmp_path / "out"
     config = {"version": 1, "model": {"kind": "counterexample"},

@@ -657,6 +657,18 @@ def test_verify_flags_shifted_menu():
     assert rep.max_abs_own == pytest.approx(eps, abs=1e-9)
 
 
+@pytest.mark.parametrize("mode", [
+    "virtual", ("virtual",), ("virtual", -1), ("virtual", 0.0),
+    ("virtual", math.inf), ("virtual", math.nan), ("virtual", 0.1, 0.2)],
+    ids=repr)
+def test_verify_rejects_a_virtual_mode_without_a_budget(mode):
+    tab = random_tabular(31, 5, 7)
+    menu = full_extraction_menu(tab)
+    with pytest.raises(ValueError, match="one finite eps > 0"):
+        verify_menu(tab, menu, None, mode)
+    assert verify_menu(tab, menu, None, ("virtual", 0.1)).passed
+
+
 def test_verify_full_implies_all_detectable():
     for seed in (1, 2, 3):
         tab = random_tabular(seed, 5, 7)

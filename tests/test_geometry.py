@@ -101,6 +101,30 @@ def test_is_extreme_duplicate_delta_witness():
         is_extreme(bset, 4)
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda tab: is_extreme(tab.belief_set(), 2.5), TypeError),
+    (lambda tab: exposure_chain(tab.belief_set(), 1.9), TypeError),
+    (lambda tab: extreme_each(tab.belief_set(), [True]), TypeError),
+    (lambda tab: expose_set(tab.belief_set(), [1, 1.5]), TypeError),
+    (lambda tab: tab.index_of(2.7), TypeError),
+    (lambda tab: extraction.classify_type(tab, 2.7), TypeError),
+    (lambda tab: extraction.classify_type(tab, 5), IndexOutOfRange),
+], ids=["is_extreme 2.5", "exposure_chain 1.9", "extreme_each True",
+        "expose_set 1.5", "index_of 2.7", "classify_type 2.7",
+        "classify_type 5"])
+def test_point_indices_are_integers_in_range(call, error):
+    """A point index is an int or a numpy integer (not a bool) that names
+    a point: a float is not truncated, and an index past the end is
+    checked before anything is indexed with it."""
+    tab = random_tabular(0, 5, 3)
+    with pytest.raises(error):
+        call(tab)
+    assert tab.belief_set()._memo == {}
+    assert tab.index_of(np.int64(2)) == 2
+    bset = tab.belief_set()
+    assert is_extreme(bset, np.int64(2)) is is_extreme(bset, 2)
+
+
 def test_duplicates_need_flag():
     pts = np.vstack([np.eye(3), np.eye(3)[:1]])
     with pytest.raises(ValueError):

@@ -803,17 +803,55 @@ def _assert_same_solution(got, ref):
                    zip(got.bound_duals, ref.bound_duals))
 
 
-def _assert_stack_bit_identical(programs, events=None):
+def _spy_hand_offs(patch, handed):
+    """Spy through patch on _Stack.run and _Stack._run_one: handed gets,
+    for each slot that _run_one finishes while others still run in lock
+    step, why it left: "bland" (its degenerate streak passed
+    BLAND_TRIGGER), "unbounded" or "parked" (its entering column has no
+    positive entry, and it ends unbounded or parks the column), or
+    "other"."""
+    run, run_one = lp._Stack.run, lp._Stack._run_one
+    calls = []
+
+    def spy_run(self, costs, n_enter, live):
+        calls.clear()
+        run(self, costs, n_enter, live)
+        handed.extend(calls[:-1])   # the last may be the last running slot
+
+    def spy_run_one(self, slot, n_enter, ntol):
+        streak = self.info[slot, lp._STREAK]
+        T, kept = self.T[slot], self.kept[slot]
+        q = T[-1, :n_enter].argmin()
+        blocked = not (kept & (T[:-1, q] > PIVOT_TOL)).any()
+        run_one(self, slot, n_enter, ntol)
+        if streak > BLAND_TRIGGER:
+            why = "bland"
+        elif self.info[slot, lp._STATUS] == lp._UNBOUNDED:
+            why = "unbounded"
+        else:
+            why = "parked" if blocked else "other"
+        calls.append(why)
+
+    patch.setattr(lp._Stack, "run", spy_run)
+    patch.setattr(lp._Stack, "_run_one", spy_run_one)
+
+
+def _assert_stack_bit_identical(programs, events=None, handed=None):
     """solve_stack on the stacked rows and objectives of programs, which
     share a layout, equals reference_solve and solve program by program,
     bit for bit; returns the statuses.  Programs whose right-hand sides
     differ get them as solve_stack's per-program rhs.  events collects the
-    reference solves' events."""
+    reference solves' events, and handed the slots the stack hands to
+    _run_one early (_spy_hand_offs)."""
     rhs = np.stack([p.rhs for p in programs])
-    got_all = solve_stack(programs[0], np.stack([p.rows for p in programs]),
-                          np.stack([p.objective for p in programs]),
-                          None if rhs.tobytes() == np.tile(
-                              rhs[0], (len(rhs), 1)).tobytes() else rhs)
+    with pytest.MonkeyPatch.context() as patch:
+        if handed is not None:
+            _spy_hand_offs(patch, handed)
+        got_all = solve_stack(
+            programs[0], np.stack([p.rows for p in programs]),
+            np.stack([p.objective for p in programs]),
+            None if rhs.tobytes() == np.tile(
+                rhs[0], (len(rhs), 1)).tobytes() else rhs)
     assert len(got_all) == len(programs)
     statuses = []
     for prog, got in zip(programs, got_all):
@@ -1047,16 +1085,20 @@ def degenerate_cone_stack(rng, size):
 
 
 def test_solve_all_matches_reference_on_mixed_stacks():
+    """Every program gets its solo answer bit for bit, those that leave
+    the lock-step loop early for _run_one's unbounded test, parked
+    columns and Bland's rule too."""
     rng = np.random.default_rng(0)
-    events = set()
+    events, handed = set(), []
     statuses = _assert_stack_bit_identical(shared_layout_stack(rng, 24),
-                                           events)
+                                           events, handed)
     statuses += _assert_stack_bit_identical(degenerate_cone_stack(rng, 4),
-                                            events)
+                                            events, handed)
     statuses += _assert_stack_bit_identical(
-        near_redundant_stack(np.random.default_rng(41), 8), events)
+        near_redundant_stack(np.random.default_rng(41), 8), events, handed)
     assert set(statuses) == {OPTIMAL, INFEASIBLE, UNBOUNDED}
     assert events == {"dropped", "parked", "unparked", "bland"}
+    assert set(handed) == {"unbounded", "parked", "bland"}
 
 
 @st.composite
@@ -1095,7 +1137,9 @@ def degenerate_stacks(draw):
 @settings(max_examples=150, deadline=None)
 @given(degenerate_stacks())
 def test_solve_all_matches_reference_on_degenerate_stacks(programs):
-    _assert_stack_bit_identical(programs)
+    handed = []
+    _assert_stack_bit_identical(programs, handed=handed)
+    assert set(handed) <= {"unbounded", "parked", "bland"}
 
 
 def test_solve_all_solves_alone_when_row_flips_differ():
