@@ -82,7 +82,7 @@ def build_primal(inst: VseInstance) -> lp.LinearProgram:
     obj[0] = 1.0
     return lp.LinearProgram(obj, [(row, lp.LE, b) for row, b in
                                   zip(rows, rhs)],
-                            bounds=np.full((nv, 2), np.nan))
+                            free=np.ones(nv, dtype=bool))
 
 
 def build_dual(inst: VseInstance) -> lp.LinearProgram:
@@ -183,8 +183,8 @@ def solve_primal(inst: VseInstance) -> PrimalSolution:
     and (p*, z) is feasible for the full build_primal.  The dual measure
     averages the optimal block measures (lambda_s, nu_{., s}) over the
     blocks with f_s within TIE_TOL (1 + |p*|) of p*, so the returned
-    solution certifies the full program: duals -(lambda, nu), no bound
-    multipliers (every variable is free).
+    solution certifies the full program, whose variables are all free:
+    duals -(lambda, nu).
     """
     m, S = inst.n_types, inst.n_states
     beliefs = inst.tabular.beliefs
@@ -205,12 +205,10 @@ def solve_primal(inst: VseInstance) -> PrimalSolution:
     nu = weights * measures[:, 1:].T      # nu[t, s]
     vals = beliefs @ z.T                  # vals[t, s] = pi(t).z(s)
     violation = max(float(np.diag(vals).max()), float((inst.d - vals).max()))
-    free = np.zeros(1 + m * S)
     sol = lp.LpSolution(status=lp.OPTIMAL,
                         primal=np.concatenate([[p_star], z.reshape(-1)]),
                         duals=-np.concatenate([lam, nu.reshape(-1)]),
-                        objective_value=p_star,
-                        bound_duals=(free, free.copy()))
+                        objective_value=p_star)
     return PrimalSolution(p_star=p_star, z=z,
                           max_violation=max(violation - p_star, 0.0),
                           solution=sol)

@@ -13,6 +13,7 @@ leave at most epsilon surplus, budgeted epsilon/n per chain stage.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,7 +218,7 @@ class ExtractionReport:
 
     own is NaN for types without a same-label entry (compressed menus).
     For parametric models lipschitz_slack = L_v h + max|c|_inf L_pi h
-    bounds how much any surplus can move between grid points, and ts
+    caps how much any surplus can move between grid points, and ts
     holds the grid (it is not part of to_jsonable).
     """
 
@@ -341,11 +342,12 @@ class GridClassifier:
 
     def index_of(self, t) -> int:
         """The index of type t: a label or an index of a table, a grid
-        point of a parametric model's grid."""
+        point of a parametric model's grid (a real number, not a bool)."""
         if isinstance(self.model, TabularModel):
             return self.model.index_of(t)
         ts = self.tab.ts
-        if not np.any(np.abs(ts - t) < 1e-12):
+        if (isinstance(t, bool) or not isinstance(t, numbers.Real)
+                or not np.any(np.abs(ts - t) < 1e-12)):
             raise ValueError(f"t={t!r} is not a point of the "
                              f"{self.grid_n}-point grid")
         return int(np.argmin(np.abs(ts - t)))
@@ -516,15 +518,13 @@ def full_extraction_lp(tab: TabularModel, first=()):
     box = np.empty((m, 2 * S))
     box[:, 0::2], box[:, 1::2] = -mults[:, m:m + S], mults[:, m + S:]
     duals = np.concatenate([own, cross, box.reshape(-1)])
-    nv = m * S + m
-    zeros = (np.zeros(nv), np.zeros(nv))
     if status == lp.INFEASIBLE:
-        return lp.LpSolution(status=status, duals=duals, bound_duals=zeros,
+        return lp.LpSolution(status=status, duals=duals,
                              iterations=iterations), None
     primal = np.concatenate([contracts[:, :S].reshape(-1), contracts[:, S]])
     sol = lp.LpSolution(status=status, primal=primal, duals=duals,
                         objective_value=float(contracts[:, S].sum()),
-                        bound_duals=zeros, iterations=iterations)
+                        iterations=iterations)
     return sol, Menu([(lbl, Contract(c)) for lbl, c
                       in zip(tab.labels, contracts[:, :S])])
 

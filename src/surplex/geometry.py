@@ -326,12 +326,12 @@ class SeparationStack:
         width = n + n_zero + 2 * S
         obj = np.zeros(width)
         obj[n + n_zero:] = 1.0
-        bounds = np.tile([0.0, np.nan], (width, 1))
-        bounds[n:n + n_zero, 0] = np.nan
+        free = np.zeros(width, dtype=bool)
+        free[n:n + n_zero] = True
         rhs = np.zeros(S + 1)
         rhs[S] = 1.0
         self.layout = lp.LinearProgram(obj, [(np.zeros(width), lp.EQ, b)
-                                             for b in rhs], bounds=bounds)
+                                             for b in rhs], free=free)
         self._rows = np.empty((0, S + 1, width))
 
     def __call__(self, points, order, n_margin, zero):

@@ -4,11 +4,11 @@ Solves small and medium LPs of the form
 
     min/max  objective . x
     s.t.     row . x  (<= | = | >=)  rhs     for each constraint
-             lower_j <= x_j <= upper_j       for each variable
+             x_j >= 0, or x_j free            for each variable
 
-Bounds come as one (lower, upper) pair per variable, either a sequence of
-pairs or an (n, 2) array; None or NaN means no bound on that side, and an
-infinite bound is rejected.  Programs are stored as arrays.
+Which variables are free is one boolean mask; every other variable is
+nonnegative.  Any other bound, a box say, is a constraint row like the
+rest.  Programs are stored as arrays.
 
 All data is dense numpy.  The solver is deterministic: the entering
 variable is the most negative reduced cost with lowest-index tie break,
@@ -18,7 +18,7 @@ solutions of the canonical form; infeasible programs carry a Farkas
 certificate in the duals; unbounded programs carry a certifying ray.
 
 solve() takes one program.  solve_stack() takes many programs that
-share relations, bounds and sense and differ in their rows and
+share relations, free variables and sense and differ in their rows and
 objectives, as one layout program plus a (B, m, n) array of rows and a
 (B, n) array of objectives, and in their right-hand sides too when a
 (B, m) array of them is given; it pivots their running tableaux together
@@ -61,16 +61,15 @@ class LinearProgram:
     """A dense LP instance.
 
     constraints is a sequence of (row, relation, rhs) with relation one of
-    "<=", "=", ">=".  bounds is one (lower, upper) pair per variable, as a
-    sequence of pairs or an (n, 2) array; None or NaN means unbounded on
-    that side, and +-inf is rejected.  Default bounds are (0, None).
+    "<=", "=", ">=".  free is one bool per variable, True where the
+    variable is free; every other variable is nonnegative, and None (the
+    default) makes them all so.
 
     Stored as arrays: rows, rhs, codes (the slack sign of each relation:
-    +1 for "<=", 0 for "=", -1 for ">="), and lo/up with -inf/+inf where
-    there is no bound.
+    +1 for "<=", 0 for "=", -1 for ">=") and the free mask.
     """
 
-    def __init__(self, objective, constraints, bounds=None, sense="min"):
+    def __init__(self, objective, constraints, free=None, sense="min"):
         self.objective = np.asarray(objective, dtype=float)
         if self.objective.ndim != 1 or self.objective.size == 0:
             raise MalformedProgram("objective must be a nonempty vector")
@@ -98,23 +97,9 @@ class LinearProgram:
         if self.rhs.shape != self.codes.shape:
             raise MalformedProgram("each rhs must be a scalar")
 
-        if bounds is None:
-            bounds = np.tile([0.0, np.nan], (n, 1))
-        try:
-            box = np.array(bounds, dtype=float)
-        except (TypeError, ValueError) as err:
-            raise MalformedProgram(f"bad bounds: {err}") from None
-        if box.shape != (n, 2):
-            raise MalformedProgram("one (lower, upper) pair per variable")
-        if np.isinf(box).any():
-            raise MalformedProgram("bounds must be finite, None or NaN")
-        self.lo = np.where(np.isnan(box[:, 0]), -np.inf, box[:, 0])
-        self.up = np.where(np.isnan(box[:, 1]), np.inf, box[:, 1])
-        empty = np.flatnonzero(self.lo > self.up)
-        if empty.size:
-            j = empty[0]
-            raise MalformedProgram(
-                f"empty bound interval ({self.lo[j]}, {self.up[j]})")
+        self.free = np.array([False] * n if free is None else free)
+        if self.free.shape != (n,) or self.free.dtype != bool:
+            raise MalformedProgram("free must be one bool per variable")
 
         if not (np.isfinite(self.objective).all()
                 and np.isfinite(self.rows).all()
@@ -130,24 +115,18 @@ class LinearProgram:
         return self.codes.size
 
     def with_rows(self, rows, objective, rhs=None) -> "LinearProgram":
-        """The program with this one's relations, bounds and sense, and
-        the given constraint rows and objective; its rhs too unless rhs
-        is given."""
+        """The program with this one's relations, free variables and
+        sense, and the given constraint rows and objective; its rhs too
+        unless rhs is given."""
         return LinearProgram(
             objective, zip(rows, self.relations,
                            self.rhs if rhs is None else rhs),
-            bounds=self.bounds, sense=self.sense)
+            free=self.free, sense=self.sense)
 
     @cached_property
     def relations(self) -> list[str]:
         """One relation string per constraint."""
         return [_RELATIONS[1 + k] for k in self.codes.tolist()]
-
-    @cached_property
-    def bounds(self) -> list[tuple[float | None, float | None]]:
-        """(lower, upper) per variable, None where there is no bound."""
-        return [(None if lo == -np.inf else lo, None if up == np.inf else up)
-                for lo, up in zip(self.lo.tolist(), self.up.tolist())]
 
 
 @dataclass
@@ -158,8 +137,8 @@ class LpSolution:
     multiplier per constraint: optimal duals for optimal programs
     (min sense: <= rows nonpositive, >= rows nonnegative; flipped for
     max), or the Farkas certificate for infeasible programs.  ray is a
-    certifying direction for unbounded programs.  bound_duals are the
-    multipliers of the finite variable bounds (lower, upper).
+    certifying direction for unbounded programs.  solve() and
+    solve_stack() return each vector C-contiguous.
     """
 
     status: str
@@ -167,7 +146,6 @@ class LpSolution:
     duals: np.ndarray | None = None
     objective_value: float | None = None
     ray: np.ndarray | None = None
-    bound_duals: tuple[np.ndarray, np.ndarray] | None = None
     iterations: int = 0
 
 
@@ -191,35 +169,27 @@ class CertificateReport:
 # canonical form
 #
 # The solver works on   min c.x, A x = b, x >= 0, b >= 0.
-# Original variables map to canonical columns: a variable with lower
-# bound >= 0 maps to one column ("pos"), anything else splits into a
-# difference of two columns ("split").  Nonzero lower bounds and finite
-# upper bounds become extra constraint rows so that Farkas certificates
-# live in one uniform row space.
+# Original variables map to canonical columns: a nonnegative variable maps
+# to one column, a free one splits into a difference of two ("split").
 
 @dataclass
 class _Columns:
-    """What the canonical form takes from a program's relations and bounds
-    alone, so the solves on one layout work it out once (_Workspace)."""
+    """What the canonical form takes from a program's relations and free
+    variables alone, so the solves on one layout work it out once
+    (_Workspace)."""
 
     runs: list                       # (start, stop, first column, split)
     first: np.ndarray                # per variable: its (first) column
     split: np.ndarray                # per variable: split into two columns
     second: np.ndarray               # per split variable: its minus column
     n_struct: int
-    unit: np.ndarray | None          # the bound rows' constraint rows
-    codes: np.ndarray                # slack sign per row, bound rows too
-    bound_var: np.ndarray            # per bound row: its variable
-    bound_up: np.ndarray             # per bound row: upper (else lower) bound
-    bound_rhs: np.ndarray
     slack_rows: np.ndarray
     slack_cols: np.ndarray           # per row: slack column or -1
     n_real: int                      # structural and slack columns
 
 
 def _columns(lp: LinearProgram) -> _Columns:
-    n = lp.n_vars
-    split = lp.lo < 0.0
+    n, split = lp.n_vars, lp.free
     if np.count_nonzero(split):
         width = 1 + split
         first = np.cumsum(width) - width
@@ -233,26 +203,12 @@ def _columns(lp: LinearProgram) -> _Columns:
             for a, z in zip([0, *cuts], [*cuts, n])]
     n_struct = n + second.size
 
-    codes, unit = lp.codes, None
-    has_lo = np.isfinite(lp.lo) & (lp.lo != 0.0)
-    has_up = np.isfinite(lp.up)
-    bound_var = bound_up = bound_rhs = np.arange(0)
-    if np.count_nonzero(has_lo) or np.count_nonzero(has_up):
-        k = np.flatnonzero(np.column_stack([has_lo, has_up]))
-        bound_var, bound_up = k // 2, k % 2 == 1
-        unit = np.zeros((k.size, n))
-        unit[np.arange(k.size), bound_var] = 1.0
-        codes = np.concatenate([codes, np.where(bound_up, 1, -1)])
-        bound_rhs = np.column_stack([lp.lo, lp.up]).ravel()[k]
-
-    slack_rows = codes.nonzero()[0]
+    slack_rows = lp.codes.nonzero()[0]
     n_real = n_struct + slack_rows.size
-    slack_cols = np.full(codes.size, -1)
+    slack_cols = np.full(lp.n_constraints, -1)
     slack_cols[slack_rows] = np.arange(n_struct, n_real)
     return _Columns(runs=runs, first=first, split=split, second=second,
-                    n_struct=n_struct, unit=unit, codes=codes,
-                    bound_var=bound_var, bound_up=bound_up,
-                    bound_rhs=bound_rhs, slack_rows=slack_rows,
+                    n_struct=n_struct, slack_rows=slack_rows,
                     slack_cols=slack_cols, n_real=n_real)
 
 
@@ -285,10 +241,8 @@ class _Canonical:
     A: np.ndarray                    # view of T's constraint block
     b: np.ndarray                    # right-hand sides, apart from T
     costs: np.ndarray                # phase-2 cost row: c, then zeros
-    flip: np.ndarray                 # +-1 per row: orientation vs assembled row
+    flip: np.ndarray                 # +-1 per row: orientation vs given row
     scale: np.ndarray                # row equilibration factors
-    bound_var: np.ndarray            # per bound row: its variable
-    bound_up: np.ndarray             # per bound row: upper (else lower) bound
     first: np.ndarray                # per variable: its (first) column
     split: np.ndarray                # per variable: split into two columns
     second: np.ndarray               # per split variable: its minus column
@@ -304,20 +258,18 @@ class _Canonical:
 
 def _canonicalize(lp: LinearProgram, rows=None, objective=None, rhs=None,
                   ws=None):
-    """Rows: the constraints, then the bound rows, for each variable its
-    lower-bound row (lo finite and nonzero) before its upper-bound row.
-    The canonical system is written straight into the simplex work matrix
-    T (see _Stack), and A is a view of it, so A changes as T pivots.  T
-    and the cost row are buffers of the workspace ws (a fresh one when
+    """The canonical system of lp, written straight into the simplex work
+    matrix T (see _Stack); A is a view of it, so A changes as T pivots.
+    T and the cost row are buffers of the workspace ws (a fresh one when
     None), which also keeps lp's column layout.
 
     rows (B, m, n) and objective (B, n) stack B programs that share lp's
-    relations, bounds and sense, and its rhs unless rhs (B, m) gives each
-    program its own (the bound rows keep lp's); T, A, b, costs and scale
-    then carry a leading batch axis and every other field is shared.  A
-    stack whose programs need different row flips (a scaled rhs that
-    underflows to -0.0 in some programs only, or rhs of different signs)
-    has no shared layout: None.
+    relations, free variables and sense, and its rhs unless rhs (B, m)
+    gives each program its own; T, A, b, costs and scale then carry a
+    leading batch axis and every other field is shared.  A stack whose
+    programs need different row flips (a scaled rhs that underflows to
+    -0.0 in some programs only, or rhs of different signs) has no shared
+    layout: None.
     """
     if rows is None:
         rows, objective = lp.rows, lp.objective
@@ -329,18 +281,10 @@ def _canonicalize(lp: LinearProgram, rows=None, objective=None, rhs=None,
         ws.columns = _columns(lp)
     cols = ws.columns
     batch = rows.shape[:-2]
-    if cols.unit is not None:
-        rows = np.concatenate(
-            [rows, np.broadcast_to(cols.unit, batch + cols.unit.shape)],
-            axis=-2)
-        rhs = np.concatenate(
-            [rhs, np.broadcast_to(cols.bound_rhs,
-                                  rhs.shape[:-1] + cols.bound_rhs.shape)],
-            axis=-1)
 
     # row equilibration: unit inf-norm rows keep reduced-cost noise flat;
-    # splitting a column changes no row's norm, and a bound row's is 1
-    codes, m = cols.codes, cols.codes.size
+    # splitting a column changes no row's norm
+    codes, m = lp.codes, lp.n_constraints
     norms = np.abs(rows).max(axis=-1)
     scale = np.where(norms > 0.0, norms, 1.0)
     b0 = rhs / scale
@@ -380,7 +324,6 @@ def _canonicalize(lp: LinearProgram, rows=None, objective=None, rhs=None,
     costs[..., n_struct:] = 0.0
 
     return _Canonical(T=T, A=A, b=b0, costs=costs, flip=flip, scale=scale,
-                      bound_var=cols.bound_var, bound_up=cols.bound_up,
                       first=cols.first, split=cols.split,
                       second=cols.second, n_struct=n_struct,
                       slack_cols=cols.slack_cols, art_cols=art_cols)
@@ -413,16 +356,6 @@ def _extract_duals(canon, obj_row, costs):
     """Per-canonical-row multipliers y = cost(id column) - reduced cost."""
     cols = np.where(canon.art_cols >= 0, canon.art_cols, canon.slack_cols)
     return (costs[..., cols] - obj_row[..., cols]) * (canon.flip / canon.scale)
-
-
-def _split_duals(lp, canon, y):
-    """Split assembled-row multipliers into constraint and bound parts."""
-    y_lo, y_up = np.zeros((2,) + y.shape[:-1] + (lp.n_vars,))
-    if canon.bound_var.size:
-        y_bound, up = y[..., lp.n_constraints:], canon.bound_up
-        y_lo[..., canon.bound_var[~up]] = y_bound[..., ~up]
-        y_up[..., canon.bound_var[up]] = y_bound[..., up]
-    return y[..., :lp.n_constraints], y_lo, y_up
 
 
 def _to_original(lp, canon, x_struct):
@@ -688,7 +621,7 @@ class _Stack:
 def solve_stack(layout: LinearProgram, rows, objectives,
                 rhs=None) -> list[LpSolution]:
     """Solve B programs in one lock-step two-phase simplex: program k has
-    layout's relations, bounds and sense, constraint rows rows[k],
+    layout's relations, free variables and sense, constraint rows rows[k],
     objective objectives[k] and right-hand sides rhs[k], or layout's rhs
     when rhs is None.  rows is (B, m, n), objectives is (B, n) and rhs is
     (B, m), where layout has m constraints and n variables; any of them
@@ -696,9 +629,9 @@ def solve_stack(layout: LinearProgram, rows, objectives,
     rhs when rhs is given, are not read.  Returns one LpSolution per
     program, bit for bit the one solve() returns for it.
 
-    The canonical layout (split columns, bound rows, slacks, flips and
-    artificials) is worked out once and only the rows, objectives and
-    right-hand sides are stacked; each program's rhs is divided by its
+    The canonical layout (split columns, slacks, flips and artificials)
+    is worked out once and only the rows, objectives and right-hand
+    sides are stacked; each program's rhs is divided by its
     own row scales.  Programs whose rhs need different row flips share
     no layout and are solved one at a time.  The stack pivots its
     running programs at once, one numpy operation per step for all of
@@ -800,10 +733,6 @@ def _solve_stack(layout, rows, objectives, rhs, ws):
     basic = np.where(stack.kept, stack.basis, ncols)[at]
     program = np.arange(B)[:, None]
 
-    def split(y):
-        return [np.ascontiguousarray(part)
-                for part in _split_duals(layout, canon, y)]
-
     if live:    # else every program is infeasible: no optimal side
         x_struct = np.zeros((B, ncols + 1))
         x_struct[program, basic] = T[at, :m, -1]
@@ -813,11 +742,12 @@ def _solve_stack(layout, rows, objectives, rhs, ws):
         # off its own identity column: a dropped row's basic artificial
         # may belong to another constraint, and it stays basic at cost 0
         # in phase 2.
-        y_con, y_lo, y_up = split(_extract_duals(canon, T[at, m], costs2))
+        y = np.ascontiguousarray(_extract_duals(canon, T[at, m], costs2))
         if layout.sense == "max":
-            y_con, y_lo, y_up = -y_con, -y_lo, -y_up
+            y = -y
     if live < B:
-        f_con, f_lo, f_up = split(_extract_duals(canon, T[at, m], costs1))
+        farkas = np.ascontiguousarray(
+            _extract_duals(canon, T[at, m], costs1))
     if np.count_nonzero(info[:, _STATUS] == _UNBOUNDED):
         slot = np.arange(B)[at]
         entering = info[:, _ENTERING]
@@ -831,18 +761,17 @@ def _solve_stack(layout, rows, objectives, rhs, ws):
     for k, (code, iterations) in enumerate(
             info[:, [_STATUS, _ITERATIONS]].tolist()):
         if code == _INFEASIBLE:
-            out.append(LpSolution(status=INFEASIBLE, duals=f_con[k],
-                                  bound_duals=(f_lo[k], f_up[k]),
+            out.append(LpSolution(status=INFEASIBLE, duals=farkas[k],
                                   iterations=iterations))
         elif code == _UNBOUNDED:
             out.append(LpSolution(status=UNBOUNDED, primal=x[k],
                                   ray=rays[k], iterations=iterations))
         else:
             out.append(LpSolution(
-                status=OPTIMAL, primal=x[k], duals=y_con[k],
+                status=OPTIMAL, primal=x[k], duals=y[k],
                 objective_value=float(
                     np.ascontiguousarray(objectives[k]) @ x[k]),
-                bound_duals=(y_lo[k], y_up[k]), iterations=iterations))
+                iterations=iterations))
     return out
 
 
@@ -857,55 +786,45 @@ def _row_violation(lp, gap):
 def _primal_residual(lp, x):
     return float(max(
         np.max(_row_violation(lp, lp.rows @ x - lp.rhs), initial=0.0),
-        np.max(lp.lo - x, initial=0.0), np.max(x - lp.up, initial=0.0)))
+        np.max(-x[~lp.free], initial=0.0)))
 
 
 def check_certificate(lp: LinearProgram, sol: LpSolution) -> CertificateReport:
     """Residual report: feasibility, dual signs, slackness, duality gap.
 
-    For infeasible programs the report checks the Farkas certificate; for
-    unbounded programs it checks the certifying ray.  Passes iff every
-    residual is within FEAS_TOL * (1 + scale).
+    Row multipliers are signed as LpSolution says; the rules below hold
+    per variable, which is x >= 0 or free.  An optimal solution's reduced
+    costs (the objective minus rows.T @ duals, in min sense) must be >= 0
+    on nonnegative variables, and 0 on free ones and wherever x > 0.  An
+    infeasible program's Farkas aggregate rows.T @ duals must be <= 0 on
+    nonnegative variables and 0 on free ones, with duals . rhs > 0.  An
+    unbounded program's ray must keep every row, be >= 0 on nonnegative
+    variables and improve the objective.  Passes iff every residual is
+    within FEAS_TOL * (1 + scale).
     """
     rep = CertificateReport()
     scale = 1.0 + float(np.max(np.abs(lp.rhs))) if lp.n_constraints else 1.0
-    # rows carrying a bound multiplier: lower bounds other than x >= 0,
-    # and every finite upper bound
-    has_lo = np.isfinite(lp.lo) & (lp.lo != 0.0)
-    has_up = np.isfinite(lp.up)
+    free, nonneg = lp.free, ~lp.free
 
     if sol.status == OPTIMAL:
         x, y = sol.primal, sol.duals
-        # signs vs the min-sense convention (max flips them): <= rows and
-        # upper bounds nonpositive, >= rows and lower bounds nonnegative
+        # signs vs the min-sense convention (max flips them): <= rows
+        # nonpositive, >= rows nonnegative
         sign = 1.0 if lp.sense == "min" else -1.0
         yc = sign * y
-        ylo = sign * sol.bound_duals[0]
-        yup = sign * sol.bound_duals[1]
         rep.feasibility = _primal_residual(lp, x)
-        sgn_res = max(np.max(lp.codes * yc, initial=0.0),
-                      np.max(-ylo, initial=0.0), np.max(yup, initial=0.0))
-
         obj = lp.objective if lp.sense == "min" else -lp.objective
         r = obj - lp.rows.T @ yc
-        r -= ylo + yup
-        # a variable with lower bound >= 0 keeps its implicit x_j >= 0
-        # multiplier, the reduced cost r_j; any other needs r_j = 0
-        native = lp.lo >= 0.0
-        stat = max(np.max(-r[native], initial=0.0),
-                   np.max(np.abs(r[~native]), initial=0.0))
-        active = native & (x > FEAS_TOL)
-        comp = max(
+        rep.dual_feasibility = float(max(
+            np.max(lp.codes * yc, initial=0.0),
+            np.max(-r[nonneg], initial=0.0),
+            np.max(np.abs(r[free]), initial=0.0)))
+        active = nonneg & (x > FEAS_TOL)
+        rep.complementary_slackness = float(max(
             np.max(np.abs(yc * (lp.rows @ x - lp.rhs)), initial=0.0),
-            np.max(np.abs(r[active] * x[active]), initial=0.0),
-            np.max(np.abs(ylo[has_lo] * (x - lp.lo)[has_lo]), initial=0.0),
-            np.max(np.abs(yup[has_up] * (x - lp.up)[has_up]), initial=0.0))
-        dual_obj = float(yc @ lp.rhs + ylo[has_lo] @ lp.lo[has_lo]
-                         + yup[has_up] @ lp.up[has_up])
-        rep.dual_feasibility = float(max(sgn_res, stat))
-        rep.complementary_slackness = float(comp)
+            np.max(np.abs(r[active] * x[active]), initial=0.0)))
         primal_obj = float(obj @ x)
-        rep.duality_gap = abs(primal_obj - dual_obj)
+        rep.duality_gap = abs(primal_obj - float(yc @ lp.rhs))
         limit = FEAS_TOL * (scale + abs(primal_obj)
                             + float(np.max(np.abs(x), initial=0.0)))
         rep.passed = rep.max_residual() <= max(limit, FEAS_TOL)
@@ -913,24 +832,15 @@ def check_certificate(lp: LinearProgram, sol: LpSolution) -> CertificateReport:
 
     if sol.status == INFEASIBLE:
         y = sol.duals
-        y_lo, y_up = sol.bound_duals
-        # Farkas certificates are sense-free: <= rows nonpositive,
-        # >= rows nonnegative, lower bounds nonnegative, upper nonpositive.
-        rep.dual_feasibility = float(max(
-            np.max(lp.codes * y, initial=0.0),
-            np.max(-y_lo, initial=0.0), np.max(y_up, initial=0.0)))
-        # aggregated row w.x >= y.b for every feasible x; certificate means
-        # sup over the bounds of w.x falls short of y.b
-        w = y_lo + y_up + lp.rows.T @ y
-        ybeta = float(y @ lp.rhs + y_lo[has_lo] @ lp.lo[has_lo]
-                      + y_up[has_up] @ lp.up[has_up])
-        moves = np.abs(w) > FEAS_TOL
-        edge = np.where(w > 0.0, lp.up, lp.lo)    # where the sup sits
-        capped = moves & np.isfinite(edge)
-        sup = float(w[capped] @ edge[capped])
-        rep.feasibility = float(np.max(np.abs(w[moves & ~capped]),
-                                       initial=0.0))
-        gap = ybeta - sup
+        # Farkas certificates are sense-free: <= rows nonpositive, >= rows
+        # nonnegative, so w.x >= y.rhs for every x that keeps the rows,
+        # w = rows.T @ y; w <= 0 on nonnegative variables and w = 0 on
+        # free ones put the sup of w.x at 0, short of y.rhs
+        w = lp.rows.T @ y
+        rep.dual_feasibility = float(np.max(lp.codes * y, initial=0.0))
+        rep.feasibility = float(max(np.max(w[nonneg], initial=0.0),
+                                    np.max(np.abs(w[free]), initial=0.0)))
+        gap = float(y @ lp.rhs)
         rep.duality_gap = max(0.0, FEAS_TOL * scale - gap)
         rep.notes = f"farkas margin {gap:.3e}"
         rep.passed = (rep.feasibility <= FEAS_TOL * scale
@@ -941,8 +851,7 @@ def check_certificate(lp: LinearProgram, sol: LpSolution) -> CertificateReport:
     if sol.status == UNBOUNDED:
         d = sol.ray
         res = max(np.max(_row_violation(lp, lp.rows @ d), initial=0.0),
-                  np.max(-d[np.isfinite(lp.lo)], initial=0.0),
-                  np.max(d[np.isfinite(lp.up)], initial=0.0))
+                  np.max(-d[nonneg], initial=0.0))
         rep.feasibility = max(_primal_residual(lp, sol.primal), float(res))
         improve = float(lp.objective @ d)
         ok = improve < 0 if lp.sense == "min" else improve > 0

@@ -226,7 +226,7 @@ class DeclaredFace:
 class ParametricModel:
     """Continuum type space T = [0, 1] with explicit Lipschitz moduli.
 
-    lipschitz_pi bounds |pi(t) - pi(s)|_1 / |t - s| and lipschitz_v bounds
+    lipschitz_pi caps |pi(t) - pi(s)|_1 / |t - s| and lipschitz_v caps
     |v(t) - v(s)| / |t - s|; the moduli turn "for all t" claims into
     finite grid checks with explicit slack.
 

@@ -150,6 +150,28 @@ def test_duplicate_type_labels_are_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "o" / "report.json").exists()
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"states": 2.9}, "states must be an integer"),
+    # True == 1, the state count of these beliefs
+    ({"states": True, "beliefs": [[1.0], [1.0]]}, "states must be an integer"),
+    ({"states": "2"}, "states must be an integer"),
+    ({"types": "ab"}, "types must be a list of strings"),
+    ({"types": [None, "b"]}, "types must be a list of strings")],
+    ids=["states_float", "states_bool", "states_string", "types_string",
+         "types_null_label"])
+def test_tabular_field_types_are_config_errors(tmp_path, capsys, changes,
+                                               message):
+    config = {"version": 1, "model": {
+        "kind": "tabular", "states": 2, "types": ["a", "b"],
+        "beliefs": [[0.5, 0.5], [0.2, 0.8]], "values": [1.0, 2.0]},
+        "tasks": ["classify"]}
+    config["model"].update(changes)
+    path = write_config(tmp_path, config)
+    assert main(["analyze", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
 def test_crash_leaves_no_earlier_report(tmp_path, monkeypatch):
     out = tmp_path / "out"
     config = {"version": 1, "model": {"kind": "counterexample"},
@@ -484,8 +506,7 @@ def test_preset_solves_no_program_twice(tmp_path, recorded_programs):
     run_scenario(counterexample_preset(), tmp_path)
     programs = [(prog.sense, prog.rows.shape,
                  *(a.tobytes() for a in (prog.objective, prog.rows,
-                                         prog.codes, prog.rhs, prog.lo,
-                                         prog.up)))
+                                         prog.codes, prog.rhs, prog.free)))
                 for prog, _, _ in recorded_programs]
     assert any("exposure_chain" in rec.callers for rec in recorded_programs)
     assert len(set(programs)) == len(programs)
@@ -504,7 +525,9 @@ def test_every_lp_has_state_rows_and_no_upper_bound(tmp_path, config,
     assert recorded_programs
     for prog, _, callers in recorded_programs:
         assert prog.n_constraints <= n_states + 1, callers[:2]
-        assert not np.isfinite(prog.up).any(), callers[:2]
+        # a bound other than x >= 0 would be an inequality on one variable
+        lone = np.count_nonzero(prog.rows, axis=1) == 1
+        assert not (lone & (prog.codes != 0)).any(), callers[:2]
 
 
 @pytest.mark.parametrize("model", [

@@ -31,13 +31,13 @@ def primal_vertex_oracle(inst, box=10.0):
     The box is inactive at the optimum for the small instances used here,
     so the enumerated optimum is the true p*.
     """
-    from test_lp import enumerate_vertices
+    from test_lp import boxed_program, enumerate_vertices
 
     prog = build_primal(inst)
-    boxed = lp.LinearProgram(
+    boxed = boxed_program(
         prog.objective,
         list(zip(prog.rows, prog.relations, prog.rhs)),
-        bounds=[(-box, box)] * prog.n_vars)
+        [(-box, box)] * prog.n_vars)
     status, best = enumerate_vertices(boxed)
     assert status == "optimal"
     return best

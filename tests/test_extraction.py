@@ -42,6 +42,7 @@ from surplex.models import (
     sample,
 )
 from test_duality import cremer_mclean_tables
+from test_lp import boxed_program
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +91,19 @@ def test_classify_counterexample_interior(curve):
         assert c.slack > 0               # continuum inf not certified
     with pytest.raises(ValueError, match="not a point of the 201-point"):
         classify_type(curve, 0.0025, 201)
+
+
+@pytest.mark.parametrize("t", [True, False, np.bool_(True), "0.5", None,
+                               [0.5], np.array(0.5), float("nan")])
+def test_parametric_type_must_be_a_real_grid_point(curve, t):
+    with pytest.raises(ValueError, match="not a point of the 11-point grid"):
+        classify_type(curve, t, grid_n=11)
+
+
+def test_parametric_type_may_be_any_real_grid_point(curve):
+    want = classify_type(curve, 1.0, grid_n=11)
+    for t in (1, np.int64(1), np.float64(1.0), np.float32(1.0)):
+        assert classify_type(curve, t, grid_n=11).label == want.label
 
 
 def test_classify_not_detectable_witness():
@@ -187,8 +201,7 @@ def full_extraction_lp_program(tab):
             cons.append((row, lp.GE, 0.0))
     obj = np.zeros(nv)
     obj[m * S:] = 1.0
-    bounds = [(None, None)] * (m * S) + [(0.0, None)] * m
-    return lp.LinearProgram(obj, cons, bounds=bounds)
+    return lp.LinearProgram(obj, cons, free=np.arange(nv) < m * S)
 
 
 def full_lp_cases():
@@ -227,7 +240,8 @@ def test_full_lp_matches_highs(tab):
     res = optimize.linprog(
         prog.objective, A_ub=np.vstack([prog.rows[le], -prog.rows[ge]]),
         b_ub=np.concatenate([prog.rhs[le], -prog.rhs[ge]]),
-        A_eq=prog.rows[eq], b_eq=prog.rhs[eq], bounds=prog.bounds,
+        A_eq=prog.rows[eq], b_eq=prog.rhs[eq],
+        bounds=[(None, None) if f else (0.0, None) for f in prog.free],
         method="highs")
     sol, _ = full_extraction_lp(tab)
     assert res.status in (0, 2)
@@ -247,17 +261,16 @@ def full_blocks_one_by_one(tab, stop=True):
     mass = np.concatenate([np.zeros(m), np.ones(2 * S)])
     cons = [(row, lp.EQ, 0.0) for row in rows] + [(mass, lp.LE, 1.0)]
     obj = np.concatenate([tab.values, np.zeros(2 * S)])
-    bounds = np.tile([0.0, np.nan], (m + 2 * S, 1))
+    free = np.zeros(m + 2 * S, dtype=bool)
     contracts = np.zeros((m, S + 1))
     mults = np.zeros((m, m + 2 * S))
     iterations = 0
     status = lp.OPTIMAL
     blocks = []
     for t in range(m):
-        bounds[t, 0] = np.nan
-        block = lp.solve(lp.LinearProgram(obj, cons, bounds=bounds,
-                                          sense="max"))
-        bounds[t, 0] = 0.0
+        free[t] = True
+        block = lp.solve(lp.LinearProgram(obj, cons, free=free, sense="max"))
+        free[t] = False
         blocks.append(block)
         if status == lp.INFEASIBLE:
             continue
@@ -276,15 +289,13 @@ def full_blocks_one_by_one(tab, stop=True):
     box = np.empty((m, 2 * S))
     box[:, 0::2], box[:, 1::2] = -mults[:, m:m + S], mults[:, m + S:]
     duals = np.concatenate([own, cross, box.reshape(-1)])
-    nv = m * S + m
-    zeros = (np.zeros(nv), np.zeros(nv))
     if status == lp.INFEASIBLE:
-        return lp.LpSolution(status=status, duals=duals, bound_duals=zeros,
+        return lp.LpSolution(status=status, duals=duals,
                              iterations=iterations), None, blocks
     primal = np.concatenate([contracts[:, :S].reshape(-1), contracts[:, S]])
     sol = lp.LpSolution(status=status, primal=primal, duals=duals,
                         objective_value=float(contracts[:, S].sum()),
-                        bound_duals=zeros, iterations=iterations)
+                        iterations=iterations)
     return sol, Menu([(lbl, Contract(c)) for lbl, c
                       in zip(tab.labels, contracts[:, :S])]), blocks
 
@@ -301,8 +312,7 @@ def assert_same_full_answer(got, want, iterations=True):
     if iterations:
         assert sol.iterations == ref.iterations
     for a, b in [(sol.primal, ref.primal), (sol.duals, ref.duals),
-                 (sol.objective_value, ref.objective_value),
-                 *zip(sol.bound_duals, ref.bound_duals)]:
+                 (sol.objective_value, ref.objective_value)]:
         assert _same_bits(a, b)
     assert (menu is None) == (ref_menu is None)
     if menu is not None:
@@ -692,9 +702,8 @@ def test_counterexample_impossibility_lp(curve):
             cons.append((np.append(b, 0.0), lp.GE, -1e-9))
         obj = np.zeros(nv)
         obj[:3] = beliefs[-1]
-        prog = lp.LinearProgram(obj, cons,
-                                bounds=[(-1.0, 1.0)] * 3 + [(0.0, None)],
-                                sense="max")
+        prog = boxed_program(obj, cons, [(-1.0, 1.0)] * 3 + [(0.0, None)],
+                             sense="max")
         sol = lp.solve(prog)
         assert sol.status == lp.OPTIMAL
         slacks.append(sol.objective_value)

@@ -28,6 +28,7 @@ from surplex.models import (
     random_tabular,
     sample,
 )
+from test_lp import boxed_program
 
 
 def simplex_vertices():
@@ -375,8 +376,8 @@ def primal_margin(points, zero, floor, margin):
     cons += [(np.append(points[k], -1.0), lp.GE, 0.0) for k in margin]
     obj = np.zeros(S + 1)
     obj[-1] = 1.0
-    sol = lp.solve(lp.LinearProgram(
-        obj, cons, bounds=[(-1.0, 1.0)] * S + [(None, None)], sense="max"))
+    sol = lp.solve(boxed_program(
+        obj, cons, [(-1.0, 1.0)] * S + [(None, None)], sense="max"))
     assert sol.status == lp.OPTIMAL
     return sol.objective_value
 

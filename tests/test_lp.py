@@ -42,30 +42,48 @@ from surplex.lp import (
 )
 
 
+def boxed_program(objective, constraints, box, sense="min"):
+    """The LinearProgram with the variable bounds box, one (lower, upper)
+    pair per variable where None or NaN means no bound: a variable with
+    no lower bound or one below 0 is free, and after the constraints come,
+    variable by variable, a ">=" row for a lower bound other than 0 and
+    then a "<=" row for an upper bound."""
+    box = [[None if v is None or np.isnan(v) else float(v) for v in pair]
+           for pair in box]
+    unit = np.eye(len(box))
+    cons = list(constraints)
+    for j, (lo, up) in enumerate(box):
+        if lo not in (None, 0.0):
+            cons.append((unit[j], GE, lo))
+        if up is not None:
+            cons.append((unit[j], LE, up))
+    return LinearProgram(objective, cons, sense=sense,
+                         free=[lo is None or lo < 0.0 for lo, _ in box])
+
+
 def enumerate_vertices(lp):
     """Brute-force oracle: evaluate the objective at every vertex.
 
-    Requires every variable to carry finite bounds so the feasible set is
-    a polytope.  Returns (status, best_objective) with status "optimal"
-    or "infeasible".  Independent of the simplex path: candidate vertices
-    come from solving all n-subsets of tight rows.
+    Requires every variable to be capped above and below, by a one-entry
+    row or by x >= 0, so the feasible set is a polytope (boxed_program
+    gives such programs).  Returns (status, best_objective) with status
+    "optimal" or "infeasible".  Independent of the simplex path:
+    candidate vertices come from solving all n-subsets of tight rows.
     """
     n = lp.n_vars
-    rows, rhs, eq_idx = [], [], []
-    for i, rel in enumerate(lp.relations):
-        rows.append(lp.rows[i])
-        rhs.append(lp.rhs[i])
-        if rel == "=":
-            eq_idx.append(len(rows) - 1)
-    unit = np.eye(n)
-    for j, (lo, up) in enumerate(lp.bounds):
-        assert lo is not None and up is not None, "oracle needs a box"
-        rows.append(unit[j])
-        rhs.append(lo)
-        rows.append(unit[j])
-        rhs.append(up)
-    rows = np.asarray(rows)
-    rhs = np.asarray(rhs)
+    below, above = ~lp.free, np.zeros(n, dtype=bool)
+    for row, code in zip(lp.rows, lp.codes):
+        if np.count_nonzero(row) == 1:
+            j = int(np.flatnonzero(row)[0])
+            side = np.sign(row[j]) * code       # +1 caps above, -1 below
+            below[j] |= side <= 0
+            above[j] |= side >= 0
+    assert below.all() and above.all(), "oracle needs a box"
+    # the constraints, then x_j = 0 as a candidate tight row of each
+    # nonnegative variable
+    nonneg = np.eye(n)[~lp.free]
+    rows = np.vstack([lp.rows, nonneg])
+    rhs = np.concatenate([lp.rhs, np.zeros(len(nonneg))])
 
     combos = list(itertools.combinations(range(len(rows)), n))
     if not combos:
@@ -83,7 +101,7 @@ def enumerate_vertices(lp):
     feasible = False
     for x in candidates:
         vals = lp.rows @ x if lp.n_constraints else np.zeros(0)
-        good = True
+        good = not (x[~lp.free] < -1e-8).any()
         for i, rel in enumerate(lp.relations):
             gap = vals[i] - lp.rhs[i]
             if rel == LE and gap > 1e-8:
@@ -91,9 +109,6 @@ def enumerate_vertices(lp):
             elif rel == GE and gap < -1e-8:
                 good = False
             elif rel == "=" and abs(gap) > 1e-8:
-                good = False
-        for j, (lo, up) in enumerate(lp.bounds):
-            if x[j] < lo - 1e-8 or x[j] > up + 1e-8:
                 good = False
         if not good:
             continue
@@ -108,8 +123,9 @@ def enumerate_vertices(lp):
     return ("optimal", best) if feasible else ("infeasible", None)
 
 
-def random_lp(rng):
-    """Quantized random data keeps oracle vertices well separated."""
+def random_lp_parts(rng):
+    """Quantized random data keeps oracle vertices well separated:
+    (objective, constraints, box, sense) of a boxed_program."""
     n = int(rng.integers(2, 7))
     m = int(rng.integers(1, 9))
     A = rng.integers(-4, 5, size=(m, n)).astype(float)
@@ -119,12 +135,15 @@ def random_lp(rng):
     lo = rng.integers(-4, 1, size=n).astype(float)
     up = lo + rng.integers(1, 9, size=n)
     sense = str(rng.choice(["min", "max"]))
-    return LinearProgram(c, list(zip(A, rels, b)),
-                         bounds=list(zip(lo, up)), sense=sense)
+    return c, list(zip(A, rels, b)), list(zip(lo, up)), sense
+
+
+def random_lp(rng):
+    return boxed_program(*random_lp_parts(rng))
 
 
 def test_single_constraint_free_var():
-    lp = LinearProgram([1.0], [([1.0], GE, 1.0)], bounds=[(None, None)])
+    lp = LinearProgram([1.0], [([1.0], GE, 1.0)], free=[True])
     sol = solve(lp)
     assert sol.status == OPTIMAL
     assert sol.primal[0] == pytest.approx(1.0, abs=1e-9)
@@ -133,8 +152,7 @@ def test_single_constraint_free_var():
 
 
 def test_contradictory_bounds_infeasible():
-    lp = LinearProgram([0.0], [([1.0], LE, -1.0)], bounds=[(0.0, None)],
-                       sense="max")
+    lp = LinearProgram([0.0], [([1.0], LE, -1.0)], sense="max")
     sol = solve(lp)
     assert sol.status == INFEASIBLE
     assert check_certificate(lp, sol).passed
@@ -142,8 +160,7 @@ def test_contradictory_bounds_infeasible():
 
 def test_triangle_vertex_solution():
     # oracle: vertices (0,0), (1,0), (0,1); optimum -1 at either leg tip
-    lp = LinearProgram([-1.0, -1.0], [([1.0, 1.0], LE, 1.0)],
-                       bounds=[(0.0, None), (0.0, None)])
+    lp = LinearProgram([-1.0, -1.0], [([1.0, 1.0], LE, 1.0)])
     sol = solve(lp)
     assert sol.status == OPTIMAL
     assert sol.objective_value == pytest.approx(-1.0, abs=1e-9)
@@ -178,13 +195,71 @@ def test_equality_and_negative_rhs():
 
 
 def test_perturbed_solution_flagged():
-    lp = LinearProgram([-1.0, -1.0], [([1.0, 1.0], LE, 1.0)],
-                       bounds=[(0.0, None), (0.0, None)])
+    lp = LinearProgram([-1.0, -1.0], [([1.0, 1.0], LE, 1.0)])
     sol = solve(lp)
     sol.primal = sol.primal + 1e-3
     rep = check_certificate(lp, sol)
     assert not rep.passed
     assert rep.feasibility == pytest.approx(2e-3, rel=0.5)
+
+
+# check_certificate's sign rules are per variable: each case checks one
+# certificate against a program whose x1 is free or x1 >= 0, and the
+# residual where a rejection must show
+
+@pytest.mark.parametrize("x1_free, duals, passed", [
+    (True, [1.0, 1.0], True),
+    (True, [1.0, 0.0], False),      # reduced cost 1 on the free x1
+    (False, [1.0, 0.0], True),      # the same cost on x1 >= 0, at x1 = 0
+    (False, [1.0, 3.0], False),     # reduced cost -2 on x1 >= 0
+])
+def test_optimal_reduced_cost_signs_are_per_variable(x1_free, duals, passed):
+    # min x0 + 2 x1  s.t.  x0 + x1 >= 1,  x1 >= 0 (a row), at x = (1, 0);
+    # both rows are ">=", so both duals may be >= 0, and the second row's
+    # rhs is 0, so its dual moves only x1's reduced cost 2 - y0 - y1
+    lp = LinearProgram([1.0, 2.0], [([1.0, 1.0], GE, 1.0),
+                                    ([0.0, 1.0], GE, 0.0)],
+                       free=[False, x1_free])
+    sol = LpSolution(status=OPTIMAL, primal=np.array([1.0, 0.0]),
+                     duals=np.array(duals), objective_value=1.0)
+    rep = check_certificate(lp, sol)
+    assert rep.passed == passed
+    assert rep.max_residual() == rep.dual_feasibility
+    assert rep.dual_feasibility == (0.0 if passed else
+                                    abs(2.0 - sum(duals)))
+
+
+@pytest.mark.parametrize("row, x1_free, passed", [
+    ([1.0, 1.0], False, True),
+    ([1.0, 1.0], True, False),      # aggregate -1 on the free x1
+    ([1.0, -1.0], False, False),    # aggregate +1 on x1 >= 0
+])
+def test_farkas_aggregate_signs_are_per_variable(row, x1_free, passed):
+    # row . x <= -1 with the Farkas multiplier -1: the aggregate is -row,
+    # and -1 . rhs = 1 > 0; x >= 0 makes the first program infeasible
+    lp = LinearProgram([0.0, 0.0], [(row, LE, -1.0)], free=[False, x1_free])
+    sol = LpSolution(status=INFEASIBLE, duals=np.array([-1.0]))
+    rep = check_certificate(lp, sol)
+    assert rep.passed == passed
+    assert rep.feasibility == (0.0 if passed else 1.0)
+    assert rep.dual_feasibility == 0.0
+    if not x1_free:
+        assert solve(lp).status == (INFEASIBLE if passed else OPTIMAL)
+
+
+@pytest.mark.parametrize("ray, x1_free, passed", [
+    ([1.0, 0.0], False, True),
+    ([1.0, -1.0], False, False),    # negative on x1 >= 0
+    ([1.0, -1.0], True, True),
+])
+def test_ray_signs_are_per_variable(ray, x1_free, passed):
+    # min -x0  s.t.  x1 <= 1, from the feasible x = 0
+    lp = LinearProgram([-1.0, 0.0], [([0.0, 1.0], LE, 1.0)],
+                       free=[False, x1_free])
+    sol = LpSolution(status=UNBOUNDED, primal=np.zeros(2), ray=np.array(ray))
+    rep = check_certificate(lp, sol)
+    assert rep.passed == passed
+    assert rep.feasibility == (0.0 if passed else 1.0)
 
 
 def test_oracle_agreement_200_instances():
@@ -195,7 +270,7 @@ def test_oracle_agreement_200_instances():
         status, best = enumerate_vertices(lp)
         sol = solve(lp)
         assert sol.status == status, (lp.objective, lp.rows, lp.relations,
-                                      lp.rhs, lp.bounds, lp.sense)
+                                      lp.rhs, lp.free, lp.sense)
         rep = check_certificate(lp, sol)
         assert rep.passed, (sol.status, rep)
         if status == "optimal":
@@ -210,9 +285,10 @@ def planted_lp(rng, m, n):
     """Random m x n LP with integer data around a planted feasible point.
 
     Most variables are boxed, some have only a lower bound and some are
-    free, so both optimal and unbounded programs occur.  One program in
-    three gains a row that a nonnegative combination of the inequality
-    rows contradicts, which makes it infeasible only as a whole.
+    free (boxed_program), so both optimal and unbounded programs occur.
+    One program in three gains a row that a nonnegative combination of
+    the inequality rows contradicts, which makes it infeasible only as a
+    whole.
     """
     x0 = rng.integers(-2, 3, size=n).astype(float)
     A = rng.integers(-5, 6, size=(m, n)).astype(float)
@@ -228,7 +304,7 @@ def planted_lp(rng, m, n):
     lo = np.where(kind < 2, x0 - rng.integers(0, 4, size=n), np.nan)
     up = np.where(kind == 0, x0 + rng.integers(0, 4, size=n), np.nan)
     c = rng.integers(-5, 6, size=n).astype(float)
-    return LinearProgram(c, cons, bounds=np.column_stack([lo, up]),
+    return boxed_program(c, cons, np.column_stack([lo, up]),
                          sense=str(rng.choice(["min", "max"])))
 
 
@@ -243,7 +319,8 @@ def highs_solve(optimize, lp):
         A_ub=a_ub if a_ub.size else None, b_ub=b_ub if a_ub.size else None,
         A_eq=lp.rows[eq] if eq.any() else None,
         b_eq=lp.rhs[eq] if eq.any() else None,
-        bounds=np.column_stack([lp.lo, lp.up]), method="highs")
+        bounds=[(None, None) if f else (0.0, None) for f in lp.free],
+        method="highs")
     status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[res.status]
     return status, sign * res.fun if status == OPTIMAL else None
 
@@ -303,9 +380,9 @@ def test_duals_after_dropped_redundant_row():
 
 def test_canonical_columns_match_per_variable_reference():
     """The vectorized column map equals the per-variable loop it replaced:
-    a variable with lower bound >= 0 keeps one column, any other splits
-    into a plus and a minus column.  Copies and negations only, so the
-    tableau data must agree bit for bit."""
+    a nonnegative variable keeps one column, a free one splits into a
+    plus and a minus column.  Copies and negations only, so the tableau
+    data must agree bit for bit."""
     from surplex.lp import _canonicalize, _to_original
 
     rng = np.random.default_rng(11)
@@ -313,17 +390,16 @@ def test_canonical_columns_match_per_variable_reference():
                (0.0, 3.0), (None, 4.0), (-2.0, None)]
     for _ in range(20):
         n, m = int(rng.integers(1, 7)), int(rng.integers(0, 5))
-        bounds = [choices[k] for k in rng.integers(len(choices), size=n)]
+        box = [choices[k] for k in rng.integers(len(choices), size=n)]
         cons = [(rng.normal(size=n), [LE, GE, "="][k % 3], rng.normal())
                 for k in range(m)]
-        prog = LinearProgram(rng.normal(size=n), cons, bounds=bounds,
+        prog = boxed_program(rng.normal(size=n), cons, box,
                              sense=["min", "max"][int(rng.integers(2))])
         canon = _canonicalize(prog)
 
         cols, col = [], 0
-        for lo, _ in bounds:
-            cols.append((col,) if lo is not None and lo >= 0.0
-                        else (col, col + 1))
+        for free in prog.free:
+            cols.append((col, col + 1) if free else (col,))
             col += len(cols[-1])
 
         def expand(row):
@@ -334,11 +410,7 @@ def test_canonical_columns_match_per_variable_reference():
                     out[c[1]] = -row[j]
             return out
 
-        unit = np.eye(n)
         rows = [expand(r) for r in prog.rows]
-        for j, (lo, up) in enumerate(bounds):
-            rows += [expand(unit[j])] * ((lo not in (None, 0.0))
-                                         + (up is not None))
         a_ref = np.array(rows).reshape(-1, col) / canon.scale[:, None]
         a_ref *= canon.flip[:, None]
         obj = prog.objective if prog.sense == "min" else -prog.objective
@@ -359,9 +431,7 @@ def test_canonical_columns_match_per_variable_reference():
 # same order, so every solve must agree bit for bit.
 
 def _reference_canonicalize(lp):
-    n = lp.n_vars
-    split = np.array([lo is None or lo < 0.0 for lo, _ in lp.bounds],
-                     dtype=bool)
+    split = np.array([bool(free) for free in lp.free])
     width = 1 + split.astype(int)
     first = np.cumsum(width) - width
     second = first[split] + 1
@@ -374,26 +444,9 @@ def _reference_canonicalize(lp):
         return out
 
     rels = list(lp.relations)
-    rhs = list(lp.rhs)
-    source = [("con", k) for k in range(lp.n_constraints)]
-    bound_vars = []
-    for j, (lo, up) in enumerate(lp.bounds):
-        if lo is not None and lo != 0.0:
-            bound_vars.append(j)
-            rels.append(GE)
-            rhs.append(lo)
-            source.append(("lo", j))
-        if up is not None:
-            bound_vars.append(j)
-            rels.append(LE)
-            rhs.append(up)
-            source.append(("up", j))
-    unit = np.zeros((len(bound_vars), n))
-    unit[np.arange(len(bound_vars)), bound_vars] = 1.0
-
     m = len(rels)
-    A0 = expand(np.vstack([lp.rows, unit]))
-    b0 = np.array(rhs, dtype=float)
+    A0 = expand(lp.rows)
+    b0 = np.array(lp.rhs, dtype=float)
 
     scale = np.ones(m)
     if m:
@@ -437,7 +490,7 @@ def _reference_canonicalize(lp):
     c_canon = expand(obj[None, :])[0]
 
     return SimpleNamespace(c=c_canon, A=A_full, b=b0, flip=flip, scale=scale,
-                           row_source=source, row_rel=rels, first=first,
+                           row_rel=rels, first=first,
                            split=split, second=second,
                            n_struct=n_struct, slack_cols=slack_cols,
                            art_cols=art_cols)
@@ -515,21 +568,6 @@ class _ReferenceTableau:
             self.basis[r] = q
 
 
-def _reference_split_duals(lp, canon, y):
-    m_con = lp.n_constraints
-    y_con = np.zeros(m_con)
-    y_lo = np.zeros(lp.n_vars)
-    y_up = np.zeros(lp.n_vars)
-    for i, src in enumerate(canon.row_source):
-        if src[0] == "con":
-            y_con[src[1]] = y[i]
-        elif src[0] == "lo":
-            y_lo[src[1]] = y[i]
-        else:
-            y_up[src[1]] = y[i]
-    return y_con, y_lo, y_up
-
-
 def reference_solve(lp, events=None):
     """The reference solve of lp; events, if given, collects "parked",
     "unparked", "bland" and "dropped" as the solve parks a column, pivots
@@ -554,10 +592,8 @@ def reference_solve(lp, events=None):
         status, obj_row = tab.run(costs1, np.ones(ncols, dtype=bool))
         phase1_value = -obj_row[-1]
         if phase1_value > FEAS_TOL * (1.0 + float(np.abs(canon.b).sum())):
-            y = _extract_duals(canon, obj_row, costs1)
-            y_con, y_lo, y_up = _reference_split_duals(lp, canon, y)
-            return LpSolution(status=INFEASIBLE, duals=y_con,
-                              bound_duals=(y_lo, y_up),
+            return LpSolution(status=INFEASIBLE,
+                              duals=_extract_duals(canon, obj_row, costs1),
                               iterations=tab.iterations)
         keep = np.ones(m, dtype=bool)
         for i in range(m):
@@ -601,13 +637,11 @@ def reference_solve(lp, events=None):
         x_struct[bv] = tab.T[i, -1]
     x = _to_original(lp, canon, x_struct)
     obj_value = float(lp.objective @ x)
-    y_con, y_lo, y_up = _reference_split_duals(
-        lp, canon, _extract_duals(canon, obj_row, costs2))
+    y = _extract_duals(canon, obj_row, costs2)
     if lp.sense == "max":
-        y_con, y_lo, y_up = -y_con, -y_lo, -y_up
-    return LpSolution(status=OPTIMAL, primal=x, duals=y_con,
-                      objective_value=obj_value,
-                      bound_duals=(y_lo, y_up), iterations=tab.iterations)
+        y = -y
+    return LpSolution(status=OPTIMAL, primal=x, duals=y,
+                      objective_value=obj_value, iterations=tab.iterations)
 
 
 def _assert_bit_identical(prog, events=None):
@@ -615,13 +649,8 @@ def _assert_bit_identical(prog, events=None):
     assert got.status == ref.status
     assert got.iterations == ref.iterations
     assert got.objective_value == ref.objective_value
-    pairs = [(got.primal, ref.primal), (got.duals, ref.duals),
-             (got.ray, ref.ray)]
-    if ref.bound_duals is not None:
-        pairs += list(zip(got.bound_duals, ref.bound_duals))
-    else:
-        assert got.bound_duals is None
-    for a, b in pairs:
+    for a, b in [(got.primal, ref.primal), (got.duals, ref.duals),
+                 (got.ray, ref.ray)]:
         assert (a is None and b is None) or np.array_equal(a, b)
     return got.status
 
@@ -637,22 +666,20 @@ def test_solve_matches_reference_on_random_programs():
     # with a zero objective, whose phase 2 stops at once)
     dropped_then_pivoted = 0
     for _ in range(60):
-        prog = random_lp(rng)
-        cons = list(zip(prog.rows, prog.relations, prog.rhs))
-        cons += [(prog.rows[0], EQ, prog.rhs[0])] * 2
-        twice = LinearProgram(prog.objective, cons, bounds=prog.bounds,
-                              sense=prog.sense)
+        c, cons, box, sense = random_lp_parts(rng)
+        cons += [(cons[0][0], EQ, cons[0][2])] * 2
+        twice = boxed_program(c, cons, box, sense)
         events = set()
         if _assert_bit_identical(twice, events) != OPTIMAL:
             continue
-        flat = LinearProgram(np.zeros(prog.n_vars), cons, bounds=prog.bounds)
+        flat = boxed_program(np.zeros(len(c)), cons, box)
         phase2_pivots = solve(twice).iterations - solve(flat).iterations
         dropped_then_pivoted += "dropped" in events and phase2_pivots > 0
     assert dropped_then_pivoted >= 10
 
 
 def test_solve_matches_reference_without_rows():
-    # no constraint and no bound row: the ratio test sees an empty column
+    # no row: the ratio test sees an empty column
     assert _assert_bit_identical(LinearProgram([-1.0, 2.0], [])) == UNBOUNDED
     assert _assert_bit_identical(LinearProgram([1.0, 2.0], [])) == OPTIMAL
     # phase 1 drops the only (redundant) row
@@ -674,7 +701,7 @@ def test_solve_matches_reference_on_separation_programs(recorded_programs):
     # supporting LP, a separation LP over the 17 points and their centroid
     # whose one margin column is the centroid, and the extreme-point
     # checks, infeasible at extreme points
-    assert any(np.isinf(p.lo).any() and p.n_constraints == 4 for p in progs)
+    assert any(p.free.any() and p.n_constraints == 4 for p in progs)
     assert any(p.n_vars == 18 + 2 * 3 and p.rows[-1].sum() == 1.0
                for p in progs)
     statuses = {_assert_bit_identical(prog) for prog in progs}
@@ -703,9 +730,10 @@ def test_boxed_max_mass_program_certifies():
     P = rng.exponential(size=(20, 5)) * (rng.random((20, 5)) < 0.6)
     P /= P.sum(axis=1, keepdims=True)
     cons = [(P[8], EQ, 0.0)] + [(P[k], GE, 0.0) for k in range(20) if k != 8]
-    prog = LinearProgram(-P.sum(axis=0), cons,
-                         bounds=np.tile([-1.0, 1.0], (5, 1)))
-    assert check_certificate(prog, solve(prog)).passed
+    prog = boxed_program(-P.sum(axis=0), cons, [(-1.0, 1.0)] * 5)
+    sol = solve(prog)
+    assert sol.iterations == 102
+    assert check_certificate(prog, sol).passed
 
 
 def oracle_stream_instance(trial):
@@ -747,35 +775,33 @@ def test_separation_program_with_spanning_zero_points_solves():
     assert abs(m) <= 1e-9
 
 
-def test_array_bounds_match_pair_bounds():
+def test_free_mask_as_list_matches_array():
     rng = np.random.default_rng(5)
-    pairs = [(0.0, None), (None, None), (-1.5, 2.0), (0.5, None),
-             (0.0, 3.0), (None, 4.0), (-2.0, None)]
     for _ in range(40):
         n, m = int(rng.integers(1, 7)), int(rng.integers(1, 5))
-        bounds = [pairs[k] for k in rng.integers(len(pairs), size=n)]
-        box = np.array([[np.nan if v is None else v for v in pair]
-                        for pair in bounds])
+        free = rng.random(n) < 0.5
         cons = [(rng.normal(size=n), [LE, GE, "="][k % 3], rng.normal())
                 for k in range(m)]
         obj = rng.normal(size=n)
-        by_pairs = LinearProgram(obj, cons, bounds=bounds)
-        by_array = LinearProgram(obj, cons, bounds=box)
-        assert by_pairs.bounds == by_array.bounds == bounds
-        a, b = solve(by_pairs), solve(by_array)
+        by_list = LinearProgram(obj, cons, free=free.tolist())
+        by_array = LinearProgram(obj, cons, free=free)
+        free[0] = not free[0]       # the program keeps its own copy
+        assert by_list.free.tolist() == by_array.free.tolist() != (
+            free.tolist())
+        a, b = solve(by_list), solve(by_array)
         assert a.status == b.status and a.iterations == b.iterations
-        for x, y in [(a.primal, b.primal), (a.duals, b.duals)]:
+        for x, y in [(a.primal, b.primal), (a.duals, b.duals),
+                     (a.ray, b.ray)]:
             assert (x is None and y is None) or np.array_equal(x, y)
         _assert_bit_identical(by_array)
 
 
-@pytest.mark.parametrize("bounds", [
-    [(0.0, np.inf)], [(-np.inf, None)], np.array([[0.0, np.inf]]),
-    [(2.0, 1.0)], np.array([[2.0, 1.0]]), [(0.0, None), (0.0, None)],
-    [(0.0,)], [("a", None)]])
-def test_malformed_bounds_rejected(bounds):
+@pytest.mark.parametrize("free", [
+    [True, False], [[True]], True, [1], [1.0], ["a"], [None],
+    np.array([1], dtype=np.int8)])
+def test_malformed_free_rejected(free):
     with pytest.raises(MalformedProgram):
-        LinearProgram([1.0], [([1.0], LE, 1.0)], bounds=bounds)
+        LinearProgram([1.0], [([1.0], LE, 1.0)], free=free)
 
 
 # ---------------------------------------------------------------------------
@@ -797,10 +823,6 @@ def _assert_same_solution(got, ref):
     for a, b in [(got.primal, ref.primal), (got.duals, ref.duals),
                  (got.ray, ref.ray)]:
         assert _same_bits(a, b)
-    assert (got.bound_duals is None) == (ref.bound_duals is None)
-    if ref.bound_duals is not None:
-        assert all(_same_bits(a, b) for a, b in
-                   zip(got.bound_duals, ref.bound_duals))
 
 
 def _spy_hand_offs(patch, handed):
@@ -1026,13 +1048,14 @@ def test_solve_stack_checks_its_arrays():
 
 
 def shared_layout_stack(rng, size):
-    """size programs on one layout (x0 free, x1 in [-1, 3], x2..x5 >= 0;
-    three equality rows with rhs 1, 1, 2 and a row <= 6), each with its
-    own integer rows and objective.  Program k is of kind k % 4: plain;
-    redundant (row 2 is row 0 + row 1); parked (x5 has an empty column
-    and the near-noise cost -5e-8, x4 the cost -1e-8, every other cost
-    is 0); or unbounded (x5 has an empty column and cost -1)."""
-    bounds = [(None, None), (-1.0, 3.0)] + [(0.0, None)] * 4
+    """size programs on one layout (x0 and x1 free, x2..x5 >= 0; three
+    equality rows with rhs 1, 1, 2, a row <= 6, and the box rows x1 >= -1
+    and x1 <= 3), each with its own integer rows and objective.  Program
+    k is of kind k % 4: plain; redundant (row 2 is row 0 + row 1); parked
+    (x5 has an empty column and the near-noise cost -5e-8, x4 the cost
+    -1e-8, every other cost is 0); or unbounded (x5 has an empty column
+    and cost -1)."""
+    box = [(None, None), (-1.0, 3.0)] + [(0.0, None)] * 4
     rels, rhs = [EQ, EQ, EQ, LE], [1.0, 1.0, 2.0, 6.0]
     programs = []
     for k in range(size):
@@ -1047,8 +1070,7 @@ def shared_layout_stack(rng, size):
         elif k % 4 == 3:
             A[:, 5] = 0.0
             c[5] = -1.0
-        programs.append(LinearProgram(c, list(zip(A, rels, rhs)),
-                                      bounds=bounds))
+        programs.append(boxed_program(c, list(zip(A, rels, rhs)), box))
     return programs
 
 
@@ -1057,7 +1079,7 @@ def near_redundant_stack(rng, size):
     plus one entry below PIVOT_TOL.  Phase 1 drops row 2, and later pivots
     can grow its tiny entries past PIVOT_TOL, so a stack that let the
     dropped row into the ratio test would pivot on it."""
-    bounds = [(None, None), (-1.0, 3.0)] + [(0.0, None)] * 4
+    box = [(None, None), (-1.0, 3.0)] + [(0.0, None)] * 4
     rels, rhs = [EQ, EQ, EQ, LE], [1.0, 1.0, 2.0, 6.0]
     programs = []
     for _ in range(size):
@@ -1066,8 +1088,7 @@ def near_redundant_stack(rng, size):
         A[2] = A[0] + A[1]
         A[2, rng.integers(6)] += (rng.choice([-1.0, 1.0])
                                   * 10.0 ** rng.uniform(-13, -10))
-        programs.append(LinearProgram(c, list(zip(A, rels, rhs)),
-                                      bounds=bounds))
+        programs.append(boxed_program(c, list(zip(A, rels, rhs)), box))
     return programs
 
 
@@ -1105,9 +1126,10 @@ def test_solve_all_matches_reference_on_mixed_stacks():
 def degenerate_stacks(draw):
     """Programs on one random layout whose rows come from a small pool
     that holds a zero row, so rows repeat within and across programs;
-    some boxes are tight (lower = upper).  The programs share their
-    right-hand sides, or each draws its own, whose signs and so row flips
-    may differ between programs."""
+    some boxes are tight (lower = upper), and boxed_program writes them
+    as rows.  The programs share their right-hand sides, or each draws
+    its own for its constraints, whose signs and so row flips may differ
+    between programs."""
     small = st.integers(min_value=-2, max_value=2)
     n = draw(st.integers(min_value=1, max_value=4))
     m = draw(st.integers(min_value=0, max_value=4))
@@ -1115,7 +1137,7 @@ def degenerate_stacks(draw):
                          max_size=m))
     rhs = draw(st.lists(small, min_size=m, max_size=m))
     own_rhs = draw(st.booleans())
-    bounds = draw(st.lists(st.sampled_from(
+    box = draw(st.lists(st.sampled_from(
         [(0.0, None), (None, None), (0.0, 0.0), (1.0, 1.0), (-1.0, 2.0),
          (0.5, None)]), min_size=n, max_size=n))
     sense = draw(st.sampled_from(["min", "max"]))
@@ -1130,7 +1152,7 @@ def degenerate_stacks(draw):
         if own_rhs:
             rhs = draw(st.lists(small, min_size=m, max_size=m))
         cons = [(pool[k], rel, b) for k, rel, b in zip(picks, rels, rhs)]
-        programs.append(LinearProgram(c, cons, bounds=bounds, sense=sense))
+        programs.append(boxed_program(c, cons, box, sense=sense))
     return programs
 
 
@@ -1168,8 +1190,7 @@ def test_solve_all_solves_alone_when_row_flips_differ():
 
 def _answer_bytes(sol):
     """sol's status, iterations and every number it holds, as bytes."""
-    parts = [sol.primal, sol.duals, sol.ray, sol.objective_value,
-             *(sol.bound_duals or ())]
+    parts = [sol.primal, sol.duals, sol.ray, sol.objective_value]
     return [sol.status, sol.iterations] + [
         None if p is None else np.asarray(p).tobytes() for p in parts]
 
@@ -1222,6 +1243,6 @@ def test_chunks_on_one_layout_reuse_its_workspace_without_aliasing():
     assert [_answer_bytes(sol) for sol in answers] == snapshots
     buffers = _workspace_buffers(layout).values()
     for sol in answers:
-        for part in (sol.primal, sol.duals, sol.ray, *(sol.bound_duals or ())):
+        for part in (sol.primal, sol.duals, sol.ray):
             if part is not None:
                 assert not any(np.shares_memory(part, buf) for buf in buffers)

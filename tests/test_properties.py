@@ -56,9 +56,10 @@ def redundant_equality_lps(draw):
     rows = np.vstack([A, C @ A])
     rhs = rows @ x0
     c = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
-    bounds = [(0.0, 8.0)] * n if draw(st.booleans()) else None
-    return LinearProgram(c, [(r, "=", b) for r, b in zip(rows, rhs)],
-                         bounds=bounds,
+    cons = [(r, "=", b) for r, b in zip(rows, rhs)]
+    if draw(st.booleans()):     # x <= 8 rows
+        cons += [(unit, "<=", 8.0) for unit in np.eye(n)]
+    return LinearProgram(c, cons,
                          sense=draw(st.sampled_from(["min", "max"])))
 
 
