@@ -137,12 +137,6 @@ def validate_config(config: dict) -> None:
     if kind == "tabular":
         _require_keys(model, {"kind", "states", "types", "beliefs",
                               "values"}, "model")
-        _integer("states", model.get("states"), 1)
-        types = model.get("types")
-        if (not isinstance(types, list)
-                or not all(isinstance(t, str) for t in types)):
-            raise ConfigError(f"types must be a list of strings, got "
-                              f"{types!r}")
     elif kind == "counterexample":
         _require_keys(model, {"kind", "eps_emb", "values"}, "model")
         if model.get("values", "linear") != "linear":

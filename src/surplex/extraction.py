@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,13 +25,14 @@ from surplex.geometry import (
     FACE_TOL,
     MARGIN_TOL,
     ExposureChain,
-    SeparationStack,
     expose_each,
     expose_set,
     exposure_chain,
     extreme_each,
     is_extreme,
     separation_answer,
+    separation_layout,
+    separation_rows,
 )
 from surplex.models import ParametricModel, TabularModel, sample
 
@@ -45,11 +47,10 @@ OWN_NUDGE = 1e-11
 # (S + 1) x (cert points + 1 + 2S) floats, and stacks of one or two
 # programs solve slower than the single solves they replace, so a budget
 # that shrank the stacks on large grids would slow them down.  The chunks
-# of one construction share a rows buffer and the tableau, pivot scratch
-# and cost rows that lp.solve_stack keeps on their one layout, so only
-# the first chunk touches fresh pages: on the preset, about 130 minor
-# page faults for its 9 chunks, against about 560 per chunk when each
-# chunk allocated its own arrays
+# of one construction share the buffers their one layout keeps
+# (lp.solve_chunks), so only the first touches fresh pages: on the
+# preset, about 130 minor page faults for its 9 chunks, against about
+# 560 per chunk when each chunk allocated its own arrays
 SEPARATOR_CHUNK = 12
 
 FULL, VIRTUAL = "full", "virtual"
@@ -461,7 +462,7 @@ def full_extraction_lp(tab: TabularModel, first=()):
     0.  That is how lp splits a free variable, bit for bit: (-p) / s is
     p / (-s), the row scales and costs are the same, and y_t is the same
     subtraction.  So every block has one layout (all variables >= 0, S
-    "=" rows and one "<=" row), and blocks go to lp.solve_stack together,
+    "=" rows and one "<=" row), and blocks go to lp.solve_chunks together,
     EXPOSE_CHUNK at a time, since a block has a column per type.
 
     Only a block whose type's belief is a convex combination of the
@@ -469,34 +470,30 @@ def full_extraction_lp(tab: TabularModel, first=()):
     puts weights y on probability vectors that sum to the zero vector,
     and with y_t >= 0 too they would all be zero; so y_t < 0, and the
     ray divided by -y_t is such a combination.  The blocks of first,
-    types the caller found to be combinations, are solved first, one at
-    a time in index order, up to the first unbounded one; only if none is
-    unbounded are the other blocks solved.  Status and certificate are
-    those of solving every block in index order, unless a block outside
-    first with a lower index is unbounded, which would contradict that
-    type's exposure certificate numerically.  iterations counts the
-    pivots of the blocks solved.
+    types the caller found to be combinations (point indices of the
+    belief set), are solved first, one at a time in index order, up to
+    the first unbounded one; only if none is unbounded are the others
+    solved.  Status and certificate are those of solving every block in
+    index order, unless a block outside first with a lower index is
+    unbounded, which would contradict that type's exposure certificate
+    numerically.  iterations counts the pivots of the blocks solved.
     """
+    first = sorted({tab.belief_set().check_index(t) for t in first})
     m, S = tab.n_types, tab.state_count
     n = m + 1 + 2 * S
     layout = lp.LinearProgram(
         np.zeros(n), [(np.zeros(n), lp.EQ, 0.0)] * S
         + [(np.zeros(n), lp.LE, 1.0)], sense="max")
-    # one rows and one objectives buffer for every stack, as layout keeps
-    # one tableau for them
-    buffers = (np.empty((min(m, EXPOSE_CHUNK), S + 1, n)),
-               np.empty((min(m, EXPOSE_CHUNK), n)))
     blocks = {}
-    for t in sorted(set(first)):
-        blocks[t], = lp.solve_stack(layout, *_full_blocks(tab, [t], buffers))
-        if blocks[t].status == lp.UNBOUNDED:
+    for t, block in zip(first, lp.solve_chunks(
+            layout, len(first), 1, _full_blocks(tab, first))):
+        blocks[t] = block
+        if block.status == lp.UNBOUNDED:
             break
     else:   # no block of first is unbounded: solve the others
         rest = [t for t in range(m) if t not in blocks]
-        for lo in range(0, len(rest), EXPOSE_CHUNK):
-            part = rest[lo:lo + EXPOSE_CHUNK]
-            blocks.update(zip(part, lp.solve_stack(
-                layout, *_full_blocks(tab, part, buffers))))
+        blocks.update(zip(rest, lp.solve_chunks(
+            layout, len(rest), EXPOSE_CHUNK, _full_blocks(tab, rest))))
     if any(b.status == lp.INFEASIBLE
            for b in blocks.values()):  # pragma: no cover - 0 is feasible
         raise RuntimeError("full-extraction block LP ended infeasible")
@@ -529,27 +526,28 @@ def full_extraction_lp(tab: TabularModel, first=()):
                       in zip(tab.labels, contracts[:, :S])])
 
 
-def _full_blocks(tab, ts, buffers):
-    """The rows and objectives of the full-extraction blocks of the types
+def _full_blocks(tab, ts):
+    """The lp.solve_chunks fill of the full-extraction blocks of the types
     ts, on full_extraction_lp's shared layout: block t's columns are the
     beliefs in type order with -pi_t inserted after pi_t, then -I and +I.
-    They are written in full over the first len(ts) of the (rows,
-    objectives) buffers."""
+    It writes the rows and objectives in full."""
     m, S = tab.n_types, tab.state_count
-    ts = np.asarray(ts)
     j = np.arange(m + 1)
-    src = j - (j > ts[:, None])          # each column's type; t twice
-    sign = np.where(j == ts[:, None] + 1, -1.0, 1.0)
-    rows, objectives = (buf[:ts.size] for buf in buffers)
-    rows[:, :S, :m + 1] = (tab.beliefs[src]
-                           * sign[:, :, None]).transpose(0, 2, 1)
-    rows[:, :S, m + 1:m + 1 + S] = -np.eye(S)
-    rows[:, :S, m + 1 + S:] = np.eye(S)
-    rows[:, S, :m + 1] = 0.0
-    rows[:, S, m + 1:] = 1.0
-    objectives[:, :m + 1] = tab.values[src] * sign
-    objectives[:, m + 1:] = 0.0
-    return rows, objectives
+
+    def fill(lo, hi, rows, objectives, rhs):
+        t = np.asarray(ts[lo:hi])[:, None]
+        src = j - (j > t)                # each column's type; t twice
+        sign = np.where(j == t + 1, -1.0, 1.0)
+        rows[:, :S, :m + 1] = (tab.beliefs[src]
+                               * sign[:, :, None]).transpose(0, 2, 1)
+        rows[:, :S, m + 1:m + 1 + S] = -np.eye(S)
+        rows[:, :S, m + 1 + S:] = np.eye(S)
+        rows[:, S, :m + 1] = 0.0
+        rows[:, S, m + 1:] = 1.0
+        objectives[:, :m + 1] = tab.values[src] * sign
+        objectives[:, m + 1:] = 0.0
+
+    return fill
 
 
 def _block_mults(x, t):
@@ -594,48 +592,38 @@ def _case1_terms(pi, v, ts, cert, delta, eps):
     their surplus stays below eps because delta was chosen from the value
     modulus.
 
-    The K LPs share one layout.  They are solved SEPARATOR_CHUNK types at a
-    time, one lp.solve_stack call per chunk, and each chunk is finished
-    before the next is built, so memory holds one chunk's rows; every
-    chunk writes its rows into one buffer and pivots in the tableau the
-    layout keeps (SeparationStack), so the family allocates them once.
-    Returns,
-    per type, (alpha, z, wmargin, raw_margin) or the exception its
-    construction raises (BudgetInfeasible when no functional separates
-    it), for the caller to raise in grid order.
-    """
-    answers = []
-    family = SeparationStack(cert.n_types, 1, cert.state_count)
-    for lo in range(0, len(ts), SEPARATOR_CHUNK):
-        part = slice(lo, lo + SEPARATOR_CHUNK)
-        answers += _case1_chunk(family, pi[part], v[part], ts[part], cert,
-                                delta, eps)
-    return answers
-
-
-def _case1_chunk(family, pi, v, ts, cert, delta, eps):
-    """_case1_terms on one chunk of types, in one lp.solve_stack call on
-    the family's layout and rows buffer.
-
-    Type k's point columns are the far cert types in grid order, each
-    divided by its weight, then the near ones (one stable argsort of the
-    near mask), so the rows are written straight into one array: the
-    near columns are divided by 1.0, which keeps their bits.
+    The K LPs share one layout and go to lp.solve_chunks SEPARATOR_CHUNK
+    types at a time.  Type k's point columns are the far cert types in
+    grid order, each divided by its weight, then the near ones (one
+    stable argsort of the near mask; a near column is divided by 1.0,
+    which keeps its bits).  The order, gains and weights are built per
+    chunk, so memory holds one chunk's.  Returns, per type, (alpha, z,
+    wmargin, raw_margin) or the exception its construction raises
+    (BudgetInfeasible when no functional separates it), for the caller
+    to raise in grid order.
     """
     N, S = cert.beliefs.shape
-    near = np.abs(cert.ts - ts[:, None]) < delta
-    order = np.argsort(near, axis=1, kind="stable")
-    n_far = N - np.count_nonzero(near, axis=1)
-    gains = cert.values[order] - v[:, None]
-    weights = np.where(np.arange(N) < n_far[:, None],
-                       np.maximum(gains, eps / 2.0), 1.0)
-    layout, rows, objectives = family(cert.beliefs, order, n_far,
-                                      pi[:, None])
-    rows[:, :S, :N] /= weights[:, None, :]
-    sols = lp.solve_stack(layout, rows, objectives)
-    return [_case1_answer(sol, pi[k], cert.beliefs[order[k, :f]],
-                          gains[k, :f], weights[k, :f])
-            for k, (sol, f) in enumerate(zip(sols, n_far.tolist()))]
+    pending = deque()   # per type of a chunk: order, far count, gains, weights
+
+    def fill(lo, hi, rows, objectives, rhs):
+        near = np.abs(cert.ts - ts[lo:hi, None]) < delta
+        order = np.argsort(near, axis=1, kind="stable")
+        n_far = N - np.count_nonzero(near, axis=1)
+        gains = cert.values[order] - v[lo:hi, None]
+        weights = np.where(np.arange(N) < n_far[:, None],
+                           np.maximum(gains, eps / 2.0), 1.0)
+        separation_rows(rows, cert.beliefs, order, n_far, pi[lo:hi, None])
+        rows[:, :S, :N] /= weights[:, None, :]
+        pending.extend(zip(order, n_far.tolist(), gains, weights))
+
+    def answer(pi_t, sol):
+        order, f, gains, weights = pending.popleft()
+        return _case1_answer(sol, pi_t, cert.beliefs[order[:f]],
+                             gains[:f], weights[:f])
+
+    # map holds no chunk's arrays while the next chunk is filled and solved
+    return list(map(answer, pi, lp.solve_chunks(
+        separation_layout(N, 1, S), len(ts), SEPARATOR_CHUNK, fill)))
 
 
 def _case1_answer(sol, pi_t, far_beliefs, gains, weights):
@@ -669,8 +657,8 @@ def virtual_extraction_menu(model: ParametricModel, eps: float,
     reports.
     Returns (menu, construction_logs).
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be finite and > 0, got {eps!r}")
     tab = sample(model, grid_n)
     bset = tab.belief_set()
     cert = sample(model, CERT_MULT * (grid_n - 1) + 1)

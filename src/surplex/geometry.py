@@ -7,11 +7,9 @@ point as eventually exposed.  Every separation question is a max-margin
 LP with the functional box-normalized to |z|_inf <= 1, so the margin
 tolerances below are scale-meaningful.  It is solved in dual form: a
 min-l1 convex-combination program with S + 1 rows and one column per
-point, whose row multipliers are the functional z.  SeparationStack
-writes the rows of many such programs into one array for lp.solve_stack,
-on one layout and one rows buffer for all chunks of a family:
-the exposure LPs of all points of a set share one layout and are solved
-as one stack (expose_each), and so are their hull-membership LPs, which
+point, whose row multipliers are the functional z.  The exposure LPs
+of all points of a set share one layout and go to lp.solve_chunks
+together (expose_each), and so do their hull-membership LPs, which
 differ in their right-hand sides too (extreme_each).  The supporting LP
 of an exposure chain (the functional through a point with the most mass
 above it) is the same LP with the centroid as its one margin point, so
@@ -21,6 +19,7 @@ no geometry LP has more than S + 1 rows or a variable bound other than
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -246,7 +245,7 @@ def extreme_each(bset: FiniteBeliefSet, idx) -> None:
     a row of ones, its right-hand side is (p_i, 1), and it is infeasible
     exactly when p_i is extreme.  The programs share one layout and
     differ in their rows and right-hand sides, so they go to
-    lp.solve_stack EXPOSE_CHUNK points at a time, as in expose_each.
+    lp.solve_chunks EXPOSE_CHUNK points at a time, as in expose_each.
     """
     m, S = len(bset), bset.n_states
     todo = np.array([i for i in dict.fromkeys(map(bset.check_index, idx))
@@ -255,32 +254,26 @@ def extreme_each(bset: FiniteBeliefSet, idx) -> None:
         return
     layout = lp.LinearProgram(np.zeros(m - 1),
                               [(np.zeros(m - 1), lp.EQ, 0.0)] * (S + 1))
-    # one rows and one rhs buffer for the chunks, as layout keeps one
-    # tableau for them
-    size = min(todo.size, EXPOSE_CHUNK)
-    rows_buf = np.empty((size, S + 1, m - 1))
-    rhs_buf = np.empty((size, S + 1))
-    for lo in range(0, todo.size, EXPOSE_CHUNK):
-        part = todo[lo:lo + EXPOSE_CHUNK]
+
+    def fill(lo, hi, rows, objectives, rhs):
+        part = todo[lo:hi]
         others = np.arange(m - 1) + (np.arange(m - 1) >= part[:, None])
-        rows, rhs = rows_buf[:part.size], rhs_buf[:part.size]
         rows[:, :S] = bset.points[others].transpose(0, 2, 1)
         rows[:, S] = 1.0
         rhs[:, :S] = bset.points[part]
         rhs[:, S] = 1.0
-        sols = lp.solve_stack(layout, rows,
-                              np.broadcast_to(layout.objective,
-                                              (part.size, m - 1)), rhs)
-        for i, cols, sol in zip(part.tolist(), others, sols):
-            bset._remember(("extreme", i), _hull_answer, sol, cols, m)
+
+    for i, sol in zip(todo.tolist(), lp.solve_chunks(
+            layout, todo.size, EXPOSE_CHUNK, fill)):
+        bset._remember(("extreme", i), _hull_answer, sol, i, m)
 
 
-def _hull_answer(sol, others, m):
-    """is_extreme's answer off a solved hull-membership LP."""
+def _hull_answer(sol, i, m):
+    """is_extreme's answer off point i's solved hull-membership LP."""
     if sol.status == lp.INFEASIBLE:
         return True, None
     mu = np.zeros(m)
-    mu[others] = np.clip(sol.primal, 0.0, None)
+    mu[np.arange(m) != i] = np.clip(sol.primal, 0.0, None)
     return False, mu
 
 
@@ -302,61 +295,45 @@ def _separation_lp(points, zero_idx, floor_idx, margin_idx):
                                        (zero_idx, floor_idx, margin_idx))
     if margin_idx.size == 0:
         raise ValueError("margin family must be nonempty")
-    order = np.concatenate([margin_idx, floor_idx])
-    layout, rows, objectives = SeparationStack(
-        order.size, zero_idx.size, points.shape[1])(
-        points, order[None], [margin_idx.size], points[zero_idx][None])
-    sol = lp.solve(layout.with_rows(rows[0], objectives[0]))
+    order = np.concatenate([margin_idx, floor_idx])[None]
+    sol, = lp.solve_chunks(
+        separation_layout(order.size, zero_idx.size, points.shape[1]), 1, 1,
+        lambda lo, hi, rows, objectives, rhs: separation_rows(
+            rows, points, order, margin_idx.size, points[zero_idx][None]))
     return separation_answer(sol, points[margin_idx])
 
 
-class SeparationStack:
-    """Chunks of _separation_lp's dual programs that share a shape, as the
-    (layout, rows, objectives) of lp.solve_stack calls.
+def separation_layout(n, n_zero, S) -> lp.LinearProgram:
+    """The layout of _separation_lp's dual programs with n point columns,
+    then n_zero zero columns, then the box columns -I and +I, and S + 1
+    "=" rows: the state rows, with rhs 0, and the mass row, with rhs 1."""
+    width = n + n_zero + 2 * S
+    obj = np.zeros(width)
+    obj[n + n_zero:] = 1.0
+    free = np.zeros(width, dtype=bool)
+    free[n:n + n_zero] = True
+    rhs = np.zeros(S + 1)
+    rhs[S] = 1.0
+    return lp.LinearProgram(obj, [(np.zeros(width), lp.EQ, b) for b in rhs],
+                            free=free)
 
-    Every program has n point columns, then n_zero zero columns, then the
-    box columns -I and +I, and S + 1 rows.  The layout is built once, so
-    lp.solve_stack reuses the workspace it keeps on it from chunk to
-    chunk, and every chunk's rows are written into one buffer, grown to
-    the largest chunk; a family's arrays are freed with this object.
-    """
 
-    def __init__(self, n, n_zero, S):
-        self.n, self.n_zero, self.S = n, n_zero, S
-        width = n + n_zero + 2 * S
-        obj = np.zeros(width)
-        obj[n + n_zero:] = 1.0
-        free = np.zeros(width, dtype=bool)
-        free[n:n + n_zero] = True
-        rhs = np.zeros(S + 1)
-        rhs[S] = 1.0
-        self.layout = lp.LinearProgram(obj, [(np.zeros(width), lp.EQ, b)
-                                             for b in rhs], free=free)
-        self._rows = np.empty((0, S + 1, width))
-
-    def __call__(self, points, order, n_margin, zero):
-        """Program k's point columns are points[order[k]], whose first
-        n_margin[k] are its margin points and the rest its floor points,
-        then its zero points zero[k] (an (n_zero, S) block).  rows has
-        shape (B, S + 1, width), B = len(order); it is rewritten in full
-        on the buffer, so a caller may rescale columns in place until the
-        next call.  objectives is a broadcast view of the one objective
-        the programs share."""
-        n, S, n_points = self.n, self.S, self.n + self.n_zero
-        B = len(order)
-        if B > len(self._rows):
-            self._rows = np.empty((B,) + self._rows.shape[1:])
-        rows = self._rows[:B]
-        for s in range(S):
-            rows[:, s, :n] = points[order, s]
-        rows[:, :S, n:n_points] = zero.transpose(0, 2, 1)
-        rows[:, :S, n_points:n_points + S] = -np.eye(S)
-        rows[:, :S, n_points + S:] = np.eye(S)
-        rows[:, S, :n] = np.arange(n) < np.reshape(n_margin, (B, 1))
-        rows[:, S, n:] = 0.0
-        objective = self.layout.objective
-        return self.layout, rows, np.broadcast_to(objective,
-                                                  (B, objective.size))
+def separation_rows(rows, points, order, n_margin, zero):
+    """Write in full the rows (B, S + 1, width) of B programs on
+    separation_layout: program k's point columns are points[order[k]],
+    whose first n_margin[k] (or n_margin, one count for all) are its
+    margin points and the rest its floor points, then its zero points
+    zero[k] (an (n_zero, S) block)."""
+    n = order.shape[1]
+    S = zero.shape[2]
+    n_points = n + zero.shape[1]
+    for s in range(S):
+        rows[:, s, :n] = points[order, s]
+    rows[:, :S, n:n_points] = zero.transpose(0, 2, 1)
+    rows[:, :S, n_points:n_points + S] = -np.eye(S)
+    rows[:, :S, n_points + S:] = np.eye(S)
+    rows[:, S, :n] = np.arange(n) < np.reshape(n_margin, (-1, 1))
+    rows[:, S, n:] = 0.0
 
 
 def separation_answer(sol, margin_points):
@@ -416,28 +393,31 @@ def expose_each(bset: FiniteBeliefSet) -> np.ndarray:
     which the zero functional exposes).
 
     The programs differ only in which point is the zero column, so they
-    share one layout and go to lp.solve_stack EXPOSE_CHUNK points at a
-    time, each chunk's rows written into one buffer (SeparationStack);
-    each answer is bit for bit the one expose_set would solve for on its
-    own.
+    share one layout and go to lp.solve_chunks EXPOSE_CHUNK points at a
+    time; each answer is bit for bit the one expose_set would solve for
+    on its own.
     """
     m = len(bset)
     if m == 1:
         return np.full(1, np.inf)
     todo = np.array([i for i in range(m) if ("expose", i) not in bset._memo],
                     dtype=int)
-    if todo.size:
-        family = SeparationStack(m - 1, 1, bset.n_states)
-    for lo in range(0, todo.size, EXPOSE_CHUNK):
-        part = todo[lo:lo + EXPOSE_CHUNK]
+    margins = deque()   # per point of a chunk: its margin points' indices
+
+    def fill(lo, hi, rows, objectives, rhs):
         # point i's margin points: every other point, in index order
+        part = todo[lo:hi]
         others = np.arange(m - 1) + (np.arange(m - 1) >= part[:, None])
-        sols = lp.solve_stack(*family(
-            bset.points, others, np.full(part.size, m - 1),
-            bset.points[part, None]))
-        for i, margin, sol in zip(part.tolist(), others, sols):
+        margins.extend(others)
+        separation_rows(rows, bset.points, others, m - 1,
+                        bset.points[part, None])
+
+    if todo.size:
+        layout = separation_layout(m - 1, 1, bset.n_states)
+        for i, sol in zip(todo.tolist(), lp.solve_chunks(
+                layout, todo.size, EXPOSE_CHUNK, fill)):
             bset._remember(("expose", i), separation_answer, sol,
-                           bset.points[margin])
+                           bset.points[margins.popleft()])
     return np.array([bset._memo[("expose", i)][1] for i in range(m)])
 
 

@@ -26,12 +26,15 @@ by Dantzig's rule, one numpy operation per step for all of them, and
 returns for each program exactly what solve() returns for it.  The rare
 rules (the unbounded test, parked columns and Bland's rule) live only in
 the single-tableau loop: a program that needs one leaves the lock step
-for that loop, and so does the last one running.  Callers write the
-stacked rows straight into one array, so no program object is built per
-stacked program, and the layout keeps the solver's arrays from one call
-to the next, so the chunks of a family that share it reuse one tableau.
-Both run one two-phase driver: solve() is solve_stack() on a stack of
-one program, which runs the single-tableau loop from the start.
+for that loop, and so does the last one running.  Both run one
+two-phase driver: solve() is solve_stack() on a stack of one program,
+which runs the single-tableau loop from the start.
+
+solve_chunks() is the loop of every family of many programs: the
+caller's fill writes each chunk's rows straight into buffers that the
+layout keeps next to its tableau, so no program object is built per
+program and the chunks reuse one set of arrays; solve_stack() solves
+each chunk, and the answers come in program order.
 """
 
 from __future__ import annotations
@@ -215,12 +218,13 @@ def _columns(lp: LinearProgram) -> _Columns:
 class _Workspace:
     """The arrays that the solves on one layout reuse: its canonical
     column layout, worked out on first use, and float buffers (the
-    tableau, the pivot scratch and the cost rows), each grown to the
-    largest stack asked for.  A buffer's contents are whatever the last
-    solve left, so every user writes what it reads.  solve_stack keeps
-    the workspace on its layout program between calls, so the chunks of
-    one family reuse the pages of the first and the family frees them
-    with its layout; solve() takes a fresh one."""
+    tableau, the pivot scratch and the cost rows, and solve_chunks' rows,
+    objectives and rhs), each grown to the largest stack asked for.  A
+    buffer's contents are whatever the last solve left, so every user
+    writes what it reads.  solve_stack keeps the workspace on its layout
+    program between calls, so the chunks of one family reuse the pages
+    of the first and the family frees them with its layout; solve()
+    takes a fresh one."""
 
     def __init__(self):
         self.columns = None
@@ -641,11 +645,8 @@ def solve_stack(layout: LinearProgram, rows, objectives,
     calls as its slowest member alone, and its tail no more than that
     member's.
 
-    layout keeps a workspace between calls: its column layout, and the
-    tableau, pivot scratch and cost rows, sized for the largest stack
-    solved on it.  A family that solves its chunks on one layout so
-    reuses one set of arrays, and frees them when it drops the layout.
-    No answer is a view of them.
+    layout keeps its workspace (_Workspace) between calls, for the
+    chunks of its family (solve_chunks); no answer is a view of it.
     """
     if not isinstance(layout, LinearProgram):
         raise MalformedProgram("expected a LinearProgram layout")
@@ -673,6 +674,33 @@ def solve_stack(layout: LinearProgram, rows, objectives,
         return _solve_stack(layout, rows, objectives, rhs, ws)
     finally:
         layout._workspace = ws
+
+
+def solve_chunks(layout: LinearProgram, count: int, chunk: int, fill):
+    """Solve count programs on layout, chunk programs per solve_stack
+    call, and yield their LpSolutions in program order.
+
+    fill(lo, hi, rows, objectives, rhs) writes programs lo to hi - 1 into
+    arrays of shapes (hi - lo, m, n), (hi - lo, n) and (hi - lo, m): all
+    their rows, and their objectives and rhs where they are not layout's,
+    which the arrays hold when fill is called.  The arrays are buffers of
+    layout's workspace, reused by every chunk and every later call on
+    layout; no answer is a view of them.  solve_stack is looked up at each
+    call.  A chunk is filled once every answer of the one before it is
+    taken, so a caller may keep per-chunk state, and one that stops early
+    leaves layout as it was.
+    """
+    m, n = layout.n_constraints, layout.n_vars
+    ws = vars(layout).setdefault("_workspace", _Workspace())
+    for lo in range(0, count, chunk):
+        hi = min(lo + chunk, count)
+        rows = ws.take("rows", (hi - lo, m, n))
+        objectives = ws.take("objectives", (hi - lo, n))
+        rhs = ws.take("rhs", (hi - lo, m))
+        objectives[:] = layout.objective
+        rhs[:] = layout.rhs
+        fill(lo, hi, rows, objectives, rhs)
+        yield from solve_stack(layout, rows, objectives, rhs)
 
 
 def _solve_stack(layout, rows, objectives, rhs, ws):

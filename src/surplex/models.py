@@ -197,10 +197,17 @@ class TabularModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TabularModel":
-        model = cls(labels=[str(t) for t in data["types"]],
+        """The table of a to_json dict, its states and types checked."""
+        states, types = data["states"], data["types"]
+        if isinstance(states, bool) or not isinstance(states, int):
+            raise TypeError(f"states must be an integer, got {states!r}")
+        if (not isinstance(types, list)
+                or not all(isinstance(t, str) for t in types)):
+            raise TypeError(f"types must be a list of strings, got {types!r}")
+        model = cls(labels=list(types),
                     beliefs=np.asarray(data["beliefs"], dtype=float),
                     values=np.asarray(data["values"], dtype=float))
-        if model.state_count != int(data["states"]):
+        if model.state_count != states:
             raise ValueError("declared state count does not match beliefs")
         return model
 

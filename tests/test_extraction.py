@@ -371,6 +371,35 @@ def test_full_lp_solves_first_blocks_alone_up_to_an_unbounded_one():
     assert rep.passed, rep
 
 
+@pytest.mark.parametrize("tab, first, error", [
+    (random_tabular(0, 40, 6), [-1], IndexError),
+    (random_tabular(0, 40, 6), [0, 40], IndexError),
+    (random_tabular(0, 40, 6), [2.5], TypeError),
+    (random_tabular(0, 40, 6), [True], TypeError),
+    (random_tabular(3, 5, 6), [9], IndexError),
+    (random_tabular(3, 5, 6), ["T1"], TypeError)],
+    ids=["negative", "past_the_end", "float", "bool", "past_five", "label"])
+def test_full_lp_checks_first_before_it_solves(tab, first, error,
+                                               monkeypatch):
+    """Every entry of first must be a type index, checked as point
+    indices are, before any block is solved."""
+    stacks = []
+    stack = lp.solve_stack
+    monkeypatch.setattr(lp, "solve_stack",
+                        lambda *args: stacks.append(args) or stack(*args))
+    with pytest.raises(error, match="index"):
+        full_extraction_lp(tab, first=first)
+    assert not stacks
+
+
+def test_full_lp_takes_numpy_integers_in_first():
+    tab = random_tabular(0, 40, 6)
+    t = next(i for i in range(tab.n_types)
+             if not is_extreme(tab.belief_set(), i)[0])
+    assert_same_full_answer(full_extraction_lp(tab, first=[np.int64(t)]),
+                            full_extraction_lp(tab, first=[t]))
+
+
 def test_full_lp_planted_infeasible_sample():
     for seed in range(5):
         tab, idx, _ = planted_combination_instance(100 + seed, 6, 8)
@@ -563,6 +592,12 @@ def hook_beliefs(ts):
     s = np.clip(2.0 * ts - 1.0, 0.0, 1.0)
     arc = np.column_stack([(1.0 - u) ** 2, 2.0 * u * (1.0 - u), u ** 2])
     return arc + s[:, None] * np.array([0.5, 0.0, -0.5])
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+def test_virtual_menu_needs_a_finite_positive_eps(curve, eps):
+    with pytest.raises(ValueError, match="finite and > 0"):
+        virtual_extraction_menu(curve, eps, 11)
 
 
 def test_virtual_menu_names_an_interior_type():

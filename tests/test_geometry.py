@@ -430,9 +430,9 @@ def case1_family():
     seen = []
     solve_stack = lp.solve_stack
 
-    def spy(layout, rows, objectives):
+    def spy(layout, rows, objectives, rhs=None):
         seen.append(np.array(rows))
-        return solve_stack(layout, rows, objectives)
+        return solve_stack(layout, rows, objectives, rhs)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lp, "solve_stack", spy)

@@ -1,6 +1,7 @@
 """Simplex solver tests against a brute-force vertex enumeration oracle."""
 
 import itertools
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -909,6 +910,15 @@ def test_solve_all_matches_reference_on_vse_blocks(recorded_programs):
         assert set(_assert_stack_bit_identical(progs)) == {OPTIMAL}
 
 
+def _called_from(name):
+    """Whether a function of this name is on the stack of the caller's
+    caller."""
+    frame = sys._getframe(2)
+    while frame is not None and frame.f_code.co_name != name:
+        frame = frame.f_back
+    return frame is not None
+
+
 @pytest.fixture(scope="module")
 def virtual_separators():
     """The preset's virtual separation LPs as _case1_terms stacks them:
@@ -919,7 +929,7 @@ def virtual_separators():
     stack = lp.solve_stack
 
     def spy(layout, rows, objectives, rhs=None):
-        if rhs is None:     # the separators share the layout's rhs
+        if _called_from("_case1_terms"):
             parts.append((layout, np.array(rows), np.array(objectives)))
         return stack(layout, rows, objectives, rhs)
 
@@ -1008,16 +1018,18 @@ def test_stack_pivot_keeps_the_signed_zeros_of_the_one_slot_pivot():
 
 
 def test_objective_value_does_not_depend_on_the_memory_layout():
-    """Table 0's exposure programs, whose shared objective SeparationStack
-    hands over as a broadcast view, get the same objective values bit for
-    bit from a C-ordered and from an F-ordered copy of it (whose rows are
-    strided, which once moved the last bit of one value in 40)."""
+    """Table 0's exposure programs, with their shared objective as a
+    broadcast view, get the same objective values bit for bit from a
+    C-ordered and from an F-ordered copy of it (whose rows are strided,
+    which once moved the last bit of one value in 40)."""
     bset = models.random_tabular(0, 40, 6).belief_set()
     m = len(bset)
     others = np.arange(m - 1) + (np.arange(m - 1) >= np.arange(m)[:, None])
-    layout, rows, objectives = geometry.SeparationStack(
-        m - 1, 1, bset.n_states)(
-        bset.points, others, np.full(m, m - 1), bset.points[:, None])
+    layout = geometry.separation_layout(m - 1, 1, bset.n_states)
+    rows = np.empty((m, bset.n_states + 1, layout.n_vars))
+    geometry.separation_rows(rows, bset.points, others, np.full(m, m - 1),
+                             bset.points[:, None])
+    objectives = np.broadcast_to(layout.objective, (m, layout.n_vars))
     values = [
         np.array([sol.objective_value
                   for sol in solve_stack(layout, rows, copy)])
@@ -1246,3 +1258,97 @@ def test_chunks_on_one_layout_reuse_its_workspace_without_aliasing():
         for part in (sol.primal, sol.duals, sol.ray):
             if part is not None:
                 assert not any(np.shares_memory(part, buf) for buf in buffers)
+
+
+# ---------------------------------------------------------------------------
+# solve_chunks: the chunk loop of every family
+
+def chunk_family():
+    """Twelve shared_layout_stack programs, optimal, infeasible and
+    unbounded ones among them (rhs 2 of row 3 in three programs flips it
+    and adds an artificial column), as solve_chunks' layout, a fill that
+    records each chunk's (lo, hi) and rows buffer, and each program's
+    solve() answer."""
+    programs = shared_layout_stack(np.random.default_rng(5), 12)
+    layout = programs[0]
+    rows = np.stack([p.rows for p in programs])
+    objectives = np.stack([p.objective for p in programs])
+    rhs = np.tile(layout.rhs, (len(programs), 1))
+    rhs[4:7, 3] = -6.0
+    chunks = []
+
+    def fill(lo, hi, rows_buf, objectives_buf, rhs_buf):
+        chunks.append((lo, hi, rows_buf))
+        rows_buf[:] = rows[lo:hi]
+        objectives_buf[:] = objectives[lo:hi]
+        rhs_buf[:] = rhs[lo:hi]
+
+    refs = [solve(layout.with_rows(r, c, b))
+            for r, c, b in zip(rows, objectives, rhs)]
+    assert {ref.status for ref in refs} == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    return layout, fill, chunks, refs
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 11, 12, 17])
+def test_solve_chunks_gives_each_program_its_solve_answer(chunk,
+                                                          monkeypatch):
+    """Whatever the chunk, each program gets solve()'s answer bit for bit,
+    in program order, from one solve_stack call per chunk, which
+    solve_chunks looks up in the module as it calls it."""
+    layout, fill, chunks, refs = chunk_family()
+    calls = []
+    stack = lp.solve_stack
+    monkeypatch.setattr(lp, "solve_stack",
+                        lambda *args: calls.append(args) or stack(*args))
+    got = list(lp.solve_chunks(layout, len(refs), chunk, fill))
+    bounds = [(lo, min(lo + chunk, len(refs)))
+              for lo in range(0, len(refs), chunk)]
+    assert [(lo, hi) for lo, hi, _ in chunks] == bounds
+    assert [len(args[1]) for args in calls] == [hi - lo for lo, hi in bounds]
+    assert len(got) == len(refs)
+    for sol, ref in zip(got, refs):
+        _assert_same_solution(sol, ref)
+
+
+def test_solve_chunks_reuses_its_buffers_without_aliasing():
+    """Two calls on one layout fill their chunks into one rows buffer,
+    the smaller last chunk too, and no answer shares memory with the
+    layout's workspace; the second call's answers equal the first's."""
+    layout, fill, chunks, refs = chunk_family()
+    first = list(lp.solve_chunks(layout, len(refs), 5, fill))
+    snapshots = [_answer_bytes(sol) for sol in first]
+    second = list(lp.solve_chunks(layout, len(refs), 5, fill))
+    assert [hi - lo for lo, hi, _ in chunks] == [5, 5, 2] * 2
+    assert len({buf.__array_interface__["data"][0]
+                for _, _, buf in chunks}) == 1
+    buffers = _workspace_buffers(layout)
+    assert np.shares_memory(chunks[0][2], buffers["rows"])
+    for sol in first + second:
+        for part in (sol.primal, sol.duals, sol.ray):
+            if part is not None:
+                assert not any(np.shares_memory(part, buf)
+                               for buf in buffers.values())
+    assert [_answer_bytes(sol) for sol in first] == snapshots
+    assert [_answer_bytes(sol) for sol in second] == snapshots
+    for sol, ref in zip(second, refs):
+        _assert_same_solution(sol, ref)
+
+
+def test_solve_chunks_stopped_early_leaves_the_workspace_in_place():
+    """A caller that takes the first answers of a chunk and stops leaves
+    the layout's workspace on the layout: a later call on it solves every
+    program, and the stopped iteration, resumed after that call, still
+    gives the rest of its answers."""
+    layout, fill, chunks, refs = chunk_family()
+    stopped = lp.solve_chunks(layout, len(refs), 4, fill)
+    head = [next(stopped) for _ in range(6)]
+    ws = layout._workspace
+    for sol, ref in zip(head, refs):
+        _assert_same_solution(sol, ref)
+    for sol, ref in zip(lp.solve_chunks(layout, len(refs), 4, fill), refs):
+        _assert_same_solution(sol, ref)
+    assert layout._workspace is ws
+    for sol, ref in zip(stopped, refs[6:]):
+        _assert_same_solution(sol, ref)
+    assert len(chunks) == 2 + 3 + 1
+    assert layout._workspace is ws

@@ -178,6 +178,25 @@ def test_tabular_json_round_trip():
     assert back.values == pytest.approx(tab.values)
 
 
+@pytest.mark.parametrize("changes, error, message", [
+    ({"states": 2.9}, TypeError, "states must be an integer"),
+    # True == 1, the state count of these beliefs
+    ({"states": True, "beliefs": [[1.0], [1.0]]}, TypeError,
+     "states must be an integer"),
+    ({"states": "2"}, TypeError, "states must be an integer"),
+    ({"states": 3}, ValueError, "declared state count"),
+    ({"types": "ab"}, TypeError, "types must be a list of strings"),
+    ({"types": [None, "b"]}, TypeError, "types must be a list of strings")],
+    ids=["states_float", "states_bool", "states_string", "states_other",
+         "types_string", "types_null_label"])
+def test_tabular_from_dict_checks_states_and_types(changes, error, message):
+    data = {"states": 2, "types": ["a", "b"],
+            "beliefs": [[0.5, 0.5], [0.2, 0.8]], "values": [1.0, 2.0]}
+    assert TabularModel.from_dict(data).labels == ["a", "b"]
+    with pytest.raises(error, match=message):
+        TabularModel.from_dict({**data, **changes})
+
+
 def test_planted_instance_structure():
     model, idx, mu = planted_combination_instance(11, 7, 9)
     assert idx == 6
