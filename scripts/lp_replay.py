@@ -4,9 +4,12 @@ Usage: python scripts/lp_replay.py NAME... [--repeat N]
 
 NAME is an entry of CORPUS in scripts/same_bytes.py.  Each config runs
 once through `surplex.cli.run_scenario`, into a temporary directory that
-is removed at the end, while every `lp.solve` and `lp.solve_stack` call
-is recorded with copies of its arguments (per-program right-hand sides
-included) and its answer.  Then every recorded call is replayed N times
+is removed at the end, while every call of `lp._solve_stack`, the driver
+that `lp.solve`, `lp.solve_stack` and `lp.solve_chunks` all pass
+through, is recorded with copies of its arguments (right-hand sides
+included), its workspace and its answers; the calls that the driver's
+row-flip fallback makes from inside a recorded call are not recorded
+again.  Then every recorded call is replayed N times
 (default 5) in this process, and a table gives, per caller family and
 program shape (constraints x variables of the program as built, before
 canonicalization): the calls, the programs they solve, their pivots,
@@ -16,7 +19,7 @@ recorded run.  The faults show allocation churn: the pages of the large
 arrays a call allocates, about 4 KiB each.  In the recorded run every
 call's copies lie above the arrays of the calls before it, so a large
 array a call allocates and frees takes fresh pages, unless it reuses
-one the solver keeps (lp.solve_stack keeps its tableau on the layout).
+one of its workspace (the chunks of one lp.solve_chunks call share it).
 The replays show no faults: their memory is already mapped.
 
 The family is the innermost caller on the call's stack that FAMILY_OF
@@ -59,9 +62,13 @@ FAMILY_OF = {
 NO_FAMILY = "(none)"        # the family of a call that FAMILY_OF misses
 
 
-def _family() -> str:
+def _family(driver) -> str | None:
+    """The family of the recorded call, or None if it comes from inside
+    driver (its row-flip fallback)."""
     frame = sys._getframe(2)
     while frame is not None:
+        if frame.f_code is driver.__code__:
+            return None
         family = FAMILY_OF.get(frame.f_code.co_name)
         if family is not None:
             return family
@@ -85,27 +92,21 @@ def _minflt() -> int:
 
 def record(names):
     """Run each named config once; the list of recorded calls, each
-    (name, family, function, args, answers, minor page faults)."""
+    (name, family, driver arguments, answers, minor page faults)."""
     calls = []
-    solve, solve_stack = lp.solve, lp.solve_stack
+    driver = lp._solve_stack
 
-    def record_solve(prog):
+    def record_driver(layout, rows, objectives, rhs, ws):
+        args = (layout, _copy(rows), _copy(objectives), _copy(rhs), ws)
         faults = _minflt()
-        sol = solve(prog)
+        sols = driver(layout, rows, objectives, rhs, ws)
         faults = _minflt() - faults
-        calls.append((name, _family(), solve, (prog,), [sol], faults))
-        return sol
-
-    def record_stack(layout, rows, objectives, rhs=None):
-        args = (layout, _copy(rows), _copy(objectives),
-                None if rhs is None else _copy(rhs))
-        faults = _minflt()
-        sols = solve_stack(layout, rows, objectives, rhs)
-        faults = _minflt() - faults
-        calls.append((name, _family(), solve_stack, args, sols, faults))
+        family = _family(driver)
+        if family is not None:
+            calls.append((name, family, args, sols, faults))
         return sols
 
-    lp.solve, lp.solve_stack = record_solve, record_stack
+    lp._solve_stack = record_driver
     try:
         with tempfile.TemporaryDirectory(prefix="lp_replay_") as tmp:
             for name in names:
@@ -114,7 +115,7 @@ def record(names):
                     config = cli.counterexample_preset()
                 cli.run_scenario(config, Path(tmp) / name)
     finally:
-        lp.solve, lp.solve_stack = solve, solve_stack
+        lp._solve_stack = driver
     return calls
 
 
@@ -141,14 +142,12 @@ def replay(calls, repeat: int):
     differ = 0
     clock = time.perf_counter
     for r in range(repeat):
-        for _, family, fn, args, want, faults in calls:
+        for _, family, args, want, faults in calls:
             prog = args[0]
             key = (family, f"{prog.n_constraints} x {prog.n_vars}")
             start = clock()
-            got = fn(*args)
+            got = lp._solve_stack(*args)
             times[key][r] += 1e3 * (clock() - start)
-            if fn is lp.solve:
-                got = [got]
             differ += sum(not same_answer(g, w) for g, w in zip(got, want))
             if r == 0:
                 row = rows.setdefault(key, [0, 0, 0, 0])

@@ -252,10 +252,7 @@ def task_full(model, config, tols) -> dict:
         menu = full_extraction_menu(
             tab, margin_tol=tols.get("margin_tol", MARGIN_TOL))
     except NotAllDetectable as err:
-        # only the blocks of convex combinations can be unbounded
-        sol, _ = full_extraction_lp(tab, first=[
-            tab.index_of(lbl) for lbl, witness in err.failing
-            if witness is not None])
+        sol, _ = full_extraction_lp(tab)
         out.update({
             "passed": False,
             "error": "NotAllDetectable",

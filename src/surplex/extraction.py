@@ -30,6 +30,7 @@ from surplex.geometry import (
     exposure_chain,
     extreme_each,
     is_extreme,
+    known_combinations,
     separation_answer,
     separation_layout,
     separation_rows,
@@ -47,8 +48,8 @@ OWN_NUDGE = 1e-11
 # (S + 1) x (cert points + 1 + 2S) floats, and stacks of one or two
 # programs solve slower than the single solves they replace, so a budget
 # that shrank the stacks on large grids would slow them down.  The chunks
-# of one construction share the buffers their one layout keeps
-# (lp.solve_chunks), so only the first touches fresh pages: on the
+# of one construction share the buffers of their one lp.solve_chunks
+# call, so only the first touches fresh pages: on the
 # preset, about 130 minor page faults for its 9 chunks, against about
 # 560 per chunk when each chunk allocated its own arrays
 SEPARATOR_CHUNK = 12
@@ -152,7 +153,8 @@ class Contract:
 
 @dataclass
 class Menu:
-    """Labeled contracts; ts holds each entry's type on a parametric grid."""
+    """Labeled contracts; ts holds each entry's type on a parametric grid,
+    as a float array of its own."""
 
     entries: list[tuple[str, Contract]]
     ts: np.ndarray | None = None
@@ -161,8 +163,10 @@ class Menu:
         labels = [lbl for lbl, _ in self.entries]
         if len(set(labels)) != len(labels):
             raise ValueError("menu labels must be unique")
-        if self.ts is not None and np.shape(self.ts) != (len(labels),):
-            raise ValueError("menu ts must hold one type per entry")
+        if self.ts is not None:
+            self.ts = np.array(self.ts, dtype=float)
+            if self.ts.shape != (len(labels),):
+                raise ValueError("menu ts must hold one type per entry")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -208,9 +212,7 @@ class Menu:
             entries.append((e["label"],
                             Contract(np.asarray(e["payments"], dtype=float),
                                      prov)))
-        ts = data.get("ts")
-        return cls(entries, None if ts is None
-                   else np.asarray(ts, dtype=float))
+        return cls(entries, data.get("ts"))
 
 
 @dataclass
@@ -282,11 +284,9 @@ def _nudge_own(payments, pi, value) -> np.ndarray:
 
 
 def _finish_contract(pi, value, terms) -> Contract:
-    payments = np.full(pi.size, value)
-    for alpha, z in terms:
-        payments = payments + alpha * z
-    payments = _nudge_own(payments, pi, value)
-    return Contract(payments, Provenance(base_value=value, terms=list(terms)))
+    provenance = Provenance(base_value=value, terms=list(terms))
+    return Contract(_nudge_own(provenance.assemble(pi.size), pi, value),
+                    provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +435,7 @@ def full_extraction_menu(tab: TabularModel, *,
     return Menu(entries)
 
 
-def full_extraction_lp(tab: TabularModel, first=()):
+def full_extraction_lp(tab: TabularModel):
     """Feasibility LP for full extraction, minimizing a sup-norm surrogate.
 
     Variables are one contract c(t) in R^S per type plus one bound u_t
@@ -469,16 +469,17 @@ def full_extraction_lp(tab: TabularModel, first=()):
     others' can be unbounded: a ray has a = b = 0 (the mass row), so it
     puts weights y on probability vectors that sum to the zero vector,
     and with y_t >= 0 too they would all be zero; so y_t < 0, and the
-    ray divided by -y_t is such a combination.  The blocks of first,
-    types the caller found to be combinations (point indices of the
-    belief set), are solved first, one at a time in index order, up to
-    the first unbounded one; only if none is unbounded are the others
-    solved.  Status and certificate are those of solving every block in
-    index order, unless a block outside first with a lower index is
+    ray divided by -y_t is such a combination.  The blocks of the types
+    that the table's belief set already knows to be combinations
+    (known_combinations: classify_type asks is_extreme of every type it
+    fails) are solved first, one at a time in index order, up to the
+    first unbounded one; only if none is unbounded are the others solved.
+    Status and certificate are those of solving every block in index
+    order, unless a block of another type with a lower index is
     unbounded, which would contradict that type's exposure certificate
     numerically.  iterations counts the pivots of the blocks solved.
     """
-    first = sorted({tab.belief_set().check_index(t) for t in first})
+    first = known_combinations(tab.belief_set())
     m, S = tab.n_types, tab.state_count
     n = m + 1 + 2 * S
     layout = lp.LinearProgram(

@@ -268,6 +268,13 @@ def extreme_each(bset: FiniteBeliefSet, idx) -> None:
         bset._remember(("extreme", i), _hull_answer, sol, i, m)
 
 
+def known_combinations(bset: FiniteBeliefSet) -> list[int]:
+    """The points that is_extreme has already found to be convex
+    combinations of the others, in index order; solves nothing."""
+    return sorted(key[1] for key, answer in bset._memo.items()
+                  if key[0] == "extreme" and not answer[0])
+
+
 def _hull_answer(sol, i, m):
     """is_extreme's answer off point i's solved hull-membership LP."""
     if sol.status == lp.INFEASIBLE:

@@ -26,15 +26,18 @@ by Dantzig's rule, one numpy operation per step for all of them, and
 returns for each program exactly what solve() returns for it.  The rare
 rules (the unbounded test, parked columns and Bland's rule) live only in
 the single-tableau loop: a program that needs one leaves the lock step
-for that loop, and so does the last one running.  Both run one
-two-phase driver: solve() is solve_stack() on a stack of one program,
-which runs the single-tableau loop from the start.
+for that loop, and so does the last one running.  solve() is a stack of
+one program, which runs the single-tableau loop from the start.
 
 solve_chunks() is the loop of every family of many programs: the
-caller's fill writes each chunk's rows straight into buffers that the
-layout keeps next to its tableau, so no program object is built per
-program and the chunks reuse one set of arrays; solve_stack() solves
-each chunk, and the answers come in program order.
+caller's fill writes each chunk's rows straight into buffers of the
+call's workspace, next to its tableau, so no program object is built per
+program and the chunks reuse one set of arrays; the driver solves each
+chunk, and the answers come in program order.
+
+All three run one two-phase driver, _solve_stack(), each with a
+workspace of its own call: a LinearProgram holds no solver state, so
+solves on one layout never share a buffer, nested or from two threads.
 """
 
 from __future__ import annotations
@@ -216,15 +219,14 @@ def _columns(lp: LinearProgram) -> _Columns:
 
 
 class _Workspace:
-    """The arrays that the solves on one layout reuse: its canonical
-    column layout, worked out on first use, and float buffers (the
-    tableau, the pivot scratch and the cost rows, and solve_chunks' rows,
-    objectives and rhs), each grown to the largest stack asked for.  A
-    buffer's contents are whatever the last solve left, so every user
-    writes what it reads.  solve_stack keeps the workspace on its layout
-    program between calls, so the chunks of one family reuse the pages
-    of the first and the family frees them with its layout; solve()
-    takes a fresh one."""
+    """The arrays that the solves of one call reuse: the layout's
+    canonical column layout, worked out on first use, and float buffers
+    (the tableau, the pivot scratch and the cost rows, and solve_chunks'
+    rows, objectives and rhs), each grown to the largest stack asked for.
+    A buffer's contents are whatever the last solve left, so every user
+    writes what it reads.  Each call of solve, solve_stack and
+    solve_chunks takes a fresh one, so the chunks of one family reuse the
+    pages of the first and free them when the call ends."""
 
     def __init__(self):
         self.columns = None
@@ -260,27 +262,19 @@ class _Canonical:
         return self.costs[..., :self.n_struct]
 
 
-def _canonicalize(lp: LinearProgram, rows=None, objective=None, rhs=None,
-                  ws=None):
-    """The canonical system of lp, written straight into the simplex work
-    matrix T (see _Stack); A is a view of it, so A changes as T pivots.
-    T and the cost row are buffers of the workspace ws (a fresh one when
-    None), which also keeps lp's column layout.
+def _canonicalize(lp: LinearProgram, rows, objective, rhs, ws):
+    """The canonical system of the stack of programs with lp's layout,
+    written straight into the simplex work matrix T (see _Stack); A is a
+    view of it, so A changes as T pivots.  T and the cost row are buffers
+    of the workspace ws, which also keeps lp's column layout.
 
-    rows (B, m, n) and objective (B, n) stack B programs that share lp's
-    relations, free variables and sense, and its rhs unless rhs (B, m)
-    gives each program its own; T, A, b, costs and scale then carry a
-    leading batch axis and every other field is shared.  A stack whose
-    programs need different row flips (a scaled rhs that underflows to
-    -0.0 in some programs only, or rhs of different signs) has no shared
-    layout: None.
+    rows (B, m, n), objective (B, n) and rhs (B, m) stack B programs that
+    share lp's relations, free variables and sense; T, A, b, costs and
+    scale carry the leading batch axis and every other field is shared.
+    A stack whose programs need different row flips (a scaled rhs that
+    underflows to -0.0 in some programs only, or rhs of different signs)
+    has no shared layout: None.
     """
-    if rows is None:
-        rows, objective = lp.rows, lp.objective
-    if rhs is None:
-        rhs = lp.rhs
-    if ws is None:
-        ws = _Workspace()
     if ws.columns is None:
         ws.columns = _columns(lp)
     cols = ws.columns
@@ -373,7 +367,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     """Classify and solve an LP; see LpSolution for certificate layout."""
     if not isinstance(lp, LinearProgram):
         raise MalformedProgram("expected a LinearProgram")
-    return _solve_stack(lp, lp.rows[None], lp.objective[None], None,
+    return _solve_stack(lp, lp.rows[None], lp.objective[None], lp.rhs[None],
                         _Workspace())[0]
 
 
@@ -644,9 +638,6 @@ def solve_stack(layout: LinearProgram, rows, objectives,
     rule, and the last one running, so a family costs about as many numpy
     calls as its slowest member alone, and its tail no more than that
     member's.
-
-    layout keeps its workspace (_Workspace) between calls, for the
-    chunks of its family (solve_chunks); no answer is a view of it.
     """
     if not isinstance(layout, LinearProgram):
         raise MalformedProgram("expected a LinearProgram layout")
@@ -654,44 +645,37 @@ def solve_stack(layout: LinearProgram, rows, objectives,
     objectives = np.asarray(objectives, dtype=float)
     m, n = layout.n_constraints, layout.n_vars
     B = rows.shape[0] if rows.ndim == 3 else -1
-    if rhs is not None:
-        rhs = np.asarray(rhs, dtype=float)
+    rhs = (np.broadcast_to(layout.rhs, (*rows.shape[:1], m)) if rhs is None
+           else np.asarray(rhs, dtype=float))
     if (rows.shape != (B, m, n) or objectives.shape != (B, n)
-            or rhs is not None and rhs.shape != (B, m)):
+            or rhs.shape != (B, m)):
         raise MalformedProgram(
             f"rows {rows.shape}, objectives {objectives.shape} and rhs "
-            f"{None if rhs is None else rhs.shape} do not stack programs "
-            f"of {m} constraints and {n} variables")
-    if not (np.isfinite(rows).all() and np.isfinite(objectives).all()
-            and (rhs is None or np.isfinite(rhs).all())):
-        raise MalformedProgram("non-finite data")
+            f"{rhs.shape} do not stack programs of {m} constraints and "
+            f"{n} variables")
     if not B:
         return []
-    # taken off the layout while in use, so that solves on one layout
-    # that overlap (from two threads) never share a workspace
-    ws = vars(layout).pop("_workspace", None) or _Workspace()
-    try:
-        return _solve_stack(layout, rows, objectives, rhs, ws)
-    finally:
-        layout._workspace = ws
+    return _solve_stack(layout, rows, objectives, rhs, _Workspace())
 
 
 def solve_chunks(layout: LinearProgram, count: int, chunk: int, fill):
-    """Solve count programs on layout, chunk programs per solve_stack
-    call, and yield their LpSolutions in program order.
+    """Solve count programs on layout, chunk programs per driver call,
+    and yield their LpSolutions in program order.
 
     fill(lo, hi, rows, objectives, rhs) writes programs lo to hi - 1 into
     arrays of shapes (hi - lo, m, n), (hi - lo, n) and (hi - lo, m): all
     their rows, and their objectives and rhs where they are not layout's,
     which the arrays hold when fill is called.  The arrays are buffers of
-    layout's workspace, reused by every chunk and every later call on
-    layout; no answer is a view of them.  solve_stack is looked up at each
-    call.  A chunk is filled once every answer of the one before it is
-    taken, so a caller may keep per-chunk state, and one that stops early
-    leaves layout as it was.
+    the call's own workspace, reused by every chunk of the call; no
+    answer is a view of them, and a fill may run other solves on layout.
+    A chunk is filled once every answer of the one before it is taken, so
+    a caller may keep per-chunk state.  Raises ValueError, before any
+    fill, unless count >= 0 and chunk >= 1.
     """
+    if count < 0 or chunk < 1:
+        raise ValueError(f"cannot solve {count} programs {chunk} at a time")
     m, n = layout.n_constraints, layout.n_vars
-    ws = vars(layout).setdefault("_workspace", _Workspace())
+    ws = _Workspace()
     for lo in range(0, count, chunk):
         hi = min(lo + chunk, count)
         rows = ws.take("rows", (hi - lo, m, n))
@@ -700,20 +684,25 @@ def solve_chunks(layout: LinearProgram, count: int, chunk: int, fill):
         objectives[:] = layout.objective
         rhs[:] = layout.rhs
         fill(lo, hi, rows, objectives, rhs)
-        yield from solve_stack(layout, rows, objectives, rhs)
+        yield from _solve_stack(layout, rows, objectives, rhs, ws)
 
 
 def _solve_stack(layout, rows, objectives, rhs, ws):
-    """The two-phase simplex on checked arrays, in the workspace ws; see
-    solve_stack.  No answer is a view of ws."""
+    """The two-phase simplex on a nonempty stack of the shapes that
+    solve_stack checks, in the workspace ws; see solve_stack.  solve,
+    solve_stack and solve_chunks all call it by its module name, and the
+    row-flip fallback calls it again once per program.  No answer is a
+    view of ws."""
+    if not (np.isfinite(rows).all() and np.isfinite(objectives).all()
+            and np.isfinite(rhs).all()):
+        raise MalformedProgram("non-finite data")
     canon = _canonicalize(layout, rows, objectives, rhs, ws)
     if canon is None:
         # no shared row flips: each program alone, and a stack of one
         # always has a shared layout
         return [sol for k in range(len(rows))
-                for sol in _solve_stack(
-                    layout, rows[k:k + 1], objectives[k:k + 1],
-                    None if rhs is None else rhs[k:k + 1], ws)]
+                for sol in _solve_stack(layout, rows[k:k + 1],
+                                        objectives[k:k + 1], rhs[k:k + 1], ws)]
     B, m, ncols = canon.A.shape
     has_art = canon.art_cols >= 0
     # the artificial columns come last: [n_real, ncols)

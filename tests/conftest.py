@@ -15,45 +15,48 @@ class Solve(NamedTuple):
     callers: tuple[str, ...]     # function names on the stack, innermost first
 
 
-def _callers():
-    """Function names on the stack of the recorded call, innermost first."""
-    callers = []
+def _callers(driver):
+    """Function names on the stack of the recorded call, innermost first,
+    or None if the call is not the library's own: it comes from inside
+    driver (its row-flip fallback), or no surplex module but lp is on
+    the stack (a test's own reference solve)."""
+    callers, library = [], False
     frame = sys._getframe(2)
     while frame is not None:
+        if frame.f_code is driver.__code__:
+            return None
+        module = frame.f_globals.get("__name__", "")
+        library |= module.startswith("surplex.") and module != lp.__name__
         callers.append(frame.f_code.co_name)
         frame = frame.f_back
-    return tuple(callers)
+    return tuple(callers) if library else None
 
 
 @pytest.fixture
 def recorded_programs():
-    """Every program the test solves, in order, as a list of Solve: one
-    per lp.solve call and one per program of an lp.solve_stack call,
-    each with the stack of the call that solved it.  A stacked program
-    is rebuilt here, as the LinearProgram of its layout with copies of its
-    own rows, objective and, when the call gives them, right-hand sides:
+    """Every program the library solves while the test runs, in order, as
+    a list of Solve, each with the stack of the call that solved it.  The
+    recorder patches lp._solve_stack, the driver that every solve passes
+    through, and records each program once: not again when the driver's
+    row-flip fallback solves it alone, and not the test's own reference
+    solves.  A program is rebuilt here, as the LinearProgram of its
+    layout with copies of its own rows, objective and right-hand sides:
     callers refill their stacked arrays chunk after chunk.  (The program
     copies its rows and rhs; its objective is copied here.)"""
     seen = []
-    solve, solve_stack = lp.solve, lp.solve_stack
+    driver = lp._solve_stack
 
-    def record(prog):
-        sol = solve(prog)
-        seen.append(Solve(prog, sol, _callers()))
-        return sol
-
-    def record_stack(layout, rows, objectives, rhs=None):
-        sols = solve_stack(layout, rows, objectives, rhs)
-        callers = _callers()
-        each_rhs = [None] * len(sols) if rhs is None else rhs
-        seen.extend(Solve(layout.with_rows(program_rows,
-                                           np.array(objective), b),
-                          sol, callers)
-                    for program_rows, objective, b, sol
-                    in zip(rows, objectives, each_rhs, sols))
+    def record(layout, rows, objectives, rhs, ws):
+        sols = driver(layout, rows, objectives, rhs, ws)
+        callers = _callers(driver)
+        if callers is not None:
+            seen.extend(Solve(layout.with_rows(program_rows,
+                                               np.array(objective), b),
+                              sol, callers)
+                        for program_rows, objective, b, sol
+                        in zip(rows, objectives, rhs, sols))
         return sols
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lp, "solve", record)
-        patch.setattr(lp, "solve_stack", record_stack)
+        patch.setattr(lp, "_solve_stack", record)
         yield seen

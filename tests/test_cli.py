@@ -662,11 +662,12 @@ def test_preset_builds_each_grid_and_belief_set_once(tmp_path, monkeypatch,
 
 def test_stacked_solves_write_the_bytes_of_single_solves(tmp_path,
                                                          monkeypatch):
-    """report.json and every CSV are byte-equal whether lp.solve_stack
-    stacks its programs or hands each to lp.solve: on the preset, the
-    preset at epsilon 0.02, the virtual and compress tasks on grid 201,
-    the duality curve at 65 and tables 0-3.  Each report.json is also the
-    stdlib encoder's text of the report run_scenario returns."""
+    """report.json and every CSV are byte-equal whether the LP driver
+    stacks its programs or solves each alone, as lp.solve does: on the
+    preset, the preset at epsilon 0.02, the virtual and compress tasks on
+    grid 201, the duality curve at 65 and tables 0-3.  Each report.json
+    is also the stdlib encoder's text of the report run_scenario
+    returns."""
     curve = counterexample_preset()
     curve.update(tasks=["duality"], duality_grid=65)
     fine = counterexample_preset()
@@ -688,10 +689,14 @@ def test_stacked_solves_write_the_bytes_of_single_solves(tmp_path,
                 for path in sorted(root.rglob("*")) if path.is_file()}
 
     stacked = outputs(tmp_path / "stacked")
-    monkeypatch.setattr(
-        lp, "solve_stack", lambda layout, rows, objectives, rhs=None: [
-            lp.solve(layout.with_rows(r, c, None if rhs is None else rhs[k]))
-            for k, (r, c) in enumerate(zip(rows, objectives))])
+    driver = lp._solve_stack
+
+    def alone(layout, rows, objectives, rhs, ws):
+        programs = map(layout.with_rows, rows, objectives, rhs)
+        return [driver(p, p.rows[None], p.objective[None], p.rhs[None],
+                       lp._Workspace())[0] for p in programs]
+
+    monkeypatch.setattr(lp, "_solve_stack", alone)
     single = outputs(tmp_path / "single")
     # reports; preset, epsilon 0.02 and grid 201 CSVs; curve CSVs
     assert len(stacked) == 8 + 3 * 3 + 2

@@ -28,7 +28,7 @@ from surplex.extraction import (
     verify_menu,
     virtual_extraction_menu,
 )
-from surplex.geometry import is_extreme
+from surplex.geometry import extreme_each, is_extreme, known_combinations
 from surplex.models import (
     ParametricModel,
     TabularModel,
@@ -324,80 +324,59 @@ def assert_same_full_answer(got, want, iterations=True):
 def test_stacked_full_blocks_match_single_blocks(tab, monkeypatch):
     """Stacked, full_extraction_lp gives the index-order loop's answer bit
     for bit, and its pivot count too when it solves every block (a
-    feasible table); first, the types with a witness, leaves the answer
-    as it is; and no block is solved through lp.solve."""
+    feasible table); solving first the blocks of the types the belief set
+    knows to be combinations leaves the answer as it is; and no block is
+    solved through lp.solve."""
     ref, ref_menu, _ = full_blocks_one_by_one(tab)
     singles = []
     solve = lp.solve
     monkeypatch.setattr(lp, "solve",
                         lambda prog: singles.append(prog) or solve(prog))
     feasible = ref.status == lp.OPTIMAL
+    assert not known_combinations(tab.belief_set())
     assert_same_full_answer(full_extraction_lp(tab), (ref, ref_menu),
                             iterations=feasible)
-    bset = tab.belief_set()
-    witnessed = [i for i in range(tab.n_types)
-                 if not is_extreme(bset, i)[0]]
-    assert_same_full_answer(full_extraction_lp(tab, first=witnessed),
-                            (ref, ref_menu), iterations=feasible)
+    extreme_each(tab.belief_set(), range(tab.n_types))
+    assert_same_full_answer(full_extraction_lp(tab), (ref, ref_menu),
+                            iterations=feasible)
     assert not singles
 
 
 def test_full_lp_solves_first_blocks_alone_up_to_an_unbounded_one():
-    """Table 0 has two or more unbounded blocks.  With first in any order,
-    its blocks are solved in index order and the first unbounded one ends
-    the solve, so only the blocks solved count their pivots; a first that
-    skips the lowest unbounded block gives the certificate of the block it
-    reaches, which is the joint program's Farkas certificate too."""
+    """Table 0 has two or more unbounded blocks.  Once its belief set
+    knows its convex combinations, asked in any order, their blocks are
+    solved in index order and the first unbounded one ends the solve, so
+    only the blocks solved count their pivots; a set that knows only a
+    combination past the lowest unbounded block gives the certificate of
+    the block it reaches, which is the joint program's Farkas
+    certificate too."""
     tab = random_tabular(0, 40, 6)
     ref, _, blocks = full_blocks_one_by_one(tab, stop=False)
     unbounded = [t for t, b in enumerate(blocks) if b.status == lp.UNBOUNDED]
     assert len(unbounded) >= 2
-    witnessed = [i for i in range(tab.n_types)
-                 if not is_extreme(tab.belief_set(), i)[0]]
+    bset = tab.belief_set()
+    extreme_each(bset, range(tab.n_types - 1, -1, -1))
+    witnessed = known_combinations(bset)
+    assert witnessed == [i for i in range(tab.n_types)
+                         if not is_extreme(bset, i)[0]]
     assert set(unbounded) <= set(witnessed)
 
-    sol, menu = full_extraction_lp(tab, first=witnessed[::-1])
+    sol, menu = full_extraction_lp(tab)
     assert_same_full_answer((sol, menu), (ref, None), iterations=False)
     bounded = [t for t in witnessed if t < unbounded[0]]
     assert sol.iterations == sum(blocks[t].iterations
                                  for t in bounded + unbounded[:1])
 
     t = unbounded[1]
-    sol, menu = full_extraction_lp(tab, first=[t])
+    tab = random_tabular(0, 40, 6)
+    extreme_each(tab.belief_set(), [t])
+    assert known_combinations(tab.belief_set()) == [t]
+    sol, menu = full_extraction_lp(tab)
     assert sol.status == lp.INFEASIBLE and menu is None
     assert sol.iterations == blocks[t].iterations
     assert np.flatnonzero(sol.duals[:tab.n_types]).tolist() == [t]
     rep = lp.check_certificate(full_extraction_lp_program(tab), sol)
     assert rep.passed, rep
-
-
-@pytest.mark.parametrize("tab, first, error", [
-    (random_tabular(0, 40, 6), [-1], IndexError),
-    (random_tabular(0, 40, 6), [0, 40], IndexError),
-    (random_tabular(0, 40, 6), [2.5], TypeError),
-    (random_tabular(0, 40, 6), [True], TypeError),
-    (random_tabular(3, 5, 6), [9], IndexError),
-    (random_tabular(3, 5, 6), ["T1"], TypeError)],
-    ids=["negative", "past_the_end", "float", "bool", "past_five", "label"])
-def test_full_lp_checks_first_before_it_solves(tab, first, error,
-                                               monkeypatch):
-    """Every entry of first must be a type index, checked as point
-    indices are, before any block is solved."""
-    stacks = []
-    stack = lp.solve_stack
-    monkeypatch.setattr(lp, "solve_stack",
-                        lambda *args: stacks.append(args) or stack(*args))
-    with pytest.raises(error, match="index"):
-        full_extraction_lp(tab, first=first)
-    assert not stacks
-
-
-def test_full_lp_takes_numpy_integers_in_first():
-    tab = random_tabular(0, 40, 6)
-    t = next(i for i in range(tab.n_types)
-             if not is_extreme(tab.belief_set(), i)[0])
-    assert_same_full_answer(full_extraction_lp(tab, first=[np.int64(t)]),
-                            full_extraction_lp(tab, first=[t]))
 
 
 def test_full_lp_planted_infeasible_sample():
@@ -540,20 +519,20 @@ def test_preset_stacks_its_virtual_separators(recorded_programs,
     ceil(99 / SEPARATOR_CHUNK) lock-step calls and none through lp.solve;
     recorded_programs sees each of the 99 programs."""
     sizes, singles = [], []
-    solve, stack = lp.solve, lp.solve_stack
+    solve, stack = lp.solve, lp._solve_stack
 
     def count_solve(prog):
         if _separating():
             singles.append(prog)
         return solve(prog)
 
-    def count_stack(layout, rows, objectives, rhs=None):
+    def count_stack(layout, rows, objectives, rhs, ws):
         if _separating():
             sizes.append(len(rows))
-        return stack(layout, rows, objectives, rhs)
+        return stack(layout, rows, objectives, rhs, ws)
 
     monkeypatch.setattr(lp, "solve", count_solve)
-    monkeypatch.setattr(lp, "solve_stack", count_stack)
+    monkeypatch.setattr(lp, "_solve_stack", count_stack)
     model = cli.build_model(cli.counterexample_preset()["model"])
     virtual_extraction_menu(model, 0.05, 101)
     assert len(sizes) == math.ceil(99 / SEPARATOR_CHUNK)
@@ -565,9 +544,10 @@ def test_preset_stacks_its_virtual_separators(recorded_programs,
 
 def test_preset_separator_chunks_pivot_in_one_tableau(monkeypatch):
     """The preset's separator chunks are all solved in one tableau buffer
-    and one pivot scratch buffer, which the layout their family shares
-    keeps from chunk to chunk.  The spy holds every array it sees, so
-    arrays allocated per chunk could not share an address."""
+    and one pivot scratch buffer, which the workspace of their one
+    lp.solve_chunks call keeps from chunk to chunk.  The spy holds every
+    array it sees, so arrays allocated per chunk could not share an
+    address."""
     seen = []
     init = lp._Stack.__init__
 
@@ -686,6 +666,21 @@ def test_compress_rejects_menu_without_types(curve, curve_menu):
     with pytest.raises(ValueError, match="menu.ts is None") as err:
         compress_menu(curve, relabeled, 0.05, 201)
     assert not isinstance(err.value, InputMenuFails)
+
+
+def test_menu_keeps_ts_given_as_a_list(curve, curve_menu):
+    """A menu given its ts as a list keeps a float array of its own, which
+    to_jsonable and compress_menu read as they read a grid's ts."""
+    menu, _ = curve_menu
+    ts = menu.ts.tolist()
+    listed = Menu(menu.entries, ts=ts)
+    ts[0] = 0.5
+    assert listed.ts.dtype == float
+    assert listed.ts.tobytes() == menu.ts.tobytes()
+    assert listed.to_jsonable() == menu.to_jsonable()
+    assert (compress_menu(curve, listed, 0.05, 201).to_jsonable()
+            == compress_menu(curve, menu, 0.05, 201).to_jsonable())
+    assert Menu(menu.entries[:2], ts=[0, 1]).ts.tolist() == [0.0, 1.0]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from surplex.geometry import (
     extreme_each,
     face_of,
     is_extreme,
+    known_combinations,
     prob_vector,
 )
 from surplex.models import (
@@ -420,7 +421,7 @@ def test_separation_lp_matches_primal_oracle():
 
 def case1_family():
     """The separation LP _case1_terms solves for the curve type t = 0.3,
-    read back off the rows it hands to lp.solve_stack (the 1,001-point
+    read back off the rows it hands to lp._solve_stack (the 1,001-point
     certification grid of a 101-point construction grid), as the
     _separation_lp arguments (points, zero, floor, margin): the points
     stacked zero, floor, margin, and the index array of each family."""
@@ -428,14 +429,14 @@ def case1_family():
     cert = sample(model, 1001)
     t, eps = 0.3, 0.05
     seen = []
-    solve_stack = lp.solve_stack
+    solve_stack = lp._solve_stack
 
-    def spy(layout, rows, objectives, rhs=None):
+    def spy(layout, rows, objectives, rhs, ws):
         seen.append(np.array(rows))
-        return solve_stack(layout, rows, objectives, rhs)
+        return solve_stack(layout, rows, objectives, rhs, ws)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lp, "solve_stack", spy)
+        patch.setattr(lp, "_solve_stack", spy)
         extraction._case1_terms(
             model.beliefs(t), model.values(t), np.array([t]), cert,
             eps / (2.0 * model.lipschitz_v), eps)
@@ -611,3 +612,25 @@ def test_extreme_each_matches_single_hull_membership_lps(monkeypatch):
             kinds.add(extreme)
         assert not singles
     assert kinds == {True, False}
+
+
+def test_known_combinations_lists_the_remembered_witnesses(monkeypatch):
+    """known_combinations names, in index order, the points that
+    is_extreme has already found inside the hull of the others, and
+    solves no LP to do so."""
+    tab, planted, _ = planted_combination_instance(7, 6, 8)
+    bset = tab.belief_set()
+    solves = []
+    stack = lp._solve_stack
+    monkeypatch.setattr(lp, "_solve_stack",
+                        lambda *args: solves.append(args) or stack(*args))
+    assert known_combinations(bset) == []
+    extreme_each(bset, [planted, 0])
+    assert is_extreme(bset, 0)[0] and not is_extreme(bset, planted)[0]
+    solved = len(solves)
+    assert known_combinations(bset) == [planted]
+    extreme_each(bset, range(len(bset)))
+    assert known_combinations(bset) == [
+        i for i in range(len(bset)) if not is_extreme(bset, i)[0]]
+    assert planted in known_combinations(bset)
+    assert len(solves) == solved + 1

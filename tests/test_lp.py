@@ -396,7 +396,8 @@ def test_canonical_columns_match_per_variable_reference():
                 for k in range(m)]
         prog = boxed_program(rng.normal(size=n), cons, box,
                              sense=["min", "max"][int(rng.integers(2))])
-        canon = _canonicalize(prog)
+        canon = _canonicalize(prog, prog.rows, prog.objective, prog.rhs,
+                              lp._Workspace())
 
         cols, col = [], 0
         for free in prog.free:
@@ -926,15 +927,15 @@ def virtual_separators():
     program's reference_solve answer."""
     model = cli.build_model(cli.counterexample_preset()["model"])
     parts = []
-    stack = lp.solve_stack
+    stack = lp._solve_stack
 
-    def spy(layout, rows, objectives, rhs=None):
+    def spy(layout, rows, objectives, rhs, ws):
         if _called_from("_case1_terms"):
             parts.append((layout, np.array(rows), np.array(objectives)))
-        return stack(layout, rows, objectives, rhs)
+        return stack(layout, rows, objectives, rhs, ws)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lp, "solve_stack", spy)
+        patch.setattr(lp, "_solve_stack", spy)
         virtual_extraction_menu(model, 0.05, 101)
     layout = parts[0][0]
     rows = np.concatenate([r for _, r, _ in parts])
@@ -965,7 +966,7 @@ def test_solve_stack_matches_reference_on_virtual_separators(
         objectives = np.broadcast_to(objectives[0], objectives.shape)
     stacked = []
 
-    def no_shared_layout(prog, rows, objective, rhs=None, ws=None):
+    def no_shared_layout(prog, rows, objective, rhs, ws):
         if len(rows) == 1:
             return _canonicalize(prog, rows, objective, rhs, ws)
         stacked.append(len(rows))
@@ -1191,14 +1192,15 @@ def test_solve_all_solves_alone_when_row_flips_differ():
     rows = np.stack([p.rows for p in progs])
     objectives = np.stack([p.objective for p in progs])
     rhs = np.stack([p.rhs for p in progs])
-    assert _canonicalize(progs[0], rows, objectives, rhs) is None
-    assert _canonicalize(progs[0], rows[::2], objectives[::2],
-                         rhs[::2]) is not None
+    assert _canonicalize(progs[0], rows, objectives, rhs,
+                         lp._Workspace()) is None
+    assert _canonicalize(progs[0], rows[::2], objectives[::2], rhs[::2],
+                         lp._Workspace()) is not None
     assert _assert_stack_bit_identical(progs) == [OPTIMAL] * 4
 
 
 # ---------------------------------------------------------------------------
-# the workspace a layout keeps between solve_stack calls
+# the workspace of one call, which its chunks share
 
 def _answer_bytes(sol):
     """sol's status, iterations and every number it holds, as bytes."""
@@ -1207,20 +1209,23 @@ def _answer_bytes(sol):
         None if p is None else np.asarray(p).tobytes() for p in parts]
 
 
-def _workspace_buffers(layout):
-    return dict(layout._workspace._buffers)
+def _aliases(sol, buffers):
+    """Whether a vector of sol shares memory with one of buffers."""
+    return any(np.shares_memory(part, buf) for buf in buffers
+               for part in (sol.primal, sol.duals, sol.ray)
+               if part is not None)
 
 
-def test_chunks_on_one_layout_reuse_its_workspace_without_aliasing():
-    """Chunks of one family solved on one layout, larger after smaller
-    and smaller after larger, one with more artificial columns (a
-    flipped "<=" row) and one through the row-flip fallback, with
-    optimal, infeasible and unbounded programs among them.  Each answer
-    still holds the bytes it was returned with after every later chunk
-    ran, and shares no memory with the workspace; each equals bit for bit
-    the answer of its chunk on a fresh layout, and of solve() alone.  The
-    buffers grow for a larger chunk and are the same arrays for a smaller
-    one."""
+def test_chunks_of_one_call_share_its_buffers_without_aliasing():
+    """Chunks of one family solved in one workspace, as the chunks of a
+    solve_chunks call are: larger after smaller and smaller after
+    larger, one with more artificial columns (a flipped "<=" row) and one
+    through the row-flip fallback, with optimal, infeasible and unbounded
+    programs among them.  Each answer still holds the bytes it was
+    returned with after every later chunk ran, and shares no memory with
+    the workspace; each equals bit for bit the answer of its chunk in a
+    fresh workspace (solve_stack), and of solve() alone.  The buffers
+    grow for a larger chunk and are the same arrays for a smaller one."""
     rng = np.random.default_rng(5)
     programs = shared_layout_stack(rng, 40)
     layout = programs[0]
@@ -1231,18 +1236,18 @@ def test_chunks_on_one_layout_reuse_its_workspace_without_aliasing():
     rhs[20:30:2, 3] = -6.0          # flips in half a chunk: the fallback
     chunks = [slice(0, 3), slice(3, 15), slice(15, 20), slice(20, 30),
               slice(30, 40)]
+    ws = lp._Workspace()
     answers, snapshots = [], []
     for part in chunks:
-        before = (_workspace_buffers(layout)
-                  if hasattr(layout, "_workspace") else {})
-        got = solve_stack(layout, rows[part], objectives[part], rhs[part])
-        after = _workspace_buffers(layout)
+        before = dict(ws._buffers)
+        got = lp._solve_stack(layout, rows[part], objectives[part],
+                              rhs[part], ws)
+        after = dict(ws._buffers)
         if part == slice(15, 20):   # smaller than the chunk before
             assert all(after[k] is before[k] for k in before)
         if part == slice(3, 15):    # larger than the chunk before
             assert any(after[k].size > before[k].size for k in before)
-        fresh = layout.with_rows(layout.rows, layout.objective)
-        ref = solve_stack(fresh, rows[part], objectives[part], rhs[part])
+        ref = solve_stack(layout, rows[part], objectives[part], rhs[part])
         for k, sol, want in zip(range(part.start, part.stop), got, ref):
             _assert_same_solution(sol, want)
             _assert_same_solution(sol, solve(layout.with_rows(
@@ -1253,11 +1258,7 @@ def test_chunks_on_one_layout_reuse_its_workspace_without_aliasing():
     assert {sol.status for sol in answers} == {OPTIMAL, INFEASIBLE,
                                                UNBOUNDED}
     assert [_answer_bytes(sol) for sol in answers] == snapshots
-    buffers = _workspace_buffers(layout).values()
-    for sol in answers:
-        for part in (sol.primal, sol.duals, sol.ray):
-            if part is not None:
-                assert not any(np.shares_memory(part, buf) for buf in buffers)
+    assert not any(_aliases(sol, ws._buffers.values()) for sol in answers)
 
 
 # ---------------------------------------------------------------------------
@@ -1293,13 +1294,19 @@ def chunk_family():
 def test_solve_chunks_gives_each_program_its_solve_answer(chunk,
                                                           monkeypatch):
     """Whatever the chunk, each program gets solve()'s answer bit for bit,
-    in program order, from one solve_stack call per chunk, which
-    solve_chunks looks up in the module as it calls it."""
+    in program order, from one _solve_stack call per chunk, which
+    solve_chunks looks up in the module as it calls it (the driver's
+    row-flip fallback calls it again, per program of a chunk)."""
     layout, fill, chunks, refs = chunk_family()
     calls = []
-    stack = lp.solve_stack
-    monkeypatch.setattr(lp, "solve_stack",
-                        lambda *args: calls.append(args) or stack(*args))
+    stack = lp._solve_stack
+
+    def spy(*args):
+        if sys._getframe(1).f_code is lp.solve_chunks.__code__:
+            calls.append(args)
+        return stack(*args)
+
+    monkeypatch.setattr(lp, "_solve_stack", spy)
     got = list(lp.solve_chunks(layout, len(refs), chunk, fill))
     bounds = [(lo, min(lo + chunk, len(refs)))
               for lo in range(0, len(refs), chunk)]
@@ -1311,44 +1318,81 @@ def test_solve_chunks_gives_each_program_its_solve_answer(chunk,
 
 
 def test_solve_chunks_reuses_its_buffers_without_aliasing():
-    """Two calls on one layout fill their chunks into one rows buffer,
-    the smaller last chunk too, and no answer shares memory with the
-    layout's workspace; the second call's answers equal the first's."""
+    """A call fills all its chunks into one rows buffer of its workspace,
+    the smaller last chunk too, and no answer shares memory with that
+    workspace.  The layout holds no solver state: its attributes are the
+    same after solve_chunks, solve_stack and solve on it, and a second call
+    gives the first one's answers."""
     layout, fill, chunks, refs = chunk_family()
-    first = list(lp.solve_chunks(layout, len(refs), 5, fill))
+    state = {k: id(v) for k, v in vars(layout).items()}
+    spaces = []
+    stack = lp._solve_stack
+
+    def spy(layout, rows, objectives, rhs, ws):
+        spaces.append(ws)
+        return stack(layout, rows, objectives, rhs, ws)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "_solve_stack", spy)
+        first = list(lp.solve_chunks(layout, len(refs), 5, fill))
     snapshots = [_answer_bytes(sol) for sol in first]
-    second = list(lp.solve_chunks(layout, len(refs), 5, fill))
-    assert [hi - lo for lo, hi, _ in chunks] == [5, 5, 2] * 2
+    assert [hi - lo for lo, hi, _ in chunks] == [5, 5, 2]
     assert len({buf.__array_interface__["data"][0]
                 for _, _, buf in chunks}) == 1
-    buffers = _workspace_buffers(layout)
-    assert np.shares_memory(chunks[0][2], buffers["rows"])
-    for sol in first + second:
-        for part in (sol.primal, sol.duals, sol.ray):
-            if part is not None:
-                assert not any(np.shares_memory(part, buf)
-                               for buf in buffers.values())
+    ws, = set(spaces)
+    assert np.shares_memory(chunks[0][2], ws._buffers["rows"])
+    assert not any(_aliases(sol, ws._buffers.values()) for sol in first)
+    second = list(lp.solve_chunks(layout, len(refs), 5, fill))
+    solve_stack(layout, layout.rows[None], layout.objective[None])
+    solve(layout)
+    assert {k: id(v) for k, v in vars(layout).items()} == state
     assert [_answer_bytes(sol) for sol in first] == snapshots
     assert [_answer_bytes(sol) for sol in second] == snapshots
     for sol, ref in zip(second, refs):
         _assert_same_solution(sol, ref)
 
 
-def test_solve_chunks_stopped_early_leaves_the_workspace_in_place():
-    """A caller that takes the first answers of a chunk and stops leaves
-    the layout's workspace on the layout: a later call on it solves every
+def test_solve_chunks_stopped_early_resumes_after_another_call():
+    """A caller that takes the first answers of a chunk and stops keeps
+    its call's workspace: a later call on the layout solves every
     program, and the stopped iteration, resumed after that call, still
     gives the rest of its answers."""
     layout, fill, chunks, refs = chunk_family()
     stopped = lp.solve_chunks(layout, len(refs), 4, fill)
     head = [next(stopped) for _ in range(6)]
-    ws = layout._workspace
     for sol, ref in zip(head, refs):
         _assert_same_solution(sol, ref)
     for sol, ref in zip(lp.solve_chunks(layout, len(refs), 4, fill), refs):
         _assert_same_solution(sol, ref)
-    assert layout._workspace is ws
     for sol, ref in zip(stopped, refs[6:]):
         _assert_same_solution(sol, ref)
     assert len(chunks) == 2 + 3 + 1
-    assert layout._workspace is ws
+
+
+def test_nested_solve_chunks_keep_their_own_buffers():
+    """A fill that runs another solve_chunks call on the same layout,
+    after it writes its chunk, leaves that chunk as it wrote it: the
+    outer and the inner call give each program its own solve() answer."""
+    layout, fill, _, refs = chunk_family()
+    inner = []
+
+    def outer(lo, hi, rows, objectives, rhs):
+        fill(lo, hi, rows, objectives, rhs)
+        inner.extend(lp.solve_chunks(layout, len(refs), 4, fill))
+
+    got = list(lp.solve_chunks(layout, len(refs), 4, outer))
+    assert len(got) == len(refs) and len(inner) == 3 * len(refs)
+    for sol, ref in zip(got + inner, refs * 4):
+        _assert_same_solution(sol, ref)
+
+
+@pytest.mark.parametrize("count, chunk", [(3, 0), (3, -1), (-2, 1),
+                                          (-1, 0)])
+def test_solve_chunks_rejects_a_bad_count_or_chunk(count, chunk):
+    """A negative count or a chunk below 1 raises before any fill runs,
+    rather than solving no program; a count of 0 solves none."""
+    layout, fill, chunks, _ = chunk_family()
+    with pytest.raises(ValueError, match="at a time"):
+        list(lp.solve_chunks(layout, count, chunk, fill))
+    assert list(lp.solve_chunks(layout, 0, 1, fill)) == []
+    assert not chunks
