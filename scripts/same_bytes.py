@@ -64,6 +64,8 @@ CORPUS = {
     "classify_sweep": _curve(["classify", "sweep"],
                              sweep_grids=[9, 17, 33, 65, 129]),
     "virtual201": _curve(["virtual", "compress"], epsilon=0.05, grid=201),
+    # the bits of verify_menu on an 8,001-point grid
+    "virtual801": _curve(["virtual"], epsilon=0.05, grid=801),
     "polytope3": _table(3, 6, 8),
     "tabular7": _table(7, 5, 4),
     "eps1.5_grid11": _curve(["virtual", "compress"], epsilon=1.5, grid=11),

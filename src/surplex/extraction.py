@@ -485,13 +485,8 @@ def full_extraction_lp(tab: TabularModel):
     layout = lp.LinearProgram(
         np.zeros(n), [(np.zeros(n), lp.EQ, 0.0)] * S
         + [(np.zeros(n), lp.LE, 1.0)], sense="max")
-    blocks = {}
-    for t, block in zip(first, lp.solve_chunks(
-            layout, len(first), 1, _full_blocks(tab, first))):
-        blocks[t] = block
-        if block.status == lp.UNBOUNDED:
-            break
-    else:   # no block of first is unbounded: solve the others
+    blocks = _combination_blocks(tab, layout, first)
+    if all(b.status != lp.UNBOUNDED for b in blocks.values()):
         rest = [t for t in range(m) if t not in blocks]
         blocks.update(zip(rest, lp.solve_chunks(
             layout, len(rest), EXPOSE_CHUNK, _full_blocks(tab, rest))))
@@ -525,6 +520,18 @@ def full_extraction_lp(tab: TabularModel):
                         iterations=iterations)
     return sol, Menu([(lbl, Contract(c)) for lbl, c
                       in zip(tab.labels, contracts[:, :S])])
+
+
+def _combination_blocks(tab, layout, first):
+    """The full-extraction blocks of the types first, by type, solved one
+    at a time in that order up to the first unbounded one."""
+    blocks = {}
+    for t, block in zip(first, lp.solve_chunks(
+            layout, len(first), 1, _full_blocks(tab, first))):
+        blocks[t] = block
+        if block.status == lp.UNBOUNDED:
+            break
+    return blocks
 
 
 def _full_blocks(tab, ts):
@@ -866,10 +873,11 @@ def verify_menu(model, menu: Menu, grid_n, mode) -> ExtractionReport:
     """Evaluate all surpluses of a menu on a grid and pass judgment.
 
     mode is ("full",) or ("virtual", eps), eps finite and > 0 (else
-    ValueError).  Full requires |own| <= 1e-8 and cross <= 1e-8;
-    virtual requires own in [-1e-8, eps] and cross <= eps.  Parametric
-    verdicts additionally report the off-grid Lipschitz slack; it is
-    never silently asserted.
+    ValueError).  An empty menu, or a contract without one payment per
+    state of the model, is a ValueError too.  Full requires |own| <= 1e-8
+    and cross <= 1e-8; virtual requires own in [-1e-8, eps] and cross <=
+    eps.  Parametric verdicts additionally report the off-grid Lipschitz
+    slack; it is never silently asserted.
     """
     if isinstance(mode, str):
         mode = (mode,)
@@ -881,6 +889,13 @@ def verify_menu(model, menu: Menu, grid_n, mode) -> ExtractionReport:
         if not (math.isfinite(eps) and eps > 0.0):
             raise ValueError(f"virtual mode needs one finite eps > 0, "
                              f"got {mode!r}")
+    if not len(menu):
+        raise ValueError("cannot verify an empty menu")
+    S = model.state_count
+    for lbl, c in menu.entries:
+        if c.payments.shape != (S,):
+            raise ValueError(f"contract {lbl!r} has payments of shape "
+                             f"{c.payments.shape}, not one per state ({S})")
 
     P = menu.payments_matrix()
     tab, slack = model, 0.0
@@ -890,7 +905,9 @@ def verify_menu(model, menu: Menu, grid_n, mode) -> ExtractionReport:
         cmax = float(np.abs(P).max())
         slack = model.lipschitz_v * h + cmax * model.lipschitz_pi * h
     labels = list(tab.labels)
-    surplus = tab.values[:, None] - tab.beliefs @ P.T     # (types, entries)
+    # one (types, entries) matrix: the surpluses, then the cross ones
+    surplus = tab.beliefs @ P.T
+    np.subtract(tab.values[:, None], surplus, out=surplus)
     col_of = {lbl: j for j, (lbl, _) in enumerate(menu.entries)}
     rows = [i for i, lbl in enumerate(labels) if lbl in col_of]
     cols = [col_of[labels[i]] for i in rows]
@@ -898,9 +915,8 @@ def verify_menu(model, menu: Menu, grid_n, mode) -> ExtractionReport:
     own = np.full(len(labels), np.nan)
     own[rows] = surplus[rows, cols]
     best = surplus.max(axis=1)
-    others = surplus.copy()
-    others[rows, cols] = -np.inf
-    cross = others.max(axis=1)
+    surplus[rows, cols] = -np.inf
+    cross = surplus.max(axis=1)
 
     have_own = ~np.isnan(own)
     if mode[0] == FULL:

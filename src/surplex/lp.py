@@ -381,17 +381,30 @@ def _pivot(T, basis, r, q):
     basis[r] = q
 
 
-def _pivot_stack(T, basis, r, q, work):
+def _pivot_stack(T, basis, r, q, work, at=None):
     """Pivot each tableau T[k] on (r[k], q[k]): _pivot's arithmetic for
     every k at once, down to the signs of zeros.  work is scratch of T's
-    shape."""
-    at = np.arange(T.shape[0])
+    shape; at is np.arange(len(T)), if the caller holds one.
+
+    While three tableau rows fit in numpy's ufunc buffer (np.getbufsize()
+    elements), numpy buffers the outer product of two broadcasts and is
+    slow at it, so the pivot rows are copied into work and scaled there
+    in place: prow * factor where _pivot takes factor * prow, the same
+    bits, since IEEE multiplication is commutative down to the signs of
+    zeros.  Longer rows take the one-pass product, which is then cheaper
+    than two passes over work."""
+    if at is None:
+        at = np.arange(T.shape[0])
     prow = T[at, r]
-    prow /= T[at, r, q][:, None]
+    prow /= prow[at, q][:, None]
     T[at, r] = prow
     factors = T[at, :, q]
     factors[at, r] = 0.0
-    np.multiply(factors[:, :, None], prow[:, None, :], out=work)
+    if 3 * prow.shape[1] > np.getbufsize():
+        np.multiply(factors[:, :, None], prow[:, None, :], out=work)
+    else:
+        work[...] = prow[:, None, :]
+        work *= factors[:, :, None]
     np.subtract(T, work, out=T)
     basis[at, r] = q
 
@@ -514,7 +527,9 @@ class _Stack:
             ratios.fill(np.inf)
             np.divide(T[:k, :m, -1], col, out=ratios, where=pos)
             if m:
-                best = ratios[at[:k], ratios.argmin(axis=1)]
+                # a zero best may differ in sign from the entry argmin
+                # picks, which moves neither near nor the flags below
+                best = ratios.min(axis=1)
                 near = ratios <= (best + 1e-12 * (1.0 + np.abs(best)))[:, None]
                 r = np.where(near, basis[:k], ncols).argmin(axis=1)
             else:       # no row: every slot is blocked, and r is never read
@@ -531,7 +546,8 @@ class _Stack:
                 streak = info[:k, _STREAK]
                 streak += 1
                 streak *= degenerate[:k]
-                _pivot_stack(T[:k], basis[:k], r[:k], q[:k], self.work[:k])
+                _pivot_stack(T[:k], basis[:k], r[:k], q[:k], self.work[:k],
+                             at[:k])
                 # a streak is at most count long
                 if count > BLAND_TRIGGER and streak.max() > BLAND_TRIGGER:
                     k = self.finish_alone(streak > BLAND_TRIGGER, n_enter,

@@ -276,7 +276,10 @@ class ParametricModel:
 
 
 def grid(n: int) -> np.ndarray:
-    """Uniform grid {0, 1/(n-1), ..., 1} including both endpoints."""
+    """Uniform grid {0, 1/(n-1), ..., 1} including both endpoints; n is
+    an integer (a bool is not, else TypeError) of at least 2."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise TypeError(f"grid size must be an integer, not {n!r}")
     if n < 2:
         raise ValueError("grid needs at least 2 points")
     return np.linspace(0.0, 1.0, int(n))

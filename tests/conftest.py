@@ -60,3 +60,31 @@ def recorded_programs():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lp, "_solve_stack", record)
         yield seen
+
+
+# the callers that solve their programs one at a time by design: an
+# exposure chain's stages, and full_extraction_lp's known-combination blocks
+ALONE_BY_DESIGN = {"_separation_lp", "_combination_blocks"}
+
+
+@pytest.fixture
+def solved_alone():
+    """The callers (innermost first) of every single-program call of the
+    driver lp._solve_stack that the library makes while the test runs,
+    except those of ALONE_BY_DESIGN.  As in recorded_programs, calls from
+    inside the driver (its row-flip fallback) and the test's own solves
+    are not counted.  A family that should be stacked shows up here when
+    it is solved one program at a time."""
+    seen = []
+    driver = lp._solve_stack
+
+    def spy(layout, rows, objectives, rhs, ws):
+        if len(rows) == 1:
+            callers = _callers(driver)
+            if callers is not None and not ALONE_BY_DESIGN & set(callers):
+                seen.append(callers)
+        return driver(layout, rows, objectives, rhs, ws)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "_solve_stack", spy)
+        yield seen

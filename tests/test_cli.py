@@ -485,19 +485,16 @@ def test_classify_and_full_solve_each_type_lp_once(tmp_path,
     assert counts["extreme"] == 4
 
 
-def test_classify_and_full_solve_no_program_alone(tmp_path, monkeypatch):
+def test_classify_and_full_solve_no_program_alone(tmp_path, solved_alone):
     """On a table without exposure chains, classify and full stack every
     program: the exposure and extreme-point LPs, and the full-extraction
-    block that proves the table infeasible."""
-    singles = []
-    solve = lp.solve
-    monkeypatch.setattr(lp, "solve",
-                        lambda prog: singles.append(prog) or solve(prog))
+    blocks, but for the known-combination block that proves the table
+    infeasible."""
     report = run_scenario(random_table_config(["classify", "full"]),
                           tmp_path)
     assert "eventually_detectable" not in report["tasks"]["classify"]["counts"]
     assert report["tasks"]["full"]["lp_status"] == "infeasible"
-    assert not singles
+    assert not solved_alone
 
 
 def test_preset_solves_no_program_twice(tmp_path, recorded_programs):

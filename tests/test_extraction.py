@@ -321,17 +321,13 @@ def assert_same_full_answer(got, want, iterations=True):
 
 
 @pytest.mark.parametrize("tab", full_lp_cases())
-def test_stacked_full_blocks_match_single_blocks(tab, monkeypatch):
+def test_stacked_full_blocks_match_single_blocks(tab, solved_alone):
     """Stacked, full_extraction_lp gives the index-order loop's answer bit
     for bit, and its pivot count too when it solves every block (a
     feasible table); solving first the blocks of the types the belief set
-    knows to be combinations leaves the answer as it is; and no block is
-    solved through lp.solve."""
+    knows to be combinations leaves the answer as it is; and no other
+    block is solved alone."""
     ref, ref_menu, _ = full_blocks_one_by_one(tab)
-    singles = []
-    solve = lp.solve
-    monkeypatch.setattr(lp, "solve",
-                        lambda prog: singles.append(prog) or solve(prog))
     feasible = ref.status == lp.OPTIMAL
     assert not known_combinations(tab.belief_set())
     assert_same_full_answer(full_extraction_lp(tab), (ref, ref_menu),
@@ -339,7 +335,7 @@ def test_stacked_full_blocks_match_single_blocks(tab, monkeypatch):
     extreme_each(tab.belief_set(), range(tab.n_types))
     assert_same_full_answer(full_extraction_lp(tab), (ref, ref_menu),
                             iterations=feasible)
-    assert not singles
+    assert not solved_alone
 
 
 def test_full_lp_solves_first_blocks_alone_up_to_an_unbounded_one():
@@ -514,30 +510,25 @@ def _separating():
 
 
 def test_preset_stacks_its_virtual_separators(recorded_programs,
-                                              monkeypatch):
+                                              solved_alone, monkeypatch):
     """The preset's 99 off-face types are separated in
-    ceil(99 / SEPARATOR_CHUNK) lock-step calls and none through lp.solve;
+    ceil(99 / SEPARATOR_CHUNK) lock-step calls and none alone;
     recorded_programs sees each of the 99 programs."""
-    sizes, singles = [], []
-    solve, stack = lp.solve, lp._solve_stack
-
-    def count_solve(prog):
-        if _separating():
-            singles.append(prog)
-        return solve(prog)
+    sizes = []
+    stack = lp._solve_stack
 
     def count_stack(layout, rows, objectives, rhs, ws):
         if _separating():
             sizes.append(len(rows))
         return stack(layout, rows, objectives, rhs, ws)
 
-    monkeypatch.setattr(lp, "solve", count_solve)
     monkeypatch.setattr(lp, "_solve_stack", count_stack)
     model = cli.build_model(cli.counterexample_preset()["model"])
     virtual_extraction_menu(model, 0.05, 101)
     assert len(sizes) == math.ceil(99 / SEPARATOR_CHUNK)
     assert max(sizes) == SEPARATOR_CHUNK and sum(sizes) == 99
-    assert not singles
+    # the endpoints' exposure chains ask is_extreme of one point each
+    assert not [c for c in solved_alone if "_case1_terms" in c]
     assert sum("_case1_terms" in rec.callers
                for rec in recorded_programs) == 99
 
@@ -707,6 +698,69 @@ def test_verify_rejects_a_virtual_mode_without_a_budget(mode):
     with pytest.raises(ValueError, match="one finite eps > 0"):
         verify_menu(tab, menu, None, mode)
     assert verify_menu(tab, menu, None, ("virtual", 0.1)).passed
+
+
+@pytest.mark.parametrize("menu", [
+    Menu([]),
+    Menu([("t0", Contract(np.zeros(6)))]),
+    Menu([("t0", Contract(np.zeros(7))), ("t1", Contract(np.zeros(8)))]),
+    Menu([("t0", Contract(np.zeros((1, 7))))]),
+], ids=["empty", "short", "one long", "matrix"])
+def test_verify_names_a_malformed_menu(menu):
+    """A menu with nothing to verify, or with payments that are not one
+    per state, is refused with its reason before any arithmetic."""
+    tab = random_tabular(31, 5, 7)
+    with pytest.raises(ValueError, match="empty menu|one per state"):
+        verify_menu(tab, menu, None, ("full",))
+    with pytest.raises(ValueError, match="empty menu|one per state"):
+        verify_menu(counterexample_model(validate=False), menu, 11,
+                    ("virtual", 0.1))
+
+
+def _verify_arrays_apart(tab, menu):
+    """own, cross and best as verify_menu once computed them: the
+    surpluses as a difference of two arrays, and cross on a copy."""
+    labels = list(tab.labels)
+    P = menu.payments_matrix()
+    surplus = tab.values[:, None] - tab.beliefs @ P.T
+    col_of = {lbl: j for j, (lbl, _) in enumerate(menu.entries)}
+    rows = [i for i, lbl in enumerate(labels) if lbl in col_of]
+    cols = [col_of[labels[i]] for i in rows]
+    own = np.full(len(labels), np.nan)
+    own[rows] = surplus[rows, cols]
+    best = surplus.max(axis=1)
+    others = surplus.copy()
+    others[rows, cols] = -np.inf
+    return own, others.max(axis=1), best
+
+
+@pytest.mark.parametrize("case", ["table", "preset", "preset unlabeled"])
+def test_verify_arrays_match_separate_arrays_bit_for_bit(case):
+    """verify_menu's one surplus matrix, reused for cross, gives own,
+    cross and best bit for bit as separate arrays do: on a random table,
+    on the preset's menu over its 1,001-point verification grid, and on
+    that menu relabeled so that no type has its own entry (own all NaN,
+    cross = best)."""
+    if case == "table":
+        model = random_tabular(31, 5, 7)
+        menu, tab, grid_n = full_extraction_menu(model), model, None
+    else:
+        model = cli.build_model(cli.counterexample_preset()["model"])
+        menu = virtual_extraction_menu(model, 0.05, 101)[0]
+        if case == "preset unlabeled":
+            menu = Menu([(f"x{k}", c)
+                         for k, (_, c) in enumerate(menu.entries)])
+        grid_n = 1001
+        tab = sample(model, grid_n)
+    rep = verify_menu(model, menu, grid_n, ("virtual", 0.05))
+    want = _verify_arrays_apart(tab, menu)
+    for got, ref in zip((rep.own, rep.cross, rep.best), want):
+        assert got.tobytes() == ref.tobytes()
+    if case == "preset unlabeled":
+        assert np.isnan(rep.own).all()
+        assert rep.cross.tobytes() == rep.best.tobytes()
+    else:
+        assert not np.isnan(rep.own).all()
 
 
 def test_verify_full_implies_all_detectable():

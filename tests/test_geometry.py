@@ -581,7 +581,7 @@ def single_hull_membership(bset, i):
     return False, mu
 
 
-def test_extreme_each_matches_single_hull_membership_lps(monkeypatch):
+def test_extreme_each_matches_single_hull_membership_lps(solved_alone):
     """extreme_each gives every point the answer of its own single LP, bit
     for bit, on random tables (one of 150 points: two stacks), on tables
     with a planted convex combination and on a curve grid, whose points
@@ -592,25 +592,20 @@ def test_extreme_each_matches_single_hull_membership_lps(monkeypatch):
                for seed, n, S in [(7, 6, 8), (100, 6, 8), (3, 12, 3),
                                   (4, 30, 5)]]
     tables.append(sample(counterexample_model(validate=False), 33))
-    singles = []
-    solve = lp.solve
-    monkeypatch.setattr(lp, "solve",
-                        lambda prog: singles.append(prog) or solve(prog))
     kinds = set()
     for tab in tables:
         bset = tab.belief_set()
         want = [single_hull_membership(bset, i) for i in range(len(bset))]
-        singles.clear()
         # some points twice and out of order: each is solved once
         extreme_each(bset, [*range(len(bset) - 1, -1, -1), 0, 1])
-        assert not singles
+        assert not solved_alone
         for i, (extreme, mu) in enumerate(want):
             got = is_extreme(bset, i)
             assert got[0] == extreme
             assert (got[1] is None if extreme
                     else got[1].tobytes() == mu.tobytes())
             kinds.add(extreme)
-        assert not singles
+        assert not solved_alone
     assert kinds == {True, False}
 
 

@@ -140,6 +140,24 @@ def test_sample_grids():
         sample(model, 1)
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, True, np.bool_(True),
+                               np.float64(11.0), "11", None], ids=repr)
+def test_grid_size_must_be_an_integer(n):
+    """A float size is not truncated, and a bool is not a size; sample
+    caches no table for either."""
+    model = counterexample_model(validate=False)
+    with pytest.raises(TypeError, match="grid size must be an integer"):
+        grid(n)
+    with pytest.raises(TypeError, match="grid size must be an integer"):
+        sample(model, n)
+    assert not model._tables
+
+
+@pytest.mark.parametrize("n", [2, 11, np.int64(11), np.uint8(3)], ids=repr)
+def test_grid_takes_python_and_numpy_integers(n):
+    assert grid(n).tolist() == np.linspace(0.0, 1.0, int(n)).tolist()
+
+
 def test_validate_lipschitz():
     model = counterexample_model(validate=False)
     rep = validate_lipschitz(model, 2001)
