@@ -485,8 +485,13 @@ def full_extraction_lp(tab: TabularModel):
     layout = lp.LinearProgram(
         np.zeros(n), [(np.zeros(n), lp.EQ, 0.0)] * S
         + [(np.zeros(n), lp.LE, 1.0)], sense="max")
-    blocks = _combination_blocks(tab, layout, first)
-    if all(b.status != lp.UNBOUNDED for b in blocks.values()):
+    blocks = {}
+    for t, block in zip(first, lp.solve_chunks(
+            layout, len(first), 1, _full_blocks(tab, first))):
+        blocks[t] = block
+        if block.status == lp.UNBOUNDED:
+            break
+    else:   # no block of first is unbounded: solve the others
         rest = [t for t in range(m) if t not in blocks]
         blocks.update(zip(rest, lp.solve_chunks(
             layout, len(rest), EXPOSE_CHUNK, _full_blocks(tab, rest))))
@@ -520,18 +525,6 @@ def full_extraction_lp(tab: TabularModel):
                         iterations=iterations)
     return sol, Menu([(lbl, Contract(c)) for lbl, c
                       in zip(tab.labels, contracts[:, :S])])
-
-
-def _combination_blocks(tab, layout, first):
-    """The full-extraction blocks of the types first, by type, solved one
-    at a time in that order up to the first unbounded one."""
-    blocks = {}
-    for t, block in zip(first, lp.solve_chunks(
-            layout, len(first), 1, _full_blocks(tab, first))):
-        blocks[t] = block
-        if block.status == lp.UNBOUNDED:
-            break
-    return blocks
 
 
 def _full_blocks(tab, ts):

@@ -381,30 +381,26 @@ def _pivot(T, basis, r, q):
     basis[r] = q
 
 
-def _pivot_stack(T, basis, r, q, work, at=None):
+def _pivot_stack(T, basis, r, q, work):
     """Pivot each tableau T[k] on (r[k], q[k]): _pivot's arithmetic for
     every k at once, down to the signs of zeros.  work is scratch of T's
-    shape; at is np.arange(len(T)), if the caller holds one.
+    shape.
 
-    While three tableau rows fit in numpy's ufunc buffer (np.getbufsize()
-    elements), numpy buffers the outer product of two broadcasts and is
-    slow at it, so the pivot rows are copied into work and scaled there
-    in place: prow * factor where _pivot takes factor * prow, the same
+    The outer product is built by copying the pivot rows into work and
+    scaling them there in place.  At the row lengths of the separators
+    and tables (up to about a thousand columns) numpy does that faster
+    than the product of two broadcasts; at a few thousand it is slower.
+    It takes prow * factor where _pivot takes factor * prow: the same
     bits, since IEEE multiplication is commutative down to the signs of
-    zeros.  Longer rows take the one-pass product, which is then cheaper
-    than two passes over work."""
-    if at is None:
-        at = np.arange(T.shape[0])
+    zeros."""
+    at = np.arange(T.shape[0])
     prow = T[at, r]
     prow /= prow[at, q][:, None]
     T[at, r] = prow
     factors = T[at, :, q]
     factors[at, r] = 0.0
-    if 3 * prow.shape[1] > np.getbufsize():
-        np.multiply(factors[:, :, None], prow[:, None, :], out=work)
-    else:
-        work[...] = prow[:, None, :]
-        work *= factors[:, :, None]
+    work[...] = prow[:, None, :]
+    work *= factors[:, :, None]
     np.subtract(T, work, out=T)
     basis[at, r] = q
 
@@ -546,8 +542,7 @@ class _Stack:
                 streak = info[:k, _STREAK]
                 streak += 1
                 streak *= degenerate[:k]
-                _pivot_stack(T[:k], basis[:k], r[:k], q[:k], self.work[:k],
-                             at[:k])
+                _pivot_stack(T[:k], basis[:k], r[:k], q[:k], self.work[:k])
                 # a streak is at most count long
                 if count > BLAND_TRIGGER and streak.max() > BLAND_TRIGGER:
                     k = self.finish_alone(streak > BLAND_TRIGGER, n_enter,

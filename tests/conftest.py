@@ -6,7 +6,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from surplex import lp
+from surplex import extraction, lp
 
 
 class Solve(NamedTuple):
@@ -62,29 +62,42 @@ def recorded_programs():
         yield seen
 
 
-# the callers that solve their programs one at a time by design: an
-# exposure chain's stages, and full_extraction_lp's known-combination blocks
-ALONE_BY_DESIGN = {"_separation_lp", "_combination_blocks"}
-
-
 @pytest.fixture
 def solved_alone():
     """The callers (innermost first) of every single-program call of the
     driver lp._solve_stack that the library makes while the test runs,
-    except those of ALONE_BY_DESIGN.  As in recorded_programs, calls from
-    inside the driver (its row-flip fallback) and the test's own solves
-    are not counted.  A family that should be stacked shows up here when
-    it is solved one program at a time."""
+    but for the two kinds solved one at a time by design: an exposure
+    chain's stages (_separation_lp), and full_extraction_lp's blocks of
+    the types its known_combinations call just returned.  Such a block t
+    is told by its column t + 1, which holds -pi_t.  As in
+    recorded_programs, calls from inside the driver (its row-flip
+    fallback) and the test's own solves are not counted.  A family that
+    should be stacked shows up here when it is solved one program at a
+    time."""
     seen = []
     driver = lp._solve_stack
+    known = extraction.known_combinations
+    last = []        # the beliefs and answer of the last known_combinations
+
+    def recorded_known(bset):
+        last[:] = bset.points, known(bset)
+        return last[1]
+
+    def combination_block(program_rows):
+        pi, first = last
+        return any(np.array_equal(program_rows[:pi.shape[1], t + 1], -pi[t])
+                   for t in first)
 
     def spy(layout, rows, objectives, rhs, ws):
         if len(rows) == 1:
             callers = _callers(driver)
-            if callers is not None and not ALONE_BY_DESIGN & set(callers):
+            if (callers is not None and "_separation_lp" not in callers
+                    and not ("full_extraction_lp" in callers
+                             and combination_block(rows[0]))):
                 seen.append(callers)
         return driver(layout, rows, objectives, rhs, ws)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lp, "_solve_stack", spy)
+        patch.setattr(extraction, "known_combinations", recorded_known)
         yield seen

@@ -486,14 +486,19 @@ def test_classify_and_full_solve_each_type_lp_once(tmp_path,
 
 
 def test_classify_and_full_solve_no_program_alone(tmp_path, solved_alone):
-    """On a table without exposure chains, classify and full stack every
+    """On tables without exposure chains, classify and full stack every
     program: the exposure and extreme-point LPs, and the full-extraction
-    blocks, but for the known-combination block that proves the table
-    infeasible."""
-    report = run_scenario(random_table_config(["classify", "full"]),
-                          tmp_path)
-    assert "eventually_detectable" not in report["tasks"]["classify"]["counts"]
-    assert report["tasks"]["full"]["lp_status"] == "infeasible"
+    blocks, but for the known-combination block that proves the first
+    table infeasible.  The second table is feasible, so full solves all
+    its blocks."""
+    feasible = random_table_config(["classify", "full"])
+    feasible["model"].update(types=10, states=6)
+    for config, status in [(random_table_config(["classify", "full"]),
+                            "infeasible"), (feasible, "optimal")]:
+        report = run_scenario(config, tmp_path / status)
+        assert ("eventually_detectable"
+                not in report["tasks"]["classify"]["counts"])
+        assert report["tasks"]["full"]["lp_status"] == status
     assert not solved_alone
 
 

@@ -1018,28 +1018,6 @@ def test_stack_pivot_keeps_the_signed_zeros_of_the_one_slot_pivot():
     assert accumulated.tobytes() != want.tobytes()
 
 
-def test_stack_pivot_on_long_rows_keeps_the_signed_zeros_of_the_one_slot_pivot():
-    """Rows too long for three to fit in numpy's ufunc buffer take
-    _pivot_stack's one-pass outer product, which gives _pivot's bits
-    too, signs of zeros included."""
-    rng = np.random.default_rng(4)
-    B, m, w = 4, 3, np.getbufsize() // 3 + 1
-    T = rng.integers(-3, 4, size=(B, m + 1, w)).astype(float)
-    T[rng.random(T.shape) < 0.3] = -0.0
-    at, r, q = np.arange(B), rng.integers(m, size=B), rng.integers(w, size=B)
-    T[at, r] = -np.abs(T[at, r])
-    T[at, r, q] = -2.0
-    T[at, (r + 1) % m, q] = -0.0
-    T[at, (r + 2) % m, q] = 0.0
-    basis = np.zeros((B, m), dtype=int)
-    want, want_basis = T.copy(), basis.copy()
-    for k in range(B):
-        _pivot(want[k], want_basis[k], r[k], q[k])
-    _pivot_stack(T, basis, r, q, np.empty_like(T), at)
-    assert T.tobytes() == want.tobytes()
-    assert np.array_equal(basis, want_basis)
-
-
 def test_objective_value_does_not_depend_on_the_memory_layout():
     """Table 0's exposure programs, with their shared objective as a
     broadcast view, get the same objective values bit for bit from a
