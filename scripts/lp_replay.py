@@ -1,4 +1,4 @@
-"""Replay the LP solves of corpus configs and time them by caller family.
+"""Replay the LP solves of corpus configs and time them by LP family.
 
 Usage: python scripts/lp_replay.py NAME... [--repeat N]
 
@@ -7,11 +7,11 @@ once through `surplex.cli.run_scenario`, into a temporary directory that
 is removed at the end, while every call of `lp._solve_stack`, the driver
 that `lp.solve`, `lp.solve_stack` and `lp.solve_chunks` all pass
 through, is recorded with copies of its arguments (right-hand sides
-included), its workspace and its answers; the calls that the driver's
-row-flip fallback makes from inside a recorded call are not recorded
-again.  Then every recorded call is replayed N times
-(default 5) in this process, and a table gives, per caller family and
-program shape (constraints x variables of the program as built, before
+included), its workspace, its family label and its answers; the driver's
+row-flip fallback solves a call's programs again without re-entering
+it.  Then every recorded call is replayed N times (default 5) in this
+process, and a table gives, per family label and program shape
+(constraints x variables of the program as built, before
 canonicalization): the calls, the programs they solve, their pivots,
 the best and median over the repeats of the family's total time in ms,
 and the minor page faults (`resource.getrusage`) its calls took in the
@@ -22,11 +22,11 @@ array a call allocates and frees takes fresh pages, unless it reuses
 one of its workspace (the chunks of one lp.solve_chunks call share it).
 The replays show no faults: their memory is already mapped.
 
-The family is the innermost caller on the call's stack that FAMILY_OF
-names.  Exits 1 if a recorded call has no family (a caller was renamed
-or a new one added: update FAMILY_OF), or if any replayed answer
-differs in any bit (signs of zeros included) from the recorded one,
-else 0.  Only this checkout's `src` is imported.
+The family is the label that the call site hands to `lp.solve_chunks`
+or `lp.solve_stack`.  Exits 1 if a recorded call has no label (a
+library solve through `lp.solve`, or a call site that passes none), or
+if any replayed answer differs in any bit (signs of zeros included) from
+the recorded one, else 0.  Only this checkout's `src` is imported.
 """
 
 from __future__ import annotations
@@ -49,32 +49,6 @@ import numpy as np  # noqa: E402
 from same_bytes import CORPUS  # noqa: E402
 from surplex import cli, lp  # noqa: E402
 
-# caller function name -> family; the innermost named caller wins
-FAMILY_OF = {
-    "extreme_each": "extreme",
-    "exposure_chain": "chain",
-    "expose_each": "separation",
-    "expose_set": "separation",
-    "_case1_terms": "virtual",
-    "full_extraction_lp": "full_block",
-    "solve_primal": "vse_primal",
-}
-NO_FAMILY = "(none)"        # the family of a call that FAMILY_OF misses
-
-
-def _family(driver) -> str | None:
-    """The family of the recorded call, or None if it comes from inside
-    driver (its row-flip fallback)."""
-    frame = sys._getframe(2)
-    while frame is not None:
-        if frame.f_code is driver.__code__:
-            return None
-        family = FAMILY_OF.get(frame.f_code.co_name)
-        if family is not None:
-            return family
-        frame = frame.f_back
-    return NO_FAMILY
-
 
 def _copy(a):
     """A copy of a float array; a broadcast one stays a broadcast view,
@@ -92,18 +66,17 @@ def _minflt() -> int:
 
 def record(names):
     """Run each named config once; the list of recorded calls, each
-    (name, family, driver arguments, answers, minor page faults)."""
+    (driver arguments, answers, minor page faults); the family label is
+    the last argument."""
     calls = []
     driver = lp._solve_stack
 
-    def record_driver(layout, rows, objectives, rhs, ws):
-        args = (layout, _copy(rows), _copy(objectives), _copy(rhs), ws)
+    def record_driver(layout, rows, objectives, rhs, ws, family):
+        args = (layout, _copy(rows), _copy(objectives), _copy(rhs), ws,
+                family)
         faults = _minflt()
-        sols = driver(layout, rows, objectives, rhs, ws)
-        faults = _minflt() - faults
-        family = _family(driver)
-        if family is not None:
-            calls.append((name, family, args, sols, faults))
+        sols = driver(layout, rows, objectives, rhs, ws, family)
+        calls.append((args, sols, _minflt() - faults))
         return sols
 
     lp._solve_stack = record_driver
@@ -142,9 +115,9 @@ def replay(calls, repeat: int):
     differ = 0
     clock = time.perf_counter
     for r in range(repeat):
-        for _, family, args, want, faults in calls:
-            prog = args[0]
-            key = (family, f"{prog.n_constraints} x {prog.n_vars}")
+        for args, want, faults in calls:
+            prog, family = args[0], args[-1]
+            key = (str(family), f"{prog.n_constraints} x {prog.n_vars}")
             start = clock()
             got = lp._solve_stack(*args)
             times[key][r] += 1e3 * (clock() - start)
@@ -160,7 +133,7 @@ def replay(calls, repeat: int):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="replay a corpus config's LP solves by caller family")
+        description="replay a corpus config's LP solves by LP family")
     parser.add_argument("names", nargs="+", metavar="NAME",
                         choices=sorted(CORPUS))
     parser.add_argument("--repeat", type=int, default=5)
@@ -183,9 +156,9 @@ def main(argv=None) -> int:
     calls, programs, pivots, faults, ms = total
     print(f"{'total':<24}{calls:>7}{programs:>10}{pivots:>8}"
           f"{min(ms):>10.2f}{statistics.median(ms):>11.2f}{faults:>8}")
-    unnamed = sum(call[1] == NO_FAMILY for call in recorded)
+    unnamed = sum(call_args[-1] is None for call_args, _, _ in recorded)
     if unnamed:
-        print(f"{unnamed} recorded calls have no caller in FAMILY_OF",
+        print(f"{unnamed} recorded calls have no family label",
               file=sys.stderr)
     if differ:
         print(f"{differ} replayed answers differ from the recorded ones",

@@ -53,7 +53,6 @@ from surplex.extraction import (
     virtual_extraction_menu,
 )
 from surplex.figures import (
-    MissingResults,
     write_curve_csv,
     write_hull_csv,
     write_margins_csv,
@@ -86,10 +85,6 @@ class ConfigError(ValueError):
     """Invalid scenario configuration."""
 
 
-class TaskFailure(RuntimeError):
-    """A requested verdict did not hold; the message names it."""
-
-
 def _require_keys(obj: dict, allowed, where: str) -> None:
     unknown = set(obj) - set(allowed)
     if unknown:
@@ -114,9 +109,9 @@ def _integer(key: str, value, least: int) -> None:
 
 def load_config(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     validate_config(config)
     return config
@@ -161,8 +156,13 @@ def validate_config(config: dict) -> None:
                 or not 0 < eps <= sys.float_info.max):
             raise ConfigError("epsilon must be a finite number > 0 for "
                               f"virtual/compress, got {eps!r}")
-    if "compress" in tasks and "virtual" not in tasks:
-        raise ConfigError("compress requires the virtual task")
+    if "compress" in tasks and ("virtual" not in tasks or tasks.index(
+            "compress") < tasks.index("virtual")):
+        raise ConfigError("compress requires the virtual task before it")
+    parametric = [t for t in ("virtual", "compress", "sweep") if t in tasks]
+    if kind != "counterexample" and parametric:
+        raise ConfigError(f"tasks {parametric} need a parametric model, "
+                          f"not a {kind} one")
     for key in ("grid", "duality_grid"):
         if key in config:
             _integer(key, config[key], 2)
@@ -274,8 +274,6 @@ def task_full(model, config, tols) -> dict:
 
 
 def task_virtual(model, config, results) -> dict:
-    if isinstance(model, TabularModel):
-        raise ConfigError("virtual extraction needs a parametric model")
     eps = float(config["epsilon"])
     grid_n = config.get("grid", 201)
     mult = config.get("verify_multiplier", 10)
@@ -295,8 +293,6 @@ def task_virtual(model, config, results) -> dict:
 def task_compress(model, config, results) -> dict:
     eps = float(config["epsilon"])
     grid_n = config.get("grid", 201)
-    if "virtual_menu" not in results:
-        raise MissingResults("compress needs the virtual menu")
     menu = results["virtual_menu"]
     if menu is None:
         return {"passed": False, "error": "NoVirtualMenu",
@@ -324,8 +320,6 @@ def task_duality(model, config, tols) -> dict:
 
 
 def task_sweep(model, config) -> dict:
-    if isinstance(model, TabularModel):
-        raise ConfigError("sweep needs a parametric model")
     grids = config.get("sweep_grids", [9, 17, 33, 65, 129])
     margins, norms, p_stars = [], [], []
     for n in grids:
@@ -561,9 +555,6 @@ def main(argv=None) -> int:
         report = run_scenario(config, Path(args.out), seed=args.seed,
                               overrides=overrides)
     except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except MissingResults as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
 

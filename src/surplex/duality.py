@@ -191,7 +191,7 @@ def solve_primal(inst: VseInstance) -> PrimalSolution:
     f = np.empty(m)
     z = np.empty((m, S))
     measures = np.empty((m, m + 1))       # block s: (lambda_s, nu_{., s})
-    blocks = lp.solve_stack(*_block_stack(inst))
+    blocks = lp.solve_stack(*_block_stack(inst), family="vse_primal")
     for s, sol in enumerate(blocks):
         if sol.status != lp.OPTIMAL:  # pragma: no cover - nu_s = 1/2 feasible
             raise RuntimeError(f"primal block {s} ended {sol.status}")

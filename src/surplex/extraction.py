@@ -487,14 +487,16 @@ def full_extraction_lp(tab: TabularModel):
         + [(np.zeros(n), lp.LE, 1.0)], sense="max")
     blocks = {}
     for t, block in zip(first, lp.solve_chunks(
-            layout, len(first), 1, _full_blocks(tab, first))):
+            layout, len(first), 1, _full_blocks(tab, first),
+            family="full_block")):
         blocks[t] = block
         if block.status == lp.UNBOUNDED:
             break
     else:   # no block of first is unbounded: solve the others
         rest = [t for t in range(m) if t not in blocks]
         blocks.update(zip(rest, lp.solve_chunks(
-            layout, len(rest), EXPOSE_CHUNK, _full_blocks(tab, rest))))
+            layout, len(rest), EXPOSE_CHUNK, _full_blocks(tab, rest),
+            family="full_block")))
     if any(b.status == lp.INFEASIBLE
            for b in blocks.values()):  # pragma: no cover - 0 is feasible
         raise RuntimeError("full-extraction block LP ended infeasible")
@@ -624,7 +626,8 @@ def _case1_terms(pi, v, ts, cert, delta, eps):
 
     # map holds no chunk's arrays while the next chunk is filled and solved
     return list(map(answer, pi, lp.solve_chunks(
-        separation_layout(N, 1, S), len(ts), SEPARATOR_CHUNK, fill)))
+        separation_layout(N, 1, S), len(ts), SEPARATOR_CHUNK, fill,
+        family="virtual")))
 
 
 def _case1_answer(sol, pi_t, far_beliefs, gains, weights):

@@ -12,10 +12,6 @@ from pathlib import Path
 import numpy as np
 
 
-class MissingResults(ValueError):
-    """A figure was requested without the task results it needs."""
-
-
 def _write_lines(path, header, lines) -> None:
     path = Path(path)
     path.unlink(missing_ok=True)    # fresh file; see cli.run_scenario

@@ -264,7 +264,7 @@ def extreme_each(bset: FiniteBeliefSet, idx) -> None:
         rhs[:, S] = 1.0
 
     for i, sol in zip(todo.tolist(), lp.solve_chunks(
-            layout, todo.size, EXPOSE_CHUNK, fill)):
+            layout, todo.size, EXPOSE_CHUNK, fill, family="extreme")):
         bset._remember(("extreme", i), _hull_answer, sol, i, m)
 
 
@@ -284,9 +284,10 @@ def _hull_answer(sol, i, m):
     return False, mu
 
 
-def _separation_lp(points, zero_idx, floor_idx, margin_idx):
+def _separation_lp(points, zero_idx, floor_idx, margin_idx, family):
     """max m  s.t. p.z = 0 on zero_idx, p.z >= 0 on floor_idx,
-    p.z >= m on margin_idx, |z|_inf <= 1.  Returns (z, m).
+    p.z >= m on margin_idx, |z|_inf <= 1.  Returns (z, m).  family is the
+    caller's LP family label: "separation" or "chain".
 
     Solved as its LP dual, with one column per point and S + 1 rows:
 
@@ -306,7 +307,8 @@ def _separation_lp(points, zero_idx, floor_idx, margin_idx):
     sol, = lp.solve_chunks(
         separation_layout(order.size, zero_idx.size, points.shape[1]), 1, 1,
         lambda lo, hi, rows, objectives, rhs: separation_rows(
-            rows, points, order, margin_idx.size, points[zero_idx][None]))
+            rows, points, order, margin_idx.size, points[zero_idx][None]),
+        family=family)
     return separation_answer(sol, points[margin_idx])
 
 
@@ -381,7 +383,7 @@ def expose_set(bset: FiniteBeliefSet, subset, *,
     complement = np.setdiff1d(np.arange(len(bset)), subset)
     if complement.size == 0:
         raise ValueError("subset must be proper")
-    args = (bset.points, subset, (), complement)
+    args = (bset.points, subset, (), complement, "separation")
     if remembered:
         z, margin = bset._remember(("expose", int(subset[0])),
                                    _separation_lp, *args)
@@ -422,7 +424,7 @@ def expose_each(bset: FiniteBeliefSet) -> np.ndarray:
     if todo.size:
         layout = separation_layout(m - 1, 1, bset.n_states)
         for i, sol in zip(todo.tolist(), lp.solve_chunks(
-                layout, todo.size, EXPOSE_CHUNK, fill)):
+                layout, todo.size, EXPOSE_CHUNK, fill, family="separation")):
             bset._remember(("expose", i), separation_answer, sol,
                            bset.points[margins.popleft()])
     return np.array([bset._memo[("expose", i)][1] for i in range(m)])
@@ -499,7 +501,8 @@ def _exposure_chain(bset, i, declared, margin_tol):
             n = len(pts)
             others = np.setdiff1d(np.arange(n), [pos_i])
             if others.size:
-                z, margin = _separation_lp(pts, [pos_i], [], others)
+                z, margin = _separation_lp(pts, [pos_i], [], others,
+                                           "chain")
             else:   # nothing to separate: the zero functional exposes p_i
                 z, margin = np.zeros(bset.n_states), np.inf
             if margin > margin_tol:
@@ -514,7 +517,7 @@ def _exposure_chain(bset, i, declared, margin_tol):
                 return (chain,)
             centroid = pts.mean(axis=0)
             z, _ = _separation_lp(np.vstack([pts, centroid]),
-                                  [pos_i], others, [n])
+                                  [pos_i], others, [n], "chain")
             members = np.flatnonzero(np.abs(pts @ z) <= FACE_TOL)
             if members.size >= current.size or pos_i not in members:
                 raise ChainStalled(
@@ -522,7 +525,8 @@ def _exposure_chain(bset, i, declared, margin_tol):
                     f"around {bset.labels[i]}")
             # refine to the max-margin functional that exposes this face
             zref, mref = _separation_lp(pts, members, [],
-                                        np.setdiff1d(np.arange(n), members))
+                                        np.setdiff1d(np.arange(n), members),
+                                        "chain")
             if mref <= margin_tol:
                 raise ChainStalled(
                     "discovered face is not exposed above margin_tol")

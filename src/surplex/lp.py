@@ -38,6 +38,13 @@ chunk, and the answers come in program order.
 All three run one two-phase driver, _solve_stack(), each with a
 workspace of its own call: a LinearProgram holds no solver state, so
 solves on one layout never share a buffer, nested or from two threads.
+
+solve_stack() and solve_chunks() take a family label, which they hand to
+the driver with each stack: every library call site names its LP family
+there ("separation", "chain", "extreme", "virtual", "full_block" or
+"vse_primal"), so a wrapper of _solve_stack can count solves, pivots and
+time per family.  The label selects no code path.  solve() passes None,
+as do solve_stack() and solve_chunks() when no label is given.
 """
 
 from __future__ import annotations
@@ -119,15 +126,6 @@ class LinearProgram:
     @property
     def n_constraints(self) -> int:
         return self.codes.size
-
-    def with_rows(self, rows, objective, rhs=None) -> "LinearProgram":
-        """The program with this one's relations, free variables and
-        sense, and the given constraint rows and objective; its rhs too
-        unless rhs is given."""
-        return LinearProgram(
-            objective, zip(rows, self.relations,
-                           self.rhs if rhs is None else rhs),
-            free=self.free, sense=self.sense)
 
     @cached_property
     def relations(self) -> list[str]:
@@ -368,7 +366,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     if not isinstance(lp, LinearProgram):
         raise MalformedProgram("expected a LinearProgram")
     return _solve_stack(lp, lp.rows[None], lp.objective[None], lp.rhs[None],
-                        _Workspace())[0]
+                        _Workspace(), None)[0]
 
 
 def _pivot(T, basis, r, q):
@@ -627,8 +625,8 @@ class _Stack:
         self.info[slot, _ITERATIONS] = iterations
 
 
-def solve_stack(layout: LinearProgram, rows, objectives,
-                rhs=None) -> list[LpSolution]:
+def solve_stack(layout: LinearProgram, rows, objectives, rhs=None, *,
+                family=None) -> list[LpSolution]:
     """Solve B programs in one lock-step two-phase simplex: program k has
     layout's relations, free variables and sense, constraint rows rows[k],
     objective objectives[k] and right-hand sides rhs[k], or layout's rhs
@@ -636,7 +634,9 @@ def solve_stack(layout: LinearProgram, rows, objectives,
     (B, m), where layout has m constraints and n variables; any of them
     may be a broadcast view.  layout's own rows and objective, and its
     rhs when rhs is given, are not read.  Returns one LpSolution per
-    program, bit for bit the one solve() returns for it.
+    program, bit for bit the one solve() returns for it.  family is the
+    caller's label of the programs' LP family, handed on to the driver
+    (see _solve_stack).
 
     The canonical layout (split columns, slacks, flips and artificials)
     is worked out once and only the rows, objectives and right-hand
@@ -666,10 +666,11 @@ def solve_stack(layout: LinearProgram, rows, objectives,
             f"{n} variables")
     if not B:
         return []
-    return _solve_stack(layout, rows, objectives, rhs, _Workspace())
+    return _solve_stack(layout, rows, objectives, rhs, _Workspace(), family)
 
 
-def solve_chunks(layout: LinearProgram, count: int, chunk: int, fill):
+def solve_chunks(layout: LinearProgram, count: int, chunk: int, fill, *,
+                 family=None):
     """Solve count programs on layout, chunk programs per driver call,
     and yield their LpSolutions in program order.
 
@@ -680,8 +681,9 @@ def solve_chunks(layout: LinearProgram, count: int, chunk: int, fill):
     the call's own workspace, reused by every chunk of the call; no
     answer is a view of them, and a fill may run other solves on layout.
     A chunk is filled once every answer of the one before it is taken, so
-    a caller may keep per-chunk state.  Raises ValueError, before any
-    fill, unless count >= 0 and chunk >= 1.
+    a caller may keep per-chunk state.  family labels the programs, as in
+    solve_stack.  Raises ValueError, before any fill, unless count >= 0
+    and chunk >= 1.
     """
     if count < 0 or chunk < 1:
         raise ValueError(f"cannot solve {count} programs {chunk} at a time")
@@ -695,15 +697,23 @@ def solve_chunks(layout: LinearProgram, count: int, chunk: int, fill):
         objectives[:] = layout.objective
         rhs[:] = layout.rhs
         fill(lo, hi, rows, objectives, rhs)
-        yield from _solve_stack(layout, rows, objectives, rhs, ws)
+        yield from _solve_stack(layout, rows, objectives, rhs, ws, family)
 
 
-def _solve_stack(layout, rows, objectives, rhs, ws):
+def _solve_stack(layout, rows, objectives, rhs, ws, family):
     """The two-phase simplex on a nonempty stack of the shapes that
     solve_stack checks, in the workspace ws; see solve_stack.  solve,
-    solve_stack and solve_chunks all call it by its module name, and the
-    row-flip fallback calls it again once per program.  No answer is a
-    view of ws."""
+    solve_stack and solve_chunks all call it by its module name, once per
+    stack, with the family label of their caller (None from solve).  The
+    label is for a spy or a tracer that wraps this entry: nothing here
+    reads it."""
+    return _two_phase(layout, rows, objectives, rhs, ws)
+
+
+def _two_phase(layout, rows, objectives, rhs, ws):
+    """_solve_stack's work; the row-flip fallback calls it again once per
+    program, past any wrapper of _solve_stack.  No answer is a view of
+    ws."""
     if not (np.isfinite(rows).all() and np.isfinite(objectives).all()
             and np.isfinite(rhs).all()):
         raise MalformedProgram("non-finite data")
@@ -712,8 +722,8 @@ def _solve_stack(layout, rows, objectives, rhs, ws):
         # no shared row flips: each program alone, and a stack of one
         # always has a shared layout
         return [sol for k in range(len(rows))
-                for sol in _solve_stack(layout, rows[k:k + 1],
-                                        objectives[k:k + 1], rhs[k:k + 1], ws)]
+                for sol in _two_phase(layout, rows[k:k + 1],
+                                      objectives[k:k + 1], rhs[k:k + 1], ws)]
     B, m, ncols = canon.A.shape
     has_art = canon.art_cols >= 0
     # the artificial columns come last: [n_real, ncols)

@@ -1,6 +1,5 @@
 """Shared fixtures."""
 
-import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -8,51 +7,61 @@ import pytest
 
 from surplex import extraction, lp
 
+# the LP families the library labels its solves with
+FAMILIES = ("separation", "chain", "extreme", "virtual", "full_block",
+            "vse_primal")
+
 
 class Solve(NamedTuple):
     program: lp.LinearProgram
     solution: lp.LpSolution
-    callers: tuple[str, ...]     # function names on the stack, innermost first
+    family: str
 
 
-def _callers(driver):
-    """Function names on the stack of the recorded call, innermost first,
-    or None if the call is not the library's own: it comes from inside
-    driver (its row-flip fallback), or no surplex module but lp is on
-    the stack (a test's own reference solve)."""
-    callers, library = [], False
-    frame = sys._getframe(2)
-    while frame is not None:
-        if frame.f_code is driver.__code__:
-            return None
-        module = frame.f_globals.get("__name__", "")
-        library |= module.startswith("surplex.") and module != lp.__name__
-        callers.append(frame.f_code.co_name)
-        frame = frame.f_back
-    return tuple(callers) if library else None
+def program(layout, rows, objective, rhs):
+    """The LinearProgram with layout's relations, free variables and
+    sense, and these constraint rows, objective and right-hand sides."""
+    return lp.LinearProgram(objective, zip(rows, layout.relations, rhs),
+                            free=layout.free, sense=layout.sense)
+
+
+@pytest.fixture
+def driver_calls():
+    """(family, programs) of every call of lp._solve_stack, the driver
+    that every solve passes through, while the test runs: the family
+    label of the call (None from lp.solve, and from a solve_stack or
+    solve_chunks call that passes none) and the number of programs it
+    solves.  The driver's row-flip fallback re-enters no wrapper, so each
+    program is in one call."""
+    seen = []
+    driver = lp._solve_stack
+
+    def spy(layout, rows, objectives, rhs, ws, family):
+        seen.append((family, len(rows)))
+        return driver(layout, rows, objectives, rhs, ws, family)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "_solve_stack", spy)
+        yield seen
 
 
 @pytest.fixture
 def recorded_programs():
-    """Every program the library solves while the test runs, in order, as
-    a list of Solve, each with the stack of the call that solved it.  The
-    recorder patches lp._solve_stack, the driver that every solve passes
-    through, and records each program once: not again when the driver's
-    row-flip fallback solves it alone, and not the test's own reference
-    solves.  A program is rebuilt here, as the LinearProgram of its
-    layout with copies of its own rows, objective and right-hand sides:
-    callers refill their stacked arrays chunk after chunk.  (The program
-    copies its rows and rhs; its objective is copied here.)"""
+    """Every program of a labelled driver call while the test runs, in
+    order, as a list of Solve with the call's family; a test's own
+    unlabelled reference solves are not recorded.  A program is rebuilt
+    here, as the LinearProgram of its layout with copies of its own rows,
+    objective and right-hand sides: callers refill their stacked arrays
+    chunk after chunk.  (The program copies its rows and rhs; its
+    objective is copied here.)"""
     seen = []
     driver = lp._solve_stack
 
-    def record(layout, rows, objectives, rhs, ws):
-        sols = driver(layout, rows, objectives, rhs, ws)
-        callers = _callers(driver)
-        if callers is not None:
-            seen.extend(Solve(layout.with_rows(program_rows,
-                                               np.array(objective), b),
-                              sol, callers)
+    def record(layout, rows, objectives, rhs, ws, family):
+        sols = driver(layout, rows, objectives, rhs, ws, family)
+        if family is not None:
+            seen.extend(Solve(program(layout, program_rows,
+                                      np.array(objective), b), sol, family)
                         for program_rows, objective, b, sol
                         in zip(rows, objectives, rhs, sols))
         return sols
@@ -64,38 +73,29 @@ def recorded_programs():
 
 @pytest.fixture
 def solved_alone():
-    """The callers (innermost first) of every single-program call of the
-    driver lp._solve_stack that the library makes while the test runs,
-    but for the two kinds solved one at a time by design: an exposure
-    chain's stages (_separation_lp), and full_extraction_lp's blocks of
-    the types its known_combinations call just returned.  Such a block t
-    is told by its column t + 1, which holds -pi_t.  As in
-    recorded_programs, calls from inside the driver (its row-flip
-    fallback) and the test's own solves are not counted.  A family that
-    should be stacked shows up here when it is solved one program at a
-    time."""
+    """The family of every labelled single-program driver call while the
+    test runs, but for the two kinds solved one at a time by design: an
+    exposure chain's stages (chain), and full_extraction_lp's blocks of
+    the types its known_combinations call just returned, as many
+    full_block calls as it returned types.  A family that should be
+    stacked shows up here when it is solved one program at a time."""
     seen = []
     driver = lp._solve_stack
     known = extraction.known_combinations
-    last = []        # the beliefs and answer of the last known_combinations
+    combinations = [0]      # full_block calls left to the last such call
 
     def recorded_known(bset):
-        last[:] = bset.points, known(bset)
-        return last[1]
+        first = known(bset)
+        combinations[0] = len(first)
+        return first
 
-    def combination_block(program_rows):
-        pi, first = last
-        return any(np.array_equal(program_rows[:pi.shape[1], t + 1], -pi[t])
-                   for t in first)
-
-    def spy(layout, rows, objectives, rhs, ws):
-        if len(rows) == 1:
-            callers = _callers(driver)
-            if (callers is not None and "_separation_lp" not in callers
-                    and not ("full_extraction_lp" in callers
-                             and combination_block(rows[0]))):
-                seen.append(callers)
-        return driver(layout, rows, objectives, rhs, ws)
+    def spy(layout, rows, objectives, rhs, ws, family):
+        if len(rows) == 1 and family not in (None, "chain"):
+            if family == "full_block" and combinations[0]:
+                combinations[0] -= 1
+            else:
+                seen.append(family)
+        return driver(layout, rows, objectives, rhs, ws, family)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lp, "_solve_stack", spy)

@@ -24,6 +24,8 @@ from surplex.extraction import classify_type
 from surplex.models import counterexample_model, grid, random_tabular, sample
 from surplex.figures import convex_hull_2d
 
+from conftest import FAMILIES, program
+
 
 def ref_jsonable(obj):
     """Strictly JSON-safe tree: numpy types unwrapped, non-finite as text."""
@@ -137,6 +139,37 @@ def test_compress_before_virtual_is_a_config_error(tmp_path):
     path = write_config(tmp_path, config)
     assert main(["analyze", str(path), "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o" / "report.json").exists()
+
+
+@pytest.mark.parametrize("model, tasks", [
+    (identical_pair_config()["model"], ["classify", "virtual"]),
+    (identical_pair_config()["model"], ["full", "sweep"]),
+    ({"kind": "random_polytope", "types": 5, "states": 3},
+     ["virtual", "compress"]),
+    ({"kind": "counterexample"}, ["classify", "compress", "virtual"])],
+    ids=["tabular_virtual", "tabular_sweep", "polytope_compress",
+         "compress_first"])
+def test_task_config_errors_exit_two_before_out_exists(tmp_path, capsys,
+                                                       model, tasks):
+    """A task the model cannot run, or compress before virtual, is found
+    by validate_config: the CLI exits 2 before it creates --out or runs
+    any task."""
+    config = {"version": 1, "model": model, "tasks": tasks,
+              "epsilon": 0.05, "grid": 11}
+    with pytest.raises(ConfigError):
+        validate_config(config)
+    path = write_config(tmp_path, config)
+    assert main(["analyze", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_that_is_not_utf8_exits_two(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"x": "\xff"}')
+    assert main(["analyze", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_duplicate_type_labels_are_a_config_error(tmp_path, capsys):
@@ -465,24 +498,33 @@ def random_table_config(tasks):
             "tasks": tasks}
 
 
-def test_classify_and_full_solve_each_type_lp_once(tmp_path,
-                                                   recorded_programs):
-    report = run_scenario(random_table_config(["classify", "full"]),
-                          tmp_path)
-    # a solve belongs to the innermost of these callers on its stack
-    family = {"expose_set": "separation", "expose_each": "separation",
-              "extreme_each": "extreme", "exposure_chain": "chain",
-              "full_extraction_lp": "full"}
-    counts = dict.fromkeys(family.values(), 0)
-    for rec in recorded_programs:
-        caller = next((name for name in rec.callers if name in family), None)
-        if caller is not None:
-            counts[family[caller]] += 1
-    assert report["tasks"]["classify"]["counts"] == {
+def test_every_solve_carries_its_family_label(tmp_path, driver_calls):
+    """Every call of the LP driver on the preset, on a 40-type random
+    table (classify, full and duality) and on the 4-grid sweep carries
+    one of the library's family labels.  The preset solves its 99 virtual
+    separators; the table solves one exposure LP per type and one
+    extreme-point LP per unexposed type."""
+    configs = {"preset": counterexample_preset(),
+               "table": random_table_config(["classify", "full",
+                                             "duality"]),
+               "sweep": {**counterexample_preset(), "tasks": ["sweep"],
+                         "sweep_grids": [9, 17, 33, 65]}}
+    reports, programs = {}, {}
+    for name, config in configs.items():
+        driver_calls.clear()
+        reports[name] = run_scenario(config, tmp_path / name)
+        counts = programs[name] = dict.fromkeys(FAMILIES, 0)
+        for family, n in driver_calls:
+            assert family in FAMILIES, (name, family)
+            counts[family] += n
+    assert reports["table"]["tasks"]["classify"]["counts"] == {
         "strongly_detectable": 36, "not_detectable": 4}
-    # one exposure LP per type, one extreme-point LP per unexposed type
-    assert counts["separation"] == 40
-    assert counts["extreme"] == 4
+    assert programs["preset"]["virtual"] == 99
+    assert programs["table"]["separation"] == 40
+    assert programs["table"]["extreme"] == 4
+    assert programs["table"]["vse_primal"] == 40
+    assert {family for family, n in programs["sweep"].items() if n} == {
+        "separation", "full_block", "vse_primal"}
 
 
 def test_classify_and_full_solve_no_program_alone(tmp_path, solved_alone):
@@ -510,7 +552,7 @@ def test_preset_solves_no_program_twice(tmp_path, recorded_programs):
                  *(a.tobytes() for a in (prog.objective, prog.rows,
                                          prog.codes, prog.rhs, prog.free)))
                 for prog, _, _ in recorded_programs]
-    assert any("exposure_chain" in rec.callers for rec in recorded_programs)
+    assert any(rec.family == "chain" for rec in recorded_programs)
     assert len(set(programs)) == len(programs)
 
 
@@ -525,11 +567,11 @@ def test_every_lp_has_state_rows_and_no_upper_bound(tmp_path, config,
                                                     recorded_programs):
     run_scenario(config, tmp_path)
     assert recorded_programs
-    for prog, _, callers in recorded_programs:
-        assert prog.n_constraints <= n_states + 1, callers[:2]
+    for prog, _, family in recorded_programs:
+        assert prog.n_constraints <= n_states + 1, family
         # a bound other than x >= 0 would be an inequality on one variable
         lone = np.count_nonzero(prog.rows, axis=1) == 1
-        assert not (lone & (prog.codes != 0)).any(), callers[:2]
+        assert not (lone & (prog.codes != 0)).any(), family
 
 
 @pytest.mark.parametrize("model", [
@@ -657,8 +699,7 @@ def test_preset_builds_each_grid_and_belief_set_once(tmp_path, monkeypatch,
     assert sorted(calls) == [33, 101, 1001]
     # classify and virtual ask the same set whether the endpoints are
     # extreme, so each of the two extreme-point programs is solved once
-    extreme = [rec for rec in recorded_programs
-               if "extreme_each" in rec.callers]
+    extreme = [rec for rec in recorded_programs if rec.family == "extreme"]
     assert len(extreme) == 2
 
 
@@ -693,10 +734,11 @@ def test_stacked_solves_write_the_bytes_of_single_solves(tmp_path,
     stacked = outputs(tmp_path / "stacked")
     driver = lp._solve_stack
 
-    def alone(layout, rows, objectives, rhs, ws):
-        programs = map(layout.with_rows, rows, objectives, rhs)
+    def alone(layout, rows, objectives, rhs, ws, family):
+        programs = [program(layout, *args)
+                    for args in zip(rows, objectives, rhs)]
         return [driver(p, p.rows[None], p.objective[None], p.rhs[None],
-                       lp._Workspace())[0] for p in programs]
+                       lp._Workspace(), family)[0] for p in programs]
 
     monkeypatch.setattr(lp, "_solve_stack", alone)
     single = outputs(tmp_path / "single")

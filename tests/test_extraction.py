@@ -3,7 +3,6 @@
 import dataclasses
 import math
 import signal
-import sys
 
 import numpy as np
 import pytest
@@ -480,8 +479,7 @@ def test_flat_types_solve_no_separation_lp(curve, recorded_programs):
     # at eps 1.5 on 11 points, 5 of the 9 off-face types have no far type:
     # they pay flat without a program, and the 4 others are all feasible
     _, logs = virtual_extraction_menu(curve, 1.5, 11)
-    stacked = [rec for rec in recorded_programs
-               if "_case1_terms" in rec.callers]
+    stacked = [rec for rec in recorded_programs if rec.family == "virtual"]
     assert len(stacked) == 4
     assert all(rec.solution.status == lp.OPTIMAL for rec in stacked)
     flat = [log for log in logs if log.case == "detectable"
@@ -501,39 +499,23 @@ def test_chain_logs_an_empty_stage_margin_as_inf(curve):
     assert all(log.margins == [np.inf, np.inf] for log in chains)
 
 
-def _separating():
-    """Whether _case1_terms is on the stack of the caller's caller."""
-    frame = sys._getframe(2)
-    while frame is not None and frame.f_code.co_name != "_case1_terms":
-        frame = frame.f_back
-    return frame is not None
-
-
 def test_preset_stacks_its_virtual_separators(recorded_programs,
-                                              solved_alone, monkeypatch):
+                                              solved_alone, driver_calls):
     """The preset's 99 off-face types are separated in
     ceil(99 / SEPARATOR_CHUNK) lock-step calls and none alone;
     recorded_programs sees each of the 99 programs."""
-    sizes = []
-    stack = lp._solve_stack
-
-    def count_stack(layout, rows, objectives, rhs, ws):
-        if _separating():
-            sizes.append(len(rows))
-        return stack(layout, rows, objectives, rhs, ws)
-
-    monkeypatch.setattr(lp, "_solve_stack", count_stack)
     model = cli.build_model(cli.counterexample_preset()["model"])
     virtual_extraction_menu(model, 0.05, 101)
+    sizes = [n for family, n in driver_calls if family == "virtual"]
     assert len(sizes) == math.ceil(99 / SEPARATOR_CHUNK)
     assert max(sizes) == SEPARATOR_CHUNK and sum(sizes) == 99
     # the endpoints' exposure chains ask is_extreme of one point each
-    assert not [c for c in solved_alone if "_case1_terms" in c]
-    assert sum("_case1_terms" in rec.callers
-               for rec in recorded_programs) == 99
+    assert "virtual" not in solved_alone
+    assert sum(rec.family == "virtual" for rec in recorded_programs) == 99
 
 
-def test_preset_separator_chunks_pivot_in_one_tableau(monkeypatch):
+def test_preset_separator_chunks_pivot_in_one_tableau(monkeypatch,
+                                                     driver_calls):
     """The preset's separator chunks are all solved in one tableau buffer
     and one pivot scratch buffer, which the workspace of their one
     lp.solve_chunks call keeps from chunk to chunk.  The spy holds every
@@ -543,7 +525,7 @@ def test_preset_separator_chunks_pivot_in_one_tableau(monkeypatch):
     init = lp._Stack.__init__
 
     def spy(self, T, basis, work):
-        if _separating():
+        if driver_calls[-1][0] == "virtual":
             seen.append((T, work))
         init(self, T, basis, work)
 

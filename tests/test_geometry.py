@@ -407,7 +407,8 @@ def test_separation_lp_matches_primal_oracle():
         # test_separation_program_with_spanning_zero_points_solves
         rng.choice([1.0, 0.5, 3.0])
 
-        z, m = geometry._separation_lp(pts, zero, floor, margin)
+        z, m = geometry._separation_lp(pts, zero, floor, margin,
+                                       "separation")
         m_ref = primal_margin(pts, zero, floor, margin)
         assert abs(m - m_ref) <= 1e-9 * (1.0 + abs(m_ref)), (trial, m, m_ref)
 
@@ -431,9 +432,9 @@ def case1_family():
     seen = []
     solve_stack = lp._solve_stack
 
-    def spy(layout, rows, objectives, rhs, ws):
+    def spy(layout, rows, objectives, rhs, ws, family):
         seen.append(np.array(rows))
-        return solve_stack(layout, rows, objectives, rhs, ws)
+        return solve_stack(layout, rows, objectives, rhs, ws, family)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lp, "_solve_stack", spy)
@@ -455,7 +456,7 @@ def test_case1_family_matches_highs():
     optimize = pytest.importorskip("scipy.optimize")
     points, *families = case1_family()
     assert len(points) == 1002
-    z, m = geometry._separation_lp(points, *families)
+    z, m = geometry._separation_lp(points, *families, "separation")
     zero, floor, margin = (points[ix] for ix in families)
 
     # HiGHS on the primal: variables (z, m), maximize m
@@ -486,7 +487,7 @@ def test_separation_lps_have_state_rows_only(recorded_programs):
     programs.clear()
     for i in (0, 1, 25, 50, 99, 100):
         expose_set(bset, [i], margin_tol=-np.inf)
-    geometry._separation_lp(points, *families)
+    geometry._separation_lp(points, *families, "separation")
     assert len(programs) == 7
     for prog, sol, _ in programs:
         assert prog.n_constraints == bset.n_states + 1
@@ -609,23 +610,19 @@ def test_extreme_each_matches_single_hull_membership_lps(solved_alone):
     assert kinds == {True, False}
 
 
-def test_known_combinations_lists_the_remembered_witnesses(monkeypatch):
+def test_known_combinations_lists_the_remembered_witnesses(driver_calls):
     """known_combinations names, in index order, the points that
     is_extreme has already found inside the hull of the others, and
     solves no LP to do so."""
     tab, planted, _ = planted_combination_instance(7, 6, 8)
     bset = tab.belief_set()
-    solves = []
-    stack = lp._solve_stack
-    monkeypatch.setattr(lp, "_solve_stack",
-                        lambda *args: solves.append(args) or stack(*args))
     assert known_combinations(bset) == []
     extreme_each(bset, [planted, 0])
     assert is_extreme(bset, 0)[0] and not is_extreme(bset, planted)[0]
-    solved = len(solves)
+    solved = len(driver_calls)
     assert known_combinations(bset) == [planted]
     extreme_each(bset, range(len(bset)))
     assert known_combinations(bset) == [
         i for i in range(len(bset)) if not is_extreme(bset, i)[0]]
     assert planted in known_combinations(bset)
-    assert len(solves) == solved + 1
+    assert len(driver_calls) == solved + 1

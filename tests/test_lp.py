@@ -1,7 +1,6 @@
 """Simplex solver tests against a brute-force vertex enumeration oracle."""
 
 import itertools
-import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -41,6 +40,8 @@ from surplex.lp import (
     solve,
     solve_stack,
 )
+
+from conftest import program
 
 
 def boxed_program(objective, constraints, box, sense="min"):
@@ -773,7 +774,7 @@ def test_separation_program_with_spanning_zero_points_solves():
     pts, zero, floor, margin = oracle_stream_instance(51)
     assert (len(pts), zero.size, floor.size, margin.size) == (44, 5, 34, 5)
     assert np.linalg.matrix_rank(pts[zero]) == 5
-    _, m = geometry._separation_lp(pts, zero, floor, margin)
+    _, m = geometry._separation_lp(pts, zero, floor, margin, "chain")
     assert abs(m) <= 1e-9
 
 
@@ -894,7 +895,7 @@ def test_solve_all_matches_reference_on_exposure_stacks(recorded_programs):
         recorded_programs.clear()
         expose_each(tab.belief_set())
         assert len(recorded_programs) == tab.n_types
-        assert all("expose_each" in rec.callers for rec in recorded_programs)
+        assert all(rec.family == "separation" for rec in recorded_programs)
         progs = [rec.program for rec in recorded_programs]
         assert set(_assert_stack_bit_identical(progs)) == {OPTIMAL}
 
@@ -911,15 +912,6 @@ def test_solve_all_matches_reference_on_vse_blocks(recorded_programs):
         assert set(_assert_stack_bit_identical(progs)) == {OPTIMAL}
 
 
-def _called_from(name):
-    """Whether a function of this name is on the stack of the caller's
-    caller."""
-    frame = sys._getframe(2)
-    while frame is not None and frame.f_code.co_name != name:
-        frame = frame.f_back
-    return frame is not None
-
-
 @pytest.fixture(scope="module")
 def virtual_separators():
     """The preset's virtual separation LPs as _case1_terms stacks them:
@@ -929,10 +921,10 @@ def virtual_separators():
     parts = []
     stack = lp._solve_stack
 
-    def spy(layout, rows, objectives, rhs, ws):
-        if _called_from("_case1_terms"):
+    def spy(layout, rows, objectives, rhs, ws, family):
+        if family == "virtual":
             parts.append((layout, np.array(rows), np.array(objectives)))
-        return stack(layout, rows, objectives, rhs, ws)
+        return stack(layout, rows, objectives, rhs, ws, family)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lp, "_solve_stack", spy)
@@ -940,7 +932,7 @@ def virtual_separators():
     layout = parts[0][0]
     rows = np.concatenate([r for _, r, _ in parts])
     objectives = np.concatenate([c for _, _, c in parts])
-    refs = [reference_solve(layout.with_rows(r, c))
+    refs = [reference_solve(program(layout, r, c, layout.rhs))
             for r, c in zip(rows, objectives)]
     return layout, rows, objectives, refs
 
@@ -1241,7 +1233,7 @@ def test_chunks_of_one_call_share_its_buffers_without_aliasing():
     for part in chunks:
         before = dict(ws._buffers)
         got = lp._solve_stack(layout, rows[part], objectives[part],
-                              rhs[part], ws)
+                              rhs[part], ws, None)
         after = dict(ws._buffers)
         if part == slice(15, 20):   # smaller than the chunk before
             assert all(after[k] is before[k] for k in before)
@@ -1250,8 +1242,8 @@ def test_chunks_of_one_call_share_its_buffers_without_aliasing():
         ref = solve_stack(layout, rows[part], objectives[part], rhs[part])
         for k, sol, want in zip(range(part.start, part.stop), got, ref):
             _assert_same_solution(sol, want)
-            _assert_same_solution(sol, solve(layout.with_rows(
-                rows[k], objectives[k], rhs[k])))
+            _assert_same_solution(sol, solve(program(
+                layout, rows[k], objectives[k], rhs[k])))
         answers += got
         snapshots += [_answer_bytes(sol) for sol in got]
 
@@ -1284,7 +1276,7 @@ def chunk_family():
         objectives_buf[:] = objectives[lo:hi]
         rhs_buf[:] = rhs[lo:hi]
 
-    refs = [solve(layout.with_rows(r, c, b))
+    refs = [solve(program(layout, r, c, b))
             for r, c, b in zip(rows, objectives, rhs)]
     assert {ref.status for ref in refs} == {OPTIMAL, INFEASIBLE, UNBOUNDED}
     return layout, fill, chunks, refs
@@ -1292,26 +1284,21 @@ def chunk_family():
 
 @pytest.mark.parametrize("chunk", [1, 2, 11, 12, 17])
 def test_solve_chunks_gives_each_program_its_solve_answer(chunk,
-                                                          monkeypatch):
+                                                          driver_calls):
     """Whatever the chunk, each program gets solve()'s answer bit for bit,
-    in program order, from one _solve_stack call per chunk, which
-    solve_chunks looks up in the module as it calls it (the driver's
-    row-flip fallback calls it again, per program of a chunk)."""
+    in program order, from one _solve_stack call per chunk with the
+    call's family label, which solve_chunks looks up in the module as it
+    calls it.  The chunks whose programs need different row flips go
+    through the driver's per-program fallback, which re-enters no
+    wrapper of _solve_stack."""
     layout, fill, chunks, refs = chunk_family()
-    calls = []
-    stack = lp._solve_stack
-
-    def spy(*args):
-        if sys._getframe(1).f_code is lp.solve_chunks.__code__:
-            calls.append(args)
-        return stack(*args)
-
-    monkeypatch.setattr(lp, "_solve_stack", spy)
-    got = list(lp.solve_chunks(layout, len(refs), chunk, fill))
+    driver_calls.clear()        # the reference solves
+    got = list(lp.solve_chunks(layout, len(refs), chunk, fill,
+                               family="chunks"))
     bounds = [(lo, min(lo + chunk, len(refs)))
               for lo in range(0, len(refs), chunk)]
     assert [(lo, hi) for lo, hi, _ in chunks] == bounds
-    assert [len(args[1]) for args in calls] == [hi - lo for lo, hi in bounds]
+    assert driver_calls == [("chunks", hi - lo) for lo, hi in bounds]
     assert len(got) == len(refs)
     for sol, ref in zip(got, refs):
         _assert_same_solution(sol, ref)
@@ -1328,9 +1315,9 @@ def test_solve_chunks_reuses_its_buffers_without_aliasing():
     spaces = []
     stack = lp._solve_stack
 
-    def spy(layout, rows, objectives, rhs, ws):
+    def spy(layout, rows, objectives, rhs, ws, family):
         spaces.append(ws)
-        return stack(layout, rows, objectives, rhs, ws)
+        return stack(layout, rows, objectives, rhs, ws, family)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lp, "_solve_stack", spy)
