@@ -9,6 +9,9 @@ Common flags: --out DIR, --seed N, --tol-override key=value.
 Exit codes: 0 all requested verdicts pass, 1 a task failed (the failing
 assertion is named in the report), 2 the config is invalid.
 
+Only main() loads argparse, so importing this module for run_scenario or
+load_config does not pay for it.
+
 Reports are byte-deterministic: keys are sorted, floats use shortest
 round-trip repr, and no timestamps or machine state are recorded.
 
@@ -29,7 +32,6 @@ _report_text:
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -111,7 +113,8 @@ def load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             config = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+            RecursionError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     validate_config(config)
     return config
@@ -511,6 +514,8 @@ def counterexample_preset() -> dict:
 
 
 def main(argv=None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="surplex",
         description="surplus-extraction scenarios: classification, menus, "

@@ -24,8 +24,6 @@ rather than trusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from surplex import lp
@@ -42,16 +40,13 @@ class DegenerateDual(ValueError):
     """No type carries enough lambda mass to disintegrate."""
 
 
-@dataclass
 class VseInstance:
     """Tabular model plus the pairwise value differences d(t,s)."""
 
-    tabular: TabularModel
-    d: np.ndarray = field(init=False)     # d[t, s] = v(t) - v(s)
-
-    def __post_init__(self):
-        v = self.tabular.values
-        self.d = v[:, None] - v[None, :]
+    def __init__(self, tabular: TabularModel):
+        self.tabular = tabular
+        v = tabular.values
+        self.d = v[:, None] - v[None, :]     # d[t, s] = v(t) - v(s)
 
     @property
     def n_types(self) -> int:
@@ -109,22 +104,23 @@ def build_dual(inst: VseInstance) -> lp.LinearProgram:
     return lp.LinearProgram(obj, cons, sense="max")
 
 
-@dataclass
 class PrimalSolution:
     """Primal optimum; `solution` certifies it for the full build_primal."""
 
-    p_star: float
-    z: np.ndarray                 # (types, states)
-    max_violation: float
-    solution: lp.LpSolution
+    def __init__(self, p_star: float, z: np.ndarray, max_violation: float,
+                 solution: lp.LpSolution):
+        self.p_star = p_star
+        self.z = z                   # (types, states)
+        self.max_violation = max_violation
+        self.solution = solution
 
 
-@dataclass
 class DualMeasures:
     """Nonnegative weights over types (lambda) and type pairs (nu)."""
 
-    lam: np.ndarray
-    nu: np.ndarray                # (m, m), nu[t, s]
+    def __init__(self, lam: np.ndarray, nu: np.ndarray):
+        self.lam = lam
+        self.nu = nu                 # (m, m), nu[t, s]
 
     @property
     def normalization(self) -> float:
@@ -214,7 +210,6 @@ def solve_primal(inst: VseInstance) -> PrimalSolution:
                           solution=sol)
 
 
-@dataclass
 class DisintegrationReport:
     """Conditional rows nu_u(t) = nu[t, u] / lambda_u, one per heavy type.
 
@@ -223,9 +218,10 @@ class DisintegrationReport:
     clean dual optimum it vanishes.
     """
 
-    rows: dict
-    gamma_residual: dict
-    own_mass: dict
+    def __init__(self, rows: dict, gamma_residual: dict, own_mass: dict):
+        self.rows = rows
+        self.gamma_residual = gamma_residual
+        self.own_mass = own_mass
 
     def min_own_mass(self) -> float:
         return min(self.own_mass.values())
@@ -250,16 +246,19 @@ def disintegrate(measures: DualMeasures, tabular: TabularModel,
     return DisintegrationReport(rows=rows, gamma_residual=gamma, own_mass=own)
 
 
-@dataclass
 class DualityReport:
-    p_star: float
-    d_star: float
-    gap: float
-    primal: PrimalSolution
-    measures: DualMeasures            # read off the primal's multipliers
-    disintegration: DisintegrationReport | None
-    verdict: bool                     # virtual extraction holds
-    diagnostics: dict = field(default_factory=dict)
+    def __init__(self, p_star: float, d_star: float, gap: float,
+                 primal: PrimalSolution, measures: DualMeasures,
+                 disintegration: DisintegrationReport | None, verdict: bool,
+                 diagnostics: dict | None = None):
+        self.p_star = p_star
+        self.d_star = d_star
+        self.gap = gap
+        self.primal = primal
+        self.measures = measures     # read off the primal's multipliers
+        self.disintegration = disintegration
+        self.verdict = verdict       # virtual extraction holds
+        self.diagnostics = {} if diagnostics is None else diagnostics
 
     def to_jsonable(self) -> dict:
         meas = self.measures

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import numbers
 from collections import deque
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,18 +90,23 @@ class UncoveredType(ValueError):
         super().__init__(f"type t={t!r} lies in no menu entry's cover ball")
 
 
-@dataclass
 class Classification:
     """Detectability verdict for one type, with its certificate."""
 
-    label: str
-    functional: np.ndarray | None = None
-    margin: float | None = None
-    inf_margin: float | None = None
-    chain: ExposureChain | None = None
-    witness: np.ndarray | None = None
-    slack: float = 0.0
-    provenance: str = ""
+    def __init__(self, label: str, functional: np.ndarray | None = None,
+                 margin: float | None = None,
+                 inf_margin: float | None = None,
+                 chain: ExposureChain | None = None,
+                 witness: np.ndarray | None = None, slack: float = 0.0,
+                 provenance: str = ""):
+        self.label = label
+        self.functional = functional
+        self.margin = margin
+        self.inf_margin = inf_margin
+        self.chain = chain
+        self.witness = witness
+        self.slack = slack
+        self.provenance = provenance
 
     def to_jsonable(self) -> dict:
         out = {"label": self.label, "provenance": self.provenance}
@@ -120,12 +124,13 @@ class Classification:
         return out
 
 
-@dataclass
 class Provenance:
     """Decomposition record: payments = base_value 1 + sum alpha_i z_i."""
 
-    base_value: float
-    terms: list[tuple[float, np.ndarray]] = field(default_factory=list)
+    def __init__(self, base_value: float,
+                 terms: list[tuple[float, np.ndarray]] | None = None):
+        self.base_value = base_value
+        self.terms = [] if terms is None else terms
 
     def assemble(self, n_states: int) -> np.ndarray:
         c = np.full(n_states, self.base_value)
@@ -134,13 +139,11 @@ class Provenance:
         return c
 
 
-@dataclass
 class Contract:
-    payments: np.ndarray
-    provenance: Provenance | None = None
-
-    def __post_init__(self):
-        self.payments = np.asarray(self.payments, dtype=float)
+    def __init__(self, payments: np.ndarray,
+                 provenance: Provenance | None = None):
+        self.payments = np.asarray(payments, dtype=float)
+        self.provenance = provenance
         if not np.isfinite(self.payments).all():
             raise ValueError("non-finite payments")
 
@@ -151,20 +154,19 @@ class Contract:
         return float(np.abs(self.payments - ref).max())
 
 
-@dataclass
 class Menu:
     """Labeled contracts; ts holds each entry's type on a parametric grid,
     as a float array of its own."""
 
-    entries: list[tuple[str, Contract]]
-    ts: np.ndarray | None = None
-
-    def __post_init__(self):
-        labels = [lbl for lbl, _ in self.entries]
+    def __init__(self, entries: list[tuple[str, Contract]],
+                 ts: np.ndarray | None = None):
+        self.entries = entries
+        self.ts = ts
+        labels = [lbl for lbl, _ in entries]
         if len(set(labels)) != len(labels):
             raise ValueError("menu labels must be unique")
-        if self.ts is not None:
-            self.ts = np.array(self.ts, dtype=float)
+        if ts is not None:
+            self.ts = np.array(ts, dtype=float)
             if self.ts.shape != (len(labels),):
                 raise ValueError("menu ts must hold one type per entry")
 
@@ -215,7 +217,6 @@ class Menu:
         return cls(entries, data.get("ts"))
 
 
-@dataclass
 class ExtractionReport:
     """Grid evaluation of a menu: surpluses, verdict, and grid slack.
 
@@ -225,16 +226,20 @@ class ExtractionReport:
     holds the grid (it is not part of to_jsonable).
     """
 
-    mode: tuple
-    labels: list[str]
-    own: np.ndarray
-    cross: np.ndarray
-    best: np.ndarray
-    verdict: str
-    passed: bool
-    lipschitz_slack: float = 0.0
-    notes: str = ""
-    ts: np.ndarray | None = None
+    def __init__(self, mode: tuple, labels: list[str], own: np.ndarray,
+                 cross: np.ndarray, best: np.ndarray, verdict: str,
+                 passed: bool, lipschitz_slack: float = 0.0, notes: str = "",
+                 ts: np.ndarray | None = None):
+        self.mode = mode
+        self.labels = labels
+        self.own = own
+        self.cross = cross
+        self.best = best
+        self.verdict = verdict
+        self.passed = passed
+        self.lipschitz_slack = lipschitz_slack
+        self.notes = notes
+        self.ts = ts
 
     @property
     def max_abs_own(self) -> float:
@@ -564,16 +569,21 @@ def _block_mults(x, t):
 # ---------------------------------------------------------------------------
 # virtual extraction (parametric models)
 
-@dataclass
 class ConstructionLog:
-    label: str
-    case: str                      # "detectable" or "chain"
-    alphas: list[float] = field(default_factory=list)
-    margins: list[float] = field(default_factory=list)
-    deltas: list[float] = field(default_factory=list)
-    residuals: list[float] = field(default_factory=list)
-    chain_length: int = 0
-    provenance: str = ""
+    def __init__(self, label: str, case: str,
+                 alphas: list[float] | None = None,
+                 margins: list[float] | None = None,
+                 deltas: list[float] | None = None,
+                 residuals: list[float] | None = None,
+                 chain_length: int = 0, provenance: str = ""):
+        self.label = label
+        self.case = case             # "detectable" or "chain"
+        self.alphas = [] if alphas is None else alphas
+        self.margins = [] if margins is None else margins
+        self.deltas = [] if deltas is None else deltas
+        self.residuals = [] if residuals is None else residuals
+        self.chain_length = chain_length
+        self.provenance = provenance
 
     def to_jsonable(self) -> dict:
         return {"label": self.label, "case": self.case,

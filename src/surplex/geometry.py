@@ -20,7 +20,6 @@ no geometry LP has more than S + 1 rows or a variable bound other than
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -111,7 +110,6 @@ def _first_close_pair(points):
     return first, int(np.argmin(d))
 
 
-@dataclass(eq=False)
 class FiniteBeliefSet:
     """Labeled belief points; rows of `points` live in the simplex.
 
@@ -128,13 +126,12 @@ class FiniteBeliefSet:
     own.
     """
 
-    labels: list[str]
-    points: np.ndarray
-    allow_duplicates: bool = False
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self):
-        self.points = np.array(self.points, dtype=float)
+    def __init__(self, labels: list[str], points: np.ndarray,
+                 allow_duplicates: bool = False):
+        self.labels = labels
+        self.allow_duplicates = allow_duplicates
+        self._memo = {}
+        self.points = np.array(points, dtype=float)
         self.points.setflags(write=False)
         if self.points.ndim != 2 or self.points.shape[0] == 0:
             raise EmptySet("belief set needs at least one point")
@@ -180,7 +177,6 @@ class FiniteBeliefSet:
         return answer
 
 
-@dataclass
 class ExposureChain:
     """Nested faces certifying a point as eventually exposed.
 
@@ -190,11 +186,15 @@ class ExposureChain:
     length 1 means the point is exposed outright.
     """
 
-    target: int
-    initial_members: np.ndarray
-    stages: list[tuple[np.ndarray, np.ndarray]]
-    margins: list[float] = field(default_factory=list)
-    provenance: str = "discovered"
+    def __init__(self, target: int, initial_members: np.ndarray,
+                 stages: list[tuple[np.ndarray, np.ndarray]],
+                 margins: list[float] | None = None,
+                 provenance: str = "discovered"):
+        self.target = target
+        self.initial_members = initial_members
+        self.stages = stages
+        self.margins = [] if margins is None else margins
+        self.provenance = provenance
 
     @property
     def length(self) -> int:

@@ -50,7 +50,6 @@ as do solve_stack() and solve_chunks() when no label is given.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -133,7 +132,6 @@ class LinearProgram:
         return [_RELATIONS[1 + k] for k in self.codes.tolist()]
 
 
-@dataclass
 class LpSolution:
     """Solve outcome.
 
@@ -145,24 +143,32 @@ class LpSolution:
     solve_stack() return each vector C-contiguous.
     """
 
-    status: str
-    primal: np.ndarray | None = None
-    duals: np.ndarray | None = None
-    objective_value: float | None = None
-    ray: np.ndarray | None = None
-    iterations: int = 0
+    def __init__(self, status: str, primal: np.ndarray | None = None,
+                 duals: np.ndarray | None = None,
+                 objective_value: float | None = None,
+                 ray: np.ndarray | None = None, iterations: int = 0):
+        self.status = status
+        self.primal = primal
+        self.duals = duals
+        self.objective_value = objective_value
+        self.ray = ray
+        self.iterations = iterations
 
 
-@dataclass
 class CertificateReport:
     """Max residuals of a solution certificate; all ~0 for a clean pass."""
 
-    feasibility: float = 0.0
-    dual_feasibility: float = 0.0
-    complementary_slackness: float = 0.0
-    duality_gap: float = 0.0
-    passed: bool = False
-    notes: str = ""
+    def __init__(self, feasibility: float = 0.0,
+                 dual_feasibility: float = 0.0,
+                 complementary_slackness: float = 0.0,
+                 duality_gap: float = 0.0, passed: bool = False,
+                 notes: str = ""):
+        self.feasibility = feasibility
+        self.dual_feasibility = dual_feasibility
+        self.complementary_slackness = complementary_slackness
+        self.duality_gap = duality_gap
+        self.passed = passed
+        self.notes = notes
 
     def max_residual(self) -> float:
         return max(self.feasibility, self.dual_feasibility,
@@ -176,20 +182,21 @@ class CertificateReport:
 # Original variables map to canonical columns: a nonnegative variable maps
 # to one column, a free one splits into a difference of two ("split").
 
-@dataclass
 class _Columns:
     """What the canonical form takes from a program's relations and free
     variables alone, so the solves on one layout work it out once
     (_Workspace)."""
 
-    runs: list                       # (start, stop, first column, split)
-    first: np.ndarray                # per variable: its (first) column
-    split: np.ndarray                # per variable: split into two columns
-    second: np.ndarray               # per split variable: its minus column
-    n_struct: int
-    slack_rows: np.ndarray
-    slack_cols: np.ndarray           # per row: slack column or -1
-    n_real: int                      # structural and slack columns
+    def __init__(self, runs, first, split, second, n_struct, slack_rows,
+                 slack_cols, n_real):
+        self.runs = runs             # (start, stop, first column, split)
+        self.first = first           # per variable: its (first) column
+        self.split = split           # per variable: split into two columns
+        self.second = second         # per split variable: its minus column
+        self.n_struct = n_struct
+        self.slack_rows = slack_rows
+        self.slack_cols = slack_cols  # per row: slack column or -1
+        self.n_real = n_real         # structural and slack columns
 
 
 def _columns(lp: LinearProgram) -> _Columns:
@@ -239,25 +246,21 @@ class _Workspace:
         return buf[:size].reshape(shape)
 
 
-@dataclass
 class _Canonical:
-    T: np.ndarray                    # work matrix: A | b, then a cost row
-    A: np.ndarray                    # view of T's constraint block
-    b: np.ndarray                    # right-hand sides, apart from T
-    costs: np.ndarray                # phase-2 cost row: c, then zeros
-    flip: np.ndarray                 # +-1 per row: orientation vs given row
-    scale: np.ndarray                # row equilibration factors
-    first: np.ndarray                # per variable: its (first) column
-    split: np.ndarray                # per variable: split into two columns
-    second: np.ndarray               # per split variable: its minus column
-    n_struct: int
-    slack_cols: np.ndarray           # per row: slack column or -1
-    art_cols: np.ndarray             # per row: artificial column or -1
+    def __init__(self, T, A, b, costs, flip, scale, columns, art_cols):
+        self.T = T                   # work matrix: A | b, then a cost row
+        self.A = A                   # view of T's constraint block
+        self.b = b                   # right-hand sides, apart from T
+        self.costs = costs           # phase-2 cost row: c, then zeros
+        self.flip = flip             # +-1 per row: orientation vs given row
+        self.scale = scale           # row equilibration factors
+        self.columns = columns       # the layout's _Columns
+        self.art_cols = art_cols     # per row: artificial column or -1
 
     @property
     def c(self):
         """The canonical objective, over the structural columns."""
-        return self.costs[..., :self.n_struct]
+        return self.costs[..., :self.columns.n_struct]
 
 
 def _canonicalize(lp: LinearProgram, rows, objective, rhs, ws):
@@ -320,9 +323,7 @@ def _canonicalize(lp: LinearProgram, rows, objective, rhs, ws):
     costs[..., n_struct:] = 0.0
 
     return _Canonical(T=T, A=A, b=b0, costs=costs, flip=flip, scale=scale,
-                      first=cols.first, split=cols.split,
-                      second=cols.second, n_struct=n_struct,
-                      slack_cols=cols.slack_cols, art_cols=art_cols)
+                      columns=cols, art_cols=art_cols)
 
 
 def _spread(runs, R, div, out):
@@ -350,14 +351,16 @@ def _spread(runs, R, div, out):
 
 def _extract_duals(canon, obj_row, costs):
     """Per-canonical-row multipliers y = cost(id column) - reduced cost."""
-    cols = np.where(canon.art_cols >= 0, canon.art_cols, canon.slack_cols)
+    cols = np.where(canon.art_cols >= 0, canon.art_cols,
+                    canon.columns.slack_cols)
     return (costs[..., cols] - obj_row[..., cols]) * (canon.flip / canon.scale)
 
 
 def _to_original(lp, canon, x_struct):
-    x = x_struct[..., canon.first]
-    if canon.second.size:
-        x[..., canon.split] -= x_struct[..., canon.second]
+    cols = canon.columns
+    x = x_struct[..., cols.first]
+    if cols.second.size:
+        x[..., cols.split] -= x_struct[..., cols.second]
     return x
 
 
@@ -729,7 +732,8 @@ def _two_phase(layout, rows, objectives, rhs, ws):
     # the artificial columns come last: [n_real, ncols)
     n_real = ncols - np.count_nonzero(has_art)
     stack = _Stack(canon.T,
-                   np.where(has_art, canon.art_cols, canon.slack_cols),
+                   np.where(has_art, canon.art_cols,
+                            canon.columns.slack_cols),
                    ws.take("work", canon.T.shape))
     costs2 = canon.costs
     live = B

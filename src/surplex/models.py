@@ -128,7 +128,6 @@ def _read_only(a) -> np.ndarray:
     return a
 
 
-@dataclass
 class TabularModel:
     """Finite type space: beliefs (one simplex row per type) and values;
     ts holds the sampled types of a parametric model, else None.
@@ -137,18 +136,13 @@ class TabularModel:
     belief set the table builds cannot go stale.
     """
 
-    labels: list[str]
-    beliefs: np.ndarray
-    values: np.ndarray
-    ts: np.ndarray | None = None
-    _bset: FiniteBeliefSet | None = field(default=None, init=False,
-                                          repr=False, compare=False)
-
-    def __post_init__(self):
-        self.beliefs = _read_only(self.beliefs)
-        self.values = _read_only(self.values)
-        if self.ts is not None:
-            self.ts = _read_only(self.ts)
+    def __init__(self, labels: list[str], beliefs: np.ndarray,
+                 values: np.ndarray, ts: np.ndarray | None = None):
+        self.labels = labels
+        self._bset = None
+        self.beliefs = _read_only(beliefs)
+        self.values = _read_only(values)
+        self.ts = None if ts is None else _read_only(ts)
         if self.beliefs.ndim != 2:
             raise ValueError("beliefs must be a (types, states) array")
         m = self.beliefs.shape[0]
@@ -216,7 +210,6 @@ class TabularModel:
         return cls.from_dict(json.loads(text))
 
 
-@dataclass
 class DeclaredFace:
     """A supporting functional with a known continuum zero set.
 
@@ -224,9 +217,11 @@ class DeclaredFace:
     there and be strictly positive elsewhere on the curve.
     """
 
-    members: tuple[float, ...]
-    functional: np.ndarray
-    description: str = ""
+    def __init__(self, members: tuple[float, ...], functional: np.ndarray,
+                 description: str = ""):
+        self.members = members
+        self.functional = functional
+        self.description = description
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,13 +300,14 @@ def sample(model: ParametricModel, n: int) -> TabularModel:
     return tab
 
 
-@dataclass
 class LipschitzReport:
-    max_ratio_pi: float
-    max_ratio_v: float
-    declared_pi: float
-    declared_v: float
-    passed: bool
+    def __init__(self, max_ratio_pi: float, max_ratio_v: float,
+                 declared_pi: float, declared_v: float, passed: bool):
+        self.max_ratio_pi = max_ratio_pi
+        self.max_ratio_v = max_ratio_v
+        self.declared_pi = declared_pi
+        self.declared_v = declared_v
+        self.passed = passed
 
 
 def validate_lipschitz(model: ParametricModel, grid_n: int) -> LipschitzReport:

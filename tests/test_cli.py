@@ -172,6 +172,15 @@ def test_config_that_is_not_utf8_exits_two(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_deeply_nested_config_exits_two(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    out = tmp_path / "o"
+    assert main(["analyze", str(path), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_duplicate_type_labels_are_a_config_error(tmp_path, capsys):
     config = {"version": 1, "model": {
         "kind": "tabular", "states": 2, "types": ["a", "a"],

@@ -417,7 +417,7 @@ def test_canonical_columns_match_per_variable_reference():
         a_ref = np.array(rows).reshape(-1, col) / canon.scale[:, None]
         a_ref *= canon.flip[:, None]
         obj = prog.objective if prog.sense == "min" else -prog.objective
-        assert canon.n_struct == col
+        assert canon.columns.n_struct == col
         assert np.array_equal(canon.A[:, :col], a_ref)
         assert np.array_equal(canon.c, expand(obj))
 
@@ -492,11 +492,10 @@ def _reference_canonicalize(lp):
     obj = lp.objective if lp.sense == "min" else -lp.objective
     c_canon = expand(obj[None, :])[0]
 
+    columns = SimpleNamespace(first=first, split=split, second=second,
+                              n_struct=n_struct, slack_cols=slack_cols)
     return SimpleNamespace(c=c_canon, A=A_full, b=b0, flip=flip, scale=scale,
-                           row_rel=rels, first=first,
-                           split=split, second=second,
-                           n_struct=n_struct, slack_cols=slack_cols,
-                           art_cols=art_cols)
+                           row_rel=rels, columns=columns, art_cols=art_cols)
 
 
 class _ReferenceTableau:
@@ -581,7 +580,8 @@ def reference_solve(lp, events=None):
     m, ncols = canon.A.shape
     n_real = ncols - np.count_nonzero(canon.art_cols >= 0)
 
-    basis = [canon.art_cols[i] if canon.art_cols[i] >= 0 else canon.slack_cols[i]
+    slack_cols = canon.columns.slack_cols
+    basis = [canon.art_cols[i] if canon.art_cols[i] >= 0 else slack_cols[i]
              for i in range(m)]
     tab = _ReferenceTableau(canon.A, canon.b, basis, events)
 
@@ -618,7 +618,7 @@ def reference_solve(lp, events=None):
             tab.basis = [bv for i, bv in enumerate(tab.basis) if keep[i]]
 
     costs2 = np.zeros(ncols)
-    costs2[:canon.n_struct] = canon.c
+    costs2[:canon.columns.n_struct] = canon.c
     status, result = tab.run(costs2, allowed)
     if status == "unbounded":
         q = result
