@@ -59,6 +59,8 @@ CORPUS = {
     "preset_eps0.02": _preset(epsilon=0.02),
     "preset_emb0.05": _preset(model={"kind": "counterexample",
                                      "eps_emb": 0.05, "values": "linear"}),
+    # exposure chains that start from the remembered exposure LPs
+    "preset_tol1e-3": _preset(tolerances={"margin_tol": 1e-3}),
     "duality65": _curve(["duality"], duality_grid=65),
     **{f"table{s}": _table(s, 40, 6) for s in range(6)},
     "classify_sweep": _curve(["classify", "sweep"],

@@ -9,12 +9,13 @@ tolerances below are scale-meaningful.  It is solved in dual form: a
 min-l1 convex-combination program with S + 1 rows and one column per
 point, whose row multipliers are the functional z.  The exposure LPs
 of all points of a set share one layout and go to lp.solve_chunks
-together (expose_each), and so do their hull-membership LPs, which
-differ in their right-hand sides too (extreme_each).  The supporting LP
-of an exposure chain (the functional through a point with the most mass
-above it) is the same LP with the centroid as its one margin point, so
-no geometry LP has more than S + 1 rows or a variable bound other than
->= 0.
+together (expose_each, their one solver, whose answers expose_set and
+an exposure chain's whole-set stage read), and so do their
+hull-membership LPs, which differ in their right-hand sides too
+(extreme_each).  The supporting LP of an exposure chain (the functional
+through a point with the most mass above it) is the same LP with the
+centroid as its one margin point, so no geometry LP has more than S + 1
+rows or a variable bound other than >= 0.
 """
 
 from __future__ import annotations
@@ -121,9 +122,9 @@ class FiniteBeliefSet:
     before any margin_tol test), of is_extreme and of exposure_chain (per
     declared faces and margin_tol), so each is solved at most once
     however many callers ask; the remembered arrays are read-only too.
-    expose_each fills the exposure answers of every point with one
-    stacked solve.  Sets compare by identity, as their memos are their
-    own.
+    expose_each fills the exposure answers, of every point in one
+    stacked solve or of the points it is given.  Sets compare by
+    identity, as their memos are their own.
     """
 
     def __init__(self, labels: list[str], points: np.ndarray,
@@ -362,9 +363,10 @@ def expose_set(bset: FiniteBeliefSet, subset, *,
     None.  Zero level on the subset is without loss for probability
     vectors: adding a constant to z shifts every inner product equally.
 
-    A singleton subset is solved once per point of bset: the raw (z, m)
-    is remembered before the margin_tol test, so any tolerance reads the
-    same LP, and the returned z is read-only.
+    A singleton subset reads the answer that expose_each remembers for
+    its point, solving it there on first use: the raw (z, m), before the
+    margin_tol test, so any tolerance reads the same LP, and the returned
+    z is read-only.  A larger subset is solved on each call.
     """
     if isinstance(subset, (list, tuple)) and len(subset) == 1:
         # a one-element list needs no sorting
@@ -373,44 +375,39 @@ def expose_set(bset: FiniteBeliefSet, subset, *,
         members = sorted(set(map(bset.check_index, subset)))
         if not members:
             raise ValueError("subset must be nonempty")
-    remembered = len(members) == 1
-    if remembered and len(bset) > 1:
+    if len(members) == 1 and len(bset) > 1:
         # a remembered answer needs no complement
         answer = bset._memo.get(("expose", members[0]))
-        if answer is not None:
-            return None if answer[1] <= margin_tol else answer
-    subset = np.array(members, dtype=int)
-    complement = np.setdiff1d(np.arange(len(bset)), subset)
-    if complement.size == 0:
-        raise ValueError("subset must be proper")
-    args = (bset.points, subset, (), complement, "separation")
-    if remembered:
-        z, margin = bset._remember(("expose", int(subset[0])),
-                                   _separation_lp, *args)
+        if answer is None:
+            expose_each(bset, members)
+            answer = bset._memo[("expose", members[0])]
     else:
-        z, margin = _separation_lp(*args)
-    if margin <= margin_tol:
-        return None
-    return z, margin
+        complement = np.setdiff1d(np.arange(len(bset)), members)
+        if complement.size == 0:
+            raise ValueError("subset must be proper")
+        answer = _separation_lp(bset.points, members, (), complement,
+                                "separation")
+    return None if answer[1] <= margin_tol else answer
 
 
-def expose_each(bset: FiniteBeliefSet) -> np.ndarray:
-    """Solve the singleton exposure LP of every point of bset that has no
-    remembered answer yet, and remember the answers, so that expose_set on
-    a single point solves nothing more.  Returns every point's raw margin,
-    before any margin_tol test (inf for the one point of a one-point set,
-    which the zero functional exposes).
+def expose_each(bset: FiniteBeliefSet, idx=None) -> np.ndarray:
+    """Solve the singleton exposure LP of every point of idx (default:
+    all of bset) that has no remembered answer yet, and remember the
+    answers; this is the one solver of these programs, and expose_set on
+    a single point reads its answer.  Returns the raw margin of each point
+    of idx, before any margin_tol test (inf for the one point of a
+    one-point set, which the zero functional exposes).
 
     The programs differ only in which point is the zero column, so they
     share one layout and go to lp.solve_chunks EXPOSE_CHUNK points at a
-    time; each answer is bit for bit the one expose_set would solve for
-    on its own.
+    time; a point's answer has the same bits in any stack.
     """
     m = len(bset)
+    idx = range(m) if idx is None else [bset.check_index(i) for i in idx]
     if m == 1:
-        return np.full(1, np.inf)
-    todo = np.array([i for i in range(m) if ("expose", i) not in bset._memo],
-                    dtype=int)
+        return np.full(len(idx), np.inf)
+    todo = np.array([i for i in dict.fromkeys(idx)
+                     if ("expose", i) not in bset._memo], dtype=int)
     margins = deque()   # per point of a chunk: its margin points' indices
 
     def fill(lo, hi, rows, objectives, rhs):
@@ -427,7 +424,7 @@ def expose_each(bset: FiniteBeliefSet) -> np.ndarray:
                 layout, todo.size, EXPOSE_CHUNK, fill, family="separation")):
             bset._remember(("expose", i), separation_answer, sol,
                            bset.points[margins.popleft()])
-    return np.array([bset._memo[("expose", i)][1] for i in range(m)])
+    return np.array([bset._memo[("expose", i)][1] for i in idx])
 
 
 def face_of(bset: FiniteBeliefSet, z, face_tol: float = FACE_TOL) -> np.ndarray:
@@ -451,7 +448,8 @@ def exposure_chain(bset: FiniteBeliefSet, i: int, declared_faces=(),
     Each stage first tries a declared face (a supporting functional whose
     zero set strictly shrinks the current members while keeping i); with
     none applicable it tries to expose {i} directly (margin above
-    margin_tol), and failing that it discovers a face with the supporting
+    margin_tol; on the whole set that is the exposure LP expose_set
+    remembers), and failing that it discovers a face with the supporting
     LP: the functional through p_i, nonnegative on the members, with the
     most mass above it.  That LP is the separation LP with the members'
     centroid as its one margin point, so it has S + 1 rows too.  Declared
@@ -500,11 +498,13 @@ def _exposure_chain(bset, i, declared, margin_tol):
         if cut is None:
             n = len(pts)
             others = np.setdiff1d(np.arange(n), [pos_i])
-            if others.size:
+            if not others.size:   # the zero functional exposes p_i
+                z, margin = np.zeros(bset.n_states), np.inf
+            elif n == len(bset):  # the whole set: read the remembered LP
+                z, margin = expose_set(bset, [i], margin_tol=-np.inf)
+            else:
                 z, margin = _separation_lp(pts, [pos_i], [], others,
                                            "chain")
-            else:   # nothing to separate: the zero functional exposes p_i
-                z, margin = np.zeros(bset.n_states), np.inf
             if margin > margin_tol:
                 stages.append((np.array([i]), z))
                 margins.append(margin)

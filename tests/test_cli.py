@@ -500,9 +500,9 @@ def test_run_with_fewer_figures_removes_stale_ones(tmp_path):
         "curve.csv", "hull.csv", "notes.txt", "report.json", "surplus.csv"]
 
 
-def random_table_config(tasks):
+def random_table_config(tasks, seed=0):
     return {"version": 1,
-            "model": {"kind": "random_polytope", "seed": 0, "types": 40,
+            "model": {"kind": "random_polytope", "seed": seed, "types": 40,
                       "states": 6},
             "tasks": tasks}
 
@@ -553,24 +553,36 @@ def test_classify_and_full_solve_no_program_alone(tmp_path, solved_alone):
     assert not solved_alone
 
 
-def test_preset_solves_no_program_twice(tmp_path, recorded_programs):
+@pytest.mark.parametrize("config", [
+    counterexample_preset(),
+    {**counterexample_preset(), "tolerances": {"margin_tol": 1e-3}},
+    {**random_table_config(["classify", "full", "duality"], seed=1),
+     "tolerances": {"margin_tol": 5e-2}},
+], ids=["preset", "preset_tol1e-3", "table1_tol5e-2"])
+def test_no_program_is_solved_twice(tmp_path, config, recorded_programs):
     """The classify and virtual tasks share the exposure chain of each
-    declared-face type, so no program of the preset is solved twice."""
-    run_scenario(counterexample_preset(), tmp_path)
+    declared-face type, and a chain on the whole belief set reads the
+    exposure LP that classify remembers, so no program is solved twice.
+    The margin_tol overrides send types that fail their exposure LP into
+    discovered chains."""
+    report = run_scenario(config, tmp_path)
     programs = [(prog.sense, prog.rows.shape,
                  *(a.tobytes() for a in (prog.objective, prog.rows,
                                          prog.codes, prog.rhs, prog.free)))
                 for prog, _, _ in recorded_programs]
-    assert any(rec.family == "chain" for rec in recorded_programs)
+    assert report["tasks"]["classify"]["counts"]["eventually_detectable"]
     assert len(set(programs)) == len(programs)
 
 
-@pytest.mark.parametrize("config, n_states", [
+library_configs = pytest.mark.parametrize("config, n_states", [
     (random_table_config(["classify", "full", "duality"]), 6),
     (counterexample_preset(), 3),
     ({**counterexample_preset(), "tasks": ["sweep"],
       "sweep_grids": [9, 17, 33, 65]}, 3),
 ], ids=["table0", "preset", "sweep65"])
+
+
+@library_configs
 def test_every_lp_has_state_rows_and_no_upper_bound(tmp_path, config,
                                                     n_states,
                                                     recorded_programs):
@@ -581,6 +593,18 @@ def test_every_lp_has_state_rows_and_no_upper_bound(tmp_path, config,
         # a bound other than x >= 0 would be an inequality on one variable
         lone = np.count_nonzero(prog.rows, axis=1) == 1
         assert not (lone & (prog.codes != 0)).any(), family
+
+
+@library_configs
+def test_every_labelled_solve_passes_its_certificate_check(
+        tmp_path, config, n_states, recorded_programs):
+    """Every program a scenario solves, of every family and status, comes
+    with a certificate that lp.check_certificate accepts for it."""
+    run_scenario(config, tmp_path)
+    assert recorded_programs
+    for k, (prog, sol, family) in enumerate(recorded_programs):
+        rep = lp.check_certificate(prog, sol)
+        assert rep.passed, (k, family, sol.status, rep.max_residual())
 
 
 @pytest.mark.parametrize("model", [

@@ -40,6 +40,7 @@ from surplex.models import (
     random_tabular,
     sample,
 )
+from conftest import program
 from test_duality import cremer_mclean_tables
 from test_lp import boxed_program
 
@@ -512,6 +513,32 @@ def test_preset_stacks_its_virtual_separators(recorded_programs,
     # the endpoints' exposure chains ask is_extreme of one point each
     assert "virtual" not in solved_alone
     assert sum(rec.family == "virtual" for rec in recorded_programs) == 99
+
+
+def test_endpoint_chain_lps_pass_their_certificate_check_at_401(
+        monkeypatch):
+    """The endpoints' exposure chains and extreme-point LPs of the
+    virtual construction on a 401-point grid carry certificates that
+    lp.check_certificate accepts.  Only those families are rebuilt: the
+    fixture recorded_programs would also copy the 399 virtual separators
+    of 4,014 columns each.  A fresh model keeps another test's grid
+    memo from hiding the solves."""
+    checked = []
+    driver = lp._solve_stack
+
+    def spy(layout, rows, objectives, rhs, ws, family):
+        sols = driver(layout, rows, objectives, rhs, ws, family)
+        if family in ("chain", "extreme"):
+            checked.extend((family, sol.status, lp.check_certificate(
+                program(layout, r, np.array(c), b), sol))
+                for r, c, b, sol in zip(rows, objectives, rhs, sols))
+        return sols
+
+    monkeypatch.setattr(lp, "_solve_stack", spy)
+    virtual_extraction_menu(counterexample_model(validate=False), 0.05, 401)
+    assert {family for family, _, _ in checked} == {"chain", "extreme"}
+    for family, status, rep in checked:
+        assert rep.passed, (family, status, rep.max_residual())
 
 
 def test_preset_separator_chunks_pivot_in_one_tableau(monkeypatch,
