@@ -5,28 +5,28 @@ Usage: python scripts/lp_replay.py NAME... [--repeat N]
 NAME is an entry of CORPUS in scripts/same_bytes.py.  Each config runs
 once through `surplex.cli.run_scenario`, into a temporary directory that
 is removed at the end, while every call of `lp._solve_stack`, the driver
-that `lp.solve`, `lp.solve_stack` and `lp.solve_chunks` all pass
-through, is recorded with copies of its arguments (right-hand sides
-included), its workspace, its family label and its answers; the driver's
-row-flip fallback solves a call's programs again without re-entering
-it.  Then every recorded call is replayed N times (default 5) in this
-process, and a table gives, per family label and program shape
-(constraints x variables of the program as built, before
-canonicalization): the calls, the programs they solve, their pivots,
-the best and median over the repeats of the family's total time in ms,
-and the minor page faults (`resource.getrusage`) its calls took in the
-recorded run.  The faults show allocation churn: the pages of the large
-arrays a call allocates, about 4 KiB each.  In the recorded run every
-call's copies lie above the arrays of the calls before it, so a large
-array a call allocates and frees takes fresh pages, unless it reuses
-one of its workspace (the chunks of one lp.solve_chunks call share it).
-The replays show no faults: their memory is already mapped.
+that `lp.solve` and `lp.solve_chunks` both pass through, is recorded
+with copies of its arguments (right-hand sides included), its workspace,
+its family label and its answers; the driver's row-flip fallback solves
+a call's programs again without re-entering it.  Then every recorded
+call is replayed N times (default 5) in this process, and a table gives,
+per family label and program shape (constraints x variables of the
+program as built, before canonicalization): the calls, the programs they
+solve, their pivots, the best and median over the repeats of the
+family's total time in ms, and the minor page faults
+(`resource.getrusage`) its calls took in the recorded run.  The faults
+show allocation churn: the pages of the large arrays a call allocates,
+about 4 KiB each.  In the recorded run every call's copies lie above the
+arrays of the calls before it, so a large array a call allocates and
+frees takes fresh pages, unless it reuses one of its workspace (the
+chunks of one lp.solve_chunks call share it).  The replays show no
+faults: their memory is already mapped.
 
-The family is the label that the call site hands to `lp.solve_chunks`
-or `lp.solve_stack`.  Exits 1 if a recorded call has no label (a
-library solve through `lp.solve`, or a call site that passes none), or
-if any replayed answer differs in any bit (signs of zeros included) from
-the recorded one, else 0.  Only this checkout's `src` is imported.
+The family is the label that the call site hands to `lp.solve_chunks`.
+Exits 1 if a recorded call has no label (a library solve through
+`lp.solve`, or a call site that passes none), or if any replayed answer
+differs in any bit (signs of zeros included) from the recorded one,
+else 0.  Only this checkout's `src` is imported.
 """
 
 from __future__ import annotations
@@ -50,16 +50,6 @@ from same_bytes import CORPUS  # noqa: E402
 from surplex import cli, lp  # noqa: E402
 
 
-def _copy(a):
-    """A copy of a float array; a broadcast one stays a broadcast view,
-    since the layout of the arrays a solve reads can move the last bit
-    of its dot products."""
-    a = np.asarray(a, dtype=float)
-    if a.strides[0] == 0:
-        return np.broadcast_to(np.array(a[0]), a.shape)
-    return np.array(a)
-
-
 def _minflt() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
@@ -72,8 +62,8 @@ def record(names):
     driver = lp._solve_stack
 
     def record_driver(layout, rows, objectives, rhs, ws, family):
-        args = (layout, _copy(rows), _copy(objectives), _copy(rhs), ws,
-                family)
+        args = (layout, np.array(rows), np.array(objectives), np.array(rhs),
+                ws, family)
         faults = _minflt()
         sols = driver(layout, rows, objectives, rhs, ws, family)
         calls.append((args, sols, _minflt() - faults))

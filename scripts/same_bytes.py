@@ -62,6 +62,8 @@ CORPUS = {
     # exposure chains that start from the remembered exposure LPs
     "preset_tol1e-3": _preset(tolerances={"margin_tol": 1e-3}),
     "duality65": _curve(["duality"], duality_grid=65),
+    # VSE blocks in three chunks: 128 + 128 + 1
+    "duality257": _curve(["duality"], duality_grid=257),
     **{f"table{s}": _table(s, 40, 6) for s in range(6)},
     "classify_sweep": _curve(["classify", "sweep"],
                              sweep_grids=[9, 17, 33, 65, 129]),

@@ -62,6 +62,8 @@ from surplex.figures import (
 )
 from surplex.geometry import (
     MARGIN_TOL,
+    ChainStalled,
+    NotExtreme,
     expose_each,
     expose_set,
     extreme_each,
@@ -236,7 +238,10 @@ def task_classify(model, config, tols) -> dict:
     margins = expose_each(bset)
     extreme_each(bset, np.flatnonzero((margins <= margin_tol)
                                       & ~grid.on_face).tolist())
-    verdicts = [grid.classify(i, margin_tol) for i in range(tab.n_types)]
+    try:
+        verdicts = [grid.classify(i, margin_tol) for i in range(tab.n_types)]
+    except (ChainStalled, NotExtreme) as err:
+        return _failed(err)
     per_type = {lbl: c.to_jsonable() for lbl, c in zip(tab.labels, verdicts)}
     counts: dict[str, int] = {}
     for c in verdicts:
@@ -282,7 +287,8 @@ def task_virtual(model, config, results) -> dict:
     mult = config.get("verify_multiplier", 10)
     try:
         menu, logs = virtual_extraction_menu(model, eps, grid_n)
-    except (BudgetInfeasible, NotEventuallyDetectable) as err:
+    except (BudgetInfeasible, ChainStalled, NotEventuallyDetectable,
+            NotExtreme) as err:
         results["virtual_menu"] = None      # the task ran and built none
         return _failed(err)
     rep = verify_menu(model, menu, mult * (grid_n - 1) + 1, ("virtual", eps))

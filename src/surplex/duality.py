@@ -14,9 +14,9 @@ Each z(s) enters only the own row of s and the pair rows (., s), so both
 programs split into m blocks coupled only through c (primal) or the
 normalization row (dual).  Block s is solved in dual form, S + 1 rows by
 m + 1 columns, with (c, z(s)) read off its row multipliers; the m blocks
-share one layout and are solved together by lp.solve_stack.  p* is the
-largest block value, and the dual measure averages the optimal block
-measures over the blocks attaining it.  The result is checked for
+share one layout and go to lp.solve_chunks EXPOSE_CHUNK at a time.  p*
+is the largest block value, and the dual measure averages the optimal
+block measures over the blocks attaining it.  The result is checked for
 feasibility against the full dual program, and strong duality (the
 z = 0 Slater point is strictly feasible) is checked as p* = d* = nu . d
 rather than trusted.
@@ -28,6 +28,7 @@ import numpy as np
 
 from surplex import lp
 from surplex.extraction import VIRTUAL, Contract, Menu, verify_menu
+from surplex.geometry import EXPOSE_CHUNK
 from surplex.models import TabularModel
 
 P_TOL = 1e-6       # extraction verdict: p* at or below this counts as zero
@@ -141,9 +142,9 @@ class DualMeasures:
                    float(np.abs(state).max()))
 
 
-def _block_stack(inst: VseInstance):
-    """The m blocks of build_dual, as the (layout, rows, objectives) of one
-    lp.solve_stack call.  Block s is
+def _vse_blocks(inst: VseInstance):
+    """The m blocks of build_dual, as the (layout, fill) of one
+    lp.solve_chunks call.  Block s is
 
         max sum_t nu_t d(t,s)
         s.t. lambda + sum_t nu_t = 1,
@@ -153,29 +154,31 @@ def _block_stack(inst: VseInstance):
     with S + 1 rows and m + 1 columns (lambda, then nu_0 .. nu_{m-1}).
     Its row multipliers y are block s of the primal: c = y[0] is the
     block value and z(s) = -y[1:] satisfies pi(s).z(s) <= c and
-    d(t,s) - pi(t).z(s) <= c for every t.
+    d(t,s) - pi(t).z(s) <= c for every t.  The fill writes all rows and
+    the nu costs; lambda's zero cost and the rhs are the layout's.
     """
     beliefs = inst.tabular.beliefs
     m, S = inst.n_types, inst.n_states
-    rows = np.empty((m, S + 1, m + 1))
-    rows[:, 0] = 1.0
-    rows[:, 1:, 0] = beliefs
-    rows[:, 1:, 1:] = -beliefs.T
-    objectives = np.zeros((m, m + 1))
-    objectives[:, 1:] = inst.d.T
-    rhs = np.zeros(S + 1)
-    rhs[0] = 1.0
-    layout = lp.LinearProgram(np.zeros(m + 1), [(np.zeros(m + 1), lp.EQ, b)
-                                                for b in rhs], sense="max")
-    return layout, rows, objectives
+    layout = lp.LinearProgram(
+        np.zeros(m + 1), [(np.zeros(m + 1), lp.EQ, float(i == 0))
+                          for i in range(S + 1)], sense="max")
+
+    def fill(lo, hi, rows, objectives, rhs):
+        rows[:, 0] = 1.0
+        rows[:, 1:, 0] = beliefs[lo:hi]
+        rows[:, 1:, 1:] = -beliefs.T
+        objectives[:, 1:] = inst.d.T[lo:hi]
+
+    return layout, fill
 
 
 def solve_primal(inst: VseInstance) -> PrimalSolution:
     """Solve the primal exactly as m independent blocks.
 
-    The blocks differ only in their rows and objectives, so one
-    lp.solve_stack call solves them together.  Block s (`_block_stack`)
-    gives its value f_s and z(s); p* = max_s f_s,
+    The blocks differ only in their rows and objectives, so they share
+    one layout and go to lp.solve_chunks EXPOSE_CHUNK at a time, since a
+    block has a column per type.  Block s (`_vse_blocks`) gives its value
+    f_s and z(s); p* = max_s f_s,
     and (p*, z) is feasible for the full build_primal.  The dual measure
     averages the optimal block measures (lambda_s, nu_{., s}) over the
     blocks with f_s within TIE_TOL (1 + |p*|) of p*, so the returned
@@ -187,8 +190,9 @@ def solve_primal(inst: VseInstance) -> PrimalSolution:
     f = np.empty(m)
     z = np.empty((m, S))
     measures = np.empty((m, m + 1))       # block s: (lambda_s, nu_{., s})
-    blocks = lp.solve_stack(*_block_stack(inst), family="vse_primal")
-    for s, sol in enumerate(blocks):
+    layout, fill = _vse_blocks(inst)
+    for s, sol in enumerate(lp.solve_chunks(layout, m, EXPOSE_CHUNK, fill,
+                                            family="vse_primal")):
         if sol.status != lp.OPTIMAL:  # pragma: no cover - nu_s = 1/2 feasible
             raise RuntimeError(f"primal block {s} ended {sol.status}")
         f[s] = sol.objective_value

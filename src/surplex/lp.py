@@ -17,34 +17,30 @@ which guarantees termination.  Optimal solutions are vertex (basic)
 solutions of the canonical form; infeasible programs carry a Farkas
 certificate in the duals; unbounded programs carry a certifying ray.
 
-solve() takes one program.  solve_stack() takes many programs that
-share relations, free variables and sense and differ in their rows and
-objectives, as one layout program plus a (B, m, n) array of rows and a
-(B, n) array of objectives, and in their right-hand sides too when a
-(B, m) array of them is given; it pivots their running tableaux together
-by Dantzig's rule, one numpy operation per step for all of them, and
-returns for each program exactly what solve() returns for it.  The rare
-rules (the unbounded test, parked columns and Bland's rule) live only in
-the single-tableau loop: a program that needs one leaves the lock step
-for that loop, and so does the last one running.  solve() is a stack of
-one program, which runs the single-tableau loop from the start.
+solve() takes one program.  solve_chunks() takes a family of many
+programs that share relations, free variables and sense, given as one
+layout program, and differ in their rows, objectives and right-hand
+sides: the caller's fill writes each chunk's rows straight into buffers
+of the call's workspace, next to its tableau, so no program object is
+built per program and the chunks reuse one set of arrays.  The driver
+pivots a chunk's running tableaux together by Dantzig's rule, one numpy
+operation per step for all of them, and returns for each program, in
+program order, exactly what solve() returns for it.  The rare rules (the
+unbounded test, parked columns and Bland's rule) live only in the
+single-tableau loop: a program that needs one leaves the lock step for
+that loop, and so does the last one running.  solve() is a stack of one
+program, which runs the single-tableau loop from the start.
 
-solve_chunks() is the loop of every family of many programs: the
-caller's fill writes each chunk's rows straight into buffers of the
-call's workspace, next to its tableau, so no program object is built per
-program and the chunks reuse one set of arrays; the driver solves each
-chunk, and the answers come in program order.
+Both run one two-phase driver, _solve_stack(), each call with a
+workspace of its own: a LinearProgram holds no solver state, so solves
+on one layout never share a buffer, nested or from two threads.
 
-All three run one two-phase driver, _solve_stack(), each with a
-workspace of its own call: a LinearProgram holds no solver state, so
-solves on one layout never share a buffer, nested or from two threads.
-
-solve_stack() and solve_chunks() take a family label, which they hand to
-the driver with each stack: every library call site names its LP family
-there ("separation", "chain", "extreme", "virtual", "full_block" or
+solve_chunks() takes a family label, which it hands to the driver with
+each chunk: every library call site names its LP family there
+("separation", "chain", "extreme", "virtual", "full_block" or
 "vse_primal"), so a wrapper of _solve_stack can count solves, pivots and
 time per family.  The label selects no code path.  solve() passes None,
-as do solve_stack() and solve_chunks() when no label is given.
+as does solve_chunks() when no label is given.
 """
 
 from __future__ import annotations
@@ -140,7 +136,7 @@ class LpSolution:
     (min sense: <= rows nonpositive, >= rows nonnegative; flipped for
     max), or the Farkas certificate for infeasible programs.  ray is a
     certifying direction for unbounded programs.  solve() and
-    solve_stack() return each vector C-contiguous.
+    solve_chunks() return each vector C-contiguous.
     """
 
     def __init__(self, status: str, primal: np.ndarray | None = None,
@@ -229,9 +225,9 @@ class _Workspace:
     (the tableau, the pivot scratch and the cost rows, and solve_chunks'
     rows, objectives and rhs), each grown to the largest stack asked for.
     A buffer's contents are whatever the last solve left, so every user
-    writes what it reads.  Each call of solve, solve_stack and
-    solve_chunks takes a fresh one, so the chunks of one family reuse the
-    pages of the first and free them when the call ends."""
+    writes what it reads.  Each call of solve and solve_chunks takes a
+    fresh one, so the chunks of one family reuse the pages of the first
+    and free them when the call ends."""
 
     def __init__(self):
         self.columns = None
@@ -628,50 +624,6 @@ class _Stack:
         self.info[slot, _ITERATIONS] = iterations
 
 
-def solve_stack(layout: LinearProgram, rows, objectives, rhs=None, *,
-                family=None) -> list[LpSolution]:
-    """Solve B programs in one lock-step two-phase simplex: program k has
-    layout's relations, free variables and sense, constraint rows rows[k],
-    objective objectives[k] and right-hand sides rhs[k], or layout's rhs
-    when rhs is None.  rows is (B, m, n), objectives is (B, n) and rhs is
-    (B, m), where layout has m constraints and n variables; any of them
-    may be a broadcast view.  layout's own rows and objective, and its
-    rhs when rhs is given, are not read.  Returns one LpSolution per
-    program, bit for bit the one solve() returns for it.  family is the
-    caller's label of the programs' LP family, handed on to the driver
-    (see _solve_stack).
-
-    The canonical layout (split columns, slacks, flips and artificials)
-    is worked out once and only the rows, objectives and right-hand
-    sides are stacked; each program's rhs is divided by its
-    own row scales.  Programs whose rhs need different row flips share
-    no layout and are solved one at a time.  The stack pivots its
-    running programs at once, one numpy operation per step for all of
-    them by Dantzig's rule, and hands to the single-program loop each one
-    that meets a column without a positive entry or turns to Bland's
-    rule, and the last one running, so a family costs about as many numpy
-    calls as its slowest member alone, and its tail no more than that
-    member's.
-    """
-    if not isinstance(layout, LinearProgram):
-        raise MalformedProgram("expected a LinearProgram layout")
-    rows = np.asarray(rows, dtype=float)
-    objectives = np.asarray(objectives, dtype=float)
-    m, n = layout.n_constraints, layout.n_vars
-    B = rows.shape[0] if rows.ndim == 3 else -1
-    rhs = (np.broadcast_to(layout.rhs, (*rows.shape[:1], m)) if rhs is None
-           else np.asarray(rhs, dtype=float))
-    if (rows.shape != (B, m, n) or objectives.shape != (B, n)
-            or rhs.shape != (B, m)):
-        raise MalformedProgram(
-            f"rows {rows.shape}, objectives {objectives.shape} and rhs "
-            f"{rhs.shape} do not stack programs of {m} constraints and "
-            f"{n} variables")
-    if not B:
-        return []
-    return _solve_stack(layout, rows, objectives, rhs, _Workspace(), family)
-
-
 def solve_chunks(layout: LinearProgram, count: int, chunk: int, fill, *,
                  family=None):
     """Solve count programs on layout, chunk programs per driver call,
@@ -684,9 +636,9 @@ def solve_chunks(layout: LinearProgram, count: int, chunk: int, fill, *,
     the call's own workspace, reused by every chunk of the call; no
     answer is a view of them, and a fill may run other solves on layout.
     A chunk is filled once every answer of the one before it is taken, so
-    a caller may keep per-chunk state.  family labels the programs, as in
-    solve_stack.  Raises ValueError, before any fill, unless count >= 0
-    and chunk >= 1.
+    a caller may keep per-chunk state.  family labels the programs for
+    the driver (see _solve_stack).  Raises ValueError, before any fill,
+    unless count >= 0 and chunk >= 1.
     """
     if count < 0 or chunk < 1:
         raise ValueError(f"cannot solve {count} programs {chunk} at a time")
@@ -704,12 +656,15 @@ def solve_chunks(layout: LinearProgram, count: int, chunk: int, fill, *,
 
 
 def _solve_stack(layout, rows, objectives, rhs, ws, family):
-    """The two-phase simplex on a nonempty stack of the shapes that
-    solve_stack checks, in the workspace ws; see solve_stack.  solve,
-    solve_stack and solve_chunks all call it by its module name, once per
-    stack, with the family label of their caller (None from solve).  The
-    label is for a spy or a tracer that wraps this entry: nothing here
-    reads it."""
+    """The two-phase simplex on a nonempty stack of B programs in the
+    workspace ws: program k has layout's relations, free variables and
+    sense, and the rows rows[k], objective objectives[k] and rhs rhs[k]
+    of the arrays (B, m, n), (B, n) and (B, m); layout's own rows,
+    objective and rhs are not read.  Returns one LpSolution per program,
+    bit for bit the one solve() returns for it.  solve and solve_chunks
+    call it by its module name, once per stack, with the family label of
+    their caller (None from solve).  The label is for a spy or a tracer
+    that wraps this entry: nothing here reads it."""
     return _two_phase(layout, rows, objectives, rhs, ws)
 
 

@@ -29,10 +29,10 @@ def program(layout, rows, objective, rhs):
 def driver_calls():
     """(family, programs) of every call of lp._solve_stack, the driver
     that every solve passes through, while the test runs: the family
-    label of the call (None from lp.solve, and from a solve_stack or
-    solve_chunks call that passes none) and the number of programs it
-    solves.  The driver's row-flip fallback re-enters no wrapper, so each
-    program is in one call."""
+    label of the call (None from lp.solve, and from a solve_chunks call
+    that passes none) and the number of programs it solves.  The
+    driver's row-flip fallback re-enters no wrapper, so each program is in
+    one call."""
     seen = []
     driver = lp._solve_stack
 

@@ -133,6 +133,27 @@ def test_construction_error_is_a_failed_task(tmp_path, capsys):
     assert not (out / "surplus.csv").exists()
 
 
+@pytest.mark.parametrize("eps_emb, failures", [
+    (1e-5, ["classify: ChainStalled"]),
+    (1e-6, ["classify: NotExtreme", "virtual: NotExtreme",
+            "compress: NoVirtualMenu"])])
+def test_chain_errors_are_failed_tasks(tmp_path, capsys, eps_emb, failures):
+    """A curve embedded this close to the simplex's edge ends some
+    exposure chains in ChainStalled or NotExtreme: the run exits 1 and
+    the report names the failed tasks, while duality still passes."""
+    out = tmp_path / "out"
+    config = counterexample_preset()
+    config["model"] = {"kind": "counterexample", "eps_emb": eps_emb}
+    path = write_config(tmp_path, config)
+    assert main(["analyze", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["failures"] == failures
+    assert all(f"failed: {failure}" in err for failure in failures)
+    assert report["tasks"]["classify"]["message"]
+    assert report["tasks"]["duality"]["passed"] is True
+
+
 def test_compress_before_virtual_is_a_config_error(tmp_path):
     config = {"version": 1, "model": {"kind": "counterexample"},
               "tasks": ["compress", "virtual"], "epsilon": 0.05, "grid": 11}

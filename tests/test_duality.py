@@ -1,5 +1,6 @@
 """Primal/dual program tests: values, strong duality, disintegration."""
 
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,23 @@ def primal_vertex_oracle(inst, box=10.0):
     status, best = enumerate_vertices(boxed)
     assert status == "optimal"
     return best
+
+
+def test_vse_blocks_go_to_the_driver_in_chunks(driver_calls):
+    """The VSE blocks go to lp.solve_chunks EXPOSE_CHUNK (128) at a time:
+    200 types make two driver calls, and analyze at n = 513 never holds
+    all 513 blocks at once (one stack of them peaks at about 48 MiB
+    traced, chunks of 128 at about 17)."""
+    analyze(random_tabular(0, 200, 6))
+    assert driver_calls == [("vse_primal", 128), ("vse_primal", 72)]
+    tab = sample(counterexample_model(validate=False), 513)
+    tracemalloc.start()
+    try:
+        analyze(tab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_single_type_zero_value():

@@ -430,11 +430,11 @@ def case1_family():
     cert = sample(model, 1001)
     t, eps = 0.3, 0.05
     seen = []
-    solve_stack = lp._solve_stack
+    driver = lp._solve_stack
 
     def spy(layout, rows, objectives, rhs, ws, family):
         seen.append(np.array(rows))
-        return solve_stack(layout, rows, objectives, rhs, ws, family)
+        return driver(layout, rows, objectives, rhs, ws, family)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lp, "_solve_stack", spy)

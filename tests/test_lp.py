@@ -38,7 +38,6 @@ from surplex.lp import (
     _to_original,
     check_certificate,
     solve,
-    solve_stack,
 )
 
 from conftest import program
@@ -808,7 +807,19 @@ def test_malformed_free_rejected(free):
 
 
 # ---------------------------------------------------------------------------
-# solve_stack: one lock-step simplex over a stack of same-layout programs
+# the driver: one lock-step simplex over a stack of same-layout programs
+
+def solve_one_chunk(layout, rows, objectives=None, rhs=None):
+    """lp.solve_chunks on the stacked programs with these rows, and these
+    objectives and rhs where given (else layout's), as one chunk."""
+    def fill(lo, hi, rows_buf, objectives_buf, rhs_buf):
+        rows_buf[:] = rows
+        if objectives is not None:
+            objectives_buf[:] = objectives
+        if rhs is not None:
+            rhs_buf[:] = rhs
+    return list(lp.solve_chunks(layout, len(rows), len(rows), fill))
+
 
 def _same_bits(a, b):
     """Equal values, or both None, down to the signs of zeros."""
@@ -862,17 +873,17 @@ def _spy_hand_offs(patch, handed):
 
 
 def _assert_stack_bit_identical(programs, events=None, handed=None):
-    """solve_stack on the stacked rows and objectives of programs, which
-    share a layout, equals reference_solve and solve program by program,
-    bit for bit; returns the statuses.  Programs whose right-hand sides
-    differ get them as solve_stack's per-program rhs.  events collects the
-    reference solves' events, and handed the slots the stack hands to
-    _run_one early (_spy_hand_offs)."""
+    """One solve_chunks chunk of the stacked rows and objectives of
+    programs, which share a layout, equals reference_solve and solve
+    program by program, bit for bit; returns the statuses.  Programs whose
+    right-hand sides differ get them from the fill; others keep the
+    layout's.  events collects the reference solves' events, and handed
+    the slots the stack hands to _run_one early (_spy_hand_offs)."""
     rhs = np.stack([p.rhs for p in programs])
     with pytest.MonkeyPatch.context() as patch:
         if handed is not None:
             _spy_hand_offs(patch, handed)
-        got_all = solve_stack(
+        got_all = solve_one_chunk(
             programs[0], np.stack([p.rows for p in programs]),
             np.stack([p.objective for p in programs]),
             None if rhs.tobytes() == np.tile(
@@ -944,18 +955,17 @@ def virtual_separators():
          "fallback"])
 def test_solve_stack_matches_reference_on_virtual_separators(
         virtual_separators, monkeypatch, chunk, view, fallback):
-    """solve_stack gives each of the preset's 99 virtual separators the
+    """The driver gives each of the preset's 99 virtual separators the
     reference answer bit for bit, whatever the chunks (99 = 8 x 12 + 3 =
-    2 x 40 + 19), with the shared objective as a broadcast view, and
-    through the per-program fallback of a stack without a shared
-    canonical layout."""
+    2 x 40 + 19), with the shared objective left to solve_chunks, which
+    broadcasts the layout's, and through the per-program fallback of a
+    stack without a shared canonical layout."""
     layout, rows, objectives, refs = virtual_separators
     assert rows.shape == (99, 4, 1001 + 1 + 2 * 3)
     assert len(set(layout.relations)) == 1 and layout.rhs.tolist() == [
         0.0, 0.0, 0.0, 1.0]
     if view:
-        assert (objectives == objectives[0]).all()
-        objectives = np.broadcast_to(objectives[0], objectives.shape)
+        assert (objectives == layout.objective).all()
     stacked = []
 
     def no_shared_layout(prog, rows, objective, rhs, ws):
@@ -969,7 +979,8 @@ def test_solve_stack_matches_reference_on_virtual_separators(
     got = []
     for lo in range(0, len(rows), chunk):
         part = slice(lo, lo + chunk)
-        got += solve_stack(layout, rows[part], objectives[part])
+        got += solve_one_chunk(layout, rows[part],
+                               None if view else objectives[part])
     if fallback:
         assert stacked == [40, 40, 19]
     assert len(got) == len(refs)
@@ -1012,9 +1023,9 @@ def test_stack_pivot_keeps_the_signed_zeros_of_the_one_slot_pivot():
 
 def test_objective_value_does_not_depend_on_the_memory_layout():
     """Table 0's exposure programs, with their shared objective as a
-    broadcast view, get the same objective values bit for bit from a
-    C-ordered and from an F-ordered copy of it (whose rows are strided,
-    which once moved the last bit of one value in 40)."""
+    broadcast view, get the same objective values bit for bit from the
+    driver with a C-ordered and with an F-ordered copy of it (whose rows
+    are strided, which once moved the last bit of one value in 40)."""
     bset = models.random_tabular(0, 40, 6).belief_set()
     m = len(bset)
     others = np.arange(m - 1) + (np.arange(m - 1) >= np.arange(m)[:, None])
@@ -1023,33 +1034,13 @@ def test_objective_value_does_not_depend_on_the_memory_layout():
     geometry.separation_rows(rows, bset.points, others, np.full(m, m - 1),
                              bset.points[:, None])
     objectives = np.broadcast_to(layout.objective, (m, layout.n_vars))
+    rhs = np.broadcast_to(layout.rhs, (m, layout.n_constraints))
     values = [
-        np.array([sol.objective_value
-                  for sol in solve_stack(layout, rows, copy)])
+        np.array([sol.objective_value for sol in lp._solve_stack(
+            layout, rows, copy, rhs, lp._Workspace(), None)])
         for copy in (objectives, np.ascontiguousarray(objectives),
                      np.asfortranarray(objectives))]
     assert values[0].tobytes() == values[1].tobytes() == values[2].tobytes()
-
-
-def test_solve_stack_checks_its_arrays():
-    layout = LinearProgram([1.0, 2.0], [([1.0, 1.0], GE, 1.0)])
-    rows, objectives = np.ones((3, 1, 2)), np.ones((3, 2))
-    assert len(solve_stack(layout, rows, objectives)) == 3
-    assert len(solve_stack(layout, rows, objectives, np.ones((3, 1)))) == 3
-    assert solve_stack(layout, rows[:0], objectives[:0]) == []
-    for bad_rows, bad_objectives in [
-            (np.ones((3, 2, 2)), objectives), (np.ones((3, 1, 3)), objectives),
-            (rows, np.ones((2, 2))), (rows[0], objectives[0]),
-            (np.full((3, 1, 2), np.nan), objectives),
-            (rows, np.full((3, 2), np.inf))]:
-        with pytest.raises(MalformedProgram):
-            solve_stack(layout, bad_rows, bad_objectives)
-    for bad_rhs in (np.ones(3), np.ones((3, 2)), np.ones((2, 1)),
-                    np.full((3, 1), np.nan)):
-        with pytest.raises(MalformedProgram):
-            solve_stack(layout, rows, objectives, bad_rhs)
-    with pytest.raises(MalformedProgram):
-        solve_stack("not a program", rows, objectives)
 
 
 def shared_layout_stack(rng, size):
@@ -1216,7 +1207,7 @@ def test_chunks_of_one_call_share_its_buffers_without_aliasing():
     programs among them.  Each answer still holds the bytes it was
     returned with after every later chunk ran, and shares no memory with
     the workspace; each equals bit for bit the answer of its chunk in a
-    fresh workspace (solve_stack), and of solve() alone.  The buffers
+    fresh workspace (solve_one_chunk), and of solve() alone.  The buffers
     grow for a larger chunk and are the same arrays for a smaller one."""
     rng = np.random.default_rng(5)
     programs = shared_layout_stack(rng, 40)
@@ -1239,7 +1230,8 @@ def test_chunks_of_one_call_share_its_buffers_without_aliasing():
             assert all(after[k] is before[k] for k in before)
         if part == slice(3, 15):    # larger than the chunk before
             assert any(after[k].size > before[k].size for k in before)
-        ref = solve_stack(layout, rows[part], objectives[part], rhs[part])
+        ref = solve_one_chunk(layout, rows[part], objectives[part],
+                              rhs[part])
         for k, sol, want in zip(range(part.start, part.stop), got, ref):
             _assert_same_solution(sol, want)
             _assert_same_solution(sol, solve(program(
@@ -1308,8 +1300,8 @@ def test_solve_chunks_reuses_its_buffers_without_aliasing():
     """A call fills all its chunks into one rows buffer of its workspace,
     the smaller last chunk too, and no answer shares memory with that
     workspace.  The layout holds no solver state: its attributes are the
-    same after solve_chunks, solve_stack and solve on it, and a second call
-    gives the first one's answers."""
+    same after solve_chunks and solve on it, and a second call gives the
+    first one's answers."""
     layout, fill, chunks, refs = chunk_family()
     state = {k: id(v) for k, v in vars(layout).items()}
     spaces = []
@@ -1330,7 +1322,6 @@ def test_solve_chunks_reuses_its_buffers_without_aliasing():
     assert np.shares_memory(chunks[0][2], ws._buffers["rows"])
     assert not any(_aliases(sol, ws._buffers.values()) for sol in first)
     second = list(lp.solve_chunks(layout, len(refs), 5, fill))
-    solve_stack(layout, layout.rows[None], layout.objective[None])
     solve(layout)
     assert {k: id(v) for k, v in vars(layout).items()} == state
     assert [_answer_bytes(sol) for sol in first] == snapshots
@@ -1383,3 +1374,18 @@ def test_solve_chunks_rejects_a_bad_count_or_chunk(count, chunk):
         list(lp.solve_chunks(layout, count, chunk, fill))
     assert list(lp.solve_chunks(layout, 0, 1, fill)) == []
     assert not chunks
+
+
+@pytest.mark.parametrize("field, value", [(0, np.nan), (1, np.inf),
+                                          (2, -np.inf)])
+def test_solve_chunks_rejects_non_finite_data_from_its_fill(field, value):
+    """A fill that writes a NaN or an infinity into a program's rows,
+    objective or rhs gets MalformedProgram from the driver."""
+    layout, fill, _, _ = chunk_family()
+
+    def bad_fill(lo, hi, *arrays):
+        fill(lo, hi, *arrays)
+        arrays[field][-1].flat[0] = value
+
+    with pytest.raises(MalformedProgram, match="non-finite"):
+        list(lp.solve_chunks(layout, 12, 5, bad_fill))
