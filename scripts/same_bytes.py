@@ -67,6 +67,8 @@ CORPUS = {
     **{f"table{s}": _table(s, 40, 6) for s in range(6)},
     "classify_sweep": _curve(["classify", "sweep"],
                              sweep_grids=[9, 17, 33, 65, 129]),
+    # tasks that share the 33-point table's full-extraction and VSE blocks
+    "shared33": _curve(["classify", "full", "duality", "sweep"], grid=33),
     "virtual201": _curve(["virtual", "compress"], epsilon=0.05, grid=201),
     # the bits of verify_menu on an 8,001-point grid
     "virtual801": _curve(["virtual"], epsilon=0.05, grid=801),

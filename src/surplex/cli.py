@@ -152,9 +152,11 @@ def validate_config(config: dict) -> None:
     tasks = config.get("tasks")
     if not isinstance(tasks, list) or not tasks:
         raise ConfigError("config.tasks must be a nonempty list")
-    for t in tasks:
+    for k, t in enumerate(tasks):
         if t not in TASKS:
             raise ConfigError(f"unknown task {t!r}")
+        if t in tasks[:k]:
+            raise ConfigError(f"task {t!r} is listed twice")
     if ("virtual" in tasks or "compress" in tasks):
         eps = config.get("epsilon")
         if (isinstance(eps, bool) or not isinstance(eps, (int, float))
@@ -255,30 +257,25 @@ def task_classify(model, config, tols) -> dict:
 
 def task_full(model, config, tols) -> dict:
     tab = _as_tabular(model, config.get("grid", 201))
-    out: dict = {}
     try:
         menu = full_extraction_menu(
             tab, margin_tol=tols.get("margin_tol", MARGIN_TOL))
     except NotAllDetectable as err:
-        sol, _ = full_extraction_lp(tab)
-        out.update({
-            "passed": False,
-            "error": "NotAllDetectable",
-            "failing_types": [lbl for lbl, _ in err.failing],
-            "lp_status": sol.status,
-        })
-        return out
-    rep = verify_menu(tab, menu, None, ("full",))
+        menu, failing = None, [lbl for lbl, _ in err.failing]
+    # after the menu, so the known-combination blocks it found go first
     sol, _ = full_extraction_lp(tab)
-    out.update({
+    if menu is None:
+        return {"passed": False, "error": "NotAllDetectable",
+                "failing_types": failing, "lp_status": sol.status}
+    rep = verify_menu(tab, menu, None, ("full",))
+    return {
         "passed": bool(rep.passed and sol.status == lp.OPTIMAL),
         "verify": rep.to_jsonable(),
         "lp_status": sol.status,
         "lp_objective": None if sol.objective_value is None
         else float(sol.objective_value),
         "menu_size": len(menu),
-    })
-    return out
+    }
 
 
 def task_virtual(model, config, results) -> dict:
@@ -349,15 +346,12 @@ def task_sweep(model, config) -> dict:
 def emit_figures(model, results, out_dir: Path, config) -> list[str]:
     """Write the CSV plot-data files supported by the available results."""
     written = []
-    if isinstance(model, ParametricModel):
+    if isinstance(model, ParametricModel):  # only the counterexample curve
         tab = sample(model, config.get("grid", 201))
-        xs, ys = curve_point(tab.ts) if model.name == "counterexample" \
-            else (np.zeros(tab.n_types), np.zeros(tab.n_types))
+        xs, ys = curve_point(tab.ts)
         write_curve_csv(out_dir / "curve.csv", tab.ts, xs, ys, tab.beliefs)
-        written.append("curve.csv")
-        if model.name == "counterexample":
-            write_hull_csv(out_dir / "hull.csv", np.column_stack([xs, ys]))
-            written.append("hull.csv")
+        write_hull_csv(out_dir / "hull.csv", np.column_stack([xs, ys]))
+        written += ["curve.csv", "hull.csv"]
 
     rep = results.get("virtual_report")
     if rep is not None:

@@ -14,8 +14,9 @@ Each z(s) enters only the own row of s and the pair rows (., s), so both
 programs split into m blocks coupled only through c (primal) or the
 normalization row (dual).  Block s is solved in dual form, S + 1 rows by
 m + 1 columns, with (c, z(s)) read off its row multipliers; the m blocks
-share one layout and go to lp.solve_chunks EXPOSE_CHUNK at a time.  p*
-is the largest block value, and the dual measure averages the optimal
+share one layout and are the "vse_primal" family of geometry.solve_each
+on the table's belief set, so each is solved once per table.  p* is the
+largest block value, and the dual measure averages the optimal
 block measures over the blocks attaining it.  The result is checked for
 feasibility against the full dual program, and strong duality (the
 z = 0 Slater point is strictly feasible) is checked as p* = d* = nu . d
@@ -28,7 +29,7 @@ import numpy as np
 
 from surplex import lp
 from surplex.extraction import VIRTUAL, Contract, Menu, verify_menu
-from surplex.geometry import EXPOSE_CHUNK
+from surplex.geometry import solve_each
 from surplex.models import TabularModel
 
 P_TOL = 1e-6       # extraction verdict: p* at or below this counts as zero
@@ -143,8 +144,8 @@ class DualMeasures:
 
 
 def _vse_blocks(inst: VseInstance):
-    """The m blocks of build_dual, as the (layout, fill) of one
-    lp.solve_chunks call.  Block s is
+    """The m blocks of build_dual, as the (layout, fill) of their
+    solve_each call.  Block s is
 
         max sum_t nu_t d(t,s)
         s.t. lambda + sum_t nu_t = 1,
@@ -163,11 +164,11 @@ def _vse_blocks(inst: VseInstance):
         np.zeros(m + 1), [(np.zeros(m + 1), lp.EQ, float(i == 0))
                           for i in range(S + 1)], sense="max")
 
-    def fill(lo, hi, rows, objectives, rhs):
+    def fill(part, rows, objectives, rhs):
         rows[:, 0] = 1.0
-        rows[:, 1:, 0] = beliefs[lo:hi]
+        rows[:, 1:, 0] = beliefs[part]
         rows[:, 1:, 1:] = -beliefs.T
-        objectives[:, 1:] = inst.d.T[lo:hi]
+        objectives[:, 1:] = inst.d.T[part]
 
     return layout, fill
 
@@ -175,29 +176,19 @@ def _vse_blocks(inst: VseInstance):
 def solve_primal(inst: VseInstance) -> PrimalSolution:
     """Solve the primal exactly as m independent blocks.
 
-    The blocks differ only in their rows and objectives, so they share
-    one layout and go to lp.solve_chunks EXPOSE_CHUNK at a time, since a
-    block has a column per type.  Block s (`_vse_blocks`) gives its value
-    f_s and z(s); p* = max_s f_s,
+    Block s (`_vse_blocks`) gives its value f_s and z(s); p* = max_s f_s,
     and (p*, z) is feasible for the full build_primal.  The dual measure
     averages the optimal block measures (lambda_s, nu_{., s}) over the
     blocks with f_s within TIE_TOL (1 + |p*|) of p*, so the returned
     solution certifies the full program, whose variables are all free:
     duals -(lambda, nu).
     """
-    m, S = inst.n_types, inst.n_states
+    m = inst.n_types
     beliefs = inst.tabular.beliefs
-    f = np.empty(m)
-    z = np.empty((m, S))
-    measures = np.empty((m, m + 1))       # block s: (lambda_s, nu_{., s})
     layout, fill = _vse_blocks(inst)
-    for s, sol in enumerate(lp.solve_chunks(layout, m, EXPOSE_CHUNK, fill,
-                                            family="vse_primal")):
-        if sol.status != lp.OPTIMAL:  # pragma: no cover - nu_s = 1/2 feasible
-            raise RuntimeError(f"primal block {s} ended {sol.status}")
-        f[s] = sol.objective_value
-        z[s] = -sol.duals[1:]
-        measures[s] = sol.primal
+    f, z, measures = (np.array(part) for part in zip(*solve_each(
+        inst.tabular.belief_set(), "vse_primal", range(m), layout, fill,
+        _vse_answer)))
     p_star = float(f.max())
     tied = f >= p_star - TIE_TOL * (1.0 + abs(p_star))
     weights = np.where(tied, 1.0 / np.count_nonzero(tied), 0.0)
@@ -212,6 +203,13 @@ def solve_primal(inst: VseInstance) -> PrimalSolution:
     return PrimalSolution(p_star=p_star, z=z,
                           max_violation=max(violation - p_star, 0.0),
                           solution=sol)
+
+
+def _vse_answer(s, sol):
+    """Block s's remembered (f_s, z(s), (lambda_s, nu_{., s}))."""
+    if sol.status != lp.OPTIMAL:  # pragma: no cover - nu_s = 1/2 feasible
+        raise RuntimeError(f"primal block {s} ended {sol.status}")
+    return sol.objective_value, -sol.duals[1:], sol.primal
 
 
 class DisintegrationReport:

@@ -20,7 +20,6 @@ import numpy as np
 
 from surplex import lp
 from surplex.geometry import (
-    EXPOSE_CHUNK,
     FACE_TOL,
     MARGIN_TOL,
     ExposureChain,
@@ -33,6 +32,7 @@ from surplex.geometry import (
     separation_answer,
     separation_layout,
     separation_rows,
+    solve_each,
 )
 from surplex.models import ParametricModel, TabularModel, sample
 
@@ -467,8 +467,9 @@ def full_extraction_lp(tab: TabularModel):
     0.  That is how lp splits a free variable, bit for bit: (-p) / s is
     p / (-s), the row scales and costs are the same, and y_t is the same
     subtraction.  So every block has one layout (all variables >= 0, S
-    "=" rows and one "<=" row), and blocks go to lp.solve_chunks together,
-    EXPOSE_CHUNK at a time, since a block has a column per type.
+    "=" rows and one "<=" row), and the blocks are the "full_block"
+    family of geometry.solve_each on the table's belief set, which
+    remembers each block's answer for every later call.
 
     Only a block whose type's belief is a convex combination of the
     others' can be unbounded: a ray has a = b = 0 (the mass row), so it
@@ -482,40 +483,34 @@ def full_extraction_lp(tab: TabularModel):
     Status and certificate are those of solving every block in index
     order, unless a block of another type with a lower index is
     unbounded, which would contradict that type's exposure certificate
-    numerically.  iterations counts the pivots of the blocks solved.
+    numerically.  iterations counts the pivots of the blocks read.
     """
-    first = known_combinations(tab.belief_set())
+    bset = tab.belief_set()
     m, S = tab.n_types, tab.state_count
     n = m + 1 + 2 * S
     layout = lp.LinearProgram(
         np.zeros(n), [(np.zeros(n), lp.EQ, 0.0)] * S
         + [(np.zeros(n), lp.LE, 1.0)], sense="max")
+    fill = _full_blocks(tab)
     blocks = {}
-    for t, block in zip(first, lp.solve_chunks(
-            layout, len(first), 1, _full_blocks(tab, first),
-            family="full_block")):
-        blocks[t] = block
-        if block.status == lp.UNBOUNDED:
+    for t in known_combinations(bset):
+        blocks[t], = solve_each(bset, "full_block", [t], layout, fill,
+                                _full_answer)
+        if blocks[t][0] == lp.UNBOUNDED:
             break
-    else:   # no block of first is unbounded: solve the others
-        rest = [t for t in range(m) if t not in blocks]
-        blocks.update(zip(rest, lp.solve_chunks(
-            layout, len(rest), EXPOSE_CHUNK, _full_blocks(tab, rest),
-            family="full_block")))
-    if any(b.status == lp.INFEASIBLE
-           for b in blocks.values()):  # pragma: no cover - 0 is feasible
-        raise RuntimeError("full-extraction block LP ended infeasible")
-    iterations = sum(b.iterations for b in blocks.values())
+    else:   # no known combination's block is unbounded: solve the others
+        blocks = dict(enumerate(solve_each(bset, "full_block", range(m),
+                                           layout, fill, _full_answer)))
+    iterations = sum(b[1] for b in blocks.values())
     unbounded = min((t for t, b in blocks.items()
-                     if b.status == lp.UNBOUNDED), default=None)
+                     if b[0] == lp.UNBOUNDED), default=None)
     mults = np.zeros((m, m + 2 * S))          # (y, a, b) per type
     if unbounded is not None:
-        mults[unbounded] = _block_mults(blocks[unbounded].ray, unbounded)
+        mults[unbounded] = blocks[unbounded][2]
         status = lp.INFEASIBLE
     else:
-        contracts = np.array([blocks[t].duals for t in range(m)])
-        for t in range(m):
-            mults[t] = _block_mults(blocks[t].primal, t)
+        contracts = np.array([blocks[t][3] for t in range(m)])
+        mults[:] = [blocks[t][2] for t in range(m)]
         status = lp.OPTIMAL
 
     own = np.diag(mults[:, :m])
@@ -534,16 +529,16 @@ def full_extraction_lp(tab: TabularModel):
                       in zip(tab.labels, contracts[:, :S])])
 
 
-def _full_blocks(tab, ts):
-    """The lp.solve_chunks fill of the full-extraction blocks of the types
-    ts, on full_extraction_lp's shared layout: block t's columns are the
-    beliefs in type order with -pi_t inserted after pi_t, then -I and +I.
-    It writes the rows and objectives in full."""
+def _full_blocks(tab):
+    """The solve_each fill of the full-extraction blocks on
+    full_extraction_lp's shared layout: block t's columns are the beliefs
+    in type order with -pi_t inserted after pi_t, then -I and +I.  It
+    writes the rows and objectives in full."""
     m, S = tab.n_types, tab.state_count
     j = np.arange(m + 1)
 
-    def fill(lo, hi, rows, objectives, rhs):
-        t = np.asarray(ts[lo:hi])[:, None]
+    def fill(part, rows, objectives, rhs):
+        t = part[:, None]
         src = j - (j > t)                # each column's type; t twice
         sign = np.where(j == t + 1, -1.0, 1.0)
         rows[:, :S, :m + 1] = (tab.beliefs[src]
@@ -558,12 +553,17 @@ def _full_blocks(tab, ts):
     return fill
 
 
-def _block_mults(x, t):
-    """Block t's (y, a, b) off the primal or ray of its split form: y_t is
-    its column t minus column t + 1."""
+def _full_answer(t, block):
+    """Block t's remembered (status, pivots, (y, a, b), duals): (y, a, b)
+    is the ray of an unbounded block, else its primal, with y_t its split
+    form's column t minus column t + 1; the duals of an optimal block are
+    (c(t), u_t)."""
+    if block.status == lp.INFEASIBLE:  # pragma: no cover - 0 is feasible
+        raise RuntimeError("full-extraction block LP ended infeasible")
+    x = block.ray if block.status == lp.UNBOUNDED else block.primal
     y = np.delete(x, t + 1)
     y[t] -= x[t + 1]
-    return y
+    return block.status, block.iterations, y, block.duals
 
 
 # ---------------------------------------------------------------------------

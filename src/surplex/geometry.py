@@ -7,20 +7,19 @@ point as eventually exposed.  Every separation question is a max-margin
 LP with the functional box-normalized to |z|_inf <= 1, so the margin
 tolerances below are scale-meaningful.  It is solved in dual form: a
 min-l1 convex-combination program with S + 1 rows and one column per
-point, whose row multipliers are the functional z.  The exposure LPs
-of all points of a set share one layout and go to lp.solve_chunks
-together (expose_each, their one solver, whose answers expose_set and
-an exposure chain's whole-set stage read), and so do their
-hull-membership LPs, which differ in their right-hand sides too
-(extreme_each).  The supporting LP of an exposure chain (the functional
-through a point with the most mass above it) is the same LP with the
-centroid as its one margin point, so no geometry LP has more than S + 1
-rows or a variable bound other than >= 0.
+point, whose row multipliers are the functional z.  An LP family that
+asks one question per point of a set (the exposure LPs of expose_each,
+whose answers expose_set and an exposure chain's whole-set stage read,
+the hull-membership LPs of extreme_each, and a table's full-extraction
+and VSE blocks) is solved by solve_each, the one loop that chunks a
+family and remembers its answers.  The supporting LP of an exposure
+chain (the functional through a point with the most mass above it) is
+the separation LP with the centroid as its one margin point, so no
+geometry LP has more than S + 1 rows or a variable bound other than
+>= 0.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 
@@ -32,10 +31,10 @@ RANK_TOL = 1e-9        # singular value cutoff, relative to the largest
 PROB_TOL = 1e-12       # probability vector sum tolerance
 DISTINCT_TOL = 1e-10   # points closer than this count as duplicates
 WITNESS_TOL = 1e-8     # max residual of a convex-combination witness
-# expose_each solves at most this many points' exposure LPs in one stack:
-# each program has a column per point, so a whole set of n points would
-# take memory that grows as n^2.  A 101-point grid or a 40-type table is
-# still solved as one stack.
+# solve_each solves at most this many points' programs in one stack: each
+# program has a column per point, so a whole set of n points would take
+# memory that grows as n^2.  A 101-point grid or a 40-type table is still
+# solved as one stack.
 EXPOSE_CHUNK = 128
 
 
@@ -118,13 +117,16 @@ class FiniteBeliefSet:
     inputs, but must be flagged explicitly.
 
     `points` is a read-only copy of the input.  The set remembers, per
-    point, the answer of its singleton exposure LP (the raw (z, margin),
-    before any margin_tol test), of is_extreme and of exposure_chain (per
-    declared faces and margin_tol), so each is solved at most once
-    however many callers ask; the remembered arrays are read-only too.
-    expose_each fills the exposure answers, of every point in one
-    stacked solve or of the points it is given.  Sets compare by
-    identity, as their memos are their own.
+    point, the answer of each LP family solve_each solves for it (its
+    singleton exposure LP's raw (z, margin), before any margin_tol test,
+    is_extreme's, and a table's full-extraction and VSE blocks) and of
+    exposure_chain (per declared faces and margin_tol), so each is solved
+    at most once however many callers ask; the remembered arrays are
+    read-only too.  The block answers depend on the table's values as
+    well as on `points`: they are remembered only on the belief set a
+    TabularModel owns, whose beliefs and values are read-only, so they
+    cannot go stale.  Sets compare by identity, as their memos are their
+    own.
     """
 
     def __init__(self, labels: list[str], points: np.ndarray,
@@ -230,43 +232,57 @@ def is_extreme(bset: FiniteBeliefSet, i: int):
     witness.
     """
     i = bset.check_index(i)
-    if len(bset) == 1:
-        return True, None
-    extreme_each(bset, [i])
-    return bset._memo[("extreme", i)]
+    answer = bset._memo.get(("extreme", i))
+    return answer if answer is not None else extreme_each(bset, [i])[0]
 
 
-def extreme_each(bset: FiniteBeliefSet, idx) -> None:
-    """Solve the hull-membership LP of every point of idx that has no
-    remembered answer yet, and remember the answers, so that is_extreme
-    on these points solves nothing more.
+def extreme_each(bset: FiniteBeliefSet, idx) -> list:
+    """is_extreme's answer for every point of idx, its hull-membership LP
+    solved with solve_each, so that is_extreme on these points solves
+    nothing more.
 
     Point i's LP asks for convex weights on the other points, in index
     order, that average to p_i: its rows are their beliefs transposed and
     a row of ones, its right-hand side is (p_i, 1), and it is infeasible
-    exactly when p_i is extreme.  The programs share one layout and
-    differ in their rows and right-hand sides, so they go to
-    lp.solve_chunks EXPOSE_CHUNK points at a time, as in expose_each.
+    exactly when p_i is extreme.
     """
     m, S = len(bset), bset.n_states
-    todo = np.array([i for i in dict.fromkeys(map(bset.check_index, idx))
-                     if ("extreme", i) not in bset._memo], dtype=int)
-    if m == 1 or todo.size == 0:
-        return
+    idx = [bset.check_index(i) for i in idx]
+    if m == 1:
+        return [(True, None)] * len(idx)
     layout = lp.LinearProgram(np.zeros(m - 1),
                               [(np.zeros(m - 1), lp.EQ, 0.0)] * (S + 1))
 
-    def fill(lo, hi, rows, objectives, rhs):
-        part = todo[lo:hi]
+    def fill(part, rows, objectives, rhs):
         others = np.arange(m - 1) + (np.arange(m - 1) >= part[:, None])
         rows[:, :S] = bset.points[others].transpose(0, 2, 1)
         rows[:, S] = 1.0
         rhs[:, :S] = bset.points[part]
         rhs[:, S] = 1.0
 
+    return solve_each(bset, "extreme", idx, layout, fill,
+                      lambda i, sol: _hull_answer(sol, i, m))
+
+
+def solve_each(bset: FiniteBeliefSet, family, idx, layout, fill, answer):
+    """The remembered answers of one per-point LP family of bset, in the
+    order of idx: the points of idx with no remembered (family, i) answer
+    have their programs solved on layout, EXPOSE_CHUNK at a time and
+    labelled family, and answer(i, sol) is remembered as point i's.
+
+    fill(part, rows, objectives, rhs) writes the programs of the point
+    indices part (an int array) as lp.solve_chunks' fill writes its
+    programs lo to hi - 1.  A point's answer has the same bits in any
+    stack, so it does not matter which call solved it.
+    """
+    todo = np.array([i for i in dict.fromkeys(idx)
+                     if (family, i) not in bset._memo], dtype=int)
     for i, sol in zip(todo.tolist(), lp.solve_chunks(
-            layout, todo.size, EXPOSE_CHUNK, fill, family="extreme")):
-        bset._remember(("extreme", i), _hull_answer, sol, i, m)
+            layout, todo.size, EXPOSE_CHUNK,
+            lambda lo, hi, *arrays: fill(todo[lo:hi], *arrays),
+            family=family)):
+        bset._remember((family, i), answer, i, sol)
+    return [bset._memo[(family, i)] for i in idx]
 
 
 def known_combinations(bset: FiniteBeliefSet) -> list[int]:
@@ -377,10 +393,10 @@ def expose_set(bset: FiniteBeliefSet, subset, *,
             raise ValueError("subset must be nonempty")
     if len(members) == 1 and len(bset) > 1:
         # a remembered answer needs no complement
-        answer = bset._memo.get(("expose", members[0]))
+        answer = bset._memo.get(("separation", members[0]))
         if answer is None:
             expose_each(bset, members)
-            answer = bset._memo[("expose", members[0])]
+            answer = bset._memo[("separation", members[0])]
     else:
         complement = np.setdiff1d(np.arange(len(bset)), members)
         if complement.size == 0:
@@ -392,39 +408,28 @@ def expose_set(bset: FiniteBeliefSet, subset, *,
 
 def expose_each(bset: FiniteBeliefSet, idx=None) -> np.ndarray:
     """Solve the singleton exposure LP of every point of idx (default:
-    all of bset) that has no remembered answer yet, and remember the
-    answers; this is the one solver of these programs, and expose_set on
-    a single point reads its answer.  Returns the raw margin of each point
-    of idx, before any margin_tol test (inf for the one point of a
-    one-point set, which the zero functional exposes).
+    all of bset) with solve_each; expose_set on a single point reads the
+    same answers.  Returns the raw margin of each point of idx, before
+    any margin_tol test (inf for the one point of a one-point set, which
+    the zero functional exposes).
 
-    The programs differ only in which point is the zero column, so they
-    share one layout and go to lp.solve_chunks EXPOSE_CHUNK points at a
-    time; a point's answer has the same bits in any stack.
+    Point i's program has every other point, in index order, as a margin
+    point and p_i as its zero point, so the programs share one layout.
     """
     m = len(bset)
     idx = range(m) if idx is None else [bset.check_index(i) for i in idx]
     if m == 1:
         return np.full(len(idx), np.inf)
-    todo = np.array([i for i in dict.fromkeys(idx)
-                     if ("expose", i) not in bset._memo], dtype=int)
-    margins = deque()   # per point of a chunk: its margin points' indices
 
-    def fill(lo, hi, rows, objectives, rhs):
-        # point i's margin points: every other point, in index order
-        part = todo[lo:hi]
+    def fill(part, rows, objectives, rhs):
         others = np.arange(m - 1) + (np.arange(m - 1) >= part[:, None])
-        margins.extend(others)
         separation_rows(rows, bset.points, others, m - 1,
                         bset.points[part, None])
 
-    if todo.size:
-        layout = separation_layout(m - 1, 1, bset.n_states)
-        for i, sol in zip(todo.tolist(), lp.solve_chunks(
-                layout, todo.size, EXPOSE_CHUNK, fill, family="separation")):
-            bset._remember(("expose", i), separation_answer, sol,
-                           bset.points[margins.popleft()])
-    return np.array([bset._memo[("expose", i)][1] for i in idx])
+    return np.array([margin for _, margin in solve_each(
+        bset, "separation", idx, separation_layout(m - 1, 1, bset.n_states),
+        fill, lambda i, sol: separation_answer(
+            sol, np.concatenate([bset.points[:i], bset.points[i + 1:]])))])
 
 
 def face_of(bset: FiniteBeliefSet, z, face_tol: float = FACE_TOL) -> np.ndarray:

@@ -167,14 +167,17 @@ def test_compress_before_virtual_is_a_config_error(tmp_path):
     (identical_pair_config()["model"], ["full", "sweep"]),
     ({"kind": "random_polytope", "types": 5, "states": 3},
      ["virtual", "compress"]),
-    ({"kind": "counterexample"}, ["classify", "compress", "virtual"])],
+    ({"kind": "counterexample"}, ["classify", "compress", "virtual"]),
+    ({"kind": "random_polytope", "seed": 0, "types": 40, "states": 6},
+     ["full", "full"]),
+    ({"kind": "counterexample"}, ["duality", "full", "duality"])],
     ids=["tabular_virtual", "tabular_sweep", "polytope_compress",
-         "compress_first"])
+         "compress_first", "full_twice", "duality_twice"])
 def test_task_config_errors_exit_two_before_out_exists(tmp_path, capsys,
                                                        model, tasks):
-    """A task the model cannot run, or compress before virtual, is found
-    by validate_config: the CLI exits 2 before it creates --out or runs
-    any task."""
+    """A task the model cannot run, compress before virtual, or a task
+    listed twice is found by validate_config: the CLI exits 2 before it
+    creates --out or runs any task."""
     config = {"version": 1, "model": model, "tasks": tasks,
               "epsilon": 0.05, "grid": 11}
     with pytest.raises(ConfigError):
@@ -579,19 +582,26 @@ def test_classify_and_full_solve_no_program_alone(tmp_path, solved_alone):
     {**counterexample_preset(), "tolerances": {"margin_tol": 1e-3}},
     {**random_table_config(["classify", "full", "duality"], seed=1),
      "tolerances": {"margin_tol": 5e-2}},
-], ids=["preset", "preset_tol1e-3", "table1_tol5e-2"])
+    {"version": 1, "model": {"kind": "counterexample"},
+     "tasks": ["classify", "full", "duality", "sweep"], "grid": 33},
+    {"version": 1, "model": {"kind": "counterexample"},
+     "tasks": ["duality", "sweep"]},
+], ids=["preset", "preset_tol1e-3", "table1_tol5e-2", "shared33",
+        "duality_sweep"])
 def test_no_program_is_solved_twice(tmp_path, config, recorded_programs):
     """The classify and virtual tasks share the exposure chain of each
     declared-face type, and a chain on the whole belief set reads the
     exposure LP that classify remembers, so no program is solved twice.
     The margin_tol overrides send types that fail their exposure LP into
-    discovered chains."""
+    discovered chains.  The full, duality and sweep tasks read the
+    full-extraction and VSE blocks that the 33-point table remembers."""
     report = run_scenario(config, tmp_path)
     programs = [(prog.sense, prog.rows.shape,
                  *(a.tobytes() for a in (prog.objective, prog.rows,
                                          prog.codes, prog.rhs, prog.free)))
                 for prog, _, _ in recorded_programs]
-    assert report["tasks"]["classify"]["counts"]["eventually_detectable"]
+    if "classify" in report["tasks"]:
+        assert report["tasks"]["classify"]["counts"]["eventually_detectable"]
     assert len(set(programs)) == len(programs)
 
 

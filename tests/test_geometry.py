@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from surplex import extraction, geometry, lp
+from surplex import duality, extraction, geometry, lp
 from surplex.geometry import (
     DISTINCT_TOL,
     FACE_TOL,
@@ -528,6 +528,23 @@ def test_memoized_answers_are_read_only():
             arr[0] = 0.5
     assert expose_set(bset, [0])[0] is z
     assert is_extreme(bset, 3)[1] is witness
+    # a table's block answers: remembered as arrays, not as LpSolutions
+    tab = TabularModel(["e1", "e2", "e3", "c"], pts,
+                       np.array([1.0, 2.0, 3.0, 0.5]))
+    sol, _ = extraction.full_extraction_lp(tab)
+    assert sol.status == lp.INFEASIBLE   # c's block is unbounded
+    duality.solve_primal(duality.VseInstance(tab))
+    blocks = [answer for key, answer in tab.belief_set()._memo.items()
+              if key[0] in ("full_block", "vse_primal")]
+    assert len(blocks) == 2 * len(pts)
+    for answer in blocks:
+        assert all(part is None or isinstance(part, (np.ndarray, str, int,
+                                                     float))
+                   for part in answer)
+        for arr in (part for part in answer if isinstance(part, np.ndarray)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
 
 
 def test_remembered_exposure_skips_the_complement(monkeypatch):
