@@ -77,6 +77,8 @@ CORPUS = {
     "eps1.5_grid11": _curve(["virtual", "compress"], epsilon=1.5, grid=11),
     "eps1.5_grid101": _preset(epsilon=1.5),
     "eps5_grid11": _curve(["virtual", "compress"], epsilon=5, grid=11),
+    # virtual fails (BudgetInfeasible), so compress has no menu
+    "virtual_grid2": _curve(["virtual", "compress"], epsilon=0.05, grid=2),
 }
 
 

@@ -3,7 +3,7 @@
 Subcommands:
     surplex analyze <config.json>
     surplex counterexample            (preset scenario)
-    surplex sweep --grids 9,17,33,65 <config.json>
+    surplex sweep [--grids 9,17,33,65] <config.json>
 
 Common flags: --out DIR, --seed N, --tol-override key=value.
 Exit codes: 0 all requested verdicts pass, 1 a task failed (the failing
@@ -64,9 +64,7 @@ from surplex.geometry import (
     MARGIN_TOL,
     ChainStalled,
     NotExtreme,
-    expose_each,
     expose_set,
-    extreme_each,
 )
 from surplex.models import (
     EPS_EMB,
@@ -83,6 +81,9 @@ CONFIG_VERSION = 1
 TASKS = ("classify", "full", "virtual", "compress", "duality", "sweep")
 TOL_KEYS = ("p_tol", "mass_tol", "margin_tol")
 FIGURES = ("curve.csv", "hull.csv", "surplus.csv", "margins.csv")
+# the value of each optional grid setting that a config leaves out
+DEFAULTS = {"grid": 201, "duality_grid": 33, "verify_multiplier": 10,
+            "sweep_grids": (9, 17, 33, 65, 129)}
 
 
 class ConfigError(ValueError):
@@ -232,16 +233,10 @@ def _failed(err: Exception) -> dict:
 
 def task_classify(model, config, tols) -> dict:
     margin_tol = tols.get("margin_tol", MARGIN_TOL)
-    grid = GridClassifier(model, config.get("grid", 201))
-    tab, bset = grid.tab, grid.bset
-    # every point's exposure LP in one stacked solve, then the
-    # extreme-point LPs of the types classify_type tests, unexposed and
-    # on no declared face, in another
-    margins = expose_each(bset)
-    extreme_each(bset, np.flatnonzero((margins <= margin_tol)
-                                      & ~grid.on_face).tolist())
+    grid = GridClassifier(model, config.get("grid", DEFAULTS["grid"]))
+    tab = grid.tab
     try:
-        verdicts = [grid.classify(i, margin_tol) for i in range(tab.n_types)]
+        verdicts = grid.classify_all(margin_tol)
     except (ChainStalled, NotExtreme) as err:
         return _failed(err)
     per_type = {lbl: c.to_jsonable() for lbl, c in zip(tab.labels, verdicts)}
@@ -256,7 +251,7 @@ def task_classify(model, config, tols) -> dict:
 
 
 def task_full(model, config, tols) -> dict:
-    tab = _as_tabular(model, config.get("grid", 201))
+    tab = _as_tabular(model, config.get("grid", DEFAULTS["grid"]))
     try:
         menu = full_extraction_menu(
             tab, margin_tol=tols.get("margin_tol", MARGIN_TOL))
@@ -280,8 +275,8 @@ def task_full(model, config, tols) -> dict:
 
 def task_virtual(model, config, results) -> dict:
     eps = float(config["epsilon"])
-    grid_n = config.get("grid", 201)
-    mult = config.get("verify_multiplier", 10)
+    grid_n = config.get("grid", DEFAULTS["grid"])
+    mult = config.get("verify_multiplier", DEFAULTS["verify_multiplier"])
     try:
         menu, logs = virtual_extraction_menu(model, eps, grid_n)
     except (BudgetInfeasible, ChainStalled, NotEventuallyDetectable,
@@ -298,7 +293,7 @@ def task_virtual(model, config, results) -> dict:
 
 def task_compress(model, config, results) -> dict:
     eps = float(config["epsilon"])
-    grid_n = config.get("grid", 201)
+    grid_n = config.get("grid", DEFAULTS["grid"])
     menu = results["virtual_menu"]
     if menu is None:
         return {"passed": False, "error": "NoVirtualMenu",
@@ -316,7 +311,7 @@ def task_compress(model, config, results) -> dict:
 
 
 def task_duality(model, config, tols) -> dict:
-    grid_n = config.get("duality_grid", 33)
+    grid_n = config.get("duality_grid", DEFAULTS["duality_grid"])
     tab = _as_tabular(model, grid_n)
     rep = duality.analyze(tab, p_tol=tols.get("p_tol", duality.P_TOL),
                           mass_tol=tols.get("mass_tol", duality.MASS_TOL))
@@ -326,12 +321,12 @@ def task_duality(model, config, tols) -> dict:
 
 
 def task_sweep(model, config) -> dict:
-    grids = config.get("sweep_grids", [9, 17, 33, 65, 129])
+    grids = list(config.get("sweep_grids", DEFAULTS["sweep_grids"]))
     margins, norms, p_stars = [], [], []
     for n in grids:
         tab = sample(model, n)
-        res = expose_set(tab.belief_set(), [0], margin_tol=-np.inf)
-        margins.append(float(res[1] if res else 0.0))
+        margins.append(expose_set(tab.belief_set(), [0],
+                                  margin_tol=-np.inf)[1])
         sol, _ = full_extraction_lp(tab)
         norms.append(float(sol.objective_value) / n
                      if sol.status == lp.OPTIMAL else float("inf"))
@@ -347,7 +342,7 @@ def emit_figures(model, results, out_dir: Path, config) -> list[str]:
     """Write the CSV plot-data files supported by the available results."""
     written = []
     if isinstance(model, ParametricModel):  # only the counterexample curve
-        tab = sample(model, config.get("grid", 201))
+        tab = sample(model, config.get("grid", DEFAULTS["grid"]))
         xs, ys = curve_point(tab.ts)
         write_curve_csv(out_dir / "curve.csv", tab.ts, xs, ys, tab.beliefs)
         write_hull_csv(out_dir / "hull.csv", np.column_stack([xs, ys]))
@@ -539,7 +534,8 @@ def main(argv=None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="grid-refinement sweep")
     p_sweep.add_argument("config")
-    p_sweep.add_argument("--grids", default="9,17,33,65,129")
+    p_sweep.add_argument("--grids", help="comma-separated grid sizes, in "
+                         "place of the config's sweep_grids")
     common(p_sweep)
 
     args = parser.parse_args(argv)
@@ -550,12 +546,13 @@ def main(argv=None) -> int:
             config = counterexample_preset()
         else:
             config = load_config(args.config)
-            try:
-                grids = [int(x) for x in args.grids.split(",") if x]
-            except ValueError as err:
-                raise ConfigError(f"bad --grids: {args.grids!r}") from err
             config["tasks"] = ["sweep"]
-            config["sweep_grids"] = grids
+            if args.grids is not None:
+                try:
+                    grids = [int(x) for x in args.grids.split(",") if x]
+                except ValueError as err:
+                    raise ConfigError(f"bad --grids: {args.grids!r}") from err
+                config["sweep_grids"] = grids
         overrides = _parse_overrides(args.tol_override)
         report = run_scenario(config, Path(args.out), seed=args.seed,
                               overrides=overrides)

@@ -47,10 +47,7 @@ OWN_NUDGE = 1e-11
 # (S + 1) x (cert points + 1 + 2S) floats, and stacks of one or two
 # programs solve slower than the single solves they replace, so a budget
 # that shrank the stacks on large grids would slow them down.  The chunks
-# of one construction share the buffers of their one lp.solve_chunks
-# call, so only the first touches fresh pages: on the
-# preset, about 130 minor page faults for its 9 chunks, against about
-# 560 per chunk when each chunk allocated its own arrays
+# of one construction share the buffers of their one lp.solve_chunks call
 SEPARATOR_CHUNK = 12
 
 FULL, VIRTUAL = "full", "virtual"
@@ -325,9 +322,9 @@ class GridClassifier:
     """classify_type's work per table, done once for all its types: the
     table (sample(model, grid_n) of a parametric model; a tabular model
     is its own), its belief set, the model's declared faces, the off-grid
-    slack factor lipschitz_pi (h / 2), and on_face: which points lie on
-    the zero set of a declared face together with another point, and so
-    get their declared exposure chain."""
+    slack factor lipschitz_pi (h / 2), and on_face, the one on-face rule:
+    a point is on a declared face when it lies on the face's zero set
+    together with another point."""
 
     def __init__(self, model, grid_n: int = 201):
         self.model, self.grid_n = model, grid_n
@@ -391,6 +388,17 @@ class GridClassifier:
         chain = exposure_chain(bset, idx)
         return Classification(label=EVENTUALLY_DETECTABLE, chain=chain,
                               provenance=chain.provenance)
+
+    def classify_all(self,
+                     margin_tol: float = MARGIN_TOL) -> list[Classification]:
+        """classify of every type, with every point's exposure LP solved
+        in one stacked call, and in another the extreme-point LPs of the
+        types classify tests: unexposed and on no declared face."""
+        margins = expose_each(self.bset)
+        extreme_each(self.bset, np.flatnonzero(
+            (margins <= margin_tol) & ~self.on_face).tolist())
+        return [self.classify(i, margin_tol)
+                for i in range(self.tab.n_types)]
 
 
 # ---------------------------------------------------------------------------
@@ -609,11 +617,9 @@ def _case1_terms(pi, v, ts, cert, delta, eps):
     types at a time.  Type k's point columns are the far cert types in
     grid order, each divided by its weight, then the near ones (one
     stable argsort of the near mask; a near column is divided by 1.0,
-    which keeps its bits).  The order, gains and weights are built per
-    chunk, so memory holds one chunk's.  Returns, per type, (alpha, z,
-    wmargin, raw_margin) or the exception its construction raises
-    (BudgetInfeasible when no functional separates it), for the caller
-    to raise in grid order.
+    which keeps its bits).  Returns a lazy iterator of the types'
+    _case1_answer: a chunk is built and solved when its first answer is
+    taken, so memory holds one chunk's, and none after a failure.
     """
     N, S = cert.beliefs.shape
     pending = deque()   # per type of a chunk: order, far count, gains, weights
@@ -634,49 +640,47 @@ def _case1_terms(pi, v, ts, cert, delta, eps):
         return _case1_answer(sol, pi_t, cert.beliefs[order[:f]],
                              gains[:f], weights[:f])
 
-    # map holds no chunk's arrays while the next chunk is filled and solved
-    return list(map(answer, pi, lp.solve_chunks(
+    return map(answer, pi, lp.solve_chunks(
         separation_layout(N, 1, S), len(ts), SEPARATOR_CHUNK, fill,
-        family="virtual")))
+        family="virtual"))
 
 
 def _case1_answer(sol, pi_t, far_beliefs, gains, weights):
-    """One type's (alpha, z, wmargin, raw_margin) off its solved separation
-    LP, or the exception that ends its construction."""
+    """One type's (alpha, z, raw_margin) off its solved separation LP;
+    BudgetInfeasible if z is not positive on the far set."""
     z, wmargin = separation_answer(sol, far_beliefs / weights[:, None])
     if wmargin <= 0.0:
-        return BudgetInfeasible(
+        raise BudgetInfeasible(
             "no functional separates the far set at positive margin")
     z = _own_null(z, pi_t)
     far_vals = far_beliefs @ z
     raw_margin = float(far_vals.min())
     if raw_margin <= 0.0:
-        return BudgetInfeasible("separator not positive on the far set")
+        raise BudgetInfeasible("separator not positive on the far set")
     alpha = SAFETY_FACTOR * float(np.max(gains / far_vals, initial=0.0))
-    return max(alpha, 0.0), z, wmargin, raw_margin
+    return max(alpha, 0.0), z, raw_margin
 
 
 def virtual_extraction_menu(model: ParametricModel, eps: float,
                             grid_n: int = 201):
     """Menu leaving at most eps surplus, built on the construction grid.
 
-    Detectable types get the one-shot scaled-separator contract, whose
-    separation LPs are solved up front in lock-step chunks (_case1_terms),
-    or a flat one when no type lies delta-far.  Types on declared faces
-    walk their exposure chain from the innermost face outward, spending
-    eps/n of the budget per stage.  Types are then finished in grid order,
-    so the first type that fails raises, whichever chunk it was solved in.
-    All "for all s" quantities are evaluated on a CERT_MULT-times finer
-    certification grid; the residual off-grid slack is what verify_menu
-    reports.
+    The types are GridClassifier(model, grid_n)'s, taken in grid order.
+    A type on a declared face (its on_face) walks its exposure chain from
+    the innermost face outward, spending eps/n of the budget per stage.
+    Any other type gets the one-shot scaled-separator contract, its
+    separator the next answer of _case1_terms, or a flat one when no type
+    lies delta-far.  So the first type that fails raises, and no later
+    chunk is solved.  All "for all s" quantities are evaluated on a
+    CERT_MULT-times finer certification grid; the residual off-grid slack
+    is what verify_menu reports.
     Returns (menu, construction_logs).
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be finite and > 0, got {eps!r}")
-    tab = sample(model, grid_n)
-    bset = tab.belief_set()
+    grid = GridClassifier(model, grid_n)
+    tab = grid.tab
     cert = sample(model, CERT_MULT * (grid_n - 1) + 1)
-    declared = [f.functional for f in model.declared_faces]
 
     # a constant model is a single type in disguise: flat payment menu
     if (np.abs(cert.beliefs - cert.beliefs[0]).max() <= 1e-12
@@ -689,48 +693,42 @@ def virtual_extraction_menu(model: ParametricModel, eps: float,
         return Menu(entries, tab.ts), logs
 
     delta = eps / (2.0 * model.lipschitz_v)
-    on_face = [any(abs(float(pi @ z)) <= FACE_TOL for z in declared)
-               for pi in tab.beliefs]
-    off = np.flatnonzero(np.logical_not(on_face))
     # the cert type farthest from t is an end of the cert grid.  A type
     # with no delta-far type pays its value flat (alpha 0, no functional):
     # every type lies within delta of it, so their surplus stays below eps
-    reach = np.maximum(np.abs(cert.ts[0] - tab.ts[off]),
-                       np.abs(cert.ts[-1] - tab.ts[off]))
-    far = off[reach >= delta]
-    separators = dict.fromkeys(off.tolist(), (0.0, None, 0.0, 0.0))
-    separators.update(zip(far.tolist(), _case1_terms(
-        tab.beliefs[far], tab.values[far], tab.ts[far], cert, delta, eps)))
+    far = ~grid.on_face & (np.maximum(np.abs(cert.ts[0] - tab.ts),
+                                      np.abs(cert.ts[-1] - tab.ts)) >= delta)
+    separators = _case1_terms(tab.beliefs[far], tab.values[far],
+                              tab.ts[far], cert, delta, eps)
     entries = []
     logs = []
-    for i, t in enumerate(tab.ts):
-        pi_t = tab.beliefs[i]
-        v_t = float(tab.values[i])
-        if i in separators:
-            answer = separators[i]
-            if isinstance(answer, Exception):
-                if (isinstance(answer, BudgetInfeasible)
-                        and not is_extreme(bset, i)[0]):
-                    raise NotEventuallyDetectable(
-                        f"type {tab.labels[i]} is a convex combination of "
-                        "others and sits on no declared face") from answer
-                raise answer
-            alpha, z, _, raw = answer
-            contract = _finish_contract(pi_t, v_t,
+    for i, pi_t in enumerate(tab.beliefs):
+        if grid.on_face[i]:
+            contract, log = _chain_contract(grid, i, eps, cert)
+        else:
+            alpha, z, raw = 0.0, None, 0.0
+            if far[i]:
+                try:
+                    alpha, z, raw = next(separators)
+                except BudgetInfeasible as err:
+                    if not is_extreme(grid.bset, i)[0]:
+                        raise NotEventuallyDetectable(
+                            f"type {tab.labels[i]} is a convex combination "
+                            "of others and sits on no declared face") from err
+                    raise
+            contract = _finish_contract(pi_t, float(tab.values[i]),
                                         [] if z is None else [(alpha, z)])
             log = ConstructionLog(label=tab.labels[i], case="detectable",
                                   alphas=[alpha], margins=[raw],
                                   deltas=[delta], provenance="grid")
-        else:
-            contract, log = _chain_contract(
-                model, bset, tab, i, t, eps, cert, declared)
         entries.append((tab.labels[i], contract))
         logs.append(log)
     return Menu(entries, tab.ts), logs
 
 
-def _chain_contract(model, bset, tab, i, t, eps, cert, declared):
-    chain = exposure_chain(bset, i, declared_faces=declared)
+def _chain_contract(grid, i, eps, cert):
+    model, tab, t = grid.model, grid.tab, grid.tab.ts[i]
+    chain = exposure_chain(grid.bset, i, declared_faces=grid.faces)
     n_st = chain.length
     budget = eps / n_st
     pi_t = tab.beliefs[i]

@@ -427,6 +427,19 @@ def test_sweep_subcommand(tmp_path):
     assert norms[0] < norms[1] < norms[2]
 
 
+def test_sweep_without_grids_runs_the_config_grids(tmp_path):
+    """sweep with no --grids runs the config's own sweep_grids, as analyze
+    of the same config does, not the default ones."""
+    path = write_config(tmp_path, {"version": 1,
+                                   "model": {"kind": "counterexample"},
+                                   "tasks": ["sweep"], "sweep_grids": [5, 9]})
+    for argv in (["sweep", str(path)], ["analyze", str(path)]):
+        out = tmp_path / argv[0]
+        main([*argv, "--out", str(out)])
+        report = json.loads((out / "report.json").read_text())
+        assert report["tasks"]["sweep"]["grids"] == [5, 9], argv[0]
+
+
 @pytest.mark.parametrize("grids", ["", ","])
 def test_sweep_without_grids_is_a_config_error(tmp_path, capsys, grids):
     # an empty sweep solves nothing and once passed with a header-only CSV

@@ -29,6 +29,8 @@ from surplex.extraction import (
 )
 from surplex.geometry import extreme_each, is_extreme, known_combinations
 from surplex.models import (
+    D1,
+    DeclaredFace,
     ParametricModel,
     TabularModel,
     chord_functional,
@@ -39,6 +41,7 @@ from surplex.models import (
     planted_combination_instance,
     random_tabular,
     sample,
+    validate_declared_faces,
 )
 from conftest import program
 from test_duality import cremer_mclean_tables
@@ -592,21 +595,45 @@ def test_virtual_menu_names_an_interior_type():
         virtual_extraction_menu(segment, 0.05, 3)
 
 
-@pytest.mark.parametrize("grid_n, first", [(21, "0.55"), (41, "0.525"),
-                                           (81, "0.5125")])
-def test_virtual_menu_names_the_first_failing_type(grid_n, first):
+@pytest.mark.parametrize("grid_n, first, chunks", [
+    (21, "0.55", 1), (41, "0.525", 2), (81, "0.5125", 4)],
+    ids=["21-0.55", "41-0.525", "81-0.5125"])
+def test_virtual_menu_names_the_first_failing_type(driver_calls, grid_n,
+                                                   first, chunks):
     """Every type of the hook's straight part after t = 1/2 is a convex
     combination of its neighbours, so many types fail; the first in grid
-    order is named, wherever the separation LPs of the others are solved.
-    (On grid 41, t = 0.55 fails too but t = 0.525 comes first.)"""
+    order is named.  (On grid 41, t = 0.55 fails too but t = 0.525 comes
+    first.)  Every type is delta-far and on no face, and the separators
+    are taken in grid order, so no chunk after the first failing type's
+    is solved: on grid 81, 4 chunks of SEPARATOR_CHUNK types, not 7."""
     hook = ParametricModel(state_count=3, belief_fn=hook_beliefs,
                            value_fn=lambda ts: 0.5 * ts, lipschitz_pi=8.0,
                            lipschitz_v=0.5, name="hook")
     arc = dataclasses.replace(hook, belief_fn=lambda ts: hook_beliefs(ts / 2))
     assert len(virtual_extraction_menu(arc, 0.05, grid_n)[0]) == grid_n
+    driver_calls.clear()
     with pytest.raises(NotEventuallyDetectable,
                        match=rf"type t={first} "):
         virtual_extraction_menu(hook, 0.05, grid_n)
+    sizes = [n for family, n in driver_calls if family == "virtual"]
+    assert sizes == [SEPARATOR_CHUNK] * chunks
+
+
+def test_virtual_reads_the_on_face_rule_of_classify():
+    """A declared face that holds one grid point, the tangent at t = 1/2,
+    puts no type on a face: classify and virtual share GridClassifier's
+    on-face rule, so t = 0.5 is detectable and virtual gives it a
+    separator, not an exposure chain."""
+    base = counterexample_model()
+    tangent = DeclaredFace((0.5,), D1 / 0.1 - (1 - 5 / np.pi) * np.ones(3))
+    model = dataclasses.replace(
+        base, declared_faces=[*base.declared_faces, tangent])
+    validate_declared_faces(model)
+    assert classify_type(model, 0.5, 101).label == DETECTABLE
+    menu, logs = virtual_extraction_menu(model, 0.05, 101)
+    assert logs[50].label == "t=0.5"
+    assert logs[50].case == "detectable"
+    assert verify_menu(model, menu, 1001, ("virtual", 0.05)).passed
 
 
 # ---------------------------------------------------------------------------

@@ -438,9 +438,9 @@ def case1_family():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lp, "_solve_stack", spy)
-        extraction._case1_terms(
+        list(extraction._case1_terms(
             model.beliefs(t), model.values(t), np.array([t]), cert,
-            eps / (2.0 * model.lipschitz_v), eps)
+            eps / (2.0 * model.lipschitz_v), eps))
     (rows,) = seen
     # one program: point columns, then the zero point; the last row
     # marks the margin columns
