@@ -113,14 +113,19 @@ def _integer(key: str, value, least: int) -> None:
 
 
 def load_config(path) -> dict:
+    config = _read_config(path)
+    validate_config(config)
+    return config
+
+
+def _read_config(path):
+    """The JSON value in the file at path, not yet validated."""
     try:
         with open(path, encoding="utf-8") as fh:
-            config = json.load(fh)
+            return json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError,
             RecursionError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
-    validate_config(config)
-    return config
 
 
 def validate_config(config: dict) -> None:
@@ -540,12 +545,13 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "analyze":
-            config = load_config(args.config)
-        elif args.command == "counterexample":
+        # run_scenario validates the config, once its tasks and grids are
+        # the ones that run
+        if args.command == "counterexample":
             config = counterexample_preset()
         else:
-            config = load_config(args.config)
+            config = _read_config(args.config)
+        if args.command == "sweep" and isinstance(config, dict):
             config["tasks"] = ["sweep"]
             if args.grids is not None:
                 try:

@@ -157,12 +157,26 @@ def _vse_blocks(inst: VseInstance):
     block value and z(s) = -y[1:] satisfies pi(s).z(s) <= c and
     d(t,s) - pi(t).z(s) <= c for every t.  The fill writes all rows and
     the nu costs; lambda's zero cost and the rhs are the layout's.
+
+    Each block starts at lambda = nu_s = 1/2, with nu_s the first nu
+    column whose state entries are minus lambda's, completed by nu
+    columns at zero that the driver picks by threshold pivoting,
+    preferring the larger cost d(t, s) (lp._pivot_in).  A block with
+    more rows than independent columns keeps artificials at zero there.
     """
     beliefs = inst.tabular.beliefs
     m, S = inst.n_types, inst.n_states
     layout = lp.LinearProgram(
         np.zeros(m + 1), [(np.zeros(m + 1), lp.EQ, float(i == 0))
                           for i in range(S + 1)], sense="max")
+    nus = np.arange(1, m + 1)
+
+    def start(rows, objectives, rhs):
+        own = 1 + (rows[:, 1:, 1:] == -rows[:, 1:, :1]).all(axis=1).argmax(
+            axis=1)
+        return np.stack([np.zeros_like(own), own], axis=1), nus
+
+    layout.start = start
 
     def fill(part, rows, objectives, rhs):
         rows[:, 0] = 1.0

@@ -332,7 +332,11 @@ def _separation_lp(points, zero_idx, floor_idx, margin_idx, family):
 def separation_layout(n, n_zero, S) -> lp.LinearProgram:
     """The layout of _separation_lp's dual programs with n point columns,
     then n_zero zero columns, then the box columns -I and +I, and S + 1
-    "=" rows: the state rows, with rhs 0, and the mass row, with rhs 1."""
+    "=" rows: the state rows, with rhs 0, and the mass row, with rhs 1.
+
+    Each program starts at the basis {a, w_k}: w_k = 1 on the margin
+    column k with the smallest state-row sum, which is the start's
+    objective, and a equal to that column's state entries, all >= 0."""
     width = n + n_zero + 2 * S
     obj = np.zeros(width)
     obj[n + n_zero:] = 1.0
@@ -340,8 +344,17 @@ def separation_layout(n, n_zero, S) -> lp.LinearProgram:
     free[n:n + n_zero] = True
     rhs = np.zeros(S + 1)
     rhs[S] = 1.0
-    return lp.LinearProgram(obj, [(np.zeros(width), lp.EQ, b) for b in rhs],
-                            free=free)
+    layout = lp.LinearProgram(obj, [(np.zeros(width), lp.EQ, b)
+                                    for b in rhs], free=free)
+    box = np.arange(n + n_zero, n + n_zero + S)
+
+    def start(rows, objectives, rhs):
+        sums = rows[:, :S, :n].sum(axis=1)
+        k = np.where(rows[:, S, :n] > 0.0, sums, np.inf).argmin(axis=1)
+        return box, k[:, None]
+
+    layout.start = start
+    return layout
 
 
 def separation_rows(rows, points, order, n_margin, zero):

@@ -41,12 +41,28 @@ each chunk: every library call site names its LP family there
 "vse_primal"), so a wrapper of _solve_stack can count solves, pivots and
 time per family.  The label selects no code path.  solve() passes None,
 as does solve_chunks() when no label is given.
+
+A layout may carry a start (LinearProgram.start): a basis read off each
+program's own data, so a program starts the same alone and in any stack.
+The driver pivots it in over the artificials (_pivot_in) and then runs
+phase 1 unchanged: where the start leaves no artificial basic above zero
+phase 1 ends at its first pricing, and its transition still drops the
+rows that the start left dependent.  Two library layouts carry one:
+geometry.separation_layout (the "separation", "chain" and "virtual"
+families) and duality._vse_blocks ("vse_primal").  Every other program,
+solve() on a LinearProgram built without a start included, starts from
+the artificial basis as before, with the same bits.  The starts changed
+the bits of those four families' answers, and so the report fields read
+off them: classify's margins and slacks, the virtual construction and
+its verification, compress's surpluses, the full menu's verification,
+the sweep margins, and the duality report's multipliers, measures and
+diagnostics (p* to within 1e-14 relative); no verdict changed.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -55,6 +71,8 @@ PIVOT_TOL = 1e-10
 # degenerate-pivot streak after which the pivot rule switches to Bland
 BLAND_TRIGGER = 64
 MAX_ITERATIONS = 200_000
+# a start pivot is at least this share of the largest entry it could take
+START_PIVOT_SHARE = 0.1
 
 LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (GE, EQ, LE)   # indexed by 1 + code; code = slack sign
@@ -75,6 +93,15 @@ class LinearProgram:
 
     Stored as arrays: rows, rhs, codes (the slack sign of each relation:
     +1 for "<=", 0 for "=", -1 for ">=") and the free mask.
+
+    start is None, or a function that reads a start basis off the data
+    of each program with this layout: start(rows, objectives, rhs), on
+    stacked arrays (B, m, n), (B, n) and (B, m), returns a sequence of
+    groups of variable indices, each an int array (B, g) or one row (g,)
+    that every program shares.  The driver pivots them in before phase 1
+    (see _pivot_in).  The basis they make must be primal feasible: every
+    basic variable >= 0, and every artificial the start leaves basic at
+    zero.
     """
 
     def __init__(self, objective, constraints, free=None, sense="min"):
@@ -113,6 +140,7 @@ class LinearProgram:
                 and np.isfinite(self.rows).all()
                 and np.isfinite(self.rhs).all()):
             raise MalformedProgram("non-finite data")
+        self.start = None
 
     @property
     def n_vars(self) -> int:
@@ -668,6 +696,92 @@ def _solve_stack(layout, rows, objectives, rhs, ws, family):
     return _two_phase(layout, rows, objectives, rhs, ws)
 
 
+def _pivot_in(stack, groups, first, costs, n_real):
+    """Pivot each program's start columns into the basis of its slot, in
+    place of artificials: groups is what layout.start returns, first
+    maps a variable to its column and costs holds each program's
+    phase-2 cost row.  Each pivot counts as an iteration.
+
+    Group by group, the open rows are those whose basic column is still
+    an artificial.  A group whose columns each have one nonzero entry, in
+    distinct open rows and above PIVOT_TOL, enters at once: its pivots
+    only divide those rows.  Any other group enters one column at a
+    time, by threshold pivoting: take the largest |entry| of the group's
+    columns in the open rows and stop if it is at most PIVOT_TOL; else,
+    of the columns whose largest |entry| in an open row is at least
+    START_PIVOT_SHARE of it, pivot on the one of least cost (the first
+    in the group on ties), in the lowest open row where it is largest.
+    So a cheap column is preferred, never for a pivot much smaller than
+    the best one, and the rows that a group leaves dependent keep their
+    artificials.  A column once entered is zero in every other row, so it
+    is not taken again.  A group that every program shares is read into
+    the pivot scratch; a group of each program's own should be small."""
+    T, basis, info = stack.T, stack.basis, stack.info
+    B, m = basis.shape
+    slot = np.arange(B)
+    entered = np.count_nonzero(basis < n_real, axis=1)
+    # the cost row is set up by run(): zero, it stays zero as these
+    # pivots run, and it is never open
+    T[:, m] = 0.0
+    open_rows = np.zeros((B, m + 1))
+    open_rows[:, :m] = basis >= n_real
+    for group in groups:
+        q = first[group]
+        g = q.shape[-1]
+        # read() gives T[k, i, q[k, j]] at [k, i, j]
+        if q.ndim == 1:
+            cost = costs[:, q]
+            scratch = stack.work.reshape(-1)[:B * (m + 1) * g]
+            read = partial(np.take, T, q, axis=2, mode="clip",
+                           out=scratch.reshape(B, m + 1, g))
+        else:
+            cost = np.take_along_axis(costs, q, axis=1)
+            read = partial(np.take_along_axis, T, q[:, None], axis=2)
+        cols = np.broadcast_to(q, (B, g))
+        if g <= m:
+            entries = read()
+            ok = (np.count_nonzero(entries, axis=1) == 1).all(axis=1)
+            if ok.any():
+                # singleton columns, above PIVOT_TOL in open rows of
+                # their own
+                where = np.abs(entries).argmax(axis=1)
+                piv = entries[slot[:, None], where, np.arange(g)]
+                rows = np.sort(where, axis=1)
+                ok &= ((np.abs(piv) > PIVOT_TOL)
+                       & (open_rows[slot[:, None], where] > 0.0)).all(axis=1)
+                ok &= (rows[:, 1:] > rows[:, :-1]).all(axis=1)
+                k = ok.nonzero()[0][:, None]
+                # x / 1.0 is x: one pass divides the pivot rows alone
+                divisors = np.ones((B, m + 1))
+                divisors[k, where[ok]] = piv[ok]
+                T /= divisors[:, :, None]
+                basis[k, where[ok]] = cols[ok]
+                open_rows[k, where[ok]] = 0.0
+                if ok.all():
+                    continue
+        most_open = int(np.count_nonzero(open_rows, axis=1).max())
+        for _ in range(min(g, most_open)):
+            size = read()
+            np.abs(size, out=size)
+            size *= open_rows[:, :, None]
+            tall = size.max(axis=1)
+            top = tall.max(axis=1)
+            j = np.where(tall >= START_PIVOT_SHARE * top[:, None], cost,
+                         np.inf).argmin(axis=1)
+            r = size[slot, :, j].argmax(axis=1)
+            go = top > PIVOT_TOL
+            if go.all():
+                moved = slot
+                _pivot_stack(T, basis, r, cols[slot, j], stack.work)
+            elif go.any():
+                moved, r, j = slot[go], r[go], j[go]
+                stack.pivot_slots(moved, r, cols[moved, j])
+            else:
+                break
+            open_rows[moved, r] = 0.0
+    info[:, _ITERATIONS] += np.count_nonzero(basis < n_real, axis=1) - entered
+
+
 def _two_phase(layout, rows, objectives, rhs, ws):
     """_solve_stack's work; the row-flip fallback calls it again once per
     program, past any wrapper of _solve_stack.  No answer is a view of
@@ -693,7 +807,11 @@ def _two_phase(layout, rows, objectives, rhs, ws):
     costs2 = canon.costs
     live = B
     if n_real < ncols:
-        # Phase 1: drive artificials to zero.
+        if layout.start is not None:
+            _pivot_in(stack, layout.start(rows, objectives, rhs),
+                      canon.columns.first, canon.costs, n_real)
+        # Phase 1: drive artificials to zero; from a start that leaves no
+        # artificial basic above zero it stops at its first pricing.
         costs1 = ws.take("costs1", costs2.shape)
         costs1.fill(0.0)
         costs1[:, n_real:-1] = 1.0

@@ -19,10 +19,13 @@ class Solve(NamedTuple):
 
 
 def program(layout, rows, objective, rhs):
-    """The LinearProgram with layout's relations, free variables and
-    sense, and these constraint rows, objective and right-hand sides."""
-    return lp.LinearProgram(objective, zip(rows, layout.relations, rhs),
+    """The LinearProgram with layout's relations, free variables, sense
+    and start, and these constraint rows, objective and right-hand
+    sides."""
+    prog = lp.LinearProgram(objective, zip(rows, layout.relations, rhs),
                             free=layout.free, sense=layout.sense)
+    prog.start = layout.start
+    return prog
 
 
 @pytest.fixture

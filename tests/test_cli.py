@@ -440,6 +440,26 @@ def test_sweep_without_grids_runs_the_config_grids(tmp_path):
         assert report["tasks"]["sweep"]["grids"] == [5, 9], argv[0]
 
 
+def test_sweep_validates_the_sweep_it_runs(tmp_path, capsys):
+    """sweep replaces the file's task list before the config is checked,
+    so a file whose tasks would need an epsilon runs its sweep, and a
+    file that is not an object is still a config error."""
+    path = write_config(tmp_path, {"version": 1,
+                                   "model": {"kind": "counterexample"},
+                                   "tasks": ["virtual"]})
+    out = tmp_path / "out"
+    assert main(["sweep", "--grids", "5,9", str(path), "--out",
+                 str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert list(report["tasks"]) == ["sweep"]
+    assert report["tasks"]["sweep"]["grids"] == [5, 9]
+    path.write_text("[1, 2]")
+    assert main(["sweep", "--grids", "5,9", str(path), "--out",
+                 str(tmp_path / "list")]) == 2
+    assert "config must be a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "list").exists()
+
+
 @pytest.mark.parametrize("grids", ["", ","])
 def test_sweep_without_grids_is_a_config_error(tmp_path, capsys, grids):
     # an empty sweep solves nothing and once passed with a header-only CSV
@@ -623,7 +643,13 @@ library_configs = pytest.mark.parametrize("config, n_states", [
     (counterexample_preset(), 3),
     ({**counterexample_preset(), "tasks": ["sweep"],
       "sweep_grids": [9, 17, 33, 65]}, 3),
-], ids=["table0", "preset", "sweep65"])
+    # 8 states over 6 types: every VSE block keeps artificials at its start
+    ({**random_table_config(["classify", "full", "duality"], seed=3),
+      "model": {"kind": "random_polytope", "seed": 3, "types": 6,
+                "states": 8}}, 8),
+    ({"version": 1, "model": {"kind": "counterexample"},
+      "tasks": ["duality"], "duality_grid": 257}, 3),
+], ids=["table0", "preset", "sweep65", "polytope3", "duality257"])
 
 
 @library_configs

@@ -27,6 +27,7 @@ from surplex.lp import (
     MAX_ITERATIONS,
     OPTIMAL,
     PIVOT_TOL,
+    START_PIVOT_SHARE,
     UNBOUNDED,
     LinearProgram,
     LpSolution,
@@ -569,6 +570,52 @@ class _ReferenceTableau:
             self.basis[r] = q
 
 
+def _reference_pivot_in(lp, first, costs, tab, n_real):
+    """lp._pivot_in on one program, row by row and column by column;
+    costs are its canonical costs."""
+    T, basis = tab.T, tab.basis
+    m = T.shape[0]
+    for group in lp.start(lp.rows[None], lp.objective[None], lp.rhs[None]):
+        cols = [int(first[v]) for v in np.reshape(group, -1)]
+        # singleton columns in distinct open rows enter at once
+        rows = []
+        for c in cols:
+            nonzero = [i for i in range(m) if T[i, c] != 0.0]
+            if (len(nonzero) == 1 and basis[nonzero[0]] >= n_real
+                    and abs(T[nonzero[0], c]) > PIVOT_TOL):
+                rows.append(nonzero[0])
+        if len(rows) == len(cols) == len(set(rows)):
+            for i, c in zip(rows, cols):
+                T[i] /= T[i, c]
+                basis[i] = c
+                tab.iterations += 1
+            continue
+        for _ in cols:
+            open_rows = [i for i in range(m) if basis[i] >= n_real]
+            tall = [max([abs(T[i, c]) for i in open_rows], default=0.0)
+                    for c in cols]
+            top = max(tall)
+            if not top > PIVOT_TOL:
+                break
+            # the cheapest of the columns within START_PIVOT_SHARE of top
+            q = None
+            for c, size in zip(cols, tall):
+                if size >= START_PIVOT_SHARE * top and (
+                        q is None or costs[c] < costs[q]):
+                    q = c
+            r = open_rows[0]
+            for i in open_rows:
+                if abs(T[i, q]) > abs(T[r, q]):
+                    r = i
+            piv = T[r, q]
+            T[r] /= piv
+            factors = T[:, q].copy()
+            factors[r] = 0.0
+            T -= np.outer(factors, T[r])
+            basis[r] = q
+            tab.iterations += 1
+
+
 def reference_solve(lp, events=None):
     """The reference solve of lp; events, if given, collects "parked",
     "unparked", "bland" and "dropped" as the solve parks a column, pivots
@@ -590,6 +637,8 @@ def reference_solve(lp, events=None):
             is_art[c] = True
     costs1 = is_art.astype(float)
     allowed = ~is_art
+    if is_art.any() and lp.start is not None:
+        _reference_pivot_in(lp, canon.columns.first, canon.c, tab, n_real)
     if is_art.any():
         status, obj_row = tab.run(costs1, np.ones(ncols, dtype=bool))
         phase1_value = -obj_row[-1]
@@ -761,20 +810,33 @@ def oracle_stream_instance(trial):
             perm[n_zero + n_floor:])
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeError,
-                   reason="phase 1 ends on a column with no positive entry "
-                   "and a reduced cost of -8.8e-5, past its -2e-5 limit, "
-                   "and raises 'phase 1 cannot be unbounded'")
 def test_separation_program_with_spanning_zero_points_solves():
     # 44 points in 5 states: 5 zero, 34 floor and 5 margin points; the
     # zero points are linearly independent, so z = 0 and the margin is 0
     # (HiGHS on the primal gives 0 too).  exposure_chain's supporting LP,
-    # which has floor points, can build a program of this kind.
+    # which has floor points, can build a program of this kind; from the
+    # layout's start it solves (margin -1.1e-16)
     pts, zero, floor, margin = oracle_stream_instance(51)
     assert (len(pts), zero.size, floor.size, margin.size) == (44, 5, 34, 5)
     assert np.linalg.matrix_rank(pts[zero]) == 5
     _, m = geometry._separation_lp(pts, zero, floor, margin, "chain")
     assert abs(m) <= 1e-9
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeError,
+                   reason="phase 1 ends on a column with no positive entry "
+                   "and a reduced cost of -8.8e-5, past its -2e-5 limit, "
+                   "and raises 'phase 1 cannot be unbounded'")
+def test_separation_program_with_spanning_zero_points_solves_without_a_start(
+        recorded_programs):
+    # the same program as a plain LinearProgram, which has no start, so
+    # phase 1 runs from the artificial basis
+    pts, zero, floor, margin = oracle_stream_instance(51)
+    geometry._separation_lp(pts, zero, floor, margin, "chain")
+    prog = recorded_programs[0].program
+    prog.start = None
+    sol = solve(prog)
+    assert sol.status == OPTIMAL and abs(sol.objective_value) <= 1e-9
 
 
 def test_free_mask_as_list_matches_array():
@@ -987,6 +1049,110 @@ def test_solve_stack_matches_reference_on_virtual_separators(
     for sol, ref in zip(got, refs):
         _assert_same_solution(sol, ref)
     assert {sol.status for sol in got} == {OPTIMAL}
+
+
+def _assert_starts_feasible_and_optimal(programs):
+    """Each program, solved alone, is primal feasible right after its
+    layout's start (no basic variable below zero, and every artificial
+    left basic at zero) and ends OPTIMAL within FEAS_TOL of the same
+    program solved without a start, the driver's path for programs that
+    have none.  Returns how many programs keep an artificial at the
+    start."""
+    states = []
+    pivot_in = lp._pivot_in
+
+    def spy(stack, *args):
+        pivot_in(stack, *args)
+        n_real = args[-1]
+        m = stack.basis.shape[1]
+        states.append((stack.T[0, :m, -1].copy(), stack.basis[0] >= n_real))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "_pivot_in", spy)
+        started = [solve(prog) for prog in programs]
+    assert len(states) == len(programs)
+    kept = 0
+    for prog, sol, (rhs, art) in zip(programs, started, states):
+        assert (rhs >= 0.0).all() and (rhs[art] == 0.0).all()
+        kept += art.any()
+        plain = program(prog, prog.rows, prog.objective, prog.rhs)
+        plain.start = None
+        ref = solve(plain)
+        assert sol.status == ref.status == OPTIMAL
+        assert abs(sol.objective_value - ref.objective_value) <= FEAS_TOL * (
+            1.0 + abs(ref.objective_value))
+    return kept
+
+
+def test_exposure_starts_are_feasible_and_reach_the_optimum(
+        recorded_programs):
+    tables = [models.sample(models.counterexample_model(), n)
+              for n in (101, 201)]
+    tables += [models.random_tabular(seed, 40, 6) for seed in range(4)]
+    for tab in tables:
+        recorded_programs.clear()
+        expose_each(tab.belief_set())
+        progs = [rec.program for rec in recorded_programs]
+        assert _assert_starts_feasible_and_optimal(progs) == 0
+
+
+def test_virtual_separator_starts_are_feasible_and_reach_the_optimum(
+        virtual_separators):
+    layout, rows, objectives, _ = virtual_separators
+    progs = [program(layout, r, c, layout.rhs)
+             for r, c in zip(rows, objectives)]
+    assert _assert_starts_feasible_and_optimal(progs) == 0
+
+
+def test_vse_block_starts_are_feasible_and_reach_the_optimum(
+        recorded_programs):
+    """The curve's blocks, up to the three chunks at n = 257, and the
+    random tables' solve from their starts with no RuntimeWarning (an
+    error under the test configuration).  A block of a table with more
+    states than types has more rows than columns: its start leaves
+    artificials basic at zero, which phase 1's transition drops."""
+    model = models.counterexample_model()
+    tables = [models.sample(model, n) for n in (33, 65, 129, 257)]
+    tables += [models.random_tabular(seed, 40, 6) for seed in range(6)]
+    tables.append(models.random_tabular(3, 6, 8))
+    for tab in tables:
+        recorded_programs.clear()
+        solve_primal(VseInstance(tab))
+        assert len(recorded_programs) == tab.n_types
+        progs = [rec.program for rec in recorded_programs]
+        kept = _assert_starts_feasible_and_optimal(progs)
+        assert kept == (tab.n_types if tab.state_count > tab.n_types else 0)
+
+
+def test_started_stacks_match_reference_whatever_their_mix():
+    """Programs whose starts take different routes share a stack and still
+    get reference_solve's answer and their own, bit for bit: a start
+    group of singleton columns enters at once in some slots and by
+    threshold pivoting in others, and a slot whose rows are dependent
+    keeps an artificial while the others pivot on."""
+    rng = np.random.default_rng(11)
+    m, n, k = 5, 12, 3
+    layout = LinearProgram(np.zeros(n), [(np.zeros(n), EQ, 0.0)] * m)
+    # the first k columns carry a feasible point; the rest enter at zero,
+    # in order of decreasing cost
+    layout.start = lambda rows, objectives, rhs: (
+        np.arange(k), k + np.argsort(-objectives[:, k:], axis=1))
+    programs = []
+    for trial in range(12):
+        rows = rng.normal(size=(m, n))
+        if trial % 3 == 0:      # singleton start columns
+            rows[:, :k] = 0.0
+            rows[np.arange(k), np.arange(k)] = rng.uniform(0.5, 2.0, k)
+        if trial % 4 == 1:      # a dependent row
+            rows[-1] = rows[0]
+        rhs = rows[:, :k] @ rng.uniform(0.5, 1.5, k)
+        # rhs >= 0, so that the stack shares its row flips
+        rows[rhs < 0.0] *= -1.0
+        prog = program(layout, rows, rng.uniform(0.0, 1.0, n), np.abs(rhs))
+        programs.append(prog)
+    events = set()
+    assert set(_assert_stack_bit_identical(programs, events)) == {OPTIMAL}
+    assert "dropped" in events
 
 
 def test_stack_pivot_keeps_the_signed_zeros_of_the_one_slot_pivot():
