@@ -43,12 +43,13 @@ CERT_MULT = 10
 # inside [0, 1e-9] after float rounding of payments up to ~1e4 in norm
 OWN_NUDGE = 1e-11
 # off-face types whose virtual separation LPs share one lock-step solve.
-# A fixed count, not a byte budget: a chunk's rows take SEPARATOR_CHUNK x
-# (S + 1) x (cert points + 1 + 2S) floats, and stacks of one or two
-# programs solve slower than the single solves they replace, so a budget
-# that shrank the stacks on large grids would slow them down.  The chunks
-# of one construction share the buffers of their one lp.solve_chunks call
-SEPARATOR_CHUNK = 12
+# A sifted program has about grid points + 1.8 delta / h columns, not one
+# per cert point, so a chunk's rows take SEPARATOR_CHUNK x (S + 1) x that
+# many floats.  The preset's 99 types go in three chunks: 12 solved
+# slower, and EXPOSE_CHUNK's one stack of 99 raised the preset's peak
+# RSS above what it was with 12.  The chunks of one construction share
+# the buffers of their one lp.solve_chunks call
+SEPARATOR_CHUNK = 33
 
 FULL, VIRTUAL = "full", "virtual"
 
@@ -611,44 +612,105 @@ def _case1_terms(pi, v, ts, cert, delta, eps):
     well conditioned: the ratio is bounded by 1/weighted-margin.  Near
     types (within delta of ts[k]) are held at nonnegative expected value;
     their surplus stays below eps because delta was chosen from the value
-    modulus.
+    modulus.  The near types are one band [a, b) of the sorted cert grid.
 
-    The K LPs share one layout and go to lp.solve_chunks SEPARATOR_CHUNK
-    types at a time.  Type k's point columns are the far cert types in
-    grid order, each divided by its weight, then the near ones (one
-    stable argsort of the near mask; a near column is divided by 1.0,
-    which keeps its bits).  Returns a lazy iterator of the types'
-    _case1_answer: a chunk is built and solved when its first answer is
-    taken, so memory holds one chunk's, and none after a failure.
+    Each LP is sifted.  It is first solved on the far columns of
+    _sifted_far, each divided by its weight, in grid order, then the
+    whole band (a near column is divided by 1.0, which keeps its bits).
+    Then every far column left out is priced against the z it returned,
+    by the driver's own reduced-cost test; while some fail, the type is
+    solved again with them added.  So each answer is an optimum of the
+    program over every far type, which is what the loop converges to.
+
+    The first solves share one layout, as wide as the widest type's
+    columns, and go to lp.solve_chunks SEPARATOR_CHUNK types at a time;
+    a narrower program is padded with all-zero columns after its point
+    columns.  A zero column never prices negative and never takes a
+    pivot, so a program has the same bits padded or not.  Returns a lazy
+    iterator of the types' _case1_answer: a chunk is built and solved
+    when its first answer is taken, so memory holds one chunk's, and none
+    after a failure.
     """
     N, S = cert.beliefs.shape
-    pending = deque()   # per type of a chunk: order, far count, gains, weights
+    points = np.vstack([cert.beliefs, np.zeros(S)])  # point N pads
+    bands = []
+    for t in ts:
+        near = np.abs(cert.ts - t) < delta
+        a = int(near.argmax())
+        bands.append((a, a + int(np.count_nonzero(near))))
+    layout = separation_layout(
+        max((_sifted_far(N, a, b).size + b - a for a, b in bands),
+            default=0), 1, S)
+    # the driver's reduced-cost tolerance, FEAS_TOL (1 + max |cost|)
+    tol = lp.FEAS_TOL * (1.0 + np.abs(layout.objective).max())
+    pending = deque()   # per type of a chunk: its far columns
+
+    def write(rows, types, fars):
+        """The rows of the programs of types, on these far columns."""
+        order = np.full((len(types), rows.shape[2] - 1 - 2 * S), N)
+        weights = np.ones(order.shape)
+        for j, (k, far) in enumerate(zip(types, fars)):
+            a, b = bands[k]
+            order[j, :far.size + b - a] = np.concatenate(
+                [far, np.arange(a, b)])
+            weights[j, :far.size] = np.maximum(cert.values[far] - v[k],
+                                               eps / 2.0)
+        separation_rows(rows, points, order, [far.size for far in fars],
+                        pi[types, None])
+        rows[:, :S, :order.shape[1]] /= weights[:, None, :]
 
     def fill(lo, hi, rows, objectives, rhs):
-        near = np.abs(cert.ts - ts[lo:hi, None]) < delta
-        order = np.argsort(near, axis=1, kind="stable")
-        n_far = N - np.count_nonzero(near, axis=1)
-        gains = cert.values[order] - v[lo:hi, None]
-        weights = np.where(np.arange(N) < n_far[:, None],
-                           np.maximum(gains, eps / 2.0), 1.0)
-        separation_rows(rows, cert.beliefs, order, n_far, pi[lo:hi, None])
-        rows[:, :S, :N] /= weights[:, None, :]
-        pending.extend(zip(order, n_far.tolist(), gains, weights))
+        fars = [_sifted_far(N, *bands[k]) for k in range(lo, hi)]
+        write(rows, np.arange(lo, hi), fars)
+        pending.extend(fars)
 
-    def answer(pi_t, sol):
-        order, f, gains, weights = pending.popleft()
-        return _case1_answer(sol, pi_t, cert.beliefs[order[:f]],
-                             gains[:f], weights[:f])
+    def solve_alone(k, far):
+        a, b = bands[k]
+        sol, = lp.solve_chunks(
+            separation_layout(far.size + b - a, 1, S), 1, 1,
+            lambda lo, hi, rows, objectives, rhs: write(rows, [k], [far]),
+            family="virtual")
+        return sol
 
-    return map(answer, pi, lp.solve_chunks(
-        separation_layout(N, 1, S), len(ts), SEPARATOR_CHUNK, fill,
-        family="virtual"))
+    def answer(k, sol):
+        far = pending.popleft()
+        a, b = bands[k]
+        every = np.r_[0:a, b:N]       # the far cert points
+        far_beliefs = cert.beliefs[every]
+        gains = cert.values[every] - v[k]
+        far_points = far_beliefs / np.maximum(gains, eps / 2.0)[:, None]
+        while True:
+            # a far column's reduced cost is (p.z) / w - m, for the z and
+            # margin m of sol, and the driver stops at -tol
+            out = far_points @ -sol.duals[:S] < sol.duals[S] - tol
+            out[np.searchsorted(every, far)] = False
+            if not out.any():
+                return _case1_answer(sol, pi[k], far_beliefs, gains,
+                                     far_points)
+            far = np.union1d(far, every[out])
+            sol = solve_alone(k, far)
+
+    return map(answer, range(len(ts)), lp.solve_chunks(
+        layout, len(ts), SEPARATOR_CHUNK, fill, family="virtual"))
 
 
-def _case1_answer(sol, pi_t, far_beliefs, gains, weights):
-    """One type's (alpha, z, raw_margin) off its solved separation LP;
+def _sifted_far(N, a, b):
+    """The far columns a separator is first solved on, of an N-point
+    cert grid whose band [a, b) is near: the cert points at stride
+    CERT_MULT, which are the construction grid's own, the grid's two
+    ends and the two points next to the band, in grid order."""
+    far = np.zeros(N, dtype=bool)
+    far[::CERT_MULT] = True
+    far[[0, N - 1, max(a - 1, 0), min(b, N - 1)]] = True
+    far[a:b] = False
+    return np.flatnonzero(far)
+
+
+def _case1_answer(sol, pi_t, far_beliefs, gains, far_points):
+    """One type's (alpha, z, raw_margin) off its solved separation LP,
+    with far_points the far beliefs divided by their weights;
     BudgetInfeasible if z is not positive on the far set."""
-    z, wmargin = separation_answer(sol, far_beliefs / weights[:, None])
+    z, wmargin = separation_answer(sol, far_points)
     if wmargin <= 0.0:
         raise BudgetInfeasible(
             "no functional separates the far set at positive margin")

@@ -5,7 +5,8 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from surplex import extraction, lp
+from surplex import extraction, geometry, lp
+from surplex.models import sample
 
 # the LP families the library labels its solves with
 FAMILIES = ("separation", "chain", "extreme", "virtual", "full_block",
@@ -26,6 +27,35 @@ def program(layout, rows, objective, rhs):
                             free=layout.free, sense=layout.sense)
     prog.start = layout.start
     return prog
+
+
+def full_separators(model, eps, grid_n):
+    """The virtual construction's separation programs on model's grid_n
+    grid as they were before sifting: one per delta-far type on no
+    declared face, with a column per point of the certification grid.
+    Returns (layout, rows, types): types holds the grid indices of the
+    programs' types, and each program's point columns are the far cert
+    points in grid order, each divided by its weight, then the near
+    ones, on geometry.separation_layout with the type's belief as its
+    zero point."""
+    grid = extraction.GridClassifier(model, grid_n)
+    tab = grid.tab
+    cert = sample(model, extraction.CERT_MULT * (grid_n - 1) + 1)
+    delta = eps / (2.0 * model.lipschitz_v)
+    types = np.flatnonzero(~grid.on_face & (np.maximum(
+        np.abs(cert.ts[0] - tab.ts), np.abs(cert.ts[-1] - tab.ts)) >= delta))
+    N, S = cert.beliefs.shape
+    near = np.abs(cert.ts - tab.ts[types, None]) < delta
+    order = np.argsort(near, axis=1, kind="stable")
+    n_far = N - np.count_nonzero(near, axis=1)
+    weights = np.where(np.arange(N) < n_far[:, None], np.maximum(
+        cert.values[order] - tab.values[types, None], eps / 2.0), 1.0)
+    layout = geometry.separation_layout(N, 1, S)
+    rows = np.empty((types.size, S + 1, layout.n_vars))
+    geometry.separation_rows(rows, cert.beliefs, order, n_far,
+                             tab.beliefs[types, None])
+    rows[:, :S, :N] /= weights[:, None, :]
+    return layout, rows, types
 
 
 @pytest.fixture

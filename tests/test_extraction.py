@@ -7,7 +7,7 @@ import signal
 import numpy as np
 import pytest
 
-from surplex import cli, lp
+from surplex import cli, extraction, lp
 from surplex.extraction import (
     DETECTABLE,
     EVENTUALLY_DETECTABLE,
@@ -43,7 +43,7 @@ from surplex.models import (
     sample,
     validate_declared_faces,
 )
-from conftest import program
+from conftest import full_separators, program
 from test_duality import cremer_mclean_tables
 from test_lp import boxed_program
 
@@ -548,9 +548,11 @@ def test_preset_separator_chunks_pivot_in_one_tableau(monkeypatch,
                                                      driver_calls):
     """The preset's separator chunks are all solved in one tableau buffer
     and one pivot scratch buffer, which the workspace of their one
-    lp.solve_chunks call keeps from chunk to chunk.  The spy holds every
-    array it sees, so arrays allocated per chunk could not share an
-    address."""
+    lp.solve_chunks call keeps from chunk to chunk, and no type is solved
+    again.  The spy holds every array it sees, so arrays allocated per
+    chunk could not share an address.  The tableaux are as wide as the
+    widest sifted program, 149 point columns, not the 1,001 of the
+    certification grid."""
     seen = []
     init = lp._Stack.__init__
 
@@ -566,6 +568,124 @@ def test_preset_separator_chunks_pivot_in_one_tableau(monkeypatch,
     for k in range(2):
         assert len({a[k].__array_interface__["data"][0]
                     for a in seen}) == 1
+    # 149 point columns, the zero point split in two, 6 box columns, the
+    # 4 artificials and the right-hand side
+    assert {T.shape[1:] for T, _ in seen} == {(5, 149 + 2 + 6 + 4 + 1)}
+
+
+def _band_neighbours(N, a, b):
+    """A working set cut down to the far points next to the band."""
+    return np.array([j for j in (a - 1, b) if 0 <= j < N])
+
+
+def _grid_ends(N, a, b):
+    """A working set cut down to the far ends of the cert grid."""
+    return np.array([j for j in (0, N - 1) if not a <= j < b])
+
+
+def _every_far(N, a, b):
+    """The working set of the full program: every far point."""
+    return np.r_[0:a, b:N]
+
+
+@pytest.mark.parametrize("preset, grid_n", [(True, 101), (False, 201)],
+                         ids=["preset", "virtual201"])
+def test_sifted_separators_pass_the_full_certificate_check(
+        recorded_programs, preset, grid_n):
+    """Each sifted separator's answer, lifted to its full program (zero
+    on every far column left out), passes lp.check_certificate for the
+    full program, which conftest.full_separators builds on its own.  A
+    sifted program's point columns are columns of the full program, bit
+    for bit, or all-zero padding, which its answer leaves at zero.  No
+    type is solved twice, and some programs are padded."""
+    model = (cli.build_model(cli.counterexample_preset()["model"])
+             if preset else counterexample_model())
+    virtual_extraction_menu(model, 0.05, grid_n)
+    sifted = [rec for rec in recorded_programs if rec.family == "virtual"]
+    layout, rows, types = full_separators(model, 0.05, grid_n)
+    assert len(sifted) == len(types) == grid_n - 2
+    S, N = 3, 10 * (grid_n - 1) + 1
+    padded = 0
+    for full_rows, (prog, sol, _) in zip(rows, sifted):
+        n = prog.n_vars - 1 - 2 * S
+        assert n < N // 5
+        column = {col.tobytes(): j
+                  for j, col in enumerate(full_rows[:, :N].T)}
+        assert len(column) == N
+        x = np.zeros(layout.n_vars)
+        x[N:] = sol.primal[n:]
+        for j, col in enumerate(prog.rows[:, :n].T):
+            if col.any():
+                x[column[col.tobytes()]] = sol.primal[j]
+            else:
+                padded += 1
+                assert sol.primal[j] == 0.0
+        # the same type: the zero point, the box and the right-hand sides
+        assert np.array_equal(prog.rows[:, n:], full_rows[:, N:])
+        assert np.array_equal(prog.rhs, layout.rhs)
+        lifted = lp.LpSolution(lp.OPTIMAL, primal=x, duals=sol.duals,
+                               objective_value=sol.objective_value)
+        rep = lp.check_certificate(
+            program(layout, full_rows, layout.objective, layout.rhs), lifted)
+        assert sol.status == lp.OPTIMAL and rep.passed, rep.max_residual()
+    assert padded > 0
+
+
+@pytest.mark.parametrize("preset, grid_n, cut", [
+    (True, 101, _grid_ends), (False, 201, _band_neighbours)],
+    ids=["preset-ends", "virtual201-neighbours"])
+def test_types_solved_again_reach_the_full_programs_margins(
+        monkeypatch, driver_calls, preset, grid_n, cut):
+    """With the first working sets cut down, some far columns price out
+    and their types are solved again, alone, with them added: every type
+    at the preset from the grid's ends, and one at virtual201 from the
+    band's two neighbours.  The margins match those of the full programs
+    (every far point a column) within 1e-12 (1 + |m|)."""
+    def margins(working):
+        monkeypatch.setattr(extraction, "_sifted_far", working)
+        model = (cli.build_model(cli.counterexample_preset()["model"])
+                 if preset else counterexample_model())
+        driver_calls.clear()
+        _, logs = virtual_extraction_menu(model, 0.05, grid_n)
+        programs = sum(n for family, n in driver_calls if family == "virtual")
+        return programs, np.array([log.margins[0] for log in logs
+                                   if log.case == "detectable"])
+
+    types, full = margins(_every_far)
+    assert types == grid_n - 2
+    programs, cut_down = margins(cut)
+    assert programs > types
+    assert (np.abs(cut_down - full) <= 1e-12 * (1.0 + np.abs(full))).all()
+
+
+def test_a_separator_has_the_same_bits_alone_and_padded(recorded_programs):
+    """The preset's first off-face type has the narrowest band, so its
+    chunk pads its program with zero columns.  Solved alone, unpadded, it
+    takes the same pivots and gives the same answer, bit for bit, and
+    the same LP solution on every column but the padding."""
+    model = cli.build_model(cli.counterexample_preset()["model"])
+    tab = sample(model, 101)
+    cert = sample(model, 1001)
+    _, _, types = full_separators(model, 0.05, 101)
+    args = (cert, 0.05 / (2.0 * model.lipschitz_v), 0.05)
+
+    def solve(k):
+        recorded_programs.clear()
+        answers = list(extraction._case1_terms(
+            tab.beliefs[k], tab.values[k], tab.ts[k], *args))
+        return answers[0], recorded_programs[0]
+
+    (alpha, z, raw), chunk = solve(types)
+    (alpha1, z1, raw1), alone = solve(types[:1])
+    assert (alpha, raw) == (alpha1, raw1) and z.tobytes() == z1.tobytes()
+    n, n1 = chunk.program.n_vars, alone.program.n_vars
+    assert n > n1
+    pad = slice(n1 - 1 - 6, n - 1 - 6)
+    assert not chunk.program.rows[:, pad].any()
+    assert chunk.solution.iterations == alone.solution.iterations
+    assert chunk.solution.duals.tobytes() == alone.solution.duals.tobytes()
+    assert np.delete(chunk.solution.primal, pad).tobytes() == (
+        alone.solution.primal.tobytes())
 
 
 def hook_beliefs(ts):
@@ -595,28 +715,39 @@ def test_virtual_menu_names_an_interior_type():
         virtual_extraction_menu(segment, 0.05, 3)
 
 
-@pytest.mark.parametrize("grid_n, first, chunks", [
-    (21, "0.55", 1), (41, "0.525", 2), (81, "0.5125", 4)],
+@pytest.mark.parametrize("working", [None, _band_neighbours],
+                         ids=["sifted", "band-neighbours"])
+@pytest.mark.parametrize("grid_n, first", [
+    (21, "0.55"), (41, "0.525"), (81, "0.5125")],
     ids=["21-0.55", "41-0.525", "81-0.5125"])
-def test_virtual_menu_names_the_first_failing_type(driver_calls, grid_n,
-                                                   first, chunks):
+def test_virtual_menu_names_the_first_failing_type(monkeypatch, driver_calls,
+                                                   grid_n, first, working):
     """Every type of the hook's straight part after t = 1/2 is a convex
     combination of its neighbours, so many types fail; the first in grid
     order is named.  (On grid 41, t = 0.55 fails too but t = 0.525 comes
     first.)  Every type is delta-far and on no face, and the separators
     are taken in grid order, so no chunk after the first failing type's
-    is solved: on grid 81, 4 chunks of SEPARATOR_CHUNK types, not 7."""
+    is solved: on grid 81, the chunks up to type 41.  So it is with the
+    first working sets cut down to the band's neighbours, which makes
+    types be solved again; those solves are stacks of one, and the first
+    solves are counted apart from them."""
     hook = ParametricModel(state_count=3, belief_fn=hook_beliefs,
                            value_fn=lambda ts: 0.5 * ts, lipschitz_pi=8.0,
                            lipschitz_v=0.5, name="hook")
     arc = dataclasses.replace(hook, belief_fn=lambda ts: hook_beliefs(ts / 2))
+    if working is not None:
+        monkeypatch.setattr(extraction, "_sifted_far", working)
     assert len(virtual_extraction_menu(arc, 0.05, grid_n)[0]) == grid_n
     driver_calls.clear()
     with pytest.raises(NotEventuallyDetectable,
                        match=rf"type t={first} "):
         virtual_extraction_menu(hook, 0.05, grid_n)
-    sizes = [n for family, n in driver_calls if family == "virtual"]
-    assert sizes == [SEPARATOR_CHUNK] * chunks
+    sizes = [n for family, n in driver_calls if family == "virtual" and n > 1]
+    again = [n for family, n in driver_calls if family == "virtual" and n == 1]
+    assert bool(again) == (working is not None)
+    failing = round(float(first) * (grid_n - 1))
+    assert sizes == [min(SEPARATOR_CHUNK, grid_n - lo)
+                     for lo in range(0, failing + 1, SEPARATOR_CHUNK)]
 
 
 def test_virtual_reads_the_on_face_rule_of_classify():

@@ -29,6 +29,7 @@ from surplex.models import (
     random_tabular,
     sample,
 )
+from conftest import full_separators
 from test_lp import boxed_program
 
 
@@ -421,31 +422,20 @@ def test_separation_lp_matches_primal_oracle():
 
 
 def case1_family():
-    """The separation LP _case1_terms solves for the curve type t = 0.3,
-    read back off the rows it hands to lp._solve_stack (the 1,001-point
-    certification grid of a 101-point construction grid), as the
-    _separation_lp arguments (points, zero, floor, margin): the points
-    stacked zero, floor, margin, and the index array of each family."""
-    model = counterexample_model(validate=False)
-    cert = sample(model, 1001)
-    t, eps = 0.3, 0.05
-    seen = []
-    driver = lp._solve_stack
-
-    def spy(layout, rows, objectives, rhs, ws, family):
-        seen.append(np.array(rows))
-        return driver(layout, rows, objectives, rhs, ws, family)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lp, "_solve_stack", spy)
-        list(extraction._case1_terms(
-            model.beliefs(t), model.values(t), np.array([t]), cert,
-            eps / (2.0 * model.lipschitz_v), eps))
-    (rows,) = seen
-    # one program: point columns, then the zero point; the last row
-    # marks the margin columns
-    S, n = cert.state_count, cert.n_types
-    points, margin = rows[0, :S, :n + 1].T, rows[0, S, :n + 1] == 1.0
+    """The full separation LP of the virtual construction for the curve
+    type t = 0.3, with a column per point of the 1,001-point
+    certification grid of a 101-point construction grid (as
+    conftest.full_separators builds it, not the sifted program the
+    construction solves), as the _separation_lp arguments (points, zero,
+    floor, margin): the points stacked zero, floor, margin, and the
+    index array of each family."""
+    _, rows, types = full_separators(counterexample_model(validate=False),
+                                     0.05, 101)
+    (k,) = np.flatnonzero(types == 30)
+    # point columns, then the zero point; the last row marks the margin
+    # columns
+    S, n = 3, 1001
+    points, margin = rows[k, :S, :n + 1].T, rows[k, S, :n + 1] == 1.0
     families = (points[n:], points[:n][~margin[:n]], points[margin])
     ends = np.cumsum([0] + [len(f) for f in families])
     return (np.vstack(families),

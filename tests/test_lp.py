@@ -41,7 +41,7 @@ from surplex.lp import (
     solve,
 )
 
-from conftest import program
+from conftest import full_separators, program
 
 
 def boxed_program(objective, constraints, box, sense="min"):
@@ -987,24 +987,14 @@ def test_solve_all_matches_reference_on_vse_blocks(recorded_programs):
 
 @pytest.fixture(scope="module")
 def virtual_separators():
-    """The preset's virtual separation LPs as _case1_terms stacks them:
-    (layout, rows, objectives) over all 99 off-face types, and each
-    program's reference_solve answer."""
+    """The preset's 99 virtual separation LPs in full, with a column per
+    point of the 1,001-point certification grid, as (layout, rows,
+    objectives), and each program's reference_solve answer.  The
+    construction solves them sifted, on a few of these columns; their
+    full width keeps the driver tested on wide stacks."""
     model = cli.build_model(cli.counterexample_preset()["model"])
-    parts = []
-    stack = lp._solve_stack
-
-    def spy(layout, rows, objectives, rhs, ws, family):
-        if family == "virtual":
-            parts.append((layout, np.array(rows), np.array(objectives)))
-        return stack(layout, rows, objectives, rhs, ws, family)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lp, "_solve_stack", spy)
-        virtual_extraction_menu(model, 0.05, 101)
-    layout = parts[0][0]
-    rows = np.concatenate([r for _, r, _ in parts])
-    objectives = np.concatenate([c for _, _, c in parts])
+    layout, rows, _ = full_separators(model, 0.05, 101)
+    objectives = np.repeat(layout.objective[None], len(rows), axis=0)
     refs = [reference_solve(program(layout, r, c, layout.rhs))
             for r, c in zip(rows, objectives)]
     return layout, rows, objectives, refs
@@ -1017,11 +1007,11 @@ def virtual_separators():
          "fallback"])
 def test_solve_stack_matches_reference_on_virtual_separators(
         virtual_separators, monkeypatch, chunk, view, fallback):
-    """The driver gives each of the preset's 99 virtual separators the
-    reference answer bit for bit, whatever the chunks (99 = 8 x 12 + 3 =
-    2 x 40 + 19), with the shared objective left to solve_chunks, which
-    broadcasts the layout's, and through the per-program fallback of a
-    stack without a shared canonical layout."""
+    """The driver gives each of the preset's 99 virtual separators, in
+    full, the reference answer bit for bit, whatever the chunks (99 =
+    3 x 33 = 2 x 40 + 19), with the shared objective left to
+    solve_chunks, which broadcasts the layout's, and through the
+    per-program fallback of a stack without a shared canonical layout."""
     layout, rows, objectives, refs = virtual_separators
     assert rows.shape == (99, 4, 1001 + 1 + 2 * 3)
     assert len(set(layout.relations)) == 1 and layout.rhs.tolist() == [
