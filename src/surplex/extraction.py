@@ -43,9 +43,9 @@ CERT_MULT = 10
 # inside [0, 1e-9] after float rounding of payments up to ~1e4 in norm
 OWN_NUDGE = 1e-11
 # off-face types whose virtual separation LPs share one lock-step solve.
-# A sifted program has about grid points + 1.8 delta / h columns, not one
-# per cert point, so a chunk's rows take SEPARATOR_CHUNK x (S + 1) x that
-# many floats.  The preset's 99 types go in three chunks: 12 solved
+# A sifted program has about grid_n + 1.8 delta / h columns (h the cert
+# spacing), not one per cert point, so a chunk's rows take
+# SEPARATOR_CHUNK x (S + 1) x that many floats.  The preset's 99 types go in three chunks: 12 solved
 # slower, and EXPOSE_CHUNK's one stack of 99 raised the preset's peak
 # RSS above what it was with 12.  The chunks of one construction share
 # the buffers of their one lp.solve_chunks call

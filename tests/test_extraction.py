@@ -715,39 +715,37 @@ def test_virtual_menu_names_an_interior_type():
         virtual_extraction_menu(segment, 0.05, 3)
 
 
-@pytest.mark.parametrize("working", [None, _band_neighbours],
-                         ids=["sifted", "band-neighbours"])
 @pytest.mark.parametrize("grid_n, first", [
     (21, "0.55"), (41, "0.525"), (81, "0.5125")],
     ids=["21-0.55", "41-0.525", "81-0.5125"])
 def test_virtual_menu_names_the_first_failing_type(monkeypatch, driver_calls,
-                                                   grid_n, first, working):
+                                                   grid_n, first):
     """Every type of the hook's straight part after t = 1/2 is a convex
     combination of its neighbours, so many types fail; the first in grid
     order is named.  (On grid 41, t = 0.55 fails too but t = 0.525 comes
     first.)  Every type is delta-far and on no face, and the separators
     are taken in grid order, so no chunk after the first failing type's
-    is solved: on grid 81, the chunks up to type 41.  So it is with the
-    first working sets cut down to the band's neighbours, which makes
+    is solved: on grid 81, the chunks up to type 41.  So it is again with
+    the first working sets cut down to the band's neighbours, which makes
     types be solved again; those solves are stacks of one, and the first
     solves are counted apart from them."""
     hook = ParametricModel(state_count=3, belief_fn=hook_beliefs,
                            value_fn=lambda ts: 0.5 * ts, lipschitz_pi=8.0,
                            lipschitz_v=0.5, name="hook")
     arc = dataclasses.replace(hook, belief_fn=lambda ts: hook_beliefs(ts / 2))
-    if working is not None:
-        monkeypatch.setattr(extraction, "_sifted_far", working)
-    assert len(virtual_extraction_menu(arc, 0.05, grid_n)[0]) == grid_n
-    driver_calls.clear()
-    with pytest.raises(NotEventuallyDetectable,
-                       match=rf"type t={first} "):
-        virtual_extraction_menu(hook, 0.05, grid_n)
-    sizes = [n for family, n in driver_calls if family == "virtual" and n > 1]
-    again = [n for family, n in driver_calls if family == "virtual" and n == 1]
-    assert bool(again) == (working is not None)
     failing = round(float(first) * (grid_n - 1))
-    assert sizes == [min(SEPARATOR_CHUNK, grid_n - lo)
-                     for lo in range(0, failing + 1, SEPARATOR_CHUNK)]
+    for working in (extraction._sifted_far, _band_neighbours):
+        monkeypatch.setattr(extraction, "_sifted_far", working)
+        assert len(virtual_extraction_menu(arc, 0.05, grid_n)[0]) == grid_n
+        driver_calls.clear()
+        with pytest.raises(NotEventuallyDetectable,
+                           match=rf"type t={first} "):
+            virtual_extraction_menu(hook, 0.05, grid_n)
+        sizes = [n for family, n in driver_calls if family == "virtual"]
+        assert [n for n in sizes if n > 1] == [
+            min(SEPARATOR_CHUNK, grid_n - lo)
+            for lo in range(0, failing + 1, SEPARATOR_CHUNK)]
+        assert (1 in sizes) == (working is _band_neighbours)
 
 
 def test_virtual_reads_the_on_face_rule_of_classify():
